@@ -31,14 +31,12 @@ from .attacks import (
     alphabet_t,
     evaluate_r,
     expander_attack,
-    gamma_gap,
     island_attack,
     refined_expander_attack,
     soundness_profile,
 )
 from .zoo import (
     ClassicalParityCode,
-    classical_expander_code,
     classical_soundness_check,
     css_code,
     css_hypergraph_product,

@@ -40,10 +40,6 @@ def alphabet_alpha(d: int) -> float:
     return 1.0 - alphabet_t(d)
 
 
-def gamma_gap(k: int) -> float:
-    return min(1e-3, 0.01 / k)
-
-
 @dataclass(frozen=True)
 class AttackReport:
     """Evaluation of one error against one code.
@@ -503,34 +499,6 @@ def island_attack(
         best_trial=best_report,
         seed=seed,
     )
-
-
-def weight_threshold_y(k: int) -> float:
-    """Tabulated low-weight tail thresholds y(k) for the smoke test."""
-    table = {4: 0.9985, 5: 0.9992}
-    if k in table:
-        return table[k]
-    if 6 <= k <= 11:
-        return 0.9999
-    raise ValueError(f"no tabulated threshold for k={k}")
-
-
-def low_weight_frequency(stats: IslandTrialStats) -> dict:
-    """Empirical frequency of wt_mod_group below |S| * p * y(k).
-
-    When the threshold is <= 1 the event is exactly 'the error lies in
-    the group' (coset weight 0), which was counted exactly per trial.
-    """
-    threshold = len(stats.s_qudits) * stats.p * weight_threshold_y(stats.k)
-    if threshold > 1:
-        raise ValueError(
-            "threshold exceeds 1; per-trial weight searches are required for this instance"
-        )
-    return {
-        "threshold": threshold,
-        "frequency": stats.zero_coset_weight_trials / stats.trials,
-        "kind": "exact",
-    }
 
 
 # --------------------------------------------------------------------------

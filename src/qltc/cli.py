@@ -35,7 +35,7 @@ def load_code(source: str, strict_degree: bool = False) -> StabilizerCode:
     if os.path.exists(source):
         try:
             return StabilizerCode.load(source, strict_degree=strict_degree)
-        except (OSError, json.JSONDecodeError, KeyError, CodeValidationError) as exc:
+        except (OSError, ValueError, KeyError) as exc:
             raise InputError(f"cannot load code file {source}: {exc}") from exc
     raise InputError(f"unknown code source {source!r} (not a preset, not a file)")
 
@@ -84,14 +84,6 @@ def _emit(report: dict, path: str | None) -> None:
         print(text)
 
 
-def worker_count() -> int:
-    """Worker hint from QLTC_WORKERS; execution is serial but vectorized."""
-    try:
-        return max(1, int(os.environ.get("QLTC_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -117,6 +109,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.expansion and args.sets < 1:
+        raise InputError(f"--sets must be >= 1, got {args.sets}")
     code = load_code(args.source)
     report: dict = {
         "command": "analyze",
@@ -134,7 +128,10 @@ def cmd_analyze(args) -> int:
         s = code.is_succinct(budget=args.budget)
         report["succinct"] = {"kind": "exact" if s is not None else "unknown", "value": s}
     if args.expansion:
-        report["expansion"] = code.graph.small_set_expansion_error(args.sets)
+        try:
+            report["expansion"] = code.graph.small_set_expansion_error(args.sets)
+        except ValueError as exc:
+            report["expansion"] = {"refused": str(exc)}
     if args.profile:
         try:
             report["profile"] = attacks.soundness_profile(code, args.wcap).to_json()
@@ -155,6 +152,10 @@ def cmd_attack(args) -> int:
     code = load_code(args.source)
     if args.attack in ("expander", "refined", "alphabet", "island") and args.seed is None:
         raise InputError("a --seed is mandatory for stochastic attack runs")
+    if args.delta is not None and not args.delta > 0:
+        raise InputError(f"--delta must be positive, got {args.delta}")
+    if args.trials < 1:
+        raise InputError(f"--trials must be >= 1, got {args.trials}")
     report: dict = {"command": "attack", "source": args.source, "attack": args.attack}
     try:
         return _run_attack(args, code, report)

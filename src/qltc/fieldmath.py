@@ -1,15 +1,20 @@
 """Exact linear algebra over the prime field GF(p).
 
 All matrices are 2-D numpy integer arrays with entries reduced mod p.
-These routines back rank/membership/solve queries for stabilizer codes;
-they are deliberately dense and simple (desk-scale instances).
+`rref` is the one elimination routine.  `RowSpace` runs it once, on
+[mat | J] with J the identity with its columns reversed, and reads every
+query off that one reduced matrix: rank, the right kernel (membership),
+the left kernel (generator dependencies) and the coefficients of a row
+space member.  Reversing J makes each left-kernel row pivot on the last
+row of mat it uses, which is a row that depends on earlier ones; so the
+coefficients are zero at every such row, as in a direct solve that
+prefers the earliest independent rows.  Deliberately dense and simple
+(desk-scale instances).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(p: int) -> bool:
@@ -39,7 +44,8 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     Returns (R, pivots) where R has the same shape as mat and pivots lists
     the pivot column of each nonzero row in order.
     """
-    a = np.array(mat, dtype=np.int64) % p
+    a = np.array(mat, dtype=np.int64)
+    a %= p
     nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
@@ -62,61 +68,32 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def rank(mat: np.ndarray, p: int) -> int:
-    if mat.size == 0:
-        return 0
-    _, pivots = rref(mat, p)
-    return len(pivots)
-
-
-def solve_left(mat: np.ndarray, target: np.ndarray, p: int) -> np.ndarray | None:
-    """Solve c @ mat = target over GF(p); returns one solution or None."""
-    m = mat.shape[0]
-    aug = np.concatenate([mat.T % p, (np.asarray(target, dtype=np.int64) % p)[:, None]], axis=1)
-    r, pivots = rref(aug, p)
-    # inconsistent iff a pivot lands in the augmented column
-    if m in pivots:
-        return None
-    c = np.zeros(m, dtype=np.int64)
-    for row_idx, col in enumerate(pivots):
-        c[col] = r[row_idx, m]
-    return c
-
-
-def right_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis (as rows) of {w : mat @ w = 0} over GF(p)."""
-    nrows, ncols = mat.shape
-    if nrows == 0:
-        return np.eye(ncols, dtype=np.int64)
-    r, pivots = rref(mat, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row_idx, pc in enumerate(pivots):
-            basis[i, pc] = (-r[row_idx, fc]) % p
-    return basis
-
-
-def left_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis (as rows) of {c : c @ mat = 0} over GF(p)."""
-    return right_nullspace(mat.T % p, p)
-
-
 class RowSpace:
-    """Row space of a matrix over GF(p) with fast membership queries.
+    """Row space of an m x N matrix over GF(p), from one elimination.
 
-    Membership of v is tested by checking v against a basis of the right
-    nullspace (v in rowspace iff v is orthogonal to every kernel vector);
-    this vectorizes over batches of candidates.
+    rank, pivots  -- rank and pivot columns of rref(mat)
+    kernel        -- basis (rows) of {w : mat @ w = 0}: one row per free
+                     column, 1 there and 0 at the other free columns
+    left_kernel   -- basis (rows) of {c : c @ mat = 0}: one row per row of
+                     mat that depends on earlier rows, 1 there and 0 at
+                     the other dependent rows, in row order
     """
 
     def __init__(self, mat: np.ndarray, p: int):
         self.p = p
-        self.mat = np.asarray(mat, dtype=np.int64) % p
-        self.rref, self.pivots = rref(self.mat, p)
+        m, ncols = mat.shape
+        reduced, pivots = rref(np.concatenate([mat, np.eye(m, dtype=np.int64)[:, ::-1]], axis=1), p)
+        self.pivots = [c for c in pivots if c < ncols]
         self.rank = len(self.pivots)
-        self.kernel = right_nullspace(self.mat, p)  # rows
+        # reduced = T @ [mat | J], so T (columns back in row order of mat) has
+        # reduced[i, :ncols] = T[i] @ mat; rows below rank span the left kernel
+        transform = reduced[:, ncols:][:, ::-1]
+        self._pivot_combinations = transform[: self.rank].copy()
+        self.left_kernel = transform[self.rank :][::-1].copy()
+        free = np.setdiff1d(np.arange(ncols), self.pivots)
+        self.kernel = np.zeros((free.size, ncols), dtype=np.int64)
+        self.kernel[np.arange(free.size), free] = 1
+        self.kernel[:, self.pivots] = (-reduced[: self.rank, free].T) % p
 
     def contains(self, v: np.ndarray) -> bool:
         if self.kernel.shape[0] == 0:
@@ -131,5 +108,10 @@ class RowSpace:
         return ~np.any(res, axis=1)
 
     def coefficients(self, v: np.ndarray) -> np.ndarray | None:
-        """c with c @ mat = v, or None if v is not in the row space."""
-        return solve_left(self.mat, v, self.p)
+        """c with c @ mat = v, zero at every dependent row; None off the row space."""
+        if not self.contains(v):
+            return None
+        # v = sum_i v[pivot_i] * (pivot row i of rref(mat)), and each such row
+        # is a combination of mat's rows that is zero at every dependent row
+        v = np.asarray(v, dtype=np.int64) % self.p
+        return (v[self.pivots] @ self._pivot_combinations) % self.p

@@ -132,9 +132,6 @@ class BipartiteGraph:
         total = int(deg.sum())
         return ExpansionStats(len(qudits), gamma_size, unique, gamma_size - unique, total)
 
-    def epsilon(self, qudits: Iterable[int]) -> float:
-        return self.expansion_stats(qudits).epsilon
-
     def small_set_expansion_error(
         self,
         size_cap: int,
@@ -150,6 +147,8 @@ class BipartiteGraph:
         the expansion error of a disconnected set is a weighted average of
         its components' errors.  Sampled mode reports a lower bound.
         """
+        if size_cap < 1:
+            raise ValueError(f"size_cap must be >= 1, got {size_cap}")
         if mode == "exhaustive":
             est = self._connected_set_estimate(size_cap)
             if est > sample_guard:

@@ -21,14 +21,16 @@ import numpy as np
 from .pauli import nonidentity_symbols
 
 # float64 matmul is exact here (entries < d <= 47, inner dim bounded) and
-# hits BLAS instead of numpy's slow integer path
+# hits BLAS instead of numpy's slow integer path; an operand already held as
+# float64 is used without a copy
 _FLOAT_SAFE = 2**52
 
 
 def modmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     bound = a.shape[-1] * (p - 1) * (p - 1)
     if bound < _FLOAT_SAFE:
-        prod = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        prod = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+        prod = np.rint(prod).astype(np.int64)
     else:
         prod = a.astype(np.int64) @ b.astype(np.int64)
     return prod % p

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fieldmath import check_prime, rank
-from .graphs import BipartiteGraph, ExpansionStats
+from .fieldmath import check_prime
+from .graphs import BipartiteGraph
 from .pauli import PauliOp
 from .stabilizer import StabilizerCode, build_code
 
@@ -308,10 +308,6 @@ class ClassicalParityCode:
 
     def violations(self, bits: np.ndarray) -> int:
         return int(np.count_nonzero((self.parity_matrix @ bits) % 2))
-
-
-def classical_expander_code(graph: BipartiteGraph) -> ClassicalParityCode:
-    return ClassicalParityCode(graph)
 
 
 def classical_soundness_check(code: ClassicalParityCode, weight_cap: int) -> dict:

@@ -221,14 +221,6 @@ def test_island_rejects_bad_trials():
         island_attack(_hgp_instance(), trials=0, seed=0)
 
 
-def test_weight_threshold_table():
-    assert attacks.weight_threshold_y(4) == 0.9985
-    assert attacks.weight_threshold_y(5) == 0.9992
-    assert attacks.weight_threshold_y(8) == 0.9999
-    with pytest.raises(ValueError):
-        attacks.weight_threshold_y(3)
-
-
 # --- soundness profile -----------------------------------------------------
 
 def test_profile_toric2_single_errors():

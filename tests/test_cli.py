@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qltc
 from qltc.cli import main
 
 
@@ -10,6 +14,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter; the timeout turns a hang into a failure."""
+    src = os.path.dirname(os.path.dirname(qltc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "qltc.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def load_report(path):
@@ -57,6 +69,14 @@ def test_unknown_preset_exits_1(capsys):
     assert code == 1
 
 
+def test_code_file_with_non_prime_d_exits_1(tmp_path, capsys):
+    path = tmp_path / "d4.json"
+    gens = [{"d": 4, "n": 2, "x": [1, 1], "z": [0, 0]}, {"d": 4, "n": 2, "x": [0, 0], "z": [1, 1]}]
+    path.write_text(json.dumps({"d": 4, "n": 2, "k": 2, "generators": gens}))
+    code, _, err = run(capsys, "build", str(path))
+    assert code == 1 and "prime" in err
+
+
 # --- analyze ---------------------------------------------------------------
 
 def test_analyze_distance_toric4(capsys):
@@ -84,6 +104,21 @@ def test_analyze_expansion(capsys):
     code, out, _ = run(capsys, "analyze", "toric:3", "--expansion", "--sets", "2")
     rep = json.loads(out)
     assert code == 0 and rep["expansion"]["epsilon_star"] == pytest.approx(0.25)
+
+
+def test_analyze_expansion_sets_below_1_exits_1(tmp_path):
+    proc = run_process("analyze", "toric:3", "--expansion", "--sets", "0")
+    assert proc.returncode == 1 and "--sets" in proc.stderr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sets": -1}))
+    proc = run_process("analyze", "toric:3", "--expansion", "--config", str(cfg))
+    assert proc.returncode == 1 and "--sets" in proc.stderr
+
+
+def test_analyze_expansion_refused_in_band(capsys):
+    code, out, _ = run(capsys, "analyze", "toric:10", "--expansion", "--sets", "8")
+    assert code == 0
+    assert "infeasible" in json.loads(out)["expansion"]["refused"]
 
 
 # --- attack ----------------------------------------------------------------
@@ -138,11 +173,22 @@ def test_attack_island(capsys):
 
 
 def test_attack_refused_in_band(capsys):
-    # delta <= 0 cannot be satisfied: in-band refusal, exit 0
+    # delta 0.9 asks for more qudits than toric:3's independent set gives: refusal, exit 0
     code, out, _ = run(capsys, "attack", "toric:3", "refined", "--delta", "0.9", "--seed", "0")
     assert code == 0
     rep = json.loads(out)
     assert "refused" in rep or rep["csv_row"]["bound_holds"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("expander", "--delta", "-1"),
+    ("expander", "--delta", "0"),
+    ("island", "--trials", "0"),
+])
+def test_attack_bad_delta_or_trials_exits_1(capsys, argv):
+    code, out, err = run(capsys, "attack", "toric:3", *argv, "--seed", "0")
+    assert code == 1 and out == ""
+    assert ("--delta" if "--delta" in argv else "--trials") in err
 
 
 # --- verify ----------------------------------------------------------------

@@ -32,48 +32,57 @@ def test_inv_mod():
             assert (a * fm.inv_mod(a, p)) % p == 1
 
 
+def dependent_rows(mat, p):
+    """Rows that are combinations of earlier rows, by prefix ranks (rref oracle)."""
+    ranks = [0] + [len(fm.rref(mat[: i + 1], p)[1]) for i in range(mat.shape[0])]
+    return [i for i in range(mat.shape[0]) if ranks[i + 1] == ranks[i]]
+
+
 @given(matrices)
 @settings(max_examples=200)
 def test_rref_preserves_rowspace(mp):
     mat, p = mp
     r, pivots = fm.rref(mat, p)
-    assert fm.rank(r, p) == len(pivots) == fm.rank(mat, p)
+    rs = fm.RowSpace(mat, p)
+    assert rs.rank == len(pivots) == fm.RowSpace(r, p).rank
+    assert rs.pivots == pivots
     # every rref row is a combination of original rows and vice versa
-    for row in r:
-        if row.any():
-            assert fm.solve_left(mat, row, p) is not None
-    for row in mat:
-        assert fm.solve_left(r, row, p) is not None
+    assert rs.contains_batch(r).all()
+    assert fm.RowSpace(r, p).contains_batch(mat).all()
 
 
 @given(matrices)
 @settings(max_examples=200)
 def test_nullspaces_annihilate(mp):
     mat, p = mp
-    ns = fm.right_nullspace(mat, p)
-    assert ns.shape[0] == mat.shape[1] - fm.rank(mat, p)
-    if ns.size:
-        assert not np.any((mat @ ns.T) % p)
-    lns = fm.left_nullspace(mat, p)
-    if lns.size:
-        assert not np.any((lns @ mat) % p)
+    rs = fm.RowSpace(mat, p)
+    assert rs.kernel.shape == (mat.shape[1] - rs.rank, mat.shape[1])
+    assert not np.any((mat @ rs.kernel.T) % p)
+    dep = dependent_rows(mat, p)
+    assert rs.left_kernel.shape == (mat.shape[0] - rs.rank, mat.shape[0])
+    assert not np.any((rs.left_kernel @ mat) % p)
+    # one row per dependent row, in order: 1 there, 0 at the other dependent rows
+    assert np.array_equal(rs.left_kernel[:, dep], np.eye(len(dep), dtype=np.int64))
 
 
 @given(matrices, st.integers(0, 10**6))
 @settings(max_examples=200)
 def test_solve_left_roundtrip(mp, seed):
     mat, p = mp
+    rs = fm.RowSpace(mat, p)
     rng = np.random.default_rng(seed)
     c = rng.integers(p, size=mat.shape[0])
     target = (c @ mat) % p
-    sol = fm.solve_left(mat, target, p)
-    assert sol is not None
+    sol = rs.coefficients(target)
     assert np.array_equal((sol @ mat) % p, target)
+    assert not sol[dependent_rows(mat, p)].any()
+    w = rng.integers(p, size=mat.shape[1])
+    assert (rs.coefficients(w) is None) == (not rs.contains(w))
 
 
 def test_solve_left_inconsistent():
     mat = np.array([[1, 0]], dtype=np.int64)
-    assert fm.solve_left(mat, np.array([0, 1]), 2) is None
+    assert fm.RowSpace(mat, 2).coefficients(np.array([0, 1])) is None
 
 
 @given(matrices, st.integers(0, 10**6))

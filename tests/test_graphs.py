@@ -1,10 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qltc
 from qltc.graphs import BipartiteGraph
 from qltc.zoo import random_regular_bipartite, toric_code
 
@@ -76,6 +80,24 @@ def test_small_set_expansion_toric():
     assert res["kind"] == "exact"
     assert res["epsilon_star"] == pytest.approx(1 / 4)
     assert code.graph.small_set_expansion_error(1)["epsilon_star"] == 0.0
+
+
+def test_small_set_expansion_rejects_cap_below_1():
+    # in a fresh interpreter with a timeout, so that an endless scan fails the test
+    src = os.path.dirname(os.path.dirname(qltc.__file__))
+    script = (
+        "from qltc.zoo import toric_code\n"
+        "g = toric_code(3).graph\n"
+        "for mode in ('exhaustive', 'sampled'):\n"
+        "    try:\n"
+        "        g.small_set_expansion_error(0, mode=mode, samples=5, seed=0)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.count("size_cap") == 2
 
 
 def test_small_set_exhaustive_matches_full_bruteforce():

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qltc.pauli import PauliOp, enumerate_by_weight
 from qltc.stabilizer import (
@@ -14,6 +16,7 @@ from qltc.stabilizer import (
     StabilizerCode,
     TrivialQuditError,
     build_code,
+    product_phase,
 )
 from qltc.zoo import steane_code, toric_code
 
@@ -85,8 +88,9 @@ def test_phase_obstruction_dependent_product():
     g2 = PauliOp(2, 2, [0, 0], [1, 1], 0)
     prod = g1.multiply(g2)
     g3 = PauliOp(2, 2, prod.x, prod.z, (prod.phase + 1) % 2)
-    with pytest.raises(PhaseObstructionError):
+    with pytest.raises(PhaseObstructionError) as err:
         build_code([g1, g2, g3])
+    assert err.value.coeffs == [1, 1, 1]
     # with the honest phase the same set is a valid (redundant) code
     assert build_code([g1, g2, prod]).rank == 2
 
@@ -153,6 +157,38 @@ def test_group_contains_generator_and_products():
     prod = c.generators[0].multiply(c.generators[1])
     mem2 = c.group_contains(prod)
     assert mem2.status == "member" and np.count_nonzero(mem2.coefficients) == 2
+
+
+def test_group_contains_coefficients_pinned():
+    # the certificate is zero on every generator that depends on earlier ones:
+    # the ninth star g8 of toric:3 is the product of g0..g7, so g0*g8 = g1*...*g7
+    c = toric_code(3)
+    mem = c.group_contains(c.generators[0].multiply(c.generators[8]))
+    assert mem.status == "member"
+    assert list(np.nonzero(mem.coefficients)[0]) == list(range(1, 8))
+    c3 = toric_code(3, 3)
+    mem3 = c3.group_contains(c3.generators[2].power(2).multiply(c3.generators[10]))
+    assert mem3.status == "member" and mem3.phase_difference == 0
+    expected = np.zeros(c3.m, dtype=np.int64)
+    expected[2], expected[10] = 2, 1
+    assert np.array_equal(mem3.coefficients, expected)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.integers(1, 5), st.integers(0, 10**6))
+@settings(max_examples=200)
+def test_product_phase_matches_multiply_loop(d, n, m, seed):
+    # arbitrary (not necessarily commuting) generators, exponents 0..d inclusive
+    rng = np.random.default_rng(seed)
+    gens = [PauliOp(d, n, rng.integers(d, size=n), rng.integers(d, size=n), int(rng.integers(d)))
+            for _ in range(m)]
+    c = rng.integers(d + 1, size=m)
+    c[rng.integers(m)] = d
+    prod = PauliOp.identity(n, d)
+    for g, e in zip(gens, c):
+        prod = prod.multiply(g.power(int(e)))
+    xz = np.array([[int(np.dot(a.x, b.z)) % d for b in gens] for a in gens], dtype=np.int64)
+    phases = np.array([g.phase for g in gens], dtype=np.int64)
+    assert product_phase(xz, phases, c, d) == prod.phase
 
 
 def test_group_contains_refusals():
