@@ -7,7 +7,7 @@ and random-island attacks), with a dense Hilbert-space oracle for small
 instances.
 """
 
-from .pauli import BudgetExceededError, PauliOp, enumerate_by_weight
+from .pauli import PauliOp
 from .stabilizer import (
     BoundedWeight,
     CodeValidationError,

@@ -211,7 +211,8 @@ def _independent_set(code: StabilizerCode, t: int, target: int, seed: int) -> li
     u = code.graph.greedy_t_independent(t, target, seed=seed)
     if not u:
         raise ValueError(f"no non-empty {t}-independent constraint set found")
-    assert code.graph.verify_t_independent(u, t)
+    if not code.graph.verify_t_independent(u, t):
+        raise AssertionError(f"greedy constraint set {u} is not {t}-independent")
     return u
 
 
@@ -243,7 +244,8 @@ def expander_attack(
         "predicted_penalty_bound": predicted,
     }
     report = evaluate_r(code, e, budget=budget, seed=seed, meta=meta)
-    assert report.penalty <= predicted
+    if report.penalty > predicted:
+        raise AssertionError(f"penalty {report.penalty} exceeds the predicted bound {predicted}")
     return report
 
 
@@ -332,7 +334,8 @@ def alphabet_attack(
             if (code.generators[c].x[q] * mz - code.generators[c].z[q] * mx) % code.d
         )
         frac = viol / deg
-        assert frac <= alphabet_alpha(code.d) + 1e-12, "majority count bound violated"
+        if frac > alphabet_alpha(code.d) + 1e-12:
+            raise AssertionError(f"majority count bound violated at qudit {q}")
         per_qudit_fraction.append(frac)
     e = PauliOp(code.d, code.n, x, z, 0)
     k, dl = code.k, code.D_L

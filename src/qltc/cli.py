@@ -29,14 +29,14 @@ class InputError(Exception):
 
 
 def load_code(source: str, strict_degree: bool = False) -> StabilizerCode:
-    """Resolve a preset name or a JSON code-file path."""
-    if ":" in source or source in ("steane",):
-        return _preset(source)
+    """Resolve a JSON code-file path or, when no such file exists, a preset name."""
     if os.path.exists(source):
         try:
             return StabilizerCode.load(source, strict_degree=strict_degree)
         except (OSError, ValueError, KeyError) as exc:
             raise InputError(f"cannot load code file {source}: {exc}") from exc
+    if ":" in source or source in ("steane",):
+        return _preset(source)
     raise InputError(f"unknown code source {source!r} (not a preset, not a file)")
 
 
@@ -253,7 +253,7 @@ def cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """JSON config file whose keys override the parsed flags."""
+    """JSON config file whose keys override the parsed flags, read through each flag's type."""
     if not getattr(args, "config", None):
         return
     try:
@@ -263,10 +263,24 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         raise InputError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
-    known = set(vars(args))
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.cmd]._actions if a.dest != "help"}
     for key, value in cfg.items():
-        if key not in known:
+        action = actions.get(key)
+        if action is None:
             raise InputError(f"unknown config key {key!r}")
+        if isinstance(action, argparse._StoreTrueAction):
+            if not isinstance(value, bool):
+                raise InputError(f"config key {key!r} must be true or false, got {value!r}")
+        else:
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise InputError(f"config key {key!r} must be a string or a number, got {value!r}")
+            try:
+                value = (action.type or str)(str(value))
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"config key {key!r}: {exc}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise InputError(f"config key {key!r} must be one of {sorted(action.choices)}")
         setattr(args, key, value)
 
 
@@ -279,7 +293,8 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="report JSON path (default stdout)")
         sp.add_argument("--config", help="JSON config file overriding flags")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--budget", type=int, default=None, help="candidate search cap")
+        sp.add_argument("--budget", type=int, default=None,
+                        help="cap on the half-table words each weight search may build")
 
     b = sub.add_parser("build", help="build/validate a code and save it")
     common(b)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .pauli import PauliOp
+from .search import candidate_batches
 from .stabilizer import StabilizerCode
 
 SIZE_CAP = 1024
@@ -108,14 +109,14 @@ def verify_detectability(code: StabilizerCode, rho: int) -> dict:
     gamma_E is the fitted scalar tr(Pi_C E Pi_C)/tr(Pi_C); reports the
     maximum residual norm and any violator.
     """
-    from .pauli import enumerate_by_weight
-
     pc = codespace_projector(code)
     dim_c = float(np.real(np.trace(pc)))
     max_residual = 0.0
     checked = 0
     violator = None
-    for e in enumerate_by_weight(code.n, code.d, rho - 1):
+    batches = (b for w in range(1, rho) for b in candidate_batches(code.n, code.d, w))
+    for v in (v for batch in batches for v in batch):
+        e = PauliOp(code.d, code.n, v[: code.n], v[code.n :])
         de = densify(e)
         lhs = pc @ de @ pc
         gamma = np.trace(lhs) / dim_c

@@ -96,9 +96,7 @@ class RowSpace:
         self.kernel[:, self.pivots] = (-reduced[: self.rank, free].T) % p
 
     def contains(self, v: np.ndarray) -> bool:
-        if self.kernel.shape[0] == 0:
-            return True
-        return not np.any((self.kernel @ (np.asarray(v, dtype=np.int64) % self.p)) % self.p)
+        return bool(self.contains_batch(np.asarray(v)[None, :])[0])
 
     def contains_batch(self, vs: np.ndarray) -> np.ndarray:
         """Boolean mask over rows of vs."""

@@ -70,8 +70,6 @@ class BipartiteGraph:
         right_degs = {len(v) for v in self.right_adj}
         self.D_L = left_degs.pop() if len(left_degs) == 1 else None
         self.k = right_degs.pop() if len(right_degs) == 1 else None
-        if self.D_L is not None and self.k is not None:
-            assert self.n * self.D_L == self.m * self.k, "handshake violation"
 
     # --- neighborhoods ------------------------------------------------
     def gamma(self, vertices: Iterable[int], side: str) -> set[int]:

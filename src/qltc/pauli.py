@@ -16,21 +16,12 @@ the scalar i is never materialized, so phase exponents stay in Z_d.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .fieldmath import check_prime
-
-
-class BudgetExceededError(Exception):
-    """Raised when a candidate-enumeration cap is hit."""
-
-    def __init__(self, budget: int, message: str | None = None):
-        self.budget = budget
-        super().__init__(message or f"candidate budget of {budget} exhausted")
 
 
 def _as_vec(v, n: int, d: int) -> np.ndarray:
@@ -74,11 +65,6 @@ class PauliOp:
         xv[site] = x % d
         zv[site] = z % d
         return PauliOp(d, n, xv, zv, phase)
-
-    @staticmethod
-    def from_vectors(d: int, x, z, phase: int = 0) -> "PauliOp":
-        x = np.asarray(x, dtype=np.int64)
-        return PauliOp(d, len(x), x, z, phase)
 
     # --- basic queries ------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -187,38 +173,3 @@ class PauliOp:
 def nonidentity_symbols(d: int) -> list[tuple[int, int]]:
     """The d^2-1 per-site non-identity (x, z) exponent pairs, lexicographic."""
     return [(x, z) for x in range(d) for z in range(d) if (x, z) != (0, 0)]
-
-
-def enumerate_by_weight(
-    n: int, d: int, w_max: int, budget: int | None = None
-) -> Iterator[PauliOp]:
-    """Yield every phase-0 Pauli of weight 1..w_max exactly once.
-
-    Order is deterministic: non-decreasing weight, then lexicographic in
-    (support, per-site symbol).  Count at weight w is C(n,w)*(d^2-1)^w.
-    Raises BudgetExceededError when a candidate cap is hit.
-    """
-    check_prime(d)
-    if w_max > n:
-        raise ValueError(f"w_max={w_max} exceeds n={n}")
-    symbols = nonidentity_symbols(d)
-    count = 0
-    for w in range(1, w_max + 1):
-        for supp in itertools.combinations(range(n), w):
-            for combo in itertools.product(symbols, repeat=w):
-                if budget is not None and count >= budget:
-                    raise BudgetExceededError(budget)
-                count += 1
-                xv = np.zeros(n, dtype=np.int64)
-                zv = np.zeros(n, dtype=np.int64)
-                for site, (sx, sz) in zip(supp, combo):
-                    xv[site] = sx
-                    zv[site] = sz
-                yield PauliOp(d, n, xv, zv, 0)
-
-
-def count_by_weight(n: int, d: int, w: int) -> int:
-    """C(n,w) * (d^2-1)^w."""
-    import math
-
-    return math.comb(n, w) * (d * d - 1) ** w

@@ -1,12 +1,20 @@
-"""Weight-ordered candidate enumeration over symplectic vectors.
+"""One weight search: the least weight of v in Z_d^{2n} with A v = t.
 
-The coset-minimum searches (weight modulo group / centralizer, code
-distance, succinctness) all reduce to: find the minimum-weight vector
-v in Z_d^{2n} satisfying a linear acceptance test.  Cost then scales
-with the answer weight, not the group size.  Candidates are generated
-in batches (support-major, symbol-minor, both lexicographic) so the
-first accepted index is the canonical minimum; acceptance tests are
-vectorized matrix products mod d.
+Every coset-minimum query (weight modulo the group or the centralizer,
+code distance, succinctness) asks for the least weight of a symplectic
+word v with matrix @ v == target (mod d), some also with nonzero @ v != 0.
+The image of a word is the sum of its site images (the images of its
+weight-1 parts), so weight w = a + b, a = ceil(w/2), b = floor(w/2), is a
+hash join of the images of all weight-a words against target minus the
+images of all weight-b words (meet in the middle; Dumer, Kovalev and
+Pryadko, arXiv:1611.07164).  A hit whose halves share a site is a word of
+lower weight that passes the same test, which the weights already
+searched rule out, so the join needs no disjointness check.  Cost scales
+with C(n, w/2), not with the group size.
+
+candidate_batches enumerates every word of one weight in canonical order
+(supports, then per-site symbols, both lexicographic) in bounded batches;
+the soundness profile and the dense verifier walk it.
 """
 
 from __future__ import annotations
@@ -14,16 +22,21 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .pauli import nonidentity_symbols
 
-# float64 matmul is exact here (entries < d <= 47, inner dim bounded) and
+# float64 matmul is exact while every sum of products stays below 2**52, and
 # hits BLAS instead of numpy's slow integer path; an operand already held as
 # float64 is used without a copy
 _FLOAT_SAFE = 2**52
+# rows per candidate_batches batch, which holds 16 n bytes a row
+BATCH_ROWS = 1 << 13
+# estimated peak bytes of one half-table join (_join_bytes); a weight that
+# needs more ends the search as a budget hit
+HALF_TABLE_BYTES = 1 << 27
 
 
 def modmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -46,44 +59,29 @@ def pure_symbols(d: int, kind: str) -> list[tuple[int, int]]:
 
 
 def candidate_batches(
-    n: int,
-    d: int,
-    w: int,
-    symbols: Sequence[tuple[int, int]] | None = None,
-    support_chunk: int = 512,
+    n: int, d: int, w: int, symbols: Sequence[tuple[int, int]] | None = None
 ) -> Iterator[np.ndarray]:
-    """Batches of symplectic (x|z) row vectors of weight exactly w.
+    """Batches of at most BATCH_ROWS symplectic (x|z) rows, every word of weight w once.
 
     Canonical order within and across batches: supports lexicographic,
     then per-site symbols lexicographic.
     """
-    if symbols is None:
-        symbols = nonidentity_symbols(d)
-    s = len(symbols)
-    combos = np.array(list(itertools.product(range(s), repeat=w)), dtype=np.int64)
-    sym = np.array(symbols, dtype=np.int64)  # (s, 2)
-    symarr = sym[combos]  # (c, w, 2)
-    c = symarr.shape[0]
-    chunk: list[tuple[int, ...]] = []
-    for supp in itertools.combinations(range(n), w):
-        chunk.append(supp)
-        if len(chunk) == support_chunk:
-            yield _build_batch(chunk, symarr, n, c)
-            chunk = []
-    if chunk:
-        yield _build_batch(chunk, symarr, n, c)
-
-
-def _build_batch(supports, symarr, n, c):
-    supp = np.asarray(supports, dtype=np.int64)  # (b, w)
-    b = supp.shape[0]
-    v = np.zeros((b * c, 2 * n), dtype=np.int64)
-    rows = np.arange(b * c)[:, None]
-    cols = np.repeat(supp, c, axis=0)  # (b*c, w)
-    sym = np.tile(symarr, (b, 1, 1))  # (b*c, w, 2)
-    v[rows, cols] = sym[:, :, 0]
-    v[rows, cols + n] = sym[:, :, 1]
-    return v
+    sym = np.array(nonidentity_symbols(d) if symbols is None else symbols, dtype=np.int64)
+    s = len(sym)
+    combos = s**w
+    place = s ** np.arange(w - 1, -1, -1)
+    supports = itertools.combinations(range(n), w)
+    while chunk := list(itertools.islice(supports, max(1, BATCH_ROWS // combos))):
+        supp = np.array(chunk, dtype=np.int64).reshape(len(chunk), w)
+        for start in range(0, len(chunk) * combos, BATCH_ROWS):
+            k = np.arange(start, min(start + BATCH_ROWS, len(chunk) * combos))
+            cols = supp[k // combos]
+            digits = (k % combos)[:, None] // place % s
+            rows = np.arange(k.size)[:, None]
+            v = np.zeros((k.size, 2 * n), dtype=np.int64)
+            v[rows, cols] = sym[digits, 0]
+            v[rows, cols + n] = sym[digits, 1]
+            yield v
 
 
 def candidates_at_weight(n: int, d: int, w: int, symbols=None) -> int:
@@ -95,10 +93,10 @@ def candidates_at_weight(n: int, d: int, w: int, symbols=None) -> int:
 class SearchResult:
     """Outcome of a weight-ordered search.
 
-    found_weight/vector describe the first accepted candidate (canonical
-    order), or None.  exhausted_weight is the largest weight whose
-    candidates were all tested without acceptance; any accepted vector has
-    weight > exhausted_weight.  budget_hit marks an early stop.
+    found_weight is the least weight of a solution and vector one such
+    word, or both None.  exhausted_weight is the largest weight up to
+    which no solution exists.  candidates_tested counts half-table words;
+    budget_hit marks an early stop (budget or half-table cap).
     """
 
     found_weight: int | None
@@ -108,88 +106,130 @@ class SearchResult:
     budget_hit: bool
 
 
-def _weight1_images(n: int, d: int, symbols, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Images A v for every weight-1 candidate, support-major symbol-minor."""
-    sym = np.asarray(symbols, dtype=np.int64)
-    s = len(sym)
-    rows = np.arange(n * s)
-    qudits = np.arange(n).repeat(s)
-    v1 = np.zeros((n * s, 2 * n), dtype=np.int64)
-    v1[rows, qudits] = np.tile(sym[:, 0], n)
-    v1[rows, qudits + n] = np.tile(sym[:, 1], n)
-    return v1, modmul(v1, matrix.T, d)
+def _rows(a: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one opaque value, ordered as bytes."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
 
 
-def _weight2_linear_search(
-    n: int, d: int, symbols, matrix: np.ndarray, target: np.ndarray
-) -> np.ndarray | None:
-    """Exact weight-2 pass for a linear acceptance A v == target.
+def _image_dtype(d: int) -> np.dtype:
+    """Least unsigned type that holds 2d, so a sum of two images below d never wraps."""
+    return np.min_scalar_type(2 * d)
 
-    Images are additive over disjoint supports, so a hash join over the
-    weight-1 images replaces the quadratic candidate sweep; the returned
-    vector is the canonical (support-then-symbol lexicographic) minimum.
-    """
-    s = len(symbols)
-    v1, y = _weight1_images(n, d, symbols, matrix)
-    by_image: dict[bytes, list[int]] = {}
-    for i in range(n * s):
-        by_image.setdefault(y[i].tobytes(), []).append(i)
-    best_key = None
-    best = None
-    need = (target[None, :] - y) % d
-    for i in range(n * s):
-        q_i, s_i = divmod(i, s)
-        for j in by_image.get(need[i].tobytes(), ()):
-            if j // s > q_i:  # distinct, unordered pairs once
-                key = (q_i, j // s, s_i, j % s)
-                if best_key is None or key < best_key:
-                    best_key, best = key, (v1[i] + v1[j]) % d
-                break  # later j only increase (q_j, s_j)
-    return best
+
+def _join_bytes(size_a: int, a: int, b: int, row_bytes: int) -> int:
+    """Peak bytes of a join, per word of the larger (weight-a) table: four image
+    rows (site images, sorted targets, probe, partner), twice the int32 site
+    indices of both halves, and 16 bytes of indices and masks."""
+    return size_a * (4 * row_bytes + 8 * (a + b) + 16)
+
+
+def _site_images(matrix: np.ndarray, n: int, d: int, symbols) -> np.ndarray:
+    """Image of the weight-1 word with symbol j at site q, at row q*s + j."""
+    out = np.empty((n, len(symbols), matrix.shape[0]), dtype=_image_dtype(d))
+    sym = np.array(symbols, dtype=np.int64)
+    for q in range(n):
+        out[q] = modmul(sym, matrix[:, [q, q + n]].T, d)
+    return out.reshape(n * len(symbols), -1)
+
+
+def _half_table(n: int, s: int, h: int) -> np.ndarray:
+    """Site-image rows of every weight-h word, one word per row (int32 holds
+    q*s + j: a table of 2**31 words is far past HALF_TABLE_BYTES)."""
+    c, k = math.comb(n, h), s**h
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), h))
+    supports = np.fromiter(flat, dtype=np.int32, count=c * h).reshape(c, 1, h)
+    symbols = np.array(list(itertools.product(range(s), repeat=h)), dtype=np.int32)
+    return (supports * s + symbols.reshape(1, k, h)).reshape(c * k, h)
+
+
+def _images(words: np.ndarray, site_images: np.ndarray, d: int) -> np.ndarray:
+    out = np.zeros((words.shape[0], site_images.shape[1]), dtype=site_images.dtype)
+    for col in words.T:
+        out += site_images[col]
+        out %= d
+    return out
+
+
+def _meet(n, d, s, a, b, images, nz_images, target):
+    """Site-image rows of a word of weight <= a + b that solves the search, or None."""
+    words_b = _half_table(n, s, b)
+    need = _images(words_b, images, d)
+    np.subtract(target + d, need, out=need)
+    need %= d
+    order = np.argsort(_rows(need))
+    need = _rows(need)[order]
+    words_b = words_b[order]
+    del order
+    # a permutation of the weight-b table is as good a probe table
+    words_a = words_b if a == b else _half_table(n, s, a)
+    probe = _rows(_images(words_a, images, d))
+    # one partner per probe: the first weight-b word in sort order with the
+    # image it needs
+    j = np.searchsorted(need, probe)
+    np.minimum(j, need.size - 1, out=j)
+    ok = need[j] == probe
+    del need, probe
+    if nz_images is not None:
+        # One partner per probe is enough, as the target is zero and no
+        # lighter word solves: if partner j cancels the probe's filter image
+        # and partner j' does not, then j' - j is a lighter solution when
+        # b < a; when b == a, partner j taken as a probe gets a partner that
+        # does not cancel it.
+        nz = _images(words_a, nz_images, d) + _images(words_b[j], nz_images, d)
+        ok &= (nz % d).any(axis=1)
+    hits = np.flatnonzero(ok)
+    if not hits.size:
+        return None
+    return np.concatenate([words_a[hits[0]], words_b[j[hits[0]]]])
 
 
 def min_weight_vector(
     n: int,
     d: int,
     w_max: int,
-    accept_batch: Callable[[np.ndarray], np.ndarray],
+    matrix: np.ndarray,
+    target: np.ndarray,
+    nonzero: np.ndarray | None = None,
     budget: int | None = None,
     symbol_sets: Sequence[Sequence[tuple[int, int]] | None] = (None,),
-    linear: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SearchResult:
-    """Find the minimum-weight symplectic vector accepted by accept_batch.
+    """Least weight w <= w_max of v with matrix @ v == target and nonzero @ v != 0 (mod d).
 
-    symbol_sets allows parallel restricted searches (e.g. X-type and Z-type
-    words for CSS codes) advanced in lockstep weight by weight.  When the
-    acceptance is the linear equality A v == t, passing linear=(A, t)
-    enables an exact hash-join shortcut at weight 2.
+    symbol_sets runs searches restricted to per-site symbols closed under
+    addition (e.g. X-type and Z-type words of a CSS code) in lockstep,
+    weight by weight.  Each weight w costs C(n,a) s^a half-table words, plus
+    C(n,b) s^b when b != a (s symbols per site); budget caps their total
+    (candidates_tested), and HALF_TABLE_BYTES caps the memory of one join.  nonzero
+    goes with a zero target, and only there: it excludes the empty word.
     """
+    target = np.asarray(target).astype(np.int64) % d
+    if (nonzero is None) != bool(target.any()):
+        raise ValueError("a nonzero filter goes with a zero target, and only there")
+    target = target.astype(_image_dtype(d))
+    row_bytes = target.itemsize * (matrix.shape[0] + (0 if nonzero is None else nonzero.shape[0]))
+    sets = [nonidentity_symbols(d) if syms is None else list(syms) for syms in symbol_sets]
+    images: list = [None] * len(sets)
     tested = 0
-    for w in range(1, w_max + 1):
-        hit_vec = None
-        for symbols in symbol_sets:
-            if w == 2 and linear is not None:
-                syms = symbols if symbols is not None else nonidentity_symbols(d)
-                need = n * len(syms)
-                if budget is not None and tested + need > budget:
-                    return SearchResult(None, None, w - 1, tested, True)
-                cand = _weight2_linear_search(n, d, syms, *linear)
-                tested += need
-                if cand is not None and hit_vec is None:
-                    hit_vec = cand
-                continue
-            need = candidates_at_weight(n, d, w, symbols)
-            if budget is not None and tested + need > budget:
+    for w in range(1, min(w_max, n) + 1):
+        a, b = (w + 1) // 2, w // 2
+        for k, symbols in enumerate(sets):
+            s = len(symbols)
+            size_a = math.comb(n, a) * s**a
+            need = size_a + (math.comb(n, b) * s**b if b != a else 0)
+            over_budget = budget is not None and tested + need > budget
+            if over_budget or _join_bytes(size_a, a, b, row_bytes) > HALF_TABLE_BYTES:
                 return SearchResult(None, None, w - 1, tested, True)
-            for batch in candidate_batches(n, d, w, symbols):
-                mask = accept_batch(batch)
-                tested += batch.shape[0]
-                if mask.any():
-                    idx = int(np.argmax(mask))
-                    cand = batch[idx]
-                    if hit_vec is None:
-                        hit_vec = cand
-                    break  # first hit in this symbol set is its minimum
-        if hit_vec is not None:
-            return SearchResult(w, hit_vec, w - 1, tested, False)
+            tested += need
+            if images[k] is None:
+                images[k] = [None if m is None else _site_images(m, n, d, symbols)
+                             for m in (matrix, nonzero)]
+            sites = _meet(n, d, s, a, b, *images[k], target)
+            if sites is not None:
+                v = np.zeros(2 * n, dtype=np.int64)
+                for r in sites:
+                    q, j = divmod(int(r), s)
+                    v[q] += symbols[j][0]
+                    v[q + n] += symbols[j][1]
+                return SearchResult(w, v % d, w - 1, tested, False)
     return SearchResult(None, None, w_max, tested, False)

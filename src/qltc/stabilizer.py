@@ -5,11 +5,12 @@ validates the Abelian requirement, absence of a phase obstruction (so the
 codespace is non-empty), uniform locality, degree regularity and absence
 of trivial qudits, each with a specific diagnosis.
 
-Weight-modulo-group and weight-modulo-centralizer are computed by
-weight-ordered candidate search with certified intervals on budget
-exhaustion; membership for weight purposes is scalar-insensitive (a
-member up to a root-of-unity counts), since weight and commutation are
-phase-blind.
+Weight modulo the group, weight modulo the centralizer, distance and
+succinctness are each one call of search.min_weight_vector: the least
+weight of v with A v = t, where A is the syndrome map or the kernel of
+A(G), with certified intervals when the budget runs out.  Membership
+for weight purposes is scalar-insensitive (a member up to a
+root-of-unity counts), since weight and commutation are phase-blind.
 """
 
 from __future__ import annotations
@@ -243,40 +244,31 @@ class StabilizerCode:
     def wt_mod_centralizer(self, e: PauliOp, budget: int | None = None) -> BoundedWeight:
         """min weight of any Pauli with the same syndrome as E.
 
-        F is in E*Z(G) iff syndrome(F) == syndrome(E); the search enumerates
-        candidates by weight, capped at wt(E)-1 (E itself certifies the top).
+        F is in E*Z(G) iff syndrome(F) == syndrome(E); the search is capped
+        at wt(E)-1 (E itself certifies the top).
         """
         target = self.syndrome(e)
         if not np.any(target):
             return BoundedWeight.exactly(0)
         w_e = e.weight()
-
-        def accept(batch: np.ndarray) -> np.ndarray:
-            syn = self.syndrome_batch(batch)
-            return np.all(syn == target, axis=1)
-
         res = min_weight_vector(
-            self.n, self.d, w_e - 1, accept, budget=budget,
-            linear=(self._syndrome_matrix, target),
+            self.n, self.d, w_e - 1, self._syndrome_matrix, target, budget=budget
         )
         return self._bounded_from_search(res, w_e)
 
     def wt_mod_group(self, e: PauliOp, budget: int | None = None) -> BoundedWeight:
-        """min weight of F with F*E^{-1} in A(G), scalar-insensitive."""
+        """min weight of F with F*E^{-1} in A(G), scalar-insensitive.
+
+        F*E^{-1} is in A(G) iff kernel @ v_F == kernel @ v_E, kernel being a
+        basis of the vectors orthogonal to A(G).
+        """
         v_e = e.symplectic()
         if self.in_span(v_e):
             return BoundedWeight.exactly(0)
         w_e = e.weight()
         kernel = self.rowspace.kernel
         target = modmul(kernel, v_e, self.d)
-
-        def accept(batch: np.ndarray) -> np.ndarray:
-            proj = modmul(batch, kernel.T, self.d)
-            return np.all(proj == target, axis=1)
-
-        res = min_weight_vector(
-            self.n, self.d, w_e - 1, accept, budget=budget, linear=(kernel, target)
-        )
+        res = min_weight_vector(self.n, self.d, w_e - 1, kernel, target, budget=budget)
         return self._bounded_from_search(res, w_e)
 
     @staticmethod
@@ -304,20 +296,12 @@ class StabilizerCode:
         """
         if use_css is None:
             use_css = self.is_css()
-
-        def accept(batch: np.ndarray) -> np.ndarray:
-            syn = self.syndrome_batch(batch)
-            zero_syn = ~np.any(syn, axis=1)
-            if not zero_syn.any():
-                return zero_syn
-            in_span = self.rowspace.contains_batch(batch)
-            return zero_syn & ~in_span
-
         symbol_sets = (
             (pure_symbols(self.d, "x"), pure_symbols(self.d, "z")) if use_css else (None,)
         )
         res = min_weight_vector(
-            self.n, self.d, w_max or self.n, accept, budget=budget, symbol_sets=symbol_sets
+            self.n, self.d, w_max or self.n, self._syndrome_matrix, np.zeros(self.m),
+            nonzero=self.rowspace.kernel, budget=budget, symbol_sets=symbol_sets,
         )
         if res.found_weight is not None:
             return BoundedWeight.exactly(res.found_weight)
@@ -326,15 +310,18 @@ class StabilizerCode:
     def is_succinct(self, budget: int | None = None) -> bool | None:
         """True iff A(G) has no non-identity element of weight < k.
 
-        None when the budget runs out before the search is complete.
+        None when the budget runs out before the search is complete.  A
+        member of A(G) is fixed by its pivot coordinates, so those tell it
+        from the identity.
         """
         if self.k <= 1:
             return True
-
-        def accept(batch: np.ndarray) -> np.ndarray:
-            return self.rowspace.contains_batch(batch)
-
-        res = min_weight_vector(self.n, self.d, self.k - 1, accept, budget=budget)
+        kernel = self.rowspace.kernel
+        pivots = np.eye(2 * self.n, dtype=np.int64)[self.rowspace.pivots]
+        res = min_weight_vector(
+            self.n, self.d, self.k - 1, kernel, np.zeros(kernel.shape[0]),
+            nonzero=pivots, budget=budget,
+        )
         if res.found_weight is not None:
             return False
         return None if res.budget_hit else True
@@ -351,7 +338,14 @@ class StabilizerCode:
 
     @staticmethod
     def from_json(obj: dict, strict_degree: bool = False) -> "StabilizerCode":
-        gens = [PauliOp.from_json(g) for g in obj["generators"]]
+        if not isinstance(obj, dict) or not isinstance(obj.get("generators"), list):
+            raise CodeValidationError("a code must be a JSON object with a list of generators")
+        if not all(isinstance(g, dict) for g in obj["generators"]):
+            raise CodeValidationError("every generator must be a JSON object")
+        try:
+            gens = [PauliOp.from_json(g) for g in obj["generators"]]
+        except TypeError as exc:  # e.g. null or a list where a number belongs
+            raise CodeValidationError(f"malformed generator: {exc}") from exc
         return StabilizerCode(gens, strict_degree=strict_degree)
 
     def save(self, path, meta: dict | None = None) -> None:

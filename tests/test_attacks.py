@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qltc
 from qltc import attacks, zoo
 from qltc.attacks import (
     IslandTrialStats,
@@ -270,3 +274,18 @@ def test_profile_json():
     full = soundness_profile(toric_code(2), 8).to_json()
     assert full["coverage_complete"]
     assert all(row["kind"] == "exact" for row in full["table"])
+
+
+def test_invariant_breach_exits_2_under_python_O():
+    # the t-independence check is an explicit raise, so -O keeps it
+    src = os.path.dirname(os.path.dirname(qltc.__file__))
+    script = (
+        "import sys\n"
+        "from qltc.graphs import BipartiteGraph\n"
+        "BipartiteGraph.verify_t_independent = lambda self, u, t: False\n"
+        "from qltc.cli import main\n"
+        "sys.exit(main(['attack', 'toric:4', 'expander', '--delta', '0.05', '--seed', '1']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 2 and "invariant" in proc.stderr

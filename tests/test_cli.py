@@ -77,6 +77,24 @@ def test_code_file_with_non_prime_d_exits_1(tmp_path, capsys):
     assert code == 1 and "prime" in err
 
 
+def test_code_file_with_malformed_generators_exits_1(tmp_path, capsys):
+    good = {"d": 2, "n": 2, "x": [1, 1], "z": [0, 0]}
+    for body in ({"d": 2, "n": 2, "k": 2, "generators": [good, 5]},
+                 [good],
+                 {"d": 2, "n": 2, "k": 2, "generators": [{**good, "x": None}]}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(body))
+        code, out, err = run(capsys, "build", str(path))
+        assert code == 1 and out == "" and "cannot load code file" in err
+
+
+def test_existing_file_wins_over_preset_name(tmp_path, capsys):
+    path = tmp_path / "a:b.json"
+    assert run(capsys, "build", "toric:2", "--out-code", str(path))[0] == 0
+    code, out, _ = run(capsys, "build", str(path))
+    assert code == 0 and json.loads(out)["n"] == 8
+
+
 # --- analyze ---------------------------------------------------------------
 
 def test_analyze_distance_toric4(capsys):
@@ -147,6 +165,20 @@ def test_attack_expander_with_csv(tmp_path, capsys):
         "--seed", "2", "--csv", str(csv_path))
     with open(csv_path) as f:
         assert len(list(csv.DictReader(f))) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("attack", "toric:2:257", "expander", "--delta", "0.1", "--seed", "1"),
+    ("analyze", "toric:2:257", "--distance"),
+])
+def test_qudit_dimension_past_one_byte(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rep = json.loads(out)
+    if argv[0] == "analyze":
+        assert rep["distance"] == {"kind": "exact", "value": 2}
+    else:
+        assert rep["csv_row"]["bound_holds"] is True
 
 
 def test_attack_alphabet_precondition_warning(capsys):
@@ -232,6 +264,31 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"bogus": 1}))
     code, _, err = run(capsys, "build", "toric:2", "--config", str(cfg))
     assert code == 1 and "unknown config key" in err
+
+
+def test_config_values_go_through_flag_types(tmp_path, capsys):
+    def with_config(cfg, *argv):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return run(capsys, *argv, "--config", str(path))
+
+    code, out, _ = with_config({"sets": "2"}, "analyze", "toric:3", "--expansion")
+    assert code == 0 and json.loads(out)["expansion"]["epsilon_star"] == pytest.approx(0.25)
+    attack = ("attack", "toric:4", "expander", "--seed", "3")
+    code, out, _ = with_config({"delta": "0.05"}, *attack)
+    assert code == 0
+    assert json.loads(out) == json.loads(run(capsys, *attack, "--delta", "0.05")[1])
+    code, out, _ = with_config({"distance": True}, "analyze", "toric:3")
+    assert code == 0 and json.loads(out)["distance"] == {"kind": "exact", "value": 3}
+    for cfg, argv in (({"sets": "two"}, ("analyze", "toric:3", "--expansion")),
+                      ({"sets": 2.5}, ("analyze", "toric:3", "--expansion")),
+                      ({"delta": [0.1]}, attack),
+                      ({"delta": None}, attack),
+                      ({"distance": "yes"}, ("analyze", "toric:3")),
+                      ({"distance": 1}, ("analyze", "toric:3")),
+                      ({"attack": "bogus"}, attack)):
+        code, out, err = with_config(cfg, *argv)
+        assert code == 1 and out == "" and "config key" in err, cfg
 
 
 def test_out_writes_file(tmp_path, capsys):

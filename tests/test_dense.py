@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qltc import dense
-from qltc.pauli import PauliOp, enumerate_by_weight
+from qltc.pauli import PauliOp
 from qltc.stabilizer import build_code
 from qltc.zoo import steane_code, toric_code
 

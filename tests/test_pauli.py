@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qltc import dense
-from qltc.pauli import (
-    BudgetExceededError,
-    PauliOp,
-    count_by_weight,
-    enumerate_by_weight,
-    nonidentity_symbols,
-)
+from qltc.pauli import PauliOp, nonidentity_symbols
+from qltc.search import candidate_batches, candidates_at_weight
 
 
 @st.composite
@@ -128,38 +123,34 @@ def test_json_roundtrip():
 
 # --- enumeration ----------------------------------------------------------
 
+def words(n, d, w_max):
+    """Every Pauli of weight 1..w_max, in candidate_batches order."""
+    return [
+        PauliOp(d, n, v[:n], v[n:])
+        for w in range(1, w_max + 1)
+        for batch in candidate_batches(n, d, w)
+        for v in batch
+    ]
+
+
 def test_enumerate_counts():
-    assert len(list(enumerate_by_weight(2, 2, 1))) == 6
-    assert len(list(enumerate_by_weight(3, 3, 1))) == 24
-    assert list(enumerate_by_weight(3, 2, 0)) == []
-    ops = list(enumerate_by_weight(3, 2, 2))
-    assert len(ops) == count_by_weight(3, 2, 1) + count_by_weight(3, 2, 2)
-    # exactly once, weight non-decreasing
+    assert len(words(2, 2, 1)) == 6
+    assert len(words(3, 3, 1)) == 24
+    assert words(3, 2, 0) == []
+    ops = words(3, 2, 2)
+    assert len(ops) == candidates_at_weight(3, 2, 1) + candidates_at_weight(3, 2, 2)
+    # exactly once, weight non-decreasing, then supports and symbols lexicographic
     assert len(set(ops)) == len(ops)
-    weights = [op.weight() for op in ops]
-    assert weights == sorted(weights)
-
-
-def test_enumerate_budget():
-    gen = enumerate_by_weight(4, 2, 2, budget=5)
-    with pytest.raises(BudgetExceededError):
-        list(gen)
-
-
-def test_enumerate_rejects_bad_wmax():
-    with pytest.raises(ValueError):
-        list(enumerate_by_weight(2, 2, 3))
+    keys = [(op.weight(), op.support(), [(int(op.x[q]), int(op.z[q])) for q in op.support()])
+            for op in ops]
+    assert keys == sorted(keys)
 
 
 # --- dense oracle agreement ----------------------------------------------
 
-def _low_weight_ops(n, d, w):
-    return [op for op in enumerate_by_weight(n, d, w)]
-
-
 @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (2, 3), (3, 2)])
 def test_multiply_matches_dense_oracle(n, d):
-    ops = _low_weight_ops(n, d, min(2, n))
+    ops = words(n, d, min(2, n))
     # keep runtime bounded on the largest case
     if len(ops) > 40:
         rng = np.random.default_rng(0)
@@ -172,7 +163,7 @@ def test_multiply_matches_dense_oracle(n, d):
 
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 3)])
 def test_symplectic_product_matches_dense_commutator(n, d):
-    ops = _low_weight_ops(n, d, 2)
+    ops = words(n, d, 2)
     rng = np.random.default_rng(1)
     idx = rng.choice(len(ops), size=(30, 2))
     w = np.exp(2j * np.pi / d)

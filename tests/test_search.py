@@ -1,0 +1,314 @@
+import itertools
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qltc import search
+from qltc.pauli import PauliOp, nonidentity_symbols
+from qltc.search import (
+    BATCH_ROWS,
+    candidate_batches,
+    min_weight_vector,
+    modmul,
+    pure_symbols,
+)
+from qltc.stabilizer import BoundedWeight
+from qltc.zoo import steane_code, toric_code
+from test_stabilizer import five_qubit_code
+
+
+# --- the slow oracle: the dense candidate sweep the join replaced ----------
+
+def dense_min_weight(n, d, w_max, accept, symbol_sets=(None,)):
+    """Least weight w <= w_max of a word accepted by accept, trying every word."""
+    for w in range(1, w_max + 1):
+        for symbols in symbol_sets:
+            for batch in candidate_batches(n, d, w, symbols):
+                if accept(batch).any():
+                    return w
+    return None
+
+
+def linear_accept(d, matrix, target, nonzero=None):
+    def accept(batch):
+        ok = np.all(modmul(batch, matrix.T, d) == target, axis=1)
+        if nonzero is not None:
+            ok &= np.any(modmul(batch, nonzero.T, d), axis=1)
+        return ok
+    return accept
+
+
+# the acceptance predicates the four StabilizerCode queries used
+def centralizer_accept(code, e):
+    target = code.syndrome(e)
+    return lambda batch: np.all(code.syndrome_batch(batch) == target, axis=1)
+
+
+def group_accept(code, e):
+    kernel = code.rowspace.kernel
+    target = modmul(kernel, e.symplectic(), code.d)
+    return lambda batch: np.all(modmul(batch, kernel.T, code.d) == target, axis=1)
+
+
+def distance_accept(code):
+    def accept(batch):
+        zero_syn = ~np.any(code.syndrome_batch(batch), axis=1)
+        return zero_syn & ~code.rowspace.contains_batch(batch)
+    return accept
+
+
+def succinct_accept(code):
+    return code.rowspace.contains_batch
+
+
+def half_table_words(n, s, w):
+    a, b = (w + 1) // 2, w // 2
+    return math.comb(n, a) * s**a + (math.comb(n, b) * s**b if b != a else 0)
+
+
+def check_witness(res, n, d, matrix, target, nonzero, symbol_sets):
+    v = res.vector
+    assert np.count_nonzero(v[:n] | v[n:]) == res.found_weight
+    assert np.array_equal(modmul(matrix, v, d), np.asarray(target) % d)
+    if nonzero is not None:
+        assert modmul(nonzero, v, d).any()
+    sites = [(int(v[q]), int(v[q + n])) for q in range(n) if v[q] or v[q + n]]
+    assert any(all(s in (syms or nonidentity_symbols(d)) for s in sites) for syms in symbol_sets)
+
+
+def check_against_oracle(res, oracle, w_max):
+    if res.budget_hit:
+        assert res.found_weight is None
+        assert oracle is None or oracle > res.exhausted_weight
+    else:
+        assert res.found_weight == oracle
+        assert res.exhausted_weight == (w_max if oracle is None else oracle - 1)
+
+
+# --- the kernel against the oracle ------------------------------------------
+
+@st.composite
+def linear_searches(draw):
+    d = draw(st.sampled_from([2, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(2, 6 if d < 5 else 4))
+    symbol_sets = [(None,), (pure_symbols(d, "x"), pure_symbols(d, "z"))][rng.integers(2)]
+    # the target is the image of a random word of weight 1..3 in one symbol
+    # set, or zero with a filter
+    v0 = np.zeros(2 * n, dtype=np.int64)
+    supp = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
+    syms = np.array(symbol_sets[rng.integers(len(symbol_sets))] or nonidentity_symbols(d))
+    syms = syms[rng.integers(len(syms), size=supp.size)]
+    v0[supp], v0[supp + n] = syms[:, 0], syms[:, 1]
+    matrix = rng.integers(d, size=(int(rng.integers(1, 2 * n + 1)), 2 * n))
+    target = modmul(matrix, v0, d)
+    nonzero = None
+    if rng.random() < 0.5 or not target.any():
+        target[:] = 0
+        nonzero = rng.integers(d, size=(int(rng.integers(1, 4)), 2 * n))
+    budget = None if rng.random() < 0.5 else int(rng.integers(0, 300))
+    return n, d, 3, matrix, target, nonzero, symbol_sets, budget
+
+
+@given(linear_searches())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_dense_sweep(case):
+    n, d, w_max, matrix, target, nonzero, symbol_sets, budget = case
+    res = min_weight_vector(n, d, w_max, matrix, target, nonzero=nonzero, budget=budget,
+                            symbol_sets=symbol_sets)
+    oracle = dense_min_weight(n, d, w_max, linear_accept(d, matrix, target, nonzero), symbol_sets)
+    check_against_oracle(res, oracle, w_max)
+    if res.found_weight is not None:
+        check_witness(res, n, d, matrix, target, nonzero, symbol_sets)
+
+
+@pytest.mark.parametrize("d,w_max", [(131, 3), (257, 2)])
+def test_kernel_matches_dense_sweep_past_one_byte(d, w_max):
+    # two images below d sum past 255 here, and at d = 257 one image is
+    # already past it: a one-byte image type would wrap
+    rng = np.random.default_rng(d)
+    n, x = 3, pure_symbols(d, "x")
+    for _ in range(3):
+        matrix = rng.integers(d, size=(2, 2 * n))
+        v0 = np.zeros(2 * n, dtype=np.int64)
+        v0[rng.choice(n, size=w_max, replace=False)] = rng.integers(1, d, size=w_max)
+        nonzero = rng.integers(d, size=(1, 2 * n))
+        for target, nz in ((modmul(matrix, v0, d), None), (np.zeros(2, dtype=np.int64), nonzero)):
+            res = min_weight_vector(n, d, w_max, matrix, target, nonzero=nz, symbol_sets=(x,))
+            oracle = dense_min_weight(n, d, w_max, linear_accept(d, matrix, target, nz), (x,))
+            check_against_oracle(res, oracle, w_max)
+            if res.found_weight is not None:
+                check_witness(res, n, d, matrix, target, nz, (x,))
+        # all d^2 - 1 symbols per site, at weight 1
+        target = modmul(matrix, v0 * (np.arange(2 * n) == np.flatnonzero(v0)[0]), d)
+        res = min_weight_vector(n, d, 1, matrix, target)
+        assert res.found_weight == dense_min_weight(n, d, 1, linear_accept(d, matrix, target))
+        check_witness(res, n, d, matrix, target, None, (None,))
+
+
+def test_distance_past_one_byte():
+    assert toric_code(2, 131).code_distance() == BoundedWeight.exactly(2)
+    assert toric_code(2, 257).code_distance() == BoundedWeight.exactly(2)
+
+
+CODES = {
+    "toric:2": lambda: toric_code(2),
+    "toric:3": lambda: toric_code(3),
+    "toric:2:3": lambda: toric_code(2, 3),
+    "toric:2:5": lambda: toric_code(2, 5),
+    "steane": steane_code,
+    "five-qubit": five_qubit_code,
+}
+_built = {}
+
+
+def code_named(name):
+    if name not in _built:
+        _built[name] = CODES[name]()
+    return _built[name]
+
+
+@given(st.sampled_from(sorted(CODES)), st.integers(0, 2**32 - 1),
+       st.one_of(st.none(), st.integers(0, 3000)))
+@settings(max_examples=60, deadline=None)
+def test_coset_weights_match_dense_sweep(name, seed, budget):
+    code = code_named(name)
+    rng = np.random.default_rng(seed)
+    w = int(rng.integers(1, (3 if code.d == 5 else 4) + 1))
+    supp = rng.choice(code.n, size=w, replace=False)
+    syms = np.array(nonidentity_symbols(code.d))[rng.integers(code.d**2 - 1, size=w)]
+    x = np.zeros(code.n, dtype=np.int64)
+    z = np.zeros(code.n, dtype=np.int64)
+    x[supp], z[supp] = syms[:, 0], syms[:, 1]
+    e = PauliOp(code.d, code.n, x, z)
+    for query, accept in ((code.wt_mod_centralizer, centralizer_accept(code, e)),
+                          (code.wt_mod_group, group_accept(code, e))):
+        got = query(e, budget=budget)
+        if got.exact and got.value == 0:
+            continue
+        oracle = dense_min_weight(code.n, code.d, w - 1, accept) or w
+        assert got.low <= oracle <= got.high
+        if budget is None:
+            assert got.exact
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_distance_and_succinctness_match_dense_sweep(name):
+    code = code_named(name)
+    css = code.is_css()
+    sets = (pure_symbols(code.d, "x"), pure_symbols(code.d, "z")) if css else (None,)
+    assert code.code_distance().value == dense_min_weight(code.n, code.d, code.n,
+                                                          distance_accept(code), sets)
+    succinct = dense_min_weight(code.n, code.d, code.k - 1, succinct_accept(code)) is None
+    assert code.is_succinct() is succinct
+
+
+# --- what the kernel counts ------------------------------------------------
+
+def test_candidates_tested_counts_half_tables():
+    # toric:3 distance 3, CSS lockstep with one symbol per set: both sets
+    # exhaust weights 1 and 2, the X set then finds a logical at weight 3
+    c = toric_code(3)
+    res = min_weight_vector(c.n, c.d, c.n, c._syndrome_matrix, np.zeros(c.m),
+                            nonzero=c.rowspace.kernel,
+                            symbol_sets=(pure_symbols(2, "x"), pure_symbols(2, "z")))
+    assert res.found_weight == 3 and not res.budget_hit
+    per_set = [half_table_words(c.n, 1, w) for w in (1, 2, 3)]
+    assert per_set == [18 + 1, 18, 153 + 18]
+    assert res.candidates_tested == 2 * (per_set[0] + per_set[1]) + per_set[2]
+    # the full symbol set, exhausted to w_max without a hit
+    e = PauliOp.single(c.n, 2, 0, 1, 1)
+    target = c.syndrome(e)
+    res = min_weight_vector(c.n, c.d, 3, c._syndrome_matrix, target)
+    assert res.found_weight == 1
+    assert res.candidates_tested == half_table_words(c.n, 3, 1)
+    far = min_weight_vector(c.n, c.d, 2, c._syndrome_matrix, (target + c.syndrome(
+        PauliOp.single(c.n, 2, 9, 1, 0)) + c.syndrome(PauliOp.single(c.n, 2, 4, 0, 1))) % 2)
+    assert far.found_weight is None and far.exhausted_weight == 2
+    assert far.candidates_tested == half_table_words(c.n, 3, 1) + half_table_words(c.n, 3, 2)
+
+
+def test_budget_stops_before_a_weight_it_cannot_pay_for():
+    c = toric_code(3)
+    full = half_table_words(c.n, 3, 1) + half_table_words(c.n, 3, 2)
+    target = (c.syndrome(PauliOp.single(c.n, 2, 0, 1, 0))
+              + c.syndrome(PauliOp.single(c.n, 2, 5, 0, 1))
+              + c.syndrome(PauliOp.single(c.n, 2, 11, 1, 1))) % 2
+    for budget, exhausted in ((full - 1, 1), (full, 2), (0, 0)):
+        res = min_weight_vector(c.n, c.d, 2, c._syndrome_matrix, target, budget=budget)
+        assert res.found_weight is None and res.exhausted_weight == exhausted
+        assert res.budget_hit == (budget < full)
+        assert res.candidates_tested <= budget
+
+
+def test_half_table_cap_is_a_budget_hit(monkeypatch):
+    c = toric_code(4)
+    row_bytes = c.m + c.rowspace.kernel.shape[0]
+    monkeypatch.setattr(search, "HALF_TABLE_BYTES", search._join_bytes(100, 2, 2, row_bytes))
+    # weight 3 needs the C(32, 2) = 496 weight-2 words per set, over the cap
+    assert c.code_distance() == BoundedWeight(3, None)
+
+
+def test_join_bytes_bound_the_join():
+    # the estimate covers what one join allocates (tracemalloc sees numpy's
+    # buffers), here for toric:5 distance at weight 4 over all symbols
+    c = toric_code(5)
+    symbols = nonidentity_symbols(2)
+    images = [search._site_images(m, c.n, 2, symbols)
+              for m in (c._syndrome_matrix, c.rowspace.kernel)]
+    target = np.zeros(c.m, dtype=search._image_dtype(2))
+    tracemalloc.start()
+    try:
+        search._meet(c.n, 2, 3, 2, 2, *images, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row_bytes = c.m + c.rowspace.kernel.shape[0]
+    assert peak <= search._join_bytes(math.comb(c.n, 2) * 9, 2, 2, row_bytes)
+
+
+def test_filter_goes_with_zero_target_only():
+    ones = np.ones((1, 4), dtype=np.int64)
+    with pytest.raises(ValueError):
+        min_weight_vector(2, 2, 2, ones, np.zeros(1))
+    with pytest.raises(ValueError):
+        min_weight_vector(2, 2, 2, ones, np.ones(1), nonzero=ones)
+
+
+# --- candidate_batches -----------------------------------------------------
+
+def itertools_words(n, d, w, symbols=None):
+    symbols = nonidentity_symbols(d) if symbols is None else symbols
+    out = []
+    for supp in itertools.combinations(range(n), w):
+        for combo in itertools.product(symbols, repeat=w):
+            v = np.zeros(2 * n, dtype=np.int64)
+            for q, (x, z) in zip(supp, combo):
+                v[q], v[q + n] = x, z
+            out.append(v)
+    return np.array(out, dtype=np.int64).reshape(len(out), 2 * n)
+
+
+def test_candidate_batches_are_bounded():
+    # 8^4 = 4096 symbol combinations per support: batches span whole supports
+    first = next(candidate_batches(18, 3, 4))
+    assert 0 < first.shape[0] <= BATCH_ROWS
+    # 24^3 = 13824 combinations exceed one batch: a support spans batches
+    batches = list(candidate_batches(4, 5, 3))
+    assert all(b.shape[0] <= BATCH_ROWS for b in batches) and len(batches) > 4
+
+
+@pytest.mark.parametrize("n,d,w,rows", [(5, 3, 2, None), (4, 5, 3, None), (6, 2, 3, 7),
+                                        (5, 3, 2, 5), (3, 2, 0, 4)])
+def test_candidate_batches_equal_itertools(monkeypatch, n, d, w, rows):
+    if rows is not None:
+        monkeypatch.setattr(search, "BATCH_ROWS", rows)
+    got = np.concatenate(list(candidate_batches(n, d, w)))
+    assert np.array_equal(got, itertools_words(n, d, w))
+    x = pure_symbols(d, "x")
+    assert np.array_equal(np.concatenate(list(candidate_batches(n, d, w, x))),
+                          itertools_words(n, d, w, x))

@@ -1,11 +1,13 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qltc.pauli import PauliOp, enumerate_by_weight
+from qltc.pauli import PauliOp
+from qltc.search import candidate_batches
 from qltc.stabilizer import (
     BoundedWeight,
     CodeValidationError,
@@ -18,7 +20,12 @@ from qltc.stabilizer import (
     build_code,
     product_phase,
 )
-from qltc.zoo import steane_code, toric_code
+from qltc.zoo import (
+    css_hypergraph_product,
+    regular_circulant_matrix,
+    steane_code,
+    toric_code,
+)
 
 
 def two_qubit_code():
@@ -26,6 +33,15 @@ def two_qubit_code():
     g1 = PauliOp(2, 2, [1, 1], [0, 0], 0)
     g2 = PauliOp(2, 2, [0, 0], [1, 1], 0)
     return build_code([g1, g2])
+
+
+def five_qubit_code():
+    # the non-CSS [[5,1,3]] code: cyclic shifts of XZZXI (qubit degrees 3 and 4)
+    rows = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
+    gens = [PauliOp(2, 5, [c == "X" for c in r], [c == "Z" for c in r]) for r in rows]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return build_code(gens, strict_degree=False)
 
 
 # --- validation ------------------------------------------------------------
@@ -209,12 +225,18 @@ def test_group_contains_refusals():
 
 # --- weight searches -------------------------------------------------------
 
+def words_of_weight(code, w):
+    for batch in candidate_batches(code.n, code.d, w):
+        for v in batch:
+            yield PauliOp(code.d, code.n, v[: code.n], v[code.n :])
+
+
 def brute_wt_mod_centralizer(code, e):
     target = code.syndrome(e)
     if not target.any():
         return 0
     for w in range(1, e.weight() + 1):
-        for f in enumerate_by_weight(code.n, code.d, w):
+        for f in words_of_weight(code, w):
             if f.weight() == w and np.array_equal(code.syndrome(f), target):
                 return w
     return e.weight()
@@ -224,7 +246,7 @@ def brute_wt_mod_group(code, e):
     if code.in_span(e.symplectic()):
         return 0
     for w in range(1, e.weight() + 1):
-        for f in enumerate_by_weight(code.n, code.d, w):
+        for f in words_of_weight(code, w):
             diff = f.multiply(e.inverse())
             if f.weight() == w and code.in_span(diff.symplectic()):
                 return w
@@ -295,6 +317,13 @@ def test_distances():
     assert toric_code(2).code_distance().value == 2
     assert toric_code(3).code_distance().value == 3
     assert steane_code().code_distance().value == 3
+    assert toric_code(4).code_distance().value == 4
+    assert toric_code(5).code_distance().value == 5
+    assert toric_code(3, 3).code_distance().value == 3
+    assert five_qubit_code().code_distance().value == 3
+    # criterion-4 instance hgp:12: no logical of weight <= 2
+    h = regular_circulant_matrix(12, 2, seed=12)
+    assert css_hypergraph_product(h, h).code_distance(w_max=2) == BoundedWeight(3, None)
 
 
 def test_css_lockstep_matches_generic():
@@ -332,6 +361,38 @@ def test_not_succinct_example():
     g4 = PauliOp(2, 4, [0, 0, 0, 0], [0, 1, 1, 1], 0)
     c = build_code([g1, g2, g3, g4])
     assert c.is_succinct() is False
+
+
+# (support, x exponents, z exponents) -> (weight mod centralizer, weight mod group)
+COSET_PINS = {
+    (3, 2): [
+        (([4], [1], [0]), (1, 1)),
+        (([5, 3], [1, 1], [1, 1]), (2, 2)),
+        (([2, 15, 1], [0, 1, 0], [1, 0, 1]), (2, 3)),
+        (([17, 10, 12, 8], [1, 0, 0, 0], [0, 1, 1, 1]), (3, 4)),
+        (([7, 5, 2, 16, 8], [0, 1, 1, 1, 0], [1, 0, 1, 1, 1]), (4, 5)),
+        (([0, 2, 9, 15, 17], [1, 1, 1, 1, 1], [0, 0, 0, 0, 1]), (1, 1)),
+    ],
+    (3, 3): [
+        (([4], [2], [0]), (1, 1)),
+        (([5, 3], [2, 2], [2, 2]), (2, 2)),
+        (([2, 15, 1], [0, 2, 1], [1, 0, 1]), (3, 3)),
+        (([17, 10, 12, 8], [2, 0, 0, 1], [0, 2, 1, 2]), (4, 4)),
+        (([7, 5, 2, 16, 8], [0, 2, 2, 2, 0], [1, 0, 2, 2, 1]), (4, 5)),
+    ],
+}
+
+
+@pytest.mark.parametrize("L,d", sorted(COSET_PINS))
+def test_coset_weights_pinned(L, d):
+    c = toric_code(L, d)
+    for (supp, xs, zs), expected in COSET_PINS[(L, d)]:
+        x = np.zeros(c.n, dtype=np.int64)
+        z = np.zeros(c.n, dtype=np.int64)
+        x[supp], z[supp] = xs, zs
+        e = PauliOp(d, c.n, x, z)
+        got = (c.wt_mod_centralizer(e), c.wt_mod_group(e))
+        assert got == tuple(BoundedWeight.exactly(w) for w in expected), (supp, got)
 
 
 def test_no_commute_fact_on_valid_codes():
