@@ -25,6 +25,7 @@ from .attacks import (
     AttackReport,
     IslandTrialStats,
     NotAnErrorError,
+    Refusal,
     SoundnessProfile,
     alphabet_alpha,
     alphabet_attack,
@@ -47,5 +48,40 @@ from .zoo import (
 )
 from . import dense
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AttackReport",
+    "BipartiteGraph",
+    "BoundedWeight",
+    "ClassicalParityCode",
+    "CodeValidationError",
+    "ExpansionStats",
+    "GroupMembership",
+    "IrregularDegreeError",
+    "IslandTrialStats",
+    "NonAbelianError",
+    "NonUniformLocalityError",
+    "NotAnErrorError",
+    "PauliOp",
+    "PhaseObstructionError",
+    "Refusal",
+    "SoundnessProfile",
+    "StabilizerCode",
+    "TrivialQuditError",
+    "alphabet_alpha",
+    "alphabet_attack",
+    "alphabet_t",
+    "build_code",
+    "classical_soundness_check",
+    "css_code",
+    "css_hypergraph_product",
+    "evaluate_r",
+    "expander_attack",
+    "island_attack",
+    "random_regular_bipartite",
+    "refined_expander_attack",
+    "soundness_profile",
+    "steane_code",
+    "string_error",
+    "toric_code",
+]
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@ hgp:H1.txt,H2.txt, css:Hx.txt,Hz.txt, classical:graph.txt) or by a saved
 JSON code file.  Reports are JSON with a schema field and per-quantity
 exactness labels; attack runs also emit a CSV row (delta, R, r, bound,
 bound_holds).  Exit codes: 0 success (including refusals that produce a
-report), 1 invalid input, 2 internal invariant breach.
+report), 1 invalid input, 2 internal invariant breach or any other fault.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -141,8 +142,16 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _expander_bound(code, rep) -> float:
+    try:
+        scan = code.graph.small_set_expansion_error(code.k)
+    except ValueError as exc:  # the exhaustive scan is infeasible
+        raise attacks.Refusal(str(exc)) from exc
+    return 2 * scan["epsilon_star"]
+
+
 _BOUNDS = {
-    "expander": lambda code, rep: 2 * code.graph.small_set_expansion_error(code.k)["epsilon_star"],
+    "expander": _expander_bound,
     "refined": lambda code, rep: rep.meta["r_bound"],
     "alphabet": lambda code, rep: attacks.alphabet_alpha(code.d),
 }
@@ -159,7 +168,7 @@ def cmd_attack(args) -> int:
     report: dict = {"command": "attack", "source": args.source, "attack": args.attack}
     try:
         return _run_attack(args, code, report)
-    except ValueError as exc:
+    except attacks.Refusal as exc:
         # precondition shortfall: refusal with a report, exit 0
         report["refused"] = str(exc)
         _emit(report, args.out)
@@ -341,6 +350,13 @@ def main(argv=None) -> int:
         return 1
     except AssertionError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a report, code or CSV path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception:  # any other fault is internal too, never a refusal
+        traceback.print_exc()
+        print("internal error", file=sys.stderr)
         return 2
 
 

@@ -1,11 +1,12 @@
 """Exact linear algebra over the prime field GF(p).
 
 All matrices are 2-D numpy integer arrays with entries reduced mod p.
-`rref` is the one elimination routine.  `RowSpace` runs it once, on
-[mat | J] with J the identity with its columns reversed, and reads every
-query off that one reduced matrix: rank, the right kernel (membership),
-the left kernel (generator dependencies) and the coefficients of a row
-space member.  Reversing J makes each left-kernel row pivot on the last
+`modmul` is the one matrix product (it sits here, below `pauli` and
+`search`, so every layer can use it) and `rref` the one elimination
+routine.  `RowSpace` runs it once, on [mat | J] with J the identity with
+its columns reversed, and reads every query off that one reduced
+matrix: rank, the right kernel (membership), the left kernel (generator
+dependencies) and the coefficients of a row space member.  Reversing J makes each left-kernel row pivot on the last
 row of mat it uses, which is a row that depends on earlier ones; so the
 coefficients are zero at every such row, as in a direct solve that
 prefers the earliest independent rows.  Deliberately dense and simple
@@ -15,6 +16,22 @@ prefers the earliest independent rows.  Deliberately dense and simple
 from __future__ import annotations
 
 import numpy as np
+
+# float64 matmul is exact while every sum of products stays below 2**52, and
+# hits BLAS instead of numpy's slow integer path; an operand already held as
+# float64 is used without a copy
+_FLOAT_SAFE = 2**52
+
+
+def modmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for operands with entries in [0, p)."""
+    bound = a.shape[-1] * (p - 1) * (p - 1)
+    if bound < _FLOAT_SAFE:
+        prod = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+        prod = np.rint(prod).astype(np.int64)
+    else:
+        prod = a.astype(np.int64) @ b.astype(np.int64)
+    return prod % p
 
 
 def is_prime(p: int) -> bool:
@@ -102,8 +119,7 @@ class RowSpace:
         """Boolean mask over rows of vs."""
         if self.kernel.shape[0] == 0:
             return np.ones(vs.shape[0], dtype=bool)
-        res = (vs.astype(np.int64) @ self.kernel.T) % self.p
-        return ~np.any(res, axis=1)
+        return ~np.any(modmul(np.asarray(vs) % self.p, self.kernel.T, self.p), axis=1)
 
     def coefficients(self, v: np.ndarray) -> np.ndarray | None:
         """c with c @ mat = v, zero at every dependent row; None off the row space."""

@@ -26,27 +26,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .fieldmath import modmul
 from .pauli import nonidentity_symbols
 
-# float64 matmul is exact while every sum of products stays below 2**52, and
-# hits BLAS instead of numpy's slow integer path; an operand already held as
-# float64 is used without a copy
-_FLOAT_SAFE = 2**52
 # rows per candidate_batches batch, which holds 16 n bytes a row
 BATCH_ROWS = 1 << 13
 # estimated peak bytes of one half-table join (_join_bytes); a weight that
 # needs more ends the search as a budget hit
 HALF_TABLE_BYTES = 1 << 27
-
-
-def modmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    bound = a.shape[-1] * (p - 1) * (p - 1)
-    if bound < _FLOAT_SAFE:
-        prod = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
-        prod = np.rint(prod).astype(np.int64)
-    else:
-        prod = a.astype(np.int64) @ b.astype(np.int64)
-    return prod % p
 
 
 def pure_symbols(d: int, kind: str) -> list[tuple[int, int]]:

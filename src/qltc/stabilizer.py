@@ -23,10 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .fieldmath import RowSpace
+from .fieldmath import RowSpace, modmul
 from .graphs import BipartiteGraph
 from .pauli import PauliOp
-from .search import SearchResult, min_weight_vector, modmul, pure_symbols
+from .search import SearchResult, min_weight_vector, pure_symbols
 
 
 class CodeValidationError(ValueError):
@@ -175,7 +175,7 @@ class StabilizerCode:
 
         # syndrome map: syn(E)_g = <g, E> = g.z . E.x - g.x . E.z, held as
         # float64 so that modmul does not re-cast it on every penalty
-        self._syndrome_matrix = np.concatenate([gz, -gx % self.d], axis=1).astype(np.float64)
+        self.syndrome_matrix = np.concatenate([gz, -gx % self.d], axis=1).astype(np.float64)
 
     # --- validation helpers -------------------------------------------
     def _check_trivial_qudits(self, gx, gz):
@@ -211,10 +211,10 @@ class StabilizerCode:
         """Per-generator symplectic products; zero vector iff E centralizes."""
         if e.n != self.n or e.d != self.d:
             raise ValueError("operator does not match code dimensions")
-        return modmul(self._syndrome_matrix, e.symplectic(), self.d)
+        return modmul(self.syndrome_matrix, e.symplectic(), self.d)
 
     def syndrome_batch(self, vs: np.ndarray) -> np.ndarray:
-        return modmul(vs, self._syndrome_matrix.T, self.d)
+        return modmul(vs, self.syndrome_matrix.T, self.d)
 
     def penalty(self, e: PauliOp) -> int:
         """Number of generators that do not commute with E."""
@@ -252,7 +252,7 @@ class StabilizerCode:
             return BoundedWeight.exactly(0)
         w_e = e.weight()
         res = min_weight_vector(
-            self.n, self.d, w_e - 1, self._syndrome_matrix, target, budget=budget
+            self.n, self.d, w_e - 1, self.syndrome_matrix, target, budget=budget
         )
         return self._bounded_from_search(res, w_e)
 
@@ -300,7 +300,7 @@ class StabilizerCode:
             (pure_symbols(self.d, "x"), pure_symbols(self.d, "z")) if use_css else (None,)
         )
         res = min_weight_vector(
-            self.n, self.d, w_max or self.n, self._syndrome_matrix, np.zeros(self.m),
+            self.n, self.d, w_max or self.n, self.syndrome_matrix, np.zeros(self.m),
             nonzero=self.rowspace.kernel, budget=budget, symbol_sets=symbol_sets,
         )
         if res.found_weight is not None:

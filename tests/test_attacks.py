@@ -1,10 +1,14 @@
+import functools
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qltc
 from qltc import attacks, zoo
@@ -20,7 +24,8 @@ from qltc.attacks import (
     refined_expander_attack,
     soundness_profile,
 )
-from qltc.pauli import PauliOp
+from qltc.pauli import PauliOp, nonidentity_symbols
+from qltc.stabilizer import build_code
 from qltc.zoo import (
     random_open_path,
     steane_code,
@@ -71,6 +76,7 @@ def test_evaluate_single_qubit_x():
 
 
 def test_evaluate_rejects_non_errors():
+    assert issubclass(NotAnErrorError, attacks.Refusal)
     c = toric_code(2)
     with pytest.raises(NotAnErrorError):
         evaluate_r(c, c.generators[0])
@@ -160,7 +166,7 @@ def test_refined_rejects_bad_u():
     with pytest.raises(ValueError):
         refined_expander_attack(c, [c0, c1], 1 / c.n)
     u = c.graph.greedy_t_independent(1, 2, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(attacks.Refusal):
         refined_expander_attack(c, u, 1.0)  # delta' n > |U|
 
 
@@ -223,6 +229,144 @@ def test_island_rate_within_3_sigma():
 def test_island_rejects_bad_trials():
     with pytest.raises(ValueError):
         island_attack(_hgp_instance(), trials=0, seed=0)
+    with pytest.raises(attacks.Refusal, match="no trial produced an error"):
+        island_attack(toric_code(3), trials=7, seed=2)
+
+
+# --- island attack: golden reports and the per-trial oracle ----------------
+
+def _bell_pair(d):
+    """<X X, Z Z^-1> on two qudits: k = 2, so some island errors lie in the group."""
+    return build_code([PauliOp(d, 2, [1, 1], [0, 0]), PauliOp(d, 2, [0, 0], [1, d - 1])])
+
+
+ISLAND_CODES = {
+    "toric:3": lambda: toric_code(3),
+    "toric:4": lambda: toric_code(4),
+    "toric:4:3": lambda: toric_code(4, 3),
+    "toric:3:5": lambda: toric_code(3, 5),
+    "toric:10": lambda: toric_code(10),
+    "toric:10:3": lambda: toric_code(10, 3),
+    "toric:10:5": lambda: toric_code(10, 5),
+    "hgp:circulant6": _hgp_instance,
+    "bell:2": lambda: _bell_pair(2),
+    "bell:3": lambda: _bell_pair(3),
+    "steane": steane_code,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _island_code(name):
+    return ISLAND_CODES[name]()
+
+
+def _island_oracle(code, trials, seed):
+    """The per-trial loop: one PauliOp, one penalty and one in_span call per trial."""
+    k = code.k
+    u_set = attacks._independent_set(code, k, code.m, seed)
+    g = code.graph
+    s = sorted(g.gamma(u_set, "right"))
+    eps_prime = g.expansion_stats(s).epsilon
+    p = 1.0 / (10 * k)
+    symbols = np.array(nonidentity_symbols(code.d), dtype=np.int64)
+    s_arr = np.array(s)
+    s_pos = {q: i for i, q in enumerate(s)}
+    island_pos = [np.array([s_pos[q] for q in g.right_adj[u]]) for u in u_set]
+    histogram = np.zeros(k + 1, dtype=np.int64)
+    penalties = np.zeros(trials)
+    weights = np.zeros(trials)
+    nonid_total = 0
+    zero_coset = 0
+    best = None
+    for t in range(trials):
+        rng = attacks._trial_rng(seed, t)
+        active = rng.random(len(s)) < p
+        x = np.zeros(code.n, dtype=np.int64)
+        z = np.zeros(code.n, dtype=np.int64)
+        idx = np.nonzero(active)[0]
+        if idx.size:
+            picks = rng.integers(len(symbols), size=idx.size)
+            x[s_arr[idx]] = symbols[picks, 0]
+            z[s_arr[idx]] = symbols[picks, 1]
+        e = PauliOp(code.d, code.n, x, z, 0)
+        for pos in island_pos:
+            histogram[int(active[pos].sum())] += 1
+        pen = code.penalty(e)
+        w = int(idx.size)
+        penalties[t] = pen
+        weights[t] = w
+        nonid_total += w
+        if w and code.in_span(e.symplectic()):
+            zero_coset += 1
+        if pen > 0 and w > 0 and (best is None or pen / w > best[0]):
+            best = (pen / w, t, e)
+    if best is None:
+        raise ValueError("no trial produced an error; increase trials or |U|")
+    best_report = evaluate_r(code, best[2], seed=seed,
+                             meta={"attack": "island", "trial": best[1], "U": list(u_set)})
+    alpha = alphabet_alpha(code.d)
+    return IslandTrialStats(
+        trials=trials,
+        u_set=list(u_set),
+        s_qudits=s,
+        k=k,
+        p=p,
+        epsilon_prime=eps_prime,
+        expansion_hypothesis_met=eps_prime >= 0.32,
+        histogram=histogram,
+        mean_penalty=float(penalties.mean()),
+        penalty_sem=float(np.std(penalties, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
+        mean_weight=float(weights.mean()),
+        empirical_qudit_rate=nonid_total / (trials * len(s)),
+        zero_coset_weight_trials=zero_coset,
+        expected_penalty_bound=p * alpha * len(s) * (code.D_L or 0) * (1 - p * alpha * eps_prime),
+        best_trial=best_report,
+        seed=seed,
+    )
+
+
+def _island_batched(code, trials, seed):
+    return island_attack(code, trials=trials, seed=seed)
+
+
+def _island_json(fn, name, seed, trials):
+    """The report as JSON, or the refusal message."""
+    try:
+        return json.loads(json.dumps(fn(_island_code(name), trials, seed).to_json()))
+    except ValueError as exc:
+        return {"refused": str(exc)}
+
+
+with open(os.path.join(os.path.dirname(__file__), "data", "island_golden.json")) as _f:
+    ISLAND_GOLDEN = json.load(_f)
+
+
+@pytest.mark.parametrize("case", sorted(ISLAND_GOLDEN))
+def test_island_golden_reports(case):
+    # pinned from the per-trial loop; the trial counts are not multiples of
+    # the chunk size, and the bell pairs have trials whose error is in the group
+    name, seed, trials = case.split()
+    seed, trials = int(seed.removeprefix("seed=")), int(trials.removeprefix("trials="))
+    batched = _island_json(_island_batched, name, seed, trials)
+    assert batched == ISLAND_GOLDEN[case]
+    assert _island_json(_island_oracle, name, seed, trials) == ISLAND_GOLDEN[case]
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(ISLAND_CODES)), seed=st.integers(0, 10**6),
+       trials=st.integers(1, 1100))
+def test_island_matches_per_trial_oracle(name, seed, trials):
+    batched = _island_json(_island_batched, name, seed, trials)
+    assert batched == _island_json(_island_oracle, name, seed, trials)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_island_chunk_boundaries(monkeypatch, chunk):
+    monkeypatch.setattr(attacks, "TRIAL_CHUNK", chunk)
+    for name, seed, trials in [("bell:2", 1, 200), ("hgp:circulant6", 4, 23),
+                               ("toric:10:3", 2, 20), ("toric:3", 2, 7), ("toric:3", 2, 40)]:
+        batched = _island_json(_island_batched, name, seed, trials)
+        assert batched == _island_json(_island_oracle, name, seed, trials)
 
 
 # --- soundness profile -----------------------------------------------------

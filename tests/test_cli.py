@@ -212,6 +212,36 @@ def test_attack_refused_in_band(capsys):
     assert "refused" in rep or rep["csv_row"]["bound_holds"]
 
 
+def test_attack_internal_value_error_exits_2(capsys, monkeypatch):
+    # only attacks.Refusal is an in-band refusal; a ValueError from inside
+    # the computation is a fault
+    from qltc import attacks, cli, fieldmath, search, stabilizer
+
+    def broken(a, b, p):
+        raise ValueError("broken product")
+
+    code = qltc.toric_code(4)
+    monkeypatch.setattr(cli, "load_code", lambda source: code)
+    for module in (fieldmath, search, stabilizer, attacks):
+        monkeypatch.setattr(module, "modmul", broken, raising=False)
+    code, out, err = run(capsys, "attack", "toric:4", "island", "--trials", "50", "--seed", "3")
+    assert code == 2 and out == ""
+    assert "broken product" in err
+
+
+def test_unwritable_report_path_exits_1(capsys, tmp_path):
+    code, out, err = run(capsys, "build", "toric:2", "--out", str(tmp_path / "no" / "r.json"))
+    assert code == 1 and "r.json" in err
+
+
+def test_attack_infeasible_expander_bound_refused_in_band(capsys, monkeypatch):
+    monkeypatch.setattr(qltc.graphs.BipartiteGraph, "_connected_set_estimate",
+                        lambda self, size_cap: 10**12)
+    code, out, _ = run(capsys, "attack", "toric:3", "expander", "--delta", "0.05", "--seed", "0")
+    assert code == 0
+    assert "infeasible" in json.loads(out)["refused"]
+
+
 @pytest.mark.parametrize("argv", [
     ("expander", "--delta", "-1"),
     ("expander", "--delta", "0"),

@@ -101,3 +101,17 @@ def test_rowspace_membership(mp, seed):
     batch = rs.contains_batch(vs)
     assert batch[0]
     assert batch[1] == rs.contains(vs[1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+def test_contains_batch_matches_int64_product(p):
+    # contains_batch multiplies through modmul (float64, BLAS); the int64
+    # product is the reference
+    rng = np.random.default_rng(p)
+    for _ in range(20):
+        rows, cols = rng.integers(1, 12, size=2)
+        rs = fm.RowSpace(rng.integers(p, size=(rows, cols)), p)
+        members = rng.integers(p, size=(8, rows)) @ rng.integers(p, size=(rows, cols))
+        vs = np.vstack([members % p, rng.integers(p, size=(24, cols))])
+        expected = ~np.any((vs @ rs.kernel.T) % p, axis=1)
+        assert np.array_equal(rs.contains_batch(vs), expected)

@@ -213,7 +213,7 @@ def test_candidates_tested_counts_half_tables():
     # toric:3 distance 3, CSS lockstep with one symbol per set: both sets
     # exhaust weights 1 and 2, the X set then finds a logical at weight 3
     c = toric_code(3)
-    res = min_weight_vector(c.n, c.d, c.n, c._syndrome_matrix, np.zeros(c.m),
+    res = min_weight_vector(c.n, c.d, c.n, c.syndrome_matrix, np.zeros(c.m),
                             nonzero=c.rowspace.kernel,
                             symbol_sets=(pure_symbols(2, "x"), pure_symbols(2, "z")))
     assert res.found_weight == 3 and not res.budget_hit
@@ -223,10 +223,10 @@ def test_candidates_tested_counts_half_tables():
     # the full symbol set, exhausted to w_max without a hit
     e = PauliOp.single(c.n, 2, 0, 1, 1)
     target = c.syndrome(e)
-    res = min_weight_vector(c.n, c.d, 3, c._syndrome_matrix, target)
+    res = min_weight_vector(c.n, c.d, 3, c.syndrome_matrix, target)
     assert res.found_weight == 1
     assert res.candidates_tested == half_table_words(c.n, 3, 1)
-    far = min_weight_vector(c.n, c.d, 2, c._syndrome_matrix, (target + c.syndrome(
+    far = min_weight_vector(c.n, c.d, 2, c.syndrome_matrix, (target + c.syndrome(
         PauliOp.single(c.n, 2, 9, 1, 0)) + c.syndrome(PauliOp.single(c.n, 2, 4, 0, 1))) % 2)
     assert far.found_weight is None and far.exhausted_weight == 2
     assert far.candidates_tested == half_table_words(c.n, 3, 1) + half_table_words(c.n, 3, 2)
@@ -239,7 +239,7 @@ def test_budget_stops_before_a_weight_it_cannot_pay_for():
               + c.syndrome(PauliOp.single(c.n, 2, 5, 0, 1))
               + c.syndrome(PauliOp.single(c.n, 2, 11, 1, 1))) % 2
     for budget, exhausted in ((full - 1, 1), (full, 2), (0, 0)):
-        res = min_weight_vector(c.n, c.d, 2, c._syndrome_matrix, target, budget=budget)
+        res = min_weight_vector(c.n, c.d, 2, c.syndrome_matrix, target, budget=budget)
         assert res.found_weight is None and res.exhausted_weight == exhausted
         assert res.budget_hit == (budget < full)
         assert res.candidates_tested <= budget
@@ -259,7 +259,7 @@ def test_join_bytes_bound_the_join():
     c = toric_code(5)
     symbols = nonidentity_symbols(2)
     images = [search._site_images(m, c.n, 2, symbols)
-              for m in (c._syndrome_matrix, c.rowspace.kernel)]
+              for m in (c.syndrome_matrix, c.rowspace.kernel)]
     target = np.zeros(c.m, dtype=search._image_dtype(2))
     tracemalloc.start()
     try:
