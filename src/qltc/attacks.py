@@ -181,20 +181,17 @@ def evaluate_r(
 # expander attack
 # --------------------------------------------------------------------------
 
-def _multi_intersection_count(code: StabilizerCode, q: int, u: int) -> int:
-    """Checks acting on q that share >= 2 qudits with generator u's support."""
-    g = code.graph
-    u_mask = g.right_masks[u]
-    return sum(
-        1 for c in g.left_adj[q] if (g.right_masks[c] & u_mask).bit_count() >= 2
-    )
-
-
 def _select_qudit(code: StabilizerCode, u: int) -> tuple[int, int]:
-    """q(u): the qudit of u minimizing the multi-intersection count (lowest index ties)."""
+    """q(u): the qudit of u minimizing the multi-intersection count (lowest index ties).
+
+    A check at q multi-intersects u when it shares >= 2 qudits with u's
+    support, i.e. when u's support hits it at least twice.
+    """
+    g = code.graph
+    more = g.neighbor_masks(g.right_adj[u])[1]
     best_q, best_a = None, None
-    for q in code.graph.right_adj[u]:
-        a = _multi_intersection_count(code, q, u)
+    for q in g.right_adj[u]:
+        a = (g.left_masks[q] & more).bit_count()
         if best_a is None or a < best_a:
             best_q, best_a = q, a
     return best_q, best_a
@@ -276,14 +273,9 @@ def refined_expander_attack(
     if not 1 <= size <= len(u_set):
         raise Refusal(f"delta_prime * n = {size} outside [1, |U| = {len(u_set)}]")
     s_all = sorted(g.gamma(u_set, "right"))
-    s_mask = 0
-    for q in s_all:
-        s_mask |= 1 << q
     # unique-neighbor count per qudit of S: checks seeing exactly one S-qudit
-    uniq = {
-        q: sum(1 for c in g.left_adj[q] if (g.right_masks[c] & s_mask).bit_count() == 1)
-        for q in s_all
-    }
+    once = g.neighbor_masks(s_all)[0]
+    uniq = {q: (g.left_masks[q] & once).bit_count() for q in s_all}
     stats = g.expansion_stats(s_all)
     # partition class i = the i-th qudit (sorted) of each constraint's support
     classes = [[(u, g.right_adj[u][i]) for u in u_set] for i in range(code.k)]
@@ -417,14 +409,28 @@ class IslandTrialStats:
         }
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based stream: every trial reproducible from (seed, index)."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=trial * (1 << 64)))
+def _trial_streams(seed: int):
+    """trial -> the generator of Philox(key=seed, counter=trial * 2**64).
+
+    Counter-based streams make every trial reproducible from (seed, index).
+    One Philox is re-keyed per trial instead of built anew: construction
+    costs more than a trial's draws.  The returned generator is shared, so
+    each call ends the previous trial's stream.
+    """
+    bitgen = np.random.Philox(key=seed)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # the key words and an empty output buffer
+
+    def stream(trial: int) -> np.random.Generator:
+        state["state"]["counter"] = np.array([0, trial, 0, 0], dtype=np.uint64)
+        bitgen.state = state
+        return rng
+
+    return stream
 
 
-def _draw_trial(seed: int, trial: int, size: int, p: float, n_symbols: int) -> np.ndarray:
+def _draw_trial(rng: np.random.Generator, size: int, p: float, n_symbols: int) -> np.ndarray:
     """Symbol index per qudit of S in one trial: 0 for identity, i for symbol i - 1."""
-    rng = _trial_rng(seed, trial)
     row = np.zeros(size, dtype=np.int64)
     idx = np.nonzero(rng.random(size) < p)[0]
     if idx.size:  # most trials leave S clean; skip the second draw
@@ -448,7 +454,7 @@ def island_attack(
     (largest penalty per unit weight, earliest on ties) re-evaluated as
     an AttackReport.
 
-    Trial t draws from its own Philox stream (_trial_rng(seed, t)), so
+    Trial t draws from its own Philox stream (_trial_streams(seed)(t)), so
     the report does not depend on how trials are grouped.  Trials are
     evaluated TRIAL_CHUNK at a time on the 2|S| symplectic columns of S
     alone, where every trial error lives: one syndrome product gives the
@@ -472,6 +478,7 @@ def island_attack(
     s_cols = np.concatenate([s_arr, code.n + s_arr])
     syndrome_s = code.syndrome_matrix[:, s_cols].T
     kernel_s = code.rowspace.kernel[:, s_cols].T
+    trial_rng = _trial_streams(seed)
 
     histogram = np.zeros(k + 1, dtype=np.int64)
     penalties = np.zeros(trials)
@@ -481,7 +488,7 @@ def island_attack(
     for start in range(0, trials, TRIAL_CHUNK):
         stop = min(start + TRIAL_CHUNK, trials)
         draws = np.stack(
-            [_draw_trial(seed, t, len(s), p, len(table) - 1) for t in range(start, stop)]
+            [_draw_trial(trial_rng(t), len(s), p, len(table) - 1) for t in range(start, stop)]
         )
         active = draws > 0
         vs = np.concatenate([table[draws, 0], table[draws, 1]], axis=1)
@@ -499,7 +506,7 @@ def island_attack(
             best_score, best_trial = score[j], start + j
     if best_trial is None:
         raise Refusal("no trial produced an error; increase trials or |U|")
-    row = _draw_trial(seed, best_trial, len(s), p, len(table) - 1)
+    row = _draw_trial(trial_rng(best_trial), len(s), p, len(table) - 1)
     x = np.zeros(code.n, dtype=np.int64)
     z = np.zeros(code.n, dtype=np.int64)
     x[s_arr], z[s_arr] = table[row, 0], table[row, 1]

@@ -29,6 +29,17 @@ class InputError(Exception):
     """User-facing input problem; maps to exit code 1."""
 
 
+def _seed_type(text: str) -> int:
+    """--seed: an integer in [0, 2**128), the key range of the island attack's Philox streams."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if not 0 <= seed < 1 << 128:
+        raise InputError(f"--seed must be an integer in [0, 2**128), got {text!r}")
+    return seed
+
+
 def load_code(source: str, strict_degree: bool = False) -> StabilizerCode:
     """Resolve a JSON code-file path or, when no such file exists, a preset name."""
     if os.path.exists(source):
@@ -301,7 +312,7 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("source", help="preset name or code file")
         sp.add_argument("--out", help="report JSON path (default stdout)")
         sp.add_argument("--config", help="JSON config file overriding flags")
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=_seed_type, default=None)
         sp.add_argument("--budget", type=int, default=None,
                         help="cap on the half-table words each weight search may build")
 
@@ -338,8 +349,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)  # _seed_type raises InputError, not an argparse error
         _apply_config(args, parser)
         return args.fn(args)
     except InputError as exc:

@@ -73,12 +73,16 @@ def hamiltonian(code: StabilizerCode) -> np.ndarray:
 
 def mean_energy(state: np.ndarray, code: StabilizerCode) -> float:
     """(1/m) <psi| sum_g Pi_g |psi> for a normalized state; lies in [0, 1]."""
+    return _energy(state, hamiltonian(code), code.m)
+
+
+def _energy(state: np.ndarray, h: np.ndarray, m: int) -> float:
+    """mean_energy against a Hamiltonian h built once by the caller."""
     state = np.asarray(state, dtype=complex)
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"state not normalized (norm {norm})")
-    h = hamiltonian(code)
-    return float(np.real(np.vdot(state, h @ state))) / code.m
+    return float(np.real(np.vdot(state, h @ state))) / m
 
 
 def codespace_basis(code: StabilizerCode) -> np.ndarray:
@@ -87,7 +91,11 @@ def codespace_basis(code: StabilizerCode) -> np.ndarray:
     Computed as the null space of H = sum Pi_g via eigendecomposition with
     eigenvalue threshold 1e-9; dimension equals d^(n - rank).
     """
-    h = hamiltonian(code)
+    return _null_basis(hamiltonian(code), code)
+
+
+def _null_basis(h: np.ndarray, code: StabilizerCode) -> np.ndarray:
+    """codespace_basis from the code's Hamiltonian h."""
     vals, vecs = np.linalg.eigh(h)
     basis = vecs[:, vals < TOL]
     expected = code.d ** (code.n - code.rank)
@@ -142,15 +150,16 @@ def displaced_codeword_energy(code: StabilizerCode, e: PauliOp, which: int = 0) 
     Independent of the choice of codeword (the syndrome fixes the
     eigenvalues); equals penalty(E)/m, which the test suite asserts.
     """
-    basis = codespace_basis(code)
-    state = densify(e) @ basis[:, which]
+    h = hamiltonian(code)
+    state = densify(e) @ _null_basis(h, code)[:, which]
     state = state / np.linalg.norm(state)
-    return mean_energy(state, code)
+    return _energy(state, h, code.m)
 
 
 def verify_energy_identity(code: StabilizerCode, errors: list[PauliOp]) -> dict:
     """Check mean_energy(E|eta>) == penalty(E)/m for each error, all codewords."""
-    basis = codespace_basis(code)
+    h = hamiltonian(code)
+    basis = _null_basis(h, code)
     max_dev = 0.0
     for e in errors:
         de = densify(e)
@@ -158,7 +167,7 @@ def verify_energy_identity(code: StabilizerCode, errors: list[PauliOp]) -> dict:
         for col in range(basis.shape[1]):
             state = de @ basis[:, col]
             state /= np.linalg.norm(state)
-            dev = abs(mean_energy(state, code) - expected)
+            dev = abs(_energy(state, h, code.m) - expected)
             max_dev = max(max_dev, dev)
     return {"errors_checked": len(errors), "max_deviation": max_dev, "passed": max_dev <= TOL}
 
@@ -172,8 +181,8 @@ def verify_sltc_qltc_equivalence(code: StabilizerCode, samples: int, seed: int =
     (displaced codewords from distinct syndromes are orthogonal).
     """
     rng = np.random.default_rng(seed)
-    basis = codespace_basis(code)
-    eta = basis[:, 0]
+    h = hamiltonian(code)
+    eta = _null_basis(h, code)[:, 0]
     max_forward = 0.0
     errs = []
     for _ in range(samples):
@@ -183,7 +192,7 @@ def verify_sltc_qltc_equivalence(code: StabilizerCode, samples: int, seed: int =
         errs.append(e)
         state = densify(e) @ eta
         state /= np.linalg.norm(state)
-        dev = abs(mean_energy(state, code) - code.penalty(e) / code.m)
+        dev = abs(_energy(state, h, code.m) - code.penalty(e) / code.m)
         max_forward = max(max_forward, dev)
     # backward: two-coset superposition
     max_backward = 0.0
@@ -198,7 +207,7 @@ def verify_sltc_qltc_equivalence(code: StabilizerCode, samples: int, seed: int =
             expected = (
                 a * a * code.penalty(errs[i]) + b * b * code.penalty(errs[j])
             ) / code.m
-            max_backward = max(max_backward, abs(mean_energy(state, code) - expected))
+            max_backward = max(max_backward, abs(_energy(state, h, code.m) - expected))
             pairs += 1
             break
         if pairs >= 5:

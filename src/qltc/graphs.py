@@ -1,17 +1,21 @@
 """Bipartite qudit/constraint interaction graphs.
 
 Left vertices are qudits, right vertices are constraints.  Neighborhoods
-are kept both as index lists and as integer bitmasks, so expansion scans
-over many small subsets reduce to OR + popcount.
+are kept both as index lists and as integer bitmasks over constraints, so
+expansion counts over many small subsets reduce to OR + popcount.
 """
 
 from __future__ import annotations
 
-import json
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+# refuse exhaustive expansion scans estimated to visit more connected sets
+EXPANSION_GUARD = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -62,10 +66,8 @@ class BipartiteGraph:
                 self.left_adj[q].append(c)
             self.right_adj.append(sorted(nbrs))
         self.left_adj = [sorted(v) for v in self.left_adj]
-        # bitmask caches: left_masks[q] packs Gamma(q) over constraints,
-        # right_masks[c] packs Gamma(c) over qudits
+        # left_masks[q] packs Gamma(q) over constraints
         self.left_masks = [_mask(v) for v in self.left_adj]
-        self.right_masks = [_mask(v) for v in self.right_adj]
         left_degs = {len(v) for v in self.left_adj}
         right_degs = {len(v) for v in self.right_adj}
         self.D_L = left_degs.pop() if len(left_degs) == 1 else None
@@ -91,10 +93,6 @@ class BipartiteGraph:
             cur_side = _other(cur_side)
         return cur
 
-    def qudit_neighborhood(self, q: int) -> set[int]:
-        """N(q) = Gamma^(2)(q): all qudits sharing a constraint with q."""
-        return self.gamma_iter([q], "left", 2)
-
     def _adj(self, side: str):
         if side == "left":
             return self.left_adj
@@ -102,95 +100,7 @@ class BipartiteGraph:
             return self.right_adj
         raise ValueError(f"invalid side {side!r}")
 
-    # --- expansion ----------------------------------------------------
-    def expansion_stats(self, qudits: Iterable[int]) -> ExpansionStats:
-        qudits = list(qudits)
-        if not qudits:
-            raise ValueError("expansion of the empty set is undefined")
-        counts: dict[int, int] = {}
-        total = 0
-        for q in qudits:
-            for c in self.left_adj[q]:
-                counts[c] = counts.get(c, 0) + 1
-            total += len(self.left_adj[q])
-        unique = sum(1 for v in counts.values() if v == 1)
-        return ExpansionStats(len(qudits), len(counts), unique, len(counts) - unique, total)
-
-    def expansion_stats_matrix(self, qudits: Iterable[int]) -> ExpansionStats:
-        """Independent recount via incidence-matrix multiplication (oracle)."""
-        qudits = list(qudits)
-        inc = np.zeros((self.m, self.n), dtype=np.int64)
-        for c, nbrs in enumerate(self.right_adj):
-            inc[c, nbrs] = 1
-        ind = np.zeros(self.n, dtype=np.int64)
-        ind[qudits] = 1
-        deg = inc @ ind
-        gamma_size = int(np.count_nonzero(deg))
-        unique = int(np.count_nonzero(deg == 1))
-        total = int(deg.sum())
-        return ExpansionStats(len(qudits), gamma_size, unique, gamma_size - unique, total)
-
-    def small_set_expansion_error(
-        self,
-        size_cap: int,
-        mode: str = "exhaustive",
-        samples: int = 0,
-        seed: int | None = None,
-        sample_guard: int = 20_000_000,
-    ) -> dict:
-        """Max expansion error over qudit sets of size <= size_cap.
-
-        Exhaustive mode enumerates connected sets only (connected in the
-        constraint-sharing relation); this is exact for the maximum, since
-        the expansion error of a disconnected set is a weighted average of
-        its components' errors.  Sampled mode reports a lower bound.
-        """
-        if size_cap < 1:
-            raise ValueError(f"size_cap must be >= 1, got {size_cap}")
-        if mode == "exhaustive":
-            est = self._connected_set_estimate(size_cap)
-            if est > sample_guard:
-                raise ValueError(
-                    f"exhaustive scan infeasible (~{est} connected sets); use sampled mode"
-                )
-            best = 0.0
-            best_set: tuple[int, ...] | None = None
-            for s in self._connected_sets(size_cap):
-                eps = self._epsilon_mask(s)
-                if eps > best:
-                    best = eps
-                    best_set = tuple(s)
-            return {"epsilon_star": best, "witness": best_set, "kind": "exact", "size_cap": size_cap}
-        if mode == "sampled":
-            if samples < 1 or seed is None:
-                raise ValueError("sampled mode needs samples >= 1 and a seed")
-            rng = np.random.default_rng(seed)
-            best = 0.0
-            best_set = None
-            for _ in range(samples):
-                size = int(rng.integers(1, size_cap + 1))
-                s = rng.choice(self.n, size=size, replace=False).tolist()
-                eps = self._epsilon_mask(s)
-                if eps > best:
-                    best = eps
-                    best_set = tuple(sorted(s))
-            return {
-                "epsilon_star": best,
-                "witness": best_set,
-                "kind": "sampled_lower_bound",
-                "samples": samples,
-                "size_cap": size_cap,
-            }
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def _epsilon_mask(self, qudits: Sequence[int]) -> float:
-        mask = 0
-        total = 0
-        for q in qudits:
-            mask |= self.left_masks[q]
-            total += len(self.left_adj[q])
-        return 1.0 - mask.bit_count() / total
-
+    @functools.cached_property
     def sharing_adjacency(self) -> list[list[int]]:
         """Qudit graph: q ~ q' iff they share a constraint."""
         nbrs: list[set[int]] = [set() for _ in range(self.n)]
@@ -199,33 +109,97 @@ class BipartiteGraph:
                 nbrs[q].update(c_nbrs)
         return [sorted(s - {q}) for q, s in enumerate(nbrs)]
 
-    def _connected_set_estimate(self, size_cap: int) -> int:
-        import math
+    # --- expansion ----------------------------------------------------
+    def neighbor_masks(self, qudits: Iterable[int]) -> tuple[int, int, int]:
+        """(once, more, total) of a qudit set S.
 
-        adj = self.sharing_adjacency()
+        once and more are constraint bitmasks: the constraints S touches
+        exactly once and at least twice; total is the degree sum of S.
+        """
+        once = more = total = 0
+        for q in qudits:
+            mask = self.left_masks[q]
+            more |= once & mask
+            once = (once | mask) & ~more
+            total += len(self.left_adj[q])
+        return once, more, total
+
+    def expansion_stats(self, qudits: Iterable[int]) -> ExpansionStats:
+        qudits = list(qudits)
+        if not qudits:
+            raise ValueError("expansion of the empty set is undefined")
+        once, more, total = self.neighbor_masks(qudits)
+        unique, multi = once.bit_count(), more.bit_count()
+        return ExpansionStats(len(qudits), unique + multi, unique, multi, total)
+
+    def small_set_expansion_error(self, size_cap: int) -> dict:
+        """Max expansion error over qudit sets of size <= size_cap.
+
+        Enumerates connected sets only (connected in the constraint-sharing
+        relation); this is exact for the maximum, since the expansion error
+        of a disconnected set is a weighted average of its components'
+        errors.  The witness lists its qudits in discovery order.
+        """
+        if size_cap < 1:
+            raise ValueError(f"size_cap must be >= 1, got {size_cap}")
+        est = self._connected_set_estimate(size_cap)
+        if est > EXPANSION_GUARD:
+            raise ValueError(
+                f"exhaustive scan infeasible (~{est} connected sets, guard {EXPANSION_GUARD});"
+                " lower the set-size cap (--sets)"
+            )
+        best = 0.0
+        best_set: tuple[int, ...] | None = None
+        scanned = 0
+        for s, mask, total in self._connected_sets(size_cap):
+            scanned += 1
+            eps = 1.0 - mask.bit_count() / total
+            if eps > best:
+                best = eps
+                best_set = tuple(s)
+        return {
+            "epsilon_star": best,
+            "witness": best_set,
+            "kind": "exact",
+            "size_cap": size_cap,
+            "sets_scanned": scanned,
+        }
+
+    def _connected_set_estimate(self, size_cap: int) -> int:
+        adj = self.sharing_adjacency
         avg_deg = max(1, sum(len(a) for a in adj) // max(1, self.n))
         return self.n * sum(math.comb(avg_deg * s, s - 1) for s in range(1, size_cap + 1))
 
     def _connected_sets(self, size_cap: int):
-        """Enumerate sets connected in the sharing relation (ESU-style)."""
-        adj = self.sharing_adjacency()
+        """Yield (set, OR of its left_masks, degree total) once per connected set.
 
-        def extend(sub: list[int], ext: list[int], root: int):
-            yield sub
-            if len(sub) == size_cap:
-                return
+        ESU (Wernicke 2006): a set grows from its smallest qudit, the root.
+        A qudit joins the extension only if it exceeds the root and is not
+        excluded; the excluded set holds the set itself and every qudit
+        ever put in an extension on the way down, so no set is reached
+        twice.  Extensions are consumed from the end, and each set comes
+        right before the sets grown from it.
+        """
+        adj = self.sharing_adjacency
+        masks = self.left_masks
+        degs = [len(v) for v in self.left_adj]
+
+        def extend(sub, ext, excluded, root, mask, total):
             while ext:
                 w = ext.pop()
-                new_ext = list(ext)
-                in_old = set(sub) | set(ext) | {w}
-                for u in adj[w]:
-                    if u > root and u not in in_old:
-                        new_ext.append(u)
-                        in_old.add(u)
-                yield from extend(sub + [w], new_ext, root)
+                child, child_mask, child_total = sub + [w], mask | masks[w], total + degs[w]
+                yield child, child_mask, child_total
+                if len(child) < size_cap:  # a full-size set is never extended
+                    new = [u for u in adj[w] if u > root and u not in excluded]
+                    excluded.update(new)
+                    yield from extend(child, ext + new, excluded, root, child_mask, child_total)
+                    excluded.difference_update(new)
 
         for v in range(self.n):
-            yield from extend([v], [u for u in adj[v] if u > v], v)
+            yield [v], masks[v], degs[v]
+            if size_cap > 1:
+                ext = [u for u in adj[v] if u > v]
+                yield from extend([v], ext, {v, *ext}, v, masks[v], degs[v])
 
     # --- independent sets ---------------------------------------------
     def greedy_t_independent(
@@ -271,22 +245,6 @@ class BipartiteGraph:
                 if balls[i] & balls[j]:
                     return False
         return True
-
-    # --- serialization ------------------------------------------------
-    def to_json(self) -> dict:
-        return {"n": self.n, "m": self.m, "constraints": [list(v) for v in self.right_adj]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "BipartiteGraph":
-        return BipartiteGraph(int(obj["n"]), int(obj["m"]), obj["constraints"])
-
-    def to_text(self) -> str:
-        """Plain edge-list form (one 'constraint qudit' pair per line)."""
-        lines = [f"p bipartite {self.n} {self.m}"]
-        for c, nbrs in enumerate(self.right_adj):
-            for q in nbrs:
-                lines.append(f"e {c} {q}")
-        return "\n".join(lines) + "\n"
 
 
 def _mask(indices: Iterable[int]) -> int:

@@ -138,6 +138,74 @@ def test_expander_rejects_bad_delta():
         expander_attack(toric_code(2), 0.0)
 
 
+def _circulant_hgp8():
+    h = zoo.regular_circulant_matrix(8, 2, seed=1)
+    return zoo.css_hypergraph_product(h, h)
+
+
+PIN_CODES = {
+    "toric:6": lambda: toric_code(6),
+    "toric:4:3": lambda: toric_code(4, 3),
+    "hgp:circulant8": _circulant_hgp8,
+}
+
+
+# (code, delta, seed) -> (U, chosen_qudits, predicted_penalty_bound)
+@pytest.mark.parametrize("name, delta, seed, pinned", [
+    ("toric:6", 4 / 72, 2, ([51, 25, 5], [15, 24, 4], 9)),
+    ("hgp:circulant8", 3 / 128, 5, ([32, 111, 29], [0, 42, 53], 9)),
+    ("toric:4:3", 2 / 32, 1, ([26, 16], [10, 0], 6)),
+])
+def test_expander_attack_golden(name, delta, seed, pinned):
+    meta = expander_attack(PIN_CODES[name](), delta, seed=seed).meta
+    assert (meta["U"], meta["chosen_qudits"], meta["predicted_penalty_bound"]) == pinned
+
+
+def _stats(size, gamma, unique, total, eps):
+    return {"set_size": size, "gamma_size": gamma, "unique_neighbors": unique,
+            "multi_neighbors": gamma - unique, "total_degree": total, "epsilon": eps}
+
+
+# (code, |U| target, seed, delta') -> (U, chosen_qudits, gamma_u_stats)
+@pytest.mark.parametrize("name, target, seed, delta_prime, pinned", [
+    ("toric:6", 6, 2, 3 / 72, ([51, 25, 5], [4, 15, 24], _stats(12, 27, 12, 48, 0.4375))),
+    ("hgp:circulant8", 4, 5, 2 / 128,
+     ([32, 111, 29, 57], [0, 17], _stats(16, 36, 16, 64, 0.4375))),
+    ("toric:4:3", 3, 1, 2 / 32, ([26, 16], [0, 10], _stats(8, 18, 8, 32, 0.4375))),
+])
+def test_refined_expander_attack_golden(name, target, seed, delta_prime, pinned):
+    code = PIN_CODES[name]()
+    u_set = code.graph.greedy_t_independent(1, target, seed=seed)
+    meta = refined_expander_attack(code, u_set, delta_prime).meta
+    assert (meta["U"], meta["chosen_qudits"], meta["gamma_u_stats"]) == pinned
+
+
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CODES))
+def test_attack_counts_match_per_constraint_popcounts(name):
+    """The two attack counts against a recount over each constraint's qudit mask."""
+    code = PIN_CODES[name]()
+    g = code.graph
+    right = [_mask(v) for v in g.right_adj]
+    for u in range(code.m):
+        # expander: checks at q sharing >= 2 qudits with generator u
+        multi = {q: sum(1 for c in g.left_adj[q] if (right[c] & right[u]).bit_count() >= 2)
+                 for q in g.right_adj[u]}
+        best = min(g.right_adj[u], key=lambda q: (multi[q], q))
+        assert attacks._select_qudit(code, u) == (best, multi[best])
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        s = rng.choice(code.n, size=int(rng.integers(1, 13)), replace=False).tolist()
+        # refined: checks at q seeing exactly one qudit of S
+        once = g.neighbor_masks(s)[0]
+        for q in s:
+            uniq = sum(1 for c in g.left_adj[q] if (right[c] & _mask(s)).bit_count() == 1)
+            assert (g.left_masks[q] & once).bit_count() == uniq
+
+
 # --- refined attack --------------------------------------------------------
 
 def test_refined_on_toric():
@@ -205,6 +273,19 @@ def test_island_stats_shape():
     assert 0 <= stats.epsilon_prime < 1
     assert stats.best_trial.penalty > 0
     json.dumps(stats.to_json())
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64 + 5, 2**128 - 1])
+def test_trial_streams_match_fresh_philox(seed):
+    stream = attacks._trial_streams(seed)
+    # revisits and leftover 32-bit halves must not leak from one trial into the next
+    for t in (0, 1, 5, 1, 2**20, 0):
+        fresh = np.random.Generator(np.random.Philox(key=seed, counter=t << 64))
+        rng = stream(t)
+        assert np.array_equal(rng.integers(1000, size=3, dtype=np.int32),
+                              fresh.integers(1000, size=3, dtype=np.int32))
+        assert np.array_equal(rng.random(5), fresh.random(5))
+        assert np.array_equal(rng.integers(3, size=7), fresh.integers(3, size=7))
 
 
 def test_island_determinism():
@@ -279,7 +360,7 @@ def _island_oracle(code, trials, seed):
     zero_coset = 0
     best = None
     for t in range(trials):
-        rng = attacks._trial_rng(seed, t)
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=t << 64))
         active = rng.random(len(s)) < p
         x = np.zeros(code.n, dtype=np.int64)
         z = np.zeros(code.n, dtype=np.int64)

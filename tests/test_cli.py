@@ -122,6 +122,7 @@ def test_analyze_expansion(capsys):
     code, out, _ = run(capsys, "analyze", "toric:3", "--expansion", "--sets", "2")
     rep = json.loads(out)
     assert code == 0 and rep["expansion"]["epsilon_star"] == pytest.approx(0.25)
+    assert rep["expansion"]["sets_scanned"] == 90  # 18 qudits, 72 adjacent pairs
 
 
 def test_analyze_expansion_sets_below_1_exits_1(tmp_path):
@@ -136,7 +137,8 @@ def test_analyze_expansion_sets_below_1_exits_1(tmp_path):
 def test_analyze_expansion_refused_in_band(capsys):
     code, out, _ = run(capsys, "analyze", "toric:10", "--expansion", "--sets", "8")
     assert code == 0
-    assert "infeasible" in json.loads(out)["expansion"]["refused"]
+    refusal = json.loads(out)["expansion"]["refused"]
+    assert "infeasible" in refusal and "--sets" in refusal and "sampled" not in refusal
 
 
 # --- attack ----------------------------------------------------------------
@@ -251,6 +253,39 @@ def test_attack_bad_delta_or_trials_exits_1(capsys, argv):
     code, out, err = run(capsys, "attack", "toric:3", *argv, "--seed", "0")
     assert code == 1 and out == ""
     assert ("--delta" if "--delta" in argv else "--trials") in err
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (("build", "toric:2"), "-1"),
+    (("analyze", "toric:3", "--expansion"), "-1"),
+    (("attack", "toric:4", "expander", "--delta", "0.03"), "-1"),
+    (("attack", "toric:4", "alphabet", "--delta", "0.03"), "-1"),
+    (("attack", "toric:4", "refined", "--delta", "0.03"), "-1"),
+    (("attack", "toric:4", "island", "--trials", "5"), "-1"),
+    (("attack", "toric:4", "island", "--trials", "5"), str(2**128)),
+    (("attack", "toric:4", "island", "--trials", "5"), "1.5"),
+    (("verify", "steane"), "-1"),
+])
+def test_seed_outside_128_bits_exits_1(capsys, argv, seed):
+    code, out, err = run(capsys, *argv, "--seed", seed)
+    assert code == 1 and out == ""
+    assert "--seed" in err and "Traceback" not in err
+
+
+def test_largest_seed_accepted(capsys):
+    code, out, _ = run(capsys, "attack", "toric:4", "island", "--trials", "5",
+                       "--seed", str(2**128 - 1))
+    assert code == 0 and json.loads(out)["island_stats"]["seed"] == 2**128 - 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_config_seed_outside_128_bits_exits_1(tmp_path, capsys, seed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": seed}))
+    code, out, err = run(capsys, "attack", "toric:4", "island", "--trials", "5",
+                         "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert "seed" in err and "Traceback" not in err
 
 
 # --- verify ----------------------------------------------------------------

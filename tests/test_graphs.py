@@ -9,8 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qltc
-from qltc.graphs import BipartiteGraph
-from qltc.zoo import random_regular_bipartite, toric_code
+from qltc.graphs import BipartiteGraph, ExpansionStats
+from qltc.zoo import (
+    css_hypergraph_product,
+    random_regular_bipartite,
+    regular_circulant_matrix,
+    toric_code,
+)
 
 
 def small_graph():
@@ -34,7 +39,6 @@ def test_gamma_and_iteration():
     assert g.gamma([0], "right") == {0, 1}
     assert g.gamma([], "left") == set()
     assert g.gamma_iter([1], "left", 2) == {0, 1, 2}  # N(q) includes q
-    assert g.qudit_neighborhood(1) == {0, 1, 2}
     with pytest.raises(ValueError):
         g.gamma([0], "middle")
     with pytest.raises(ValueError):
@@ -58,6 +62,21 @@ def test_expansion_stats_examples():
         g.expansion_stats([])
 
 
+def _expansion_stats_matrix(g, qudits):
+    """Independent recount via incidence-matrix multiplication (oracle)."""
+    qudits = list(qudits)
+    inc = np.zeros((g.m, g.n), dtype=np.int64)
+    for c, nbrs in enumerate(g.right_adj):
+        inc[c, nbrs] = 1
+    ind = np.zeros(g.n, dtype=np.int64)
+    ind[qudits] = 1
+    deg = inc @ ind
+    gamma_size = int(np.count_nonzero(deg))
+    unique = int(np.count_nonzero(deg == 1))
+    total = int(deg.sum())
+    return ExpansionStats(len(qudits), gamma_size, unique, gamma_size - unique, total)
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_expansion_matches_matrix_oracle(seed):
@@ -66,7 +85,7 @@ def test_expansion_matches_matrix_oracle(seed):
     size = int(rng.integers(1, 5))
     s = rng.choice(12, size=size, replace=False).tolist()
     a = g.expansion_stats(s)
-    b = g.expansion_stats_matrix(s)
+    b = _expansion_stats_matrix(g, s)
     assert a == b
     assert a.gamma_size == a.unique_neighbors + a.multi_neighbors
     assert 0 <= a.epsilon < 1
@@ -87,17 +106,15 @@ def test_small_set_expansion_rejects_cap_below_1():
     src = os.path.dirname(os.path.dirname(qltc.__file__))
     script = (
         "from qltc.zoo import toric_code\n"
-        "g = toric_code(3).graph\n"
-        "for mode in ('exhaustive', 'sampled'):\n"
-        "    try:\n"
-        "        g.small_set_expansion_error(0, mode=mode, samples=5, seed=0)\n"
-        "    except ValueError as exc:\n"
-        "        print(exc)\n"
+        "try:\n"
+        "    toric_code(3).graph.small_set_expansion_error(0)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
-    assert proc.stdout.count("size_cap") == 2
+    assert proc.stdout.count("size_cap") == 1
 
 
 def test_small_set_exhaustive_matches_full_bruteforce():
@@ -116,14 +133,136 @@ def test_disjoint_checks_graph_has_zero_eps():
     assert g.small_set_expansion_error(2)["epsilon_star"] == 0.0
 
 
-def test_sampled_mode_is_lower_bound():
-    g = random_regular_bipartite(20, 10, 2, 4, seed=1)
-    exact = g.small_set_expansion_error(2)["epsilon_star"]
-    sampled = g.small_set_expansion_error(2, mode="sampled", samples=200, seed=3)
-    assert sampled["kind"] == "sampled_lower_bound"
-    assert sampled["epsilon_star"] <= exact + 1e-12
-    with pytest.raises(ValueError):
-        g.small_set_expansion_error(2, mode="sampled")  # seed required
+def _circulant_hgp_graph():
+    h = regular_circulant_matrix(8, 2, seed=1)
+    return css_hypergraph_product(h, h).graph
+
+
+EXPANSION_GRAPHS = {
+    "toric:3": lambda: toric_code(3).graph,
+    "toric:4": lambda: toric_code(4).graph,
+    "toric:12": lambda: toric_code(12).graph,
+    "hgp:circulant8": _circulant_hgp_graph,
+    "random 24x18 seed 5": lambda: random_regular_bipartite(24, 18, 3, 4, seed=5),
+    "random 30x20 seed 11": lambda: random_regular_bipartite(30, 20, 2, 3, seed=11),
+}
+
+# (graph, size cap) -> (epsilon*, witness in discovery order), pinned from the
+# enumeration that allowed duplicate sets
+EXPANSION_PINS = {
+    ("toric:3", 2): (0.25, (0, 16)),
+    ("toric:3", 3): (0.33333333333333337, (0, 16, 7)),
+    ("toric:3", 4): (0.4375, (0, 16, 15, 6)),
+    ("toric:4", 2): (0.25, (0, 29)),
+    ("toric:4", 3): (0.33333333333333337, (0, 29, 13)),
+    ("toric:4", 4): (0.4375, (0, 29, 28, 12)),
+    ("toric:12", 2): (0.25, (0, 277)),
+    ("toric:12", 3): (0.33333333333333337, (0, 277, 133)),
+    ("toric:12", 4): (0.4375, (0, 277, 276, 132)),
+    ("hgp:circulant8", 2): (0.25, (0, 109)),
+    ("hgp:circulant8", 3): (0.33333333333333337, (0, 109, 9)),
+    ("hgp:circulant8", 4): (0.4375, (0, 109, 108, 8)),
+    ("random 24x18 seed 5", 2): (0.33333333333333337, (1, 5)),
+    ("random 24x18 seed 5", 3): (0.4444444444444444, (2, 22, 18)),
+    ("random 24x18 seed 5", 4): (0.5, (1, 20, 16, 10)),
+    ("random 30x20 seed 11", 2): (0.5, (0, 4)),
+    ("random 30x20 seed 11", 3): (0.5, (0, 25, 4)),
+    ("random 30x20 seed 11", 4): (0.5, (0, 25, 27, 4)),
+}
+
+
+@pytest.mark.parametrize("name, cap", sorted(EXPANSION_PINS))
+def test_small_set_expansion_golden(name, cap):
+    res = EXPANSION_GRAPHS[name]().small_set_expansion_error(cap)
+    assert (res["epsilon_star"], res["witness"]) == EXPANSION_PINS[name, cap]
+    assert res["kind"] == "exact" and res["size_cap"] == cap
+
+
+def _duplicating_connected_sets(g, size_cap):
+    """The enumeration the scan used before ESU: every connected set, some more than once."""
+    adj = g.sharing_adjacency
+
+    def extend(sub, ext, root):
+        yield sub
+        if len(sub) == size_cap:
+            return
+        while ext:
+            w = ext.pop()
+            new_ext = list(ext)
+            in_old = set(sub) | set(ext) | {w}
+            for u in adj[w]:
+                if u > root and u not in in_old:
+                    new_ext.append(u)
+                    in_old.add(u)
+            yield from extend(sub + [w], new_ext, root)
+
+    for v in range(g.n):
+        yield from extend([v], [u for u in adj[v] if u > v], v)
+
+
+def _first_occurrences(sets):
+    seen = set()
+    out = []
+    for s in sets:
+        if frozenset(s) not in seen:
+            seen.add(frozenset(s))
+            out.append(list(s))
+    return out
+
+
+def _connected_subset_count(g, size_cap):
+    """Brute force: subsets of size <= size_cap that a BFS inside the subset covers."""
+    adj = g.sharing_adjacency
+    count = 0
+    for size in range(1, size_cap + 1):
+        for s in itertools.combinations(range(g.n), size):
+            members = set(s)
+            seen = {s[0]}
+            stack = [s[0]]
+            while stack:
+                for u in adj[stack.pop()]:
+                    if u in members and u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            count += len(seen) == size
+    return count
+
+
+@given(st.integers(0, 10**6), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_connected_sets_match_first_occurrences_of_the_duplicating_rule(seed, cap):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 10)), int(rng.integers(1, 8))
+    right_adj = [
+        rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False).tolist()
+        for _ in range(m)
+    ]
+    g = BipartiteGraph(n, m, right_adj)
+    scanned = list(g._connected_sets(cap))
+    assert [s for s, _, _ in scanned] == _first_occurrences(_duplicating_connected_sets(g, cap))
+    assert len(scanned) == _connected_subset_count(g, cap)
+    for s, mask, total in scanned:
+        stats = _expansion_stats_matrix(g, s)
+        assert (mask.bit_count(), total) == (stats.gamma_size, stats.total_degree)
+
+
+@pytest.mark.parametrize("L, cap, count", [(4, 4, 4272), (6, 4, 9720)])
+def test_sets_scanned_counts_each_connected_set_once(L, cap, count):
+    g = toric_code(L).graph
+    assert _connected_subset_count(g, cap) == count
+    assert g.small_set_expansion_error(cap)["sets_scanned"] == count
+
+
+def test_neighbor_masks_split_once_and_more():
+    g = random_regular_bipartite(24, 18, 3, 4, seed=3)
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        s = rng.choice(g.n, size=int(rng.integers(1, 7)), replace=False).tolist()
+        once, more, total = g.neighbor_masks(s)
+        hits = [len(set(g.right_adj[c]) & set(s)) for c in range(g.m)]
+        assert once == sum(1 << c for c, h in enumerate(hits) if h == 1)
+        assert more == sum(1 << c for c, h in enumerate(hits) if h >= 2)
+        assert total == sum(hits)
 
 
 # --- expansion facts (2-eps bounds) ---------------------------------------
@@ -197,14 +336,3 @@ def test_verify_rejects_adjacent():
     c0 = 0
     c1 = next(iter(g.gamma(g.gamma([c0], "right"), "left") - {c0}))
     assert not g.verify_t_independent([c0, c1], 1)
-
-
-# --- serialization --------------------------------------------------------
-
-def test_graph_serialization():
-    g = small_graph()
-    g2 = BipartiteGraph.from_json(g.to_json())
-    assert g2.right_adj == g.right_adj and g2.n == g.n
-    text = g.to_text()
-    assert text.startswith("p bipartite 4 3")
-    assert "e 0 0" in text and text.count("\ne ") + text.startswith("e ") == 6
