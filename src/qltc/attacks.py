@@ -201,16 +201,15 @@ def _tensor_restrictions(code: StabilizerCode, picks: list[tuple[int, int]]) -> 
     """Product of u|_q over (u, q) picks; supports are disjoint by independence."""
     x = np.zeros(code.n, dtype=np.int64)
     z = np.zeros(code.n, dtype=np.int64)
-    for u, q in picks:
-        g = code.generators[u]
-        x[q] = g.x[q]
-        z[q] = g.z[q]
+    u, q = np.array(picks, dtype=np.int64).reshape(-1, 2).T
+    x[q] = code.symplectic_matrix[u, q]
+    z[q] = code.symplectic_matrix[u, code.n + q]
     return PauliOp(code.d, code.n, x, z, 0)
 
 
 def _target_size(code: StabilizerCode, delta: float) -> int:
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
     return max(1, math.floor(delta * code.n))
 
 
@@ -307,8 +306,7 @@ def majority_restriction(code: StabilizerCode, q: int) -> tuple[int, int, int]:
     """
     counts: dict[tuple[int, int], int] = {}
     for c in code.graph.left_adj[q]:
-        g = code.generators[c]
-        sym = (int(g.x[q]), int(g.z[q]))
+        sym = (int(code.symplectic_matrix[c, q]), int(code.symplectic_matrix[c, code.n + q]))
         counts[sym] = counts.get(sym, 0) + 1
     sym = min(counts, key=lambda s: (-counts[s], s))
     return sym[0], sym[1], counts[sym]
@@ -329,13 +327,10 @@ def alphabet_attack(
         mx, mz, cnt = majority_restriction(code, q)
         x[q], z[q] = mx, mz
         chosen.append(q)
-        deg = len(code.graph.left_adj[q])
-        viol = sum(
-            1
-            for c in code.graph.left_adj[q]
-            if (code.generators[c].x[q] * mz - code.generators[c].z[q] * mx) % code.d
-        )
-        frac = viol / deg
+        acting = code.graph.left_adj[q]
+        gx, gz = code.symplectic_matrix[acting, q], code.symplectic_matrix[acting, code.n + q]
+        viol = int(np.count_nonzero((gx * mz - gz * mx) % code.d))
+        frac = viol / len(acting)
         if frac > alphabet_alpha(code.d) + 1e-12:
             raise AssertionError(f"majority count bound violated at qudit {q}")
         per_qudit_fraction.append(frac)

@@ -5,7 +5,8 @@ hgp:H1.txt,H2.txt, css:Hx.txt,Hz.txt, classical:graph.txt) or by a saved
 JSON code file.  Reports are JSON with a schema field and per-quantity
 exactness labels; attack runs also emit a CSV row (delta, R, r, bound,
 bound_holds).  Exit codes: 0 success (including refusals that produce a
-report), 1 invalid input, 2 internal invariant breach or any other fault.
+report), 1 invalid input, 2 internal invariant breach or any other fault,
+and argparse's usage error (unknown flag, missing argument).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import traceback
@@ -27,6 +29,32 @@ SCHEMA = "qltc-report/1"
 
 class InputError(Exception):
     """User-facing input problem; maps to exit code 1."""
+
+
+def _int_at_least(flag: str, least: int):
+    """argparse type of an integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise InputError(f"{flag} must be an integer >= {least}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _delta_type(text: str) -> float:
+    """--delta: the attacked fraction of the n qudits, in (0, 1]."""
+    try:
+        delta = float(text)
+    except ValueError:
+        delta = math.nan
+    if not 0 < delta <= 1:
+        raise InputError(f"--delta must be a number in (0, 1], got {text!r}")
+    return delta
 
 
 def _seed_type(text: str) -> int:
@@ -121,8 +149,6 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.expansion and args.sets < 1:
-        raise InputError(f"--sets must be >= 1, got {args.sets}")
     code = load_code(args.source)
     report: dict = {
         "command": "analyze",
@@ -172,10 +198,6 @@ def cmd_attack(args) -> int:
     code = load_code(args.source)
     if args.attack in ("expander", "refined", "alphabet", "island") and args.seed is None:
         raise InputError("a --seed is mandatory for stochastic attack runs")
-    if args.delta is not None and not args.delta > 0:
-        raise InputError(f"--delta must be positive, got {args.delta}")
-    if args.trials < 1:
-        raise InputError(f"--trials must be >= 1, got {args.trials}")
     report: dict = {"command": "attack", "source": args.source, "attack": args.attack}
     try:
         return _run_attack(args, code, report)
@@ -297,7 +319,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                 raise InputError(f"config key {key!r} must be a string or a number, got {value!r}")
             try:
                 value = (action.type or str)(str(value))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, InputError) as exc:
                 raise InputError(f"config key {key!r}: {exc}") from exc
             if action.choices is not None and value not in action.choices:
                 raise InputError(f"config key {key!r} must be one of {sorted(action.choices)}")
@@ -313,7 +335,7 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="report JSON path (default stdout)")
         sp.add_argument("--config", help="JSON config file overriding flags")
         sp.add_argument("--seed", type=_seed_type, default=None)
-        sp.add_argument("--budget", type=int, default=None,
+        sp.add_argument("--budget", type=_int_at_least("--budget", 0), default=None,
                         help="cap on the half-table words each weight search may build")
 
     b = sub.add_parser("build", help="build/validate a code and save it")
@@ -326,23 +348,26 @@ def make_parser() -> argparse.ArgumentParser:
     a.add_argument("--distance", action="store_true")
     a.add_argument("--succinct", action="store_true")
     a.add_argument("--expansion", action="store_true")
-    a.add_argument("--sets", type=int, default=2, help="expansion set-size cap")
+    a.add_argument("--sets", type=_int_at_least("--sets", 1), default=2,
+                   help="expansion set-size cap")
     a.add_argument("--profile", action="store_true")
-    a.add_argument("--wcap", type=int, default=2, help="profile coset-weight cap")
+    a.add_argument("--wcap", type=_int_at_least("--wcap", 1), default=2,
+                   help="profile coset-weight cap")
     a.set_defaults(fn=cmd_analyze)
 
     t = sub.add_parser("attack", help="run an adversarial construction")
     common(t)
     t.add_argument("attack", choices=["expander", "refined", "alphabet", "island"])
-    t.add_argument("--delta", type=float, default=None)
-    t.add_argument("--trials", type=int, default=1000)
+    t.add_argument("--delta", type=_delta_type, default=None)
+    t.add_argument("--trials", type=_int_at_least("--trials", 1), default=1000)
     t.add_argument("--csv", help="append the (delta,R,r,bound,bound_holds) row here")
     t.set_defaults(fn=cmd_attack)
 
     v = sub.add_parser("verify", help="dense Hilbert-space verification")
     common(v)
-    v.add_argument("--rho", type=int, default=None, help="detectability weight bound")
-    v.add_argument("--samples", type=int, default=50)
+    v.add_argument("--rho", type=_int_at_least("--rho", 1), default=None,
+                   help="detectability weight bound")
+    v.add_argument("--samples", type=_int_at_least("--samples", 1), default=50)
     v.set_defaults(fn=cmd_verify)
     return p
 
@@ -350,7 +375,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     try:
-        args = parser.parse_args(argv)  # _seed_type raises InputError, not an argparse error
+        # a bad flag value raises InputError from its type function; argparse
+        # itself still exits 2 on a malformed command line (unknown flag,
+        # missing argument), the usage-error code the benchmark harness expects
+        args = parser.parse_args(argv)
         _apply_config(args, parser)
         return args.fn(args)
     except InputError as exc:

@@ -9,8 +9,10 @@ matrix: rank, the right kernel (membership), the left kernel (generator
 dependencies) and the coefficients of a row space member.  Reversing J makes each left-kernel row pivot on the last
 row of mat it uses, which is a row that depends on earlier ones; so the
 coefficients are zero at every such row, as in a direct solve that
-prefers the earliest independent rows.  Deliberately dense and simple
-(desk-scale instances).
+prefers the earliest independent rows.  Over GF(2) the elimination runs on
+rows packed as bits, one Python int per row, so a row operation is one
+XOR (the packed-row idea of M4RI, Albrecht, Bard and Hart,
+arXiv:0811.1714); odd p keeps a dense int64 loop.
 """
 
 from __future__ import annotations
@@ -59,8 +61,11 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p).
 
     Returns (R, pivots) where R has the same shape as mat and pivots lists
-    the pivot column of each nonzero row in order.
+    the pivot column of each nonzero row in order.  R is uint8 for p = 2
+    and int64 otherwise.
     """
+    if p == 2:
+        return _rref_gf2(mat)
     a = np.array(mat, dtype=np.int64)
     a %= p
     nrows, ncols = a.shape
@@ -85,6 +90,40 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def _rref_gf2(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """rref over GF(2): column j of a row is bit j of its int, so a pivot is a lowest set bit."""
+    nrows, ncols = mat.shape
+    packed = np.packbits(np.asarray(mat) & 1, axis=1, bitorder="little")
+    # echelon form: each row is reduced on its lowest bit until it brings a new pivot
+    basis: dict[int, int] = {}
+    for row in packed:
+        v = int.from_bytes(row.tobytes(), "little")
+        while v:
+            c = (v & -v).bit_length() - 1
+            if c not in basis:
+                basis[c] = v
+                break
+            v ^= basis[c]
+    # back-substitution, right to left: a row only meets pivots to its right,
+    # whose rows are already reduced, so each set pivot bit costs one XOR
+    pivots = sorted(basis)
+    pivot_mask = 0
+    for c in reversed(pivots):
+        v = basis[c]
+        hits = v & pivot_mask
+        while hits:
+            low = hits & -hits
+            v ^= basis[low.bit_length() - 1]
+            hits ^= low
+        basis[c] = v
+        pivot_mask |= 1 << c
+    width = packed.shape[1]
+    rows = b"".join(basis[c].to_bytes(width, "little") for c in pivots)
+    rows += bytes(width * (nrows - len(pivots)))
+    bits = np.frombuffer(rows, dtype=np.uint8).reshape(nrows, width)
+    return np.unpackbits(bits, axis=1, count=ncols, bitorder="little"), pivots
+
+
 class RowSpace:
     """Row space of an m x N matrix over GF(p), from one elimination.
 
@@ -99,18 +138,25 @@ class RowSpace:
     def __init__(self, mat: np.ndarray, p: int):
         self.p = p
         m, ncols = mat.shape
-        reduced, pivots = rref(np.concatenate([mat, np.eye(m, dtype=np.int64)[:, ::-1]], axis=1), p)
+        # GF(2) entries only need their low bit, which a uint8 copy keeps
+        augmented = np.zeros((m, ncols + m), dtype=np.uint8 if p == 2 else np.int64)
+        augmented[:, :ncols] = mat
+        augmented[np.arange(m), ncols + m - 1 - np.arange(m)] = 1
+        reduced, pivots = rref(augmented, p)
         self.pivots = [c for c in pivots if c < ncols]
         self.rank = len(self.pivots)
         # reduced = T @ [mat | J], so T (columns back in row order of mat) has
         # reduced[i, :ncols] = T[i] @ mat; rows below rank span the left kernel
         transform = reduced[:, ncols:][:, ::-1]
         self._pivot_combinations = transform[: self.rank].copy()
-        self.left_kernel = transform[self.rank :][::-1].copy()
+        self.left_kernel = transform[self.rank :][::-1].astype(np.int64)
         free = np.setdiff1d(np.arange(ncols), self.pivots)
-        self.kernel = np.zeros((free.size, ncols), dtype=np.int64)
-        self.kernel[np.arange(free.size), free] = 1
-        self.kernel[:, self.pivots] = (-reduced[: self.rank, free].T) % p
+        # filled transposed, so that each pivot's entries are written as one row
+        kernel_t = np.zeros((ncols, free.size), dtype=np.int64)
+        kernel_t[free, np.arange(free.size)] = 1
+        block = reduced[: self.rank, free]
+        kernel_t[self.pivots] = block if p == 2 else -block % p
+        self.kernel = kernel_t.T
 
     def contains(self, v: np.ndarray) -> bool:
         return bool(self.contains_batch(np.asarray(v)[None, :])[0])

@@ -1,9 +1,13 @@
 """Stabilizer codes as validated generating sets.
 
-A code is built from a list of commuting Pauli generators; construction
-validates the Abelian requirement, absence of a phase obstruction (so the
-codespace is non-empty), uniform locality, degree regularity and absence
-of trivial qudits, each with a specific diagnosis.
+A code is built from its m x 2n symplectic matrix (one row (x | z) per
+generator) and the generators' phases; `build_code` stacks a list of
+Pauli generators into that form.  Construction validates the Abelian
+requirement, absence of a phase obstruction (so the codespace is
+non-empty), uniform locality, degree regularity and absence of trivial
+qudits, each with a specific diagnosis.  Every check runs on the
+matrix's nonzero (generator, qudit) sites, so for k-local generators it
+costs time in proportion to those sites, not to m x m or m x n.
 
 Weight modulo the group, weight modulo the centralizer, distance and
 succinctness are each one call of search.min_weight_vector: the least
@@ -15,15 +19,16 @@ root-of-unity counts), since weight and commutation are phase-blind.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fieldmath import RowSpace, modmul
+from .fieldmath import RowSpace, check_prime, modmul
 from .graphs import BipartiteGraph
 from .pauli import PauliOp
 from .search import SearchResult, min_weight_vector, pure_symbols
@@ -63,18 +68,46 @@ class TrivialQuditError(CodeValidationError):
         super().__init__(f"qudit {q} has no pair of generators with non-commuting restrictions")
 
 
-def product_phase(xz: np.ndarray, phases: np.ndarray, c: np.ndarray, d: int) -> int:
+class Sites(NamedTuple):
+    """The nonzero (generator, qudit) sites of a symplectic matrix, by qudit, then generator.
+
+    x, z are the exponents there; first[i] indexes the first site of
+    qudit[i], so each qudit's sites run from first[i] in generator order.
+    """
+
+    row: np.ndarray
+    qudit: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    first: np.ndarray
+
+    @staticmethod
+    def of(matrix: np.ndarray) -> "Sites":
+        m, n = matrix.shape[0], matrix.shape[1] // 2
+        rows, cols = np.nonzero(matrix)
+        key = np.unique(cols % n * m + rows)
+        qudit, row = np.divmod(key, m)
+        first = np.searchsorted(qudit, qudit)
+        return Sites(row, qudit, matrix[row, qudit], matrix[row, qudit + n], first)
+
+
+def product_phase(sites: Sites, phases: np.ndarray, c: np.ndarray, d: int) -> int:
     """Phase exponent of g_0^{c_0} g_1^{c_1} ... g_{m-1}^{c_{m-1}}, in that order.
 
-    xz[i, j] = x_i . z_j and phases[i] = s_i describe the generators.  Each
-    product moves an X past every later Z (PauliOp.multiply), so the phase
-    is c.s - C(c,2).diag(xz) - c.triu(xz, 1).c (mod d).
+    sites and phases[i] = s_i describe the generators.  Each product moves
+    an X past every later Z (PauliOp.multiply), so the phase is
+    c.s - sum_i C(c_i, 2) x_i.z_i - sum_{i<j} c_i c_j x_i.z_j (mod d), and
+    the last sum runs over pairs of generators at a shared qudit.
     """
-    supp = np.nonzero(c)[0]
-    c = np.asarray(c, dtype=np.int64)[supp]
-    xz = xz[np.ix_(supp, supp)]
-    phase = c @ phases[supp] - (c * (c - 1) // 2) @ np.diag(xz) - c @ (np.triu(xz, 1) @ c % d)
-    return int(phase % d)
+    c = np.asarray(c, dtype=np.int64)
+    cs = c[sites.row]
+    own = cs * (cs - 1) // 2 % d * sites.x * sites.z
+    a = cs * sites.x % d
+    # the a of the earlier generators at the same qudit, summed
+    earlier = np.cumsum(a) - a
+    earlier -= earlier[sites.first]
+    cross = earlier % d * (cs * sites.z % d)
+    return int((c @ phases - own.sum() - cross.sum()) % d)
 
 
 @dataclass(frozen=True)
@@ -131,35 +164,43 @@ class StabilizerCode:
     Immutable after construction; safe to share across workers.
     """
 
-    def __init__(self, generators: Sequence[PauliOp], strict_degree: bool = True):
-        if not generators:
-            raise CodeValidationError("empty generating set")
-        g0 = generators[0]
-        self.n, self.d = g0.n, g0.d
-        for g in generators:
-            if g.n != self.n or g.d != self.d:
-                raise CodeValidationError("generators with mixed (n, d)")
-        self.generators = list(generators)
-        self.m = len(self.generators)
+    def __init__(
+        self, d: int, matrix: np.ndarray, phases: Sequence[int] | None = None,
+        strict_degree: bool = True,
+    ):
+        """matrix is m x 2n, one row (x | z) per generator; phases default to 0.
 
-        weights = [g.weight() for g in self.generators]
-        if len(set(weights)) != 1:
-            raise NonUniformLocalityError(weights)
-        self.k = weights[0]
+        An int64 matrix whose entries already lie in [0, d) is kept, not
+        copied, and made read-only, so the validated code cannot change.
+        """
+        check_prime(d)
+        self.d = d
+        matrix = np.asarray(matrix, dtype=np.int64)
+        if matrix.ndim != 2 or matrix.shape[1] % 2:
+            raise CodeValidationError("a symplectic matrix has one (x | z) row per generator")
+        self.m, self.n = matrix.shape[0], matrix.shape[1] // 2
+        if self.m == 0:
+            raise CodeValidationError("empty generating set")
+        if matrix.size and (matrix.min() < 0 or matrix.max() >= d):
+            matrix = matrix % d
+        matrix.setflags(write=False)
+        self.symplectic_matrix = matrix  # m x 2n
+        phases = np.zeros(self.m, dtype=np.int64) if phases is None else phases
+        self._phases = np.asarray(phases, dtype=np.int64) % d
+        if self._phases.shape != (self.m,):
+            raise CodeValidationError(f"{self._phases.size} phases for {self.m} generators")
+        self._sites = sites = Sites.of(self.symplectic_matrix)
+
+        weights = np.bincount(sites.row, minlength=self.m)
+        if np.any(weights != weights[0]):
+            raise NonUniformLocalityError(weights.tolist())
+        self.k = int(weights[0])
         if self.k == 0:
             raise CodeValidationError("identity generator")
+        self._check_commutation()
 
-        gx = np.stack([g.x for g in self.generators])
-        gz = np.stack([g.z for g in self.generators])
-        self.symplectic_matrix = np.concatenate([gx, gz], axis=1)  # m x 2n
-        # xz[i, j] = x_i . z_j gives commutation and every product phase
-        self._xz = modmul(gx, gz.T, self.d)
-        self._phases = np.array([g.phase for g in self.generators], dtype=np.int64)
-        bad = np.argwhere((self._xz.T - self._xz) % self.d != 0)
-        if bad.size:
-            raise NonAbelianError(int(bad[0, 0]), int(bad[0, 1]))
-
-        self.graph = BipartiteGraph(self.n, self.m, [g.support() for g in self.generators])
+        right_adj = sites.qudit[np.argsort(sites.row, kind="stable")].reshape(self.m, self.k)
+        self.graph = BipartiteGraph(self.n, self.m, right_adj.tolist())
         degrees = [len(v) for v in self.graph.left_adj]
         if len(set(degrees)) != 1:
             if strict_degree:
@@ -167,7 +208,7 @@ class StabilizerCode:
             warnings.warn(f"irregular left degrees {sorted(set(degrees))}", stacklevel=2)
         self.D_L = self.graph.D_L  # None when irregular
 
-        self._check_trivial_qudits(gx, gz)
+        self._check_trivial_qudits()
 
         self.rowspace = RowSpace(self.symplectic_matrix, self.d)
         self.rank = self.rowspace.rank
@@ -175,35 +216,65 @@ class StabilizerCode:
 
         # syndrome map: syn(E)_g = <g, E> = g.z . E.x - g.x . E.z, held as
         # float64 so that modmul does not re-cast it on every penalty
-        self.syndrome_matrix = np.concatenate([gz, -gx % self.d], axis=1).astype(np.float64)
+        self.syndrome_matrix = np.empty((self.m, 2 * self.n))
+        self.syndrome_matrix[:, : self.n] = matrix[:, self.n :]
+        minus_x = self.syndrome_matrix[:, self.n :]
+        np.negative(matrix[:, : self.n], out=minus_x)
+        minus_x[minus_x < 0] += d
+
+    @functools.cached_property
+    def generators(self) -> list[PauliOp]:
+        n = self.n
+        return [PauliOp(self.d, n, row[:n], row[n:], int(s))
+                for row, s in zip(self.symplectic_matrix, self._phases)]
 
     # --- validation helpers -------------------------------------------
-    def _check_trivial_qudits(self, gx, gz):
-        for q in range(self.n):
-            acting = self.graph.left_adj[q]
-            ok = False
-            for i in range(len(acting)):
-                for j in range(i + 1, len(acting)):
-                    a, b = acting[i], acting[j]
-                    s = (gx[a, q] * gz[b, q] - gz[a, q] * gx[b, q]) % self.d
-                    if s != 0:
-                        ok = True
-                        break
-                if ok:
-                    break
-            if not ok:
-                raise TrivialQuditError(q)
+    def _check_commutation(self):
+        """Sum <g_a, g_b> over the qudits each pair shares; raise on the first bad pair (a < b)."""
+        s, m = self._sites, self.m
+        keys, values = [], []
+        shift = 1
+        while True:
+            i = np.flatnonzero(s.qudit[shift:] == s.qudit[:-shift])
+            if i.size == 0:
+                break  # no qudit has more than `shift` generators
+            j = i + shift
+            keys.append(s.row[i] * m + s.row[j])
+            values.append(s.z[i] * s.x[j] - s.x[i] * s.z[j])
+            shift += 1
+        if not keys:
+            return
+        keys, values = np.concatenate(keys), np.concatenate(values)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        bad = keys[starts][np.add.reduceat(values[order], starts) % self.d != 0]
+        if bad.size:
+            raise NonAbelianError(*(int(v) for v in divmod(int(bad[0]), m)))
+
+    def _check_trivial_qudits(self):
+        # restrictions at a qudit live in GF(d)^2, where the vectors that
+        # commute with a nonzero one are its multiples: a qudit is trivial
+        # iff its first generator commutes there with every other one
+        s = self._sites
+        witness = (s.x[s.first] * s.z - s.z[s.first] * s.x) % self.d != 0
+        ok = np.zeros(self.n, dtype=bool)
+        ok[s.qudit[witness]] = True
+        if not ok.all():
+            raise TrivialQuditError(int(np.argmin(ok)))
 
     def _check_phase_obstruction(self):
         # g^d is always a scalar; a non-zero phase there puts -I-like
         # elements in the group even without a GF(d) row dependency
-        powers = np.nonzero(math.comb(self.d, 2) * np.diag(self._xz) % self.d)[0]
+        s = self._sites
+        xz_own = np.bincount(s.row, weights=s.x * s.z % self.d, minlength=self.m)
+        powers = np.nonzero(math.comb(self.d, 2) * xz_own.astype(np.int64) % self.d)[0]
         if powers.size:
             raise PhaseObstructionError([int(powers[0])])
         # phase of a dependent product is linear over the left nullspace
         # (commuting generators rearrange exactly), so a basis check suffices
         for c in self.rowspace.left_kernel:
-            if product_phase(self._xz, self._phases, c, self.d):
+            if product_phase(s, self._phases, c, self.d):
                 raise PhaseObstructionError(c)
 
     # --- syndromes -----------------------------------------------------
@@ -231,7 +302,7 @@ class StabilizerCode:
         c = self.rowspace.coefficients(e.symplectic())
         if c is None:
             return GroupMembership("not_in_span")
-        dphase = (e.phase - product_phase(self._xz, self._phases, c, self.d)) % self.d
+        dphase = (e.phase - product_phase(self._sites, self._phases, c, self.d)) % self.d
         if dphase == 0:
             return GroupMembership("member", c, 0)
         return GroupMembership("phase_mismatch", c, dphase)
@@ -283,7 +354,7 @@ class StabilizerCode:
     def is_css(self) -> bool:
         gx = self.symplectic_matrix[:, : self.n]
         gz = self.symplectic_matrix[:, self.n :]
-        return all(not (gx[i].any() and gz[i].any()) for i in range(self.m))
+        return not np.any(gx.any(axis=1) & gz.any(axis=1))
 
     def code_distance(
         self, budget: int | None = None, use_css: bool | None = None, w_max: int | None = None
@@ -346,7 +417,7 @@ class StabilizerCode:
             gens = [PauliOp.from_json(g) for g in obj["generators"]]
         except TypeError as exc:  # e.g. null or a list where a number belongs
             raise CodeValidationError(f"malformed generator: {exc}") from exc
-        return StabilizerCode(gens, strict_degree=strict_degree)
+        return build_code(gens, strict_degree=strict_degree)
 
     def save(self, path, meta: dict | None = None) -> None:
         with open(path, "w") as f:
@@ -360,4 +431,10 @@ class StabilizerCode:
 
 def build_code(generators: Sequence[PauliOp], strict_degree: bool = True) -> StabilizerCode:
     """Validate a generating set and return the code (see class docs)."""
-    return StabilizerCode(generators, strict_degree=strict_degree)
+    if not generators:
+        raise CodeValidationError("empty generating set")
+    d, n = generators[0].d, generators[0].n
+    if any(g.n != n or g.d != d for g in generators):
+        raise CodeValidationError("generators with mixed (n, d)")
+    matrix = np.stack([g.symplectic() for g in generators])
+    return StabilizerCode(d, matrix, [g.phase for g in generators], strict_degree=strict_degree)

@@ -15,7 +15,26 @@ import numpy as np
 from .fieldmath import check_prime
 from .graphs import BipartiteGraph
 from .pauli import PauliOp
-from .stabilizer import StabilizerCode, build_code
+from .stabilizer import StabilizerCode
+
+# refuse builds estimated to hold more bytes than this (see _check_build_size)
+BUILD_GUARD = 2_000_000_000
+
+
+def _check_build_size(m: int, n: int) -> None:
+    """Refuse, before any allocation, a build of m generators on n qudits that cannot fit.
+
+    A build holds the m x 2n symplectic matrix (int64) and syndrome map
+    (float64), a kernel of at least 2n - min(m, n) rows of 2n int64
+    entries, and eliminates [matrix | I], m x (2n + m), at one byte per
+    entry or more.
+    """
+    estimate = 16 * m * 2 * n + 8 * (2 * n - min(m, n)) * 2 * n + 2 * m * (2 * n + m)
+    if estimate > BUILD_GUARD:
+        raise ValueError(
+            f"a build of {m} generators on {n} qudits needs about {estimate / 1e9:.3g} GB,"
+            f" over the {BUILD_GUARD / 1e9:.3g} GB guard"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -43,26 +62,21 @@ def toric_code(L: int, d: int = 2) -> StabilizerCode:
     check_prime(d)
     h, v = toric_edge_indices(L)
     n = 2 * L * L
-    gens = []
-    for r in range(L):
-        for c in range(L):
-            # vertex operator: X^{+1} on incoming edges, X^{-1} on outgoing
-            x = np.zeros(n, dtype=np.int64)
-            x[h(r, c - 1)] = 1
-            x[h(r, c)] = d - 1
-            x[v(r - 1, c)] = 1
-            x[v(r, c)] = d - 1
-            gens.append(PauliOp(d, n, x, np.zeros(n, dtype=np.int64), 0))
-    for r in range(L):
-        for c in range(L):
-            # plaquette operator: Z^{+-1} around the face counterclockwise
-            z = np.zeros(n, dtype=np.int64)
-            z[h(r, c)] = 1
-            z[v(r, c + 1)] = 1
-            z[h(r + 1, c)] = d - 1
-            z[v(r, c)] = d - 1
-            gens.append(PauliOp(d, n, np.zeros(n, dtype=np.int64), z, 0))
-    return build_code(gens)
+    _check_build_size(n, n)
+    r, c = np.divmod(np.arange(L * L), L)
+    vertex, plaquette = r * L + c, L * L + r * L + c
+    matrix = np.zeros((n, 2 * n), dtype=np.int64)
+    # vertex operator: X^{+1} on incoming edges, X^{-1} on outgoing
+    matrix[vertex, h(r, c - 1)] = 1
+    matrix[vertex, h(r, c)] = d - 1
+    matrix[vertex, v(r - 1, c)] = 1
+    matrix[vertex, v(r, c)] = d - 1
+    # plaquette operator: Z^{+-1} around the face counterclockwise
+    matrix[plaquette, n + h(r, c)] = 1
+    matrix[plaquette, n + v(r, c + 1)] = 1
+    matrix[plaquette, n + h(r + 1, c)] = d - 1
+    matrix[plaquette, n + v(r, c)] = d - 1
+    return StabilizerCode(d, matrix)
 
 
 def vertex_path_edges(L: int, vertices: list[tuple[int, int]]) -> list[int]:
@@ -184,11 +198,12 @@ def css_code(
         raise ValueError("Hx and Hz must have the same number of columns")
     if np.any((hx @ hz.T) % d):
         raise ValueError("CSS orthogonality violated: Hx @ Hz.T != 0 mod d")
-    n = hx.shape[1]
-    zero = np.zeros(n, dtype=np.int64)
-    gens = [PauliOp(d, n, row, zero, 0) for row in hx]
-    gens += [PauliOp(d, n, zero, row, 0) for row in hz]
-    return build_code(gens, strict_degree=strict_degree)
+    rx, n = hx.shape
+    _check_build_size(rx + hz.shape[0], n)
+    matrix = np.zeros((rx + hz.shape[0], 2 * n), dtype=np.int64)
+    matrix[:rx, :n] = hx
+    matrix[rx:, n:] = hz
+    return StabilizerCode(d, matrix, strict_degree=strict_degree)
 
 
 def css_hypergraph_product(
@@ -197,17 +212,23 @@ def css_hypergraph_product(
     """Hypergraph product of two classical parity-check matrices.
 
     Hx = [H1 (x) I | I (x) H2^T],  Hz = [I (x) H2 | -H1^T (x) I]; the
-    orthogonality identity holds by construction (css_code checks it).
+    orthogonality identity holds by construction, and the code's
+    commutation check confirms it.
     """
+    check_prime(d)
     h1 = np.asarray(h1, dtype=np.int64) % d
     h2 = np.asarray(h2, dtype=np.int64) % d
     r1, n1 = h1.shape
     r2, n2 = h2.shape
-    hx = np.concatenate([np.kron(h1, np.eye(n2, dtype=np.int64)),
-                         np.kron(np.eye(r1, dtype=np.int64), h2.T)], axis=1)
-    hz = np.concatenate([np.kron(np.eye(n1, dtype=np.int64), h2),
-                         np.kron((-h1.T) % d, np.eye(r2, dtype=np.int64))], axis=1)
-    return css_code(hx, hz, d=d, strict_degree=strict_degree)
+    n, mx = n1 * n2 + r1 * r2, r1 * n2
+    m = mx + n1 * r2
+    _check_build_size(m, n)
+    matrix = np.zeros((m, 2 * n), dtype=np.int64)
+    matrix[:mx, : n1 * n2] = np.kron(h1, np.eye(n2, dtype=np.int64))
+    matrix[:mx, n1 * n2 : n] = np.kron(np.eye(r1, dtype=np.int64), h2.T)
+    matrix[mx:, n : n + n1 * n2] = np.kron(np.eye(n1, dtype=np.int64), h2)
+    matrix[mx:, n + n1 * n2 :] = np.kron(-h1.T % d, np.eye(r2, dtype=np.int64))
+    return StabilizerCode(d, matrix, strict_degree=strict_degree)
 
 
 def hamming7_matrix() -> np.ndarray:

@@ -255,6 +255,61 @@ def test_attack_bad_delta_or_trials_exits_1(capsys, argv):
     assert ("--delta" if "--delta" in argv else "--trials") in err
 
 
+def test_non_numeric_value_exits_1(capsys):
+    # argparse's own type=int error would exit 2
+    code, out, err = run(capsys, "attack", "toric:3", "island", "--trials", "abc", "--seed", "1")
+    assert code == 1 and out == "" and "--trials" in err
+    code, out, err = run(capsys, "analyze", "toric:3", "--expansion", "--sets", "two")
+    assert code == 1 and out == "" and "--sets" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("attack", "toric:3"),  # the attack name is missing
+    ("build",),  # the source is missing
+    ("analyze", "toric:3", "--no-such-flag"),
+])
+def test_malformed_command_line_is_an_argparse_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2 and "usage: qltc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "steane", "--samples", "-3"), "--samples"),
+    (("analyze", "toric:3", "--distance", "--budget", "-5"), "--budget"),
+    (("analyze", "toric:3", "--profile", "--wcap", "-1"), "--wcap"),
+    (("verify", "steane", "--rho", "-2"), "--rho"),
+    (("attack", "toric:4", "expander", "--delta", "inf", "--seed", "1"), "--delta"),
+])
+def test_out_of_range_numbers_exit_1(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and flag in err
+
+
+def test_out_of_range_config_value_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"wcap": -1}))
+    code, out, err = run(capsys, "analyze", "toric:3", "--profile", "--config", str(cfg))
+    assert code == 1 and out == "" and "--wcap" in err
+
+
+@pytest.mark.parametrize("source", ["toric:64", "toric:100000"])
+def test_oversized_build_refused_before_allocation(source):
+    # under a 1 GB address-space limit an attempted allocation would fail with
+    # exit 2; the size guard refuses first
+    import resource
+
+    limit = 1 << 30
+    src = os.path.dirname(os.path.dirname(qltc.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qltc.cli", "build", source], env=env, capture_output=True,
+        text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "guard" in proc.stderr
+
+
 @pytest.mark.parametrize("argv, seed", [
     (("build", "toric:2"), "-1"),
     (("analyze", "toric:3", "--expansion"), "-1"),

@@ -15,6 +15,7 @@ from qltc.stabilizer import (
     NonAbelianError,
     NonUniformLocalityError,
     PhaseObstructionError,
+    Sites,
     StabilizerCode,
     TrivialQuditError,
     build_code,
@@ -125,6 +126,18 @@ def test_toric_build():
     assert (c.n, c.m, c.k, c.D_L, c.rank) == (18, 18, 4, 4, 16)
 
 
+def test_symplectic_matrix_is_read_only():
+    # the constructor keeps an in-range int64 matrix without a copy, so the
+    # caller's array must not be able to change the validated code
+    matrix = toric_code(2).symplectic_matrix.copy()
+    code = StabilizerCode(2, matrix)
+    assert code.symplectic_matrix is matrix
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 1 - matrix[0, 0]
+    with pytest.raises(ValueError):
+        code.symplectic_matrix[0, 0] = 1
+
+
 # --- syndromes and penalties ----------------------------------------------
 
 def test_syndrome_of_generators_and_identity():
@@ -202,9 +215,9 @@ def test_product_phase_matches_multiply_loop(d, n, m, seed):
     prod = PauliOp.identity(n, d)
     for g, e in zip(gens, c):
         prod = prod.multiply(g.power(int(e)))
-    xz = np.array([[int(np.dot(a.x, b.z)) % d for b in gens] for a in gens], dtype=np.int64)
+    sites = Sites.of(np.stack([g.symplectic() for g in gens]))
     phases = np.array([g.phase for g in gens], dtype=np.int64)
-    assert product_phase(xz, phases, c, d) == prod.phase
+    assert product_phase(sites, phases, c, d) == prod.phase
 
 
 def test_group_contains_refusals():
