@@ -610,14 +610,15 @@ def soundness_profile(
     code: StabilizerCode, weight_cap: int, guard: int = 20_000_000
 ) -> SoundnessProfile:
     """Brute-force soundness oracle; refuses infeasible caps with an estimate."""
-    total = sum(candidates_at_weight(code.n, code.d, w) for w in range(1, weight_cap + 1))
+    weights = range(1, min(weight_cap, code.n) + 1)  # no Pauli on n qudits is heavier than n
+    total = sum(candidates_at_weight(code.n, code.d, w) for w in weights)
     if total > guard:
         raise ValueError(
             f"profile enumeration of {total} candidates exceeds the guard ({guard})"
         )
     seen: dict[bytes, int] = {}
     min_penalty: dict[int, int] = {}
-    for w in range(1, weight_cap + 1):
+    for w in weights:
         for batch in candidate_batches(code.n, code.d, w):
             syn = code.syndrome_batch(batch)
             pens = np.count_nonzero(syn, axis=1)

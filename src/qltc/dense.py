@@ -3,10 +3,14 @@
 Materializes operators as d^n x d^n complex matrices (hard cap d^n <=
 1024) to independently verify the symplectic layer: product phases,
 projector Hamiltonians, codespace dimension, error detectability and the
-penalty/energy identity.  Deliberately slow and simple.
+penalty/energy identity.  It stays independent by acting on computational
+basis states (a Pauli is its monomial matrix on |j>) and never reading
+syndromes to compute a checked value: they only pair sampled errors.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -30,54 +34,70 @@ def _check_cap(d: int, n: int) -> int:
     return dim
 
 
-def _site_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shift X|i> = |i+1 mod d> and phase P|j> = w^j |j>."""
-    x = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        x[(i + 1) % d, i] = 1.0
-    w = np.exp(2j * np.pi / d)
-    p = np.diag(w ** np.arange(d))
-    return x, p
+def _monomial(op: PauliOp) -> tuple[np.ndarray, np.ndarray]:
+    """Row and entry of each column j of op's matrix.
+
+    w^s Z^z X^x |j> = w^(s + z.(j+x)) |j+x>, digitwise mod d, with site 0
+    the most significant base-d digit of j.
+    """
+    dim = _check_cap(op.d, op.n)
+    place = op.d ** np.arange(op.n - 1, -1, -1)
+    shifted = (np.arange(dim)[:, None] // place + op.x) % op.d
+    roots = np.exp(2j * np.pi * np.arange(op.d) / op.d)
+    return shifted @ place, roots[(op.phase + shifted @ op.z) % op.d]
+
+
+def _act(op: PauliOp, states: np.ndarray) -> np.ndarray:
+    """densify(op) @ states for a (dim,) or (dim, K) array, without the matrix."""
+    rows, entries = _monomial(op)
+    out = np.empty(states.shape, dtype=complex)
+    out[rows] = (entries * states.T).T
+    return out
 
 
 def densify(op: PauliOp) -> np.ndarray:
     """Full matrix of a Pauli; exact homomorphism densify(a*b)=densify(a)@densify(b)."""
-    _check_cap(op.d, op.n)
-    xmat, pmat = _site_matrices(op.d)
-    w = np.exp(2j * np.pi / op.d)
-    out = np.array([[w ** op.phase]], dtype=complex)
-    for i in range(op.n):
-        site = np.linalg.matrix_power(pmat, int(op.z[i])) @ np.linalg.matrix_power(
-            xmat, int(op.x[i])
-        )
-        out = np.kron(out, site)
-    return out
+    return _act(op, np.eye(_check_cap(op.d, op.n)))
 
 
 def generator_projector(g: PauliOp) -> np.ndarray:
     """Projector onto the non-+1 eigenspace of g: I - (1/d) sum_j g^j."""
-    dim = _check_cap(g.d, g.n)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for j in range(g.d):
-        acc += densify(g.power(j))
-    return np.eye(dim) - acc / g.d
+    rows, entries = _monomial(g)
+    cols = np.arange(rows.size)
+    acc = np.eye(rows.size, dtype=complex)
+    r, v = cols, np.ones(rows.size, dtype=complex)
+    for _ in range(g.d):  # subtract g^j / d, then compose g^(j+1) = g g^j
+        acc[r, cols] -= v / g.d
+        r, v = rows[r], entries[r] * v
+    return acc
 
 
 def hamiltonian(code: StabilizerCode) -> np.ndarray:
-    dim = _check_cap(code.d, code.n)
-    h = np.zeros((dim, dim), dtype=complex)
-    for g in code.generators:
-        h += generator_projector(g)
-    return h
+    """H = sum_g Pi_g, whose null space is the codespace."""
+    return sum(generator_projector(g) for g in code.generators)
+
+
+@functools.lru_cache(maxsize=1)
+def _system(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (H, codespace basis) of the last code asked for: one H and one eigh per code."""
+    h = hamiltonian(code)
+    vals, vecs = np.linalg.eigh(h)
+    basis = vecs[:, vals < TOL]
+    expected = code.d ** (code.n - code.rank)
+    if basis.shape[1] != expected:
+        raise AssertionError(f"codespace dimension {basis.shape[1]} != d^(n-rank) = {expected}")
+    h.setflags(write=False)
+    basis.setflags(write=False)
+    return h, basis
 
 
 def mean_energy(state: np.ndarray, code: StabilizerCode) -> float:
     """(1/m) <psi| sum_g Pi_g |psi> for a normalized state; lies in [0, 1]."""
-    return _energy(state, hamiltonian(code), code.m)
+    return _energy(state, _system(code)[0], code.m)
 
 
 def _energy(state: np.ndarray, h: np.ndarray, m: int) -> float:
-    """mean_energy against a Hamiltonian h built once by the caller."""
+    """mean_energy against the code's Hamiltonian h."""
     state = np.asarray(state, dtype=complex)
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-6:
@@ -86,52 +106,35 @@ def _energy(state: np.ndarray, h: np.ndarray, m: int) -> float:
 
 
 def codespace_basis(code: StabilizerCode) -> np.ndarray:
-    """Orthonormal basis (columns) of the joint +1 eigenspace of all generators.
+    """Read-only orthonormal basis (columns) of the joint +1 eigenspace of all generators.
 
-    Computed as the null space of H = sum Pi_g via eigendecomposition with
-    eigenvalue threshold 1e-9; dimension equals d^(n - rank).
+    The null space of H = sum Pi_g (eigenvalues below TOL); its dimension is d^(n - rank).
     """
-    return _null_basis(hamiltonian(code), code)
-
-
-def _null_basis(h: np.ndarray, code: StabilizerCode) -> np.ndarray:
-    """codespace_basis from the code's Hamiltonian h."""
-    vals, vecs = np.linalg.eigh(h)
-    basis = vecs[:, vals < TOL]
-    expected = code.d ** (code.n - code.rank)
-    if basis.shape[1] != expected:
-        raise AssertionError(
-            f"codespace dimension {basis.shape[1]} != d^(n-rank) = {expected}"
-        )
-    return basis
-
-
-def codespace_projector(code: StabilizerCode) -> np.ndarray:
-    basis = codespace_basis(code)
-    return basis @ basis.conj().T
+    return _system(code)[1]
 
 
 def verify_detectability(code: StabilizerCode, rho: int) -> dict:
     """Check Pi_C E Pi_C = gamma_E Pi_C for every Pauli E with wt(E) < rho.
 
-    gamma_E is the fitted scalar tr(Pi_C E Pi_C)/tr(Pi_C); reports the
-    maximum residual norm and any violator.
+    Tested as B^dag E B = gamma_E I on the K orthonormal codespace columns B
+    (Knill-Laflamme), whose residual norm equals ||Pi_C E Pi_C - gamma_E Pi_C||;
+    gamma_E = tr(B^dag E B)/K.  Reports the maximum residual and any violator.
     """
-    pc = codespace_projector(code)
-    dim_c = float(np.real(np.trace(pc)))
+    basis = codespace_basis(code)
+    basis_dag = basis.conj().T
+    eye = np.eye(basis.shape[1])
     max_residual = 0.0
     checked = 0
     violator = None
-    batches = (b for w in range(1, rho) for b in candidate_batches(code.n, code.d, w))
+    weights = range(1, min(rho, code.n + 1))  # no Pauli on n qudits is heavier than n
+    batches = (b for w in weights for b in candidate_batches(code.n, code.d, w))
     for v in (v for batch in batches for v in batch):
         e = PauliOp(code.d, code.n, v[: code.n], v[code.n :])
-        de = densify(e)
-        lhs = pc @ de @ pc
-        gamma = np.trace(lhs) / dim_c
-        res = float(np.linalg.norm(lhs - gamma * pc))
+        m = basis_dag @ _act(e, basis)
+        gamma = np.trace(m) / basis.shape[1]
+        res = float(np.linalg.norm(m - gamma * eye))
         checked += 1
-        if res > max_residual:
-            max_residual = res
+        max_residual = max(max_residual, res)
         if res > TOL and violator is None:
             violator = e.to_json()
     return {
@@ -150,25 +153,22 @@ def displaced_codeword_energy(code: StabilizerCode, e: PauliOp, which: int = 0) 
     Independent of the choice of codeword (the syndrome fixes the
     eigenvalues); equals penalty(E)/m, which the test suite asserts.
     """
-    h = hamiltonian(code)
-    state = densify(e) @ _null_basis(h, code)[:, which]
+    h, basis = _system(code)
+    state = _act(e, basis[:, which])
     state = state / np.linalg.norm(state)
     return _energy(state, h, code.m)
 
 
 def verify_energy_identity(code: StabilizerCode, errors: list[PauliOp]) -> dict:
     """Check mean_energy(E|eta>) == penalty(E)/m for each error, all codewords."""
-    h = hamiltonian(code)
-    basis = _null_basis(h, code)
+    h, basis = _system(code)
     max_dev = 0.0
     for e in errors:
-        de = densify(e)
+        displaced = _act(e, basis)
+        displaced /= np.linalg.norm(displaced, axis=0)
         expected = code.penalty(e) / code.m
-        for col in range(basis.shape[1]):
-            state = de @ basis[:, col]
-            state /= np.linalg.norm(state)
-            dev = abs(_energy(state, h, code.m) - expected)
-            max_dev = max(max_dev, dev)
+        for state in displaced.T:
+            max_dev = max(max_dev, abs(_energy(state, h, code.m) - expected))
     return {"errors_checked": len(errors), "max_deviation": max_dev, "passed": max_dev <= TOL}
 
 
@@ -181,8 +181,8 @@ def verify_sltc_qltc_equivalence(code: StabilizerCode, samples: int, seed: int =
     (displaced codewords from distinct syndromes are orthogonal).
     """
     rng = np.random.default_rng(seed)
-    h = hamiltonian(code)
-    eta = _null_basis(h, code)[:, 0]
+    h, basis = _system(code)
+    eta = basis[:, 0]
     max_forward = 0.0
     errs = []
     for _ in range(samples):
@@ -190,7 +190,7 @@ def verify_sltc_qltc_equivalence(code: StabilizerCode, samples: int, seed: int =
         z = rng.integers(code.d, size=code.n)
         e = PauliOp(code.d, code.n, x, z, int(rng.integers(code.d)))
         errs.append(e)
-        state = densify(e) @ eta
+        state = _act(e, eta)
         state /= np.linalg.norm(state)
         dev = abs(_energy(state, h, code.m) - code.penalty(e) / code.m)
         max_forward = max(max_forward, dev)
@@ -202,11 +202,9 @@ def verify_sltc_qltc_equivalence(code: StabilizerCode, samples: int, seed: int =
             if np.array_equal(code.syndrome(errs[i]), code.syndrome(errs[j])):
                 continue
             a, b = 0.6, 0.8
-            state = a * (densify(errs[i]) @ eta) + b * (densify(errs[j]) @ eta)
+            state = a * _act(errs[i], eta) + b * _act(errs[j], eta)
             state /= np.linalg.norm(state)
-            expected = (
-                a * a * code.penalty(errs[i]) + b * b * code.penalty(errs[j])
-            ) / code.m
+            expected = (a * a * code.penalty(errs[i]) + b * b * code.penalty(errs[j])) / code.m
             max_backward = max(max_backward, abs(_energy(state, h, code.m) - expected))
             pairs += 1
             break

@@ -8,6 +8,7 @@ expansion counts over many small subsets reduce to OR + popcount.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -54,24 +55,34 @@ class BipartiteGraph:
             raise ValueError("right adjacency length mismatch")
         self.n = n
         self.m = m
-        self.right_adj: list[list[int]] = []
-        self.left_adj: list[list[int]] = [[] for _ in range(n)]
-        for c, nbrs in enumerate(right_adj):
-            nbrs = list(nbrs)
-            if len(set(nbrs)) != len(nbrs):
+        # one (constraint, qudit) pair per edge, in input order
+        lens = np.fromiter(map(len, right_adj), dtype=np.int64, count=m)
+        cons = np.repeat(np.arange(m), lens)
+        quds = np.fromiter(itertools.chain.from_iterable(right_adj), np.int64, count=cons.size)
+        by_con = np.lexsort((quds, cons))  # edges by constraint, then qudit
+        c_sorted, q_sorted = cons[by_con], quds[by_con]
+        repeated = (c_sorted[1:] == c_sorted[:-1]) & (q_sorted[1:] == q_sorted[:-1])
+        multi = np.bincount(c_sorted[1:][repeated], minlength=m) > 0
+        bad = (quds < 0) | (quds >= n)
+        # the first constraint at fault raises: its multi-edge, else its first bad qudit
+        faulty = multi | (np.bincount(cons[bad], minlength=m) > 0)
+        if faulty.any():
+            c = int(np.argmax(faulty))
+            if multi[c]:
                 raise ValueError(f"multi-edge at constraint {c}")
-            for q in nbrs:
-                if not 0 <= q < n:
-                    raise IndexError(f"qudit {q} out of range")
-                self.left_adj[q].append(c)
-            self.right_adj.append(sorted(nbrs))
-        self.left_adj = [sorted(v) for v in self.left_adj]
-        # left_masks[q] packs Gamma(q) over constraints
-        self.left_masks = [_mask(v) for v in self.left_adj]
-        left_degs = {len(v) for v in self.left_adj}
-        right_degs = {len(v) for v in self.right_adj}
-        self.D_L = left_degs.pop() if len(left_degs) == 1 else None
-        self.k = right_degs.pop() if len(right_degs) == 1 else None
+            raise IndexError(f"qudit {quds[(cons == c) & bad][0]} out of range")
+        self.right_adj: list[list[int]] = _split(q_sorted, lens)
+        left_lens = np.bincount(quds, minlength=n)
+        self.left_adj: list[list[int]] = _split(cons[np.lexsort((cons, quds))], left_lens)
+        # left_masks[q] packs Gamma(q) over constraints: bit c of row q, little-endian
+        width = (m + 7) // 8
+        packed = np.zeros((n, width), dtype=np.uint8)
+        np.bitwise_or.at(packed, (quds, cons >> 3), (1 << (cons & 7)).astype(np.uint8))
+        rows = packed.tobytes()
+        self.left_masks = [int.from_bytes(rows[q * width : (q + 1) * width], "little")
+                           for q in range(n)]
+        self.D_L = int(left_lens[0]) if n and np.all(left_lens == left_lens[0]) else None
+        self.k = int(lens[0]) if m and np.all(lens == lens[0]) else None
 
     # --- neighborhoods ------------------------------------------------
     def gamma(self, vertices: Iterable[int], side: str) -> set[int]:
@@ -168,7 +179,8 @@ class BipartiteGraph:
     def _connected_set_estimate(self, size_cap: int) -> int:
         adj = self.sharing_adjacency
         avg_deg = max(1, sum(len(a) for a in adj) // max(1, self.n))
-        return self.n * sum(math.comb(avg_deg * s, s - 1) for s in range(1, size_cap + 1))
+        sizes = range(1, min(size_cap, self.n) + 1)  # no set exceeds the n qudits
+        return self.n * sum(math.comb(avg_deg * s, s - 1) for s in sizes)
 
     def _connected_sets(self, size_cap: int):
         """Yield (set, OR of its left_masks, degree total) once per connected set.
@@ -247,11 +259,12 @@ class BipartiteGraph:
         return True
 
 
-def _mask(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
+def _split(flat: np.ndarray, lens: np.ndarray) -> list[list[int]]:
+    """flat cut into consecutive lists of the given lengths (one reshape if they are equal)."""
+    if lens.size and np.all(lens == lens[0]):
+        return flat.reshape(lens.size, int(lens[0])).tolist()
+    items, ends = flat.tolist(), np.cumsum(lens).tolist()
+    return [items[end - size : end] for end, size in zip(ends, lens.tolist())]
 
 
 def _other(side: str) -> str:

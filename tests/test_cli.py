@@ -1,10 +1,17 @@
+import contextlib
 import csv
+import datetime
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qltc
 from qltc.cli import main
@@ -425,3 +432,98 @@ def test_determinism_identical_reports(tmp_path, capsys):
     run(capsys, *argv, "--out", str(a))
     run(capsys, *argv, "--out", str(b))
     assert a.read_text() == b.read_text()
+
+
+# --- in-process fuzz of main() ---------------------------------------------
+
+# (good, bad) pools of sources and flag values; a draw is good three times in four.
+# Good sources are small presets and presets the dense oracle refuses; good weights
+# and set sizes go past n, where they must be answered or refused, not enumerated.
+SOURCES = (["toric:3", "toric:2:3", "steane", "toric:6"],
+           ["toric:1", "toric:0", "toric:-2", "toric:3:4", "toric:x", "toric:", "toric:100000",
+            "hgp:", "css:no-such-file,no-such-file", "no-such-source", ""])
+WEIGHTS = (["1", "2", "3", "99999", "9" * 40],
+           ["0", "-1", "abc", "", "1.5", "inf", "nan", "1e3", "0x10"])
+COUNTS = (["1", "2", "5", "+4"], ["0", "-3", "abc", "", "2.5", "nan", "1e2"])
+SEEDS = (["0", "1", "7", str(2**128 - 1)], ["-1", "abc", "", str(2**128), "1e5", "0b1"])
+DELTAS = (["0.05", "0.5", "1", "1e-300", "5e-2"], ["0", "-0.1", "1.5", "inf", "nan", "abc", ""])
+FUZZ_FLAGS = {
+    "build": {},
+    "analyze": {"--distance": None, "--succinct": None, "--expansion": None, "--profile": None,
+                "--sets": WEIGHTS, "--wcap": WEIGHTS},
+    "attack": {"--delta": DELTAS, "--trials": COUNTS},
+    "verify": {"--rho": WEIGHTS, "--samples": COUNTS},
+}
+RARE_FLAGS = [["--no-such-flag"], ["--help"], ["--config", "no-such-config.json"]]
+
+
+@st.composite
+def command_lines(draw):
+    """argv drawn from each command's flags: small presets, malformed numbers, flags
+    without their value, missing positionals and unknown flags or commands."""
+
+    def pick(pools):
+        return draw(st.sampled_from(pools[0] if draw(st.integers(0, 3)) else pools[1]))
+
+    cmd = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = {"--seed": SEEDS, "--budget": WEIGHTS, **FUZZ_FLAGS[cmd]}
+    argv = [cmd] if draw(st.integers(0, 19)) else [draw(st.sampled_from(["no-such-command", ""]))]
+    if draw(st.integers(0, 19)):
+        argv.append(pick(SOURCES))
+    if cmd == "attack" and draw(st.integers(0, 19)):
+        argv.append(draw(st.sampled_from(["expander", "refined", "alphabet", "island", "bogus"])))
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=5, unique=True)):
+        argv.append(flag)
+        if flags[flag] is not None and draw(st.integers(0, 19)):  # rarely, the value is missing
+            argv.append(pick(flags[flag]))
+    if not draw(st.integers(0, 9)):
+        argv.extend(draw(st.sampled_from(RARE_FLAGS)))
+    return argv
+
+
+class Hang(BaseException):
+    """A command outlived the fuzz's hard bound (main() catches every Exception)."""
+
+
+def _run_in_process(argv, seconds=60):
+    """main(argv)'s exit code, stdout and stderr.
+
+    The alarm turns a hang, which the hypothesis deadline cannot interrupt, into a failure.
+    """
+
+    def hang(signum, frame):
+        raise Hang(f"{argv} still running after {seconds} s")
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: --help exits 0, a usage error exits 2
+                code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(command_lines())
+# weights and set sizes far past n: each of these once hung in its enumeration or estimate
+@example(["verify", "steane", "--rho", "9" * 40])
+@example(["analyze", "toric:3", "--profile", "--wcap", "99999"])
+@example(["analyze", "toric:3", "--expansion", "--sets", "99999"])
+@settings(max_examples=200, deadline=datetime.timedelta(seconds=10))
+def test_main_fuzz_exit_contract(argv):
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    if code != 2:
+        assert "Traceback" not in err, (argv, err)
+    elif "Traceback" not in err:
+        # exit 2 without a traceback: argparse's usage error, or a verify report whose
+        # identities failed (detectability past the distance fails by design)
+        verify_failed = argv[:1] == ["verify"] and out and json.loads(out)["passed"] is False
+        assert err.startswith("usage: qltc") or verify_failed, (argv, out, err)

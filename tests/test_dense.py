@@ -1,9 +1,28 @@
+"""The dense oracle: pinned `qltc verify` reports, and its fast forms against slow ones.
+
+`densify_kron` (the kron product of site matrices) and
+`detectability_oracle` (the projector form ||Pi E Pi - gamma Pi||, with Pi
+a product of generator projectors) are the older, slower forms of the
+monomial `densify` and the codespace-basis `verify_detectability`, kept here
+as oracles on random instances.  `verify_golden.json` was written by the
+older forms.
+"""
+
+import itertools
+import json
+import os
+import pathlib
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qltc import dense
-from qltc.pauli import PauliOp
-from qltc.stabilizer import build_code
+from qltc.cli import main
+from qltc.pauli import PauliOp, nonidentity_symbols
+from qltc.stabilizer import CodeValidationError, StabilizerCode, build_code
 from qltc.zoo import steane_code, toric_code
 
 
@@ -132,3 +151,231 @@ def test_dense_oracle_d3_code():
     assert rep["passed"]
     det = dense.verify_detectability(c, rho=2)
     assert det["max_residual"] < 1e-9 or det["violator"] is not None
+
+
+# --- pinned `qltc verify` reports -------------------------------------------
+
+GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "verify_golden.json"
+
+# code files written into the working directory, so reports name them by a relative path
+CODE_FILES = {
+    "xx_zz2_d3.json": [PauliOp(3, 2, [1, 1], [0, 0]), PauliOp(3, 2, [0, 0], [1, 2])],
+    "xx_zz_k0.json": [PauliOp(2, 2, [1, 1], [0, 0]), PauliOp(2, 2, [0, 0], [1, 1])],
+}
+VERIFY_CASES = {
+    " ".join([source, *flags]): [source, *flags]
+    for source in ["steane", "toric:2", *CODE_FILES]
+    for flags in ([], ["--samples", "1"], ["--seed", "7"], ["--seed", "7", "--samples", "1"])
+}
+VERIFY_CASES["steane --rho 4"] = ["steane", "--rho", "4"]
+# compared within FLOAT_ATOL; every other value must be equal
+FLOAT_KEYS = {"max_residual", "max_forward_deviation", "max_backward_deviation"}
+FLOAT_ATOL = 1e-12
+
+
+def verify_run(argv, workdir) -> dict:
+    """Exit code and report of `qltc verify argv`, run in workdir."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for name, gens in CODE_FILES.items():
+            build_code(gens).save(name)
+        code = main(["verify", *argv, "--out", "report.json"])
+        with open("report.json") as f:
+            return {"exit": code, "report": json.load(f)}
+    finally:
+        os.chdir(cwd)
+
+
+def _assert_matches(got, want, key=None):
+    if key in FLOAT_KEYS:
+        assert abs(got - want) <= FLOAT_ATOL, (key, got, want)
+        assert (got <= dense.TOL) == (want <= dense.TOL), (key, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), (key, got, want)
+        for k in want:
+            _assert_matches(got[k], want[k], k)
+    else:
+        assert got == want, (key, got, want)
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+def test_verify_matches_golden(case, tmp_path):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    _assert_matches(verify_run(VERIFY_CASES[case], tmp_path), golden[case])
+
+
+# --- the monomial densify against the kron product ---------------------------
+
+def _site_matrices(d):
+    """Shift X|i> = |i+1 mod d> and phase P|j> = w^j |j>."""
+    x = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        x[(i + 1) % d, i] = 1.0
+    w = np.exp(2j * np.pi / d)
+    return x, np.diag(w ** np.arange(d))
+
+
+def densify_kron(op):
+    """w^s (Z^z1 X^x1) (x) ... (x) (Z^zn X^xn) as n kron products, site 0 leftmost."""
+    xmat, pmat = _site_matrices(op.d)
+    out = np.array([[np.exp(2j * np.pi / op.d) ** op.phase]], dtype=complex)
+    for i in range(op.n):
+        site = np.linalg.matrix_power(pmat, int(op.z[i])) @ np.linalg.matrix_power(xmat, int(op.x[i]))
+        out = np.kron(out, site)
+    return out
+
+
+# the most qudits whose dimension d^n the dense oracle accepts
+MAX_N = {d: max(n for n in range(1, 12) if d**n <= dense.SIZE_CAP) for d in (2, 3, 5)}
+
+
+@st.composite
+def paulis(draw):
+    d = draw(st.sampled_from(sorted(MAX_N)))
+    n = draw(st.integers(1, MAX_N[d]))
+    exps = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    return PauliOp(d, n, draw(exps), draw(exps), draw(st.integers(0, d - 1)))
+
+
+@given(paulis())
+@example(PauliOp(2, 10, [1, 0, 1, 1, 0, 0, 1, 0, 1, 1], [1, 1, 0, 1, 0, 1, 1, 0, 0, 1], 1))
+@example(PauliOp(3, 6, [1, 2, 0, 1, 2, 2], [2, 1, 1, 0, 2, 1], 2))
+@example(PauliOp(5, 4, [4, 1, 0, 3], [2, 3, 4, 1], 3))
+@settings(max_examples=60, deadline=None)
+def test_monomial_densify_matches_kron(op):
+    assert np.abs(dense.densify(op) - densify_kron(op)).max() <= 1e-12
+
+
+def test_densify_refuses_past_the_cap():
+    for d, n in MAX_N.items():
+        with pytest.raises(dense.SizeCapError):
+            dense.densify(PauliOp.identity(n + 1, d))
+
+
+# --- detectability on the codespace basis against the projector form ---------
+
+def detectability_oracle(code, rho):
+    """||Pi_C E Pi_C - gamma_E Pi_C|| for every Pauli E with wt(E) < rho, with Pi_C the
+    product of the generators' +1 projectors (1/d) sum_j g^j, all from densify_kron."""
+    dim = code.d**code.n
+    pc = np.eye(dim, dtype=complex)
+    for g in code.generators:
+        dg = densify_kron(g)
+        pc = pc @ sum(np.linalg.matrix_power(dg, j) for j in range(code.d)) / code.d
+    dim_c = np.real(np.trace(pc))
+    max_residual, checked, violator = 0.0, 0, None
+    for w in range(1, min(rho, code.n + 1)):
+        for supp in itertools.combinations(range(code.n), w):
+            for symbols in itertools.product(nonidentity_symbols(code.d), repeat=w):
+                x, z = np.zeros(code.n, int), np.zeros(code.n, int)
+                x[list(supp)], z[list(supp)] = zip(*symbols)
+                e = PauliOp(code.d, code.n, x, z)
+                lhs = pc @ densify_kron(e) @ pc
+                res = float(np.linalg.norm(lhs - np.trace(lhs) / dim_c * pc))
+                checked += 1
+                max_residual = max(max_residual, res)
+                if res > dense.TOL and violator is None:
+                    violator = e.to_json()
+    return {"passed": violator is None, "violator": violator, "paulis_checked": checked,
+            "max_residual": max_residual}
+
+
+FIVE_QUBIT = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
+
+
+def _random_code(d, rng):
+    """A valid code with d^n <= 243: the five-qubit code or {XX, ZZ^-1} under random local
+    SL(2, d) maps, or random commuting rows of one weight; random phases where they fit."""
+    while True:
+        if rng.random() < 0.4:
+            if d == 2 and rng.random() < 0.5:
+                rows = np.array([[c == "X" for c in r] + [c == "Z" for c in r] for r in FIVE_QUBIT],
+                                dtype=np.int64)
+            else:
+                rows = np.array([[1, 1, 0, 0], [0, 0, 1, d - 1]])
+            n = rows.shape[1] // 2
+            x, z = rows[:, :n].copy(), rows[:, n:].copy()
+            for q in range(n):
+                while True:  # a determinant-1 map keeps every symplectic product
+                    a, b, c, e = rng.integers(d, size=4)
+                    if (a * e - b * c) % d == 1:
+                        break
+                x[:, q], z[:, q] = (a * x[:, q] + b * z[:, q]) % d, (c * x[:, q] + e * z[:, q]) % d
+            rows = np.concatenate([x, z], axis=1)
+        else:
+            n = int(rng.integers(2, {2: 6, 3: 4, 5: 3}[d] + 1))
+            k = int(rng.integers(1, n + 1))
+            rows = []
+            for _ in range(int(rng.integers(2, n + 2))):
+                row = np.zeros(2 * n, dtype=np.int64)
+                for q in rng.choice(n, size=k, replace=False):
+                    row[q], row[n + q] = (0, 0)
+                    while row[q] == row[n + q] == 0:
+                        row[q], row[n + q] = rng.integers(d, size=2)
+                if all((r[n:] @ row[:n] - r[:n] @ row[n:]) % d == 0 for r in rows):
+                    rows.append(row)
+            rows = np.array(rows)
+        for phases in (rng.integers(d, size=len(rows)), None):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    return StabilizerCode(d, rows, phases, strict_degree=False)
+            except CodeValidationError:
+                pass
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 2**32 - 1), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_basis_detectability_matches_projector_form(d, seed, rho):
+    code = _random_code(d, np.random.default_rng(seed))
+    got = dense.verify_detectability(code, rho)
+    want = detectability_oracle(code, rho)
+    assert (got["passed"], got["violator"], got["paulis_checked"]) == (
+        want["passed"], want["violator"], want["paulis_checked"])
+    assert abs(got["max_residual"] - want["max_residual"]) <= 1e-12
+
+
+def test_detectability_past_n_checks_every_pauli_once():
+    code = build_code(CODE_FILES["xx_zz2_d3.json"])
+    full = dense.verify_detectability(code, rho=code.n + 1)
+    assert full["paulis_checked"] == 9**code.n - 1
+    far = dense.verify_detectability(code, rho=10**18)
+    assert {**far, "rho": full["rho"]} == full
+
+
+# --- one Hamiltonian and one eigh per code ------------------------------------
+
+def test_cached_system_is_keyed_on_the_code():
+    # two codes on the same (n, d) whose codespaces differ: <XX, ZZ> and <-XX, ZZ>
+    plus = build_code([PauliOp(2, 2, [1, 1], [0, 0]), PauliOp(2, 2, [0, 0], [1, 1])])
+    minus = build_code([PauliOp(2, 2, [1, 1], [0, 0], 1), PauliOp(2, 2, [0, 0], [1, 1])])
+    for code in (plus, minus, plus, toric_code(2), minus):
+        basis = dense.codespace_basis(code)
+        assert np.linalg.norm(dense.hamiltonian(code) @ basis) < 1e-9  # a fresh, uncached H
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
+
+
+def test_verify_builds_one_hamiltonian_and_one_eigh(tmp_path, monkeypatch):
+    calls = {"hamiltonian": 0, "eigh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dense, "hamiltonian", counted("hamiltonian", dense.hamiltonian))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    for source in ("steane", "toric:2"):
+        assert main(["verify", source, "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == {"hamiltonian": 2, "eigh": 2}
+
+
+def test_broken_codespace_dimension_exits_2(tmp_path, monkeypatch, capsys):
+    # an explicit raise, not an assert, so the breach is caught under python -O too
+    monkeypatch.setattr(dense, "hamiltonian", lambda code: np.eye(code.d**code.n, dtype=complex))
+    assert main(["verify", "steane", "--out", str(tmp_path / "report.json")]) == 2
+    assert "codespace dimension 0 != d^(n-rank) = 2" in capsys.readouterr().err

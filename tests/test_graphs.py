@@ -33,6 +33,65 @@ def test_build_and_adjacency():
         BipartiteGraph(2, 1, [[0, 5]])
 
 
+def reference_graph(n, m, right_adj):
+    """The per-edge Python loop the constructor used before its numpy build: the oracle
+    for its adjacency lists, masks, degrees and the first error it raises."""
+    if len(right_adj) != m:
+        raise ValueError("right adjacency length mismatch")
+    right, left = [], [[] for _ in range(n)]
+    for c, nbrs in enumerate(right_adj):
+        nbrs = list(nbrs)
+        if len(set(nbrs)) != len(nbrs):
+            raise ValueError(f"multi-edge at constraint {c}")
+        for q in nbrs:
+            if not 0 <= q < n:
+                raise IndexError(f"qudit {q} out of range")
+            left[q].append(c)
+        right.append(sorted(nbrs))
+    left = [sorted(v) for v in left]
+    masks = [sum(1 << c for c in v) for v in left]
+    left_degs, right_degs = {len(v) for v in left}, {len(v) for v in right}
+    return {"right_adj": right, "left_adj": left, "left_masks": masks,
+            "D_L": left_degs.pop() if len(left_degs) == 1 else None,
+            "k": right_degs.pop() if len(right_degs) == 1 else None}
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def adjacency(draw):
+    """(n, m, right_adj): regular, ragged or empty rows, some with repeated or
+    out-of-range qudits, and sometimes the wrong number of rows."""
+    n = draw(st.integers(0, 12))
+    m = draw(st.integers(0, 20))
+    qudit = st.integers(-2, n + 1) if draw(st.booleans()) else st.integers(0, max(n - 1, 0))
+    k = draw(st.integers(0, max(n, 1)))
+    row = st.lists(qudit, min_size=k, max_size=k) if draw(st.booleans()) else st.lists(qudit, max_size=n + 1)
+    if draw(st.booleans()):
+        row = row.map(lambda r: sorted(set(r)))
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    return n, m + (draw(st.integers(-1, 1)) if draw(st.booleans()) else 0), rows
+
+
+@given(adjacency())
+@settings(max_examples=400, deadline=None)
+def test_graph_build_matches_reference_loop(case):
+    n, m, rows = case
+    want = _outcome(lambda: reference_graph(n, m, rows))
+
+    def build():
+        g = BipartiteGraph(n, m, rows)
+        return {"right_adj": g.right_adj, "left_adj": g.left_adj, "left_masks": g.left_masks,
+                "D_L": g.D_L, "k": g.k}
+
+    assert _outcome(build) == want
+
+
 def test_gamma_and_iteration():
     g = small_graph()
     assert g.gamma([0], "left") == {0}
