@@ -606,6 +606,22 @@ class SoundnessProfile:
         }
 
 
+def _key_powers(m: int, d: int) -> np.ndarray:
+    """(m, words) int64 matrix that packs a row of m base-d digits into words.
+
+    Word j of syn @ powers holds digits j*e .. j*e + e - 1 of syn, e the most
+    digits with d**e < 2**63, so every word is exact in int64 and two rows
+    are equal iff their keys are.
+    """
+    e = 1
+    while d ** (e + 1) < 1 << 63:
+        e += 1
+    i = np.arange(m)
+    powers = np.zeros((m, -(-m // e)), dtype=np.int64)
+    powers[i, i // e] = d ** (i % e)
+    return powers
+
+
 def soundness_profile(
     code: StabilizerCode, weight_cap: int, guard: int = 20_000_000
 ) -> SoundnessProfile:
@@ -616,22 +632,32 @@ def soundness_profile(
         raise ValueError(
             f"profile enumeration of {total} candidates exceeds the guard ({guard})"
         )
-    seen: dict[bytes, int] = {}
+    powers = _key_powers(code.m, code.d)
+    # keys of the nonzero syndromes seen so far, sorted, each once
+    table = np.empty((0, powers.shape[1]), dtype=np.int64)
     min_penalty: dict[int, int] = {}
     for w in weights:
+        keys, pens = [table], [np.zeros(len(table), dtype=np.int64)]
         for batch in candidate_batches(code.n, code.d, w):
             syn = code.syndrome_batch(batch)
-            pens = np.count_nonzero(syn, axis=1)
-            for row, pen in zip(syn, pens):
-                if pen == 0:
-                    continue  # centralizer element, not an error
-                key = row.tobytes()
-                if key not in seen:
-                    seen[key] = w
-                    cur = min_penalty.get(w)
-                    if cur is None or pen < cur:
-                        min_penalty[w] = int(pen)
-    complete = len(seen) == code.d**code.rank - 1
+            pen = np.count_nonzero(syn, axis=1)
+            live = pen > 0  # a zero syndrome is a centralizer element, not an error
+            keys.append(syn[live] @ powers)
+            pens.append(pen[live])
+        keys = np.concatenate(keys)
+        # tag 0 (seen at a lower weight) sorts before tag 1 among equal keys,
+        # so the first row of each run of equal keys is where it was first seen
+        tag = np.ones(len(keys), dtype=np.int8)
+        tag[: len(table)] = 0
+        order = np.lexsort((tag, *keys.T[::-1]))
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+        new = first & (tag[order] == 1)
+        if new.any():
+            min_penalty[w] = int(np.concatenate(pens)[order][new].min())
+        table = keys[first]
+    complete = len(table) == code.d**code.rank - 1
     return SoundnessProfile(
         n=code.n,
         m=code.m,
@@ -639,6 +665,6 @@ def soundness_profile(
         d=code.d,
         weight_cap=weight_cap,
         min_penalty=min_penalty,
-        syndromes_seen=len(seen),
+        syndromes_seen=len(table),
         coverage_complete=complete,
     )

@@ -195,6 +195,12 @@ _BOUNDS = {
 
 
 def cmd_attack(args) -> int:
+    # island_attack keeps a float64 penalty and weight per trial
+    if args.attack == "island" and 16 * args.trials > zoo.BUILD_GUARD:
+        raise InputError(
+            f"--trials {args.trials} needs {16 * args.trials / 1e9:.3g} GB of per-trial arrays,"
+            f" over the {zoo.BUILD_GUARD / 1e9:.3g} GB guard"
+        )
     code = load_code(args.source)
     if args.attack in ("expander", "refined", "alphabet", "island") and args.seed is None:
         raise InputError("a --seed is mandatory for stochastic attack runs")
@@ -264,10 +270,16 @@ def _run_attack(args, code, report) -> int:
 def cmd_verify(args) -> int:
     code = load_code(args.source)
     try:
-        dense._check_cap(code.d, code.n)
+        dim = dense._check_cap(code.d, code.n)
     except dense.SizeCapError as exc:
         _emit({"command": "verify", "source": args.source, "refused": str(exc)}, args.out)
         return 0
+    work = args.samples * dim * dim
+    if work > dense.SAMPLE_WORK_GUARD:
+        raise InputError(
+            f"--samples {args.samples} asks for {work:.3g} dense multiply-adds"
+            f" (samples x d^(2n)), over the {dense.SAMPLE_WORK_GUARD:.3g} guard"
+        )
     rho = args.rho
     if rho is None:
         dist = code.code_distance()

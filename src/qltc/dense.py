@@ -19,6 +19,9 @@ from .search import candidate_batches
 from .stabilizer import StabilizerCode
 
 SIZE_CAP = 1024
+# the sampled energy check costs one d^n x d^n matrix-vector product a sample;
+# refuse a --samples whose samples x d^(2n) multiply-adds exceed this
+SAMPLE_WORK_GUARD = 10**9
 TOL = 1e-9
 
 

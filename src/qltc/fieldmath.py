@@ -21,19 +21,19 @@ import numpy as np
 
 # float64 matmul is exact while every sum of products stays below 2**52, and
 # hits BLAS instead of numpy's slow integer path; an operand already held as
-# float64 is used without a copy
+# float64 is used without a copy.  The product is then an exact integer, so
+# fmod reduces it exactly and in place, and one cast to int64 follows: no
+# rint pass and no int64 temporary to reduce
 _FLOAT_SAFE = 2**52
 
 
 def modmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for operands with entries in [0, p)."""
+    """a @ b mod p as int64, for operands with entries in [0, p)."""
     bound = a.shape[-1] * (p - 1) * (p - 1)
     if bound < _FLOAT_SAFE:
-        prod = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
-        prod = np.rint(prod).astype(np.int64)
-    else:
-        prod = a.astype(np.int64) @ b.astype(np.int64)
-    return prod % p
+        prod = np.asarray(a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False))
+        return np.fmod(prod, p, out=prod).astype(np.int64)
+    return a.astype(np.int64) @ b.astype(np.int64) % p
 
 
 def is_prime(p: int) -> bool:
@@ -162,10 +162,16 @@ class RowSpace:
         return bool(self.contains_batch(np.asarray(v)[None, :])[0])
 
     def contains_batch(self, vs: np.ndarray) -> np.ndarray:
-        """Boolean mask over rows of vs."""
+        """Boolean mask over rows of vs.
+
+        Only the columns where some row of vs is nonzero enter the product,
+        so a sparse word costs a few kernel columns, not the whole kernel.
+        """
         if self.kernel.shape[0] == 0:
             return np.ones(vs.shape[0], dtype=bool)
-        return ~np.any(modmul(np.asarray(vs) % self.p, self.kernel.T, self.p), axis=1)
+        vs = np.asarray(vs) % self.p
+        cols = np.flatnonzero(vs.any(axis=0))
+        return ~np.any(modmul(vs[:, cols], self.kernel.T[cols], self.p), axis=1)
 
     def coefficients(self, v: np.ndarray) -> np.ndarray | None:
         """c with c @ mat = v, zero at every dependent row; None off the row space."""

@@ -338,7 +338,8 @@ class StabilizerCode:
             return BoundedWeight.exactly(0)
         w_e = e.weight()
         kernel = self.rowspace.kernel
-        target = modmul(kernel, v_e, self.d)
+        supp = np.flatnonzero(v_e)  # kernel @ v_e over the columns where E acts
+        target = modmul(kernel[:, supp], v_e[supp], self.d)
         res = min_weight_vector(self.n, self.d, w_e - 1, kernel, target, budget=budget)
         return self._bounded_from_search(res, w_e)
 

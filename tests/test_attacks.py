@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from qltc.attacks import (
     soundness_profile,
 )
 from qltc.pauli import PauliOp, nonidentity_symbols
-from qltc.stabilizer import build_code
+from qltc.search import candidate_batches
+from qltc.fieldmath import RowSpace
+from qltc.stabilizer import Sites, StabilizerCode, build_code, product_phase
 from qltc.zoo import (
     random_open_path,
     steane_code,
@@ -499,6 +502,115 @@ def test_profile_json():
     full = soundness_profile(toric_code(2), 8).to_json()
     assert full["coverage_complete"]
     assert all(row["kind"] == "exact" for row in full["table"])
+
+
+def _profile_oracle(code, weight_cap):
+    """(min_penalty, syndromes_seen, coverage_complete) from a dict of syndrome bytes,
+    filled word by word in enumeration order."""
+    seen, min_penalty = {}, {}
+    for w in range(1, min(weight_cap, code.n) + 1):
+        for batch in candidate_batches(code.n, code.d, w):
+            syn = code.syndrome_batch(batch)
+            for row, pen in zip(syn, np.count_nonzero(syn, axis=1)):
+                if pen == 0:
+                    continue  # centralizer element, not an error
+                key = row.tobytes()
+                if key not in seen:
+                    seen[key] = w
+                    if w not in min_penalty or pen < min_penalty[w]:
+                        min_penalty[w] = int(pen)
+    return min_penalty, len(seen), len(seen) == code.d**code.rank - 1
+
+
+def _profile_facts(prof):
+    return prof.min_penalty, prof.syndromes_seen, prof.coverage_complete
+
+
+def _scrambled(code, rng):
+    """code under a random symplectic map per qudit (over GF(2) only X <-> Z swaps, which
+    make no Y) and random qudit and generator orders, with the phases that keep its
+    codespace: a valid code whose syndromes are permuted and relabelled."""
+    n, d = code.n, code.d
+    x, z = code.symplectic_matrix[:, :n].copy(), code.symplectic_matrix[:, n:].copy()
+    for q in range(n):
+        if d == 2:
+            a, b, c, e = (0, 1, 1, 0) if rng.integers(2) else (1, 0, 0, 1)
+        else:
+            while True:  # a determinant-1 map keeps every symplectic product
+                a, b, c, e = rng.integers(d, size=4)
+                if (a * e - b * c) % d == 1:
+                    break
+        x[:, q], z[:, q] = (a * x[:, q] + b * z[:, q]) % d, (c * x[:, q] + e * z[:, q]) % d
+    perm = rng.permutation(n)
+    matrix = np.concatenate([x[:, perm], z[:, perm]], axis=1)[rng.permutation(code.m)]
+    # each left-kernel row ends at its dependent row, with a 1 there and 0 at the other
+    # dependent rows: that row's phase alone sets the phase of the product
+    phases = np.zeros(code.m, dtype=np.int64)
+    sites = Sites.of(matrix)
+    for c in RowSpace(matrix, d).left_kernel:
+        phases[np.flatnonzero(c)[-1]] = -product_phase(sites, phases, c, d) % d
+    return StabilizerCode(d, matrix, phases, strict_degree=False)
+
+
+# (source, cap) pairs of at most about 10^5 words each
+PROFILE_CASES = {2: [("toric:2", 8), ("toric:3", 3), ("steane", 7), ("toric:4", 2)],
+                 3: [("toric:2", 4), ("toric:3", 2)],
+                 5: [("toric:2", 3), ("toric:3", 2)]}
+
+
+@pytest.mark.filterwarnings("ignore:irregular left degrees")  # a scrambled steane code
+@given(st.sampled_from([2, 3, 5]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_profile_matches_dict_oracle(d, data):
+    source, cap_max = data.draw(st.sampled_from(PROFILE_CASES[d]))
+    code = zoo.steane_code() if source == "steane" else toric_code(int(source[6:]), d)
+    if data.draw(st.booleans()):
+        code = _scrambled(code, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    cap = data.draw(st.integers(1, cap_max))
+    assert _profile_facts(soundness_profile(code, cap)) == _profile_oracle(code, cap)
+
+
+@pytest.mark.parametrize("L, d, cap", [(6, 2, 1), (6, 2, 2), (4, 5, 1), (4, 5, 2)])
+def test_profile_keys_of_several_words(L, d, cap):
+    # m = 72 binary digits or m = 32 digits base 5 (27 a word): two int64 words a key
+    code = toric_code(L, d)
+    assert attacks._key_powers(code.m, d).shape[1] == 2
+    assert _profile_facts(soundness_profile(code, cap)) == _profile_oracle(code, cap)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 131])
+def test_key_words_are_exact_base_d_numbers(d):
+    # the most digits e with d**e < 2**63 a word; one digit more would wrap in int64
+    e = max(e for e in range(1, 64) if d**e < 2**63)
+    rng = np.random.default_rng(d)
+    m = 3 * e + 1
+    syn = rng.integers(d, size=(20, m))
+    syn[0] = d - 1
+    syn[1] = 0
+    keys = syn @ attacks._key_powers(m, d)
+    assert keys.shape == (20, 4)
+    for row, key in zip(syn.tolist(), keys.tolist()):
+        words = [sum(v * d**i for i, v in enumerate(row[j: j + e])) for j in range(0, m, e)]
+        assert key == words
+
+
+def test_profile_first_sighting_sets_the_coset_weight():
+    # every syndrome seen at weight 1 on toric:3 comes back at weights 2 and 3 (a
+    # weight-3 string is logical); had a later sighting won, weight 3 would report
+    # their penalty 2, not the least penalty of the syndromes new at weight 3
+    prof = soundness_profile(toric_code(3), 3)
+    assert prof.min_penalty == {1: 2, 2: 2, 3: 4}
+
+
+def test_profile_peak_memory():
+    code = toric_code(4)
+    tracemalloc.start()
+    try:
+        soundness_profile(code, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20
 
 
 def test_invariant_breach_exits_2_under_python_O():

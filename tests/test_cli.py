@@ -287,6 +287,9 @@ def test_malformed_command_line_is_an_argparse_usage_error(capsys, argv):
     (("analyze", "toric:3", "--profile", "--wcap", "-1"), "--wcap"),
     (("verify", "steane", "--rho", "-2"), "--rho"),
     (("attack", "toric:4", "expander", "--delta", "inf", "--seed", "1"), "--delta"),
+    # counts too large for memory or time are refused before any work
+    (("attack", "toric:2", "island", "--trials", "99999999999", "--seed", "1"), "--trials"),
+    (("verify", "steane", "--samples", "99999999999999"), "--samples"),
 ])
 def test_out_of_range_numbers_exit_1(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
@@ -438,13 +441,15 @@ def test_determinism_identical_reports(tmp_path, capsys):
 
 # (good, bad) pools of sources and flag values; a draw is good three times in four.
 # Good sources are small presets and presets the dense oracle refuses; good weights
-# and set sizes go past n, where they must be answered or refused, not enumerated.
+# and set sizes go past n, and good counts past memory, where they must be answered or
+# refused, not enumerated.
 SOURCES = (["toric:3", "toric:2:3", "steane", "toric:6"],
            ["toric:1", "toric:0", "toric:-2", "toric:3:4", "toric:x", "toric:", "toric:100000",
             "hgp:", "css:no-such-file,no-such-file", "no-such-source", ""])
 WEIGHTS = (["1", "2", "3", "99999", "9" * 40],
            ["0", "-1", "abc", "", "1.5", "inf", "nan", "1e3", "0x10"])
-COUNTS = (["1", "2", "5", "+4"], ["0", "-3", "abc", "", "2.5", "nan", "1e2"])
+COUNTS = (["1", "2", "5", "+4", "99999999999", "99999999999999"],
+          ["0", "-3", "abc", "", "2.5", "nan", "1e2"])
 SEEDS = (["0", "1", "7", str(2**128 - 1)], ["-1", "abc", "", str(2**128), "1e5", "0b1"])
 DELTAS = (["0.05", "0.5", "1", "1e-300", "5e-2"], ["0", "-0.1", "1.5", "inf", "nan", "abc", ""])
 FUZZ_FLAGS = {
@@ -516,6 +521,9 @@ def _run_in_process(argv, seconds=60):
 @example(["verify", "steane", "--rho", "9" * 40])
 @example(["analyze", "toric:3", "--profile", "--wcap", "99999"])
 @example(["analyze", "toric:3", "--expansion", "--sets", "99999"])
+# counts past memory or time: the first once ran out of memory, the second hung
+@example(["attack", "toric:2", "island", "--trials", "99999999999", "--seed", "1"])
+@example(["verify", "steane", "--samples", "99999999999999"])
 @settings(max_examples=200, deadline=datetime.timedelta(seconds=10))
 def test_main_fuzz_exit_contract(argv):
     code, out, err = _run_in_process(argv)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qltc import fieldmath as fm
+from qltc import zoo
 
 
 @st.composite
@@ -115,3 +116,66 @@ def test_contains_batch_matches_int64_product(p):
         vs = np.vstack([members % p, rng.integers(p, size=(24, cols))])
         expected = ~np.any((vs @ rs.kernel.T) % p, axis=1)
         assert np.array_equal(rs.contains_batch(vs), expected)
+
+
+@given(st.sampled_from([2, 3, 5, 131, 257]), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=100)
+def test_modmul_matches_int64_product(p, seed, vector):
+    # _FLOAT_SAFE = 0 sends every product down the int64 path
+    rng = np.random.default_rng(seed)
+    rows, inner, cols = rng.integers(0, 9, size=3)
+    a = rng.integers(p, size=(rows, inner))
+    b = rng.integers(p, size=inner if vector else (inner, cols))
+    expected = (a @ b) % p
+    for safe in (fm._FLOAT_SAFE, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fm, "_FLOAT_SAFE", safe)
+            got = fm.modmul(a, b, p)
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+
+
+@st.composite
+def kernel_queries(draw):
+    """A RowSpace over GF(2/3/5) and query rows that are zero, sparse (at most three
+    nonzero entries) or dense, some of them members, some not reduced mod p."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols, count = (draw(st.integers(1, n)) for n in (12, 40, 6))
+    mat = rng.integers(p, size=(rows, cols))
+    vs = np.zeros((count, cols), dtype=np.int64)
+    kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    if kind == "sparse":
+        for v in vs:
+            at = rng.choice(cols, size=min(cols, int(rng.integers(1, 4))), replace=False)
+            v[at] = rng.integers(1, p, size=at.size)
+    elif kind == "dense":
+        vs = rng.integers(p, size=(count, cols))
+    if draw(st.booleans()):
+        vs = np.vstack([vs, rng.integers(p, size=rows) @ mat % p])
+    if draw(st.booleans()):
+        vs = vs + p * rng.integers(-2, 3, size=vs.shape)
+    return fm.RowSpace(mat, p), vs, p
+
+
+@given(kernel_queries())
+@settings(max_examples=200)
+def test_contains_batch_on_the_support_matches_the_full_product(case):
+    rs, vs, p = case
+    expected = ~np.any((vs % p) @ rs.kernel.T % p, axis=1)
+    assert np.array_equal(rs.contains_batch(vs), expected)
+
+
+def test_in_span_multiplies_only_the_words_support(monkeypatch):
+    code = zoo.toric_code(16)
+    passed = []
+    real = fm.modmul
+
+    def spy(a, b, p):
+        passed.append(b.shape[0])  # kernel columns in the product
+        return real(a, b, p)
+
+    monkeypatch.setattr(fm, "modmul", spy)
+    v = np.zeros(2 * code.n, dtype=np.int64)
+    v[[0, 1, 2]] = 1  # X on three edges, not a product of stars
+    assert not code.in_span(v)
+    assert passed == [3]

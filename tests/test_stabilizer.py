@@ -290,6 +290,24 @@ def test_weight_searches_toric_examples():
     assert c.wt_mod_group(e).value == 1
 
 
+def test_wt_mod_group_target_on_the_support(monkeypatch):
+    from qltc import stabilizer
+
+    c = toric_code(16)
+    cols = []
+    real = stabilizer.modmul
+
+    def spy(a, b, p):
+        cols.append(a.shape[1])  # kernel columns in the target's product
+        return real(a, b, p)
+
+    monkeypatch.setattr(stabilizer, "modmul", spy)
+    x = np.zeros(c.n, dtype=np.int64)
+    x[[0, 40, 300]] = 1
+    assert c.wt_mod_group(PauliOp(2, c.n, x, np.zeros(c.n, dtype=np.int64), 0)).value == 3
+    assert cols == [3]
+
+
 def test_weight_ordering_invariant_toric():
     c = toric_code(2)
     rng = np.random.default_rng(11)
