@@ -32,6 +32,8 @@ from .stabilizer import BoundedWeight, StabilizerCode
 # and chunk x m syndrome arrays (toric:16, 4000 trials: peak RSS +0.7 MB over
 # the per-trial loop at 256, +3.3 MB at 512, no faster)
 TRIAL_CHUNK = 256
+# most island trials a CLI run may ask for: 40 s at toric:16's 25,000 trials/s
+TRIAL_GUARD = 1_000_000
 
 
 class Refusal(ValueError):

@@ -195,11 +195,9 @@ _BOUNDS = {
 
 
 def cmd_attack(args) -> int:
-    # island_attack keeps a float64 penalty and weight per trial
-    if args.attack == "island" and 16 * args.trials > zoo.BUILD_GUARD:
+    if args.attack == "island" and args.trials > attacks.TRIAL_GUARD:
         raise InputError(
-            f"--trials {args.trials} needs {16 * args.trials / 1e9:.3g} GB of per-trial arrays,"
-            f" over the {zoo.BUILD_GUARD / 1e9:.3g} GB guard"
+            f"--trials {args.trials} is over the guard of {attacks.TRIAL_GUARD} island trials"
         )
     code = load_code(args.source)
     if args.attack in ("expander", "refined", "alphabet", "island") and args.seed is None:
@@ -280,10 +278,13 @@ def cmd_verify(args) -> int:
             f"--samples {args.samples} asks for {work:.3g} dense multiply-adds"
             f" (samples x d^(2n)), over the {dense.SAMPLE_WORK_GUARD:.3g} guard"
         )
+    dist = code.code_distance()
     rho = args.rho
     if rho is None:
-        dist = code.code_distance()
         rho = dist.low if not dist.exact else dist.value
+    elif dist.exact and rho > dist.value:
+        # a logical of weight dist.value < rho is undetectable: the check would fail by design
+        raise InputError(f"--rho {rho} exceeds the code distance {dist.value}")
     det = dense.verify_detectability(code, rho)
     eq = dense.verify_sltc_qltc_equivalence(code, samples=args.samples, seed=args.seed or 0)
     basis_dim = dense.codespace_basis(code).shape[1]
@@ -378,7 +379,7 @@ def make_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="dense Hilbert-space verification")
     common(v)
     v.add_argument("--rho", type=_int_at_least("--rho", 1), default=None,
-                   help="detectability weight bound")
+                   help="detectability weight bound, at most the code distance")
     v.add_argument("--samples", type=_int_at_least("--samples", 1), default=50)
     v.set_defaults(fn=cmd_verify)
     return p

@@ -290,6 +290,10 @@ def test_malformed_command_line_is_an_argparse_usage_error(capsys, argv):
     # counts too large for memory or time are refused before any work
     (("attack", "toric:2", "island", "--trials", "99999999999", "--seed", "1"), "--trials"),
     (("verify", "steane", "--samples", "99999999999999"), "--samples"),
+    (("attack", "toric:2", "island", "--trials", "124999999", "--seed", "1"), "--trials"),
+    # detectability past the distance fails by design: refused, not an internal breach
+    (("verify", "steane", "--rho", "4"), "--rho"),
+    (("verify", "toric:2", "--rho", "9"), "--rho"),
 ])
 def test_out_of_range_numbers_exit_1(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
@@ -521,17 +525,18 @@ def _run_in_process(argv, seconds=60):
 @example(["verify", "steane", "--rho", "9" * 40])
 @example(["analyze", "toric:3", "--profile", "--wcap", "99999"])
 @example(["analyze", "toric:3", "--expansion", "--sets", "99999"])
-# counts past memory or time: the first once ran out of memory, the second hung
+# counts past memory or time: the first once ran out of memory, the next two hung
 @example(["attack", "toric:2", "island", "--trials", "99999999999", "--seed", "1"])
+@example(["attack", "toric:2", "island", "--trials", "124999999", "--seed", "1"])
 @example(["verify", "steane", "--samples", "99999999999999"])
+# rho past the distance: these once exited 2 as an internal breach
+@example(["verify", "steane", "--rho", "4"])
+@example(["verify", "toric:2", "--rho", "9"])
 @settings(max_examples=200, deadline=datetime.timedelta(seconds=10))
 def test_main_fuzz_exit_contract(argv):
     code, out, err = _run_in_process(argv)
     assert code in (0, 1, 2), (argv, code, err)
     if code != 2:
         assert "Traceback" not in err, (argv, err)
-    elif "Traceback" not in err:
-        # exit 2 without a traceback: argparse's usage error, or a verify report whose
-        # identities failed (detectability past the distance fails by design)
-        verify_failed = argv[:1] == ["verify"] and out and json.loads(out)["passed"] is False
-        assert err.startswith("usage: qltc") or verify_failed, (argv, out, err)
+    elif "Traceback" not in err:  # exit 2 without a traceback: argparse's usage error
+        assert err.startswith("usage: qltc"), (argv, out, err)

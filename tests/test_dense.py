@@ -181,6 +181,8 @@ def verify_run(argv, workdir) -> dict:
         for name, gens in CODE_FILES.items():
             build_code(gens).save(name)
         code = main(["verify", *argv, "--out", "report.json"])
+        if not os.path.exists("report.json"):  # refused as bad input
+            return {"exit": code, "report": None}
         with open("report.json") as f:
             return {"exit": code, "report": json.load(f)}
     finally:

@@ -1,7 +1,9 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qltc
+from qltc import graphs
 from qltc.graphs import BipartiteGraph, ExpansionStats
 from qltc.zoo import (
     css_hypergraph_product,
@@ -297,12 +300,91 @@ def test_connected_sets_match_first_occurrences_of_the_duplicating_rule(seed, ca
         for _ in range(m)
     ]
     g = BipartiteGraph(n, m, right_adj)
-    scanned = list(g._connected_sets(cap))
+    scanned = list(_esu_sets(g, cap))
     assert [s for s, _, _ in scanned] == _first_occurrences(_duplicating_connected_sets(g, cap))
     assert len(scanned) == _connected_subset_count(g, cap)
     for s, mask, total in scanned:
         stats = _expansion_stats_matrix(g, s)
         assert (mask.bit_count(), total) == (stats.gamma_size, stats.total_degree)
+
+
+def _esu_sets(g, size_cap):
+    """The ESU walk from every root in turn: every connected set once, in scan order."""
+    for root in range(g.n):
+        yield from g._connected_sets(size_cap, root)
+
+
+def _esu_scan(g, size_cap):
+    """(epsilon*, witness, sets scanned) of the set-at-a-time ESU walk the level scan
+    replaced: the first set in walk order with the largest expansion error wins."""
+    best, witness, scanned = 0.0, None, 0
+    for s, mask, total in _esu_sets(g, size_cap):
+        scanned += 1
+        eps = 1.0 - mask.bit_count() / total
+        if eps > best:
+            best, witness = eps, tuple(s)
+    return best, witness, scanned
+
+
+def _scan_result(g, size_cap):
+    res = g.small_set_expansion_error(size_cap)
+    return res["epsilon_star"], res["witness"], res["sets_scanned"]
+
+
+@st.composite
+def ragged_graphs(draw):
+    """Graphs with constraints of 1 to 5 qudits, some qudits sharing no constraint with
+    any other (so some extension lists are empty), and every qudit on a constraint."""
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 5)),
+                         max_size=10))
+    rows = [sorted(r) for r in rows]
+    covered = set().union(*rows)
+    rows += [[q] for q in range(n) if q not in covered]
+    return BipartiteGraph(n, len(rows), rows)
+
+
+@given(ragged_graphs(), st.integers(1, 6), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_level_scan_matches_esu_walk(g, cap, past_n):
+    if past_n:
+        cap += g.n  # every connected set, capped by n alone
+    # the guard's estimate runs far past the at most 2**12 - 1 sets of these graphs
+    with mock.patch.object(graphs, "EXPANSION_GUARD", math.inf):
+        assert _scan_result(g, cap) == _esu_scan(g, cap)
+
+
+@pytest.mark.parametrize("name", ["toric:4", "hgp:circulant8", "random 24x18 seed 5"])
+def test_level_scan_in_one_row_blocks(monkeypatch, name):
+    g = EXPANSION_GRAPHS[name]()
+    want = {cap: _scan_result(g, cap) for cap in (1, 2, 3, 4)}
+    monkeypatch.setattr(graphs, "LEVEL_BYTES", 1)  # every block holds one parent row
+    assert {cap: _scan_result(g, cap) for cap in (1, 2, 3, 4)} == want
+    assert want[4] == _esu_scan(g, 4)
+
+
+def test_level_scan_memory_is_bounded_by_its_blocks():
+    import tracemalloc
+
+    g = toric_code(16).graph
+    g.sharing_adjacency
+    tracemalloc.start()
+    try:
+        res = g.small_set_expansion_error(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res["sets_scanned"] == 69120
+    # the levels built at once would take over 10 MiB
+    assert peak < 4 * 2**20
+
+
+def test_idle_qudit_is_refused_by_name():
+    g = BipartiteGraph(3, 1, [[0, 1]])
+    for scan in (lambda: g.small_set_expansion_error(2), lambda: g.expansion_stats([2])):
+        with pytest.raises(ValueError, match="qudit 2 touches no constraint"):
+            scan()
+    assert g.expansion_stats([2, 0]).epsilon == 0.0
 
 
 @pytest.mark.parametrize("L, cap, count", [(4, 4, 4272), (6, 4, 9720)])
