@@ -317,6 +317,23 @@ def test_island_rejects_bad_trials():
         island_attack(toric_code(3), trials=7, seed=2)
 
 
+def test_island_bound_is_unknown_without_a_left_degree():
+    # qudits 2 and 3 sit on all four checks and the others on two, so the
+    # code has no single left degree D_L for p*alpha*|S|*D_L*(1 - p*alpha*eps')
+    def op(word):
+        return PauliOp(2, 6, [int(c == "X") for c in word], [int(c == "Z") for c in word])
+
+    with pytest.warns(UserWarning, match="irregular left degrees"):
+        code = build_code([op(w) for w in ("XXXXII", "ZZZZII", "IIXXXX", "IIZZZZ")],
+                          strict_degree=False)
+    assert code.D_L is None
+    stats = island_attack(code, trials=500, seed=3)
+    assert stats.expected_penalty_bound is None
+    report = json.loads(json.dumps(stats.to_json()))
+    assert report["expected_penalty_bound"] == {"kind": "unknown", "value": None}
+    assert report["mean_penalty"]["value"] > 0  # a bound of 0 would be false
+
+
 # --- island attack: golden reports and the per-trial oracle ----------------
 
 def _bell_pair(d):
@@ -332,6 +349,7 @@ ISLAND_CODES = {
     "toric:10": lambda: toric_code(10),
     "toric:10:3": lambda: toric_code(10, 3),
     "toric:10:5": lambda: toric_code(10, 5),
+    "toric:16": lambda: toric_code(16),
     "hgp:circulant6": _hgp_instance,
     "bell:2": lambda: _bell_pair(2),
     "bell:3": lambda: _bell_pair(3),
@@ -403,7 +421,9 @@ def _island_oracle(code, trials, seed):
         mean_weight=float(weights.mean()),
         empirical_qudit_rate=nonid_total / (trials * len(s)),
         zero_coset_weight_trials=zero_coset,
-        expected_penalty_bound=p * alpha * len(s) * (code.D_L or 0) * (1 - p * alpha * eps_prime),
+        expected_penalty_bound=(
+            None if code.D_L is None else p * alpha * len(s) * code.D_L * (1 - p * alpha * eps_prime)
+        ),
         best_trial=best_report,
         seed=seed,
     )
@@ -451,6 +471,43 @@ def test_island_chunk_boundaries(monkeypatch, chunk):
                                ("toric:10:3", 2, 20), ("toric:3", 2, 7), ("toric:3", 2, 40)]:
         batched = _island_json(_island_batched, name, seed, trials)
         assert batched == _island_json(_island_oracle, name, seed, trials)
+
+
+@pytest.mark.parametrize("name, seed, trials", [("toric:16", 1276, 4000), ("bell:2", 1, 3000)])
+def test_island_products_see_only_the_checks_on_s_and_zero_penalty_trials(
+        monkeypatch, name, seed, trials):
+    # toric:16 at seed 1276 is the bench's island job; the bell pair has
+    # trials whose error lies in the group
+    code = _island_code(name)
+    calls = []
+    real = attacks.modmul
+
+    def spy(a, b, p):
+        calls.append((a.copy(), b))
+        return real(a, b, p)
+
+    monkeypatch.setattr(attacks, "modmul", spy)
+    stats = island_attack(code, trials=trials, seed=seed)
+    s = np.array(stats.s_qudits)
+    s_cols = np.concatenate([s, code.n + s])
+    touched = sorted(code.graph.gamma(stats.s_qudits, "left"))  # the checks that touch S
+    syndrome_s = code.syndrome_matrix[touched][:, s_cols].T
+    kernel_s = code.rowspace.kernel[:, s_cols]
+    kernel_s = kernel_s[np.any(kernel_s, axis=1)].T
+    assert not np.array_equal(syndrome_s, kernel_s)
+    syndrome_calls = [a for a, b in calls if np.array_equal(b, syndrome_s)]
+    kernel_calls = [a for a, b in calls if np.array_equal(b, kernel_s)]
+    assert len(syndrome_calls) + len(kernel_calls) == len(calls)
+    assert syndrome_calls and bool(kernel_calls) == (name == "bell:2")
+    if name == "toric:16":
+        assert len(touched) == 18  # of m = 512 checks
+    # only trials with an error on S are scored, and only those with
+    # penalty 0 are tested for membership
+    assert all(a.any(axis=1).all() for a in syndrome_calls)
+    for a in kernel_calls:
+        assert a.any(axis=1).all() and not real(a, syndrome_s, code.d).any()
+    assert stats.zero_coset_weight_trials == sum(
+        int(np.count_nonzero(~real(a, kernel_s, code.d).any(axis=1))) for a in kernel_calls)
 
 
 # --- soundness profile -----------------------------------------------------
