@@ -331,7 +331,8 @@ def alphabet_attack(
         x[q], z[q] = mx, mz
         chosen.append(q)
         acting = code.graph.left_adj[q]
-        gx, gz = code.symplectic_matrix[acting, q], code.symplectic_matrix[acting, code.n + q]
+        # widened: the narrow matrix would wrap on the product and the difference
+        gx, gz = code.symplectic_matrix[acting][:, [q, code.n + q]].astype(np.int64).T
         viol = int(np.count_nonzero((gx * mz - gz * mx) % code.d))
         frac = viol / len(acting)
         if frac > alphabet_alpha(code.d) + 1e-12:
@@ -470,14 +471,16 @@ def island_attack(
     p = 1.0 / (10 * k)
     # row 0 is the identity, so a trial's symbol indices pick its (x, z) per qudit
     table = np.array([(0, 0)] + nonidentity_symbols(code.d), dtype=np.int64)
+    n_symbols = len(table) - 1
     s_arr = np.array(s)
     s_pos = {q: i for i, q in enumerate(s)}
     island_pos = np.array([[s_pos[q] for q in g.right_adj[u]] for u in u_set])
     s_cols = np.concatenate([s_arr, code.n + s_arr])
     # rows zero on S are zero for every trial: they neither add to a penalty
-    # nor tell a group element from a non-element
-    syndrome_s = code.syndrome_matrix[:, s_cols]
-    syndrome_s = syndrome_s[np.any(syndrome_s, axis=1)].T
+    # nor tell a group element from a non-element.  The syndrome columns of S
+    # are (z | -x) on the checks that touch S, negated after widening
+    block = code.symplectic_matrix[np.ix_(sorted(g.gamma(s, "left")), s_cols)].astype(np.int64)
+    syndrome_s = np.concatenate([block[:, len(s):], -block[:, : len(s)] % code.d], axis=1).T
     kernel_s = code.rowspace.kernel[:, s_cols]
     kernel_s = kernel_s[np.any(kernel_s, axis=1)].T
     trial_rng = _trial_streams(seed)
@@ -503,11 +506,15 @@ def island_attack(
         for j, count in zip(hit.tolist(), w[hit].tolist()):
             rng = trial_rng(start + j)
             rng.random(out=uniform[j])  # the same uniforms again, then the symbols
-            picks.append(rng.integers(len(table) - 1, size=count))
+            # a scalar draw reads the stream as size=1 does, at a quarter of the cost
+            if count == 1:
+                picks.append(rng.integers(n_symbols))
+            else:
+                picks.extend(rng.integers(n_symbols, size=count).tolist())
         # symbol index per qudit of S: 0 for identity, i for symbol i - 1; a
         # boolean mask fills row by row, in the order of each trial's picks
         draws = np.zeros((hit.size, len(s)), dtype=np.int64)
-        draws[active[hit]] = np.concatenate(picks) + 1
+        draws[active[hit]] = np.array(picks) + 1
         vs = np.concatenate([table[draws, 0], table[draws, 1]], axis=1)
         pen = np.count_nonzero(modmul(vs, syndrome_s, code.d), axis=1)
         penalties[start + hit] = pen

@@ -85,10 +85,14 @@ def _preset(name_spec: str) -> StabilizerCode:
     try:
         if name == "toric":
             parts = rest.split(":")
+            if len(parts) > 2:
+                raise InputError(f"toric preset is toric:L or toric:L:d, got {name_spec!r}")
             L = int(parts[0])
             d = int(parts[1]) if len(parts) > 1 else 2
             return zoo.toric_code(L, d)
         if name == "steane":
+            if name_spec != "steane":
+                raise InputError(f"steane preset takes no fields, got {name_spec!r}")
             return zoo.steane_code()
         if name in ("hgp", "css"):
             f1, _, f2 = rest.partition(",")

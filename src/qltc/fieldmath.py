@@ -1,6 +1,8 @@
 """Exact linear algebra over the prime field GF(p).
 
-All matrices are 2-D numpy integer arrays with entries reduced mod p.
+All matrices are 2-D numpy integer arrays with entries reduced mod p;
+the ones held are in `residue_dtype(p)` (uint8 below 256), and every
+product or subtraction widens them first.
 `modmul` is the one matrix product (it sits here, below `pauli` and
 `search`, so every layer can use it) and `rref` the one elimination
 routine.  `RowSpace` runs it once, on [mat | J] with J the identity with
@@ -39,6 +41,37 @@ def modmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         out %= p
         return out
     return a.astype(np.int64) @ b.astype(np.int64) % p
+
+
+def residue_dtype(p: int) -> np.dtype:
+    """Least unsigned type that holds the residues 0 .. p - 1: uint8 below 256."""
+    return np.min_scalar_type(p - 1)
+
+
+def residues(a, p: int, dtype=np.int64) -> np.ndarray:
+    """The entries of a reduced mod p, in dtype; a itself when it already is so.
+
+    Raises ValueError on any entry that is not an integer: a float such as
+    1.5 is refused, not truncated.  Negative integers reduce mod p, and the
+    reduction runs in int64 (or exactly, in float or Python ints), never in
+    a narrow type that would wrap.
+    """
+    a = np.asarray(a)
+    kind = a.dtype.kind
+    if kind == "f":
+        bad = a[~(np.isfinite(a) & (a == np.trunc(a)))]
+        if bad.size:
+            raise ValueError(f"exponents must be integers, got {bad[0]}")
+        a = np.mod(a, p)
+    elif kind == "O" and all(isinstance(v, (int, np.integer)) for v in a.flat):
+        a = a % p  # Python ints past int64
+    elif kind not in "biu":
+        raise ValueError(f"exponents must be integers, got {a.dtype} entries")
+    elif a.dtype == dtype and (a.size == 0 or (a.min() >= 0 and a.max() < p)):
+        return a
+    else:
+        a = a.astype(np.int64) % p
+    return a.astype(dtype)
 
 
 def is_prime(p: int) -> bool:
@@ -134,7 +167,8 @@ class RowSpace:
 
     rank, pivots  -- rank and pivot columns of rref(mat)
     kernel        -- basis (rows) of {w : mat @ w = 0}: one row per free
-                     column, 1 there and 0 at the other free columns
+                     column, 1 there and 0 at the other free columns; held
+                     read-only in residue_dtype(p)
     left_kernel   -- basis (rows) of {c : c @ mat = 0}: one row per row of
                      mat that depends on earlier rows, 1 there and 0 at
                      the other dependent rows, in row order
@@ -143,25 +177,30 @@ class RowSpace:
     def __init__(self, mat: np.ndarray, p: int):
         self.p = p
         m, ncols = mat.shape
-        # GF(2) entries only need their low bit, which a uint8 copy keeps
-        augmented = np.zeros((m, ncols + m), dtype=np.uint8 if p == 2 else np.int64)
-        augmented[:, :ncols] = mat
+        dtype = residue_dtype(p)
+        # [mat | J] in the residue type; rref works on its own copy (packed
+        # bits for GF(2), int64 otherwise)
+        augmented = np.zeros((m, ncols + m), dtype=dtype)
+        augmented[:, :ncols] = residues(mat, p, dtype)
         augmented[np.arange(m), ncols + m - 1 - np.arange(m)] = 1
         reduced, pivots = rref(augmented, p)
+        del augmented
         self.pivots = [c for c in pivots if c < ncols]
         self.rank = len(self.pivots)
         # reduced = T @ [mat | J], so T (columns back in row order of mat) has
         # reduced[i, :ncols] = T[i] @ mat; rows below rank span the left kernel
         transform = reduced[:, ncols:][:, ::-1]
-        self._pivot_combinations = transform[: self.rank].copy()
+        self._pivot_combinations = transform[: self.rank].astype(dtype)
         self.left_kernel = transform[self.rank :][::-1].astype(np.int64)
         free = np.setdiff1d(np.arange(ncols), self.pivots)
-        # filled transposed, so that each pivot's entries are written as one row
-        kernel_t = np.zeros((ncols, free.size), dtype=np.int64)
-        kernel_t[free, np.arange(free.size)] = 1
         block = reduced[: self.rank, free]
+        del reduced, transform
+        # filled transposed, so that each pivot's entries are written as one row
+        kernel_t = np.zeros((ncols, free.size), dtype=dtype)
+        kernel_t[free, np.arange(free.size)] = 1
         kernel_t[self.pivots] = block if p == 2 else -block % p
         self.kernel = kernel_t.T
+        self.kernel.setflags(write=False)
 
     def contains(self, v: np.ndarray) -> bool:
         return bool(self.contains_batch(np.asarray(v)[None, :])[0])

@@ -16,16 +16,19 @@ the scalar i is never materialized, so phase exponents stay in Z_d.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .fieldmath import check_prime
+from .fieldmath import check_prime, residues
 
 
 def _as_vec(v, n: int, d: int) -> np.ndarray:
-    a = np.asarray(v, dtype=np.int64) % d
+    a = residues(v, d)
+    if a is v:
+        a = a.copy()  # the caller's array must stay writable and apart
     if a.shape != (n,):
         raise ValueError(f"expected length-{n} vector, got shape {a.shape}")
     return a
@@ -47,7 +50,10 @@ class PauliOp:
             raise ValueError("qudit count must be non-negative")
         object.__setattr__(self, "x", _as_vec(self.x, self.n, self.d))
         object.__setattr__(self, "z", _as_vec(self.z, self.n, self.d))
-        object.__setattr__(self, "phase", int(self.phase) % self.d)
+        phase = residues(self.phase, self.d)
+        if phase.ndim:
+            raise ValueError("a phase is one integer")
+        object.__setattr__(self, "phase", int(phase))
         self.x.setflags(write=False)
         self.z.setflags(write=False)
 
@@ -160,7 +166,8 @@ class PauliOp:
 
     @staticmethod
     def from_json(obj: dict) -> "PauliOp":
-        return PauliOp(int(obj["d"]), int(obj["n"]), obj["x"], obj["z"], int(obj.get("phase", 0)))
+        d, n = operator.index(obj["d"]), operator.index(obj["n"])
+        return PauliOp(d, n, obj["x"], obj["z"], obj.get("phase", 0))
 
     def __repr__(self):
         sites = []

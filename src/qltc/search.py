@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,6 +120,21 @@ def _site_images(matrix: np.ndarray, n: int, d: int, symbols) -> np.ndarray:
     return out.reshape(n * len(symbols), -1)
 
 
+def scattered_site_images(sites, m: int, n: int, d: int, symbols) -> np.ndarray:
+    """_site_images of a syndrome map (rows z | -x of m generators), from its nonzero sites.
+
+    sites holds the generator, qudit and int64 x, z exponent of each site
+    (stabilizer.Sites).  Symbol (a, b) at qudit q has image z a - x b at
+    each generator acting on q and 0 at the others, so one assignment per
+    site and symbol fills the table.
+    """
+    sym = np.array(symbols, dtype=np.int64)
+    out = np.zeros((n, len(sym), m), dtype=_image_dtype(d))
+    out[sites.qudit[:, None], np.arange(len(sym)), sites.row[:, None]] = (
+        np.outer(sites.z, sym[:, 0]) - np.outer(sites.x, sym[:, 1])) % d
+    return out.reshape(n * len(sym), m)
+
+
 def _half_table(n: int, s: int, h: int) -> np.ndarray:
     """Site-image rows of every weight-h word, one word per row (int32 holds
     q*s + j: a table of 2**31 words is far past HALF_TABLE_BYTES)."""
@@ -175,7 +190,7 @@ def min_weight_vector(
     n: int,
     d: int,
     w_max: int,
-    matrix: np.ndarray,
+    matrix: np.ndarray | Callable[[list], np.ndarray],
     target: np.ndarray,
     nonzero: np.ndarray | None = None,
     budget: int | None = None,
@@ -189,12 +204,14 @@ def min_weight_vector(
     C(n,b) s^b when b != a (s symbols per site); budget caps their total
     (candidates_tested), and HALF_TABLE_BYTES caps the memory of one join.  nonzero
     goes with a zero target, and only there: it excludes the empty word.
+    matrix may also be given as a function of a symbol list that returns
+    its site images (a sparse map scatters them, see scattered_site_images).
     """
     target = np.asarray(target).astype(np.int64) % d
     if (nonzero is None) != bool(target.any()):
         raise ValueError("a nonzero filter goes with a zero target, and only there")
     target = target.astype(_image_dtype(d))
-    row_bytes = target.itemsize * (matrix.shape[0] + (0 if nonzero is None else nonzero.shape[0]))
+    row_bytes = target.itemsize * (target.size + (0 if nonzero is None else nonzero.shape[0]))
     sets = [nonidentity_symbols(d) if syms is None else list(syms) for syms in symbol_sets]
     images: list = [None] * len(sets)
     tested = 0
@@ -209,8 +226,8 @@ def min_weight_vector(
                 return SearchResult(None, None, w - 1, tested, True)
             tested += need
             if images[k] is None:
-                images[k] = [None if m is None else _site_images(m, n, d, symbols)
-                             for m in (matrix, nonzero)]
+                images[k] = [None if m is None else m(symbols) if callable(m)
+                             else _site_images(m, n, d, symbols) for m in (matrix, nonzero)]
             sites = _meet(n, d, s, a, b, *images[k], target)
             if sites is not None:
                 v = np.zeros(2 * n, dtype=np.int64)

@@ -7,7 +7,11 @@ requirement, absence of a phase obstruction (so the codespace is
 non-empty), uniform locality, degree regularity and absence of trivial
 qudits, each with a specific diagnosis.  Every check runs on the
 matrix's nonzero (generator, qudit) sites, so for k-local generators it
-costs time in proportion to those sites, not to m x m or m x n.
+costs time in proportion to those sites, not to m x m or m x n.  The
+matrix and the kernel of its row space are held in the least unsigned
+type for d (uint8 below 256); single syndromes, penalties and the
+search's site images come from the sites, and the float64 syndrome map
+is built only for the batch products that need BLAS.
 
 Weight modulo the group, weight modulo the centralizer, distance and
 succinctness are each one call of search.min_weight_vector: the least
@@ -28,10 +32,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fieldmath import RowSpace, check_prime, modmul
+from .fieldmath import RowSpace, check_prime, modmul, residue_dtype, residues
 from .graphs import BipartiteGraph
 from .pauli import PauliOp
-from .search import SearchResult, min_weight_vector, pure_symbols
+from .search import SearchResult, min_weight_vector, pure_symbols, scattered_site_images
 
 
 class CodeValidationError(ValueError):
@@ -71,8 +75,9 @@ class TrivialQuditError(CodeValidationError):
 class Sites(NamedTuple):
     """The nonzero (generator, qudit) sites of a symplectic matrix, by qudit, then generator.
 
-    x, z are the exponents there; first[i] indexes the first site of
-    qudit[i], so each qudit's sites run from first[i] in generator order.
+    x, z are the exponents there, in int64 (the validation multiplies and
+    subtracts them); first[i] indexes the first site of qudit[i], so each
+    qudit's sites run from first[i] in generator order.
     """
 
     row: np.ndarray
@@ -88,7 +93,8 @@ class Sites(NamedTuple):
         key = np.unique(cols % n * m + rows)
         qudit, row = np.divmod(key, m)
         first = np.searchsorted(qudit, qudit)
-        return Sites(row, qudit, matrix[row, qudit], matrix[row, qudit + n], first)
+        x, z = (matrix[row, qudit + c].astype(np.int64) for c in (0, n))
+        return Sites(row, qudit, x, z, first)
 
 
 def product_phase(sites: Sites, phases: np.ndarray, c: np.ndarray, d: int) -> int:
@@ -170,23 +176,27 @@ class StabilizerCode:
     ):
         """matrix is m x 2n, one row (x | z) per generator; phases default to 0.
 
-        An int64 matrix whose entries already lie in [0, d) is kept, not
-        copied, and made read-only, so the validated code cannot change.
+        The matrix is held read-only in residue_dtype(d) (uint8 below 256,
+        uint16 above): one of that type whose entries already lie in
+        [0, d) is kept, not copied, so the validated code cannot change;
+        any other integer matrix is reduced into a new one.  A non-integer
+        exponent or phase is refused.
         """
         check_prime(d)
         self.d = d
-        matrix = np.asarray(matrix, dtype=np.int64)
+        try:
+            matrix = residues(matrix, d, residue_dtype(d))
+            phases = None if phases is None else residues(phases, d).copy()
+        except ValueError as exc:
+            raise CodeValidationError(str(exc)) from None
         if matrix.ndim != 2 or matrix.shape[1] % 2:
             raise CodeValidationError("a symplectic matrix has one (x | z) row per generator")
         self.m, self.n = matrix.shape[0], matrix.shape[1] // 2
         if self.m == 0:
             raise CodeValidationError("empty generating set")
-        if matrix.size and (matrix.min() < 0 or matrix.max() >= d):
-            matrix = matrix % d
         matrix.setflags(write=False)
         self.symplectic_matrix = matrix  # m x 2n
-        phases = np.zeros(self.m, dtype=np.int64) if phases is None else phases
-        self._phases = np.asarray(phases, dtype=np.int64) % d
+        self._phases = np.zeros(self.m, dtype=np.int64) if phases is None else phases
         if self._phases.shape != (self.m,):
             raise CodeValidationError(f"{self._phases.size} phases for {self.m} generators")
         self._sites = sites = Sites.of(self.symplectic_matrix)
@@ -214,13 +224,23 @@ class StabilizerCode:
         self.rank = self.rowspace.rank
         self._check_phase_obstruction()
 
-        # syndrome map: syn(E)_g = <g, E> = g.z . E.x - g.x . E.z, held as
-        # float64 so that modmul does not re-cast it on every penalty
-        self.syndrome_matrix = np.empty((self.m, 2 * self.n))
-        self.syndrome_matrix[:, : self.n] = matrix[:, self.n :]
-        minus_x = self.syndrome_matrix[:, self.n :]
-        np.negative(matrix[:, : self.n], out=minus_x)
-        minus_x[minus_x < 0] += d
+    @functools.cached_property
+    def syndrome_matrix(self) -> np.ndarray:
+        """The syndrome map syn(E)_g = <g, E> = g.z . E.x - g.x . E.z as float64 rows (z | -x).
+
+        Built on first use, and only the batch products of syndrome_batch
+        read it (BLAS needs float64); single syndromes and the search's
+        site images come from the sites.
+        """
+        n = self.n
+        out = np.empty((self.m, 2 * n))
+        out[:, :n] = self.symplectic_matrix[:, n:]
+        minus_x = out[:, n:]
+        minus_x[...] = self.symplectic_matrix[:, :n]  # negated in float, not in the narrow type
+        np.negative(minus_x, out=minus_x)
+        minus_x[minus_x < 0] += self.d
+        out.setflags(write=False)
+        return out
 
     @functools.cached_property
     def generators(self) -> list[PauliOp]:
@@ -279,10 +299,22 @@ class StabilizerCode:
 
     # --- syndromes -----------------------------------------------------
     def syndrome(self, e: PauliOp) -> np.ndarray:
-        """Per-generator symplectic products; zero vector iff E centralizes."""
+        """Per-generator symplectic products; zero vector iff E centralizes.
+
+        Summed over the sites at the qudits where E acts.
+        """
         if e.n != self.n or e.d != self.d:
             raise ValueError("operator does not match code dimensions")
-        return modmul(self.syndrome_matrix, e.symplectic(), self.d)
+        s = self._sites
+        ex, ez = e.x[s.qudit], e.z[s.qudit]
+        act = np.flatnonzero(ex | ez)
+        terms = s.z[act] * ex[act] - s.x[act] * ez[act]
+        syn = np.bincount(s.row[act], weights=terms, minlength=self.m)
+        return syn.astype(np.int64) % self.d
+
+    def _syndrome_images(self, symbols) -> np.ndarray:
+        """The search's weight-1 images of the syndrome map, scattered from the sites."""
+        return scattered_site_images(self._sites, self.m, self.n, self.d, symbols)
 
     def syndrome_batch(self, vs: np.ndarray) -> np.ndarray:
         return modmul(vs, self.syndrome_matrix.T, self.d)
@@ -323,7 +355,7 @@ class StabilizerCode:
             return BoundedWeight.exactly(0)
         w_e = e.weight()
         res = min_weight_vector(
-            self.n, self.d, w_e - 1, self.syndrome_matrix, target, budget=budget
+            self.n, self.d, w_e - 1, self._syndrome_images, target, budget=budget
         )
         return self._bounded_from_search(res, w_e)
 
@@ -372,7 +404,7 @@ class StabilizerCode:
             (pure_symbols(self.d, "x"), pure_symbols(self.d, "z")) if use_css else (None,)
         )
         res = min_weight_vector(
-            self.n, self.d, w_max or self.n, self.syndrome_matrix, np.zeros(self.m),
+            self.n, self.d, w_max or self.n, self._syndrome_images, np.zeros(self.m),
             nonzero=self.rowspace.kernel, budget=budget, symbol_sets=symbol_sets,
         )
         if res.found_weight is not None:
@@ -389,7 +421,8 @@ class StabilizerCode:
         if self.k <= 1:
             return True
         kernel = self.rowspace.kernel
-        pivots = np.eye(2 * self.n, dtype=np.int64)[self.rowspace.pivots]
+        pivots = np.zeros((self.rank, 2 * self.n), dtype=residue_dtype(self.d))
+        pivots[np.arange(self.rank), self.rowspace.pivots] = 1
         res = min_weight_vector(
             self.n, self.d, self.k - 1, kernel, np.zeros(kernel.shape[0]),
             nonzero=pivots, budget=budget,
@@ -416,7 +449,7 @@ class StabilizerCode:
             raise CodeValidationError("every generator must be a JSON object")
         try:
             gens = [PauliOp.from_json(g) for g in obj["generators"]]
-        except TypeError as exc:  # e.g. null or a list where a number belongs
+        except (TypeError, ValueError) as exc:  # e.g. null, a list or 1.5 where an integer belongs
             raise CodeValidationError(f"malformed generator: {exc}") from exc
         return build_code(gens, strict_degree=strict_degree)
 
@@ -437,5 +470,5 @@ def build_code(generators: Sequence[PauliOp], strict_degree: bool = True) -> Sta
     d, n = generators[0].d, generators[0].n
     if any(g.n != n or g.d != d for g in generators):
         raise CodeValidationError("generators with mixed (n, d)")
-    matrix = np.stack([g.symplectic() for g in generators])
+    matrix = np.array([g.symplectic() for g in generators], dtype=residue_dtype(d))
     return StabilizerCode(d, matrix, [g.phase for g in generators], strict_degree=strict_degree)

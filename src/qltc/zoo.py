@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fieldmath import check_prime
+from .fieldmath import check_prime, residue_dtype, residues
 from .graphs import BipartiteGraph
 from .pauli import PauliOp
 from .stabilizer import StabilizerCode
@@ -21,20 +21,30 @@ from .stabilizer import StabilizerCode
 BUILD_GUARD = 2_000_000_000
 
 
-def _check_build_size(m: int, n: int) -> None:
+def _check_build_size(m: int, n: int, d: int) -> int:
     """Refuse, before any allocation, a build of m generators on n qudits that cannot fit.
 
-    A build holds the m x 2n symplectic matrix (int64) and syndrome map
-    (float64), a kernel of at least 2n - min(m, n) rows of 2n int64
-    entries, and eliminates [matrix | I], m x (2n + m), at one byte per
-    entry or more.
+    Returns the estimate, in bytes.  A build holds the m x 2n symplectic
+    matrix and a kernel of at least 2n - min(m, n) rows of 2n entries, both
+    in residue_dtype(d) (b = 1 byte an entry below 256; the float64
+    syndrome map is not built), and its interaction graph: two n x m bit
+    masks and adjacency lists under 1 KB a vertex.  The peak comes while
+    RowSpace eliminates [matrix | I], m x (2n + m): over GF(2) the b-byte
+    copy, its low bits or its reduced form, and the rows packed as bits,
+    under 3 bytes an entry; for odd d, rref's int64 copy and, in the worst
+    case, the three int64 temporaries of a row update that reaches every
+    row, 32 bytes an entry more.
     """
-    estimate = 16 * m * 2 * n + 8 * (2 * n - min(m, n)) * 2 * n + 2 * m * (2 * n + m)
+    b = residue_dtype(d).itemsize
+    per_entry = 3 if d == 2 else b + 32
+    estimate = (b * 2 * n * (m + 2 * n - min(m, n)) + per_entry * m * (2 * n + m)
+                + n * m // 4 + 1024 * (m + n))
     if estimate > BUILD_GUARD:
         raise ValueError(
             f"a build of {m} generators on {n} qudits needs about {estimate / 1e9:.3g} GB,"
             f" over the {BUILD_GUARD / 1e9:.3g} GB guard"
         )
+    return estimate
 
 
 # --------------------------------------------------------------------------
@@ -62,10 +72,10 @@ def toric_code(L: int, d: int = 2) -> StabilizerCode:
     check_prime(d)
     h, v = toric_edge_indices(L)
     n = 2 * L * L
-    _check_build_size(n, n)
+    _check_build_size(n, n, d)
     r, c = np.divmod(np.arange(L * L), L)
     vertex, plaquette = r * L + c, L * L + r * L + c
-    matrix = np.zeros((n, 2 * n), dtype=np.int64)
+    matrix = np.zeros((n, 2 * n), dtype=residue_dtype(d))
     # vertex operator: X^{+1} on incoming edges, X^{-1} on outgoing
     matrix[vertex, h(r, c - 1)] = 1
     matrix[vertex, h(r, c)] = d - 1
@@ -192,15 +202,14 @@ def css_code(
     matrices (the code's locality k).
     """
     check_prime(d)
-    hx = np.asarray(hx, dtype=np.int64) % d
-    hz = np.asarray(hz, dtype=np.int64) % d
+    hx, hz = residues(hx, d), residues(hz, d)
     if hx.shape[1] != hz.shape[1]:
         raise ValueError("Hx and Hz must have the same number of columns")
     if np.any((hx @ hz.T) % d):
         raise ValueError("CSS orthogonality violated: Hx @ Hz.T != 0 mod d")
     rx, n = hx.shape
-    _check_build_size(rx + hz.shape[0], n)
-    matrix = np.zeros((rx + hz.shape[0], 2 * n), dtype=np.int64)
+    _check_build_size(rx + hz.shape[0], n, d)
+    matrix = np.zeros((rx + hz.shape[0], 2 * n), dtype=residue_dtype(d))
     matrix[:rx, :n] = hx
     matrix[rx:, n:] = hz
     return StabilizerCode(d, matrix, strict_degree=strict_degree)
@@ -216,18 +225,21 @@ def css_hypergraph_product(
     commutation check confirms it.
     """
     check_prime(d)
-    h1 = np.asarray(h1, dtype=np.int64) % d
-    h2 = np.asarray(h2, dtype=np.int64) % d
+    # an entry of a Kronecker product with an identity is an entry of h1 or h2,
+    # or 0, so the products are formed in the residue type, not in int64
+    dtype = residue_dtype(d)
+    h1, h2 = residues(h1, d, dtype), residues(h2, d, dtype)
     r1, n1 = h1.shape
     r2, n2 = h2.shape
     n, mx = n1 * n2 + r1 * r2, r1 * n2
     m = mx + n1 * r2
-    _check_build_size(m, n)
-    matrix = np.zeros((m, 2 * n), dtype=np.int64)
-    matrix[:mx, : n1 * n2] = np.kron(h1, np.eye(n2, dtype=np.int64))
-    matrix[:mx, n1 * n2 : n] = np.kron(np.eye(r1, dtype=np.int64), h2.T)
-    matrix[mx:, n : n + n1 * n2] = np.kron(np.eye(n1, dtype=np.int64), h2)
-    matrix[mx:, n + n1 * n2 :] = np.kron(-h1.T % d, np.eye(r2, dtype=np.int64))
+    _check_build_size(m, n, d)
+    minus_h1_t = (d - h1.T) % d  # d - h lies in [1, d]: no wrap
+    matrix = np.zeros((m, 2 * n), dtype=dtype)
+    matrix[:mx, : n1 * n2] = np.kron(h1, np.eye(n2, dtype=dtype))
+    matrix[:mx, n1 * n2 : n] = np.kron(np.eye(r1, dtype=dtype), h2.T)
+    matrix[mx:, n : n + n1 * n2] = np.kron(np.eye(n1, dtype=dtype), h2)
+    matrix[mx:, n + n1 * n2 :] = np.kron(minus_h1_t, np.eye(r2, dtype=dtype))
     return StabilizerCode(d, matrix, strict_degree=strict_degree)
 
 

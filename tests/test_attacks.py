@@ -291,6 +291,22 @@ def test_trial_streams_match_fresh_philox(seed):
         assert np.array_equal(rng.integers(3, size=7), fresh.integers(3, size=7))
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_scalar_symbol_draw_reads_the_stream_as_size_one(d):
+    # the island's second pass draws a trial's one symbol as a scalar: it must
+    # give the value of size=1 and leave the stream where size=1 leaves it
+    n_symbols = d * d - 1
+    for key in range(500):
+        rngs = [np.random.Generator(np.random.Philox(key=key, counter=(key % 7) << 64))
+                for _ in range(2)]
+        for rng in rngs:
+            rng.random(key % 9)  # a trial's uniforms come first
+        assert rngs[0].integers(n_symbols) == rngs[1].integers(n_symbols, size=1)[0]
+        assert repr(rngs[0].bit_generator.state) == repr(rngs[1].bit_generator.state)
+        assert np.array_equal(rngs[0].integers(n_symbols, size=3),
+                              rngs[1].integers(n_symbols, size=3))
+
+
 def test_island_determinism():
     c = _hgp_instance()
     a = island_attack(c, trials=100, seed=9)

@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import json
 import pathlib
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -360,3 +361,35 @@ def test_matrix_first_build_matches_pauli_validation(case):
     assert _same(_outcome(lambda: StabilizerCode(d, matrix, phases, strict_degree=strict)),
                  expected)
     assert _same(_outcome(lambda: build_code(gens, strict_degree=strict)), expected)
+
+
+# --- build size: the guard's estimate against the traced peak ------------------
+
+def _traced_peak(build):
+    """Peak bytes numpy and Python allocate during build() (tracemalloc sees both)."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_build_size_estimate_bounds_the_traced_peak(d):
+    zoo.toric_code(2, d)  # first-call set-up stays out of the trace
+    for L in (4, 8, 16):
+        n = 2 * L * L
+        assert _traced_peak(lambda: zoo.toric_code(L, d)) <= zoo._check_build_size(n, n, d)
+    h = zoo.regular_circulant_matrix(8, 3, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        peak = _traced_peak(lambda: zoo.css_hypergraph_product(h, h, d, strict_degree=False))
+    assert peak <= zoo._check_build_size(128, 128, d)
+
+
+def test_toric32_build_stays_at_its_narrow_size():
+    # 38.8 MiB traced peak measured (203 MiB when the matrix and kernel were
+    # int64 and the float64 syndrome map was built with the code)
+    zoo.toric_code(2)
+    assert _traced_peak(lambda: zoo.toric_code(32)) < 48 * 2**20

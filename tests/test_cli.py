@@ -76,6 +76,25 @@ def test_unknown_preset_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("source", ["toric:3:2:junk", "steane:junk", "steane:"])
+def test_preset_with_extra_fields_exits_1(capsys, source):
+    code, out, err = run(capsys, "build", source)
+    assert code == 1 and out == "" and "preset" in err
+
+
+def test_code_file_with_non_integer_exponent_exits_1(tmp_path, capsys):
+    gens = [{"d": 2, "n": 2, "x": [1.5, 1], "z": [0, 0]}, {"d": 2, "n": 2, "x": [0, 0], "z": [1, 1]}]
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"d": 2, "n": 2, "k": 2, "generators": gens}))
+    code, out, err = run(capsys, "build", str(path))
+    assert code == 1 and out == "" and "must be integers" in err
+    # an integer written as a float, or negative, is still an exponent
+    gens[0]["x"] = [1.0, -1]
+    path.write_text(json.dumps({"d": 2, "n": 2, "k": 2, "generators": gens}))
+    code, out, _ = run(capsys, "build", str(path))
+    assert code == 0 and json.loads(out)["rank"] == 2
+
+
 def test_code_file_with_non_prime_d_exits_1(tmp_path, capsys):
     path = tmp_path / "d4.json"
     gens = [{"d": 4, "n": 2, "x": [1, 1], "z": [0, 0]}, {"d": 4, "n": 2, "x": [0, 0], "z": [1, 1]}]
@@ -307,7 +326,7 @@ def test_out_of_range_config_value_exits_1(tmp_path, capsys):
     assert code == 1 and out == "" and "--wcap" in err
 
 
-@pytest.mark.parametrize("source", ["toric:64", "toric:100000"])
+@pytest.mark.parametrize("source", ["toric:128", "toric:100000"])
 def test_oversized_build_refused_before_allocation(source):
     # under a 1 GB address-space limit an attempted allocation would fail with
     # exit 2; the size guard refuses first
@@ -449,7 +468,8 @@ def test_determinism_identical_reports(tmp_path, capsys):
 # refused, not enumerated.
 SOURCES = (["toric:3", "toric:2:3", "steane", "toric:6"],
            ["toric:1", "toric:0", "toric:-2", "toric:3:4", "toric:x", "toric:", "toric:100000",
-            "hgp:", "css:no-such-file,no-such-file", "no-such-source", ""])
+            "hgp:", "css:no-such-file,no-such-file", "no-such-source", "", "toric:3:2:junk",
+            "steane:junk"])
 WEIGHTS = (["1", "2", "3", "99999", "9" * 40],
            ["0", "-1", "abc", "", "1.5", "inf", "nan", "1e3", "0x10"])
 COUNTS = (["1", "2", "5", "+4", "99999999999", "99999999999999"],
@@ -532,6 +552,9 @@ def _run_in_process(argv, seconds=60):
 # rho past the distance: these once exited 2 as an internal breach
 @example(["verify", "steane", "--rho", "4"])
 @example(["verify", "toric:2", "--rho", "9"])
+# presets with extra fields: these once built toric:3 and Steane with exit 0
+@example(["build", "toric:3:2:junk"])
+@example(["build", "steane:junk"])
 @settings(max_examples=200, deadline=datetime.timedelta(seconds=10))
 def test_main_fuzz_exit_contract(argv):
     code, out, err = _run_in_process(argv)

@@ -1,0 +1,191 @@
+"""The narrow layout against the int64 path it replaced.
+
+A code holds its symplectic matrix and kernel read-only in the least
+unsigned type for d (uint8 below 256, uint16 above) and takes single
+syndromes, penalties and the search's weight-1 site images from its
+nonzero sites; only batch products build the float64 syndrome map.  The
+int64 computations here are the dense path: every narrow result must
+equal them, on codes CSS and not, over small and large primes.  uint8
+arithmetic wraps, so a subtraction or product left in the narrow type
+shows up here as a wrong residue for odd d.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qltc import search, zoo
+from qltc.attacks import NotAnErrorError, Refusal, alphabet_attack
+from qltc.pauli import PauliOp, nonidentity_symbols
+from qltc.fieldmath import RowSpace
+from qltc.stabilizer import Sites, StabilizerCode, product_phase
+from test_build import rref_int64
+
+PRIMES = [2, 3, 5, 131, 257]
+
+
+def five_qudit_matrix(d):
+    """<X Z Z^-1 X^-1 I> and its cyclic shifts (four of them): the five-qubit code at d = 2."""
+    row = [(1, 0), (0, 1), (0, d - 1), (d - 1, 0), (0, 0)]
+    shifted = [row[-i:] + row[:-i] for i in range(4)]
+    return np.array([[x for x, _ in r] + [z for _, z in r] for r in shifted], dtype=np.int64)
+
+
+def random_hgp_matrix(d, rng):
+    """A hypergraph product of two circulants with random nonzero entries over GF(d)."""
+    mats = []
+    for _ in range(2):
+        size = int(rng.integers(3, 5))
+        h = zoo.regular_circulant_matrix(size, 2, seed=int(rng.integers(1000)))
+        mats.append(h * rng.integers(1, d, size=h.shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = zoo.css_hypergraph_product(*mats, d=d, strict_degree=False)
+    return code.symplectic_matrix.astype(np.int64)
+
+
+def local_map(matrix, d, rng):
+    """matrix under a random determinant-1 map per qudit and random qudit and row orders.
+
+    Such a map keeps every symplectic product, so the code stays valid; it
+    mixes x and z, so a CSS code stops being one.  At d = 2 the map is the
+    identity or the swap of x and z: the others can make Y = ZX, which
+    squares to -I, and a generator with an odd number of Y has no valid phase.
+    """
+    n = matrix.shape[1] // 2
+    x, z = matrix[:, :n].copy(), matrix[:, n:].copy()
+    for q in range(n):
+        while True:
+            a, b, c, e = (int(v) for v in rng.integers(d, size=4))
+            if (a * e - b * c) % d == 1 and (d > 2 or a == e and b == c):
+                break
+        x[:, q], z[:, q] = (a * x[:, q] + b * z[:, q]) % d, (c * x[:, q] + e * z[:, q]) % d
+    perm = rng.permutation(n)
+    return np.concatenate([x[:, perm], z[:, perm]], axis=1)[rng.permutation(len(matrix))]
+
+
+@st.composite
+def codes(draw):
+    d = draw(st.sampled_from(PRIMES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["toric", "hgp", "five-qudit"]))
+    if family == "toric":
+        matrix = zoo.toric_code(draw(st.integers(2, 3)), d).symplectic_matrix.astype(np.int64)
+    elif family == "hgp":
+        matrix = random_hgp_matrix(d, rng)
+    else:
+        matrix = five_qudit_matrix(d)
+    scrambled = family == "five-qudit" or draw(st.booleans())
+    return (*scrambled_code(d, matrix, rng, scrambled), rng)
+
+
+def scrambled_code(d, matrix, rng, scrambled=True):
+    """The code of matrix, under a local map when asked, with phases that clear every
+    dependent product (a map can give one a phase)."""
+    mapped = local_map(matrix, d, rng) if scrambled else matrix
+    sites = Sites.of(mapped)
+    # each left-kernel row ends at its dependent row, with 1 there and 0 at
+    # the other dependent rows: that row's phase cancels the product's
+    phases = np.zeros(len(mapped), dtype=np.int64)
+    for c in RowSpace(mapped, d).left_kernel:
+        phases[np.flatnonzero(c)[-1]] = -product_phase(sites, phases * 0, c, d) % d
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return StabilizerCode(d, mapped, phases, strict_degree=False), mapped
+
+
+def kernel_int64(mat, p):
+    """The int64 RowSpace kernel: rref of [mat | J] by the dense loop, free columns set to 1."""
+    m, ncols = mat.shape
+    augmented = np.zeros((m, ncols + m), dtype=np.int64)
+    augmented[:, :ncols] = mat
+    augmented[np.arange(m), ncols + m - 1 - np.arange(m)] = 1
+    reduced, pivots = rref_int64(augmented, p)
+    pivots = [c for c in pivots if c < ncols]
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    kernel_t = np.zeros((ncols, free.size), dtype=np.int64)
+    kernel_t[free, np.arange(free.size)] = 1
+    kernel_t[pivots] = -reduced[: len(pivots), free] % p
+    return kernel_t.T
+
+
+def random_words(n, d, count, rng):
+    """count symplectic words of random weight, entries anywhere in [0, d)."""
+    words = rng.integers(d, size=(count, 2 * n))
+    keep = rng.random((count, n)) < rng.random((count, 1))
+    return words * np.concatenate([keep, keep], axis=1)
+
+
+@given(codes())
+@settings(max_examples=60, deadline=None)
+def test_narrow_layout_matches_int64_path(case):
+    code, matrix, rng = case
+    d, n = code.d, code.n
+    narrow = np.uint8 if d < 256 else np.uint16
+    m64 = matrix % d
+    syndrome64 = np.concatenate([m64[:, n:], -m64[:, :n] % d], axis=1)
+
+    # storage: the residue type, read-only, with the int64 values
+    assert code.symplectic_matrix.dtype == narrow and not code.symplectic_matrix.flags.writeable
+    assert np.array_equal(code.symplectic_matrix, m64)
+    assert np.array_equal(code.syndrome_matrix, syndrome64)
+
+    # syndromes and penalties from the sites, batches through the float map
+    words = random_words(n, d, 40, rng)
+    expected = words @ syndrome64.T % d
+    assert np.array_equal(code.syndrome_batch(words), expected)
+    for v, syn in zip(words, expected):
+        e = PauliOp(d, n, v[:n], v[n:])
+        assert code.syndrome(e).dtype == np.int64
+        assert np.array_equal(code.syndrome(e), syn)
+        assert code.penalty(e) == np.count_nonzero(syn)
+
+    # the kernel: the int64 elimination's, and the membership its products give
+    kernel = code.rowspace.kernel
+    assert kernel.dtype == narrow and not kernel.flags.writeable
+    kernel64 = kernel_int64(m64, d)
+    assert np.array_equal(kernel, kernel64)
+    assert not np.any(m64 @ kernel64.T % d)
+    members = rng.integers(d, size=(20, code.m)) @ m64 % d
+    batch = np.concatenate([members, words])
+    in_span = ~np.any(batch @ kernel64.T % d, axis=1)
+    assert in_span[: len(members)].all()
+    assert np.array_equal(code.rowspace.contains_batch(batch), in_span)
+
+    # the scattered site images against the dense ones, on a sample of symbols
+    symbols = nonidentity_symbols(d)
+    if len(symbols) > 60:
+        symbols = [symbols[i] for i in sorted(rng.choice(len(symbols), 60, replace=False))]
+    dense = search._site_images(syndrome64, n, d, symbols)
+    assert np.array_equal(code._syndrome_images(symbols), dense)
+    assert np.array_equal(search._site_images(code.syndrome_matrix, n, d, symbols), dense)
+
+    # alphabet violation counts: (g.x mz - g.z mx) at each chosen qudit, in int64
+    try:
+        report = alphabet_attack(code, 1.0, seed=int(rng.integers(100)), budget=0)
+    except (Refusal, NotAnErrorError):
+        return
+    for q, frac in zip(report.meta["chosen_qudits"], report.meta["per_qudit_violation_fraction"]):
+        acting = np.flatnonzero(m64[:, q] | m64[:, n + q])
+        mx, mz = int(report.error.x[q]), int(report.error.z[q])
+        viol = np.count_nonzero((m64[acting, q] * mz - m64[acting, n + q] * mx) % d)
+        assert frac == viol / len(acting)
+
+
+@pytest.mark.parametrize("d", PRIMES)
+def test_weight_searches_match_on_the_five_qudit_code(d):
+    # the centralizer search joins the scattered images; the dense map must agree
+    rng = np.random.default_rng(d)
+    code, _ = scrambled_code(d, five_qudit_matrix(d), rng)
+    symbols = nonidentity_symbols(d) if d < 100 else nonidentity_symbols(d)[:: d + 1]
+    n = code.n
+    for _ in range(5):
+        e = PauliOp.single(n, d, int(rng.integers(n)), *symbols[int(rng.integers(len(symbols)))])
+        target = code.syndrome(e)
+        res = search.min_weight_vector(n, d, 1, code.syndrome_matrix, target,
+                                       symbol_sets=(symbols,))
+        assert res.found_weight == 1
+        assert code.wt_mod_centralizer(e).value == 1

@@ -127,15 +127,44 @@ def test_toric_build():
 
 
 def test_symplectic_matrix_is_read_only():
-    # the constructor keeps an in-range int64 matrix without a copy, so the
-    # caller's array must not be able to change the validated code
+    # the constructor keeps an in-range matrix of the residue type without a
+    # copy, so the caller's array must not be able to change the validated code
     matrix = toric_code(2).symplectic_matrix.copy()
+    assert matrix.dtype == np.uint8
     code = StabilizerCode(2, matrix)
     assert code.symplectic_matrix is matrix
     with pytest.raises(ValueError):
         matrix[0, 0] = 1 - matrix[0, 0]
     with pytest.raises(ValueError):
         code.symplectic_matrix[0, 0] = 1
+    # any other integer matrix is reduced into a new one
+    wide = toric_code(2).symplectic_matrix.astype(np.int64) - 2
+    code = StabilizerCode(2, wide)
+    assert code.symplectic_matrix.dtype == np.uint8 and wide.flags.writeable
+    assert np.array_equal(code.symplectic_matrix, matrix)
+
+
+@pytest.mark.parametrize("matrix, phases", [
+    ([[1.5, 1, 0, 0], [0, 0, 1, 1.9]], None),
+    ([[1, 1, 0, 0], [0, 0, 1, np.nan]], None),
+    ([[1, 1, 0, 0], [0, 0, 1, np.inf]], None),
+    ([["1", "1", "0", "0"], ["0", "0", "1", "1"]], None),
+    ([[1, 1, 0, 0], [0, 0, 1, 1]], [0.5, 0]),
+])
+def test_non_integer_exponents_are_refused(matrix, phases):
+    # they were once truncated: 1.5 read as 1, 1.9 as 1
+    with pytest.raises(CodeValidationError, match="integers"):
+        StabilizerCode(2, np.array(matrix), phases)
+
+
+def test_integer_exponents_of_any_type_reduce_mod_d():
+    expected = np.array([[1, 1, 0, 0], [0, 0, 1, 2]])
+    for matrix in (expected.astype(float), expected - 3, expected.astype(object) + 3 * 10**30,
+                   expected.astype(np.uint16)):
+        code = StabilizerCode(3, np.array(matrix), [3.0, -1])
+        assert code.symplectic_matrix.dtype == np.uint8
+        assert np.array_equal(code.symplectic_matrix, expected)
+        assert [g.phase for g in code.generators] == [0, 2]
 
 
 # --- syndromes and penalties ----------------------------------------------
