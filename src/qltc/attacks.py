@@ -35,6 +35,8 @@ from .stabilizer import BoundedWeight, StabilizerCode
 TRIAL_CHUNK = 256
 # most island trials a CLI run may ask for: 6 s at toric:16's 170,000 trials/s
 TRIAL_GUARD = 1_000_000
+# most words a soundness profile may enumerate
+PROFILE_GUARD = 20_000_000
 
 
 class Refusal(ValueError):
@@ -146,15 +148,15 @@ def evaluate_r(
     code: StabilizerCode,
     e: PauliOp,
     budget: int | None = None,
-    group_budget: int | None = 0,
     seed: int | None = None,
     meta: dict | None = None,
 ) -> AttackReport:
     """Measure penalty, coset weights and r for one error.
 
-    budget caps the weight-modulo-centralizer search (which sets delta);
-    group_budget caps the independent weight-modulo-group search (default
-    0: report only the trivial certified interval, it does not enter r).
+    budget caps the weight-modulo-centralizer search (which sets delta).
+    The weight modulo the group does not enter r: its search gets budget
+    0, so it reports 0 for a group element and else the certified
+    interval [1, wt(E)].
     """
     if e.is_identity(up_to_phase=True):
         raise NotAnErrorError("identity operator")
@@ -164,7 +166,7 @@ def evaluate_r(
             "operator commutes with every generator (stabilizer or logical element)"
         )
     wz = code.wt_mod_centralizer(e, budget=budget)
-    wg = code.wt_mod_group(e, budget=group_budget)
+    wg = code.wt_mod_group(e, budget=0)
     return AttackReport(
         error=e,
         weight=e.weight(),
@@ -327,14 +329,11 @@ def alphabet_attack(
     per_qudit_fraction = []
     for u in u_set:
         q = code.graph.right_adj[u][0]
-        mx, mz, cnt = majority_restriction(code, q)
+        mx, mz, _ = majority_restriction(code, q)
         x[q], z[q] = mx, mz
         chosen.append(q)
-        acting = code.graph.left_adj[q]
-        # widened: the narrow matrix would wrap on the product and the difference
-        gx, gz = code.symplectic_matrix[acting][:, [q, code.n + q]].astype(np.int64).T
-        viol = int(np.count_nonzero((gx * mz - gz * mx) % code.d))
-        frac = viol / len(acting)
+        viol = code.penalty(PauliOp.single(code.n, code.d, q, mx, mz))
+        frac = viol / len(code.graph.left_adj[q])
         if frac > alphabet_alpha(code.d) + 1e-12:
             raise AssertionError(f"majority count bound violated at qudit {q}")
         per_qudit_fraction.append(frac)
@@ -437,10 +436,9 @@ def island_attack(
     code: StabilizerCode,
     trials: int,
     seed: int,
-    u_target: int | None = None,
     best_budget: int | None = None,
 ) -> IslandTrialStats:
-    """Random sparse errors on S = Gamma(U) for a greedy k-independent U.
+    """Random sparse errors on S = Gamma(U) for a greedy maximal k-independent U.
 
     Per trial each qudit of S independently stays identity with
     probability 1 - p (p = 1/(10k)) or takes each of the d^2 - 1
@@ -463,7 +461,7 @@ def island_attack(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     k = code.k
-    u_set = _independent_set(code, k, u_target or code.m, seed)
+    u_set = _independent_set(code, k, code.m, seed)
     g = code.graph
     s = sorted(g.gamma(u_set, "right"))
     stats = g.expansion_stats(s)
@@ -650,15 +648,13 @@ def _key_powers(m: int, d: int) -> np.ndarray:
     return powers
 
 
-def soundness_profile(
-    code: StabilizerCode, weight_cap: int, guard: int = 20_000_000
-) -> SoundnessProfile:
-    """Brute-force soundness oracle; refuses infeasible caps with an estimate."""
+def soundness_profile(code: StabilizerCode, weight_cap: int) -> SoundnessProfile:
+    """Brute-force soundness oracle; refuses caps past PROFILE_GUARD with an estimate."""
     weights = range(1, min(weight_cap, code.n) + 1)  # no Pauli on n qudits is heavier than n
     total = sum(candidates_at_weight(code.n, code.d, w) for w in weights)
-    if total > guard:
+    if total > PROFILE_GUARD:
         raise ValueError(
-            f"profile enumeration of {total} candidates exceeds the guard ({guard})"
+            f"profile enumeration of {total} candidates exceeds the guard ({PROFILE_GUARD})"
         )
     powers = _key_powers(code.m, code.d)
     # keys of the nonzero syndromes seen so far, sorted, each once

@@ -1,12 +1,12 @@
 """Command-line interface: build / analyze / attack / verify.
 
 Codes are addressed by preset name (toric:L[:d], steane,
-hgp:H1.txt,H2.txt, css:Hx.txt,Hz.txt, classical:graph.txt) or by a saved
-JSON code file.  Reports are JSON with a schema field and per-quantity
-exactness labels; attack runs also emit a CSV row (delta, R, r, bound,
-bound_holds).  Exit codes: 0 success (including refusals that produce a
-report), 1 invalid input, 2 internal invariant breach or any other fault,
-and argparse's usage error (unknown flag, missing argument).
+hgp:H1.txt,H2.txt, css:Hx.txt,Hz.txt) or by a saved JSON code file.
+Reports are JSON with a schema field and per-quantity exactness labels;
+attack runs also emit a CSV row (delta, R, r, bound, bound_holds).
+Exit codes: 0 success (including refusals that produce a report), 1
+invalid input, 2 internal invariant breach or any other fault, and
+argparse's usage error (unknown flag, missing argument).
 """
 
 from __future__ import annotations
@@ -68,11 +68,11 @@ def _seed_type(text: str) -> int:
     return seed
 
 
-def load_code(source: str, strict_degree: bool = False) -> StabilizerCode:
+def load_code(source: str) -> StabilizerCode:
     """Resolve a JSON code-file path or, when no such file exists, a preset name."""
     if os.path.exists(source):
         try:
-            return StabilizerCode.load(source, strict_degree=strict_degree)
+            return StabilizerCode.load(source)
         except (OSError, ValueError, KeyError) as exc:
             raise InputError(f"cannot load code file {source}: {exc}") from exc
     if ":" in source or source in ("steane",):
@@ -204,7 +204,7 @@ def cmd_attack(args) -> int:
             f"--trials {args.trials} is over the guard of {attacks.TRIAL_GUARD} island trials"
         )
     code = load_code(args.source)
-    if args.attack in ("expander", "refined", "alphabet", "island") and args.seed is None:
+    if args.seed is None:
         raise InputError("a --seed is mandatory for stochastic attack runs")
     report: dict = {"command": "attack", "source": args.source, "attack": args.attack}
     try:
@@ -217,13 +217,13 @@ def cmd_attack(args) -> int:
 
 
 def _run_attack(args, code, report) -> int:
-    csv_row = None
     if args.attack == "island":
         stats = attacks.island_attack(
             code, trials=args.trials, seed=args.seed, best_budget=args.budget
         )
         report["island_stats"] = stats.to_json()
         rep = stats.best_trial
+        report["best_trial"] = rep.to_json()
         bound = attacks.alphabet_alpha(code.d)
     else:
         if args.delta is None:
@@ -238,17 +238,12 @@ def _run_attack(args, code, report) -> int:
                     "the alpha(d) guarantee does not apply"
                 )
             rep = attacks.alphabet_attack(code, args.delta, seed=args.seed, budget=args.budget)
-        elif args.attack == "refined":
+        else:
             target = max(1, int(args.delta * code.n))
             u = code.graph.greedy_t_independent(1, target, seed=args.seed)
             rep = attacks.refined_expander_attack(code, u, args.delta, budget=args.budget)
-        else:
-            raise InputError(f"unknown attack {args.attack!r}")
         bound = _BOUNDS[args.attack](code, rep)
         report["report"] = rep.to_json()
-    if args.attack == "island":
-        report_rep = rep.to_json()
-        report["best_trial"] = report_rep
     r_pess = rep.r_pessimistic
     csv_row = {
         "delta": rep.delta_low,

@@ -150,31 +150,6 @@ def verify_detectability(code: StabilizerCode, rho: int) -> dict:
     }
 
 
-def displaced_codeword_energy(code: StabilizerCode, e: PauliOp, which: int = 0) -> float:
-    """Mean energy of E|eta> for the which-th codespace basis vector.
-
-    Independent of the choice of codeword (the syndrome fixes the
-    eigenvalues); equals penalty(E)/m, which the test suite asserts.
-    """
-    h, basis = _system(code)
-    state = _act(e, basis[:, which])
-    state = state / np.linalg.norm(state)
-    return _energy(state, h, code.m)
-
-
-def verify_energy_identity(code: StabilizerCode, errors: list[PauliOp]) -> dict:
-    """Check mean_energy(E|eta>) == penalty(E)/m for each error, all codewords."""
-    h, basis = _system(code)
-    max_dev = 0.0
-    for e in errors:
-        displaced = _act(e, basis)
-        displaced /= np.linalg.norm(displaced, axis=0)
-        expected = code.penalty(e) / code.m
-        for state in displaced.T:
-            max_dev = max(max_dev, abs(_energy(state, h, code.m) - expected))
-    return {"errors_checked": len(errors), "max_deviation": max_dev, "passed": max_dev <= TOL}
-
-
 def verify_sltc_qltc_equivalence(code: StabilizerCode, samples: int, seed: int = 0) -> dict:
     """Sampled check of the soundness/energy correspondence.
 

@@ -342,17 +342,9 @@ class BipartiteGraph:
             chosen.append(u)
             if len(chosen) == target_size:
                 break
-            # remove every constraint whose (2t+1)-ball can intersect u's
-            ball = {u}
-            frontier = {u}
-            side = "right"
-            for _ in range(4 * t + 2):
-                frontier = self.gamma(frontier, side)
-                side = _other(side)
-                if side == "right":
-                    ball |= frontier
-            for c in ball:
-                alive[c] = False
+            # remove every constraint whose (2t+1)-ball can intersect u's: those
+            # within distance 4t+2 of u (each even frontier holds the one before)
+            alive[list(self.gamma_iter([u], "right", 4 * t + 2))] = False
         return chosen
 
     def verify_t_independent(self, constraints: Sequence[int], t: int) -> bool:

@@ -12,6 +12,11 @@ lower weight that passes the same test, which the weights already
 searched rule out, so the join needs no disjointness check.  Cost scales
 with C(n, w/2), not with the group size.
 
+Every map comes as its Sites, the nonzero (row, qudit) sites of a
+k-local matrix, and site_images builds the weight-1 images of any map
+(the syndrome map, the kernel of A(G), the pivot filter) with one
+scatter over those sites.
+
 candidate_batches enumerates every word of one weight in canonical order
 (supports, then per-site symbols, both lexicographic) in bounded batches;
 the soundness profile and the dense verifier walk it.
@@ -22,11 +27,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .fieldmath import modmul
+from .fieldmath import modmul  # noqa: F401 -- bench/tracing.py wraps search.modmul
 from .pauli import nonidentity_symbols
 
 # rows per candidate_batches batch, which holds 16 n bytes a row
@@ -93,6 +98,39 @@ class SearchResult:
     budget_hit: bool
 
 
+class Sites(NamedTuple):
+    """A map on symplectic words, shape r x 2n, as its nonzero (row, qudit) sites.
+
+    By qudit, then row: x, z are the map's entries in columns q and n + q
+    at site (row, q), in int64 (the code's validation multiplies and
+    subtracts them); first[i] indexes the first site of qudit[i], so each
+    qudit's sites run from first[i] in row order.
+    """
+
+    row: np.ndarray
+    qudit: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    first: np.ndarray
+    shape: tuple[int, int]
+
+    @staticmethod
+    def of(matrix: np.ndarray) -> "Sites":
+        m, n = matrix.shape[0], matrix.shape[1] // 2
+        acts = np.logical_or(matrix[:, :n], matrix[:, n:])
+        # numpy finds nonzeros fast in a bool array read in memory order;
+        # RowSpace.kernel is F-ordered, so there that order is already by qudit
+        if acts.flags.f_contiguous:
+            key = np.flatnonzero(acts.T)
+        else:
+            row, qudit = np.divmod(np.flatnonzero(acts), n)
+            key = np.sort(qudit * m + row)
+        qudit, row = np.divmod(key, m)
+        first = np.searchsorted(qudit, qudit)
+        x, z = (matrix[row, qudit + c].astype(np.int64) for c in (0, n))
+        return Sites(row, qudit, x, z, first, matrix.shape)
+
+
 def _rows(a: np.ndarray) -> np.ndarray:
     """Each row of a 2-D array as one opaque value, ordered as bytes."""
     a = np.ascontiguousarray(a)
@@ -111,27 +149,18 @@ def _join_bytes(size_a: int, a: int, b: int, row_bytes: int) -> int:
     return size_a * (4 * row_bytes + 8 * (a + b) + 16)
 
 
-def _site_images(matrix: np.ndarray, n: int, d: int, symbols) -> np.ndarray:
-    """Image of the weight-1 word with symbol j at site q, at row q*s + j."""
-    out = np.empty((n, len(symbols), matrix.shape[0]), dtype=_image_dtype(d))
-    sym = np.array(symbols, dtype=np.int64)
-    for q in range(n):
-        out[q] = modmul(sym, matrix[:, [q, q + n]].T, d)
-    return out.reshape(n * len(symbols), -1)
+def site_images(sites: Sites, d: int, symbols) -> np.ndarray:
+    """Image of the weight-1 word with symbol j at qudit q under a map, at row q*s + j.
 
-
-def scattered_site_images(sites, m: int, n: int, d: int, symbols) -> np.ndarray:
-    """_site_images of a syndrome map (rows z | -x of m generators), from its nonzero sites.
-
-    sites holds the generator, qudit and int64 x, z exponent of each site
-    (stabilizer.Sites).  Symbol (a, b) at qudit q has image z a - x b at
-    each generator acting on q and 0 at the others, so one assignment per
-    site and symbol fills the table.
+    Symbol (a, b) at qudit q has image x a + z b at each row with a site
+    at q and 0 at the others, so one assignment per site and symbol fills
+    the table.
     """
+    m, n = sites.shape[0], sites.shape[1] // 2
     sym = np.array(symbols, dtype=np.int64)
     out = np.zeros((n, len(sym), m), dtype=_image_dtype(d))
     out[sites.qudit[:, None], np.arange(len(sym)), sites.row[:, None]] = (
-        np.outer(sites.z, sym[:, 0]) - np.outer(sites.x, sym[:, 1])) % d
+        np.outer(sites.x, sym[:, 0]) + np.outer(sites.z, sym[:, 1])) % d
     return out.reshape(n * len(sym), m)
 
 
@@ -145,10 +174,10 @@ def _half_table(n: int, s: int, h: int) -> np.ndarray:
     return (supports * s + symbols.reshape(1, k, h)).reshape(c * k, h)
 
 
-def _images(words: np.ndarray, site_images: np.ndarray, d: int) -> np.ndarray:
-    out = np.zeros((words.shape[0], site_images.shape[1]), dtype=site_images.dtype)
+def _images(words: np.ndarray, images: np.ndarray, d: int) -> np.ndarray:
+    out = np.zeros((words.shape[0], images.shape[1]), dtype=images.dtype)
     for col in words.T:
-        out += site_images[col]
+        out += images[col]
         out %= d
     return out
 
@@ -190,9 +219,9 @@ def min_weight_vector(
     n: int,
     d: int,
     w_max: int,
-    matrix: np.ndarray | Callable[[list], np.ndarray],
+    matrix: Sites,
     target: np.ndarray,
-    nonzero: np.ndarray | None = None,
+    nonzero: Sites | None = None,
     budget: int | None = None,
     symbol_sets: Sequence[Sequence[tuple[int, int]] | None] = (None,),
 ) -> SearchResult:
@@ -204,8 +233,7 @@ def min_weight_vector(
     C(n,b) s^b when b != a (s symbols per site); budget caps their total
     (candidates_tested), and HALF_TABLE_BYTES caps the memory of one join.  nonzero
     goes with a zero target, and only there: it excludes the empty word.
-    matrix may also be given as a function of a symbol list that returns
-    its site images (a sparse map scatters them, see scattered_site_images).
+    Both maps come as their sites (Sites.of turns a dense one into them).
     """
     target = np.asarray(target).astype(np.int64) % d
     if (nonzero is None) != bool(target.any()):
@@ -226,8 +254,8 @@ def min_weight_vector(
                 return SearchResult(None, None, w - 1, tested, True)
             tested += need
             if images[k] is None:
-                images[k] = [None if m is None else m(symbols) if callable(m)
-                             else _site_images(m, n, d, symbols) for m in (matrix, nonzero)]
+                images[k] = [None if m is None else site_images(m, d, symbols)
+                             for m in (matrix, nonzero)]
             sites = _meet(n, d, s, a, b, *images[k], target)
             if sites is not None:
                 v = np.zeros(2 * n, dtype=np.int64)

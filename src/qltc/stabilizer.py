@@ -9,16 +9,19 @@ qudits, each with a specific diagnosis.  Every check runs on the
 matrix's nonzero (generator, qudit) sites, so for k-local generators it
 costs time in proportion to those sites, not to m x m or m x n.  The
 matrix and the kernel of its row space are held in the least unsigned
-type for d (uint8 below 256); single syndromes, penalties and the
-search's site images come from the sites, and the float64 syndrome map
-is built only for the batch products that need BLAS.
+type for d (uint8 below 256).  The code holds its syndrome map, rows
+(z | -x), as search.Sites, and this is the one place that writes that
+layout: single syndromes, penalties and the searches read those sites,
+and the float64 syndrome_matrix that batch products need for BLAS is
+scattered from them on first use.
 
 Weight modulo the group, weight modulo the centralizer, distance and
 succinctness are each one call of search.min_weight_vector: the least
 weight of v with A v = t, where A is the syndrome map or the kernel of
-A(G), with certified intervals when the budget runs out.  Membership
-for weight purposes is scalar-insensitive (a member up to a
-root-of-unity counts), since weight and commutation are phase-blind.
+A(G) (turned into its sites at the call), with certified intervals when
+the budget runs out.  Membership for weight purposes is
+scalar-insensitive (a member up to a root-of-unity counts), since weight
+and commutation are phase-blind.
 """
 
 from __future__ import annotations
@@ -28,14 +31,14 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .fieldmath import RowSpace, check_prime, modmul, residue_dtype, residues
 from .graphs import BipartiteGraph
 from .pauli import PauliOp
-from .search import SearchResult, min_weight_vector, pure_symbols, scattered_site_images
+from .search import SearchResult, Sites, min_weight_vector, pure_symbols
 
 
 class CodeValidationError(ValueError):
@@ -70,31 +73,6 @@ class TrivialQuditError(CodeValidationError):
     def __init__(self, q: int):
         self.qudit = q
         super().__init__(f"qudit {q} has no pair of generators with non-commuting restrictions")
-
-
-class Sites(NamedTuple):
-    """The nonzero (generator, qudit) sites of a symplectic matrix, by qudit, then generator.
-
-    x, z are the exponents there, in int64 (the validation multiplies and
-    subtracts them); first[i] indexes the first site of qudit[i], so each
-    qudit's sites run from first[i] in generator order.
-    """
-
-    row: np.ndarray
-    qudit: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
-    first: np.ndarray
-
-    @staticmethod
-    def of(matrix: np.ndarray) -> "Sites":
-        m, n = matrix.shape[0], matrix.shape[1] // 2
-        rows, cols = np.nonzero(matrix)
-        key = np.unique(cols % n * m + rows)
-        qudit, row = np.divmod(key, m)
-        first = np.searchsorted(qudit, qudit)
-        x, z = (matrix[row, qudit + c].astype(np.int64) for c in (0, n))
-        return Sites(row, qudit, x, z, first)
 
 
 def product_phase(sites: Sites, phases: np.ndarray, c: np.ndarray, d: int) -> int:
@@ -200,6 +178,8 @@ class StabilizerCode:
         if self._phases.shape != (self.m,):
             raise CodeValidationError(f"{self._phases.size} phases for {self.m} generators")
         self._sites = sites = Sites.of(self.symplectic_matrix)
+        # the syndrome map syn(E)_g = <g, E> = g.z . E.x - g.x . E.z, rows (z | -x)
+        self._syndrome_map = sites._replace(x=sites.z, z=-sites.x % d)
 
         weights = np.bincount(sites.row, minlength=self.m)
         if np.any(weights != weights[0]):
@@ -226,19 +206,16 @@ class StabilizerCode:
 
     @functools.cached_property
     def syndrome_matrix(self) -> np.ndarray:
-        """The syndrome map syn(E)_g = <g, E> = g.z . E.x - g.x . E.z as float64 rows (z | -x).
+        """The syndrome map as float64 rows (z | -x), scattered from its sites.
 
         Built on first use, and only the batch products of syndrome_batch
-        read it (BLAS needs float64); single syndromes and the search's
-        site images come from the sites.
+        read it (BLAS needs float64); single syndromes and the searches
+        read the sites.
         """
-        n = self.n
-        out = np.empty((self.m, 2 * n))
-        out[:, :n] = self.symplectic_matrix[:, n:]
-        minus_x = out[:, n:]
-        minus_x[...] = self.symplectic_matrix[:, :n]  # negated in float, not in the narrow type
-        np.negative(minus_x, out=minus_x)
-        minus_x[minus_x < 0] += self.d
+        s = self._syndrome_map
+        out = np.zeros((self.m, 2 * self.n))
+        out[s.row, s.qudit] = s.x
+        out[s.row, self.n + s.qudit] = s.z
         out.setflags(write=False)
         return out
 
@@ -301,20 +278,16 @@ class StabilizerCode:
     def syndrome(self, e: PauliOp) -> np.ndarray:
         """Per-generator symplectic products; zero vector iff E centralizes.
 
-        Summed over the sites at the qudits where E acts.
+        Summed over the syndrome map's sites at the qudits where E acts.
         """
         if e.n != self.n or e.d != self.d:
             raise ValueError("operator does not match code dimensions")
-        s = self._sites
+        s = self._syndrome_map
         ex, ez = e.x[s.qudit], e.z[s.qudit]
         act = np.flatnonzero(ex | ez)
-        terms = s.z[act] * ex[act] - s.x[act] * ez[act]
+        terms = s.x[act] * ex[act] + s.z[act] * ez[act]
         syn = np.bincount(s.row[act], weights=terms, minlength=self.m)
         return syn.astype(np.int64) % self.d
-
-    def _syndrome_images(self, symbols) -> np.ndarray:
-        """The search's weight-1 images of the syndrome map, scattered from the sites."""
-        return scattered_site_images(self._sites, self.m, self.n, self.d, symbols)
 
     def syndrome_batch(self, vs: np.ndarray) -> np.ndarray:
         return modmul(vs, self.syndrome_matrix.T, self.d)
@@ -355,7 +328,7 @@ class StabilizerCode:
             return BoundedWeight.exactly(0)
         w_e = e.weight()
         res = min_weight_vector(
-            self.n, self.d, w_e - 1, self._syndrome_images, target, budget=budget
+            self.n, self.d, w_e - 1, self._syndrome_map, target, budget=budget
         )
         return self._bounded_from_search(res, w_e)
 
@@ -372,7 +345,7 @@ class StabilizerCode:
         kernel = self.rowspace.kernel
         supp = np.flatnonzero(v_e)  # kernel @ v_e over the columns where E acts
         target = modmul(kernel[:, supp], v_e[supp], self.d)
-        res = min_weight_vector(self.n, self.d, w_e - 1, kernel, target, budget=budget)
+        res = min_weight_vector(self.n, self.d, w_e - 1, Sites.of(kernel), target, budget=budget)
         return self._bounded_from_search(res, w_e)
 
     @staticmethod
@@ -389,23 +362,19 @@ class StabilizerCode:
         gz = self.symplectic_matrix[:, self.n :]
         return not np.any(gx.any(axis=1) & gz.any(axis=1))
 
-    def code_distance(
-        self, budget: int | None = None, use_css: bool | None = None, w_max: int | None = None
-    ) -> BoundedWeight:
+    def code_distance(self, budget: int | None = None, w_max: int | None = None) -> BoundedWeight:
         """Minimum weight of a logical: zero syndrome but outside the span.
 
         For CSS codes the X-type and Z-type word searches run in lockstep
         (a minimum-weight logical can be taken single-type); validated
-        against the generic path on small instances in the test suite.
+        against the generic search on small instances in the test suite.
         """
-        if use_css is None:
-            use_css = self.is_css()
         symbol_sets = (
-            (pure_symbols(self.d, "x"), pure_symbols(self.d, "z")) if use_css else (None,)
+            (pure_symbols(self.d, "x"), pure_symbols(self.d, "z")) if self.is_css() else (None,)
         )
         res = min_weight_vector(
-            self.n, self.d, w_max or self.n, self._syndrome_images, np.zeros(self.m),
-            nonzero=self.rowspace.kernel, budget=budget, symbol_sets=symbol_sets,
+            self.n, self.d, w_max or self.n, self._syndrome_map, np.zeros(self.m),
+            nonzero=Sites.of(self.rowspace.kernel), budget=budget, symbol_sets=symbol_sets,
         )
         if res.found_weight is not None:
             return BoundedWeight.exactly(res.found_weight)
@@ -424,8 +393,8 @@ class StabilizerCode:
         pivots = np.zeros((self.rank, 2 * self.n), dtype=residue_dtype(self.d))
         pivots[np.arange(self.rank), self.rowspace.pivots] = 1
         res = min_weight_vector(
-            self.n, self.d, self.k - 1, kernel, np.zeros(kernel.shape[0]),
-            nonzero=pivots, budget=budget,
+            self.n, self.d, self.k - 1, Sites.of(kernel), np.zeros(kernel.shape[0]),
+            nonzero=Sites.of(pivots), budget=budget,
         )
         if res.found_weight is not None:
             return False
@@ -442,7 +411,7 @@ class StabilizerCode:
         }
 
     @staticmethod
-    def from_json(obj: dict, strict_degree: bool = False) -> "StabilizerCode":
+    def from_json(obj: dict) -> "StabilizerCode":
         if not isinstance(obj, dict) or not isinstance(obj.get("generators"), list):
             raise CodeValidationError("a code must be a JSON object with a list of generators")
         if not all(isinstance(g, dict) for g in obj["generators"]):
@@ -451,16 +420,16 @@ class StabilizerCode:
             gens = [PauliOp.from_json(g) for g in obj["generators"]]
         except (TypeError, ValueError) as exc:  # e.g. null, a list or 1.5 where an integer belongs
             raise CodeValidationError(f"malformed generator: {exc}") from exc
-        return build_code(gens, strict_degree=strict_degree)
+        return build_code(gens, strict_degree=False)
 
     def save(self, path, meta: dict | None = None) -> None:
         with open(path, "w") as f:
             json.dump(self.to_json(meta), f, indent=1, sort_keys=True)
 
     @staticmethod
-    def load(path, strict_degree: bool = False) -> "StabilizerCode":
+    def load(path) -> "StabilizerCode":
         with open(path) as f:
-            return StabilizerCode.from_json(json.load(f), strict_degree=strict_degree)
+            return StabilizerCode.from_json(json.load(f))
 
 
 def build_code(generators: Sequence[PauliOp], strict_degree: bool = True) -> StabilizerCode:

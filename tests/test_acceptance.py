@@ -29,15 +29,18 @@ from qltc.attacks import (
 from qltc.pauli import PauliOp
 from qltc.zoo import (
     ClassicalParityCode,
-    classify_string,
     css_hypergraph_product,
-    random_open_path,
     random_regular_bipartite,
-    rectangle_loop_edges,
     regular_circulant_matrix,
     steane_code,
     string_error,
     toric_code,
+)
+from helpers import (
+    classify_string,
+    random_open_path,
+    rectangle_loop_edges,
+    verify_energy_identity,
     wrap_loop_edges,
 )
 
@@ -300,7 +303,7 @@ def test_criterion_10_dense_equivalences(capsys):
                 )
                 if e.weight():
                     errors.append(e)
-            energy = dense.verify_energy_identity(code, errors)
+            energy = verify_energy_identity(code, errors)
             assert energy["passed"] and energy["max_deviation"] < 1e-9
 
             distance = code.code_distance().value

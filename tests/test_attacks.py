@@ -26,16 +26,11 @@ from qltc.attacks import (
     soundness_profile,
 )
 from qltc.pauli import PauliOp, nonidentity_symbols
-from qltc.search import candidate_batches
+from qltc.search import Sites, candidate_batches
 from qltc.fieldmath import RowSpace
-from qltc.stabilizer import Sites, StabilizerCode, build_code, product_phase
-from qltc.zoo import (
-    random_open_path,
-    steane_code,
-    string_error,
-    toric_code,
-    vertex_path_edges,
-)
+from qltc.stabilizer import StabilizerCode, build_code, product_phase
+from qltc.zoo import steane_code, string_error, toric_code
+from helpers import random_open_path, vertex_path_edges, wrap_loop_edges
 
 
 def test_alphabet_constants():
@@ -85,7 +80,7 @@ def test_evaluate_rejects_non_errors():
         evaluate_r(c, c.generators[0])
     with pytest.raises(NotAnErrorError):
         evaluate_r(c, PauliOp.identity(c.n, 2))
-    logical = string_error(2, zoo.wrap_loop_edges(2, 0, "horizontal"), kind="z")
+    logical = string_error(2, wrap_loop_edges(2, 0, "horizontal"), kind="z")
     with pytest.raises(NotAnErrorError):
         evaluate_r(c, logical)
 

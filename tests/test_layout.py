@@ -1,9 +1,10 @@
 """The narrow layout against the int64 path it replaced.
 
 A code holds its symplectic matrix and kernel read-only in the least
-unsigned type for d (uint8 below 256, uint16 above) and takes single
-syndromes, penalties and the search's weight-1 site images from its
-nonzero sites; only batch products build the float64 syndrome map.  The
+unsigned type for d (uint8 below 256, uint16 above) and its syndrome map
+as sites: single syndromes, penalties and the searches' weight-1 site
+images come from them, and only batch products build the float64
+syndrome map, by scattering them.  The
 int64 computations here are the dense path: every narrow result must
 equal them, on codes CSS and not, over small and large primes.  uint8
 arithmetic wraps, so a subtraction or product left in the narrow type
@@ -21,8 +22,10 @@ from qltc import search, zoo
 from qltc.attacks import NotAnErrorError, Refusal, alphabet_attack
 from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.fieldmath import RowSpace
-from qltc.stabilizer import Sites, StabilizerCode, product_phase
+from qltc.search import Sites
+from qltc.stabilizer import StabilizerCode, product_phase
 from test_build import rref_int64
+from test_search import dense_site_images
 
 PRIMES = [2, 3, 5, 131, 257]
 
@@ -159,9 +162,9 @@ def test_narrow_layout_matches_int64_path(case):
     symbols = nonidentity_symbols(d)
     if len(symbols) > 60:
         symbols = [symbols[i] for i in sorted(rng.choice(len(symbols), 60, replace=False))]
-    dense = search._site_images(syndrome64, n, d, symbols)
-    assert np.array_equal(code._syndrome_images(symbols), dense)
-    assert np.array_equal(search._site_images(code.syndrome_matrix, n, d, symbols), dense)
+    dense = dense_site_images(syndrome64, n, d, symbols)
+    assert np.array_equal(search.site_images(code._syndrome_map, d, symbols), dense)
+    assert np.array_equal(search.site_images(Sites.of(code.syndrome_matrix), d, symbols), dense)
 
     # alphabet violation counts: (g.x mz - g.z mx) at each chosen qudit, in int64
     try:
@@ -185,7 +188,7 @@ def test_weight_searches_match_on_the_five_qudit_code(d):
     for _ in range(5):
         e = PauliOp.single(n, d, int(rng.integers(n)), *symbols[int(rng.integers(len(symbols)))])
         target = code.syndrome(e)
-        res = search.min_weight_vector(n, d, 1, code.syndrome_matrix, target,
+        res = search.min_weight_vector(n, d, 1, Sites.of(code.syndrome_matrix), target,
                                        symbol_sets=(symbols,))
         assert res.found_weight == 1
         assert code.wt_mod_centralizer(e).value == 1

@@ -11,10 +11,12 @@ from qltc import search
 from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.search import (
     BATCH_ROWS,
+    Sites,
     candidate_batches,
     min_weight_vector,
     modmul,
     pure_symbols,
+    site_images,
 )
 from qltc.stabilizer import BoundedWeight
 from qltc.zoo import steane_code, toric_code
@@ -31,6 +33,10 @@ def dense_min_weight(n, d, w_max, accept, symbol_sets=(None,)):
                 if accept(batch).any():
                     return w
     return None
+
+
+def sites_of(matrix):
+    return None if matrix is None else Sites.of(matrix)
 
 
 def linear_accept(d, matrix, target, nonzero=None):
@@ -118,8 +124,8 @@ def linear_searches(draw):
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_dense_sweep(case):
     n, d, w_max, matrix, target, nonzero, symbol_sets, budget = case
-    res = min_weight_vector(n, d, w_max, matrix, target, nonzero=nonzero, budget=budget,
-                            symbol_sets=symbol_sets)
+    res = min_weight_vector(n, d, w_max, Sites.of(matrix), target, nonzero=sites_of(nonzero),
+                            budget=budget, symbol_sets=symbol_sets)
     oracle = dense_min_weight(n, d, w_max, linear_accept(d, matrix, target, nonzero), symbol_sets)
     check_against_oracle(res, oracle, w_max)
     if res.found_weight is not None:
@@ -138,14 +144,15 @@ def test_kernel_matches_dense_sweep_past_one_byte(d, w_max):
         v0[rng.choice(n, size=w_max, replace=False)] = rng.integers(1, d, size=w_max)
         nonzero = rng.integers(d, size=(1, 2 * n))
         for target, nz in ((modmul(matrix, v0, d), None), (np.zeros(2, dtype=np.int64), nonzero)):
-            res = min_weight_vector(n, d, w_max, matrix, target, nonzero=nz, symbol_sets=(x,))
+            res = min_weight_vector(n, d, w_max, Sites.of(matrix), target, nonzero=sites_of(nz),
+                                    symbol_sets=(x,))
             oracle = dense_min_weight(n, d, w_max, linear_accept(d, matrix, target, nz), (x,))
             check_against_oracle(res, oracle, w_max)
             if res.found_weight is not None:
                 check_witness(res, n, d, matrix, target, nz, (x,))
         # all d^2 - 1 symbols per site, at weight 1
         target = modmul(matrix, v0 * (np.arange(2 * n) == np.flatnonzero(v0)[0]), d)
-        res = min_weight_vector(n, d, 1, matrix, target)
+        res = min_weight_vector(n, d, 1, Sites.of(matrix), target)
         assert res.found_weight == dense_min_weight(n, d, 1, linear_accept(d, matrix, target))
         check_witness(res, n, d, matrix, target, None, (None,))
 
@@ -213,8 +220,8 @@ def test_candidates_tested_counts_half_tables():
     # toric:3 distance 3, CSS lockstep with one symbol per set: both sets
     # exhaust weights 1 and 2, the X set then finds a logical at weight 3
     c = toric_code(3)
-    res = min_weight_vector(c.n, c.d, c.n, c.syndrome_matrix, np.zeros(c.m),
-                            nonzero=c.rowspace.kernel,
+    res = min_weight_vector(c.n, c.d, c.n, Sites.of(c.syndrome_matrix), np.zeros(c.m),
+                            nonzero=Sites.of(c.rowspace.kernel),
                             symbol_sets=(pure_symbols(2, "x"), pure_symbols(2, "z")))
     assert res.found_weight == 3 and not res.budget_hit
     per_set = [half_table_words(c.n, 1, w) for w in (1, 2, 3)]
@@ -223,10 +230,10 @@ def test_candidates_tested_counts_half_tables():
     # the full symbol set, exhausted to w_max without a hit
     e = PauliOp.single(c.n, 2, 0, 1, 1)
     target = c.syndrome(e)
-    res = min_weight_vector(c.n, c.d, 3, c.syndrome_matrix, target)
+    res = min_weight_vector(c.n, c.d, 3, Sites.of(c.syndrome_matrix), target)
     assert res.found_weight == 1
     assert res.candidates_tested == half_table_words(c.n, 3, 1)
-    far = min_weight_vector(c.n, c.d, 2, c.syndrome_matrix, (target + c.syndrome(
+    far = min_weight_vector(c.n, c.d, 2, Sites.of(c.syndrome_matrix), (target + c.syndrome(
         PauliOp.single(c.n, 2, 9, 1, 0)) + c.syndrome(PauliOp.single(c.n, 2, 4, 0, 1))) % 2)
     assert far.found_weight is None and far.exhausted_weight == 2
     assert far.candidates_tested == half_table_words(c.n, 3, 1) + half_table_words(c.n, 3, 2)
@@ -239,7 +246,7 @@ def test_budget_stops_before_a_weight_it_cannot_pay_for():
               + c.syndrome(PauliOp.single(c.n, 2, 5, 0, 1))
               + c.syndrome(PauliOp.single(c.n, 2, 11, 1, 1))) % 2
     for budget, exhausted in ((full - 1, 1), (full, 2), (0, 0)):
-        res = min_weight_vector(c.n, c.d, 2, c.syndrome_matrix, target, budget=budget)
+        res = min_weight_vector(c.n, c.d, 2, Sites.of(c.syndrome_matrix), target, budget=budget)
         assert res.found_weight is None and res.exhausted_weight == exhausted
         assert res.budget_hit == (budget < full)
         assert res.candidates_tested <= budget
@@ -253,13 +260,60 @@ def test_half_table_cap_is_a_budget_hit(monkeypatch):
     assert c.code_distance() == BoundedWeight(3, None)
 
 
+# --- the one scatter against the dense per-qudit images ---------------------
+
+def dense_site_images(matrix, n, d, symbols):
+    """Image of the weight-1 word with symbol j at qudit q, at row q*s + j: one modmul a qudit."""
+    out = np.empty((n, len(symbols), matrix.shape[0]), dtype=search._image_dtype(d))
+    sym = np.array(symbols, dtype=np.int64)
+    for q in range(n):
+        out[q] = modmul(sym, matrix[:, [q, q + n]].T, d)
+    return out.reshape(n * len(symbols), -1)
+
+
+@st.composite
+def sparse_maps(draw):
+    """A random m x 2n map over GF(d) in the layouts and types the searches meet."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = (int(v) for v in rng.integers(1, 7, size=2))
+    matrix = rng.integers(d, size=(m, 2 * n)) * (rng.random((m, 2 * n)) < rng.random())
+    if draw(st.booleans()):  # x and z both nonzero at one (row, qudit)
+        q = int(rng.integers(n))
+        matrix[rng.integers(m), [q, q + n]] = rng.integers(1, d, size=2)
+    if draw(st.booleans()):  # an all-zero row
+        matrix[rng.integers(m)] = 0
+    if draw(st.booleans()):  # an all-zero qudit
+        q = int(rng.integers(n))
+        matrix[:, [q, q + n]] = 0
+    matrix = matrix.astype(draw(st.sampled_from([np.uint8, np.int64, np.float64])))
+    if draw(st.booleans()):  # F-ordered, as RowSpace.kernel is
+        matrix = np.asfortranarray(matrix)
+    symbols = draw(st.sampled_from([None, "x", "z"]))
+    symbols = nonidentity_symbols(d) if symbols is None else pure_symbols(d, symbols)
+    return matrix, n, d, symbols
+
+
+@given(sparse_maps())
+@settings(max_examples=200, deadline=None)
+def test_scattered_site_images_match_dense(case):
+    matrix, n, d, symbols = case
+    sites = Sites.of(matrix)
+    m = matrix.shape[0]
+    expected = [(r, q) for q in range(n) for r in range(m) if matrix[r, q] or matrix[r, q + n]]
+    assert list(zip(sites.row.tolist(), sites.qudit.tolist())) == expected
+    assert sites.first.tolist() == [sites.qudit.tolist().index(q) for q in sites.qudit.tolist()]
+    images = site_images(sites, d, symbols)
+    assert images.dtype == search._image_dtype(d)
+    assert np.array_equal(images, dense_site_images(matrix, n, d, symbols))
+
+
 def test_join_bytes_bound_the_join():
     # the estimate covers what one join allocates (tracemalloc sees numpy's
     # buffers), here for toric:5 distance at weight 4 over all symbols
     c = toric_code(5)
     symbols = nonidentity_symbols(2)
-    images = [search._site_images(m, c.n, 2, symbols)
-              for m in (c.syndrome_matrix, c.rowspace.kernel)]
+    images = [site_images(Sites.of(m), 2, symbols) for m in (c.syndrome_matrix, c.rowspace.kernel)]
     target = np.zeros(c.m, dtype=search._image_dtype(2))
     tracemalloc.start()
     try:
@@ -272,7 +326,7 @@ def test_join_bytes_bound_the_join():
 
 
 def test_filter_goes_with_zero_target_only():
-    ones = np.ones((1, 4), dtype=np.int64)
+    ones = Sites.of(np.ones((1, 4), dtype=np.int64))
     with pytest.raises(ValueError):
         min_weight_vector(2, 2, 2, ones, np.zeros(1))
     with pytest.raises(ValueError):

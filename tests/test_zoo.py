@@ -8,16 +8,18 @@ from qltc.graphs import BipartiteGraph
 from qltc.pauli import PauliOp
 from qltc.zoo import (
     ClassicalParityCode,
-    classify_string,
     css_code,
     css_hypergraph_product,
     hamming7_matrix,
-    random_open_path,
     random_regular_bipartite,
-    rectangle_loop_edges,
     steane_code,
     string_error,
     toric_code,
+)
+from helpers import (
+    classify_string,
+    random_open_path,
+    rectangle_loop_edges,
     vertex_path_edges,
     wrap_loop_edges,
 )
