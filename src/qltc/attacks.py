@@ -154,9 +154,11 @@ def evaluate_r(
     """Measure penalty, coset weights and r for one error.
 
     budget caps the weight-modulo-centralizer search (which sets delta).
-    The weight modulo the group does not enter r: its search gets budget
-    0, so it reports 0 for a group element and else the certified
-    interval [1, wt(E)].
+    The weight modulo the group does not enter r and is reported without
+    a search as the certified interval [1, wt(E)], exact when wt(E) = 1:
+    a nonzero penalty puts E outside Z(G), which holds A(G), so no F with
+    F*E^{-1} in A(G) has weight 0.  It is what
+    code.wt_mod_group(e, budget=0) reports for such an E.
     """
     if e.is_identity(up_to_phase=True):
         raise NotAnErrorError("identity operator")
@@ -166,11 +168,10 @@ def evaluate_r(
             "operator commutes with every generator (stabilizer or logical element)"
         )
     wz = code.wt_mod_centralizer(e, budget=budget)
-    wg = code.wt_mod_group(e, budget=0)
     return AttackReport(
         error=e,
         weight=e.weight(),
-        wt_mod_group=wg,
+        wt_mod_group=BoundedWeight(1, e.weight()),
         wt_mod_centralizer=wz,
         penalty=penalty,
         m=code.m,
@@ -193,13 +194,10 @@ def _select_qudit(code: StabilizerCode, u: int) -> tuple[int, int]:
     support, i.e. when u's support hits it at least twice.
     """
     g = code.graph
-    more = g.neighbor_masks(g.right_adj[u])[1]
-    best_q, best_a = None, None
-    for q in g.right_adj[u]:
-        a = (g.left_masks[q] & more).bit_count()
-        if best_a is None or a < best_a:
-            best_q, best_a = q, a
-    return best_q, best_a
+    more = g.touches(g.right_adj[u]) > 1
+    counts = [int(more[g.left_adj[q]].sum()) for q in g.right_adj[u]]
+    i = counts.index(min(counts))
+    return g.right_adj[u][i], counts[i]
 
 
 def _tensor_restrictions(code: StabilizerCode, picks: list[tuple[int, int]]) -> PauliOp:
@@ -278,8 +276,8 @@ def refined_expander_attack(
         raise Refusal(f"delta_prime * n = {size} outside [1, |U| = {len(u_set)}]")
     s_all = sorted(g.gamma(u_set, "right"))
     # unique-neighbor count per qudit of S: checks seeing exactly one S-qudit
-    once = g.neighbor_masks(s_all)[0]
-    uniq = {q: (g.left_masks[q] & once).bit_count() for q in s_all}
+    once = g.touches(s_all) == 1
+    uniq = {q: int(once[g.left_adj[q]].sum()) for q in s_all}
     stats = g.expansion_stats(s_all)
     # partition class i = the i-th qudit (sorted) of each constraint's support
     classes = [[(u, g.right_adj[u][i]) for u in u_set] for i in range(code.k)]

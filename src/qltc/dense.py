@@ -94,13 +94,9 @@ def _system(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
     return h, basis
 
 
-def mean_energy(state: np.ndarray, code: StabilizerCode) -> float:
-    """(1/m) <psi| sum_g Pi_g |psi> for a normalized state; lies in [0, 1]."""
-    return _energy(state, _system(code)[0], code.m)
-
-
 def _energy(state: np.ndarray, h: np.ndarray, m: int) -> float:
-    """mean_energy against the code's Hamiltonian h."""
+    """(1/m) <psi|h|psi> for a normalized state; with h the code's Hamiltonian
+    sum_g Pi_g over its m generators, this lies in [0, 1]."""
     state = np.asarray(state, dtype=complex)
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-6:

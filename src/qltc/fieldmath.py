@@ -14,7 +14,8 @@ coefficients are zero at every such row, as in a direct solve that
 prefers the earliest independent rows.  Over GF(2) the elimination runs on
 rows packed as bits, one Python int per row, so a row operation is one
 XOR (the packed-row idea of M4RI, Albrecht, Bard and Hart,
-arXiv:0811.1714); odd p keeps a dense int64 loop.
+arXiv:0811.1714); odd p keeps an int64 loop whose row operations
+touch only the pivot row's nonzero columns.
 """
 
 from __future__ import annotations
@@ -118,11 +119,13 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pr = r + int(pivot_rows[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        a[r] = (a[r] * inv_mod(a[r, c], p)) % p
-        other = np.nonzero(a[:, c])[0]
+        cols = np.flatnonzero(a[r])  # the row update leaves every other column as it is
+        a[r, cols] = a[r, cols] * inv_mod(a[r, c], p) % p
+        other = np.flatnonzero(a[:, c])
         other = other[other != r]
         if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+            block = np.ix_(other, cols)
+            a[block] = (a[block] - np.outer(a[other, c], a[r, cols])) % p
         pivots.append(c)
         r += 1
     return a, pivots

@@ -1,8 +1,10 @@
 """Bipartite qudit/constraint interaction graphs.
 
 Left vertices are qudits, right vertices are constraints.  Neighborhoods
-are kept both as index lists and as integer bitmasks over constraints, so
-the expansion count of a qudit set reduces to OR + popcount.
+are kept as index lists, and Gamma(q) once more as a row of uint64 bit
+words over the constraints for the expansion scan.  Every count of a
+qudit set S reads `touches(S)`, how many qudits of S each constraint
+touches: once for a unique neighbor, more for a multi neighbor.
 
 The small-set expansion scan enumerates connected qudit sets by ESU
 (Wernicke 2006) one level, one set size, at a time.  A level is a set of
@@ -85,13 +87,8 @@ class BipartiteGraph:
         self.right_adj: list[list[int]] = _split(q_sorted, lens)
         left_lens = np.bincount(quds, minlength=n)
         self.left_adj: list[list[int]] = _split(cons[np.lexsort((cons, quds))], left_lens)
-        # Gamma(q) over constraints as bit c of row q: uint64 words for the level
-        # scan, the same little-endian bits as one int in left_masks[q]
+        # Gamma(q) over constraints as bit c of row q, in uint64 words
         self._constraint_words = _bit_rows(n, m, quds, cons)
-        rows = self._constraint_words.astype("<u8", copy=False).tobytes()
-        width = 8 * self._constraint_words.shape[1]
-        self.left_masks = [int.from_bytes(rows[q * width : (q + 1) * width], "little")
-                           for q in range(n)]
         self.D_L = int(left_lens[0]) if n and np.all(left_lens == left_lens[0]) else None
         self.k = int(lens[0]) if m and np.all(lens == lens[0]) else None
 
@@ -132,28 +129,19 @@ class BipartiteGraph:
         return [sorted(s - {q}) for q, s in enumerate(nbrs)]
 
     # --- expansion ----------------------------------------------------
-    def neighbor_masks(self, qudits: Iterable[int]) -> tuple[int, int, int]:
-        """(once, more, total) of a qudit set S.
-
-        once and more are constraint bitmasks: the constraints S touches
-        exactly once and at least twice; total is the degree sum of S.
-        """
-        once = more = total = 0
-        for q in qudits:
-            mask = self.left_masks[q]
-            more |= once & mask
-            once = (once | mask) & ~more
-            total += len(self.left_adj[q])
-        return once, more, total
+    def touches(self, qudits: Iterable[int]) -> np.ndarray:
+        """How many qudits of S each constraint touches, as a length-m int array."""
+        return np.bincount(_flatten([self.left_adj[q] for q in qudits])[1], minlength=self.m)
 
     def expansion_stats(self, qudits: Iterable[int]) -> ExpansionStats:
         qudits = list(qudits)
         if not qudits:
             raise ValueError("expansion of the empty set is undefined")
-        once, more, total = self.neighbor_masks(qudits)
+        hits = self.touches(qudits)
+        total = int(hits.sum())
         if not total:
             raise ValueError(f"qudit {qudits[0]} touches no constraint: the expansion is undefined")
-        unique, multi = once.bit_count(), more.bit_count()
+        unique, multi = int(np.count_nonzero(hits == 1)), int(np.count_nonzero(hits > 1))
         return ExpansionStats(len(qudits), unique + multi, unique, multi, total)
 
     def small_set_expansion_error(self, size_cap: int) -> dict:
@@ -181,8 +169,7 @@ class BipartiteGraph:
         witness = None
         if best > 0:  # the first set in ESU order grows from the smallest root attaining best
             sets = self._connected_sets(size_cap, int(np.argmax(root_best)))
-            witness = next(tuple(s) for s, mask, total in sets
-                           if 1.0 - mask.bit_count() / total == best)
+            witness = next(tuple(s) for s, gamma, total in sets if 1.0 - gamma / total == best)
         return {
             "epsilon_star": best,
             "witness": witness,
@@ -289,35 +276,36 @@ class BipartiteGraph:
         return child_root, child_mask, nbr[parent] | nmask[w], child_total, child_ptr, child_ext
 
     def _connected_sets(self, size_cap: int, root: int):
-        """Yield (set, OR of its left_masks, degree total) once per connected set
-        whose smallest qudit is root.
+        """Yield (set, |Gamma(set)|, degree total) once per connected set whose
+        smallest qudit is root.
 
         ESU (Wernicke 2006): a set grows from its smallest qudit, the root.
         A qudit joins the extension only if it exceeds the root and is not
         excluded; the excluded set holds the set itself and every qudit
         ever put in an extension on the way down, so no set is reached
         twice.  Extensions are consumed from the end, and each set comes
-        right before the sets grown from it.
+        right before the sets grown from it.  Gamma(set) is the OR of its
+        qudits' constraint words, as in the level scan.
         """
         adj = self.sharing_adjacency
-        masks = self.left_masks
+        words = self._constraint_words
         degs = [len(v) for v in self.left_adj]
 
         def extend(sub, ext, excluded, mask, total):
             while ext:
                 w = ext.pop()
-                child, child_mask, child_total = sub + [w], mask | masks[w], total + degs[w]
-                yield child, child_mask, child_total
+                child, child_mask, child_total = sub + [w], mask | words[w], total + degs[w]
+                yield child, int(np.bitwise_count(child_mask).sum()), child_total
                 if len(child) < size_cap:  # a full-size set is never extended
                     new = [u for u in adj[w] if u > root and u not in excluded]
                     excluded.update(new)
                     yield from extend(child, ext + new, excluded, child_mask, child_total)
                     excluded.difference_update(new)
 
-        yield [root], masks[root], degs[root]
+        yield [root], int(np.bitwise_count(words[root]).sum()), degs[root]
         if size_cap > 1:
             ext = [u for u in adj[root] if u > root]
-            yield from extend([root], ext, {root, *ext}, masks[root], degs[root])
+            yield from extend([root], ext, {root, *ext}, words[root], degs[root])
 
     # --- independent sets ---------------------------------------------
     def greedy_t_independent(
@@ -348,13 +336,10 @@ class BipartiteGraph:
         return chosen
 
     def verify_t_independent(self, constraints: Sequence[int], t: int) -> bool:
-        """Post-hoc pairwise Gamma^(2t+1) disjointness check."""
-        balls = [frozenset(self.gamma_iter([u], "right", 2 * t + 1)) for u in constraints]
-        for i in range(len(balls)):
-            for j in range(i + 1, len(balls)):
-                if balls[i] & balls[j]:
-                    return False
-        return True
+        """Post-hoc Gamma^(2t+1) disjointness check: the balls are pairwise
+        disjoint iff their sizes sum to the size of their union."""
+        balls = [self.gamma_iter([u], "right", 2 * t + 1) for u in constraints]
+        return sum(map(len, balls)) == len(set().union(*balls))
 
 
 def _split(flat: np.ndarray, lens: np.ndarray) -> list[list[int]]:

@@ -191,12 +191,12 @@ class StabilizerCode:
 
         right_adj = sites.qudit[np.argsort(sites.row, kind="stable")].reshape(self.m, self.k)
         self.graph = BipartiteGraph(self.n, self.m, right_adj.tolist())
-        degrees = [len(v) for v in self.graph.left_adj]
-        if len(set(degrees)) != 1:
+        self.D_L = self.graph.D_L  # None when irregular
+        if self.D_L is None:
+            degrees = sorted({len(v) for v in self.graph.left_adj})
             if strict_degree:
                 raise IrregularDegreeError(degrees)
-            warnings.warn(f"irregular left degrees {sorted(set(degrees))}", stacklevel=2)
-        self.D_L = self.graph.D_L  # None when irregular
+            warnings.warn(f"irregular left degrees {degrees}", stacklevel=2)
 
         self._check_trivial_qudits()
 

@@ -103,7 +103,7 @@ def displaced_codeword_energy(code: StabilizerCode, e: PauliOp, which: int = 0) 
 
 
 def verify_energy_identity(code: StabilizerCode, errors: list[PauliOp]) -> dict:
-    """Check mean_energy(E|eta>) == penalty(E)/m for each error, all codewords."""
+    """Check that the mean energy of E|eta> is penalty(E)/m for each error, all codewords."""
     h, basis = _system(code)
     max_dev = 0.0
     for e in errors:

@@ -85,6 +85,27 @@ def test_evaluate_rejects_non_errors():
         evaluate_r(c, logical)
 
 
+@pytest.mark.parametrize("make", [lambda: toric_code(3), lambda: toric_code(3, 3), steane_code],
+                         ids=["toric:3", "toric:3:3", "steane"])
+def test_evaluate_r_wt_mod_group_is_the_budget_0_search(make):
+    """evaluate_r reports the weight modulo the group without a search; the
+    budget-0 search stays the oracle, on random errors with nonzero penalty."""
+    code = make()
+    rng = np.random.default_rng(0)
+    weights = set()
+    checked = 0
+    while checked < 40:
+        x, z = rng.integers(code.d, size=(2, code.n))
+        keep = rng.random(code.n) < rng.uniform(0.05, 0.6)
+        e = PauliOp(code.d, code.n, x * keep, z * keep, 0)
+        if code.penalty(e) == 0:
+            continue
+        assert evaluate_r(code, e).wt_mod_group == code.wt_mod_group(e, budget=0)
+        weights.add(e.weight())
+        checked += 1
+    assert 1 in weights and len(weights) > 3
+
+
 def test_interval_r_pessimistic():
     c = toric_code(3)
     e = string_error(3, random_open_path(3, 3, np.random.default_rng(1)), kind="z")
@@ -198,10 +219,10 @@ def test_attack_counts_match_per_constraint_popcounts(name):
     for _ in range(30):
         s = rng.choice(code.n, size=int(rng.integers(1, 13)), replace=False).tolist()
         # refined: checks at q seeing exactly one qudit of S
-        once = g.neighbor_masks(s)[0]
+        once = g.touches(s) == 1
         for q in s:
             uniq = sum(1 for c in g.left_adj[q] if (right[c] & _mask(s)).bit_count() == 1)
-            assert (g.left_masks[q] & once).bit_count() == uniq
+            assert int(once[g.left_adj[q]].sum()) == uniq
 
 
 # --- refined attack --------------------------------------------------------

@@ -52,6 +52,49 @@ def test_rref_preserves_rowspace(mp):
     assert fm.RowSpace(r, p).contains_batch(mat).all()
 
 
+def gauss_jordan(mat, p):
+    """Textbook Gauss-Jordan over GF(p) on Python lists, each row operation over the
+    full width: the oracle for rref's odd-p loop."""
+    a = [[v % p for v in row] for row in mat.tolist()]
+    pivots, r = [], 0
+    for c in range(mat.shape[1]):
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [v * inv % p for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return a, pivots
+
+
+@st.composite
+def sparse_odd_matrices(draw):
+    """Matrices up to 8 x 12 over GF(3) or GF(5), mostly zeros (so pivot rows are
+    sparse), with entries outside [0, p) to reduce."""
+    p = draw(st.sampled_from([3, 5]))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    entry = st.one_of(st.just(0), st.integers(-p, 2 * p - 1))
+    data = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    return np.array(data, dtype=np.int64).reshape(rows, cols), p
+
+
+@given(sparse_odd_matrices())
+@settings(max_examples=300, deadline=None)
+def test_odd_rref_matches_gauss_jordan(mp):
+    mat, p = mp
+    r, pivots = fm.rref(mat, p)
+    want, want_pivots = gauss_jordan(mat, p)
+    assert r.tolist() == want and pivots == want_pivots
+
+
 @given(matrices)
 @settings(max_examples=200)
 def test_nullspaces_annihilate(mp):

@@ -38,7 +38,7 @@ def test_build_and_adjacency():
 
 def reference_graph(n, m, right_adj):
     """The per-edge Python loop the constructor used before its numpy build: the oracle
-    for its adjacency lists, masks, degrees and the first error it raises."""
+    for its adjacency lists, degrees and the first error it raises."""
     if len(right_adj) != m:
         raise ValueError("right adjacency length mismatch")
     right, left = [], [[] for _ in range(n)]
@@ -52,9 +52,8 @@ def reference_graph(n, m, right_adj):
             left[q].append(c)
         right.append(sorted(nbrs))
     left = [sorted(v) for v in left]
-    masks = [sum(1 << c for c in v) for v in left]
     left_degs, right_degs = {len(v) for v in left}, {len(v) for v in right}
-    return {"right_adj": right, "left_adj": left, "left_masks": masks,
+    return {"right_adj": right, "left_adj": left,
             "D_L": left_degs.pop() if len(left_degs) == 1 else None,
             "k": right_degs.pop() if len(right_degs) == 1 else None}
 
@@ -89,8 +88,7 @@ def test_graph_build_matches_reference_loop(case):
 
     def build():
         g = BipartiteGraph(n, m, rows)
-        return {"right_adj": g.right_adj, "left_adj": g.left_adj, "left_masks": g.left_masks,
-                "D_L": g.D_L, "k": g.k}
+        return {"right_adj": g.right_adj, "left_adj": g.left_adj, "D_L": g.D_L, "k": g.k}
 
     assert _outcome(build) == want
 
@@ -303,9 +301,9 @@ def test_connected_sets_match_first_occurrences_of_the_duplicating_rule(seed, ca
     scanned = list(_esu_sets(g, cap))
     assert [s for s, _, _ in scanned] == _first_occurrences(_duplicating_connected_sets(g, cap))
     assert len(scanned) == _connected_subset_count(g, cap)
-    for s, mask, total in scanned:
+    for s, gamma, total in scanned:
         stats = _expansion_stats_matrix(g, s)
-        assert (mask.bit_count(), total) == (stats.gamma_size, stats.total_degree)
+        assert (gamma, total) == (stats.gamma_size, stats.total_degree)
 
 
 def _esu_sets(g, size_cap):
@@ -318,9 +316,9 @@ def _esu_scan(g, size_cap):
     """(epsilon*, witness, sets scanned) of the set-at-a-time ESU walk the level scan
     replaced: the first set in walk order with the largest expansion error wins."""
     best, witness, scanned = 0.0, None, 0
-    for s, mask, total in _esu_sets(g, size_cap):
+    for s, gamma, total in _esu_sets(g, size_cap):
         scanned += 1
-        eps = 1.0 - mask.bit_count() / total
+        eps = 1.0 - gamma / total
         if eps > best:
             best, witness = eps, tuple(s)
     return best, witness, scanned
@@ -394,16 +392,17 @@ def test_sets_scanned_counts_each_connected_set_once(L, cap, count):
     assert g.small_set_expansion_error(cap)["sets_scanned"] == count
 
 
-def test_neighbor_masks_split_once_and_more():
+def test_touches_counts_the_qudits_of_s_at_each_constraint():
     g = random_regular_bipartite(24, 18, 3, 4, seed=3)
     rng = np.random.default_rng(3)
     for _ in range(50):
         s = rng.choice(g.n, size=int(rng.integers(1, 7)), replace=False).tolist()
-        once, more, total = g.neighbor_masks(s)
         hits = [len(set(g.right_adj[c]) & set(s)) for c in range(g.m)]
-        assert once == sum(1 << c for c, h in enumerate(hits) if h == 1)
-        assert more == sum(1 << c for c, h in enumerate(hits) if h >= 2)
-        assert total == sum(hits)
+        assert g.touches(s).tolist() == hits
+        stats = g.expansion_stats(s)
+        assert stats.unique_neighbors == sum(h == 1 for h in hits)
+        assert stats.multi_neighbors == sum(h >= 2 for h in hits)
+        assert stats.total_degree == sum(hits)
 
 
 # --- expansion facts (2-eps bounds) ---------------------------------------
@@ -477,3 +476,27 @@ def test_verify_rejects_adjacent():
     c0 = 0
     c1 = next(iter(g.gamma(g.gamma([c0], "right"), "left") - {c0}))
     assert not g.verify_t_independent([c0, c1], 1)
+
+
+def _pairwise_disjoint_balls(g, constraints, t):
+    """The pairwise loop verify_t_independent replaced: every two balls compared."""
+    balls = [g.gamma_iter([u], "right", 2 * t + 1) for u in constraints]
+    return not any(balls[i] & balls[j] for i, j in itertools.combinations(range(len(balls)), 2))
+
+
+@given(st.integers(0, 10**6), st.sampled_from([1, 2]))
+@settings(max_examples=150, deadline=None)
+def test_verify_t_independent_matches_the_pairwise_loop(seed, t):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 30)), int(rng.integers(1, 20))
+    right_adj = [
+        rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False).tolist()
+        for _ in range(m)
+    ]
+    g = BipartiteGraph(n, m, right_adj)
+    # greedy picks (independent), random picks (mostly not) and repeated constraints
+    picks = [g.greedy_t_independent(t, m, seed=seed),
+             rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False).tolist(),
+             rng.integers(0, m, size=3).tolist()]
+    for u in picks:
+        assert g.verify_t_independent(u, t) == _pairwise_disjoint_balls(g, u, t)
