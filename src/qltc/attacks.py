@@ -647,7 +647,7 @@ def _key_powers(m: int, d: int) -> np.ndarray:
 
 
 def soundness_profile(code: StabilizerCode, weight_cap: int) -> SoundnessProfile:
-    """Brute-force soundness oracle; refuses caps past PROFILE_GUARD with an estimate."""
+    """Brute-force soundness oracle; refuses caps past PROFILE_GUARD candidates, counted exactly."""
     weights = range(1, min(weight_cap, code.n) + 1)  # no Pauli on n qudits is heavier than n
     total = sum(candidates_at_weight(code.n, code.d, w) for w in weights)
     if total > PROFILE_GUARD:

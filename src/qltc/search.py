@@ -247,8 +247,8 @@ def min_weight_vector(
         a, b = (w + 1) // 2, w // 2
         for k, symbols in enumerate(sets):
             s = len(symbols)
-            size_a = math.comb(n, a) * s**a
-            need = size_a + (math.comb(n, b) * s**b if b != a else 0)
+            size_a = candidates_at_weight(n, d, a, symbols)
+            need = size_a + (candidates_at_weight(n, d, b, symbols) if b != a else 0)
             over_budget = budget is not None and tested + need > budget
             if over_budget or _join_bytes(size_a, a, b, row_bytes) > HALF_TABLE_BYTES:
                 return SearchResult(None, None, w - 1, tested, True)

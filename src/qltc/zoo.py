@@ -310,25 +310,31 @@ def classical_soundness_check(code: ClassicalParityCode, weight_cap: int) -> dic
 
 
 def parse_sparse_rows(text: str) -> np.ndarray:
-    """Plain-text sparse row format: one row per line, entries 'col' or 'col:val'."""
-    rows = []
-    entries = []
-    max_col = -1
-    for line in text.splitlines():
-        line = line.split("#")[0].strip()
-        if not line:
-            continue
+    """Plain-text sparse row format: one row per line, entries 'col' or 'col:val'.
+
+    Negative columns and values past int64 are refused, and so, before it is
+    allocated, is a dense int64 matrix over BUILD_GUARD bytes.  No code is lost:
+    a css: or hgp: code made with an r x c matrix has m generators on n qudits
+    with mn >= rc, and _check_build_size puts it at 8mn bytes or more.
+    """
+    rows, widest = [], (-1, 0)  # the largest column and its line
+    for number, line in enumerate(text.splitlines(), 1):
         row = {}
-        for tok in line.split():
-            if ":" in tok:
-                c, v = tok.split(":")
-                row[int(c)] = int(v)
-            else:
-                row[int(tok)] = 1
-            max_col = max(max_col, max(row))
-        rows.append(row)
-    mat = np.zeros((len(rows), max_col + 1), dtype=np.int64)
+        for tok in line.split("#")[0].split():
+            c, v = tok.split(":") if ":" in tok else (tok, 1)
+            row[int(c)] = int(v)
+        if row:
+            if min(row) < 0:
+                raise ValueError(f"line {number}: negative column {min(row)}")
+            if max(map(abs, row.values())) >= 2**63:
+                raise ValueError(f"line {number}: a value past int64")
+            widest = max(widest, (max(row), number))
+            rows.append(row)
+    cols = widest[0] + 1
+    if 8 * len(rows) * cols > BUILD_GUARD:
+        raise ValueError(f"line {widest[1]}: column {cols - 1} makes a {len(rows)} x {cols}"
+                         f" int64 matrix, over the {BUILD_GUARD / 1e9:.3g} GB build guard")
+    mat = np.zeros((len(rows), cols), dtype=np.int64)
     for i, row in enumerate(rows):
-        for c, v in row.items():
-            mat[i, c] = v
+        mat[i, list(row)] = list(row.values())
     return mat

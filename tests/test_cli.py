@@ -7,7 +7,9 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import qltc
 from qltc.cli import main
 
+DATA = Path(__file__).parent / "data"
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -64,6 +67,19 @@ def test_build_invalid_css_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "build", f"css:{hx},{hz}")
     assert code == 1
     assert "error" in err or "invalid" in err
+
+
+@pytest.mark.parametrize("name, column", [("neg_col.txt", "-3"), ("huge_col.txt", "99999999999")])
+def test_build_css_with_bad_column_exits_1_without_allocating(capsys, name, column):
+    path = DATA / name
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "build", f"css:{path},{path}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and f"column {column}" in err
+    assert peak < 1 << 20
 
 
 def test_unknown_source_exits_1(capsys):
@@ -167,6 +183,13 @@ def test_analyze_expansion_refused_in_band(capsys):
     assert "infeasible" in refusal and "--sets" in refusal and "sampled" not in refusal
 
 
+def test_analyze_expansion_scans_every_connected_set_of_toric3(capsys):
+    code, out, _ = run(capsys, "analyze", "toric:3", "--expansion", "--sets", "99999")
+    expansion = json.loads(out)["expansion"]
+    assert code == 0 and expansion["kind"] == "exact"
+    assert expansion["sets_scanned"] == 251133  # every connected set of the 18 qudits
+
+
 # --- attack ----------------------------------------------------------------
 
 def test_attack_requires_seed(capsys):
@@ -263,8 +286,7 @@ def test_unwritable_report_path_exits_1(capsys, tmp_path):
 
 
 def test_attack_infeasible_expander_bound_refused_in_band(capsys, monkeypatch):
-    monkeypatch.setattr(qltc.graphs.BipartiteGraph, "_connected_set_estimate",
-                        lambda self, size_cap: 10**12)
+    monkeypatch.setattr(qltc.graphs, "EXPANSION_GUARD", 1)
     code, out, _ = run(capsys, "attack", "toric:3", "expander", "--delta", "0.05", "--seed", "0")
     assert code == 0
     assert "infeasible" in json.loads(out)["refused"]
@@ -466,10 +488,14 @@ def test_determinism_identical_reports(tmp_path, capsys):
 # Good sources are small presets and presets the dense oracle refuses; good weights
 # and set sizes go past n, and good counts past memory, where they must be answered or
 # refused, not enumerated.
-SOURCES = (["toric:3", "toric:2:3", "steane", "toric:6"],
+SOURCES = (["toric:3", "toric:2:3", "steane", "toric:6",
+            *(f"{kind}:{DATA / a},{DATA / b}" for kind, a, b in [
+                ("css", "hamming7.txt", "hamming7.txt"), ("hgp", "rep2.txt", "rep2.txt")])],
            ["toric:1", "toric:0", "toric:-2", "toric:3:4", "toric:x", "toric:", "toric:100000",
             "hgp:", "css:no-such-file,no-such-file", "no-such-source", "", "toric:3:2:junk",
-            "steane:junk"])
+            "steane:junk",
+            *(f"css:{DATA / name},{DATA / name}" for name in
+              ["neg_col.txt", "huge_col.txt", "frac_col.txt"])])
 WEIGHTS = (["1", "2", "3", "99999", "9" * 40],
            ["0", "-1", "abc", "", "1.5", "inf", "nan", "1e3", "0x10"])
 COUNTS = (["1", "2", "5", "+4", "99999999999", "99999999999999"],

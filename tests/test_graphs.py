@@ -1,9 +1,7 @@
 import itertools
-import math
 import os
 import subprocess
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -347,9 +345,7 @@ def ragged_graphs(draw):
 def test_level_scan_matches_esu_walk(g, cap, past_n):
     if past_n:
         cap += g.n  # every connected set, capped by n alone
-    # the guard's estimate runs far past the at most 2**12 - 1 sets of these graphs
-    with mock.patch.object(graphs, "EXPANSION_GUARD", math.inf):
-        assert _scan_result(g, cap) == _esu_scan(g, cap)
+    assert _scan_result(g, cap) == _esu_scan(g, cap)
 
 
 @pytest.mark.parametrize("name", ["toric:4", "hgp:circulant8", "random 24x18 seed 5"])
@@ -390,6 +386,15 @@ def test_sets_scanned_counts_each_connected_set_once(L, cap, count):
     g = toric_code(L).graph
     assert _connected_subset_count(g, cap) == count
     assert g.small_set_expansion_error(cap)["sets_scanned"] == count
+
+
+def test_expansion_guard_bounds_the_sets_the_scan_counts(monkeypatch):
+    g = toric_code(4).graph  # 4,272 connected sets of size <= 4
+    monkeypatch.setattr(graphs, "EXPANSION_GUARD", 4272)
+    assert g.small_set_expansion_error(4)["sets_scanned"] == 4272
+    monkeypatch.setattr(graphs, "EXPANSION_GUARD", 4271)
+    with pytest.raises(ValueError, match="infeasible.*--sets"):
+        g.small_set_expansion_error(4)
 
 
 def test_touches_counts_the_qudits_of_s_at_each_constraint():

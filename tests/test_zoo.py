@@ -140,6 +140,31 @@ def test_parse_sparse_rows():
     ]
 
 
+
+@pytest.mark.parametrize("text, match", [
+    ("0 1\n1 -3\n", "line 2: negative column -3"),
+    ("0:99999999999999999999\n", "line 1: a value past int64"),
+    ("0 1\n\n0 99999999999\n", "line 3: column 99999999999 makes a 2 x 100000000000"),
+    ("0 1.5\n", "1.5"),
+    ("0:1:1\n", "unpack"),
+])
+def test_parse_sparse_rows_refuses_bad_entries(text, match):
+    with pytest.raises(ValueError, match=match):
+        zoo.parse_sparse_rows(text)
+
+
+@pytest.mark.parametrize("r", [1, 3, 1000, 1 << 14])
+def test_matrix_over_the_parse_guard_makes_only_refused_builds(r):
+    c = zoo.BUILD_GUARD // (8 * r) + 1  # the fewest columns the parser refuses at r rows
+    with pytest.raises(ValueError, match="build guard"):
+        zoo.parse_sparse_rows("0\n" * (r - 1) + f"{c - 1}\n")
+    # the smallest codes such a matrix makes: css (m >= r generators on c qudits) and the
+    # hypergraph product with a 1 x 1 matrix (r + c generators on r + c qudits)
+    for m, n in [(r, c), (r + c, r + c)]:
+        with pytest.raises(ValueError, match="guard"):
+            zoo._check_build_size(m, n, 2)
+
+
 # --- random graphs ---------------------------------------------------------
 
 def test_random_regular_bipartite():
