@@ -691,6 +691,16 @@ def test_profile_first_sighting_sets_the_coset_weight():
     assert prof.min_penalty == {1: 2, 2: 2, 3: 4}
 
 
+@pytest.mark.parametrize("L, d, cap, min_penalty, seen, complete", [
+    (3, 3, 3, {1: 2, 2: 2, 3: 3}, 321_804, False),
+    (4, 5, 2, {1: 2, 2: 2}, 285_888, False),  # keys of two words base 5
+    (6, 2, 2, {1: 2, 2: 2}, 23_004, False),  # keys of two words over GF(2)
+])
+def test_profile_golden_values(L, d, cap, min_penalty, seen, complete):
+    prof = soundness_profile(toric_code(L, d), cap)
+    assert _profile_facts(prof) == (min_penalty, seen, complete)
+
+
 def test_profile_peak_memory():
     code = toric_code(4)
     tracemalloc.start()
