@@ -397,6 +397,27 @@ def test_expansion_guard_bounds_the_sets_the_scan_counts(monkeypatch):
         g.small_set_expansion_error(4)
 
 
+@pytest.mark.parametrize("guard, built", [(4271, [128, 640]), (799, [128]), (159, [])])
+def test_expansion_refusal_comes_before_the_level_that_passes_the_guard(monkeypatch, guard, built):
+    # toric:4 has 32, 128, 640 and 3,472 connected sets of sizes 1 to 4; a level
+    # counts its children before they are built, so the level that would take
+    # the count past the guard is never built
+    g = toric_code(4).graph
+    sizes = []
+    real = BipartiteGraph._children
+
+    def spy(self, *args):
+        level = real(self, *args)
+        sizes.append(level[0].size)
+        return level
+
+    monkeypatch.setattr(BipartiteGraph, "_children", spy)
+    monkeypatch.setattr(graphs, "EXPANSION_GUARD", guard)
+    with pytest.raises(ValueError, match="infeasible.*--sets"):
+        g.small_set_expansion_error(4)
+    assert sizes == built
+
+
 def test_touches_counts_the_qudits_of_s_at_each_constraint():
     g = random_regular_bipartite(24, 18, 3, 4, seed=3)
     rng = np.random.default_rng(3)
