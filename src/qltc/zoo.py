@@ -312,17 +312,21 @@ def classical_soundness_check(code: ClassicalParityCode, weight_cap: int) -> dic
 def parse_sparse_rows(text: str) -> np.ndarray:
     """Plain-text sparse row format: one row per line, entries 'col' or 'col:val'.
 
-    Negative columns and values past int64 are refused, and so, before it is
-    allocated, is a dense int64 matrix over BUILD_GUARD bytes.  No code is lost:
-    a css: or hgp: code made with an r x c matrix has m generators on n qudits
-    with mn >= rc, and _check_build_size puts it at 8mn bytes or more.
+    A token that is not such an entry, a negative column and a value past
+    int64 are refused by line, and so, before it is allocated, is a dense
+    int64 matrix over BUILD_GUARD bytes.  No code is lost: a css: or hgp:
+    code made with an r x c matrix has m generators on n qudits with
+    mn >= rc, and _check_build_size puts it at 8mn bytes or more.
     """
     rows, widest = [], (-1, 0)  # the largest column and its line
     for number, line in enumerate(text.splitlines(), 1):
         row = {}
         for tok in line.split("#")[0].split():
-            c, v = tok.split(":") if ":" in tok else (tok, 1)
-            row[int(c)] = int(v)
+            try:
+                c, v = tok.split(":") if ":" in tok else (tok, 1)
+                row[int(c)] = int(v)
+            except ValueError:  # not an integer, or more than one ':'
+                raise ValueError(f"line {number}: bad entry {tok!r}") from None
         if row:
             if min(row) < 0:
                 raise ValueError(f"line {number}: negative column {min(row)}")
