@@ -647,7 +647,17 @@ def _key_powers(m: int, d: int) -> np.ndarray:
 
 
 def soundness_profile(code: StabilizerCode, weight_cap: int) -> SoundnessProfile:
-    """Brute-force soundness oracle; refuses caps past PROFILE_GUARD candidates, counted exactly."""
+    """Brute-force soundness oracle; refuses caps past PROFILE_GUARD candidates, counted exactly.
+
+    The syndromes seen at lower weights are held as sorted keys, each one
+    int64, or one opaque value (ordered as bytes) of the int64 words when
+    the m digits need several.  A word of weight w whose key is not in that
+    table sees its syndrome first at w, and as the penalty is a function of
+    the syndrome, the least penalty of those words is min_penalty[w].  Each
+    batch looks its keys up in sorted order and keeps its new keys as one
+    sorted run without repeats; the runs join the table when the weight is
+    done, in one stable sort, which merges sorted runs.
+    """
     weights = range(1, min(weight_cap, code.n) + 1)  # no Pauli on n qudits is heavier than n
     total = sum(candidates_at_weight(code.n, code.d, w) for w in weights)
     if total > PROFILE_GUARD:
@@ -655,31 +665,35 @@ def soundness_profile(code: StabilizerCode, weight_cap: int) -> SoundnessProfile
             f"profile enumeration of {total} candidates exceeds the guard ({PROFILE_GUARD})"
         )
     powers = _key_powers(code.m, code.d)
-    # keys of the nonzero syndromes seen so far, sorted, each once
-    table = np.empty((0, powers.shape[1]), dtype=np.int64)
+
+    def keys_of(syn):
+        keys = syn @ powers
+        if keys.shape[1] == 1:
+            return keys[:, 0]
+        return keys.view(np.dtype((np.void, keys[0].nbytes)))[:, 0]  # each row as one value
+
+    # the zero syndrome is a centralizer element, not an error: seen from the start
+    table = keys_of(np.zeros((1, code.m), dtype=np.int64))
     min_penalty: dict[int, int] = {}
     for w in weights:
-        keys, pens = [table], [np.zeros(len(table), dtype=np.int64)]
+        runs = [table]
         for batch in candidate_batches(code.n, code.d, w):
             syn = code.syndrome_batch(batch)
-            pen = np.count_nonzero(syn, axis=1)
-            live = pen > 0  # a zero syndrome is a centralizer element, not an error
-            keys.append(syn[live] @ powers)
-            pens.append(pen[live])
-        keys = np.concatenate(keys)
-        # tag 0 (seen at a lower weight) sorts before tag 1 among equal keys,
-        # so the first row of each run of equal keys is where it was first seen
-        tag = np.ones(len(keys), dtype=np.int8)
-        tag[: len(table)] = 0
-        order = np.lexsort((tag, *keys.T[::-1]))
-        keys = keys[order]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-        new = first & (tag[order] == 1)
-        if new.any():
-            min_penalty[w] = int(np.concatenate(pens)[order][new].min())
-        table = keys[first]
-    complete = len(table) == code.d**code.rank - 1
+            keys = keys_of(syn)
+            order = np.argsort(keys)  # sorted queries search the table several times faster
+            keys = keys[order]
+            at = np.searchsorted(table, keys)
+            np.minimum(at, len(table) - 1, out=at)
+            new = table[at] != keys
+            if new.any():
+                pen = int(np.count_nonzero(syn[order[new]], axis=1).min())
+                min_penalty[w] = min(min_penalty.get(w, pen), pen)
+                new[1:] &= keys[1:] != keys[:-1]
+                runs.append(keys[new])
+        table = np.sort(np.concatenate(runs), kind="stable")
+        table = table[np.r_[True, table[1:] != table[:-1]]]
+    seen = len(table) - 1  # the nonzero syndromes
+    complete = seen == code.d**code.rank - 1
     return SoundnessProfile(
         n=code.n,
         m=code.m,
@@ -687,6 +701,6 @@ def soundness_profile(code: StabilizerCode, weight_cap: int) -> SoundnessProfile
         d=code.d,
         weight_cap=weight_cap,
         min_penalty=min_penalty,
-        syndromes_seen=len(table),
+        syndromes_seen=seen,
         coverage_complete=complete,
     )

@@ -22,26 +22,34 @@ from __future__ import annotations
 
 import numpy as np
 
-# float64 matmul is exact while every sum of products stays below 2**52, and
-# hits BLAS instead of numpy's slow integer path; an operand already held as
-# float64 is used without a copy.  The product is then an exact integer, so
-# it is cast to int64 and reduced there in place: for odd p the float fmod is
-# several times slower than the int64 %, while at p = 2 fmod in place before
-# the cast is the faster one
+# A float matmul hits BLAS instead of numpy's slow integer path.  It is exact
+# while every integer it and the reduction make stays below 2**24 (float32:
+# sgemm, about half the time of dgemm) or 2**52 (float64); the bound is the
+# largest entry x of the product plus p, as q p <= x + p below.  The product
+# is reduced without % or fmod, each several times the cost of the product:
+# at p = 2 by its low bit, else as x - q p with q = floor(x * (1/p)), which
+# rounding may put one off, so one fix-up each way adds or takes p.  An
+# operand already in the float type is used without a copy.
 _FLOAT_SAFE = 2**52
+_FLOAT32_SAFE = 2**24
 
 
 def modmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p as int64, for operands with entries in [0, p)."""
-    bound = a.shape[-1] * (p - 1) * (p - 1)
-    if bound < _FLOAT_SAFE:
-        prod = np.asarray(a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False))
-        if p == 2:
-            return np.fmod(prod, 2, out=prod).astype(np.int64)
+    bound = a.shape[-1] * (p - 1) * (p - 1) + p
+    if bound >= _FLOAT_SAFE:
+        return a.astype(np.int64) @ b.astype(np.int64) % p
+    ftype = np.float32 if bound < _FLOAT32_SAFE else np.float64
+    prod = np.asarray(a.astype(ftype, copy=False) @ b.astype(ftype, copy=False))
+    if p == 2:
         out = prod.astype(np.int64)
-        out %= p
+        out &= 1
         return out
-    return a.astype(np.int64) @ b.astype(np.int64) % p
+    prod -= np.floor(prod * (1 / p)) * p
+    out = prod.astype(np.int64)
+    out[out < 0] += p
+    out[out >= p] -= p
+    return out
 
 
 def residue_dtype(p: int) -> np.dtype:

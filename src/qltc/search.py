@@ -32,9 +32,10 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .fieldmath import modmul  # noqa: F401 -- bench/tracing.py wraps search.modmul
+from .fieldmath import residue_dtype
 from .pauli import nonidentity_symbols
 
-# rows per candidate_batches batch, which holds 16 n bytes a row
+# rows per candidate_batches batch, which holds 2 n bytes a row below d = 256
 BATCH_ROWS = 1 << 13
 # estimated peak bytes of one half-table join (_join_bytes); a weight that
 # needs more ends the search as a budget hit
@@ -56,23 +57,33 @@ def candidate_batches(
     """Batches of at most BATCH_ROWS symplectic (x|z) rows, every word of weight w once.
 
     Canonical order within and across batches: supports lexicographic,
-    then per-site symbols lexicographic.
+    then per-site symbols lexicographic.  Rows are in residue_dtype(d).
+    A batch holds whole supports while their s**w symbol choices fit in
+    BATCH_ROWS, else one support's choices in pieces of BATCH_ROWS.
     """
-    sym = np.array(nonidentity_symbols(d) if symbols is None else symbols, dtype=np.int64)
+    sym = np.array(nonidentity_symbols(d) if symbols is None else symbols, dtype=residue_dtype(d))
     s = len(sym)
     combos = s**w
+    piece = min(combos, BATCH_ROWS)
     place = s ** np.arange(w - 1, -1, -1)
+
+    def values(start):
+        """Choices start .. start + piece - 1, one row each: the x, then the z of the w sites."""
+        digits = np.arange(start, min(start + piece, combos))[:, None] // place % s
+        return np.concatenate([sym[digits, 0], sym[digits, 1]], axis=1)
+
+    first = values(0)  # the whole weight's choices, unless a support spans batches
+    per = max(1, BATCH_ROWS // combos)  # supports a batch
+    # flat offset of row k of a support's choices, for each support of a batch
+    row_at = np.arange(per * piece).reshape(per, piece, 1) * (2 * n)
     supports = itertools.combinations(range(n), w)
-    while chunk := list(itertools.islice(supports, max(1, BATCH_ROWS // combos))):
-        supp = np.array(chunk, dtype=np.int64).reshape(len(chunk), w)
-        for start in range(0, len(chunk) * combos, BATCH_ROWS):
-            k = np.arange(start, min(start + BATCH_ROWS, len(chunk) * combos))
-            cols = supp[k // combos]
-            digits = (k % combos)[:, None] // place % s
-            rows = np.arange(k.size)[:, None]
-            v = np.zeros((k.size, 2 * n), dtype=np.int64)
-            v[rows, cols] = sym[digits, 0]
-            v[rows, cols + n] = sym[digits, 1]
+    while chunk := list(itertools.islice(supports, per)):
+        supp = np.array(chunk, dtype=np.int64).reshape(len(chunk), 1, w)
+        at = row_at[: len(chunk)] + np.concatenate([supp, supp + n], axis=2)
+        for start in range(0, combos, piece):
+            vals = first if start == 0 else values(start)
+            v = np.zeros((len(chunk) * len(vals), 2 * n), dtype=sym.dtype)
+            v.reshape(-1)[at[:, : len(vals)]] = vals
             yield v
 
 

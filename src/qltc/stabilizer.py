@@ -12,8 +12,8 @@ matrix and the kernel of its row space are held in the least unsigned
 type for d (uint8 below 256).  The code holds its syndrome map, rows
 (z | -x), as search.Sites, and this is the one place that writes that
 layout: single syndromes, penalties and the searches read those sites,
-and the float64 syndrome_matrix that batch products need for BLAS is
-scattered from them on first use.
+and the dense syndrome_matrix that batch products read is scattered from
+them on first use.
 
 Weight modulo the group, weight modulo the centralizer, distance and
 succinctness are each one call of search.min_weight_vector: the least
@@ -206,14 +206,14 @@ class StabilizerCode:
 
     @functools.cached_property
     def syndrome_matrix(self) -> np.ndarray:
-        """The syndrome map as float64 rows (z | -x), scattered from its sites.
+        """The syndrome map as dense rows (z | -x) in residue_dtype(d), scattered from its sites.
 
         Built on first use, and only the batch products of syndrome_batch
-        read it (BLAS needs float64); single syndromes and the searches
-        read the sites.
+        read it (modmul casts it to the float type its BLAS product needs);
+        single syndromes and the searches read the sites.
         """
         s = self._syndrome_map
-        out = np.zeros((self.m, 2 * self.n))
+        out = np.zeros((self.m, 2 * self.n), dtype=residue_dtype(self.d))
         out[s.row, s.qudit] = s.x
         out[s.row, self.n + s.qudit] = s.z
         out.setflags(write=False)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from qltc.attacks import (
     soundness_profile,
 )
 from qltc.pauli import PauliOp, nonidentity_symbols
-from qltc.search import Sites, candidate_batches
+from qltc.search import Sites
 from qltc.fieldmath import RowSpace
 from qltc.stabilizer import StabilizerCode, build_code, product_phase
 from qltc.zoo import steane_code, string_error, toric_code
@@ -595,19 +596,33 @@ def test_profile_json():
 
 def _profile_oracle(code, weight_cap):
     """(min_penalty, syndromes_seen, coverage_complete) from a dict of syndrome bytes,
-    filled word by word in enumeration order."""
+    filled word by word in itertools order.
+
+    A word's syndrome is the sum of the syndromes of its one-qudit parts, each
+    taken once on the site path, code.syndrome(PauliOp.single(...)); neither the
+    profile's word batches nor its batch product enter.  (A PauliOp per word
+    would cost about 25 us a word, 7 s for the 286,464 words of toric:4:5 at
+    cap 2.)  The words of one support are summed together, in product order.
+    """
+    n, d, m = code.n, code.d, code.m
+    symbols = nonidentity_symbols(d)
+    single = np.array([[code.syndrome(PauliOp.single(n, d, q, x, z)) for x, z in symbols]
+                       for q in range(n)])
     seen, min_penalty = {}, {}
-    for w in range(1, min(weight_cap, code.n) + 1):
-        for batch in candidate_batches(code.n, code.d, w):
-            syn = code.syndrome_batch(batch)
-            for row, pen in zip(syn, np.count_nonzero(syn, axis=1)):
+    for w in range(1, min(weight_cap, n) + 1):
+        for supp in itertools.combinations(range(n), w):
+            syns = np.zeros((1, m), dtype=np.int64)
+            for q in supp:
+                syns = (syns[:, None, :] + single[q][None, :, :]).reshape(-1, m)
+            syns %= d
+            for row, pen in zip(syns, np.count_nonzero(syns, axis=1).tolist()):
                 if pen == 0:
                     continue  # centralizer element, not an error
                 key = row.tobytes()
                 if key not in seen:
                     seen[key] = w
                     if w not in min_penalty or pen < min_penalty[w]:
-                        min_penalty[w] = int(pen)
+                        min_penalty[w] = pen
     return min_penalty, len(seen), len(seen) == code.d**code.rank - 1
 
 

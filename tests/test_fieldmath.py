@@ -149,7 +149,7 @@ def test_rowspace_membership(mp, seed):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 257])
 def test_contains_batch_matches_int64_product(p):
-    # contains_batch multiplies through modmul (float64, BLAS); the int64
+    # contains_batch multiplies through modmul (float BLAS); the int64
     # product is the reference
     rng = np.random.default_rng(p)
     for _ in range(20):
@@ -161,20 +161,48 @@ def test_contains_batch_matches_int64_product(p):
         assert np.array_equal(rs.contains_batch(vs), expected)
 
 
-@given(st.sampled_from([2, 3, 5, 131, 257]), st.integers(0, 2**32 - 1), st.booleans())
-@settings(max_examples=100)
-def test_modmul_matches_int64_product(p, seed, vector):
-    # _FLOAT_SAFE = 0 sends every product down the int64 path
-    rng = np.random.default_rng(seed)
-    rows, inner, cols = rng.integers(0, 9, size=3)
-    a = rng.integers(p, size=(rows, inner))
-    b = rng.integers(p, size=inner if vector else (inner, cols))
+def _assert_modmul_is_the_int64_product(a, b, p):
+    # _FLOAT_SAFE = 0 sends every product down the int64 path, past both float tiers
     expected = (a @ b) % p
     for safe in (fm._FLOAT_SAFE, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fm, "_FLOAT_SAFE", safe)
             got = fm.modmul(a, b, p)
         assert got.dtype == np.int64 and np.array_equal(got, expected)
+
+
+@given(st.sampled_from([2, 3, 5, 131, 257]), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=100)
+def test_modmul_matches_int64_product(p, seed, vector):
+    rng = np.random.default_rng(seed)
+    rows, inner, cols = rng.integers(0, 9, size=3)
+    a = rng.integers(p, size=(rows, inner))
+    b = rng.integers(p, size=inner if vector else (inner, cols))
+    _assert_modmul_is_the_int64_product(a, b, p)
+
+
+@pytest.mark.parametrize("p, rows, inner, cols", [
+    (257, 4, 255, 3), (257, 4, 256, 3),  # either side of 2**24 / (p - 1)**2 = 256
+    (131, 4, 992, 3), (131, 4, 993, 3),  # either side of 2**24 / 130**2 = 992.7
+    (2, 8192, 36, 18), (3, 8192, 36, 18),  # a batch of profile words on toric:3
+])
+def test_modmul_matches_int64_product_at_the_float32_bound(p, rows, inner, cols):
+    rng = np.random.default_rng(inner)
+    a = rng.integers(p, size=(rows, inner))
+    b = rng.integers(p, size=(inner, cols))
+    # the largest odd sum of products: past 2**24, float32 holds no odd integer
+    a[0], b[:, 0] = p - 1, p - 1
+    a[0, -1], b[-1, 0] = p - 2, p - 2
+    _assert_modmul_is_the_int64_product(a, b, p)
+
+
+@pytest.mark.parametrize("p, entry, inner", [
+    (41, 1, 41),  # x = 41: in float32, 41 * (1/41) < 1, so q comes out one low and r = p
+    (7, 6, 349530),  # x = 36 * 349530: q comes out one high and r < 0
+])
+def test_modmul_fixes_a_quotient_one_off(p, entry, inner):
+    a = np.full((1, inner), entry)  # a @ a.T is the one entry x = entry**2 * inner
+    _assert_modmul_is_the_int64_product(a, a.T, p)
 
 
 @st.composite
