@@ -680,7 +680,7 @@ def soundness_profile(code: StabilizerCode, weight_cap: int) -> SoundnessProfile
         for batch in candidate_batches(code.n, code.d, w):
             syn = code.syndrome_batch(batch)
             keys = keys_of(syn)
-            order = np.argsort(keys)  # sorted queries search the table several times faster
+            order = np.argsort(keys)  # sorted queries search the table about twice as fast
             keys = keys[order]
             at = np.searchsorted(table, keys)
             np.minimum(at, len(table) - 1, out=at)
