@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qltc import search
+from qltc import search, stabilizer
 from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.search import (
     BATCH_ROWS,
@@ -212,6 +212,136 @@ def test_distance_and_succinctness_match_dense_sweep(name):
                                                           distance_accept(code), sets)
     succinct = dense_min_weight(code.n, code.d, code.k - 1, succinct_accept(code)) is None
     assert code.is_succinct() is succinct
+
+
+# --- pinned results of the four queries ------------------------------------
+
+PINNED_CODES = {
+    "toric:5": lambda: toric_code(5),
+    "toric:3:3": lambda: toric_code(3, 3),
+    "toric:4:5": lambda: toric_code(4, 5),
+    "steane": steane_code,
+    "toric:6": lambda: toric_code(6),
+}
+
+# per query: found_weight, exhausted_weight, candidates_tested, budget_hit
+# and the witness as {index: entry} over its nonzero entries
+PINNED_SEARCHES = {
+    "toric:5": {
+        "code_distance": (5, 4, 26027, False, {0: 1, 5: 1, 10: 1, 15: 1, 20: 1}),
+        "is_succinct": (None, 3, 11476, False, None),
+        "code_distance:budget": (None, 3, 2752, True, None),
+        "wt_mod_centralizer:0": (None, 3, 11476, False, None),
+        "wt_mod_group:0": (None, 3, 11476, False, None),
+        "wt_mod_centralizer:1": (3, 2, 11476, False, {0: 1, 23: 1, 50: 1, 73: 1, 75: 1}),
+        "wt_mod_group:1": (3, 2, 11476, False, {0: 1, 23: 1, 50: 1, 73: 1, 75: 1}),
+        "wt_mod_centralizer:2": (None, 3, 11476, False, None),
+        "wt_mod_group:2": (None, 3, 11476, False, None),
+        "wt_mod_centralizer:3": (3, 2, 11476, False, {3: 1, 29: 1, 53: 1, 91: 1}),
+        "wt_mod_group:3": (3, 2, 11476, False, {3: 1, 29: 1, 53: 1, 91: 1}),
+        "wt_mod_group:budget": (None, 2, 301, True, None),
+    },
+    "toric:3:3": {
+        "code_distance": (3, 2, 794, False, {0: 1, 3: 1, 6: 1}),
+        "is_succinct": (None, 3, 10225, False, None),
+        "code_distance:budget": (3, 2, 794, False, {0: 1, 3: 1, 6: 1}),
+        "wt_mod_centralizer:0": (None, 3, 10225, False, None),
+        "wt_mod_group:0": (None, 3, 10225, False, None),
+        "wt_mod_centralizer:1": (None, 3, 10225, False, None),
+        "wt_mod_group:1": (None, 3, 10225, False, None),
+        "wt_mod_centralizer:2": (None, 3, 10225, False, None),
+        "wt_mod_group:2": (None, 3, 10225, False, None),
+        "wt_mod_centralizer:3": (None, 3, 10225, False, None),
+        "wt_mod_group:3": (None, 3, 10225, False, None),
+        "wt_mod_group:budget": (None, 2, 289, True, None),
+    },
+    "toric:4:5": {
+        "code_distance": (4, 3, 24578, False, {28: 4, 29: 4, 30: 4, 31: 4}),
+        "is_succinct": (None, 3, 288001, False, None),
+        "code_distance:budget": (None, 2, 514, True, None),
+        "wt_mod_centralizer:0": (None, 3, 288001, False, None),
+        "wt_mod_group:0": (None, 3, 288001, False, None),
+        "wt_mod_centralizer:1": (None, 3, 288001, False, None),
+        "wt_mod_group:1": (None, 3, 288001, False, None),
+        "wt_mod_centralizer:2": (None, 3, 288001, False, None),
+        "wt_mod_group:2": (None, 3, 288001, False, None),
+        "wt_mod_centralizer:3": (None, 3, 288001, False, None),
+        "wt_mod_group:3": (None, 3, 288001, False, None),
+        "wt_mod_group:budget": (None, 0, 0, True, None),
+    },
+    "steane": {
+        "code_distance": (3, 2, 58, False, {0: 1, 1: 1, 2: 1}),
+        "is_succinct": (None, 3, 253, False, None),
+        "code_distance:budget": (3, 2, 58, False, {0: 1, 1: 1, 2: 1}),
+        "wt_mod_centralizer:0": (2, 1, 43, False, {0: 1, 10: 1}),
+        "wt_mod_group:0": (3, 2, 253, False, {3: 1, 4: 1, 7: 1, 11: 1}),
+        "wt_mod_centralizer:1": (2, 1, 43, False, {4: 1, 12: 1}),
+        "wt_mod_group:1": (2, 1, 43, False, {2: 1, 5: 1, 12: 1}),
+        "wt_mod_centralizer:2": (2, 1, 43, False, {4: 1, 5: 1, 11: 1}),
+        "wt_mod_group:2": (2, 1, 43, False, {4: 1, 5: 1, 11: 1}),
+        "wt_mod_centralizer:3": (2, 1, 43, False, {1: 1, 13: 1}),
+        "wt_mod_group:3": (3, 2, 253, False, {0: 1, 2: 1, 9: 1, 10: 1}),
+        "wt_mod_group:budget": (3, 2, 253, False, {0: 1, 2: 1, 9: 1, 10: 1}),
+    },
+    "toric:6": {
+        "code_distance": (6, 5, 194690, False, {66: 1, 67: 1, 68: 1, 69: 1, 70: 1, 71: 1}),
+        "is_succinct": (None, 3, 23653, False, None),
+        "code_distance:budget": (None, 2, 2918, True, None),
+        "wt_mod_centralizer:0": (None, 3, 23653, False, None),
+        "wt_mod_group:0": (None, 3, 23653, False, None),
+        "wt_mod_centralizer:1": (3, 2, 23653, False, {0: 1, 34: 1, 72: 1, 106: 1, 108: 1}),
+        "wt_mod_group:1": (3, 2, 23653, False, {0: 1, 34: 1, 72: 1, 106: 1, 108: 1}),
+        "wt_mod_centralizer:2": (None, 3, 23653, False, None),
+        "wt_mod_group:2": (None, 3, 23653, False, None),
+        "wt_mod_centralizer:3": (None, 3, 23653, False, None),
+        "wt_mod_group:3": (None, 3, 23653, False, None),
+        "wt_mod_group:budget": (None, 2, 433, True, None),
+    },
+}
+
+
+def error_near_two_checks(code, seed):
+    """A weight-4 error on qudits where two random generators act."""
+    rng = np.random.default_rng(seed)
+    near = np.flatnonzero(code.symplectic_matrix[rng.choice(code.m, size=2)].any(axis=0)) % code.n
+    supp = rng.choice(np.unique(near), size=4, replace=False)
+    syms = np.array(nonidentity_symbols(code.d))[rng.integers(code.d**2 - 1, size=4)]
+    x = np.zeros(code.n, dtype=np.int64)
+    z = np.zeros(code.n, dtype=np.int64)
+    x[supp], z[supp] = syms[:, 0], syms[:, 1]
+    return PauliOp(code.d, code.n, x, z)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CODES))
+def test_search_results_are_pinned(monkeypatch, name):
+    # every SearchResult the queries get, witness included: a faster join
+    # must find the same word, test the same count and stop at the same weight
+    code = PINNED_CODES[name]()
+    seen = []
+
+    def recorded(*args, **kwargs):
+        res = search.min_weight_vector(*args, **kwargs)
+        seen.append(res)
+        return res
+
+    monkeypatch.setattr(stabilizer, "min_weight_vector", recorded)
+    queries = {"code_distance": code.code_distance, "is_succinct": code.is_succinct,
+               "code_distance:budget": lambda: code.code_distance(budget=3000)}
+    for seed in range(4):
+        e = error_near_two_checks(code, seed)
+        queries[f"wt_mod_centralizer:{seed}"] = lambda e=e: code.wt_mod_centralizer(e)
+        queries[f"wt_mod_group:{seed}"] = lambda e=e: code.wt_mod_group(e)
+    queries["wt_mod_group:budget"] = lambda: code.wt_mod_group(e, budget=500)
+    got = {}
+    for query, run in queries.items():
+        seen.clear()
+        run()
+        (res,) = seen
+        v = None if res.vector is None else {
+            int(i): int(res.vector[i]) for i in np.flatnonzero(res.vector)}
+        got[query] = (res.found_weight, res.exhausted_weight, res.candidates_tested,
+                      res.budget_hit, v)
+    assert got == PINNED_SEARCHES[name]
 
 
 # --- what the kernel counts ------------------------------------------------
