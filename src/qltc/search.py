@@ -10,7 +10,10 @@ images of all weight-b words (meet in the middle; Dumer, Kovalev and
 Pryadko, arXiv:1611.07164).  A hit whose halves share a site is a word of
 lower weight that passes the same test, which the weights already
 searched rule out, so the join needs no disjointness check.  Cost scales
-with C(n, w/2), not with the group size.
+with C(n, w/2), not with the group size.  Each image is summed in a
+type that holds 2d, one gather and one add per site, reduced mod d by
+one wrap-around minimum instead of a %; the nonzero filter is summed
+only for the probes that found a partner.
 
 Every map comes as its Sites, the nonzero (row, qudit) sites of a
 k-local matrix, and site_images builds the weight-1 images of any map
@@ -186,11 +189,26 @@ def _half_table(n: int, s: int, h: int) -> np.ndarray:
 
 
 def _images(words: np.ndarray, images: np.ndarray, d: int) -> np.ndarray:
-    out = np.zeros((words.shape[0], images.shape[1]), dtype=images.dtype)
-    for col in words.T:
+    """Image rows of words given as site-image indices, reduced mod d.
+
+    Each sum is a gather and an add, reduced by one wrap-around minimum:
+    _image_dtype(d) holds 2d, every value the join reduces lies in [0, 2d)
+    (two residues sum to at most 2d - 2, target + d - image is at most
+    2d - 1), and when x < d the unsigned x - d wraps to at least d + 1 > x,
+    so min(x, x - d) is x mod d.  A word of no sites has image zero.
+    """
+    if not words.shape[1]:
+        return np.zeros((words.shape[0], images.shape[1]), dtype=images.dtype)
+    out = images[words[:, 0]]
+    for col in words.T[1:]:
         out += images[col]
-        out %= d
+        _wrap(out, d)
     return out
+
+
+def _wrap(x: np.ndarray, d: int) -> None:
+    """x mod d in place, for unsigned x in [0, 2d) (see _images)."""
+    np.minimum(x, x - d, out=x)
 
 
 def _meet(n, d, s, a, b, images, nz_images, target):
@@ -198,7 +216,7 @@ def _meet(n, d, s, a, b, images, nz_images, target):
     words_b = _half_table(n, s, b)
     need = _images(words_b, images, d)
     np.subtract(target + d, need, out=need)
-    need %= d
+    _wrap(need, d)
     order = np.argsort(_rows(need))
     need = _rows(need)[order]
     words_b = words_b[order]
@@ -210,17 +228,16 @@ def _meet(n, d, s, a, b, images, nz_images, target):
     # image it needs
     j = np.searchsorted(need, probe)
     np.minimum(j, need.size - 1, out=j)
-    ok = need[j] == probe
+    hits = np.flatnonzero(need[j] == probe)
     del need, probe
     if nz_images is not None:
         # One partner per probe is enough, as the target is zero and no
         # lighter word solves: if partner j cancels the probe's filter image
         # and partner j' does not, then j' - j is a lighter solution when
         # b < a; when b == a, partner j taken as a probe gets a partner that
-        # does not cancel it.
-        nz = _images(words_a, nz_images, d) + _images(words_b[j], nz_images, d)
-        ok &= (nz % d).any(axis=1)
-    hits = np.flatnonzero(ok)
+        # does not cancel it.  So the filter runs on the hits alone.
+        pairs = np.concatenate([words_a[hits], words_b[j[hits]]], axis=1)
+        hits = hits[_images(pairs, nz_images, d).any(axis=1)]
     if not hits.size:
         return None
     return np.concatenate([words_a[hits[0]], words_b[j[hits[0]]]])

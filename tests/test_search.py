@@ -132,10 +132,11 @@ def test_kernel_matches_dense_sweep(case):
         check_witness(res, n, d, matrix, target, nonzero, symbol_sets)
 
 
-@pytest.mark.parametrize("d,w_max", [(131, 3), (257, 2)])
+@pytest.mark.parametrize("d,w_max", [(127, 2), (131, 2), (131, 3), (257, 2)])
 def test_kernel_matches_dense_sweep_past_one_byte(d, w_max):
-    # two images below d sum past 255 here, and at d = 257 one image is
-    # already past it: a one-byte image type would wrap
+    # at d = 127 the join's sums reach 2d - 2 = 252 in one byte; at d = 131
+    # they pass 255, and at d = 257 one image is already past it: a
+    # one-byte image type would wrap
     rng = np.random.default_rng(d)
     n, x = 3, pure_symbols(d, "x")
     for _ in range(3):
@@ -155,6 +156,22 @@ def test_kernel_matches_dense_sweep_past_one_byte(d, w_max):
         res = min_weight_vector(n, d, 1, Sites.of(matrix), target)
         assert res.found_weight == dense_min_weight(n, d, 1, linear_accept(d, matrix, target))
         check_witness(res, n, d, matrix, target, None, (None,))
+
+
+@pytest.mark.parametrize("d", [2, 3, 127, 131])
+def test_image_sums_wrap_exactly_at_dtype_edges(d):
+    # 127 is the last prime whose images are one byte, 131 the first in two
+    dtype = search._image_dtype(d)
+    assert dtype == (np.uint8 if d <= 127 else np.uint16)
+    x, y = (r.ravel() for r in np.meshgrid(np.arange(d), np.arange(d)))
+    # site image r is the residue r, so the word (x, y) has image x + y
+    images = np.arange(d, dtype=dtype).reshape(d, 1)
+    words = np.stack([x, y], axis=1).astype(np.int32)
+    assert np.array_equal(search._images(words, images, d)[:, 0], (x + y) % d)
+    # what a probe needs from its partner: target x minus image y
+    need = x.astype(dtype) + d - y.astype(dtype)
+    search._wrap(need, d)
+    assert np.array_equal(need, (x - y) % d)
 
 
 def test_distance_past_one_byte():
