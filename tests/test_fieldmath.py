@@ -161,6 +161,20 @@ def test_contains_batch_matches_int64_product(p):
         assert np.array_equal(rs.contains_batch(vs), expected)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_contains_batch_reduces_entries_outside_the_residues(p):
+    # rows in [0, p) skip the reduction; p and -1 in int64 must still reduce
+    rng = np.random.default_rng(p)
+    mat = rng.integers(p, size=(4, 9))
+    rs = fm.RowSpace(mat, p)
+    vs = np.vstack([rng.integers(p, size=4) @ mat % p, rng.integers(p, size=(7, 9))])
+    expected = rs.contains_batch(vs.astype(np.uint8))
+    assert np.array_equal(expected, ~np.any(vs @ rs.kernel.T % p, axis=1))
+    unreduced = np.where(vs == 0, p, np.where(vs == p - 1, -1, vs))
+    assert (unreduced == p).any() and (unreduced == -1).any()
+    assert np.array_equal(rs.contains_batch(unreduced), expected)
+
+
 def _assert_modmul_is_the_int64_product(a, b, p):
     # _FLOAT_SAFE = 0 sends every product down the int64 path, past both float tiers
     expected = (a @ b) % p
