@@ -348,7 +348,7 @@ def test_search_results_are_pinned(monkeypatch, name):
         e = error_near_two_checks(code, seed)
         queries[f"wt_mod_centralizer:{seed}"] = lambda e=e: code.wt_mod_centralizer(e)
         queries[f"wt_mod_group:{seed}"] = lambda e=e: code.wt_mod_group(e)
-    queries["wt_mod_group:budget"] = lambda: code.wt_mod_group(e, budget=500)
+    queries["wt_mod_group:budget"] = lambda e=e: code.wt_mod_group(e, budget=500)
     got = {}
     for query, run in queries.items():
         seen.clear()
