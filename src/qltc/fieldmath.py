@@ -221,12 +221,10 @@ class RowSpace:
 
         Only the columns where some row of vs is nonzero enter the product,
         so a sparse word costs a few kernel columns, not the whole kernel.
-        Rows already reduced mod p, in any integer type, are read as they are.
         """
         if self.kernel.shape[0] == 0:
             return np.ones(vs.shape[0], dtype=bool)
-        vs = np.asarray(vs)
-        vs = residues(vs, self.p, vs.dtype)
+        vs = np.asarray(vs) % self.p
         cols = np.flatnonzero(vs.any(axis=0))
         return ~np.any(modmul(vs[:, cols], self.kernel.T[cols], self.p), axis=1)
 

@@ -163,7 +163,7 @@ def test_contains_batch_matches_int64_product(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_contains_batch_reduces_entries_outside_the_residues(p):
-    # rows in [0, p) are read as they are; p and -1 in int64 must still reduce
+    # entries p and -1 in int64 give the membership of their residues
     rng = np.random.default_rng(p)
     mat = rng.integers(p, size=(4, 9))
     rs = fm.RowSpace(mat, p)
