@@ -631,32 +631,64 @@ class SoundnessProfile:
 
 
 def _key_powers(m: int, d: int) -> np.ndarray:
-    """(m, words) int64 matrix that packs a row of m base-d digits into words.
+    """(m, halves) float64 matrix that packs a row of m residues mod d into bit fields.
 
-    Word j of syn @ powers holds digits j*e .. j*e + e - 1 of syn, e the most
-    digits with d**e < 2**63, so every word is exact in int64 and two rows
-    are equal iff their keys are.
+    Digit i takes b = (d - 1).bit_length() bits, at bit b * (i % e) of
+    32-bit half i // e, e = 32 // b the digits a half; the halves are
+    padded to an even number.  Every half of syn @ powers is below 2**32,
+    so the float64 product is exact, and read as uint32 the halves pair up
+    into uint64 words (little-endian: half 2j is the low half of word j).
+    Two rows are equal iff their keys are.
     """
-    e = 1
-    while d ** (e + 1) < 1 << 63:
-        e += 1
+    b = (d - 1).bit_length()
+    e = 32 // b
+    halves = -(-m // e)
     i = np.arange(m)
-    powers = np.zeros((m, -(-m // e)), dtype=np.int64)
-    powers[i, i // e] = d ** (i % e)
+    powers = np.zeros((m, halves + halves % 2))
+    powers[i, i // e] = 2.0 ** (b * (i % e))
     return powers
+
+
+def _keys(syn: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """One key a row of syn: a uint64, or one opaque value of the uint64 words when several."""
+    keys = (syn.astype(np.float64) @ powers).astype(np.uint32).view(np.uint64)
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    return keys.view(np.dtype((np.void, keys[0].nbytes)))[:, 0]  # each row as one value
+
+
+def _key_weights(keys: np.ndarray, d: int) -> np.ndarray:
+    """Number of nonzero b-bit fields of each key of _key_powers: its syndrome's penalty.
+
+    Each field is ORed onto its low bit by b - 1 shifts; a mask keeps the
+    low bits, whose popcount over a key's words counts the fields.  No
+    shift carries a bit into a lower field's low bit, nor across halves.
+    """
+    b = (d - 1).bit_length()
+    words = keys.view(np.uint64).reshape(len(keys), -1)
+    folded = words.copy()
+    for shift in range(1, b):
+        folded |= words >> np.uint64(shift)
+    low = sum(1 << (b * j) for j in range(32 // b))
+    folded &= np.uint64(low | low << 32)
+    return np.bitwise_count(folded).sum(axis=1, dtype=np.int64)
 
 
 def soundness_profile(code: StabilizerCode, weight_cap: int) -> SoundnessProfile:
     """Brute-force soundness oracle; refuses caps past PROFILE_GUARD candidates, counted exactly.
 
-    The syndromes seen at lower weights are held as sorted keys, each one
-    int64, or one opaque value (ordered as bytes) of the int64 words when
-    the m digits need several.  A word of weight w whose key is not in that
-    table sees its syndrome first at w, and as the penalty is a function of
-    the syndrome, the least penalty of those words is min_penalty[w].  Each
-    batch looks its keys up in sorted order and keeps its new keys as one
-    sorted run without repeats; the runs join the table when the weight is
-    done, in one stable sort, which merges sorted runs.
+    The syndromes seen at lower weights are held as sorted keys: the m
+    residues in bit fields (see _key_powers), one float64 BLAS product a
+    batch, each key one uint64, or one opaque value (ordered as bytes) of
+    the uint64 words when the fields need several (_keys).  A word of weight w
+    whose key is not in that table sees its syndrome first at w, and as
+    the penalty is a function of the syndrome, the least penalty of those
+    words is min_penalty[w]; it is read off the new keys, as their number
+    of nonzero fields.  Each batch sorts its keys, looks them up and keeps
+    its new keys as one sorted run without repeats; the runs join the
+    table when the weight is done, in one stable sort, which merges sorted
+    runs.  The walk stops after the weight at which every nonzero syndrome
+    has been seen: no heavier word can bring a new one.
     """
     weights = range(1, min(weight_cap, code.n) + 1)  # no Pauli on n qudits is heavier than n
     total = sum(candidates_at_weight(code.n, code.d, w) for w in weights)
@@ -665,35 +697,29 @@ def soundness_profile(code: StabilizerCode, weight_cap: int) -> SoundnessProfile
             f"profile enumeration of {total} candidates exceeds the guard ({PROFILE_GUARD})"
         )
     powers = _key_powers(code.m, code.d)
-
-    def keys_of(syn):
-        keys = syn @ powers
-        if keys.shape[1] == 1:
-            return keys[:, 0]
-        return keys.view(np.dtype((np.void, keys[0].nbytes)))[:, 0]  # each row as one value
-
+    syndromes = code.d**code.rank
     # the zero syndrome is a centralizer element, not an error: seen from the start
-    table = keys_of(np.zeros((1, code.m), dtype=np.int64))
+    table = _keys(np.zeros((1, code.m), dtype=np.uint8), powers)
     min_penalty: dict[int, int] = {}
     for w in weights:
         runs = [table]
         for batch in candidate_batches(code.n, code.d, w):
-            syn = code.syndrome_batch(batch)
-            keys = keys_of(syn)
-            order = np.argsort(keys)  # sorted queries search the table about twice as fast
-            keys = keys[order]
+            keys = np.sort(_keys(code.syndrome_batch(batch), powers))  # sorted queries search faster
             at = np.searchsorted(table, keys)
             np.minimum(at, len(table) - 1, out=at)
             new = table[at] != keys
             if new.any():
-                pen = int(np.count_nonzero(syn[order[new]], axis=1).min())
-                min_penalty[w] = min(min_penalty.get(w, pen), pen)
                 new[1:] &= keys[1:] != keys[:-1]
-                runs.append(keys[new])
+                fresh = keys[new]
+                pen = int(_key_weights(fresh, code.d).min())
+                min_penalty[w] = min(min_penalty.get(w, pen), pen)
+                runs.append(fresh)
         table = np.sort(np.concatenate(runs), kind="stable")
         table = table[np.r_[True, table[1:] != table[:-1]]]
+        if len(table) == syndromes:  # every syndrome, the zero one too, has been seen
+            break
     seen = len(table) - 1  # the nonzero syndromes
-    complete = seen == code.d**code.rank - 1
+    complete = len(table) == syndromes
     return SoundnessProfile(
         n=code.n,
         m=code.m,

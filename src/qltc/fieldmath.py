@@ -4,11 +4,13 @@ All matrices are 2-D numpy integer arrays with entries reduced mod p;
 the ones held are in `residue_dtype(p)` (uint8 below 256), and every
 product or subtraction widens them first.
 `modmul` is the one matrix product (it sits here, below `pauli` and
-`search`, so every layer can use it) and `rref` the one elimination
-routine.  `RowSpace` runs it once, on [mat | J] with J the identity with
-its columns reversed, and reads every query off that one reduced
-matrix: rank, the right kernel (membership), the left kernel (generator
-dependencies) and the coefficients of a row space member.  Reversing J makes each left-kernel row pivot on the last
+`search`, so every layer can use it); it returns residues in
+`residue_dtype(p)` too, so a batch of syndromes is one byte an entry.
+`rref` is the one elimination routine.  `RowSpace` runs it once, on
+[mat | J] with J the identity with its columns reversed, and reads every
+query off that one reduced matrix: rank, the right kernel (membership),
+the left kernel (generator dependencies) and the coefficients of a row
+space member.  Reversing J makes each left-kernel row pivot on the last
 row of mat it uses, which is a row that depends on earlier ones; so the
 coefficients are zero at every such row, as in a direct solve that
 prefers the earliest independent rows.  Over GF(2) the elimination runs on
@@ -28,28 +30,29 @@ import numpy as np
 # largest entry x of the product plus p, as q p <= x + p below.  The product
 # is reduced without % or fmod, each several times the cost of the product:
 # at p = 2 by its low bit, else as x - q p with q = floor(x * (1/p)), which
-# rounding may put one off, so one fix-up each way adds or takes p.  An
+# rounding may put one off, so one fix-up each way adds or takes p, still in
+# the float type.  Either way one cast narrows the residues at the end.  An
 # operand already in the float type is used without a copy.
 _FLOAT_SAFE = 2**52
 _FLOAT32_SAFE = 2**24
 
 
 def modmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p as int64, for operands with entries in [0, p)."""
+    """a @ b mod p in residue_dtype(p), for operands with entries in [0, p)."""
+    dtype = residue_dtype(p)
     bound = a.shape[-1] * (p - 1) * (p - 1) + p
     if bound >= _FLOAT_SAFE:
-        return a.astype(np.int64) @ b.astype(np.int64) % p
+        return (a.astype(np.int64) @ b.astype(np.int64) % p).astype(dtype)
     ftype = np.float32 if bound < _FLOAT32_SAFE else np.float64
     prod = np.asarray(a.astype(ftype, copy=False) @ b.astype(ftype, copy=False))
     if p == 2:
-        out = prod.astype(np.int64)
-        out &= 1
-        return out
+        low = prod.astype(np.int32 if ftype is np.float32 else np.int64)
+        low &= 1
+        return low.astype(dtype)
     prod -= np.floor(prod * (1 / p)) * p
-    out = prod.astype(np.int64)
-    out[out < 0] += p
-    out[out >= p] -= p
-    return out
+    prod[prod < 0] += p
+    prod[prod >= p] -= p
+    return prod.astype(dtype)
 
 
 def residue_dtype(p: int) -> np.dtype:
@@ -70,12 +73,12 @@ def residues(a, p: int, dtype=np.int64) -> np.ndarray:
     if kind == "f":
         bad = a[~(np.isfinite(a) & (a == np.trunc(a)))]
         if bad.size:
-            raise ValueError(f"exponents must be integers, got {bad[0]}")
+            raise ValueError(f"entries must be integers, got {bad[0]}")
         a = np.mod(a, p)
     elif kind == "O" and all(isinstance(v, (int, np.integer)) for v in a.flat):
         a = a % p  # Python ints past int64
     elif kind not in "biu":
-        raise ValueError(f"exponents must be integers, got {a.dtype} entries")
+        raise ValueError(f"entries must be integers, got {a.dtype} entries")
     elif a.dtype == dtype and (a.size == 0 or (a.min() >= 0 and a.max() < p)):
         return a
     else:
@@ -203,7 +206,10 @@ class RowSpace:
         transform = reduced[:, ncols:][:, ::-1]
         self._pivot_combinations = transform[: self.rank].astype(dtype)
         self.left_kernel = transform[self.rank :][::-1].astype(np.int64)
-        free = np.setdiff1d(np.arange(ncols), self.pivots)
+        # a mask, not np.setdiff1d: its np.unique imports numpy.ma on first use
+        is_free = np.ones(ncols, dtype=bool)
+        is_free[self.pivots] = False
+        free = np.flatnonzero(is_free)
         block = reduced[: self.rank, free]
         del reduced, transform
         # filled transposed, so that each pivot's entries are written as one row
@@ -219,12 +225,14 @@ class RowSpace:
     def contains_batch(self, vs: np.ndarray) -> np.ndarray:
         """Boolean mask over rows of vs.
 
-        Only the columns where some row of vs is nonzero enter the product,
-        so a sparse word costs a few kernel columns, not the whole kernel.
+        Entries reduce mod p through `residues`, so a negative entry counts
+        as its residue and a non-integer one is refused.  Only the columns
+        where some row of vs is nonzero enter the product, so a sparse word
+        costs a few kernel columns, not the whole kernel.
         """
         if self.kernel.shape[0] == 0:
             return np.ones(vs.shape[0], dtype=bool)
-        vs = np.asarray(vs) % self.p
+        vs = residues(vs, self.p, residue_dtype(self.p))
         cols = np.flatnonzero(vs.any(axis=0))
         return ~np.any(modmul(vs[:, cols], self.kernel.T[cols], self.p), axis=1)
 

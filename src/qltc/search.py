@@ -77,17 +77,18 @@ def candidate_batches(
 
     first = values(0)  # the whole weight's choices, unless a support spans batches
     per = max(1, BATCH_ROWS // combos)  # supports a batch
-    # flat offset of row k of a support's choices, for each support of a batch
-    row_at = np.arange(per * piece).reshape(per, piece, 1) * (2 * n)
     supports = itertools.combinations(range(n), w)
     while chunk := list(itertools.islice(supports, per)):
-        supp = np.array(chunk, dtype=np.int64).reshape(len(chunk), 1, w)
-        at = row_at[: len(chunk)] + np.concatenate([supp, supp + n], axis=2)
+        supp = np.array(chunk, dtype=np.intp)
+        cols = np.concatenate([supp, supp + n], axis=1)  # the x, then the z columns
+        support = np.arange(len(chunk))[:, None]
         for start in range(0, combos, piece):
             vals = first if start == 0 else values(start)
-            v = np.zeros((len(chunk) * len(vals), 2 * n), dtype=sym.dtype)
-            v.reshape(-1)[at[:, : len(vals)]] = vals
-            yield v
+            v = np.zeros((len(chunk), len(vals), 2 * n), dtype=sym.dtype)
+            # v[k, j, cols[k, i]] = vals[j, i]: the index arrays hold one entry a
+            # site of a support, a quarter of the time of a flat index a cell
+            v[support, :, cols] = vals.T
+            yield v.reshape(-1, 2 * n)
 
 
 def candidates_at_weight(n: int, d: int, w: int, symbols=None) -> int:

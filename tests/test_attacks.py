@@ -28,7 +28,7 @@ from qltc.attacks import (
 )
 from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.search import Sites
-from qltc.fieldmath import RowSpace
+from qltc.fieldmath import RowSpace, residue_dtype
 from qltc.stabilizer import StabilizerCode, build_code, product_phase
 from qltc.zoo import steane_code, string_error, toric_code
 from helpers import random_open_path, vertex_path_edges, wrap_loop_edges
@@ -676,26 +676,72 @@ def test_profile_matches_dict_oracle(d, data):
 
 @pytest.mark.parametrize("L, d, cap", [(6, 2, 1), (6, 2, 2), (4, 5, 1), (4, 5, 2)])
 def test_profile_keys_of_several_words(L, d, cap):
-    # m = 72 binary digits or m = 32 digits base 5 (27 a word): two int64 words a key
+    # m = 72 one-bit fields (32 a half) or m = 32 three-bit fields (10 a half):
+    # four 32-bit halves, so two uint64 words a key
     code = toric_code(L, d)
-    assert attacks._key_powers(code.m, d).shape[1] == 2
+    assert attacks._key_powers(code.m, d).shape[1] == 4
     assert _profile_facts(soundness_profile(code, cap)) == _profile_oracle(code, cap)
 
 
+def _packed_keys(syn, d):
+    """The keys of _key_powers as uint64 words, one row at a time in Python ints."""
+    b = (d - 1).bit_length()
+    e = 32 // b
+    halves = -(-syn.shape[1] // e)
+    halves += halves % 2
+    out = []
+    for row in syn.tolist():
+        fields = [sum(v << (b * i) for i, v in enumerate(row[h * e: (h + 1) * e]))
+                  for h in range(halves)]
+        out.append([fields[j] | fields[j + 1] << 32 for j in range(0, halves, 2)])
+    return out
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 131])
-def test_key_words_are_exact_base_d_numbers(d):
-    # the most digits e with d**e < 2**63 a word; one digit more would wrap in int64
-    e = max(e for e in range(1, 64) if d**e < 2**63)
+def test_key_fields_pack_the_residues_and_count_the_penalty(d):
+    # b = (d - 1).bit_length() bits a residue, 32 // b residues a 32-bit half;
+    # m spans three halves and one digit, padded to four halves: two words
+    e = 32 // (d - 1).bit_length()
     rng = np.random.default_rng(d)
     m = 3 * e + 1
-    syn = rng.integers(d, size=(20, m))
-    syn[0] = d - 1
+    syn = rng.integers(d, size=(40, m)).astype(residue_dtype(d))
+    syn[0] = d - 1  # every field full
     syn[1] = 0
-    keys = syn @ attacks._key_powers(m, d)
-    assert keys.shape == (20, 4)
-    for row, key in zip(syn.tolist(), keys.tolist()):
-        words = [sum(v * d**i for i, v in enumerate(row[j: j + e])) for j in range(0, m, e)]
-        assert key == words
+    syn[2:8] = syn[8:14]  # equal rows
+    syn[14:20] *= rng.random((6, m)) < 0.2  # sparse rows: most fields zero
+    powers = attacks._key_powers(m, d)
+    assert powers.shape == (m, 4) and powers.dtype == np.float64
+    keys = attacks._keys(syn, powers)
+    assert keys.view(np.uint64).reshape(len(syn), 2).tolist() == _packed_keys(syn, d)
+    assert (keys[2:8] == keys[8:14]).all()
+    assert len(np.unique(keys)) == len({tuple(row) for row in syn.tolist()})
+    counted = np.count_nonzero(syn, axis=1)
+    assert attacks._key_weights(keys, d).tolist() == counted.tolist()
+    assert counted[0] == m and counted[1] == 0
+    # one word a key: e residues fill one half, padded to two
+    single = attacks._keys(syn[:, :e], attacks._key_powers(e, d))
+    assert single.dtype == np.uint64 and single.tolist() == [w for w, in _packed_keys(syn[:, :e], d)]
+    assert attacks._key_weights(single, d).tolist() == np.count_nonzero(syn[:, :e], axis=1).tolist()
+
+
+def test_profile_stops_once_every_syndrome_is_seen(monkeypatch):
+    # toric:2 has all 2**6 syndromes by weight 3: the walk to cap 8 checks the
+    # 24 + 252 + 1512 words of weights 1 to 3 and no heavier one
+    code = toric_code(2)
+    real = attacks.candidate_batches
+    walked = []
+
+    def counted(n, d, w):
+        for batch in real(n, d, w):
+            walked.append((w, len(batch)))
+            yield batch
+
+    monkeypatch.setattr(attacks, "candidate_batches", counted)
+    prof = soundness_profile(code, 8)
+    assert [w for w, _ in walked] == [1, 2, 3]
+    assert sum(rows for _, rows in walked) == 24 + 252 + 1512
+    assert prof.coverage_complete and prof.weight_cap == 8
+    assert _profile_facts(prof) == _profile_oracle(code, 8)
 
 
 def test_profile_first_sighting_sets_the_coset_weight():

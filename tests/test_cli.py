@@ -50,6 +50,22 @@ def test_build_toric3(capsys):
     assert rep["css"] and rep["valid"]
 
 
+def test_build_does_not_import_numpy_ma():
+    # np.setdiff1d and np.unique import numpy.ma on first use, some 13 ms of a
+    # CLI process; the code build takes its free columns from a boolean mask
+    src = os.path.dirname(os.path.dirname(qltc.__file__))
+    script = (
+        "import contextlib, io, sys\n"
+        "from qltc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['build', 'toric:3']) == 0\n"
+        "sys.exit(1 if 'numpy.ma' in sys.modules else 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_build_roundtrip_code_file(tmp_path, capsys):
     code_file = tmp_path / "toric2.json"
     code, _, _ = run(capsys, "build", "toric:2", "--out-code", str(code_file))

@@ -173,19 +173,29 @@ def test_contains_batch_reduces_entries_outside_the_residues(p):
     unreduced = np.where(vs == 0, p, np.where(vs == p - 1, -1, vs))
     assert (unreduced == p).any() and (unreduced == -1).any()
     assert np.array_equal(rs.contains_batch(unreduced), expected)
+    assert np.array_equal(rs.contains_batch(unreduced.astype(np.int8)), expected)
+
+
+def test_contains_batch_refuses_a_non_integer_entry():
+    rs = fm.RowSpace(np.array([[1, 0, 1]]), 3)
+    assert rs.contains_batch(np.array([[2.0, 0.0, 2.0]]))[0]
+    with pytest.raises(ValueError, match="entries must be integers"):
+        rs.contains_batch(np.array([[0.5, 0.0, 0.0]]))
 
 
 def _assert_modmul_is_the_int64_product(a, b, p):
-    # _FLOAT_SAFE = 0 sends every product down the int64 path, past both float tiers
+    # _FLOAT32_SAFE = 0 sends a float32 product to float64, _FLOAT_SAFE = 0 every
+    # product down the int64 path; each tier returns the residues in residue_dtype(p)
     expected = (a @ b) % p
-    for safe in (fm._FLOAT_SAFE, 0):
+    for safe32, safe in ((fm._FLOAT32_SAFE, fm._FLOAT_SAFE), (0, fm._FLOAT_SAFE), (0, 0)):
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fm, "_FLOAT32_SAFE", safe32)
             mp.setattr(fm, "_FLOAT_SAFE", safe)
             got = fm.modmul(a, b, p)
-        assert got.dtype == np.int64 and np.array_equal(got, expected)
+        assert got.dtype == fm.residue_dtype(p) and np.array_equal(got, expected)
 
 
-@given(st.sampled_from([2, 3, 5, 131, 257]), st.integers(0, 2**32 - 1), st.booleans())
+@given(st.sampled_from([2, 3, 5, 131, 251, 257]), st.integers(0, 2**32 - 1), st.booleans())
 @settings(max_examples=100)
 def test_modmul_matches_int64_product(p, seed, vector):
     rng = np.random.default_rng(seed)
