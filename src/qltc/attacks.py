@@ -18,13 +18,14 @@ weight are both functions of the syndrome alone).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fieldmath import modmul
-from .pauli import PauliOp, nonidentity_symbols
+from .pauli import PauliOp
 from .search import candidate_batches, candidates_at_weight
 from .stabilizer import BoundedWeight, StabilizerCode
 
@@ -454,7 +455,9 @@ def island_attack(
     the checks that touch S gives their penalties, and one kernel product
     on the kernel rows nonzero on S tests group membership for those with
     penalty 0 (A(G) lies in Z(G), so no other trial is in the group).
-    Only the best trial is rebuilt as a PauliOp.
+    Drawn symbol i is the pair divmod(i + 1, d), the (i + 1)-th in
+    lexicographic order, so no table of the symbols is listed.  Only the
+    best trial is rebuilt as a PauliOp.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -465,12 +468,9 @@ def island_attack(
     stats = g.expansion_stats(s)
     eps_prime = stats.epsilon
     p = 1.0 / (10 * k)
-    # row 0 is the identity, so a trial's symbol indices pick its (x, z) per qudit
-    table = np.array([(0, 0)] + nonidentity_symbols(code.d), dtype=np.int64)
-    n_symbols = len(table) - 1
+    n_symbols = code.d**2 - 1
     s_arr = np.array(s)
-    s_pos = {q: i for i, q in enumerate(s)}
-    island_pos = np.array([[s_pos[q] for q in g.right_adj[u]] for u in u_set])
+    island_pos = np.searchsorted(s_arr, [g.right_adj[u] for u in u_set])  # s is sorted
     s_cols = np.concatenate([s_arr, code.n + s_arr])
     # rows zero on S are zero for every trial: they neither add to a penalty
     # nor tell a group element from a non-element.  The syndrome columns of S
@@ -507,11 +507,11 @@ def island_attack(
                 picks.append(rng.integers(n_symbols))
             else:
                 picks.extend(rng.integers(n_symbols, size=count).tolist())
-        # symbol index per qudit of S: 0 for identity, i for symbol i - 1; a
+        # index i at a qudit of S is its (x, z) = divmod(i, d), 0 the identity; a
         # boolean mask fills row by row, in the order of each trial's picks
         draws = np.zeros((hit.size, len(s)), dtype=np.int64)
         draws[active[hit]] = np.array(picks) + 1
-        vs = np.concatenate([table[draws, 0], table[draws, 1]], axis=1)
+        vs = np.concatenate(np.divmod(draws, code.d), axis=1)
         pen = np.count_nonzero(modmul(vs, syndrome_s, code.d), axis=1)
         penalties[start + hit] = pen
         if not pen.all():
@@ -524,9 +524,8 @@ def island_attack(
             best_score, best_trial, best_row = score[j], start + int(hit[j]), draws[j]
     if best_trial is None:
         raise Refusal("no trial produced an error; increase trials or |U|")
-    x = np.zeros(code.n, dtype=np.int64)
-    z = np.zeros(code.n, dtype=np.int64)
-    x[s_arr], z[s_arr] = table[best_row, 0], table[best_row, 1]
+    x, z = np.zeros((2, code.n), dtype=np.int64)
+    x[s_arr], z[s_arr] = np.divmod(best_row, code.d)
     best_report = evaluate_r(
         code,
         PauliOp(code.d, code.n, x, z, 0),
@@ -675,7 +674,7 @@ def _key_weights(keys: np.ndarray, d: int) -> np.ndarray:
 
 
 def soundness_profile(code: StabilizerCode, weight_cap: int) -> SoundnessProfile:
-    """Brute-force soundness oracle; refuses caps past PROFILE_GUARD candidates, counted exactly.
+    """Brute-force soundness oracle; refuses a walk past PROFILE_GUARD words, counted exactly.
 
     The syndromes seen at lower weights are held as sorted keys: the m
     residues in bit fields (see _key_powers), one float64 BLAS product a
@@ -688,20 +687,29 @@ def soundness_profile(code: StabilizerCode, weight_cap: int) -> SoundnessProfile
     its new keys as one sorted run without repeats; the runs join the
     table when the weight is done, in one stable sort, which merges sorted
     runs.  The walk stops after the weight at which every nonzero syndrome
-    has been seen: no heavier word can bring a new one.
+    has been seen: no heavier word can bring a new one.  It is refused
+    before the first weight that would take it past PROFILE_GUARD words,
+    and up front when the words within the guard are fewer than the
+    nonzero syndromes, since such a walk cannot stop early.
     """
     weights = range(1, min(weight_cap, code.n) + 1)  # no Pauli on n qudits is heavier than n
-    total = sum(candidates_at_weight(code.n, code.d, w) for w in weights)
-    if total > PROFILE_GUARD:
-        raise ValueError(
-            f"profile enumeration of {total} candidates exceeds the guard ({PROFILE_GUARD})"
-        )
-    powers = _key_powers(code.m, code.d)
     syndromes = code.d**code.rank
+    # the words walked by the end of each weight, while they fit in the guard
+    walked = list(itertools.takewhile(lambda c: c <= PROFILE_GUARD, itertools.accumulate(
+        candidates_at_weight(code.n, code.d, w) for w in weights)))
+    refusal = ValueError(f"profile enumeration past weight {len(walked)} exceeds the guard "
+                         f"({PROFILE_GUARD} candidates), and the words within it do not "
+                         "reach every syndrome")
+    # fewer words than nonzero syndromes cannot see them all, so such a walk would not stop
+    if len(walked) < len(weights) and (walked[-1] if walked else 0) < syndromes - 1:
+        raise refusal
+    powers = _key_powers(code.m, code.d)
     # the zero syndrome is a centralizer element, not an error: seen from the start
     table = _keys(np.zeros((1, code.m), dtype=np.uint8), powers)
     min_penalty: dict[int, int] = {}
     for w in weights:
+        if w > len(walked):
+            raise refusal
         runs = [table]
         for batch in candidate_batches(code.n, code.d, w):
             keys = np.sort(_keys(code.syndrome_batch(batch), powers))  # sorted queries search faster
@@ -718,15 +726,6 @@ def soundness_profile(code: StabilizerCode, weight_cap: int) -> SoundnessProfile
         table = table[np.r_[True, table[1:] != table[:-1]]]
         if len(table) == syndromes:  # every syndrome, the zero one too, has been seen
             break
-    seen = len(table) - 1  # the nonzero syndromes
-    complete = len(table) == syndromes
-    return SoundnessProfile(
-        n=code.n,
-        m=code.m,
-        k=code.k,
-        d=code.d,
-        weight_cap=weight_cap,
-        min_penalty=min_penalty,
-        syndromes_seen=seen,
-        coverage_complete=complete,
-    )
+    return SoundnessProfile(n=code.n, m=code.m, k=code.k, d=code.d, weight_cap=weight_cap,
+                            min_penalty=min_penalty, syndromes_seen=len(table) - 1,
+                            coverage_complete=len(table) == syndromes)

@@ -6,6 +6,9 @@ product or subtraction widens them first.
 `modmul` is the one matrix product (it sits here, below `pauli` and
 `search`, so every layer can use it); it returns residues in
 `residue_dtype(p)` too, so a batch of syndromes is one byte an entry.
+It runs in float32 or float64 BLAS only: `check_prime` admits primes
+below 2**16 alone, and below that every product of an admissible width
+is exact in float64.
 `rref` is the one elimination routine.  `RowSpace` runs it once, on
 [mat | J] with J the identity with its columns reversed, and reads every
 query off that one reduced matrix: rank, the right kernel (membership),
@@ -27,22 +30,28 @@ import numpy as np
 # A float matmul hits BLAS instead of numpy's slow integer path.  It is exact
 # while every integer it and the reduction make stays below 2**24 (float32:
 # sgemm, about half the time of dgemm) or 2**52 (float64); the bound is the
-# largest entry x of the product plus p, as q p <= x + p below.  The product
-# is reduced without % or fmod, each several times the cost of the product:
-# at p = 2 by its low bit, else as x - q p with q = floor(x * (1/p)), which
-# rounding may put one off, so one fix-up each way adds or takes p, still in
-# the float type.  Either way one cast narrows the residues at the end.  An
-# operand already in the float type is used without a copy.
-_FLOAT_SAFE = 2**52
+# largest entry x of the product plus p, as q p <= x + p below.  float64
+# always holds it: p < PRIME_LIMIT = 2**16 (check_prime), so it needs an
+# inner width past 2**52 / 65520**2, about 2**20, and every width is at most
+# 2n, which would take a kernel of n x 2n uint16 entries, over 1 TB.  The
+# product is reduced without % or fmod, each several times the cost of the
+# product: at p = 2 by its low bit, else as x - q p with q = floor(x * (1/p)),
+# which rounding may put one off, so one fix-up each way adds or takes p,
+# still in the float type.  Either way one cast narrows the residues at the
+# end.  An operand already in the float type is used without a copy.
 _FLOAT32_SAFE = 2**24
+# moduli are primes below this, so residues fit uint16 (residue_dtype)
+PRIME_LIMIT = 2**16
 
 
 def modmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p in residue_dtype(p), for operands with entries in [0, p)."""
+    """a @ b mod p in residue_dtype(p), for operands with entries in [0, p).
+
+    Two tiers: float32 while the bound above stays under 2**24, float64
+    past it, which holds every product of an admitted prime.
+    """
     dtype = residue_dtype(p)
     bound = a.shape[-1] * (p - 1) * (p - 1) + p
-    if bound >= _FLOAT_SAFE:
-        return (a.astype(np.int64) @ b.astype(np.int64) % p).astype(dtype)
     ftype = np.float32 if bound < _FLOAT32_SAFE else np.float64
     prod = np.asarray(a.astype(ftype, copy=False) @ b.astype(ftype, copy=False))
     if p == 2:
@@ -98,9 +107,14 @@ def is_prime(p: int) -> bool:
 
 
 def check_prime(p: int) -> None:
-    """Reject non-prime moduli: residues must form a field."""
-    if not is_prime(p):
-        raise ValueError(f"qudit dimension must be prime, got {p}")
+    """Reject non-prime moduli (residues must form a field) and primes of PRIME_LIMIT or more.
+
+    The layout holds residues in uint8 or uint16 and modmul's float64 tier
+    is exact only below the limit; the bound is tested before the
+    primality loop, whose trial division would run for long on a large p.
+    """
+    if not (p < PRIME_LIMIT and is_prime(p)):
+        raise ValueError(f"qudit dimension must be a prime below {PRIME_LIMIT}, got {p}")
 
 
 def inv_mod(a: int, p: int) -> int:

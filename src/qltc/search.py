@@ -20,9 +20,8 @@ k-local matrix, and site_images builds the weight-1 images of any map
 (the syndrome map, the kernel of A(G), the pivot filter) with one
 scatter over those sites.
 
-candidate_batches enumerates every word of one weight in canonical order
-(supports, then per-site symbols, both lexicographic) in bounded batches;
-the soundness profile and the dense verifier walk it.
+_words holds the canonical order of one weight's words, which the join's half
+tables and candidate_batches (the profile's and the verifier's batches) share.
 """
 
 from __future__ import annotations
@@ -47,11 +46,24 @@ HALF_TABLE_BYTES = 1 << 27
 
 def pure_symbols(d: int, kind: str) -> list[tuple[int, int]]:
     """Single-type per-site symbols: X-type (a,0) or Z-type (0,a), a != 0."""
-    if kind == "x":
-        return [(a, 0) for a in range(1, d)]
-    if kind == "z":
-        return [(0, a) for a in range(1, d)]
-    raise ValueError(kind)
+    if kind not in ("x", "z"):
+        raise ValueError(kind)
+    return [(a, 0) if kind == "x" else (0, a) for a in range(1, d)]
+
+
+def _words(n: int, s: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every word of weight h on n sites with s symbols a site, in canonical order.
+
+    supports holds every h-subset of range(n), choices every h-tuple of
+    symbol indices below s, one int32 row each, both lexicographic; the
+    words run as each support with each choice, supports outermost.
+    """
+    c = math.comb(n, h)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), h))
+    supports = np.fromiter(flat, dtype=np.int32, count=c * h).reshape(c, h)
+    # a C-ordered copy: the half table's broadcast add reads it about 1.5x faster
+    choices = np.ascontiguousarray(np.indices((s,) * h, dtype=np.int32).reshape(h, s**h).T)
+    return supports, choices
 
 
 def candidate_batches(
@@ -59,35 +71,24 @@ def candidate_batches(
 ) -> Iterator[np.ndarray]:
     """Batches of at most BATCH_ROWS symplectic (x|z) rows, every word of weight w once.
 
-    Canonical order within and across batches: supports lexicographic,
-    then per-site symbols lexicographic.  Rows are in residue_dtype(d).
-    A batch holds whole supports while their s**w symbol choices fit in
-    BATCH_ROWS, else one support's choices in pieces of BATCH_ROWS.
+    The words of _words, in its order, scattered into rows in
+    residue_dtype(d).  The weight's symbol values are gathered from its
+    choices once; a batch holds whole supports while their s**w choices
+    fit in BATCH_ROWS, else one support's choices in pieces of BATCH_ROWS.
     """
     sym = np.array(nonidentity_symbols(d) if symbols is None else symbols, dtype=residue_dtype(d))
-    s = len(sym)
-    combos = s**w
-    piece = min(combos, BATCH_ROWS)
-    place = s ** np.arange(w - 1, -1, -1)
-
-    def values(start):
-        """Choices start .. start + piece - 1, one row each: the x, then the z of the w sites."""
-        digits = np.arange(start, min(start + piece, combos))[:, None] // place % s
-        return np.concatenate([sym[digits, 0], sym[digits, 1]], axis=1)
-
-    first = values(0)  # the whole weight's choices, unless a support spans batches
-    per = max(1, BATCH_ROWS // combos)  # supports a batch
-    supports = itertools.combinations(range(n), w)
-    while chunk := list(itertools.islice(supports, per)):
-        supp = np.array(chunk, dtype=np.intp)
+    supports, choices = _words(n, len(sym), w)
+    vals = np.concatenate([sym[choices, 0], sym[choices, 1]], axis=1)  # the w x's, then the w z's
+    per = max(1, BATCH_ROWS // len(vals))  # supports a batch
+    for lo in range(0, len(supports), per):
+        supp = supports[lo : lo + per]
         cols = np.concatenate([supp, supp + n], axis=1)  # the x, then the z columns
-        support = np.arange(len(chunk))[:, None]
-        for start in range(0, combos, piece):
-            vals = first if start == 0 else values(start)
-            v = np.zeros((len(chunk), len(vals), 2 * n), dtype=sym.dtype)
-            # v[k, j, cols[k, i]] = vals[j, i]: the index arrays hold one entry a
+        for start in range(0, len(vals), BATCH_ROWS):
+            part = vals[start : start + BATCH_ROWS]
+            v = np.zeros((len(supp), len(part), 2 * n), dtype=sym.dtype)
+            # v[k, j, cols[k, i]] = part[j, i]: the index arrays hold one entry a
             # site of a support, a quarter of the time of a flat index a cell
-            v[support, :, cols] = vals.T
+            v[np.arange(len(supp))[:, None], :, cols] = part.T
             yield v.reshape(-1, 2 * n)
 
 
@@ -182,11 +183,8 @@ def site_images(sites: Sites, d: int, symbols) -> np.ndarray:
 def _half_table(n: int, s: int, h: int) -> np.ndarray:
     """Site-image rows of every weight-h word, one word per row (int32 holds
     q*s + j: a table of 2**31 words is far past HALF_TABLE_BYTES)."""
-    c, k = math.comb(n, h), s**h
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), h))
-    supports = np.fromiter(flat, dtype=np.int32, count=c * h).reshape(c, 1, h)
-    symbols = np.array(list(itertools.product(range(s), repeat=h)), dtype=np.int32)
-    return (supports * s + symbols.reshape(1, k, h)).reshape(c * k, h)
+    supports, choices = _words(n, s, h)
+    return (supports[:, None, :] * s + choices).reshape(len(supports) * len(choices), h)
 
 
 def _images(words: np.ndarray, images: np.ndarray, d: int) -> np.ndarray:
@@ -263,19 +261,19 @@ def min_weight_vector(
     (candidates_tested), and HALF_TABLE_BYTES caps the memory of one join.  nonzero
     goes with a zero target, and only there: it excludes the empty word.
     Both maps come as their sites (Sites.of turns a dense one into them).
+    A set's symbols (None: all d^2 - 1) are listed once both caps admit its first join.
     """
     target = np.asarray(target).astype(np.int64) % d
     if (nonzero is None) != bool(target.any()):
         raise ValueError("a nonzero filter goes with a zero target, and only there")
     target = target.astype(_image_dtype(d))
     row_bytes = target.itemsize * (target.size + (0 if nonzero is None else nonzero.shape[0]))
-    sets = [nonidentity_symbols(d) if syms is None else list(syms) for syms in symbol_sets]
+    sets = list(symbol_sets)
     images: list = [None] * len(sets)
     tested = 0
     for w in range(1, min(w_max, n) + 1):
         a, b = (w + 1) // 2, w // 2
         for k, symbols in enumerate(sets):
-            s = len(symbols)
             size_a = candidates_at_weight(n, d, a, symbols)
             need = size_a + (candidates_at_weight(n, d, b, symbols) if b != a else 0)
             over_budget = budget is not None and tested + need > budget
@@ -283,13 +281,14 @@ def min_weight_vector(
                 return SearchResult(None, None, w - 1, tested, True)
             tested += need
             if images[k] is None:
+                sets[k] = symbols = nonidentity_symbols(d) if symbols is None else list(symbols)
                 images[k] = [None if m is None else site_images(m, d, symbols)
                              for m in (matrix, nonzero)]
-            sites = _meet(n, d, s, a, b, *images[k], target)
+            sites = _meet(n, d, len(symbols), a, b, *images[k], target)
             if sites is not None:
                 v = np.zeros(2 * n, dtype=np.int64)
                 for r in sites:
-                    q, j = divmod(int(r), s)
+                    q, j = divmod(int(r), len(symbols))
                     v[q] += symbols[j][0]
                     v[q + n] += symbols[j][1]
                 return SearchResult(w, v % d, w - 1, tested, False)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -742,6 +743,47 @@ def test_profile_stops_once_every_syndrome_is_seen(monkeypatch):
     assert sum(rows for _, rows in walked) == 24 + 252 + 1512
     assert prof.coverage_complete and prof.weight_cap == 8
     assert _profile_facts(prof) == _profile_oracle(code, 8)
+
+
+@pytest.mark.parametrize("L, d, cap, seen, min_penalty", [
+    # the words to cap 7 are past the guard, but those to cap 6 fit and see all
+    # 65,535 syndromes, at weight 5: the answer is the cap-5 table
+    (3, 2, 7, 65_535, {1: 2, 2: 2, 3: 4, 4: 4, 5: 8}),
+    (2, 3, 99_999, 728, {1: 2, 2: 2, 3: 6}),  # 43,046,720 words to n = 8
+])
+def test_profile_past_the_guard_answers_when_the_walk_stops_within_it(L, d, cap, seen, min_penalty):
+    prof = soundness_profile(toric_code(L, d), cap)
+    assert prof.coverage_complete and prof.syndromes_seen == seen
+    assert prof.min_penalty == min_penalty and prof.weight_cap == cap
+
+
+@pytest.mark.parametrize("L, cap", [(4, 10), (6, 99_999)])
+def test_profile_refused_up_front_when_the_guard_cannot_see_every_syndrome(L, cap):
+    # the words within the guard are fewer than the 2**30 (2**70) syndromes
+    code = toric_code(L)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the guard"):
+        soundness_profile(code, cap)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_profile_refused_before_the_weight_that_passes_the_guard(monkeypatch):
+    # at a guard of 300,000 words, toric:3's weights 1 to 4 fit (271,323 words,
+    # more than its 65,535 syndromes) and are walked; weight 5 would pass it
+    monkeypatch.setattr(attacks, "PROFILE_GUARD", 300_000)
+    real = attacks.candidate_batches
+    walked = []
+
+    def counted(n, d, w):
+        for batch in real(n, d, w):
+            walked.append((w, len(batch)))
+            yield batch
+
+    monkeypatch.setattr(attacks, "candidate_batches", counted)
+    with pytest.raises(ValueError, match="past weight 4 exceeds the guard"):
+        soundness_profile(toric_code(3), 7)
+    assert sorted({w for w, _ in walked}) == [1, 2, 3, 4]
+    assert sum(rows for _, rows in walked) == 271_323
 
 
 def test_profile_first_sighting_sets_the_coset_weight():

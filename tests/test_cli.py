@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -385,6 +386,39 @@ def test_oversized_build_refused_before_allocation(source):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert proc.returncode == 1 and proc.stdout == ""
     assert "guard" in proc.stderr
+
+
+@pytest.mark.parametrize("d", ["65537", str(10**18 + 3)])
+def test_primes_past_the_residue_layout_exit_1_at_once(capsys, d):
+    # residues are held in uint8 or uint16: the bound is checked before any
+    # trial division, which at 10**18 + 3 would run for minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "build", f"toric:3:{d}")
+    assert code == 1 and out == "" and "prime below 65536" in err
+    assert time.perf_counter() - start < 0.5
+
+
+def test_the_largest_admitted_prime_builds(capsys):
+    code, out, _ = run(capsys, "build", "toric:3:65521")
+    assert code == 0 and json.loads(out)["rank"] == 16
+
+
+@pytest.mark.parametrize("argv", [
+    ("attack", "toric:3:3001", "expander", "--delta", "0.1", "--seed", "1"),
+    ("attack", "toric:3:3001", "island", "--trials", "100", "--seed", "1"),
+    ("analyze", "toric:3:3001", "--succinct"),
+])
+def test_a_large_d_lists_no_symbols_for_refused_work(capsys, argv):
+    # the 3001**2 - 1 symbols as a list would take about a gigabyte: the
+    # searches list them only for a join their caps admit, and the island maps
+    # a drawn index to its symbol by arithmetic
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 50 << 20
 
 
 @pytest.mark.parametrize("argv, seed", [

@@ -184,13 +184,12 @@ def test_contains_batch_refuses_a_non_integer_entry():
 
 
 def _assert_modmul_is_the_int64_product(a, b, p):
-    # _FLOAT32_SAFE = 0 sends a float32 product to float64, _FLOAT_SAFE = 0 every
-    # product down the int64 path; each tier returns the residues in residue_dtype(p)
+    # _FLOAT32_SAFE = 0 sends a float32 product to float64; each tier returns
+    # the residues in residue_dtype(p)
     expected = (a @ b) % p
-    for safe32, safe in ((fm._FLOAT32_SAFE, fm._FLOAT_SAFE), (0, fm._FLOAT_SAFE), (0, 0)):
+    for safe32 in (fm._FLOAT32_SAFE, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fm, "_FLOAT32_SAFE", safe32)
-            mp.setattr(fm, "_FLOAT_SAFE", safe)
             got = fm.modmul(a, b, p)
         assert got.dtype == fm.residue_dtype(p) and np.array_equal(got, expected)
 
@@ -227,6 +226,27 @@ def test_modmul_matches_int64_product_at_the_float32_bound(p, rows, inner, cols)
 def test_modmul_fixes_a_quotient_one_off(p, entry, inner):
     a = np.full((1, inner), entry)  # a @ a.T is the one entry x = entry**2 * inner
     _assert_modmul_is_the_int64_product(a, a.T, p)
+
+
+def test_modmul_float64_at_the_largest_prime():
+    # p = 65521, the largest prime check_prime admits, over an inner width of
+    # 4096: sums of products up to 4096 * 65520**2, about 2**44, exact in float64
+    p = 65521
+    rng = np.random.default_rng(65521)
+    a = rng.integers(p, size=(6, 4096))
+    b = rng.integers(p, size=(4096, 5))
+    a[0], b[:, 0] = p - 1, p - 1
+    _assert_modmul_is_the_int64_product(a, b, p)
+    assert fm.residue_dtype(p) == np.uint16
+
+
+def test_check_prime_refuses_primes_past_the_layout():
+    # residues are held in uint8 or uint16, and the bound is tested before
+    # the trial division, which would run for long on 10**18 + 3
+    fm.check_prime(65521)
+    for p in (65537, 10**18 + 3, 2**61 - 1):
+        with pytest.raises(ValueError, match="prime below 65536"):
+            fm.check_prime(p)
 
 
 @st.composite

@@ -513,3 +513,31 @@ def test_candidate_batches_equal_itertools(monkeypatch, n, d, w, rows):
     x = pure_symbols(d, "x")
     assert np.array_equal(np.concatenate(list(candidate_batches(n, d, w, x))),
                           itertools_words(n, d, w, x))
+
+
+@pytest.mark.parametrize("n,d,h", [(7, 2, 3), (6, 3, 2), (5, 5, 2), (9, 2, 4), (5, 3, 0), (4, 2, 4)])
+def test_half_table_words_equal_itertools(n, d, h):
+    # the join's half table and candidate_batches take one order from _words:
+    # row q*s + j of the site images is symbol j at qudit q
+    sym = np.array(nonidentity_symbols(d))
+    table = search._half_table(n, len(sym), h)
+    assert table.dtype == np.int32 and table.shape == (math.comb(n, h) * len(sym)**h, h)
+    q, j = np.divmod(table, len(sym))
+    words = np.zeros((len(table), 2 * n), dtype=np.int64)
+    rows = np.arange(len(table))[:, None]
+    words[rows, q], words[rows, q + n] = sym[j, 0], sym[j, 1]
+    assert np.array_equal(words, itertools_words(n, d, h))
+
+
+def test_a_refused_join_lists_no_symbols(monkeypatch):
+    # the d^2 - 1 symbols are listed only for a join the caps admit: at d = 3001
+    # toric:3's weight-1 join over all 9,006,000 symbols is past HALF_TABLE_BYTES
+    def listed(d):
+        raise AssertionError(f"listed the {d * d - 1} symbols")
+
+    monkeypatch.setattr(search, "nonidentity_symbols", listed)
+    c = toric_code(3, 3001)
+    assert c.is_succinct() is None
+    res = min_weight_vector(c.n, c.d, 3, c._syndrome_map, np.zeros(c.m), budget=0,
+                            nonzero=Sites.of(c.rowspace.kernel))
+    assert res.budget_hit and res.exhausted_weight == 0 and res.candidates_tested == 0

@@ -187,6 +187,20 @@ def test_syndrome_matches_direct_commutation():
         assert c.penalty(e) == sum(1 for v in direct if v)
 
 
+def test_syndrome_at_the_largest_prime_matches_python_ints():
+    # d = 65521, the largest prime admitted: the float64 sums of products near
+    # 2**32 stay exact, as they did not at 100000007 before such primes were refused
+    c = toric_code(2, 65521)
+    rng = np.random.default_rng(65521)
+    rows = c.symplectic_matrix.tolist()
+    for _ in range(200):
+        x, z = rng.integers(c.d, size=(2, c.n))
+        e = PauliOp(c.d, c.n, x, z, 0)
+        ref = [sum(g[c.n + i] * int(x[i]) - g[i] * int(z[i]) for i in range(c.n)) % c.d
+               for g in rows]
+        assert c.syndrome(e).tolist() == ref
+
+
 def test_syndrome_homomorphism():
     c = toric_code(2)
     rng = np.random.default_rng(3)
