@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +30,14 @@ from .pauli import PauliOp
 from .search import candidate_batches, candidates_at_weight
 from .stabilizer import BoundedWeight, StabilizerCode
 
-# island trials drawn and evaluated together; bounds the chunk x |S| uniforms
-# and the products of the trials scored (toric:16, 4000 trials, in process on
-# 2 cores: 20-22 ms at a 172 KiB tracemalloc peak at 256, 25 ms at 32, 20 ms
-# at 314 KiB at 1024)
-TRIAL_CHUNK = 256
-# most island trials a CLI run may ask for: 6 s at toric:16's 170,000 trials/s
+# lanes (island trials x Philox blocks of their uniforms) drawn and evaluated
+# together: it bounds the kernel's uint64 temporaries, the uniforms and the
+# products of the trials scored, whatever |S|.  4000 trials in process on 2
+# cores, one BLAS thread, median of 9 in each of 5 rounds: toric:16 (|S| = 8)
+# 4.3-5.8 ms at a 1.3 MiB tracemalloc peak, 5.0-7.3 ms at 0.9 MiB at 4096;
+# toric:40 (|S| = 72) 48-54 ms at 3.0 MiB, 36-50 ms at 5.4 MiB at 16384
+TRIAL_CHUNK = 8192
+# most island trials a CLI run may ask for: about 1 s on toric:16 on 2 cores
 TRIAL_GUARD = 1_000_000
 # most words a soundness profile may enumerate
 PROFILE_GUARD = 20_000_000
@@ -410,25 +413,77 @@ class IslandTrialStats:
         }
 
 
-def _trial_streams(seed: int):
-    """trial -> the generator of Philox(key=seed, counter=trial * 2**64).
+# Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as
+# easy as 1, 2, 3", SC'11): the multipliers of counter words 0 and 2, and the
+# increments of the two key words after each of the 10 rounds
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LOW = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)
 
-    Counter-based streams make every trial reproducible from (seed, index).
-    One Philox is re-keyed per trial instead of built anew: construction
-    costs more than a trial's draws.  The returned generator is shared, so
-    each call ends the previous trial's stream.
+
+def _mulhilo(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) 64-bit words of the 128-bit products m * x, the high ones from 32-bit halves."""
+    m0, m1 = m & _LOW, m >> _HALF
+    x0, x1 = x & _LOW, x >> _HALF
+    mid = x1 * m0 + (x0 * m0 >> _HALF)  # below 2**64, as is the sum after it
+    mid2 = x0 * m1 + (mid & _LOW)
+    return x1 * m1 + (mid >> _HALF) + (mid2 >> _HALF), x * m
+
+
+def _philox_raw(seed: int, trials: np.ndarray, first: int, count: int) -> np.ndarray:
+    """(len(trials), count) uint64: raw outputs first .. first + count - 1 of each trial's stream.
+
+    Trial t's stream is numpy's Philox(key=seed, counter=t << 64): block b,
+    its outputs 4b .. 4b + 3, is Philox4x64-10 of the key words (seed's low
+    and high 64 bits) and the counter words (b + 1, t, 0, 0), as the bit
+    generator adds one to the counter before each block.  Each (trial,
+    block) is one lane; words 0 and 2, which a round multiplies, are held
+    in one (2, lanes) array and words 1 and 3 in another, so a round is one
+    pass over each.
     """
-    bitgen = np.random.Philox(key=seed)
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state  # the key words and an empty output buffer
-    counter = state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+    seed = operator.index(seed)
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"a Philox key is an integer in [0, 2**128), got {seed}")
+    key = np.array([[seed & 0xFFFFFFFFFFFFFFFF], [seed >> 64]], dtype=np.uint64)
+    lo, hi = first // 4, (first + count - 1) // 4 + 1
+    even = np.zeros((2, len(trials), hi - lo), dtype=np.uint64)
+    odd = np.zeros_like(even)
+    even[0] = np.arange(lo + 1, hi + 1)
+    odd[0] = np.asarray(trials, dtype=np.uint64)[:, None]
+    even, odd = even.reshape(2, -1), odd.reshape(2, -1)
+    for _ in range(10):
+        high, low = _mulhilo(_PHILOX_M, even)
+        # words 0, 2 <- hi(M1 w2) ^ w1 ^ k0, hi(M0 w0) ^ w3 ^ k1; words 1, 3 <- lo(M1 w2), lo(M0 w0)
+        even, odd = high[::-1] ^ odd ^ key, low[::-1]
+        key = key + _PHILOX_W  # wraps mod 2**64
+    raw = np.stack([even[0], odd[0], even[1], odd[1]], axis=1).reshape(len(trials), -1)
+    return raw[:, first - 4 * lo : first - 4 * lo + count]
 
-    def stream(trial: int) -> np.random.Generator:
-        counter[1] = trial  # the setter copies the counter out
-        bitgen.state = state
-        return rng
 
-    return stream
+def _trial_symbols(seed: int, trials: np.ndarray, first: int, counts: np.ndarray,
+                   n: int) -> np.ndarray:
+    """integers(n, size=counts[j]) of trial trials[j]'s stream read from its raw
+    output `first` on, concatenated over j.
+
+    numpy draws below n < 2**32 (as d^2 - 1 is for every d below
+    fieldmath.PRIME_LIMIT) by Lemire's rule, one 32-bit half of an output a
+    draw, the low half first: x * n is the draw x in [0, 2**32) scaled, its
+    high 32 bits are the value, and it is rejected, and x drawn again, when
+    its low 32 bits are below 2**32 mod n.  A rejection shifts every later
+    draw of the trial, so a trial with one among its first counts[j] draws
+    is drawn anew from a fresh Generator on its stream.
+    """
+    raw = _philox_raw(seed, trials, first, -(-int(counts.max()) // 2))
+    scaled = np.stack([raw & _LOW, raw >> _HALF], axis=2).reshape(len(trials), -1) * np.uint64(n)
+    symbols = (scaled >> _HALF).astype(np.int64)
+    taken = np.arange(symbols.shape[1]) < counts[:, None]
+    rejected = (scaled & _LOW) < np.uint64((1 << 32) % n)
+    for j in np.flatnonzero(np.any(rejected & taken, axis=1)).tolist():
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=int(trials[j]) << 64))
+        rng.random(first)  # a uniform is one raw output
+        symbols[j, : counts[j]] = rng.integers(n, size=counts[j])
+    return symbols[taken]
 
 
 def island_attack(
@@ -446,18 +501,21 @@ def island_attack(
     (largest penalty per unit weight, earliest on ties) re-evaluated as
     an AttackReport.
 
-    Trial t draws from its own Philox stream (_trial_streams(seed)(t)), so
-    the report does not depend on how trials are grouped.  Trials are
-    evaluated TRIAL_CHUNK at a time on the 2|S| symplectic columns of S
-    alone, where every trial error lives.  A chunk first draws every
-    trial's uniforms; only the trials that put an error on S are drawn
-    again, in full, for their symbols and scored: one syndrome product on
-    the checks that touch S gives their penalties, and one kernel product
-    on the kernel rows nonzero on S tests group membership for those with
-    penalty 0 (A(G) lies in Z(G), so no other trial is in the group).
-    Drawn symbol i is the pair divmod(i + 1, d), the (i + 1)-th in
-    lexicographic order, so no table of the symbols is listed.  Only the
-    best trial is rebuilt as a PauliOp.
+    Trial t draws from its own stream, numpy's
+    Generator(Philox(key=seed, counter=t << 64)): |S| uniforms, one a qudit
+    of S, then the symbols of the qudits with an error.  As Philox is
+    counter-based, trials are drawn and evaluated together, TRIAL_CHUNK
+    lanes (trials x Philox blocks of their uniforms) at a time, and the
+    report does not depend on how trials are grouped: _philox_raw computes
+    every trial's uniforms as one array, and _trial_symbols the symbols of
+    the trials that put an error on S.  Those trials alone are scored, on
+    the 2|S| symplectic columns of S, where every trial error lives: one
+    syndrome product on the checks that touch S gives their penalties, and
+    one kernel product on the kernel rows nonzero on S tests group
+    membership for those with penalty 0 (A(G) lies in Z(G), so no other
+    trial is in the group).  Drawn symbol i is the pair divmod(i + 1, d),
+    the (i + 1)-th in lexicographic order, so no table of the symbols is
+    listed.  Only the best trial is rebuilt as a PauliOp.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -479,38 +537,28 @@ def island_attack(
     syndrome_s = np.concatenate([block[:, len(s):], -block[:, : len(s)] % code.d], axis=1).T
     kernel_s = code.rowspace.kernel[:, s_cols]
     kernel_s = kernel_s[np.any(kernel_s, axis=1)].T
-    trial_rng = _trial_streams(seed)
 
     histogram = np.zeros(k + 1, dtype=np.int64)
     penalties = np.zeros(trials)
     weights = np.zeros(trials)
     zero_coset = 0
     best_score, best_trial = 0.0, None
-    uniform = np.empty((TRIAL_CHUNK, len(s)))
-    for start in range(0, trials, TRIAL_CHUNK):
-        stop = min(start + TRIAL_CHUNK, trials)
-        for t in range(start, stop):
-            trial_rng(t).random(out=uniform[t - start])
-        active = uniform[: stop - start] < p
+    chunk = max(1, TRIAL_CHUNK // -(-len(s) // 4))  # a trial's uniforms take ceil(|S| / 4) blocks
+    for start in range(0, trials, chunk):
+        stop = min(start + chunk, trials)
+        # numpy's random(): a uniform is the top 53 bits of one raw output
+        raw = _philox_raw(seed, np.arange(start, stop), 0, len(s))
+        active = (raw >> np.uint64(11)) * 2.0**-53 < p
         w = active.sum(axis=1)
         histogram += np.bincount(active[:, island_pos].sum(axis=2).ravel(), minlength=k + 1)
         weights[start:stop] = w
         hit = np.flatnonzero(w)  # the trials that put an error on S
         if not hit.size:
             continue
-        picks = []
-        for j, count in zip(hit.tolist(), w[hit].tolist()):
-            rng = trial_rng(start + j)
-            rng.random(out=uniform[j])  # the same uniforms again, then the symbols
-            # a scalar draw reads the stream as size=1 does, at a quarter of the cost
-            if count == 1:
-                picks.append(rng.integers(n_symbols))
-            else:
-                picks.extend(rng.integers(n_symbols, size=count).tolist())
         # index i at a qudit of S is its (x, z) = divmod(i, d), 0 the identity; a
-        # boolean mask fills row by row, in the order of each trial's picks
+        # boolean mask fills row by row, in the order of each trial's draws
         draws = np.zeros((hit.size, len(s)), dtype=np.int64)
-        draws[active[hit]] = np.array(picks) + 1
+        draws[active[hit]] = _trial_symbols(seed, start + hit, len(s), w[hit], n_symbols) + 1
         vs = np.concatenate(np.divmod(draws, code.d), axis=1)
         pen = np.count_nonzero(modmul(vs, syndrome_s, code.d), axis=1)
         penalties[start + hit] = pen

@@ -106,15 +106,24 @@ def is_prime(p: int) -> bool:
     return True
 
 
+# the moduli check_prime has admitted: every PauliOp checks its d, and trial
+# division at p = 65521 costs about 200 times a lookup
+_ADMITTED: set[int] = set()
+
+
 def check_prime(p: int) -> None:
     """Reject non-prime moduli (residues must form a field) and primes of PRIME_LIMIT or more.
 
     The layout holds residues in uint8 or uint16 and modmul's float64 tier
     is exact only below the limit; the bound is tested before the
     primality loop, whose trial division would run for long on a large p.
+    A prime is checked once; a refused value is checked again each time.
     """
+    if p in _ADMITTED:
+        return
     if not (p < PRIME_LIMIT and is_prime(p)):
         raise ValueError(f"qudit dimension must be a prime below {PRIME_LIMIT}, got {p}")
+    _ADMITTED.add(p)
 
 
 def inv_mod(a: int, p: int) -> int:

@@ -296,33 +296,99 @@ def test_island_stats_shape():
     json.dumps(stats.to_json())
 
 
+def _fresh_stream(seed, trial):
+    """The oracle's stream for a trial: a new Generator on Philox(key=seed, counter=trial << 64)."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=trial << 64))
+
+
+def _assert_raw_outputs_are_numpys(seed, trials, first, count):
+    raw = attacks._philox_raw(seed, np.array(trials, dtype=np.uint64), first, count)
+    assert raw.shape == (len(trials), count) and raw.dtype == np.uint64
+    for t, row in zip(trials, raw):
+        want = np.random.Philox(key=seed, counter=t << 64).random_raw(first + count)
+        assert np.array_equal(row, want[first:])
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64 + 5, 2**128 - 1])
 def test_trial_streams_match_fresh_philox(seed):
-    stream = attacks._trial_streams(seed)
-    # revisits and leftover 32-bit halves must not leak from one trial into the next
-    for t in (0, 1, 5, 1, 2**20, 0):
-        fresh = np.random.Generator(np.random.Philox(key=seed, counter=t << 64))
-        rng = stream(t)
-        assert np.array_equal(rng.integers(1000, size=3, dtype=np.int32),
-                              fresh.integers(1000, size=3, dtype=np.int32))
-        assert np.array_equal(rng.random(5), fresh.random(5))
-        assert np.array_equal(rng.integers(3, size=7), fresh.integers(3, size=7))
+    # every first output mod 4, so each lane's block and the cut inside it are checked
+    for first in range(9):
+        for count in (1, 4, 7):
+            _assert_raw_outputs_are_numpys(seed, [0, 1, 5, 2**20, 2**64 - 1], first, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**128 - 1), trial=st.integers(0, 2**64 - 1),
+       first=st.integers(0, 40), count=st.integers(1, 12))
+def test_philox_kernel_matches_numpy_on_any_key(seed, trial, first, count):
+    _assert_raw_outputs_are_numpys(seed, [trial, 3], first, count)
+
+
+def test_philox_kernel_refuses_keys_numpy_refuses():
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError):
+            np.random.Philox(key=seed)
+        with pytest.raises(ValueError, match="Philox key"):
+            attacks._philox_raw(seed, np.arange(2), 0, 4)
+
+
+class _PhiloxCount:
+    """np.random.Philox that counts its constructions."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = np.random.Philox
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+
+
+@pytest.mark.parametrize("n", [3, 8, 24, 10007**2 - 1, 3 * 2**30 + 1])
+def test_trial_symbols_match_generator_integers(monkeypatch, n):
+    # at n = 3 * 2**30 + 1 about a quarter of the draws are rejected by
+    # Lemire's rule, so most trials are drawn anew from a fresh Generator
+    rng = np.random.default_rng(n)
+    trials = np.sort(rng.choice(10**6, size=200, replace=False))
+    counts = rng.integers(1, 13, size=200)
+    want = []
+    for t, c in zip(trials.tolist(), counts.tolist()):
+        stream = _fresh_stream(11, t)
+        stream.random(9)
+        want.extend(stream.integers(n, size=c).tolist())
+    philox = _PhiloxCount(monkeypatch)
+    got = attacks._trial_symbols(11, trials, 9, counts, n)
+    assert got.dtype == np.int64 and got.tolist() == want
+    if n == 3 * 2**30 + 1:
+        assert philox.calls > 150  # the trials with a rejected draw
+    elif n < 100:
+        assert philox.calls == 0  # a rejection has probability below 2**-27 there
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_scalar_symbol_draw_reads_the_stream_as_size_one(d):
-    # the island's second pass draws a trial's one symbol as a scalar: it must
-    # give the value of size=1 and leave the stream where size=1 leaves it
+    # a trial with one error draws one symbol: the kernel's draw is numpy's,
+    # whether read as a scalar or with size=1, after any number of uniforms
     n_symbols = d * d - 1
     for key in range(500):
-        rngs = [np.random.Generator(np.random.Philox(key=key, counter=(key % 7) << 64))
-                for _ in range(2)]
+        t = key % 7
+        rngs = [_fresh_stream(key, t) for _ in range(2)]
         for rng in rngs:
             rng.random(key % 9)  # a trial's uniforms come first
-        assert rngs[0].integers(n_symbols) == rngs[1].integers(n_symbols, size=1)[0]
-        assert repr(rngs[0].bit_generator.state) == repr(rngs[1].bit_generator.state)
-        assert np.array_equal(rngs[0].integers(n_symbols, size=3),
-                              rngs[1].integers(n_symbols, size=3))
+        one = attacks._trial_symbols(key, np.array([t]), key % 9, np.array([1]), n_symbols)
+        assert one.tolist() == [rngs[0].integers(n_symbols)]
+        assert one.tolist() == rngs[1].integers(n_symbols, size=1).tolist()
+
+
+def test_island_draws_every_trial_by_the_kernel(monkeypatch):
+    # the bench's island job: no trial's stream is built as a numpy Philox,
+    # so none of them fell back from the array kernel to the Generator
+    philox = _PhiloxCount(monkeypatch)
+    stats = island_attack(_island_code("toric:16"), trials=4000, seed=1276)
+    assert stats.trials == 4000 and stats.mean_weight > 0
+    assert philox.calls == 0
 
 
 def test_island_determinism():

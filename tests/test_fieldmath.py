@@ -249,6 +249,29 @@ def test_check_prime_refuses_primes_past_the_layout():
             fm.check_prime(p)
 
 
+def test_check_prime_runs_the_trial_division_once_per_prime(monkeypatch):
+    from qltc.pauli import PauliOp
+
+    calls = []
+    real = fm.is_prime
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(fm, "is_prime", counted)
+    monkeypatch.setattr(fm, "_ADMITTED", set())
+    for i in range(100):
+        PauliOp(65521, 3, [i, 0, 1], [0, i, 2])
+    assert calls == [65521]
+    # a refused value is checked in full every time: 65537 by the bound alone
+    for _ in range(2):
+        for p in (65537, 4, 0, -3):
+            with pytest.raises(ValueError, match=f"prime below 65536, got {p}$"):
+                fm.check_prime(p)
+    assert calls == [65521] + [4, 0, -3] * 2
+
+
 @st.composite
 def kernel_queries(draw):
     """A RowSpace over GF(2/3/5) and query rows that are zero, sparse (at most three
