@@ -37,13 +37,9 @@ from .attacks import (
     soundness_profile,
 )
 from .zoo import (
-    ClassicalParityCode,
-    classical_soundness_check,
     css_code,
     css_hypergraph_product,
-    random_regular_bipartite,
     steane_code,
-    string_error,
     toric_code,
 )
 from . import dense
@@ -52,7 +48,6 @@ __all__ = [
     "AttackReport",
     "BipartiteGraph",
     "BoundedWeight",
-    "ClassicalParityCode",
     "CodeValidationError",
     "ExpansionStats",
     "GroupMembership",
@@ -71,17 +66,14 @@ __all__ = [
     "alphabet_attack",
     "alphabet_t",
     "build_code",
-    "classical_soundness_check",
     "css_code",
     "css_hypergraph_product",
     "evaluate_r",
     "expander_attack",
     "island_attack",
-    "random_regular_bipartite",
     "refined_expander_attack",
     "soundness_profile",
     "steane_code",
-    "string_error",
     "toric_code",
 ]
 __version__ = "0.1.0"

@@ -531,10 +531,9 @@ def island_attack(
     island_pos = np.searchsorted(s_arr, [g.right_adj[u] for u in u_set])  # s is sorted
     s_cols = np.concatenate([s_arr, code.n + s_arr])
     # rows zero on S are zero for every trial: they neither add to a penalty
-    # nor tell a group element from a non-element.  The syndrome columns of S
-    # are (z | -x) on the checks that touch S, negated after widening
-    block = code.symplectic_matrix[np.ix_(sorted(g.gamma(s, "left")), s_cols)].astype(np.int64)
-    syndrome_s = np.concatenate([block[:, len(s):], -block[:, : len(s)] % code.d], axis=1).T
+    # nor tell a group element from a non-element
+    checks = sorted(g.gamma(s, "left"))
+    syndrome_s = code.syndrome_matrix[np.ix_(checks, s_cols)].T
     kernel_s = code.rowspace.kernel[:, s_cols]
     kernel_s = kernel_s[np.any(kernel_s, axis=1)].T
 
@@ -641,11 +640,6 @@ class SoundnessProfile:
 
     def r(self, delta: float) -> float:
         return self.R(delta) / min(self.k * delta, 1.0)
-
-    def r_at_coset_weight(self, w: int) -> float:
-        """Exact minimum r over errors of coset weight exactly w."""
-        delta = w / self.n
-        return (self.min_penalty[w] / self.m) / min(self.k * delta, 1.0)
 
     def table(self) -> list[dict]:
         rows = []

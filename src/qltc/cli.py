@@ -239,7 +239,7 @@ def _run_attack(args, code, report) -> int:
                 )
             rep = attacks.alphabet_attack(code, args.delta, seed=args.seed, budget=args.budget)
         else:
-            target = max(1, int(args.delta * code.n))
+            target = attacks._target_size(code, args.delta)
             u = code.graph.greedy_t_independent(1, target, seed=args.seed)
             rep = attacks.refined_expander_attack(code, u, args.delta, budget=args.budget)
         bound = _BOUNDS[args.attack](code, rep)

@@ -6,8 +6,8 @@ plus a scalar phase exponent s in Z_d, representing
     w^s * (Z^{z_1} X^{x_1}) (x) ... (x) (Z^{z_n} X^{x_n}),   w = e^{2 pi i / d}.
 
 The per-site normal ordering (Z left of X) fixes the product phase rule:
-moving X^a past Z^b costs w^{-a*b}.  Commutation, weight, restriction and
-group membership are all insensitive to this convention choice; the dense
+moving X^a past Z^b costs w^{-a*b}.  Weight, syndromes and group
+membership are all insensitive to this convention choice; the dense
 oracle pins it down exactly (densify(a*b) == densify(a) @ densify(b)).
 
 Qubit Y is represented as the product of X and Z with the phase tracked;
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -118,41 +117,6 @@ class PauliOp:
         return PauliOp(self.d, self.n, (self.x + other.x) % self.d, (self.z + other.z) % self.d, phase)
 
     __mul__ = multiply
-
-    def inverse(self) -> "PauliOp":
-        # (Z^z X^x)^-1 = X^-x Z^-z = w^{-x*z} Z^-z X^-x per site
-        phase = (-self.phase - int(np.dot(self.x, self.z))) % self.d
-        return PauliOp(self.d, self.n, (-self.x) % self.d, (-self.z) % self.d, phase)
-
-    def power(self, e: int) -> "PauliOp":
-        """Literal e-fold product (no exponent reduction: g^d may be a scalar)."""
-        if e < 0:
-            return self.inverse().power(-e)
-        result = PauliOp.identity(self.n, self.d)
-        for _ in range(e):
-            result = result.multiply(self)
-        return result
-
-    def symplectic_product(self, other: "PauliOp") -> int:
-        """<a,b> = sum_i a.z_i b.x_i - a.x_i b.z_i  (mod d).
-
-        Zero iff the operators commute; equals the phase-exponent difference
-        between a*b and b*a, so ab = w^{<a,b>} ba as dense matrices.
-        """
-        self._check_compat(other)
-        return int(np.dot(self.z, other.x) - np.dot(self.x, other.z)) % self.d
-
-    def commutes_with(self, other: "PauliOp") -> bool:
-        return self.symplectic_product(other) == 0
-
-    def restrict(self, sites: Iterable[int]) -> "PauliOp":
-        """Zero the x/z parts outside `sites`; the scalar phase is carried whole."""
-        keep = np.zeros(self.n, dtype=bool)
-        for s in sites:
-            if not 0 <= s < self.n:
-                raise IndexError(f"site {s} out of range for n={self.n}")
-            keep[s] = True
-        return PauliOp(self.d, self.n, np.where(keep, self.x, 0), np.where(keep, self.z, 0), self.phase)
 
     # --- serialization ------------------------------------------------
     def to_json(self) -> dict:

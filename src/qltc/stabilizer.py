@@ -208,9 +208,10 @@ class StabilizerCode:
     def syndrome_matrix(self) -> np.ndarray:
         """The syndrome map as dense rows (z | -x) in residue_dtype(d), scattered from its sites.
 
-        Built on first use, and only the batch products of syndrome_batch
-        read it (modmul casts it to the float type its BLAS product needs);
-        single syndromes and the searches read the sites.
+        Built on first use, and only batch products read it (syndrome_batch
+        and the island trials' columns of S; modmul casts it to the float
+        type its BLAS product needs); single syndromes and the searches read
+        the sites.
         """
         s = self._syndrome_map
         out = np.zeros((self.m, 2 * self.n), dtype=residue_dtype(self.d))
@@ -296,9 +297,6 @@ class StabilizerCode:
         """Number of generators that do not commute with E."""
         return int(np.count_nonzero(self.syndrome(e)))
 
-    def is_error(self, e: PauliOp) -> bool:
-        return bool(np.any(self.syndrome(e)))
-
     # --- group membership ----------------------------------------------
     def group_contains(self, e: PauliOp) -> GroupMembership:
         """Solve for E as a product of generators and compare the product's phase."""
@@ -373,7 +371,7 @@ class StabilizerCode:
             (pure_symbols(self.d, "x"), pure_symbols(self.d, "z")) if self.is_css() else (None,)
         )
         res = min_weight_vector(
-            self.n, self.d, w_max or self.n, self._syndrome_map, np.zeros(self.m),
+            self.n, self.d, self.n if w_max is None else w_max, self._syndrome_map, np.zeros(self.m),
             nonzero=Sites.of(self.rowspace.kernel), budget=budget, symbol_sets=symbol_sets,
         )
         if res.found_weight is not None:

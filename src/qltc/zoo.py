@@ -1,4 +1,4 @@
-"""Concrete code families and classical comparison codes.
+"""Concrete code families (toric, CSS, hypergraph product, Steane) and sparse-row input.
 
 Toric lattice convention (fixed for reproducible paths): qubits live on
 the edges of an L x L periodic lattice, row-major.  Horizontal edge
@@ -13,8 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .fieldmath import check_prime, residue_dtype, residues
-from .graphs import BipartiteGraph
-from .pauli import PauliOp
 from .stabilizer import StabilizerCode
 
 # refuse builds estimated to hold more bytes than this (see _check_build_size)
@@ -87,29 +85,6 @@ def toric_code(L: int, d: int = 2) -> StabilizerCode:
     matrix[plaquette, n + h(r + 1, c)] = d - 1
     matrix[plaquette, n + v(r, c)] = d - 1
     return StabilizerCode(d, matrix)
-
-
-def string_error(L: int, edges: list[int], d: int = 2, kind: str = "z") -> PauliOp:
-    """Z-type (primal path) or X-type (dual path) word on the given edges.
-
-    An open simple path violates exactly the two checks at its endpoints;
-    a contractible loop lies in the stabilizer group; a non-contractible
-    loop is a logical operation.
-    """
-    n = 2 * L * L
-    if len(set(edges)) != len(edges):
-        raise ValueError("repeated edge in path")
-    for e in edges:
-        if not 0 <= e < n:
-            raise ValueError(f"edge {e} out of range")
-    vec = np.zeros(n, dtype=np.int64)
-    vec[list(edges)] = 1
-    zero = np.zeros(n, dtype=np.int64)
-    if kind == "z":
-        return PauliOp(d, n, zero, vec, 0)
-    if kind == "x":
-        return PauliOp(d, n, vec, zero, 0)
-    raise ValueError(kind)
 
 
 # --------------------------------------------------------------------------
@@ -186,127 +161,6 @@ def steane_code() -> StabilizerCode:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return css_code(h, h, strict_degree=False)
-
-
-# --------------------------------------------------------------------------
-# random regular bipartite graphs
-# --------------------------------------------------------------------------
-
-def random_regular_bipartite(
-    n: int, m: int, d_left: int, k: int, seed: int
-) -> BipartiteGraph:
-    """Configuration-model (D_L, k)-biregular graph; multi-edges repaired by swaps."""
-    if n * d_left != m * k:
-        raise ValueError(f"infeasible degrees: n*D_L = {n * d_left} != m*k = {m * k}")
-    rng = np.random.default_rng(seed)
-    left_stubs = np.repeat(np.arange(n), d_left)
-    for _ in range(2000):
-        right_stubs = np.repeat(np.arange(m), k)
-        perm = rng.permutation(len(left_stubs))
-        pairs = list(zip(left_stubs[perm], right_stubs))
-        adj = [set() for _ in range(m)]
-        conflicts = []
-        for q, c in pairs:
-            q, c = int(q), int(c)
-            if q in adj[c]:
-                conflicts.append((q, c))
-            else:
-                adj[c].add(q)
-        ok = True
-        for q, c in conflicts:
-            # swap with a random existing edge that resolves the collision
-            placed = False
-            for _ in range(500):
-                c2 = int(rng.integers(m))
-                if c2 == c or not adj[c2]:
-                    continue
-                q2 = sorted(adj[c2])[int(rng.integers(len(adj[c2])))]
-                if q2 != q and q not in adj[c2] and q2 not in adj[c]:
-                    adj[c2].remove(q2)
-                    adj[c2].add(q)
-                    adj[c].add(q2)
-                    placed = True
-                    break
-            if not placed:
-                ok = False
-                break
-        if ok and all(len(a) == k for a in adj):
-            return BipartiteGraph(n, m, [sorted(a) for a in adj])
-    raise RuntimeError("failed to build a simple biregular graph")
-
-
-def regular_circulant_matrix(size: int, degree: int, seed: int) -> np.ndarray:
-    """Square circulant 0/1 matrix with `degree` ones per row and column."""
-    rng = np.random.default_rng(seed)
-    offsets = rng.choice(size, size=degree, replace=False)
-    mat = np.zeros((size, size), dtype=np.int64)
-    for i in range(size):
-        for off in offsets:
-            mat[i, (i + int(off)) % size] = 1
-    return mat
-
-
-# --------------------------------------------------------------------------
-# classical parity codes
-# --------------------------------------------------------------------------
-
-class ClassicalParityCode:
-    """Bits on the left, parity checks on the right, over F_2."""
-
-    def __init__(self, graph: BipartiteGraph):
-        self.graph = graph
-        self.n = graph.n
-        self.m = graph.m
-        self.parity_matrix = np.zeros((self.m, self.n), dtype=np.int64)
-        for c, nbrs in enumerate(graph.right_adj):
-            self.parity_matrix[c, nbrs] = 1
-
-    def violations(self, bits: np.ndarray) -> int:
-        return int(np.count_nonzero((self.parity_matrix @ bits) % 2))
-
-
-def classical_soundness_check(code: ClassicalParityCode, weight_cap: int) -> dict:
-    """Exhaustive unique-neighbor soundness scan over bit sets |S| <= cap.
-
-    For every scanned S with eps(S) < 1/2 checks: violations >= |Gamma_1(S)|
-    and |Gamma_1(S)| >= (1 - 2 eps(S)) |S| D_L.  Reports the minimum
-    relative soundness violations/(|S| D_L) per set size.
-    """
-    import itertools
-    import math
-
-    g = code.graph
-    if g.D_L is None:
-        raise ValueError("classical soundness scan expects a left-regular graph")
-    total = sum(math.comb(code.n, s) for s in range(1, weight_cap + 1))
-    if total > 5_000_000:
-        raise ValueError(f"scan of {total} sets infeasible; lower the cap")
-    min_r = {}
-    per_set_ok = True
-    scanned = 0
-    for s in range(1, weight_cap + 1):
-        best = None
-        for subset in itertools.combinations(range(code.n), s):
-            scanned += 1
-            stats = g.expansion_stats(subset)
-            bits = np.zeros(code.n, dtype=np.int64)
-            bits[list(subset)] = 1
-            viol = code.violations(bits)
-            if viol < stats.unique_neighbors:
-                per_set_ok = False
-            eps = stats.epsilon
-            if eps < 0.5 and stats.unique_neighbors < (1 - 2 * eps) * s * g.D_L - 1e-9:
-                per_set_ok = False
-            r = viol / (s * g.D_L)
-            if best is None or r < best:
-                best = r
-        min_r[s] = best
-    return {
-        "kind": "exact",
-        "sets_scanned": scanned,
-        "bounds_hold": per_set_ok,
-        "min_relative_soundness": min_r,
-    }
 
 
 def parse_sparse_rows(text: str) -> np.ndarray:

@@ -1,16 +1,97 @@
-"""Test-only helpers: toric lattice paths and the dense energy identity.
+"""Test-only helpers: fixtures, Pauli algebra and the classical contrast.
 
-The path helpers give edge sets on the toric lattice of qltc.zoo (see its
-convention) and classify the string operators on them; the dense helpers
-check the penalty/energy identity on the dense oracle's Hamiltonian.
+Nothing in the CLI or the bench reaches these, so they live with the tests:
+
+* toric lattice paths: edge sets on the lattice of qltc.zoo (see its
+  convention), the string operators on them and their classification;
+* random biregular graphs and circulant parity-check matrices;
+* Pauli algebra the library does not need: inverse, power, the
+  symplectic product, commutation and restriction, as plain functions;
+* the classical contrast: parity codes on a bipartite graph and the
+  exhaustive unique-neighbour soundness scan;
+* r at one coset weight of a soundness profile;
+* the penalty/energy identity on the dense oracle's Hamiltonian.
 """
+
+import itertools
+import math
+from typing import Iterable
 
 import numpy as np
 
+from qltc.attacks import SoundnessProfile
 from qltc.dense import TOL, _act, _energy, _system
+from qltc.graphs import BipartiteGraph
 from qltc.pauli import PauliOp
 from qltc.stabilizer import StabilizerCode
 from qltc.zoo import toric_edge_indices
+
+
+# --- Pauli algebra ----------------------------------------------------------
+
+def inverse(p: PauliOp) -> PauliOp:
+    # (Z^z X^x)^-1 = X^-x Z^-z = w^{-x*z} Z^-z X^-x per site
+    phase = (-p.phase - int(np.dot(p.x, p.z))) % p.d
+    return PauliOp(p.d, p.n, (-p.x) % p.d, (-p.z) % p.d, phase)
+
+
+def power(p: PauliOp, e: int) -> PauliOp:
+    """Literal e-fold product (no exponent reduction: g^d may be a scalar)."""
+    if e < 0:
+        return power(inverse(p), -e)
+    result = PauliOp.identity(p.n, p.d)
+    for _ in range(e):
+        result = result.multiply(p)
+    return result
+
+
+def symplectic_product(a: PauliOp, b: PauliOp) -> int:
+    """<a,b> = sum_i a.z_i b.x_i - a.x_i b.z_i  (mod d).
+
+    Zero iff the operators commute; equals the phase-exponent difference
+    between a*b and b*a, so ab = w^{<a,b>} ba as dense matrices.
+    """
+    a._check_compat(b)
+    return int(np.dot(a.z, b.x) - np.dot(a.x, b.z)) % a.d
+
+
+def commutes_with(a: PauliOp, b: PauliOp) -> bool:
+    return symplectic_product(a, b) == 0
+
+
+def restrict(p: PauliOp, sites: Iterable[int]) -> PauliOp:
+    """Zero the x/z parts outside `sites`; the scalar phase is carried whole."""
+    keep = np.zeros(p.n, dtype=bool)
+    for s in sites:
+        if not 0 <= s < p.n:
+            raise IndexError(f"site {s} out of range for n={p.n}")
+        keep[s] = True
+    return PauliOp(p.d, p.n, np.where(keep, p.x, 0), np.where(keep, p.z, 0), p.phase)
+
+
+# --- toric lattice paths ----------------------------------------------------
+
+def string_error(L: int, edges: list[int], d: int = 2, kind: str = "z") -> PauliOp:
+    """Z-type (primal path) or X-type (dual path) word on the given edges.
+
+    An open simple path violates exactly the two checks at its endpoints;
+    a contractible loop lies in the stabilizer group; a non-contractible
+    loop is a logical operation.
+    """
+    n = 2 * L * L
+    if len(set(edges)) != len(edges):
+        raise ValueError("repeated edge in path")
+    for e in edges:
+        if not 0 <= e < n:
+            raise ValueError(f"edge {e} out of range")
+    vec = np.zeros(n, dtype=np.int64)
+    vec[list(edges)] = 1
+    zero = np.zeros(n, dtype=np.int64)
+    if kind == "z":
+        return PauliOp(d, n, zero, vec, 0)
+    if kind == "x":
+        return PauliOp(d, n, vec, zero, 0)
+    raise ValueError(kind)
 
 
 def vertex_path_edges(L: int, vertices: list[tuple[int, int]]) -> list[int]:
@@ -85,9 +166,131 @@ def wrap_loop_edges(L: int, index: int, direction: str) -> list[int]:
 
 def classify_string(code: StabilizerCode, e: PauliOp) -> str:
     """Trichotomy: 'open' (violates checks), 'stabilizer', or 'logical'."""
-    if code.is_error(e):
+    if code.penalty(e) > 0:
         return "open"
     return "stabilizer" if code.group_contains(e).in_span else "logical"
+
+
+# --- random graphs and matrices --------------------------------------------
+
+def random_regular_bipartite(
+    n: int, m: int, d_left: int, k: int, seed: int
+) -> BipartiteGraph:
+    """Configuration-model (D_L, k)-biregular graph; multi-edges repaired by swaps."""
+    if n * d_left != m * k:
+        raise ValueError(f"infeasible degrees: n*D_L = {n * d_left} != m*k = {m * k}")
+    rng = np.random.default_rng(seed)
+    left_stubs = np.repeat(np.arange(n), d_left)
+    for _ in range(2000):
+        right_stubs = np.repeat(np.arange(m), k)
+        perm = rng.permutation(len(left_stubs))
+        pairs = list(zip(left_stubs[perm], right_stubs))
+        adj = [set() for _ in range(m)]
+        conflicts = []
+        for q, c in pairs:
+            q, c = int(q), int(c)
+            if q in adj[c]:
+                conflicts.append((q, c))
+            else:
+                adj[c].add(q)
+        ok = True
+        for q, c in conflicts:
+            # swap with a random existing edge that resolves the collision
+            placed = False
+            for _ in range(500):
+                c2 = int(rng.integers(m))
+                if c2 == c or not adj[c2]:
+                    continue
+                q2 = sorted(adj[c2])[int(rng.integers(len(adj[c2])))]
+                if q2 != q and q not in adj[c2] and q2 not in adj[c]:
+                    adj[c2].remove(q2)
+                    adj[c2].add(q)
+                    adj[c].add(q2)
+                    placed = True
+                    break
+            if not placed:
+                ok = False
+                break
+        if ok and all(len(a) == k for a in adj):
+            return BipartiteGraph(n, m, [sorted(a) for a in adj])
+    raise RuntimeError("failed to build a simple biregular graph")
+
+
+def regular_circulant_matrix(size: int, degree: int, seed: int) -> np.ndarray:
+    """Square circulant 0/1 matrix with `degree` ones per row and column."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.choice(size, size=degree, replace=False)
+    mat = np.zeros((size, size), dtype=np.int64)
+    for i in range(size):
+        for off in offsets:
+            mat[i, (i + int(off)) % size] = 1
+    return mat
+
+
+# --- the classical contrast -------------------------------------------------
+
+class ClassicalParityCode:
+    """Bits on the left, parity checks on the right, over F_2."""
+
+    def __init__(self, graph: BipartiteGraph):
+        self.graph = graph
+        self.n = graph.n
+        self.m = graph.m
+        self.parity_matrix = np.zeros((self.m, self.n), dtype=np.int64)
+        for c, nbrs in enumerate(graph.right_adj):
+            self.parity_matrix[c, nbrs] = 1
+
+    def violations(self, bits: np.ndarray) -> int:
+        return int(np.count_nonzero((self.parity_matrix @ bits) % 2))
+
+
+def classical_soundness_check(code: ClassicalParityCode, weight_cap: int) -> dict:
+    """Exhaustive unique-neighbor soundness scan over bit sets |S| <= cap.
+
+    For every scanned S with eps(S) < 1/2 checks: violations >= |Gamma_1(S)|
+    and |Gamma_1(S)| >= (1 - 2 eps(S)) |S| D_L.  Reports the minimum
+    relative soundness violations/(|S| D_L) per set size.
+    """
+    g = code.graph
+    if g.D_L is None:
+        raise ValueError("classical soundness scan expects a left-regular graph")
+    total = sum(math.comb(code.n, s) for s in range(1, weight_cap + 1))
+    if total > 5_000_000:
+        raise ValueError(f"scan of {total} sets infeasible; lower the cap")
+    min_r = {}
+    per_set_ok = True
+    scanned = 0
+    for s in range(1, weight_cap + 1):
+        best = None
+        for subset in itertools.combinations(range(code.n), s):
+            scanned += 1
+            stats = g.expansion_stats(subset)
+            bits = np.zeros(code.n, dtype=np.int64)
+            bits[list(subset)] = 1
+            viol = code.violations(bits)
+            if viol < stats.unique_neighbors:
+                per_set_ok = False
+            eps = stats.epsilon
+            if eps < 0.5 and stats.unique_neighbors < (1 - 2 * eps) * s * g.D_L - 1e-9:
+                per_set_ok = False
+            r = viol / (s * g.D_L)
+            if best is None or r < best:
+                best = r
+        min_r[s] = best
+    return {
+        "kind": "exact",
+        "sets_scanned": scanned,
+        "bounds_hold": per_set_ok,
+        "min_relative_soundness": min_r,
+    }
+
+
+# --- soundness profile and dense energies -----------------------------------
+
+def r_at_coset_weight(profile: SoundnessProfile, w: int) -> float:
+    """Exact minimum r over errors of coset weight exactly w."""
+    delta = w / profile.n
+    return (profile.min_penalty[w] / profile.m) / min(profile.k * delta, 1.0)
 
 
 def displaced_codeword_energy(code: StabilizerCode, e: PauliOp, which: int = 0) -> float:

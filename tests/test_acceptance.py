@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from qltc import attacks, dense, zoo
+from qltc import attacks, dense
 from qltc.attacks import (
     alphabet_alpha,
     alphabet_attack,
@@ -27,19 +27,17 @@ from qltc.attacks import (
     soundness_profile,
 )
 from qltc.pauli import PauliOp
-from qltc.zoo import (
-    ClassicalParityCode,
-    css_hypergraph_product,
-    random_regular_bipartite,
-    regular_circulant_matrix,
-    steane_code,
-    string_error,
-    toric_code,
-)
+from qltc.zoo import css_hypergraph_product, steane_code, toric_code
 from helpers import (
+    ClassicalParityCode,
+    classical_soundness_check,
     classify_string,
+    r_at_coset_weight,
     random_open_path,
+    random_regular_bipartite,
     rectangle_loop_edges,
+    regular_circulant_matrix,
+    string_error,
     verify_energy_identity,
     wrap_loop_edges,
 )
@@ -254,7 +252,7 @@ def test_criterion_08_classical_contrast(capsys):
     with criterion(capsys, 8, "classical unique-neighbor soundness on 10 graphs, exact"):
         for seed in range(10):
             g = random_regular_bipartite(24, 18, 3, 4, seed=1000 + seed)
-            report = zoo.classical_soundness_check(ClassicalParityCode(g), 3)
+            report = classical_soundness_check(ClassicalParityCode(g), 3)
             assert report["kind"] == "exact"
             assert report["bounds_hold"] is True
 
@@ -280,7 +278,7 @@ def test_criterion_09_oracle_consistency(capsys):
             for seed in range(3):
                 for rep in _all_attacks(code, seed):
                     w = rep.wt_mod_centralizer.value
-                    assert rep.r >= prof.r_at_coset_weight(w)
+                    assert rep.r >= r_at_coset_weight(prof, w)
 
 
 # --------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from qltc.stabilizer import (
     TrivialQuditError,
     build_code,
 )
+from helpers import power, regular_circulant_matrix
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "build_golden.json"
 
@@ -81,7 +82,7 @@ def _source(name, tmp_path):
         path.write_text(json.dumps(body))
         return str(path)
     if name == "hgp:circulant8":
-        h = zoo.regular_circulant_matrix(8, 2, seed=1)
+        h = regular_circulant_matrix(8, 2, seed=1)
         path = tmp_path / "circulant8.txt"
         path.write_text("".join(" ".join(map(str, np.nonzero(row)[0])) + "\n" for row in h))
         return f"hgp:{path},{path}"
@@ -239,12 +240,12 @@ def reference_build(gens, strict_degree):
     with mock.patch.object(fm, "rref", rref_int64):
         rs = fm.RowSpace(matrix, d)
     for i, g in enumerate(gens):
-        if g.power(d).phase:
+        if power(g, d).phase:
             raise PhaseObstructionError([i])
     for c in rs.left_kernel:
         prod = PauliOp.identity(n, d)
         for g, e in zip(gens, c):
-            prod = prod.multiply(g.power(int(e)))
+            prod = prod.multiply(power(g, int(e)))
         if prod.phase:
             raise PhaseObstructionError(c)
     return {
@@ -381,7 +382,7 @@ def test_build_size_estimate_bounds_the_traced_peak(d):
     for L in (4, 8, 16):
         n = 2 * L * L
         assert _traced_peak(lambda: zoo.toric_code(L, d)) <= zoo._check_build_size(n, n, d)
-    h = zoo.regular_circulant_matrix(8, 3, seed=1)
+    h = regular_circulant_matrix(8, 3, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         peak = _traced_peak(lambda: zoo.css_hypergraph_product(h, h, d, strict_degree=False))

@@ -11,12 +11,8 @@ from hypothesis import strategies as st
 import qltc
 from qltc import graphs
 from qltc.graphs import BipartiteGraph, ExpansionStats
-from qltc.zoo import (
-    css_hypergraph_product,
-    random_regular_bipartite,
-    regular_circulant_matrix,
-    toric_code,
-)
+from qltc.zoo import css_hypergraph_product, toric_code
+from helpers import random_regular_bipartite, regular_circulant_matrix
 
 
 def small_graph():

@@ -24,6 +24,7 @@ from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.fieldmath import RowSpace
 from qltc.search import Sites
 from qltc.stabilizer import StabilizerCode, product_phase
+from helpers import regular_circulant_matrix
 from test_build import rref_int64
 from test_search import dense_site_images
 
@@ -42,7 +43,7 @@ def random_hgp_matrix(d, rng):
     mats = []
     for _ in range(2):
         size = int(rng.integers(3, 5))
-        h = zoo.regular_circulant_matrix(size, 2, seed=int(rng.integers(1000)))
+        h = regular_circulant_matrix(size, 2, seed=int(rng.integers(1000)))
         mats.append(h * rng.integers(1, d, size=h.shape))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -20,11 +20,15 @@ from qltc.stabilizer import (
     build_code,
     product_phase,
 )
-from qltc.zoo import (
-    css_hypergraph_product,
+from qltc.zoo import css_hypergraph_product, steane_code, toric_code
+from helpers import (
+    commutes_with,
+    inverse,
+    power,
     regular_circulant_matrix,
-    steane_code,
-    toric_code,
+    string_error,
+    symplectic_product,
+    wrap_loop_edges,
 )
 
 
@@ -92,7 +96,7 @@ def test_rejects_trivial_qudit():
     # XX and -XX restrict identically everywhere: no non-commuting pair
     g1 = PauliOp(2, 2, [1, 1], [0, 0], 0)
     g2 = PauliOp(2, 2, [1, 1], [0, 0], 1)
-    assert g1.commutes_with(g2)
+    assert commutes_with(g1, g2)
     with pytest.raises(TrivialQuditError) as err:
         build_code([g1, g2])
     assert err.value.qudit == 0
@@ -115,7 +119,7 @@ def test_phase_obstruction_generator_power():
     # d=2 generator with an odd number of Y sites squares to -I
     g = PauliOp(2, 2, [1, 1], [1, 0], 0)  # Y (x) X
     h = PauliOp(2, 2, [1, 0], [0, 1], 0)  # X (x) Z
-    assert g.commutes_with(h)
+    assert commutes_with(g, h)
     with pytest.raises(PhaseObstructionError):
         build_code([g, h])
 
@@ -173,7 +177,7 @@ def test_syndrome_of_generators_and_identity():
     for g in c.generators:
         assert not c.syndrome(g).any()
     assert not c.syndrome(PauliOp.identity(c.n, c.d)).any()
-    assert not c.is_error(c.generators[0])
+    assert c.penalty(c.generators[0]) == 0
 
 
 def test_syndrome_matches_direct_commutation():
@@ -182,7 +186,7 @@ def test_syndrome_matches_direct_commutation():
     for _ in range(20):
         e = PauliOp(2, c.n, rng.integers(2, size=c.n), rng.integers(2, size=c.n), 0)
         syn = c.syndrome(e)
-        direct = [g.symplectic_product(e) for g in c.generators]
+        direct = [symplectic_product(g, e) for g in c.generators]
         assert syn.tolist() == direct
         assert c.penalty(e) == sum(1 for v in direct if v)
 
@@ -238,7 +242,7 @@ def test_group_contains_coefficients_pinned():
     assert mem.status == "member"
     assert list(np.nonzero(mem.coefficients)[0]) == list(range(1, 8))
     c3 = toric_code(3, 3)
-    mem3 = c3.group_contains(c3.generators[2].power(2).multiply(c3.generators[10]))
+    mem3 = c3.group_contains(power(c3.generators[2], 2).multiply(c3.generators[10]))
     assert mem3.status == "member" and mem3.phase_difference == 0
     expected = np.zeros(c3.m, dtype=np.int64)
     expected[2], expected[10] = 2, 1
@@ -256,7 +260,7 @@ def test_product_phase_matches_multiply_loop(d, n, m, seed):
     c[rng.integers(m)] = d
     prod = PauliOp.identity(n, d)
     for g, e in zip(gens, c):
-        prod = prod.multiply(g.power(int(e)))
+        prod = prod.multiply(power(g, int(e)))
     sites = Sites.of(np.stack([g.symplectic() for g in gens]))
     phases = np.array([g.phase for g in gens], dtype=np.int64)
     assert product_phase(sites, phases, c, d) == prod.phase
@@ -264,9 +268,6 @@ def test_product_phase_matches_multiply_loop(d, n, m, seed):
 
 def test_group_contains_refusals():
     c = toric_code(2)
-    from helpers import wrap_loop_edges
-    from qltc.zoo import string_error
-
     logical = string_error(2, wrap_loop_edges(2, 0, "horizontal"), kind="z")
     assert not c.syndrome(logical).any()
     mem = c.group_contains(logical)
@@ -303,7 +304,7 @@ def brute_wt_mod_group(code, e):
         return 0
     for w in range(1, e.weight() + 1):
         for f in words_of_weight(code, w):
-            diff = f.multiply(e.inverse())
+            diff = f.multiply(inverse(e))
             if f.weight() == w and code.in_span(diff.symplectic()):
                 return w
     return e.weight()
@@ -381,8 +382,8 @@ def test_same_syndrome_iff_centralizer_coset():
         e = PauliOp(2, c.n, rng.integers(2, size=c.n), rng.integers(2, size=c.n), 0)
         f = PauliOp(2, c.n, rng.integers(2, size=c.n), rng.integers(2, size=c.n), 0)
         same = np.array_equal(c.syndrome(e), c.syndrome(f))
-        quotient = e.multiply(f.inverse())
-        assert same == (not c.is_error(quotient))
+        quotient = e.multiply(inverse(f))
+        assert same == (c.penalty(quotient) == 0)
 
 
 # --- distance and succinctness --------------------------------------------
@@ -398,6 +399,14 @@ def test_distances():
     # criterion-4 instance hgp:12: no logical of weight <= 2
     h = regular_circulant_matrix(12, 2, seed=12)
     assert css_hypergraph_product(h, h).code_distance(w_max=2) == BoundedWeight(3, None)
+
+
+def test_distance_cap_zero_searches_no_weight():
+    # a cap of 0 is a cap, not "no cap": nothing is searched, so only d >= 1 is known
+    c = toric_code(3)
+    assert c.code_distance(w_max=0) == BoundedWeight(1, None)
+    assert c.code_distance(w_max=1) == BoundedWeight(2, None)
+    assert c.code_distance(w_max=None) == BoundedWeight.exactly(3)
 
 
 def test_css_lockstep_matches_generic():

@@ -7,19 +7,22 @@ from qltc import zoo
 from qltc.graphs import BipartiteGraph
 from qltc.pauli import PauliOp
 from qltc.zoo import (
-    ClassicalParityCode,
     css_code,
     css_hypergraph_product,
     hamming7_matrix,
-    random_regular_bipartite,
     steane_code,
-    string_error,
     toric_code,
 )
 from helpers import (
+    ClassicalParityCode,
+    classical_soundness_check,
     classify_string,
     random_open_path,
+    random_regular_bipartite,
     rectangle_loop_edges,
+    regular_circulant_matrix,
+    string_error,
+    symplectic_product,
     vertex_path_edges,
     wrap_loop_edges,
 )
@@ -115,7 +118,7 @@ def test_css_qudit_orthogonality():
 
 
 def test_hgp_shape_and_validity():
-    h = zoo.regular_circulant_matrix(4, 2, seed=0)
+    h = regular_circulant_matrix(4, 2, seed=0)
     c = css_hypergraph_product(h, h)
     assert c.n == 2 * 16 and c.m == 2 * 16
     assert (c.k, c.D_L) == (4, 4)
@@ -124,8 +127,8 @@ def test_hgp_shape_and_validity():
 
 def test_hgp_orthogonality_random_pair():
     rng = np.random.default_rng(2)
-    h1 = zoo.regular_circulant_matrix(3, 2, seed=5)
-    h2 = zoo.regular_circulant_matrix(4, 2, seed=6)
+    h1 = regular_circulant_matrix(3, 2, seed=5)
+    h2 = regular_circulant_matrix(4, 2, seed=6)
     c = css_hypergraph_product(h1, h2, strict_degree=False)
     assert c.n == 3 * 4 + 3 * 4
 
@@ -209,7 +212,7 @@ def test_classical_disjoint_pair():
 def test_classical_soundness_scan():
     g = random_regular_bipartite(14, 7, 2, 4, seed=9)
     code = ClassicalParityCode(g)
-    report = zoo.classical_soundness_check(code, 3)
+    report = classical_soundness_check(code, 3)
     assert report["kind"] == "exact"
     assert report["bounds_hold"] is True
     assert set(report["min_relative_soundness"]) == {1, 2, 3}
@@ -220,12 +223,12 @@ def test_classical_scan_guard():
     g = random_regular_bipartite(60, 30, 2, 4, seed=0)
     code = ClassicalParityCode(g)
     with pytest.raises(ValueError):
-        zoo.classical_soundness_check(code, 6)
+        classical_soundness_check(code, 6)
 
 
 def test_classical_quantum_agreement():
     """X-error violations of Z-checks equal classical parity violations."""
-    h = zoo.regular_circulant_matrix(4, 2, seed=0)
+    h = regular_circulant_matrix(4, 2, seed=0)
     c = css_hypergraph_product(h, h)
     hz_rows = [g for g in c.generators if not g.x.any()]
     graph = BipartiteGraph(c.n, len(hz_rows), [g.support() for g in hz_rows])
@@ -234,5 +237,5 @@ def test_classical_quantum_agreement():
     for _ in range(20):
         bits = (rng.random(c.n) < 0.1).astype(np.int64)
         e = PauliOp(2, c.n, bits, np.zeros(c.n, dtype=np.int64), 0)
-        quantum = sum(1 for g in hz_rows if g.symplectic_product(e) != 0)
+        quantum = sum(1 for g in hz_rows if symplectic_product(g, e) != 0)
         assert quantum == classical.violations(bits)
