@@ -20,12 +20,11 @@ from .stabilizer import (
     TrivialQuditError,
     build_code,
 )
-from .graphs import BipartiteGraph, ExpansionStats
+from .graphs import BipartiteGraph, ExpansionStats, Refusal
 from .attacks import (
     AttackReport,
     IslandTrialStats,
     NotAnErrorError,
-    Refusal,
     SoundnessProfile,
     alphabet_alpha,
     alphabet_attack,

@@ -14,6 +14,9 @@ Three constructions drive the upper bounds on relative soundness r(delta):
 The soundness profile enumerates all errors up to a coset-weight cap and
 records the exact minimum penalty per coset weight (penalty and coset
 weight are both functions of the syndrome alone).
+
+An attack whose precondition does not hold, and a profile past
+PROFILE_GUARD words, raise Refusal (from graphs): an in-band refusal.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fieldmath import modmul
+from .graphs import Refusal
 from .pauli import PauliOp
 from .search import candidate_batches, candidates_at_weight
 from .stabilizer import BoundedWeight, StabilizerCode
@@ -41,10 +45,6 @@ TRIAL_CHUNK = 8192
 TRIAL_GUARD = 1_000_000
 # most words a soundness profile may enumerate
 PROFILE_GUARD = 20_000_000
-
-
-class Refusal(ValueError):
-    """A precondition of the attack does not hold; reported in-band, not a fault."""
 
 
 class NotAnErrorError(Refusal):
@@ -739,9 +739,9 @@ def soundness_profile(code: StabilizerCode, weight_cap: int) -> SoundnessProfile
     # the words walked by the end of each weight, while they fit in the guard
     walked = list(itertools.takewhile(lambda c: c <= PROFILE_GUARD, itertools.accumulate(
         candidates_at_weight(code.n, code.d, w) for w in weights)))
-    refusal = ValueError(f"profile enumeration past weight {len(walked)} exceeds the guard "
-                         f"({PROFILE_GUARD} candidates), and the words within it do not "
-                         "reach every syndrome")
+    refusal = Refusal(f"profile enumeration past weight {len(walked)} exceeds the guard "
+                      f"({PROFILE_GUARD} candidates), and the words within it do not "
+                      "reach every syndrome")
     # fewer words than nonzero syndromes cannot see them all, so such a walk would not stop
     if len(walked) < len(weights) and (walked[-1] if walked else 0) < syndromes - 1:
         raise refusal

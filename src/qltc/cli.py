@@ -4,6 +4,9 @@ Codes are addressed by preset name (toric:L[:d], steane,
 hgp:H1.txt,H2.txt, css:Hx.txt,Hz.txt) or by a saved JSON code file.
 Reports are JSON with a schema field and per-quantity exactness labels;
 attack runs also emit a CSV row (delta, R, r, bound, bound_holds).
+`main` starts each report, the command fills it in, and `main` emits it
+once.  A Refusal (graphs.Refusal, the one in-band refusal) becomes the
+report's "refused" field; analyze keeps one per section instead.
 Exit codes: 0 success (including refusals that produce a report), 1
 invalid input, 2 internal invariant breach or any other fault, and
 argparse's usage error (unknown flag, missing argument).
@@ -12,9 +15,9 @@ argparse's usage error (unknown flag, missing argument).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
-import math
 import os
 import sys
 import traceback
@@ -22,6 +25,7 @@ import traceback
 import numpy as np
 
 from . import attacks, dense, zoo
+from .graphs import Refusal
 from .stabilizer import CodeValidationError, StabilizerCode
 
 SCHEMA = "qltc-report/1"
@@ -31,41 +35,21 @@ class InputError(Exception):
     """User-facing input problem; maps to exit code 1."""
 
 
-def _int_at_least(flag: str, least: int):
-    """argparse type of an integer flag with a lower bound."""
+def _flag(flag: str, convert, ok, wording: str):
+    """argparse type of a flag: its text converted, or InputError unless ok(value)."""
 
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = least - 1
-        if value < least:
-            raise InputError(f"{flag} must be an integer >= {least}, got {text!r}")
-        return value
+    def parse(text: str):
+        with contextlib.suppress(ValueError):  # text that does not convert is bad input
+            value = convert(text)
+            if ok(value):
+                return value
+        raise InputError(f"{flag} must be {wording}, got {text!r}")
 
     return parse
 
 
-def _delta_type(text: str) -> float:
-    """--delta: the attacked fraction of the n qudits, in (0, 1]."""
-    try:
-        delta = float(text)
-    except ValueError:
-        delta = math.nan
-    if not 0 < delta <= 1:
-        raise InputError(f"--delta must be a number in (0, 1], got {text!r}")
-    return delta
-
-
-def _seed_type(text: str) -> int:
-    """--seed: an integer in [0, 2**128), the key range of the island attack's Philox streams."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if not 0 <= seed < 1 << 128:
-        raise InputError(f"--seed must be an integer in [0, 2**128), got {text!r}")
-    return seed
+def _count(flag: str, least: int = 1):
+    return _flag(flag, int, lambda v: v >= least, f"an integer >= {least}")
 
 
 def load_code(source: str) -> StabilizerCode:
@@ -132,73 +116,51 @@ def _emit(report: dict, path: str | None) -> None:
 # subcommands
 # --------------------------------------------------------------------------
 
-def cmd_build(args) -> int:
+def _code_fields(code: StabilizerCode) -> dict:
+    return {"n": code.n, "m": code.m, "d": code.d, "k": code.k, "D_L": code.D_L,
+            "rank": code.rank}
+
+
+def cmd_build(args, report: dict) -> int:
     code = load_code(args.source)
     if args.out_code:
         code.save(args.out_code, meta={"source": args.source})
-    report = {
-        "command": "build",
-        "source": args.source,
-        "n": code.n,
-        "m": code.m,
-        "d": code.d,
-        "k": code.k,
-        "D_L": code.D_L,
-        "rank": code.rank,
-        "css": code.is_css(),
-        "valid": True,
-    }
-    _emit(report, args.out)
+    report.update(_code_fields(code), css=code.is_css(), valid=True)
     return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, report: dict) -> int:
     code = load_code(args.source)
-    report: dict = {
-        "command": "analyze",
-        "source": args.source,
-        "n": code.n,
-        "m": code.m,
-        "d": code.d,
-        "k": code.k,
-        "D_L": code.D_L,
-        "rank": code.rank,
-    }
+    report.update(_code_fields(code))
     if args.distance:
         report["distance"] = code.code_distance(budget=args.budget).to_json()
     if args.succinct:
         s = code.is_succinct(budget=args.budget)
         report["succinct"] = {"kind": "exact" if s is not None else "unknown", "value": s}
+    # a section past its guard is refused alone; the other sections still report
     if args.expansion:
         try:
             report["expansion"] = code.graph.small_set_expansion_error(args.sets)
-        except ValueError as exc:
+        except Refusal as exc:
             report["expansion"] = {"refused": str(exc)}
     if args.profile:
         try:
             report["profile"] = attacks.soundness_profile(code, args.wcap).to_json()
-        except ValueError as exc:
+        except Refusal as exc:
             report["profile"] = {"refused": str(exc)}
-    _emit(report, args.out)
     return 0
 
 
-def _expander_bound(code, rep) -> float:
-    try:
-        scan = code.graph.small_set_expansion_error(code.k)
-    except ValueError as exc:  # the exhaustive scan is infeasible
-        raise attacks.Refusal(str(exc)) from exc
-    return 2 * scan["epsilon_star"]
-
-
+# the bound each attack's r is checked against; the expander's scan may refuse
 _BOUNDS = {
-    "expander": _expander_bound,
+    "expander": lambda code, rep: 2 * code.graph.small_set_expansion_error(code.k)["epsilon_star"],
     "refined": lambda code, rep: rep.meta["r_bound"],
     "alphabet": lambda code, rep: attacks.alphabet_alpha(code.d),
+    "island": lambda code, rep: attacks.alphabet_alpha(code.d),
 }
 
 
-def cmd_attack(args) -> int:
+def cmd_attack(args, report: dict) -> int:
     if args.attack == "island" and args.trials > attacks.TRIAL_GUARD:
         raise InputError(
             f"--trials {args.trials} is over the guard of {attacks.TRIAL_GUARD} island trials"
@@ -206,25 +168,13 @@ def cmd_attack(args) -> int:
     code = load_code(args.source)
     if args.seed is None:
         raise InputError("a --seed is mandatory for stochastic attack runs")
-    report: dict = {"command": "attack", "source": args.source, "attack": args.attack}
-    try:
-        return _run_attack(args, code, report)
-    except attacks.Refusal as exc:
-        # precondition shortfall: refusal with a report, exit 0
-        report["refused"] = str(exc)
-        _emit(report, args.out)
-        return 0
-
-
-def _run_attack(args, code, report) -> int:
+    report["attack"] = args.attack
     if args.attack == "island":
         stats = attacks.island_attack(
             code, trials=args.trials, seed=args.seed, best_budget=args.budget
         )
-        report["island_stats"] = stats.to_json()
         rep = stats.best_trial
-        report["best_trial"] = rep.to_json()
-        bound = attacks.alphabet_alpha(code.d)
+        report.update(island_stats=stats.to_json(), best_trial=rep.to_json())
     else:
         if args.delta is None:
             raise InputError(f"attack {args.attack!r} requires --delta")
@@ -242,7 +192,8 @@ def _run_attack(args, code, report) -> int:
             target = attacks._target_size(code, args.delta)
             u = code.graph.greedy_t_independent(1, target, seed=args.seed)
             rep = attacks.refined_expander_attack(code, u, args.delta, budget=args.budget)
-        bound = _BOUNDS[args.attack](code, rep)
+    bound = _BOUNDS[args.attack](code, rep)
+    if args.attack != "island":
         report["report"] = rep.to_json()
     r_pess = rep.r_pessimistic
     csv_row = {
@@ -260,17 +211,12 @@ def _run_attack(args, code, report) -> int:
             if new:
                 w.writeheader()
             w.writerow(csv_row)
-    _emit(report, args.out)
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, report: dict) -> int:
     code = load_code(args.source)
-    try:
-        dim = dense._check_cap(code.d, code.n)
-    except dense.SizeCapError as exc:
-        _emit({"command": "verify", "source": args.source, "refused": str(exc)}, args.out)
-        return 0
+    dim = dense._check_cap(code.d, code.n)
     work = args.samples * dim * dim
     if work > dense.SAMPLE_WORK_GUARD:
         raise InputError(
@@ -286,20 +232,14 @@ def cmd_verify(args) -> int:
         raise InputError(f"--rho {rho} exceeds the code distance {dist.value}")
     det = dense.verify_detectability(code, rho)
     eq = dense.verify_sltc_qltc_equivalence(code, samples=args.samples, seed=args.seed or 0)
-    basis_dim = dense.codespace_basis(code).shape[1]
-    report = {
-        "command": "verify",
-        "source": args.source,
-        "codespace_dimension": basis_dim,
-        "expected_dimension": code.d ** (code.n - code.rank),
-        "detectability": det,
-        "energy_equivalence": eq,
-        "passed": det["passed"] and eq["passed"],
-    }
-    _emit(report, args.out)
-    if not (det["passed"] and eq["passed"]):
-        return 2  # a proven identity failed numerically: internal breach
-    return 0
+    report.update(
+        codespace_dimension=dense.codespace_basis(code).shape[1],
+        expected_dimension=code.d ** (code.n - code.rank),
+        detectability=det,
+        energy_equivalence=eq,
+        passed=det["passed"] and eq["passed"],
+    )
+    return 0 if report["passed"] else 2  # a proven identity failed numerically: internal breach
 
 
 # --------------------------------------------------------------------------
@@ -331,7 +271,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                 raise InputError(f"config key {key!r} must be a string or a number, got {value!r}")
             try:
                 value = (action.type or str)(str(value))
-            except (TypeError, ValueError, InputError) as exc:
+            except InputError as exc:
                 raise InputError(f"config key {key!r}: {exc}") from exc
             if action.choices is not None and value not in action.choices:
                 raise InputError(f"config key {key!r} must be one of {sorted(action.choices)}")
@@ -346,8 +286,10 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("source", help="preset name or code file")
         sp.add_argument("--out", help="report JSON path (default stdout)")
         sp.add_argument("--config", help="JSON config file overriding flags")
-        sp.add_argument("--seed", type=_seed_type, default=None)
-        sp.add_argument("--budget", type=_int_at_least("--budget", 0), default=None,
+        # a seed keys the island attack's Philox streams
+        sp.add_argument("--seed", type=_flag("--seed", int, lambda v: 0 <= v < 1 << 128,
+                                             "an integer in [0, 2**128)"), default=None)
+        sp.add_argument("--budget", type=_count("--budget", 0), default=None,
                         help="cap on the half-table words each weight search may build")
 
     b = sub.add_parser("build", help="build/validate a code and save it")
@@ -360,39 +302,50 @@ def make_parser() -> argparse.ArgumentParser:
     a.add_argument("--distance", action="store_true")
     a.add_argument("--succinct", action="store_true")
     a.add_argument("--expansion", action="store_true")
-    a.add_argument("--sets", type=_int_at_least("--sets", 1), default=2,
+    a.add_argument("--sets", type=_count("--sets"), default=2,
                    help="expansion set-size cap")
     a.add_argument("--profile", action="store_true")
-    a.add_argument("--wcap", type=_int_at_least("--wcap", 1), default=2,
+    a.add_argument("--wcap", type=_count("--wcap"), default=2,
                    help="profile coset-weight cap")
     a.set_defaults(fn=cmd_analyze)
 
     t = sub.add_parser("attack", help="run an adversarial construction")
     common(t)
     t.add_argument("attack", choices=["expander", "refined", "alphabet", "island"])
-    t.add_argument("--delta", type=_delta_type, default=None)
-    t.add_argument("--trials", type=_int_at_least("--trials", 1), default=1000)
+    t.add_argument("--delta", type=_flag("--delta", float, lambda v: 0 < v <= 1,
+                                         "a number in (0, 1]"), default=None)
+    t.add_argument("--trials", type=_count("--trials"), default=1000)
     t.add_argument("--csv", help="append the (delta,R,r,bound,bound_holds) row here")
     t.set_defaults(fn=cmd_attack)
 
     v = sub.add_parser("verify", help="dense Hilbert-space verification")
     common(v)
-    v.add_argument("--rho", type=_int_at_least("--rho", 1), default=None,
+    v.add_argument("--rho", type=_count("--rho"), default=None,
                    help="detectability weight bound, at most the code distance")
-    v.add_argument("--samples", type=_int_at_least("--samples", 1), default=50)
+    v.add_argument("--samples", type=_count("--samples"), default=50)
     v.set_defaults(fn=cmd_verify)
     return p
 
 
+# argparse keeps no state between parse_args calls: one parser serves every main call
+_PARSER = make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
         # a bad flag value raises InputError from its type function; argparse
         # itself still exits 2 on a malformed command line (unknown flag,
         # missing argument), the usage-error code the benchmark harness expects
-        args = parser.parse_args(argv)
-        _apply_config(args, parser)
-        return args.fn(args)
+        args = _PARSER.parse_args(argv)
+        _apply_config(args, _PARSER)
+        report = {"command": args.cmd, "source": args.source}
+        try:
+            status = args.fn(args, report)
+        except Refusal as exc:  # a guard or an unmet precondition: refused in-band, exit 0
+            report["refused"] = str(exc)
+            status = 0
+        _emit(report, args.out)
+        return status
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

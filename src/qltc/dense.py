@@ -1,8 +1,9 @@
 """Dense Hilbert-space oracle for small instances.
 
 Materializes operators as d^n x d^n complex matrices (hard cap d^n <=
-1024) to independently verify the symplectic layer: product phases,
-projector Hamiltonians, codespace dimension, error detectability and the
+SIZE_CAP = 1024, past which it raises Refusal, an in-band refusal) to
+independently verify the symplectic layer: product phases, projector
+Hamiltonians, codespace dimension, error detectability and the
 penalty/energy identity.  It stays independent by acting on computational
 basis states (a Pauli is its monomial matrix on |j>) and never reading
 syndromes to compute a checked value: they only pair sampled errors.
@@ -14,6 +15,7 @@ import functools
 
 import numpy as np
 
+from .graphs import Refusal
 from .pauli import PauliOp
 from .search import candidate_batches
 from .stabilizer import StabilizerCode
@@ -25,15 +27,10 @@ SAMPLE_WORK_GUARD = 10**9
 TOL = 1e-9
 
 
-class SizeCapError(ValueError):
-    def __init__(self, d: int, n: int):
-        super().__init__(f"dense verification refused: d^n = {d}^{n} exceeds cap {SIZE_CAP}")
-
-
 def _check_cap(d: int, n: int) -> int:
     dim = d**n
     if dim > SIZE_CAP:
-        raise SizeCapError(d, n)
+        raise Refusal(f"dense verification refused: d^n = {d}^{n} exceeds cap {SIZE_CAP}")
     return dim
 
 

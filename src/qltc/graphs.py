@@ -13,7 +13,9 @@ qudit-neighbourhood mask as uint64 words, its degree total and its
 extension list (CSR).  The next level follows by fancy indexing, its
 expansion errors by np.bitwise_count of the masks; levels are built in
 blocks of LEVEL_BYTES.  The set-at-a-time ESU walk from one root is kept
-to name the witness set.
+to name the witness set.  A scan past EXPANSION_GUARD sets raises
+Refusal, the one in-band refusal of the package, defined here as the
+lowest module that refuses.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ EXPANSION_GUARD = 2_000_000
 # bytes of level rows and their temporaries the expansion scan builds at once
 # (toric:16 at cap 4: 1.3 MiB traced peak, against 10 MiB with no blocks)
 LEVEL_BYTES = 1 << 20
+
+
+class Refusal(ValueError):
+    """A request past a guard or a precondition that does not hold; reported in-band, not a fault."""
 
 
 @dataclass(frozen=True)
@@ -152,7 +158,7 @@ class BipartiteGraph:
         errors.  The witness is the first set in ESU order that attains
         the maximum, its qudits in discovery order.  The scan finishes iff
         there are at most EXPANSION_GUARD connected sets of size <= size_cap;
-        else it raises ValueError once the sets it has counted, with the
+        else it raises Refusal once the sets it has counted, with the
         children of the level at hand, pass the guard, before it builds that
         next level; so a refusal costs at most that much scanning (toric:10
         at cap 8: about 0.3 s).
@@ -221,7 +227,7 @@ class BipartiteGraph:
             # the scan visits them all, so it refuses before building them
             children = int(ptr[-1]) if size < size_cap else 0
             if scanned + root.size + children > EXPANSION_GUARD:
-                raise ValueError(
+                raise Refusal(
                     f"exhaustive scan infeasible (over {EXPANSION_GUARD} connected sets"
                     f" of size <= {size_cap}); lower the set-size cap (--sets)"
                 )

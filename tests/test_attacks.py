@@ -835,7 +835,7 @@ def test_profile_refused_up_front_when_the_guard_cannot_see_every_syndrome(L, ca
     # the words within the guard are fewer than the 2**30 (2**70) syndromes
     code = toric_code(L)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="exceeds the guard"):
+    with pytest.raises(attacks.Refusal, match="exceeds the guard"):
         soundness_profile(code, cap)
     assert time.perf_counter() - start < 0.5
 
@@ -853,7 +853,7 @@ def test_profile_refused_before_the_weight_that_passes_the_guard(monkeypatch):
             yield batch
 
     monkeypatch.setattr(attacks, "candidate_batches", counted)
-    with pytest.raises(ValueError, match="past weight 4 exceeds the guard"):
+    with pytest.raises(attacks.Refusal, match="past weight 4 exceeds the guard"):
         soundness_profile(toric_code(3), 7)
     assert sorted({w for w, _ in walked}) == [1, 2, 3, 4]
     assert sum(rows for _, rows in walked) == 271_323

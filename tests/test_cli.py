@@ -286,19 +286,38 @@ def test_attack_refused_in_band(capsys):
     assert "refused" in rep or rep["csv_row"]["bound_holds"]
 
 
-def test_attack_internal_value_error_exits_2(capsys, monkeypatch):
-    # only attacks.Refusal is an in-band refusal; a ValueError from inside
-    # the computation is a fault
-    from qltc import attacks, cli, fieldmath, search, stabilizer
+def _break_modmul(monkeypatch):
+    from qltc import attacks, fieldmath, search, stabilizer
 
     def broken(a, b, p):
         raise ValueError("broken product")
 
-    code = qltc.toric_code(4)
-    monkeypatch.setattr(cli, "load_code", lambda source: code)
     for module in (fieldmath, search, stabilizer, attacks):
         monkeypatch.setattr(module, "modmul", broken, raising=False)
-    code, out, err = run(capsys, "attack", "toric:4", "island", "--trials", "50", "--seed", "3")
+
+
+def _break_level_scan(monkeypatch):
+    def broken(self, size_cap):
+        raise ValueError("broken product")
+
+    monkeypatch.setattr(qltc.graphs.BipartiteGraph, "_level_scan", broken)
+
+
+@pytest.mark.parametrize("argv, breaks", [
+    (("attack", "toric:4", "island", "--trials", "50", "--seed", "3"), _break_modmul),
+    (("analyze", "toric:3", "--profile", "--wcap", "2"), _break_modmul),
+    (("analyze", "toric:3", "--expansion"), _break_level_scan),
+    (("attack", "toric:4", "expander", "--delta", "0.05", "--seed", "0"), _break_level_scan),
+], ids=["island", "profile", "expansion", "expander-bound"])
+def test_attack_internal_value_error_exits_2(capsys, monkeypatch, argv, breaks):
+    # only Refusal is an in-band refusal; a ValueError from inside the
+    # computation is a fault, in an attack and in an analyze section alike
+    from qltc import cli
+
+    code = cli.load_code(argv[1])  # built before the break, which the build may use
+    monkeypatch.setattr(cli, "load_code", lambda source: code)
+    breaks(monkeypatch)
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "broken product" in err
 
@@ -488,6 +507,19 @@ def test_config_overrides_flags(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["report"]["seed"] == 7
+
+
+def test_config_leaves_no_trace_on_the_next_run(tmp_path, capsys):
+    # main reuses one parser: a config read by one call must not reach the next
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"wcap": 3}))
+    code, out, _ = run(capsys, "analyze", "toric:3", "--profile", "--config", str(cfg))
+    assert code == 0 and json.loads(out)["profile"]["weight_cap"] == 3
+    code, out, _ = run(capsys, "analyze", "toric:3", "--profile")
+    fresh = run_process("analyze", "toric:3", "--profile")
+    assert code == 0 and fresh.returncode == 0
+    assert json.loads(out) == json.loads(fresh.stdout)
+    assert json.loads(out)["profile"]["weight_cap"] == 2
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

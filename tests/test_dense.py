@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qltc import dense
+from qltc import Refusal, dense
 from qltc.cli import main
 from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.stabilizer import CodeValidationError, StabilizerCode, build_code
@@ -58,7 +58,7 @@ def test_densify_unitary_and_phase():
 
 
 def test_size_cap():
-    with pytest.raises(dense.SizeCapError):
+    with pytest.raises(Refusal, match="exceeds cap"):
         dense.densify(PauliOp.identity(11, 2))
 
 
@@ -252,7 +252,7 @@ def test_monomial_densify_matches_kron(op):
 
 def test_densify_refuses_past_the_cap():
     for d, n in MAX_N.items():
-        with pytest.raises(dense.SizeCapError):
+        with pytest.raises(Refusal, match="exceeds cap"):
             dense.densify(PauliOp.identity(n + 1, d))
 
 

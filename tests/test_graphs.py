@@ -389,7 +389,7 @@ def test_expansion_guard_bounds_the_sets_the_scan_counts(monkeypatch):
     monkeypatch.setattr(graphs, "EXPANSION_GUARD", 4272)
     assert g.small_set_expansion_error(4)["sets_scanned"] == 4272
     monkeypatch.setattr(graphs, "EXPANSION_GUARD", 4271)
-    with pytest.raises(ValueError, match="infeasible.*--sets"):
+    with pytest.raises(graphs.Refusal, match="infeasible.*--sets"):
         g.small_set_expansion_error(4)
 
 
@@ -409,7 +409,7 @@ def test_expansion_refusal_comes_before_the_level_that_passes_the_guard(monkeypa
 
     monkeypatch.setattr(BipartiteGraph, "_children", spy)
     monkeypatch.setattr(graphs, "EXPANSION_GUARD", guard)
-    with pytest.raises(ValueError, match="infeasible.*--sets"):
+    with pytest.raises(graphs.Refusal, match="infeasible.*--sets"):
         g.small_set_expansion_error(4)
     assert sizes == built
 

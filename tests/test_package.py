@@ -54,3 +54,14 @@ def test_test_only_names_are_not_in_the_library(name):
     assert in_src == [], in_src
     helpers = _defined_names(pathlib.Path(__file__).parent / "helpers.py")
     assert helpers.count(name) == (name in MOVED)
+
+
+def test_refusal_is_defined_once_and_its_old_forms_nowhere():
+    src = pathlib.Path(qltc.__file__).parent
+    defined = {p.name: _defined_names(p) for p in sorted(src.glob("*.py"))}
+    assert [name for name, names in defined.items() if "Refusal" in names] == ["graphs.py"]
+    assert sum(names.count("Refusal") for names in defined.values()) == 1
+    for gone in ("SizeCapError", "_expander_bound"):
+        assert not any(gone in names for names in defined.values()), gone
+    assert qltc.Refusal is qltc.attacks.Refusal is qltc.dense.Refusal
+    assert issubclass(qltc.NotAnErrorError, qltc.Refusal)
