@@ -7,11 +7,10 @@ and random-island attacks), with a dense Hilbert-space oracle for small
 instances.
 """
 
+from .fieldmath import CodeValidationError, InputError
 from .pauli import PauliOp
 from .stabilizer import (
     BoundedWeight,
-    CodeValidationError,
-    GroupMembership,
     IrregularDegreeError,
     NonAbelianError,
     NonUniformLocalityError,
@@ -49,7 +48,7 @@ __all__ = [
     "BoundedWeight",
     "CodeValidationError",
     "ExpansionStats",
-    "GroupMembership",
+    "InputError",
     "IrregularDegreeError",
     "IslandTrialStats",
     "NonAbelianError",

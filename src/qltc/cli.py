@@ -8,8 +8,10 @@ attack runs also emit a CSV row (delta, R, r, bound, bound_holds).
 once.  A Refusal (graphs.Refusal, the one in-band refusal) becomes the
 report's "refused" field; analyze keeps one per section instead.
 Exit codes: 0 success (including refusals that produce a report), 1
-invalid input, 2 internal invariant breach or any other fault, and
-argparse's usage error (unknown flag, missing argument).
+bad input (fieldmath.InputError alone, raised where outside input is
+checked), 2 internal invariant breach or any other fault (a ValueError
+from inside a build included) and argparse's usage error (unknown flag,
+missing argument).
 """
 
 from __future__ import annotations
@@ -25,14 +27,20 @@ import traceback
 import numpy as np
 
 from . import attacks, dense, zoo
+from .fieldmath import CodeValidationError, InputError
 from .graphs import Refusal
-from .stabilizer import CodeValidationError, StabilizerCode
+from .stabilizer import StabilizerCode
 
 SCHEMA = "qltc-report/1"
 
 
-class InputError(Exception):
-    """User-facing input problem; maps to exit code 1."""
+@contextlib.contextmanager
+def _bad_input(types, context: str = ""):
+    """Turn an exception of `types` raised in the block into InputError, after context."""
+    try:
+        yield
+    except types as exc:
+        raise InputError(f"{context}{exc}") from exc
 
 
 def _flag(flag: str, convert, ok, wording: str):
@@ -55,10 +63,8 @@ def _count(flag: str, least: int = 1):
 def load_code(source: str) -> StabilizerCode:
     """Resolve a JSON code-file path or, when no such file exists, a preset name."""
     if os.path.exists(source):
-        try:
+        with _bad_input((OSError, InputError), f"cannot load code file {source}: "):
             return StabilizerCode.load(source)
-        except (OSError, ValueError, KeyError) as exc:
-            raise InputError(f"cannot load code file {source}: {exc}") from exc
     if ":" in source or source in ("steane",):
         return _preset(source)
     raise InputError(f"unknown code source {source!r} (not a preset, not a file)")
@@ -66,14 +72,9 @@ def load_code(source: str) -> StabilizerCode:
 
 def _preset(name_spec: str) -> StabilizerCode:
     name, _, rest = name_spec.partition(":")
-    try:
+    with _bad_input(CodeValidationError, f"cannot build preset {name_spec!r}: "):
         if name == "toric":
-            parts = rest.split(":")
-            if len(parts) > 2:
-                raise InputError(f"toric preset is toric:L or toric:L:d, got {name_spec!r}")
-            L = int(parts[0])
-            d = int(parts[1]) if len(parts) > 1 else 2
-            return zoo.toric_code(L, d)
+            return zoo.toric_code(*_toric_fields(name_spec, rest))
         if name == "steane":
             if name_spec != "steane":
                 raise InputError(f"steane preset takes no fields, got {name_spec!r}")
@@ -87,26 +88,30 @@ def _preset(name_spec: str) -> StabilizerCode:
             if name == "hgp":
                 return zoo.css_hypergraph_product(m1, m2, strict_degree=False)
             return zoo.css_code(m1, m2, strict_degree=False)
-    except InputError:
-        raise
-    except (ValueError, OSError) as exc:
-        raise InputError(f"cannot build preset {name_spec!r}: {exc}") from exc
     raise InputError(f"unknown preset {name!r}")
 
 
+def _toric_fields(name_spec: str, rest: str) -> list[int]:
+    """L, or L and d, of a toric preset."""
+    fields = rest.split(":")
+    with contextlib.suppress(ValueError):  # a field that is not an integer is bad input
+        if len(fields) <= 2:
+            return [int(field) for field in fields]
+    raise InputError(f"toric preset is toric:L or toric:L:d, got {name_spec!r}")
+
+
 def _read_matrix(path: str) -> np.ndarray:
-    try:
+    with _bad_input((OSError, UnicodeDecodeError), f"cannot read matrix file {path}: "):
         with open(path) as f:
-            return zoo.parse_sparse_rows(f.read())
-    except OSError as exc:
-        raise InputError(f"cannot read matrix file {path}: {exc}") from exc
+            text = f.read()
+    return zoo.parse_sparse_rows(text)
 
 
 def _emit(report: dict, path: str | None) -> None:
     report = {"schema": SCHEMA, **report}
     text = json.dumps(report, indent=1, sort_keys=True)
     if path:
-        with open(path, "w") as f:
+        with _bad_input(OSError), open(path, "w") as f:
             f.write(text + "\n")
     else:
         print(text)
@@ -124,7 +129,8 @@ def _code_fields(code: StabilizerCode) -> dict:
 def cmd_build(args, report: dict) -> int:
     code = load_code(args.source)
     if args.out_code:
-        code.save(args.out_code, meta={"source": args.source})
+        with _bad_input(OSError):
+            code.save(args.out_code, meta={"source": args.source})
     report.update(_code_fields(code), css=code.is_css(), valid=True)
     return 0
 
@@ -161,13 +167,16 @@ _BOUNDS = {
 
 
 def cmd_attack(args, report: dict) -> int:
+    # the flags are checked before the code, whose build may take seconds
     if args.attack == "island" and args.trials > attacks.TRIAL_GUARD:
         raise InputError(
             f"--trials {args.trials} is over the guard of {attacks.TRIAL_GUARD} island trials"
         )
-    code = load_code(args.source)
     if args.seed is None:
         raise InputError("a --seed is mandatory for stochastic attack runs")
+    if args.attack != "island" and args.delta is None:
+        raise InputError(f"attack {args.attack!r} requires --delta")
+    code = load_code(args.source)
     report["attack"] = args.attack
     if args.attack == "island":
         stats = attacks.island_attack(
@@ -176,8 +185,6 @@ def cmd_attack(args, report: dict) -> int:
         rep = stats.best_trial
         report.update(island_stats=stats.to_json(), best_trial=rep.to_json())
     else:
-        if args.delta is None:
-            raise InputError(f"attack {args.attack!r} requires --delta")
         if args.attack == "expander":
             rep = attacks.expander_attack(code, args.delta, seed=args.seed, budget=args.budget)
         elif args.attack == "alphabet":
@@ -206,7 +213,7 @@ def cmd_attack(args, report: dict) -> int:
     report["csv_row"] = csv_row
     if args.csv:
         new = not os.path.exists(args.csv)
-        with open(args.csv, "a", newline="") as f:
+        with _bad_input(OSError), open(args.csv, "a", newline="") as f:
             w = csv.DictWriter(f, fieldnames=["delta", "R", "r", "bound", "bound_holds"])
             if new:
                 w.writeheader()
@@ -250,11 +257,9 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     """JSON config file whose keys override the parsed flags, read through each flag's type."""
     if not getattr(args, "config", None):
         return
-    try:
-        with open(args.config) as f:
-            cfg = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read config {args.config}: {exc}") from exc
+    with _bad_input((OSError, UnicodeDecodeError, json.JSONDecodeError),
+                    f"cannot read config {args.config}: "), open(args.config) as f:
+        cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -269,10 +274,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         else:
             if isinstance(value, bool) or not isinstance(value, (str, int, float)):
                 raise InputError(f"config key {key!r} must be a string or a number, got {value!r}")
-            try:
+            with _bad_input(InputError, f"config key {key!r}: "):
                 value = (action.type or str)(str(value))
-            except InputError as exc:
-                raise InputError(f"config key {key!r}: {exc}") from exc
             if action.choices is not None and value not in action.choices:
                 raise InputError(f"config key {key!r} must be one of {sorted(action.choices)}")
         setattr(args, key, value)
@@ -346,18 +349,12 @@ def main(argv=None) -> int:
             status = 0
         _emit(report, args.out)
         return status
-    except InputError as exc:
+    except InputError as exc:  # the one bad-input type
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CodeValidationError as exc:
-        print(f"invalid code: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # a report, code or CSV path that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception:  # any other fault is internal too, never a refusal
         traceback.print_exc()
         print("internal error", file=sys.stderr)

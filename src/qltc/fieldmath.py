@@ -11,16 +11,17 @@ below 2**16 alone, and below that every product of an admissible width
 is exact in float64.
 `rref` is the one elimination routine.  `RowSpace` runs it once, on
 [mat | J] with J the identity with its columns reversed, and reads every
-query off that one reduced matrix: rank, the right kernel (membership),
-the left kernel (generator dependencies) and the coefficients of a row
-space member.  Reversing J makes each left-kernel row pivot on the last
-row of mat it uses, which is a row that depends on earlier ones; so the
-coefficients are zero at every such row, as in a direct solve that
-prefers the earliest independent rows.  Over GF(2) the elimination runs on
+query off that one reduced matrix: rank, the right kernel (membership)
+and the left kernel (generator dependencies).  Reversing J makes each
+left-kernel row pivot on the last row of mat it uses, which is a row that
+depends on earlier ones.  Over GF(2) the elimination runs on
 rows packed as bits, one Python int per row, so a row operation is one
 XOR (the packed-row idea of M4RI, Albrecht, Bard and Hart,
 arXiv:0811.1714); odd p keeps an int64 loop whose row operations
 touch only the pivot row's nonzero columns.
+`InputError` is the one bad-input type.  The checks on outside input,
+here (`check_prime`) and in `zoo`, `stabilizer` and the CLI, raise it or
+its subclass `CodeValidationError`, which is also a `ValueError`.
 """
 
 from __future__ import annotations
@@ -42,6 +43,18 @@ import numpy as np
 _FLOAT32_SAFE = 2**24
 # moduli are primes below this, so residues fit uint16 (residue_dtype)
 PRIME_LIMIT = 2**16
+
+
+class InputError(Exception):
+    """Bad outside input: a preset, a code or matrix file, a flag.  The CLI exits 1 on it.
+
+    Not a ValueError: argparse would turn one raised by a flag's type
+    function into its own usage error.
+    """
+
+
+class CodeValidationError(InputError, ValueError):
+    """Outside input that does not describe a valid code (raised by the library's checks)."""
 
 
 def modmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -114,15 +127,16 @@ _ADMITTED: set[int] = set()
 def check_prime(p: int) -> None:
     """Reject non-prime moduli (residues must form a field) and primes of PRIME_LIMIT or more.
 
-    The layout holds residues in uint8 or uint16 and modmul's float64 tier
-    is exact only below the limit; the bound is tested before the
-    primality loop, whose trial division would run for long on a large p.
-    A prime is checked once; a refused value is checked again each time.
+    Either raises CodeValidationError.  The layout holds residues in uint8
+    or uint16 and modmul's float64 tier is exact only below the limit; the
+    bound is tested before the primality loop, whose trial division would
+    run for long on a large p.  A prime is checked once; a refused value
+    is checked again each time.
     """
     if p in _ADMITTED:
         return
     if not (p < PRIME_LIMIT and is_prime(p)):
-        raise ValueError(f"qudit dimension must be a prime below {PRIME_LIMIT}, got {p}")
+        raise CodeValidationError(f"qudit dimension must be a prime below {PRIME_LIMIT}, got {p}")
     _ADMITTED.add(p)
 
 
@@ -227,7 +241,6 @@ class RowSpace:
         # reduced = T @ [mat | J], so T (columns back in row order of mat) has
         # reduced[i, :ncols] = T[i] @ mat; rows below rank span the left kernel
         transform = reduced[:, ncols:][:, ::-1]
-        self._pivot_combinations = transform[: self.rank].astype(dtype)
         self.left_kernel = transform[self.rank :][::-1].astype(np.int64)
         # a mask, not np.setdiff1d: its np.unique imports numpy.ma on first use
         is_free = np.ones(ncols, dtype=bool)
@@ -258,12 +271,3 @@ class RowSpace:
         vs = residues(vs, self.p, residue_dtype(self.p))
         cols = np.flatnonzero(vs.any(axis=0))
         return ~np.any(modmul(vs[:, cols], self.kernel.T[cols], self.p), axis=1)
-
-    def coefficients(self, v: np.ndarray) -> np.ndarray | None:
-        """c with c @ mat = v, zero at every dependent row; None off the row space."""
-        if not self.contains(v):
-            return None
-        # v = sum_i v[pivot_i] * (pivot row i of rref(mat)), and each such row
-        # is a combination of mat's rows that is zero at every dependent row
-        v = np.asarray(v, dtype=np.int64) % self.p
-        return (v[self.pivots] @ self._pivot_combinations) % self.p

@@ -5,7 +5,10 @@ generator) and the generators' phases; `build_code` stacks a list of
 Pauli generators into that form.  Construction validates the Abelian
 requirement, absence of a phase obstruction (so the codespace is
 non-empty), uniform locality, degree regularity and absence of trivial
-qudits, each with a specific diagnosis.  Every check runs on the
+qudits, each with a specific diagnosis: a subclass of
+`CodeValidationError` (defined in `fieldmath` and re-exported here), which
+is the CLI's bad input and also a `ValueError`; so is a code file that is
+not UTF-8 JSON or holds a malformed generator.  Every check runs on the
 matrix's nonzero (generator, qudit) sites, so for k-local generators it
 costs time in proportion to those sites, not to m x m or m x n.  The
 matrix and the kernel of its row space are held in the least unsigned
@@ -35,14 +38,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .fieldmath import RowSpace, check_prime, modmul, residue_dtype, residues
+from .fieldmath import (
+    CodeValidationError, RowSpace, check_prime, modmul, residue_dtype, residues,
+)
 from .graphs import BipartiteGraph
 from .pauli import PauliOp
 from .search import SearchResult, Sites, min_weight_vector, pure_symbols
-
-
-class CodeValidationError(ValueError):
-    pass
 
 
 class NonAbelianError(CodeValidationError):
@@ -122,24 +123,6 @@ class BoundedWeight:
         if self.exact:
             return {"kind": "exact", "value": self.low}
         return {"kind": "interval", "low": self.low, "high": self.high}
-
-
-@dataclass(frozen=True)
-class GroupMembership:
-    """Result of a group-membership query.
-
-    status: 'member' (phase-exact), 'phase_mismatch' (member up to a
-    scalar), or 'not_in_span'.  coefficients is the certificate c with
-    prod_i g_i^{c_i} matching E (up to the stated scalar precision).
-    """
-
-    status: str
-    coefficients: np.ndarray | None = None
-    phase_difference: int | None = None
-
-    @property
-    def in_span(self) -> bool:
-        return self.status in ("member", "phase_mismatch")
 
 
 class StabilizerCode:
@@ -297,19 +280,7 @@ class StabilizerCode:
         """Number of generators that do not commute with E."""
         return int(np.count_nonzero(self.syndrome(e)))
 
-    # --- group membership ----------------------------------------------
-    def group_contains(self, e: PauliOp) -> GroupMembership:
-        """Solve for E as a product of generators and compare the product's phase."""
-        if e.n != self.n or e.d != self.d:
-            raise ValueError("operator does not match code dimensions")
-        c = self.rowspace.coefficients(e.symplectic())
-        if c is None:
-            return GroupMembership("not_in_span")
-        dphase = (e.phase - product_phase(self._sites, self._phases, c, self.d)) % self.d
-        if dphase == 0:
-            return GroupMembership("member", c, 0)
-        return GroupMembership("phase_mismatch", c, dphase)
-
+    # --- membership ----------------------------------------------------
     def in_span(self, v: np.ndarray) -> bool:
         """Scalar-insensitive membership of a symplectic vector in A(G)."""
         return self.rowspace.contains(v)
@@ -416,7 +387,7 @@ class StabilizerCode:
             raise CodeValidationError("every generator must be a JSON object")
         try:
             gens = [PauliOp.from_json(g) for g in obj["generators"]]
-        except (TypeError, ValueError) as exc:  # e.g. null, a list or 1.5 where an integer belongs
+        except (TypeError, ValueError, KeyError) as exc:  # e.g. 1.5 for an integer, or no "x"
             raise CodeValidationError(f"malformed generator: {exc}") from exc
         return build_code(gens, strict_degree=False)
 
@@ -427,7 +398,11 @@ class StabilizerCode:
     @staticmethod
     def load(path) -> "StabilizerCode":
         with open(path) as f:
-            return StabilizerCode.from_json(json.load(f))
+            try:
+                obj = json.load(f)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # not UTF-8 JSON
+                raise CodeValidationError(str(exc)) from exc
+        return StabilizerCode.from_json(obj)
 
 
 def build_code(generators: Sequence[PauliOp], strict_degree: bool = True) -> StabilizerCode:

@@ -6,13 +6,17 @@ h(r,c) = r*L + c runs from vertex (r,c) to (r, c+1 mod L); vertical edge
 v(r,c) = L^2 + r*L + c runs from (r,c) to (r+1 mod L, c).  For d > 2 the
 edges are oriented (+x, +y) and generators carry inverse exponents on
 outgoing/return edges so that all pairs commute mod d.
+
+Each check here on outside input (the build guard, L >= 2, CSS widths
+and orthogonality, a bad line of a matrix file) raises
+`fieldmath.CodeValidationError`, the CLI's bad input and a `ValueError`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fieldmath import check_prime, residue_dtype, residues
+from .fieldmath import CodeValidationError, check_prime, residue_dtype, residues
 from .stabilizer import StabilizerCode
 
 # refuse builds estimated to hold more bytes than this (see _check_build_size)
@@ -38,7 +42,7 @@ def _check_build_size(m: int, n: int, d: int) -> int:
     estimate = (b * 2 * n * (m + 2 * n - min(m, n)) + per_entry * m * (2 * n + m)
                 + n * m // 4 + 1024 * (m + n))
     if estimate > BUILD_GUARD:
-        raise ValueError(
+        raise CodeValidationError(
             f"a build of {m} generators on {n} qudits needs about {estimate / 1e9:.3g} GB,"
             f" over the {BUILD_GUARD / 1e9:.3g} GB guard"
         )
@@ -66,7 +70,7 @@ def toric_code(L: int, d: int = 2) -> StabilizerCode:
     D_L = 4; rank is 2L^2 - 2 (one global dependency per type).
     """
     if L < 2:
-        raise ValueError("L must be >= 2")
+        raise CodeValidationError("L must be >= 2")
     check_prime(d)
     h, v = toric_edge_indices(L)
     n = 2 * L * L
@@ -102,9 +106,9 @@ def css_code(
     check_prime(d)
     hx, hz = residues(hx, d), residues(hz, d)
     if hx.shape[1] != hz.shape[1]:
-        raise ValueError("Hx and Hz must have the same number of columns")
+        raise CodeValidationError("Hx and Hz must have the same number of columns")
     if np.any((hx @ hz.T) % d):
-        raise ValueError("CSS orthogonality violated: Hx @ Hz.T != 0 mod d")
+        raise CodeValidationError("CSS orthogonality violated: Hx @ Hz.T != 0 mod d")
     rx, n = hx.shape
     _check_build_size(rx + hz.shape[0], n, d)
     matrix = np.zeros((rx + hz.shape[0], 2 * n), dtype=residue_dtype(d))
@@ -180,18 +184,19 @@ def parse_sparse_rows(text: str) -> np.ndarray:
                 c, v = tok.split(":") if ":" in tok else (tok, 1)
                 row[int(c)] = int(v)
             except ValueError:  # not an integer, or more than one ':'
-                raise ValueError(f"line {number}: bad entry {tok!r}") from None
+                raise CodeValidationError(f"line {number}: bad entry {tok!r}") from None
         if row:
             if min(row) < 0:
-                raise ValueError(f"line {number}: negative column {min(row)}")
+                raise CodeValidationError(f"line {number}: negative column {min(row)}")
             if max(map(abs, row.values())) >= 2**63:
-                raise ValueError(f"line {number}: a value past int64")
+                raise CodeValidationError(f"line {number}: a value past int64")
             widest = max(widest, (max(row), number))
             rows.append(row)
     cols = widest[0] + 1
     if 8 * len(rows) * cols > BUILD_GUARD:
-        raise ValueError(f"line {widest[1]}: column {cols - 1} makes a {len(rows)} x {cols}"
-                         f" int64 matrix, over the {BUILD_GUARD / 1e9:.3g} GB build guard")
+        raise CodeValidationError(
+            f"line {widest[1]}: column {cols - 1} makes a {len(rows)} x {cols}"
+            f" int64 matrix, over the {BUILD_GUARD / 1e9:.3g} GB build guard")
     mat = np.zeros((len(rows), cols), dtype=np.int64)
     for i, row in enumerate(rows):
         mat[i, list(row)] = list(row.values())

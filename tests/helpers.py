@@ -7,6 +7,8 @@ Nothing in the CLI or the bench reaches these, so they live with the tests:
 * random biregular graphs and circulant parity-check matrices;
 * Pauli algebra the library does not need: inverse, power, the
   symplectic product, commutation and restriction, as plain functions;
+* group membership with its phase: the coefficients of a row-space
+  member and the product of the generators they name;
 * the classical contrast: parity codes on a bipartite graph and the
   exhaustive unique-neighbour soundness scan;
 * r at one coset weight of a soundness profile;
@@ -15,15 +17,17 @@ Nothing in the CLI or the bench reaches these, so they live with the tests:
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from qltc.attacks import SoundnessProfile
 from qltc.dense import TOL, _act, _energy, _system
+from qltc.fieldmath import rref
 from qltc.graphs import BipartiteGraph
 from qltc.pauli import PauliOp
-from qltc.stabilizer import StabilizerCode
+from qltc.stabilizer import StabilizerCode, product_phase
 from qltc.zoo import toric_edge_indices
 
 
@@ -67,6 +71,61 @@ def restrict(p: PauliOp, sites: Iterable[int]) -> PauliOp:
             raise IndexError(f"site {s} out of range for n={p.n}")
         keep[s] = True
     return PauliOp(p.d, p.n, np.where(keep, p.x, 0), np.where(keep, p.z, 0), p.phase)
+
+
+# --- group membership -------------------------------------------------------
+
+def coefficients(mat: np.ndarray, p: int, v: np.ndarray) -> np.ndarray | None:
+    """c with c @ mat = v mod p, zero at each row of mat that depends on earlier ones.
+
+    None when v lies off the row space.  One rref of [mat | J], J the
+    identity with its columns reversed, read as fieldmath.RowSpace reads
+    it: reduced = T @ [mat | J], so the first rank rows of T (columns back
+    in row order of mat) combine mat's rows into the pivot rows of
+    rref(mat), each zero at every dependent row.
+    """
+    m, ncols = mat.shape
+    augmented = np.zeros((m, ncols + m), dtype=np.int64)
+    augmented[:, :ncols] = np.asarray(mat, dtype=np.int64) % p
+    augmented[np.arange(m), ncols + m - 1 - np.arange(m)] = 1
+    reduced, pivots = rref(augmented, p)
+    pivots = [c for c in pivots if c < ncols]
+    pivot_combinations = reduced[: len(pivots), ncols:][:, ::-1].astype(np.int64)
+    # a row-space member is the sum of the pivot rows, each times its pivot entry
+    v = np.asarray(v, dtype=np.int64) % p
+    c = v[pivots] @ pivot_combinations % p
+    return c if np.array_equal(c @ augmented[:, :ncols] % p, v) else None
+
+
+@dataclass(frozen=True)
+class GroupMembership:
+    """Result of a group-membership query.
+
+    status: 'member' (phase-exact), 'phase_mismatch' (member up to a
+    scalar), or 'not_in_span'.  coefficients is the certificate c with
+    prod_i g_i^{c_i} matching E (up to the stated scalar precision).
+    """
+
+    status: str
+    coefficients: np.ndarray | None = None
+    phase_difference: int | None = None
+
+    @property
+    def in_span(self) -> bool:
+        return self.status in ("member", "phase_mismatch")
+
+
+def group_contains(code: StabilizerCode, e: PauliOp) -> GroupMembership:
+    """Solve for E as a product of the generators and compare the product's phase."""
+    if e.n != code.n or e.d != code.d:
+        raise ValueError("operator does not match code dimensions")
+    c = coefficients(code.symplectic_matrix, code.d, e.symplectic())
+    if c is None:
+        return GroupMembership("not_in_span")
+    dphase = (e.phase - product_phase(code._sites, code._phases, c, code.d)) % code.d
+    if dphase == 0:
+        return GroupMembership("member", c, 0)
+    return GroupMembership("phase_mismatch", c, dphase)
 
 
 # --- toric lattice paths ----------------------------------------------------
@@ -168,7 +227,7 @@ def classify_string(code: StabilizerCode, e: PauliOp) -> str:
     """Trichotomy: 'open' (violates checks), 'stabilizer', or 'logical'."""
     if code.penalty(e) > 0:
         return "open"
-    return "stabilizer" if code.group_contains(e).in_span else "logical"
+    return "stabilizer" if group_contains(code, e).in_span else "logical"
 
 
 # --- random graphs and matrices --------------------------------------------

@@ -32,6 +32,7 @@ from helpers import (
     ClassicalParityCode,
     classical_soundness_check,
     classify_string,
+    group_contains,
     r_at_coset_weight,
     random_open_path,
     random_regular_bipartite,
@@ -72,13 +73,13 @@ def test_criterion_01_toric_string_trichotomy(capsys):
                     assert classify_string(code, e) == "open"
             for r0, c0 in itertools.product(range(L), repeat=2):
                 loop = string_error(L, rectangle_loop_edges(L, r0, c0, 1, 1), kind="z")
-                assert code.group_contains(loop).in_span
+                assert group_contains(code, loop).in_span
                 assert classify_string(code, loop) == "stabilizer"
             for index in range(L):
                 for direction in ("horizontal", "vertical"):
                     wrap = string_error(L, wrap_loop_edges(L, index, direction), kind="z")
                     assert code.penalty(wrap) == 0
-                    assert not code.group_contains(wrap).in_span
+                    assert not group_contains(code, wrap).in_span
                     assert classify_string(code, wrap) == "logical"
         assert time.monotonic() - t0 < 60
 

@@ -115,10 +115,11 @@ def test_unknown_preset_exits_1(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("source", ["toric:3:2:junk", "steane:junk", "steane:"])
+@pytest.mark.parametrize("source", ["toric:3:2:junk", "steane:junk", "steane:", "toric:abc",
+                                    "toric:"])
 def test_preset_with_extra_fields_exits_1(capsys, source):
     code, out, err = run(capsys, "build", source)
-    assert code == 1 and out == "" and "preset" in err
+    assert code == 1 and out == "" and "preset" in err and repr(source) in err
 
 
 def test_code_file_with_non_integer_exponent_exits_1(tmp_path, capsys):
@@ -146,7 +147,8 @@ def test_code_file_with_malformed_generators_exits_1(tmp_path, capsys):
     good = {"d": 2, "n": 2, "x": [1, 1], "z": [0, 0]}
     for body in ({"d": 2, "n": 2, "k": 2, "generators": [good, 5]},
                  [good],
-                 {"d": 2, "n": 2, "k": 2, "generators": [{**good, "x": None}]}):
+                 {"d": 2, "n": 2, "k": 2, "generators": [{**good, "x": None}]},
+                 {"generators": [{"d": 2, "n": 2, "z": [1, 1]}]}):  # a generator without "x"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(body))
         code, out, err = run(capsys, "build", str(path))
@@ -268,6 +270,23 @@ def test_attack_missing_delta_exits_1(capsys):
     assert code == 1 and "--delta" in err
 
 
+@pytest.mark.parametrize("argv, wording", [
+    (("expander", "--delta", "0.01"), "--seed is mandatory"),
+    (("island", "--trials", "5"), "--seed is mandatory"),
+    (("refined", "--seed", "1"), "requires --delta"),
+])
+def test_attack_checks_its_flags_before_the_build(capsys, monkeypatch, argv, wording):
+    # toric:64 takes seconds to build: a missing flag is reported without it
+    from qltc import cli
+
+    def never(source):
+        raise AssertionError("built before the flags were checked")
+
+    monkeypatch.setattr(cli, "load_code", never)
+    code, out, err = run(capsys, "attack", "toric:64", *argv)
+    assert code == 1 and out == "" and wording in err
+
+
 def test_attack_island(capsys):
     code, out, _ = run(
         capsys, "attack", "toric:4", "island", "--trials", "50", "--seed", "3"
@@ -322,9 +341,55 @@ def test_attack_internal_value_error_exits_2(capsys, monkeypatch, argv, breaks):
     assert "broken product" in err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("build", "toric:3"), ValueError),
+    (("build", "toric:3:3"), ValueError),
+    (("build", f"css:{DATA / 'hamming7.txt'},{DATA / 'hamming7.txt'}"), ValueError),
+    (("build", "saved"), ValueError),
+    (("analyze", "toric:3:3", "--distance"), ValueError),
+    (("build", "saved"), KeyError),
+], ids=["toric", "toric-odd-d", "css", "file", "analyze", "file-key-error"])
+def test_internal_fault_inside_a_build_exits_2(capsys, monkeypatch, tmp_path, argv, error):
+    # only the checks on outside input are bad input: a ValueError or KeyError
+    # from inside the build is a fault, whichever source the code comes from
+    if argv[1] == "saved":
+        path = tmp_path / "toric2.json"
+        assert run(capsys, "build", "toric:2", "--out-code", str(path))[0] == 0
+        argv = (argv[0], str(path))
+
+    def broken(mat, p):
+        raise error("broken rref")
+
+    monkeypatch.setattr(qltc.stabilizer, "RowSpace", broken)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "broken rref" in err
+
+
+@pytest.mark.parametrize("content, kind", [
+    (b"\xff\xfe not text", "file"),
+    (b"not json", "file"),
+    (b"\xff\xfe not text", "css"),
+], ids=["file-not-utf8", "file-not-json", "css-not-text"])
+def test_file_that_is_not_text_or_not_json_exits_1(capsys, tmp_path, content, kind):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "build", str(path) if kind == "file" else f"css:{path},{path}")
+    assert code == 1 and out == "" and str(path) in err
+
+
 def test_unwritable_report_path_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "build", "toric:2", "--out", str(tmp_path / "no" / "r.json"))
     assert code == 1 and "r.json" in err
+
+
+@pytest.mark.parametrize("flag", ["--out-code", "--csv"])
+def test_unwritable_code_or_csv_path_exits_1(capsys, tmp_path, flag):
+    path = str(tmp_path / "no" / "r.json")
+    cmd = ["attack", "toric:4", "expander", "--delta", "0.03", "--seed", "1"] if flag == "--csv" \
+        else ["build", "toric:2"]
+    code, out, err = run(capsys, *cmd, flag, path)
+    assert code == 1 and "r.json" in err and "Traceback" not in err
 
 
 def test_attack_infeasible_expander_bound_refused_in_band(capsys, monkeypatch):
@@ -520,6 +585,13 @@ def test_config_leaves_no_trace_on_the_next_run(tmp_path, capsys):
     assert code == 0 and fresh.returncode == 0
     assert json.loads(out) == json.loads(fresh.stdout)
     assert json.loads(out)["profile"]["weight_cap"] == 2
+
+
+def test_config_that_is_not_text_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe not text")
+    code, out, err = run(capsys, "build", "toric:2", "--config", str(cfg))
+    assert code == 1 and out == "" and f"cannot read config {cfg}" in err
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

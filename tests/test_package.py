@@ -2,11 +2,14 @@ import ast
 import pathlib
 import types
 
+import numpy as np
 import pytest
 
 import qltc
+import qltc.cli
 from qltc import zoo
 from qltc.attacks import SoundnessProfile
+from qltc.fieldmath import RowSpace
 from qltc.pauli import PauliOp
 from qltc.stabilizer import StabilizerCode
 
@@ -23,9 +26,13 @@ MOVED = (
     "commutes_with",
     "symplectic_product",
     "r_at_coset_weight",
+    "group_contains",
+    "GroupMembership",
+    "coefficients",
 )
-# deleted outright: its callers read code.penalty(e) > 0
-DELETED = ("is_error",)
+# deleted outright: is_error's callers read code.penalty(e) > 0, and the
+# RowSpace matrix _pivot_combinations was read by coefficients alone
+DELETED = ("is_error", "_pivot_combinations")
 
 
 def test_all_lists_importable_api_and_no_submodules():
@@ -46,7 +53,8 @@ def _defined_names(path: pathlib.Path) -> list[str]:
 
 @pytest.mark.parametrize("name", MOVED + DELETED)
 def test_test_only_names_are_not_in_the_library(name):
-    for owner in (qltc, zoo, PauliOp, StabilizerCode, SoundnessProfile):
+    rowspace = RowSpace(np.eye(2, dtype=np.int64), 2)
+    for owner in (qltc, zoo, PauliOp, StabilizerCode, SoundnessProfile, RowSpace, rowspace):
         assert not hasattr(owner, name), (owner, name)
     assert name not in qltc.__all__
     src = pathlib.Path(qltc.__file__).parent
@@ -65,3 +73,28 @@ def test_refusal_is_defined_once_and_its_old_forms_nowhere():
         assert not any(gone in names for names in defined.values()), gone
     assert qltc.Refusal is qltc.attacks.Refusal is qltc.dense.Refusal
     assert issubclass(qltc.NotAnErrorError, qltc.Refusal)
+
+
+def test_bad_input_types_are_defined_once_and_the_cli_catches_no_value_error():
+    src = pathlib.Path(qltc.__file__).parent
+    defined = {p.name: _defined_names(p) for p in sorted(src.glob("*.py"))}
+    for name in ("InputError", "CodeValidationError"):
+        assert [f for f, names in defined.items() if name in names] == ["fieldmath.py"], name
+        assert sum(names.count(name) for names in defined.values()) == 1, name
+    assert qltc.InputError is qltc.cli.InputError is qltc.fieldmath.InputError
+    assert qltc.CodeValidationError is qltc.stabilizer.CodeValidationError
+    assert issubclass(qltc.CodeValidationError, (qltc.InputError, ValueError))
+    # argparse turns a ValueError from a flag's type function into its usage error
+    assert not issubclass(qltc.InputError, ValueError)
+    tree = ast.parse((src / "cli.py").read_text())
+    # what an except clause or a _bad_input block turns into exit 1 or passes on
+    caught = [h.type for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler) and h.type]
+    caught += [c.args[0] for c in ast.walk(tree) if isinstance(c, ast.Call)
+               and isinstance(c.func, ast.Name) and c.func.id == "_bad_input"]
+    names = {n.id for t in caught for n in ast.walk(t) if isinstance(n, ast.Name)}
+    names |= {n.attr for t in caught for n in ast.walk(t) if isinstance(n, ast.Attribute)}
+    assert not names & {"ValueError", "KeyError"}, names
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    handled = [ast.unparse(h.type) for h in ast.walk(main) if isinstance(h, ast.ExceptHandler)]
+    assert handled.count("InputError") == 1 and "OSError" not in handled, handled
+    assert "CodeValidationError" not in handled, handled

@@ -17,6 +17,7 @@ from helpers import (
     ClassicalParityCode,
     classical_soundness_check,
     classify_string,
+    group_contains,
     random_open_path,
     random_regular_bipartite,
     rectangle_loop_edges,
@@ -72,7 +73,7 @@ def test_plaquette_loop_is_a_generator():
     L = 3
     c = toric_code(L)
     loop = string_error(L, rectangle_loop_edges(L, 1, 1, 1, 1), kind="z")
-    mem = c.group_contains(loop)
+    mem = group_contains(c, loop)
     assert mem.in_span and np.count_nonzero(mem.coefficients) == 1
 
 
