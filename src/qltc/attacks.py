@@ -59,6 +59,13 @@ def alphabet_alpha(d: int) -> float:
     return 1.0 - alphabet_t(d)
 
 
+def alphabet_delta_cap(code: StabilizerCode) -> float | None:
+    """1/(k^3 D_L), the largest delta for which alpha(d) bounds the alphabet
+    attack's r; None when the code has no single left degree D_L, since the
+    bound counts n*D_L = m*k."""
+    return None if code.D_L is None else 1.0 / (code.k**3 * code.D_L)
+
+
 @dataclass(frozen=True)
 class AttackReport:
     """Evaluation of one error against one code.
@@ -340,7 +347,7 @@ def alphabet_attack(
             raise AssertionError(f"majority count bound violated at qudit {q}")
         per_qudit_fraction.append(frac)
     e = PauliOp(code.d, code.n, x, z, 0)
-    k, dl = code.k, code.D_L
+    cap = alphabet_delta_cap(code)
     meta = {
         "attack": "alphabet",
         "target_size": target,
@@ -349,9 +356,7 @@ def alphabet_attack(
         "chosen_qudits": chosen,
         "per_qudit_violation_fraction": per_qudit_fraction,
         "alpha": alphabet_alpha(code.d),
-        "delta_precondition_met": (
-            dl is not None and delta <= 1.0 / (k**3 * dl)
-        ),
+        "delta_precondition_met": cap is not None and delta <= cap,
     }
     return evaluate_r(code, e, budget=budget, seed=seed, meta=meta)
 

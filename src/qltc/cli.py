@@ -9,8 +9,9 @@ once.  A Refusal (graphs.Refusal, the one in-band refusal) becomes the
 report's "refused" field; analyze keeps one per section instead.
 Exit codes: 0 success (including refusals that produce a report), 1
 bad input (fieldmath.InputError alone, raised where outside input is
-checked), 2 internal invariant breach or any other fault (a ValueError
-from inside a build included) and argparse's usage error (unknown flag,
+checked) or output that cannot be written (a closed stdout included),
+2 internal invariant breach or any other fault (a ValueError from
+inside a build included) and argparse's usage error (unknown flag,
 missing argument).
 """
 
@@ -113,8 +114,10 @@ def _emit(report: dict, path: str | None) -> None:
     if path:
         with _bad_input(OSError), open(path, "w") as f:
             f.write(text + "\n")
-    else:
-        print(text)
+        return
+    # flushed here, so a closed stdout is bad output, not a fault at exit
+    with _bad_input(OSError, "cannot write the report to stdout: "):
+        print(text, flush=True)
 
 
 # --------------------------------------------------------------------------
@@ -188,10 +191,13 @@ def cmd_attack(args, report: dict) -> int:
         if args.attack == "expander":
             rep = attacks.expander_attack(code, args.delta, seed=args.seed, budget=args.budget)
         elif args.attack == "alphabet":
-            dl = code.D_L or max(len(v) for v in code.graph.left_adj)
-            if args.delta > 1.0 / (code.k**3 * dl):
+            cap = attacks.alphabet_delta_cap(code)
+            if cap is None:
+                report["warning"] = ("the code has no single left degree D_L; "
+                                     "the alpha(d) guarantee does not apply")
+            elif args.delta > cap:
                 report["warning"] = (
-                    f"delta {args.delta} exceeds 1/(k^3 D_L) = {1.0 / (code.k ** 3 * dl)}; "
+                    f"delta {args.delta} exceeds 1/(k^3 D_L) = {cap}; "
                     "the alpha(d) guarantee does not apply"
                 )
             rep = attacks.alphabet_attack(code, args.delta, seed=args.seed, budget=args.budget)
@@ -233,7 +239,7 @@ def cmd_verify(args, report: dict) -> int:
     dist = code.code_distance()
     rho = args.rho
     if rho is None:
-        rho = dist.low if not dist.exact else dist.value
+        rho = dist.low
     elif dist.exact and rho > dist.value:
         # a logical of weight dist.value < rho is undetectable: the check would fail by design
         raise InputError(f"--rho {rho} exceeds the code distance {dist.value}")
@@ -285,15 +291,16 @@ def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qltc", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp):
+    def common(sp, seed: bool = False, budget: bool = False):
         sp.add_argument("source", help="preset name or code file")
         sp.add_argument("--out", help="report JSON path (default stdout)")
         sp.add_argument("--config", help="JSON config file overriding flags")
-        # a seed keys the island attack's Philox streams
-        sp.add_argument("--seed", type=_flag("--seed", int, lambda v: 0 <= v < 1 << 128,
-                                             "an integer in [0, 2**128)"), default=None)
-        sp.add_argument("--budget", type=_count("--budget", 0), default=None,
-                        help="cap on the half-table words each weight search may build")
+        if seed:  # a seed keys the island attack's Philox streams
+            sp.add_argument("--seed", type=_flag("--seed", int, lambda v: 0 <= v < 1 << 128,
+                                                 "an integer in [0, 2**128)"), default=None)
+        if budget:
+            sp.add_argument("--budget", type=_count("--budget", 0), default=None,
+                            help="cap on the half-table words each weight search may build")
 
     b = sub.add_parser("build", help="build/validate a code and save it")
     common(b)
@@ -301,7 +308,7 @@ def make_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=cmd_build)
 
     a = sub.add_parser("analyze", help="distance / succinctness / expansion / profile")
-    common(a)
+    common(a, budget=True)
     a.add_argument("--distance", action="store_true")
     a.add_argument("--succinct", action="store_true")
     a.add_argument("--expansion", action="store_true")
@@ -313,7 +320,7 @@ def make_parser() -> argparse.ArgumentParser:
     a.set_defaults(fn=cmd_analyze)
 
     t = sub.add_parser("attack", help="run an adversarial construction")
-    common(t)
+    common(t, seed=True, budget=True)
     t.add_argument("attack", choices=["expander", "refined", "alphabet", "island"])
     t.add_argument("--delta", type=_flag("--delta", float, lambda v: 0 < v <= 1,
                                          "a number in (0, 1]"), default=None)
@@ -322,7 +329,7 @@ def make_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=cmd_attack)
 
     v = sub.add_parser("verify", help="dense Hilbert-space verification")
-    common(v)
+    common(v, seed=True)
     v.add_argument("--rho", type=_count("--rho"), default=None,
                    help="detectability weight bound, at most the code distance")
     v.add_argument("--samples", type=_count("--samples"), default=50)

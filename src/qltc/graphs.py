@@ -12,10 +12,10 @@ array rows, one per set: its root, its constraint mask and its closed
 qudit-neighbourhood mask as uint64 words, its degree total and its
 extension list (CSR).  The next level follows by fancy indexing, its
 expansion errors by np.bitwise_count of the masks; levels are built in
-blocks of LEVEL_BYTES.  The set-at-a-time ESU walk from one root is kept
-to name the witness set.  A scan past EXPANSION_GUARD sets raises
-Refusal, the one in-band refusal of the package, defined here as the
-lowest module that refuses.
+blocks of LEVEL_BYTES.  The witness set is named by a depth-first walk
+through the same children, one row at a time.  A scan past
+EXPANSION_GUARD sets raises Refusal, the one in-band refusal of the
+package, defined here as the lowest module that refuses.
 """
 
 from __future__ import annotations
@@ -98,31 +98,21 @@ class BipartiteGraph:
         self.k = int(lens[0]) if m and np.all(lens == lens[0]) else None
 
     # --- neighborhoods ------------------------------------------------
-    def gamma(self, vertices: Iterable[int], side: str) -> set[int]:
-        """Neighbor set of `vertices` on the given side ('left' or 'right')."""
-        adj = self._adj(side)
-        out: set[int] = set()
-        for v in vertices:
-            out.update(adj[v])
-        return out
-
-    def gamma_iter(self, vertices: Iterable[int], side: str, i: int) -> set[int]:
-        """Gamma^(i): alternate sides i times starting from `side`."""
+    def gamma(self, vertices: Iterable[int], side: str, i: int = 1) -> set[int]:
+        """Gamma^(i) of `vertices`: neighbor sets taken i times, alternating sides,
+        starting from the given side ('left' or 'right')."""
+        if side not in ("left", "right"):
+            raise ValueError(f"invalid side {side!r}")
         if i < 1:
             raise ValueError("iteration count must be >= 1")
+        adjs = (self.left_adj, self.right_adj) if side == "left" else (self.right_adj, self.left_adj)
         cur = set(vertices)
-        cur_side = side
-        for _ in range(i):
-            cur = self.gamma(cur, cur_side)
-            cur_side = "right" if cur_side == "left" else "left"
+        for step in range(i):
+            adj, nxt = adjs[step % 2], set()
+            for v in cur:
+                nxt.update(adj[v])
+            cur = nxt
         return cur
-
-    def _adj(self, side: str):
-        if side == "left":
-            return self.left_adj
-        if side == "right":
-            return self.right_adj
-        raise ValueError(f"invalid side {side!r}")
 
     @functools.cached_property
     def sharing_adjacency(self) -> list[list[int]]:
@@ -172,8 +162,7 @@ class BipartiteGraph:
         best = float(root_best.max(initial=0.0))
         witness = None
         if best > 0:  # the first set in ESU order grows from the smallest root attaining best
-            sets = self._connected_sets(size_cap, int(np.argmax(root_best)))
-            witness = next(tuple(s) for s, gamma, total in sets if 1.0 - gamma / total == best)
+            witness = self._witness(size_cap, int(np.argmax(root_best)), best)
         return {
             "epsilon_star": best,
             "witness": witness,
@@ -206,13 +195,13 @@ class BipartiteGraph:
         ESU one level at a time.  A row of a level is a set V with root r, its
         smallest qudit: r, the OR of its constraint masks, the OR of its
         closed-neighbourhood masks N(V), its degree total and its extension
-        list (CSR).  The excluded set of _connected_sets at V is
-        {r} | (N(V) & (> r)), which depends on V alone, so each level follows
-        from the one before by array operations (_children).  A level past
-        LEVEL_BYTES is built in blocks of parent rows, depth first, which
-        changes nothing but the peak memory.
+        list (CSR).  The qudits ESU excludes at V are {r} | (N(V) & (> r)),
+        which depends on V alone, so each level follows from the one before by
+        array operations (_children).  A level past LEVEL_BYTES is built in
+        blocks of parent rows, depth first, which changes nothing but the peak
+        memory.
         """
-        cmask, nmask, deg, adj_ptr, adj_idx = self._level_tables
+        cmask, nmask, _, adj_ptr, _ = self._level_tables
         root_best = np.zeros(self.n)
         scanned = 0
         # bytes a child row costs at most: two copies of its masks, root, degree,
@@ -245,12 +234,18 @@ class BipartiteGraph:
                 visit(self._children(level, start, stop, size + 1 < size_cap), size + 1)
                 start = stop
 
+        visit(self._first_level(), 1)
+        return root_best, scanned
+
+    def _first_level(self):
+        """The level of the one-qudit sets, row q for {q}: its extension is the
+        qudits sharing a constraint with q that exceed q."""
+        cmask, nmask, deg, adj_ptr, adj_idx = self._level_tables
         roots = np.arange(self.n)
         owner = np.repeat(roots, np.diff(adj_ptr))
         later = adj_idx > owner
         ptr = np.concatenate([[0], np.cumsum(np.bincount(owner[later], minlength=self.n))])
-        visit((roots, cmask, nmask, deg, ptr, adj_idx[later]), 1)
-        return root_best, scanned
+        return roots, cmask, nmask, deg, ptr, adj_idx[later]
 
     def _children(self, level, start: int, stop: int, grow: bool):
         """The level of sets one qudit larger grown from rows [start, stop) of level.
@@ -281,37 +276,25 @@ class BipartiteGraph:
         child_ext[_ranges(child_ptr[:-1] + j, new_len)] = u[fresh]
         return child_root, child_mask, nbr[parent] | nmask[w], child_total, child_ptr, child_ext
 
-    def _connected_sets(self, size_cap: int, root: int):
-        """Yield (set, |Gamma(set)|, degree total) once per connected set whose
-        smallest qudit is root.
+    def _witness(self, size_cap: int, root: int, best: float) -> tuple[int, ...]:
+        """The first set grown from root, in ESU order, whose expansion error is best,
+        its qudits in discovery order.
 
-        ESU (Wernicke 2006): a set grows from its smallest qudit, the root.
-        A qudit joins the extension only if it exceeds the root and is not
-        excluded; the excluded set holds the set itself and every qudit
-        ever put in an extension on the way down, so no set is reached
-        twice.  Extensions are consumed from the end, and each set comes
-        right before the sets grown from it.  Gamma(set) is the OR of its
-        qudits' constraint words, as in the level scan.
+        A depth-first walk through _children one row at a time: each set comes
+        right before the sets grown from it, and its children are taken last
+        extension first, as ESU pops them from its extension list.
         """
-        adj = self.sharing_adjacency
-        words = self._constraint_words
-        degs = [len(v) for v in self.left_adj]
-
-        def extend(sub, ext, excluded, mask, total):
-            while ext:
-                w = ext.pop()
-                child, child_mask, child_total = sub + [w], mask | words[w], total + degs[w]
-                yield child, int(np.bitwise_count(child_mask).sum()), child_total
-                if len(child) < size_cap:  # a full-size set is never extended
-                    new = [u for u in adj[w] if u > root and u not in excluded]
-                    excluded.update(new)
-                    yield from extend(child, ext + new, excluded, child_mask, child_total)
-                    excluded.difference_update(new)
-
-        yield [root], int(np.bitwise_count(words[root]).sum()), degs[root]
-        if size_cap > 1:
-            ext = [u for u in adj[root] if u > root]
-            yield from extend([root], ext, {root, *ext}, words[root], degs[root])
+        stack = [(self._first_level(), root, (root,))]
+        while stack:
+            level, i, qudits = stack.pop()
+            _, mask, _, total, ptr, ext = level
+            if 1.0 - np.bitwise_count(mask[i]).sum(dtype=np.int64) / total[i] == best:
+                return qudits
+            if len(qudits) < size_cap:  # a full-size set is never extended
+                children = self._children(level, i, i + 1, len(qudits) + 1 < size_cap)
+                added = ext[ptr[i] : ptr[i + 1]].tolist()
+                stack += [(children, j, (*qudits, w)) for j, w in enumerate(added)]
+        raise AssertionError(f"no set grown from root {root} has expansion error {best}")
 
     # --- independent sets ---------------------------------------------
     def greedy_t_independent(
@@ -338,13 +321,13 @@ class BipartiteGraph:
                 break
             # remove every constraint whose (2t+1)-ball can intersect u's: those
             # within distance 4t+2 of u (each even frontier holds the one before)
-            alive[list(self.gamma_iter([u], "right", 4 * t + 2))] = False
+            alive[list(self.gamma([u], "right", 4 * t + 2))] = False
         return chosen
 
     def verify_t_independent(self, constraints: Sequence[int], t: int) -> bool:
         """Post-hoc Gamma^(2t+1) disjointness check: the balls are pairwise
         disjoint iff their sizes sum to the size of their union."""
-        balls = [self.gamma_iter([u], "right", 2 * t + 1) for u in constraints]
+        balls = [self.gamma([u], "right", 2 * t + 1) for u in constraints]
         return sum(map(len, balls)) == len(set().union(*balls))
 
 

@@ -354,10 +354,9 @@ class StabilizerCode:
 
         None when the budget runs out before the search is complete.  A
         member of A(G) is fixed by its pivot coordinates, so those tell it
-        from the identity.
+        from the identity.  A code has k >= 2: a weight-1 generating set is
+        refused, by its commutation or its trivial qudits.
         """
-        if self.k <= 1:
-            return True
         kernel = self.rowspace.kernel
         pivots = np.zeros((self.rank, 2 * self.n), dtype=residue_dtype(self.d))
         pivots[np.arange(self.rank), self.rowspace.pivots] = 1

@@ -5,6 +5,8 @@ Nothing in the CLI or the bench reaches these, so they live with the tests:
 * toric lattice paths: edge sets on the lattice of qltc.zoo (see its
   convention), the string operators on them and their classification;
 * random biregular graphs and circulant parity-check matrices;
+* the set-at-a-time ESU walk over connected qudit sets, the expansion
+  scan's reference;
 * Pauli algebra the library does not need: inverse, power, the
   symplectic product, commutation and restriction, as plain functions;
 * group membership with its phase: the coefficients of a row-space
@@ -284,6 +286,41 @@ def regular_circulant_matrix(size: int, degree: int, seed: int) -> np.ndarray:
         for off in offsets:
             mat[i, (i + int(off)) % size] = 1
     return mat
+
+
+def connected_sets(g: BipartiteGraph, size_cap: int, root: int):
+    """Yield (set, |Gamma(set)|, degree total) once per connected set of at most
+    size_cap qudits whose smallest qudit is root: the set-at-a-time reference
+    of the expansion scan.
+
+    ESU (Wernicke 2006): a set grows from its smallest qudit, the root.
+    A qudit joins the extension only if it exceeds the root and is not
+    excluded; the excluded set holds the set itself and every qudit
+    ever put in an extension on the way down, so no set is reached
+    twice.  Extensions are consumed from the end, and each set comes
+    right before the sets grown from it.
+    """
+    adj = g.sharing_adjacency
+    degs = [len(v) for v in g.left_adj]
+
+    def gamma_size(qudits):
+        return len(g.gamma(qudits, "left"))
+
+    def extend(sub, ext, excluded, total):
+        while ext:
+            w = ext.pop()
+            child, child_total = sub + [w], total + degs[w]
+            yield child, gamma_size(child), child_total
+            if len(child) < size_cap:  # a full-size set is never extended
+                new = [u for u in adj[w] if u > root and u not in excluded]
+                excluded.update(new)
+                yield from extend(child, ext + new, excluded, child_total)
+                excluded.difference_update(new)
+
+    yield [root], gamma_size([root]), degs[root]
+    if size_cap > 1:
+        ext = [u for u in adj[root] if u > root]
+        yield from extend([root], ext, {root, *ext}, degs[root])
 
 
 # --- the classical contrast -------------------------------------------------

@@ -645,6 +645,14 @@ def test_profile_coverage_and_guard():
         soundness_profile(toric_code(4), 10)
 
 
+def test_profile_R_past_its_cap_is_refused():
+    c = toric_code(2)
+    prof = soundness_profile(c, 2)
+    assert prof.R(2 / c.n) == prof.min_penalty[2] / c.m
+    with pytest.raises(ValueError, match="no coset weight >= 3 within cap 2"):
+        prof.R(3 / c.n)
+
+
 def test_attacks_never_beat_oracle():
     for code in (steane_code(), toric_code(2)):
         prof = soundness_profile(code, 3)

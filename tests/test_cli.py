@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import datetime
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qltc
+import qltc.cli
 from qltc.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -155,6 +157,15 @@ def test_code_file_with_malformed_generators_exits_1(tmp_path, capsys):
         assert code == 1 and out == "" and "cannot load code file" in err
 
 
+@pytest.mark.parametrize("kind", ["hgp", "css"])
+@pytest.mark.parametrize("rest", ["", "{path}", "{path},"])
+def test_product_preset_with_one_matrix_file_exits_1(capsys, kind, rest):
+    source = f"{kind}:" + rest.format(path=DATA / "rep2.txt")
+    code, out, err = run(capsys, "build", source)
+    assert code == 1 and out == ""
+    assert f"{kind} preset needs two matrix files" in err
+
+
 def test_existing_file_wins_over_preset_name(tmp_path, capsys):
     path = tmp_path / "a:b.json"
     assert run(capsys, "build", "toric:2", "--out-code", str(path))[0] == 0
@@ -261,8 +272,25 @@ def test_attack_alphabet_precondition_warning(capsys):
     code, out, _ = run(capsys, "attack", "steane", "alphabet", "--delta", "0.14", "--seed", "0")
     assert code == 0
     rep = json.loads(out)
-    assert "warning" in rep  # delta exceeds 1/(k^3 D_L)
+    assert "warning" in rep  # Steane has no single left degree D_L
     assert rep["csv_row"]["bound_holds"] is True
+
+
+@pytest.mark.parametrize("source, delta, warning", [
+    # the alpha(d) bound counts n*D_L = m*k: without one D_L no delta meets it,
+    # however small, and the report's precondition flag agrees with the warning
+    ("steane", "0.001", "the code has no single left degree D_L; "
+                        "the alpha(d) guarantee does not apply"),
+    ("toric:6", "0.05", "delta 0.05 exceeds 1/(k^3 D_L) = 0.00390625; "
+                        "the alpha(d) guarantee does not apply"),
+    ("toric:6", "0.003", None),
+])
+def test_alphabet_warning_and_precondition_read_one_cap(capsys, source, delta, warning):
+    code, out, _ = run(capsys, "attack", source, "alphabet", "--delta", delta, "--seed", "0")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep.get("warning") == warning
+    assert rep["report"]["meta"]["delta_precondition_met"] is (warning is None)
 
 
 def test_attack_missing_delta_exits_1(capsys):
@@ -381,6 +409,26 @@ def test_file_that_is_not_text_or_not_json_exits_1(capsys, tmp_path, content, ki
 def test_unwritable_report_path_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "build", "toric:2", "--out", str(tmp_path / "no" / "r.json"))
     assert code == 1 and "r.json" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "toric:3"),
+    ("attack", "toric:16", "expander", "--delta", "0.05", "--seed", "1"),
+])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # the read end is closed before the process starts, so every write fails
+    read, write = os.pipe()
+    os.close(read)
+    src = os.path.dirname(os.path.dirname(qltc.__file__))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qltc.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write the report to stdout")
+    assert proc.stderr.count("\n") == 1  # no traceback, no "Exception ignored" at exit
 
 
 @pytest.mark.parametrize("flag", ["--out-code", "--csv"])
@@ -506,8 +554,8 @@ def test_a_large_d_lists_no_symbols_for_refused_work(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, seed", [
-    (("build", "toric:2"), "-1"),
-    (("analyze", "toric:3", "--expansion"), "-1"),
+    (("verify", "toric:2"), "-1"),
+    (("attack", "steane", "alphabet", "--delta", "0.03"), "-1"),
     (("attack", "toric:4", "expander", "--delta", "0.03"), "-1"),
     (("attack", "toric:4", "alphabet", "--delta", "0.03"), "-1"),
     (("attack", "toric:4", "refined", "--delta", "0.03"), "-1"),
@@ -520,6 +568,24 @@ def test_seed_outside_128_bits_exits_1(capsys, argv, seed):
     code, out, err = run(capsys, *argv, "--seed", seed)
     assert code == 1 and out == ""
     assert "--seed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("build", "toric:2"), "--seed"),
+    (("build", "toric:2"), "--budget"),
+    (("analyze", "toric:3", "--distance"), "--seed"),
+    (("verify", "steane"), "--budget"),
+])
+def test_flags_no_command_reads_are_refused(tmp_path, capsys, argv, flag):
+    # build has no randomness and no search, analyze no randomness, and
+    # verify's distance search runs without a budget
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "1"])
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: 1}))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 1 and out == "" and f"unknown config key {flag[2:]!r}" in err
 
 
 def test_largest_seed_accepted(capsys):
@@ -594,6 +660,14 @@ def test_config_that_is_not_text_exits_1(tmp_path, capsys):
     assert code == 1 and out == "" and f"cannot read config {cfg}" in err
 
 
+@pytest.mark.parametrize("value", [[1, 2], "sets", 3, None])
+def test_config_that_is_json_but_not_an_object_exits_1(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(value))
+    code, out, err = run(capsys, "build", "toric:2", "--config", str(cfg))
+    assert code == 1 and out == "" and "config must be a JSON object" in err
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
@@ -662,12 +736,13 @@ COUNTS = (["1", "2", "5", "+4", "99999999999", "99999999999999"],
           ["0", "-3", "abc", "", "2.5", "nan", "1e2"])
 SEEDS = (["0", "1", "7", str(2**128 - 1)], ["-1", "abc", "", str(2**128), "1e5", "0b1"])
 DELTAS = (["0.05", "0.5", "1", "1e-300", "5e-2"], ["0", "-0.1", "1.5", "inf", "nan", "abc", ""])
+# each command's own flags, apart from --out, --config and the output paths
 FUZZ_FLAGS = {
     "build": {},
     "analyze": {"--distance": None, "--succinct": None, "--expansion": None, "--profile": None,
-                "--sets": WEIGHTS, "--wcap": WEIGHTS},
-    "attack": {"--delta": DELTAS, "--trials": COUNTS},
-    "verify": {"--rho": WEIGHTS, "--samples": COUNTS},
+                "--sets": WEIGHTS, "--wcap": WEIGHTS, "--budget": WEIGHTS},
+    "attack": {"--delta": DELTAS, "--trials": COUNTS, "--seed": SEEDS, "--budget": WEIGHTS},
+    "verify": {"--rho": WEIGHTS, "--samples": COUNTS, "--seed": SEEDS},
 }
 RARE_FLAGS = [["--no-such-flag"], ["--help"], ["--config", "no-such-config.json"]]
 
@@ -681,19 +756,29 @@ def command_lines(draw):
         return draw(st.sampled_from(pools[0] if draw(st.integers(0, 3)) else pools[1]))
 
     cmd = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
-    flags = {"--seed": SEEDS, "--budget": WEIGHTS, **FUZZ_FLAGS[cmd]}
+    flags = FUZZ_FLAGS[cmd]
     argv = [cmd] if draw(st.integers(0, 19)) else [draw(st.sampled_from(["no-such-command", ""]))]
     if draw(st.integers(0, 19)):
         argv.append(pick(SOURCES))
     if cmd == "attack" and draw(st.integers(0, 19)):
         argv.append(draw(st.sampled_from(["expander", "refined", "alphabet", "island", "bogus"])))
-    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=5, unique=True)):
+    picked = st.lists(st.sampled_from(sorted(flags)), max_size=5, unique=True) if flags \
+        else st.just([])
+    for flag in draw(picked):
         argv.append(flag)
         if flags[flag] is not None and draw(st.integers(0, 19)):  # rarely, the value is missing
             argv.append(pick(flags[flag]))
     if not draw(st.integers(0, 9)):
         argv.extend(draw(st.sampled_from(RARE_FLAGS)))
     return argv
+
+
+def test_fuzz_draws_each_commands_own_flags():
+    sub = next(a for a in qltc.cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    for cmd, parser in sub.choices.items():
+        options = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
+        assert options - {"--help", "--out", "--config", "--out-code", "--csv"} \
+            == set(FUZZ_FLAGS[cmd]), cmd
 
 
 class Hang(BaseException):

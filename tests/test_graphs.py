@@ -12,7 +12,7 @@ import qltc
 from qltc import graphs
 from qltc.graphs import BipartiteGraph, ExpansionStats
 from qltc.zoo import css_hypergraph_product, toric_code
-from helpers import random_regular_bipartite, regular_circulant_matrix
+from helpers import connected_sets, random_regular_bipartite, regular_circulant_matrix
 
 
 def small_graph():
@@ -92,11 +92,12 @@ def test_gamma_and_iteration():
     assert g.gamma([0], "left") == {0}
     assert g.gamma([0], "right") == {0, 1}
     assert g.gamma([], "left") == set()
-    assert g.gamma_iter([1], "left", 2) == {0, 1, 2}  # N(q) includes q
-    with pytest.raises(ValueError):
+    assert g.gamma([1], "left", 2) == {0, 1, 2}  # N(q) includes q
+    assert g.gamma([0], "right", 2) == {0, 1} and g.gamma([0], "right", 3) == {0, 1, 2}
+    with pytest.raises(ValueError, match="invalid side"):
         g.gamma([0], "middle")
-    with pytest.raises(ValueError):
-        g.gamma_iter([0], "left", 0)
+    with pytest.raises(ValueError, match="iteration count"):
+        g.gamma([0], "left", 0)
 
 
 def test_toric_constraint_gamma_size():
@@ -303,7 +304,7 @@ def test_connected_sets_match_first_occurrences_of_the_duplicating_rule(seed, ca
 def _esu_sets(g, size_cap):
     """The ESU walk from every root in turn: every connected set once, in scan order."""
     for root in range(g.n):
-        yield from g._connected_sets(size_cap, root)
+        yield from connected_sets(g, size_cap, root)
 
 
 def _esu_scan(g, size_cap):
@@ -487,6 +488,12 @@ def test_greedy_independent_verified_on_random_graphs():
             assert len(u) >= int(eta * g.n)
 
 
+@pytest.mark.parametrize("t, target", [(0, 4), (-1, 4), (1, 0), (1, -2)])
+def test_greedy_independent_refuses_t_or_target_below_1(t, target):
+    with pytest.raises(ValueError, match="t and target_size must be >= 1"):
+        toric_code(3).graph.greedy_t_independent(t, target)
+
+
 def test_greedy_independent_determinism():
     g = toric_code(4).graph
     assert g.greedy_t_independent(1, 4, seed=9) == g.greedy_t_independent(1, 4, seed=9)
@@ -502,7 +509,7 @@ def test_verify_rejects_adjacent():
 
 def _pairwise_disjoint_balls(g, constraints, t):
     """The pairwise loop verify_t_independent replaced: every two balls compared."""
-    balls = [g.gamma_iter([u], "right", 2 * t + 1) for u in constraints]
+    balls = [g.gamma([u], "right", 2 * t + 1) for u in constraints]
     return not any(balls[i] & balls[j] for i, j in itertools.combinations(range(len(balls)), 2))
 
 

@@ -10,6 +10,7 @@ import qltc.cli
 from qltc import zoo
 from qltc.attacks import SoundnessProfile
 from qltc.fieldmath import RowSpace
+from qltc.graphs import BipartiteGraph
 from qltc.pauli import PauliOp
 from qltc.stabilizer import StabilizerCode
 
@@ -29,10 +30,13 @@ MOVED = (
     "group_contains",
     "GroupMembership",
     "coefficients",
+    "connected_sets",
 )
-# deleted outright: is_error's callers read code.penalty(e) > 0, and the
-# RowSpace matrix _pivot_combinations was read by coefficients alone
-DELETED = ("is_error", "_pivot_combinations")
+# deleted outright: is_error's callers read code.penalty(e) > 0, the RowSpace
+# matrix _pivot_combinations was read by coefficients alone, the set-at-a-time
+# _connected_sets is the test helper connected_sets (the witness walks the level
+# scan's _children), and gamma(vertices, side, i) took over gamma_iter and _adj
+DELETED = ("is_error", "_pivot_combinations", "_connected_sets", "gamma_iter", "_adj")
 
 
 def test_all_lists_importable_api_and_no_submodules():
@@ -54,7 +58,9 @@ def _defined_names(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("name", MOVED + DELETED)
 def test_test_only_names_are_not_in_the_library(name):
     rowspace = RowSpace(np.eye(2, dtype=np.int64), 2)
-    for owner in (qltc, zoo, PauliOp, StabilizerCode, SoundnessProfile, RowSpace, rowspace):
+    owners = (qltc, zoo, PauliOp, StabilizerCode, SoundnessProfile, RowSpace, rowspace,
+              BipartiteGraph)
+    for owner in owners:
         assert not hasattr(owner, name), (owner, name)
     assert name not in qltc.__all__
     src = pathlib.Path(qltc.__file__).parent

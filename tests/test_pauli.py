@@ -38,6 +38,13 @@ def test_construction_validation():
         PauliOp(2, 2, [0], [0, 0], 0)  # length mismatch
     p = PauliOp(3, 2, [4, -1], [0, 5], 7)  # residues reduced
     assert p.x.tolist() == [1, 2] and p.z.tolist() == [0, 2] and p.phase == 1
+    with pytest.raises(ValueError, match="non-negative"):
+        PauliOp(2, -1, [], [], 0)
+    with pytest.raises(ValueError, match="a phase is one integer"):
+        PauliOp(2, 1, [1], [0], [0, 1])
+    for site in (-1, 2):
+        with pytest.raises(IndexError, match=f"site {site} out of range for n=2"):
+            PauliOp.single(2, 3, site, 1, 0)
 
 
 def test_identity_and_weight():

@@ -63,6 +63,33 @@ def test_rejects_empty_and_mixed():
         build_code([PauliOp(2, 2, [1, 1], [0, 0], 0), PauliOp(3, 2, [1, 1], [0, 0], 0)])
 
 
+@pytest.mark.parametrize("matrix, phases, wording", [
+    (np.array([1, 0, 0, 1]), None, r"one \(x \| z\) row per generator"),  # 1-D
+    (np.ones((2, 3), dtype=np.int64), None, r"one \(x \| z\) row per generator"),  # odd width
+    (np.zeros((0, 4), dtype=np.int64), None, "empty generating set"),
+    ([[1, 1, 0, 0], [0, 0, 1, 1]], [0], "1 phases for 2 generators"),
+    ([[1, 1, 0, 0], [0, 0, 1, 1]], [0, 0, 0], "3 phases for 2 generators"),
+    (np.zeros((2, 4), dtype=np.int64), None, "identity generator"),
+], ids=["1-D", "odd-width", "no-rows", "too-few-phases", "too-many-phases", "all-zero"])
+def test_matrix_constructor_refuses_what_is_not_a_generating_set(matrix, phases, wording):
+    with pytest.raises(CodeValidationError, match=wording):
+        StabilizerCode(2, matrix, phases)
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_weight_1_generating_sets_are_refused(d, n):
+    # at one qudit, commuting restrictions are proportional: every weight-1 set
+    # either fails to commute or leaves a qudit trivial, so a code has k >= 2
+    singles = [PauliOp.single(n, d, q, x, z) for q in range(n)
+               for x in range(d) for z in range(d) if x or z]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # irregular left degrees
+        for size in (1, 2, 3):
+            for gens in itertools.combinations(singles, size):
+                with pytest.raises((NonAbelianError, TrivialQuditError)):
+                    build_code(gens, strict_degree=False)
+
+
 def test_rejects_non_abelian():
     g1 = PauliOp(2, 2, [1, 0], [0, 1], 0)  # X Z
     g2 = PauliOp(2, 2, [0, 1], [1, 0], 0)  # Z X
