@@ -48,16 +48,11 @@ def _monomial(op: PauliOp) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _act(op: PauliOp, states: np.ndarray) -> np.ndarray:
-    """densify(op) @ states for a (dim,) or (dim, K) array, without the matrix."""
+    """op's matrix @ states for a (dim,) or (dim, K) array, without forming the matrix."""
     rows, entries = _monomial(op)
     out = np.empty(states.shape, dtype=complex)
     out[rows] = (entries * states.T).T
     return out
-
-
-def densify(op: PauliOp) -> np.ndarray:
-    """Full matrix of a Pauli; exact homomorphism densify(a*b)=densify(a)@densify(b)."""
-    return _act(op, np.eye(_check_cap(op.d, op.n)))
 
 
 def generator_projector(g: PauliOp) -> np.ndarray:

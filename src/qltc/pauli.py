@@ -8,7 +8,8 @@ plus a scalar phase exponent s in Z_d, representing
 The per-site normal ordering (Z left of X) fixes the product phase rule:
 moving X^a past Z^b costs w^{-a*b}.  Weight, syndromes and group
 membership are all insensitive to this convention choice; the dense
-oracle pins it down exactly (densify(a*b) == densify(a) @ densify(b)).
+oracle pins it down exactly (the matrix of a*b is the product of a's and
+b's matrices).
 
 Qubit Y is represented as the product of X and Z with the phase tracked;
 the scalar i is never materialized, so phase exponents stay in Z_d.
@@ -57,10 +58,6 @@ class PauliOp:
         self.z.setflags(write=False)
 
     # --- constructors -------------------------------------------------
-    @staticmethod
-    def identity(n: int, d: int) -> "PauliOp":
-        return PauliOp(d, n, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), 0)
-
     @staticmethod
     def single(n: int, d: int, site: int, x: int, z: int, phase: int = 0) -> "PauliOp":
         if not 0 <= site < n:

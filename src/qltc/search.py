@@ -216,15 +216,15 @@ def _meet(n, d, s, a, b, images, nz_images, target):
     need = _images(words_b, images, d)
     np.subtract(target + d, need, out=need)
     _wrap(need, d)
-    order = np.argsort(_rows(need))
+    order = np.argsort(_rows(need), kind="stable")
     need = _rows(need)[order]
     words_b = words_b[order]
     del order
     # a permutation of the weight-b table is as good a probe table
     words_a = words_b if a == b else _half_table(n, s, a)
     probe = _rows(_images(words_a, images, d))
-    # one partner per probe: the first weight-b word in sort order with the
-    # image it needs
+    # one partner per probe: of the weight-b words with the image it needs,
+    # the first in the half table (the sort is stable)
     j = np.searchsorted(need, probe)
     np.minimum(j, need.size - 1, out=j)
     hits = np.flatnonzero(need[j] == probe)

@@ -7,8 +7,8 @@ v(r,c) = L^2 + r*L + c runs from (r,c) to (r+1 mod L, c).  For d > 2 the
 edges are oriented (+x, +y) and generators carry inverse exponents on
 outgoing/return edges so that all pairs commute mod d.
 
-Each check here on outside input (the build guard, L >= 2, CSS widths
-and orthogonality, a bad line of a matrix file) raises
+Each check here on outside input (the build guard, L >= 2, CSS widths,
+a bad line of a matrix file) raises
 `fieldmath.CodeValidationError`, the CLI's bad input and a `ValueError`.
 """
 
@@ -100,49 +100,46 @@ def css_code(
 ) -> StabilizerCode:
     """CSS code: X-type generators from Hx rows, Z-type from Hz rows.
 
-    Requires Hx @ Hz.T == 0 mod d and uniform row weight across both
-    matrices (the code's locality k).
+    Hx and Hz need as many columns, and every row one weight (the code's
+    locality k).  Hx @ Hz.T == 0 mod d is the code's commutation check, as
+    <X_a, Z_b> = -Hx[a] . Hz[b]: a pair that is not orthogonal is refused
+    as NonAbelianError, naming one X and one Z generator.
     """
     check_prime(d)
-    hx, hz = residues(hx, d), residues(hz, d)
+    hx, hz = np.asarray(hx), np.asarray(hz)
     if hx.shape[1] != hz.shape[1]:
         raise CodeValidationError("Hx and Hz must have the same number of columns")
-    if np.any((hx @ hz.T) % d):
-        raise CodeValidationError("CSS orthogonality violated: Hx @ Hz.T != 0 mod d")
-    rx, n = hx.shape
-    _check_build_size(rx + hz.shape[0], n, d)
-    matrix = np.zeros((rx + hz.shape[0], 2 * n), dtype=residue_dtype(d))
-    matrix[:rx, :n] = hx
-    matrix[rx:, n:] = hz
+    (rx, n), m = hx.shape, len(hx) + len(hz)
+    _check_build_size(m, n, d)
+    dtype = residue_dtype(d)  # a reduced input in this type or in int64 is read, not copied
+    matrix = np.zeros((m, 2 * n), dtype=dtype)
+    matrix[:rx, :n] = residues(hx, d, dtype if hx.dtype == dtype else np.int64)
+    matrix[rx:, n:] = residues(hz, d, dtype if hz.dtype == dtype else np.int64)
+    # free the blocks css_hypergraph_product passes, held by these names alone, before the build
+    del hx, hz
     return StabilizerCode(d, matrix, strict_degree=strict_degree)
 
 
 def css_hypergraph_product(
     h1: np.ndarray, h2: np.ndarray, d: int = 2, strict_degree: bool = True
 ) -> StabilizerCode:
-    """Hypergraph product of two classical parity-check matrices.
+    """Hypergraph product (Tillich and Zemor) of two classical parity-check matrices.
 
-    Hx = [H1 (x) I | I (x) H2^T],  Hz = [I (x) H2 | -H1^T (x) I]; the
-    orthogonality identity holds by construction, and the code's
-    commutation check confirms it.
+    The CSS code of Hx = [H1 (x) I | I (x) H2^T] and Hz = [I (x) H2 | -H1^T (x) I],
+    orthogonal by construction; the build guard runs before the products.
     """
     check_prime(d)
     # an entry of a Kronecker product with an identity is an entry of h1 or h2,
     # or 0, so the products are formed in the residue type, not in int64
     dtype = residue_dtype(d)
     h1, h2 = residues(h1, d, dtype), residues(h2, d, dtype)
-    r1, n1 = h1.shape
-    r2, n2 = h2.shape
-    n, mx = n1 * n2 + r1 * r2, r1 * n2
-    m = mx + n1 * r2
-    _check_build_size(m, n, d)
+    (r1, n1), (r2, n2) = h1.shape, h2.shape
+    _check_build_size(r1 * n2 + n1 * r2, n1 * n2 + r1 * r2, d)
     minus_h1_t = (d - h1.T) % d  # d - h lies in [1, d]: no wrap
-    matrix = np.zeros((m, 2 * n), dtype=dtype)
-    matrix[:mx, : n1 * n2] = np.kron(h1, np.eye(n2, dtype=dtype))
-    matrix[:mx, n1 * n2 : n] = np.kron(np.eye(r1, dtype=dtype), h2.T)
-    matrix[mx:, n : n + n1 * n2] = np.kron(np.eye(n1, dtype=dtype), h2)
-    matrix[mx:, n + n1 * n2 :] = np.kron(minus_h1_t, np.eye(r2, dtype=dtype))
-    return StabilizerCode(d, matrix, strict_degree=strict_degree)
+    i_r1, i_n1, i_r2, i_n2 = (np.identity(k, dtype) for k in (r1, n1, r2, n2))
+    # the blocks are passed, not named, so that css_code holds the only references
+    return css_code(np.hstack([np.kron(h1, i_n2), np.kron(i_r1, h2.T)]),
+                    np.hstack([np.kron(i_n1, h2), np.kron(minus_h1_t, i_r2)]), d, strict_degree)
 
 
 def hamming7_matrix() -> np.ndarray:
@@ -170,21 +167,23 @@ def steane_code() -> StabilizerCode:
 def parse_sparse_rows(text: str) -> np.ndarray:
     """Plain-text sparse row format: one row per line, entries 'col' or 'col:val'.
 
-    A token that is not such an entry, a negative column and a value past
-    int64 are refused by line, and so, before it is allocated, is a dense
-    int64 matrix over BUILD_GUARD bytes.  No code is lost: a css: or hgp:
-    code made with an r x c matrix has m generators on n qudits with
-    mn >= rc, and _check_build_size puts it at 8mn bytes or more.
+    A token that is not such an entry, a repeated or negative column and a
+    value past int64 are refused by line, and so, before it is allocated,
+    is a dense int64 matrix over BUILD_GUARD bytes.  No code is lost: a
+    css: or hgp: code made with an r x c matrix has m generators on n
+    qudits with mn >= rc, and _check_build_size puts it at 8mn bytes or more.
     """
     rows, widest = [], (-1, 0)  # the largest column and its line
     for number, line in enumerate(text.splitlines(), 1):
         row = {}
         for tok in line.split("#")[0].split():
             try:
-                c, v = tok.split(":") if ":" in tok else (tok, 1)
-                row[int(c)] = int(v)
+                c, v = map(int, tok.split(":") if ":" in tok else (tok, 1))
             except ValueError:  # not an integer, or more than one ':'
                 raise CodeValidationError(f"line {number}: bad entry {tok!r}") from None
+            if c in row:  # a sum or the last value would each make another code
+                raise CodeValidationError(f"line {number}: column {c} repeated")
+            row[c] = v
         if row:
             if min(row) < 0:
                 raise CodeValidationError(f"line {number}: negative column {min(row)}")

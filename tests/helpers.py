@@ -7,10 +7,13 @@ Nothing in the CLI or the bench reaches these, so they live with the tests:
 * random biregular graphs and circulant parity-check matrices;
 * the set-at-a-time ESU walk over connected qudit sets, the expansion
   scan's reference;
-* Pauli algebra the library does not need: inverse, power, the
-  symplectic product, commutation and restriction, as plain functions;
+* Pauli algebra the library does not need: the identity, inverse,
+  power, the symplectic product, commutation and restriction, as plain
+  functions, and the full matrix of a Pauli on the dense oracle;
 * group membership with its phase: the coefficients of a row-space
   member and the product of the generators they name;
+* the coset weight of a syndrome as an integer program (d = 2), the
+  reference of the weight searches past the weights they exhaust;
 * the classical contrast: parity codes on a bipartite graph and the
   exhaustive unique-neighbour soundness scan;
 * r at one coset weight of a soundness profile;
@@ -23,9 +26,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from qltc.attacks import SoundnessProfile
-from qltc.dense import TOL, _act, _energy, _system
+from qltc.dense import TOL, _act, _check_cap, _energy, _system
 from qltc.fieldmath import rref
 from qltc.graphs import BipartiteGraph
 from qltc.pauli import PauliOp
@@ -34,6 +38,15 @@ from qltc.zoo import toric_edge_indices
 
 
 # --- Pauli algebra ----------------------------------------------------------
+
+def identity(n: int, d: int) -> PauliOp:
+    return PauliOp(d, n, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), 0)
+
+
+def densify(op: PauliOp) -> np.ndarray:
+    """Full matrix of a Pauli; exact homomorphism densify(a*b)=densify(a)@densify(b)."""
+    return _act(op, np.eye(_check_cap(op.d, op.n)))
+
 
 def inverse(p: PauliOp) -> PauliOp:
     # (Z^z X^x)^-1 = X^-x Z^-z = w^{-x*z} Z^-z X^-x per site
@@ -45,7 +58,7 @@ def power(p: PauliOp, e: int) -> PauliOp:
     """Literal e-fold product (no exponent reduction: g^d may be a scalar)."""
     if e < 0:
         return power(inverse(p), -e)
-    result = PauliOp.identity(p.n, p.d)
+    result = identity(p.n, p.d)
     for _ in range(e):
         result = result.multiply(p)
     return result
@@ -128,6 +141,45 @@ def group_contains(code: StabilizerCode, e: PauliOp) -> GroupMembership:
     if dphase == 0:
         return GroupMembership("member", c, 0)
     return GroupMembership("phase_mismatch", c, dphase)
+
+
+# --- coset weight by integer program -----------------------------------------
+
+def ilp_coset_weight(code: StabilizerCode, target: np.ndarray) -> int:
+    """Least weight of a qubit word with syndrome target, solved as an integer program.
+
+    With S the code's syndrome map (m x 2n): minimise sum(y) subject to
+    S (x | z) - 2 k = target, y >= x and y >= z, where x, z, y lie in
+    {0, 1}^n and k is an integer vector >= 0 (the slack that makes the
+    equation hold mod 2).  The solver's word is re-checked exactly, its
+    syndrome by syndrome_batch and its weight by count against the rounded
+    objective, so the value is the weight of a word that has the syndrome;
+    that no lighter word has it rests on HiGHS's optimality proof.  A check
+    that fails raises, also under python -O.
+    """
+    if code.d != 2:
+        raise ValueError("the integer program is written for d = 2")
+    m, n = code.m, code.n
+    target = np.asarray(target, dtype=np.int64) % 2
+    eye, none, no_k = np.eye(n), np.zeros((n, n)), np.zeros((n, m))
+    syndrome = np.hstack([code.syndrome_matrix, np.zeros((m, n)), -2 * np.eye(m)])
+    cover = np.block([[eye, none, -eye, no_k], [none, eye, -eye, no_k]])  # x <= y, z <= y
+    res = milp(
+        np.r_[np.zeros(2 * n), np.ones(n), np.zeros(m)],
+        constraints=[LinearConstraint(syndrome, target, target),
+                     LinearConstraint(cover, -np.inf, 0)],
+        integrality=np.ones(3 * n + m),
+        bounds=Bounds(0, np.r_[np.ones(3 * n), np.full(m, np.inf)]),
+    )
+    if not res.success:
+        raise RuntimeError(f"integer program failed: {res.message}")
+    word = np.round(res.x[: 2 * n]).astype(np.int64)
+    weight = round(res.fun)
+    if np.any(code.syndrome_batch(word[None])[0] != target):
+        raise AssertionError("the integer program's word has another syndrome")
+    if np.count_nonzero(word[:n] | word[n:]) != weight:
+        raise AssertionError(f"the word's weight is not the objective {res.fun}")
+    return weight
 
 
 # --- toric lattice paths ----------------------------------------------------

@@ -28,11 +28,13 @@ from qltc.attacks import (
     soundness_profile,
 )
 from qltc.pauli import PauliOp, nonidentity_symbols
-from qltc.search import Sites
+from qltc.search import Sites, candidate_batches
 from qltc.fieldmath import RowSpace, residue_dtype
 from qltc.stabilizer import StabilizerCode, build_code, product_phase
 from qltc.zoo import steane_code, toric_code
 from helpers import (
+    identity,
+    ilp_coset_weight,
     r_at_coset_weight,
     random_open_path,
     regular_circulant_matrix,
@@ -88,7 +90,7 @@ def test_evaluate_rejects_non_errors():
     with pytest.raises(NotAnErrorError):
         evaluate_r(c, c.generators[0])
     with pytest.raises(NotAnErrorError):
-        evaluate_r(c, PauliOp.identity(c.n, 2))
+        evaluate_r(c, identity(c.n, 2))
     logical = string_error(2, wrap_loop_edges(2, 0, "horizontal"), kind="z")
     with pytest.raises(NotAnErrorError):
         evaluate_r(c, logical)
@@ -126,6 +128,50 @@ def test_interval_r_pessimistic():
     obj = rep.to_json()
     assert obj["r"]["kind"] == "interval"
     json.dumps(obj)  # serializable
+
+
+# --- coset weights against the integer program -----------------------------
+
+def _least_weights(code, w_max):
+    """Syndrome bytes -> the least weight of a word with that syndrome, over every word of
+    weight <= w_max."""
+    least = {}
+    for w in range(1, w_max + 1):
+        for batch in candidate_batches(code.n, code.d, w):
+            for key in map(bytes, code.syndrome_batch(batch).astype(np.uint8)):
+                least.setdefault(key, w)
+    return least
+
+
+def test_ilp_coset_weight_matches_exhaustive_enumeration_on_toric3():
+    code = toric_code(3)
+    least = _least_weights(code, 4)
+    rng = np.random.default_rng(0)
+    by_weight = {w: [key for key, v in least.items() if v == w] for w in range(1, 5)}
+    for w, keys in by_weight.items():
+        for i in rng.choice(len(keys), size=min(10, len(keys)), replace=False):
+            assert ilp_coset_weight(code, np.frombuffer(keys[i], dtype=np.uint8)) == w
+    # a syndrome that no word of weight <= 4 has needs weight 5 or more
+    beyond = 0
+    for batch in candidate_batches(code.n, code.d, 8):
+        for target in code.syndrome_batch(batch[rng.choice(len(batch), 4)]).astype(np.uint8):
+            if bytes(target) not in least:
+                assert ilp_coset_weight(code, target) >= 5
+                beyond += 1
+        if beyond >= 10:
+            break
+    assert beyond >= 10
+
+
+@pytest.mark.parametrize("L", [10, 16])
+@pytest.mark.parametrize("attack", [expander_attack, alphabet_attack])
+def test_reported_coset_weight_interval_holds_the_ilp_value(L, attack):
+    code = toric_code(L)
+    report = attack(code, 0.05, seed=1)
+    exact = ilp_coset_weight(code, code.syndrome(report.error))
+    bounds = report.wt_mod_centralizer
+    assert bounds.low <= exact <= bounds.high
+    assert exact == {10: 8, 16: 22}[L] == report.weight
 
 
 # --- expander attack -------------------------------------------------------

@@ -33,7 +33,7 @@ from qltc.stabilizer import (
     TrivialQuditError,
     build_code,
 )
-from helpers import power, regular_circulant_matrix
+from helpers import identity, power, regular_circulant_matrix
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "build_golden.json"
 
@@ -243,7 +243,7 @@ def reference_build(gens, strict_degree):
         if power(g, d).phase:
             raise PhaseObstructionError([i])
     for c in rs.left_kernel:
-        prod = PauliOp.identity(n, d)
+        prod = identity(n, d)
         for g, e in zip(gens, c):
             prod = prod.multiply(power(g, int(e)))
         if prod.phase:

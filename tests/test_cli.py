@@ -82,10 +82,20 @@ def test_build_invalid_css_exits_1(tmp_path, capsys):
     hx = tmp_path / "hx.txt"
     hz = tmp_path / "hz.txt"
     hx.write_text("0 1\n")
-    hz.write_text("0 2\n")  # rows not orthogonal over GF(2)
+    hz.write_text("0 2\n")
     code, _, err = run(capsys, "build", f"css:{hx},{hz}")
     assert code == 1
-    assert "error" in err or "invalid" in err
+    assert "Hx and Hz must have the same number of columns" in err
+
+
+def test_build_non_orthogonal_css_exits_1_naming_the_pair(tmp_path, capsys):
+    hx = tmp_path / "hx.txt"
+    hz = tmp_path / "hz.txt"
+    hx.write_text("0 1\n1 2\n")
+    hz.write_text("0 2\n")  # hx[0] . hz[0] = 1 over GF(2)
+    code, _, err = run(capsys, "build", f"css:{hx},{hz}")
+    assert code == 1
+    assert "generators 0 and 2 do not commute" in err
 
 
 @pytest.mark.parametrize("name, column", [("neg_col.txt", "-3"), ("huge_col.txt", "99999999999")])

@@ -3,8 +3,8 @@
 `densify_kron` (the kron product of site matrices) and
 `detectability_oracle` (the projector form ||Pi E Pi - gamma Pi||, with Pi
 a product of generator projectors) are the older, slower forms of the
-monomial `densify` and the codespace-basis `verify_detectability`, kept here
-as oracles on random instances.  `verify_golden.json` was written by the
+monomial `densify` (a test helper on the oracle's `_act`) and the
+codespace-basis `verify_detectability`, kept here as oracles on random instances.  `verify_golden.json` was written by the
 older forms.
 """
 
@@ -24,23 +24,23 @@ from qltc.cli import main
 from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.stabilizer import CodeValidationError, StabilizerCode, build_code
 from qltc.zoo import steane_code, toric_code
-from helpers import displaced_codeword_energy, verify_energy_identity
+from helpers import densify, displaced_codeword_energy, identity, verify_energy_identity
 
 
 def test_densify_bit_flip():
     x = PauliOp.single(1, 2, 0, x=1, z=0)
-    assert np.allclose(dense.densify(x), np.array([[0, 1], [1, 0]]))
+    assert np.allclose(densify(x), np.array([[0, 1], [1, 0]]))
 
 
 def test_densify_phase_d3():
     p = PauliOp.single(1, 3, 0, x=0, z=1)
     w = np.exp(2j * np.pi / 3)
-    assert np.allclose(dense.densify(p), np.diag([1, w, w**2]))
+    assert np.allclose(densify(p), np.diag([1, w, w**2]))
 
 
 def test_densify_shift_d3():
     x = PauliOp.single(1, 3, 0, x=1, z=0)
-    mat = dense.densify(x)
+    mat = densify(x)
     e0 = np.zeros(3)
     e0[0] = 1
     assert np.allclose(mat @ e0, np.eye(3)[:, 1])  # |0> -> |1>
@@ -50,16 +50,16 @@ def test_densify_unitary_and_phase():
     rng = np.random.default_rng(0)
     for d in (2, 3, 5):
         p = PauliOp(d, 2, rng.integers(d, size=2), rng.integers(d, size=2), 1)
-        m = dense.densify(p)
+        m = densify(p)
         assert np.allclose(m @ m.conj().T, np.eye(d * d), atol=1e-12)
         bare = PauliOp(d, 2, p.x, p.z, 0)
         w = np.exp(2j * np.pi / d)
-        assert np.allclose(m, w * dense.densify(bare), atol=1e-12)
+        assert np.allclose(m, w * densify(bare), atol=1e-12)
 
 
 def test_size_cap():
     with pytest.raises(Refusal, match="exceeds cap"):
-        dense.densify(PauliOp.identity(11, 2))
+        densify(identity(11, 2))
 
 
 def test_generator_projector_idempotent():
@@ -247,13 +247,13 @@ def paulis(draw):
 @example(PauliOp(5, 4, [4, 1, 0, 3], [2, 3, 4, 1], 3))
 @settings(max_examples=60, deadline=None)
 def test_monomial_densify_matches_kron(op):
-    assert np.abs(dense.densify(op) - densify_kron(op)).max() <= 1e-12
+    assert np.abs(densify(op) - densify_kron(op)).max() <= 1e-12
 
 
 def test_densify_refuses_past_the_cap():
     for d, n in MAX_N.items():
         with pytest.raises(Refusal, match="exceeds cap"):
-            dense.densify(PauliOp.identity(n + 1, d))
+            densify(identity(n + 1, d))
 
 
 # --- detectability on the codespace basis against the projector form ---------

@@ -31,6 +31,8 @@ MOVED = (
     "GroupMembership",
     "coefficients",
     "connected_sets",
+    "densify",
+    "identity",
 )
 # deleted outright: is_error's callers read code.penalty(e) > 0, the RowSpace
 # matrix _pivot_combinations was read by coefficients alone, the set-at-a-time

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qltc import dense
 from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.search import candidate_batches, candidates_at_weight
-from helpers import commutes_with, inverse, power, restrict, symplectic_product
+from helpers import (
+    commutes_with, densify, identity, inverse, power, restrict, symplectic_product,
+)
 
 
 @st.composite
@@ -48,7 +49,7 @@ def test_construction_validation():
 
 
 def test_identity_and_weight():
-    ident = PauliOp.identity(3, 2)
+    ident = identity(3, 2)
     assert ident.is_identity() and ident.weight() == 0
     p = PauliOp.single(3, 2, 1, x=1, z=1)
     assert p.weight() == 1 and p.support() == [1]
@@ -66,7 +67,7 @@ def test_qubit_xz_squared_is_minus_identity():
 
 def test_x_cubed_identity_d3():
     x = PauliOp.single(1, 3, 0, x=1, z=0)
-    assert x.multiply(x).multiply(x) == PauliOp.identity(1, 3)
+    assert x.multiply(x).multiply(x) == identity(1, 3)
 
 
 def test_symplectic_product_examples():
@@ -105,7 +106,7 @@ def test_bilinearity_and_weight_subadditivity(abc):
 @settings(max_examples=200)
 def test_inverse_and_power(abc):
     a, _, _ = abc
-    assert a.multiply(inverse(a)) == PauliOp.identity(a.n, a.d)
+    assert a.multiply(inverse(a)) == identity(a.n, a.d)
     # a^d is a scalar (the symplectic part vanishes)
     assert power(a, a.d).is_identity(up_to_phase=True)
     assert power(a, 3) == a.multiply(a).multiply(a)
@@ -164,8 +165,8 @@ def test_multiply_matches_dense_oracle(n, d):
         rng = np.random.default_rng(0)
         ops = [ops[i] for i in rng.choice(len(ops), size=40, replace=False)]
     for a, b in itertools.product(ops, repeat=2):
-        lhs = dense.densify(a.multiply(b))
-        rhs = dense.densify(a) @ dense.densify(b)
+        lhs = densify(a.multiply(b))
+        rhs = densify(a) @ densify(b)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -178,7 +179,7 @@ def test_symplectic_product_matches_dense_commutator(n, d):
     for i, j in idx:
         a, b = ops[i], ops[j]
         s = symplectic_product(a, b)
-        da, db = dense.densify(a), dense.densify(b)
+        da, db = densify(a), densify(b)
         assert np.allclose(da @ db, w**s * (db @ da), atol=1e-12)
 
 

@@ -361,6 +361,19 @@ def test_search_results_are_pinned(monkeypatch, name):
     assert got == PINNED_SEARCHES[name]
 
 
+def test_join_partner_is_the_first_of_equal_images_in_the_half_table():
+    # X on qudit 0 meets (1, 0), X on any of the 299 others meets (0, 1): each
+    # of those is a partner of qudit 0 for the target (1, 1), and the join
+    # takes the first in the half table, where an unstable sort of the equal
+    # images would leave another first
+    n = 300
+    m = np.zeros((2, 2 * n), dtype=np.uint8)
+    m[0, 0] = m[1, 1:n] = 1
+    res = min_weight_vector(n, 2, 2, Sites.of(m), np.array([1, 1]),
+                            symbol_sets=(pure_symbols(2, "x"),))
+    assert res.found_weight == 2 and np.flatnonzero(res.vector).tolist() == [0, 1]
+
+
 # --- what the kernel counts ------------------------------------------------
 
 def test_candidates_tested_counts_half_tables():

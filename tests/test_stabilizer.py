@@ -24,6 +24,7 @@ from qltc.zoo import css_hypergraph_product, steane_code, toric_code
 from helpers import (
     commutes_with,
     group_contains,
+    identity,
     inverse,
     power,
     regular_circulant_matrix,
@@ -204,7 +205,7 @@ def test_syndrome_of_generators_and_identity():
     c = toric_code(3)
     for g in c.generators:
         assert not c.syndrome(g).any()
-    assert not c.syndrome(PauliOp.identity(c.n, c.d)).any()
+    assert not c.syndrome(identity(c.n, c.d)).any()
     assert c.penalty(c.generators[0]) == 0
 
 
@@ -247,7 +248,7 @@ def test_syndrome_homomorphism():
 def test_syndrome_dimension_check():
     c = toric_code(2)
     with pytest.raises(ValueError):
-        c.syndrome(PauliOp.identity(3, 2))
+        c.syndrome(identity(3, 2))
 
 
 # --- group membership ------------------------------------------------------
@@ -286,7 +287,7 @@ def test_product_phase_matches_multiply_loop(d, n, m, seed):
             for _ in range(m)]
     c = rng.integers(d + 1, size=m)
     c[rng.integers(m)] = d
-    prod = PauliOp.identity(n, d)
+    prod = identity(n, d)
     for g, e in zip(gens, c):
         prod = prod.multiply(power(g, int(e)))
     sites = Sites.of(np.stack([g.symplectic() for g in gens]))

@@ -5,7 +5,9 @@ import pytest
 
 from qltc import zoo
 from qltc.graphs import BipartiteGraph
+from qltc.fieldmath import CodeValidationError
 from qltc.pauli import PauliOp
+from qltc.stabilizer import NonAbelianError
 from qltc.zoo import (
     css_code,
     css_hypergraph_product,
@@ -105,9 +107,43 @@ def test_steane():
 
 
 def test_css_rejects_non_orthogonal():
-    hx = np.array([[1, 1, 0]])
-    hz = np.array([[1, 0, 1]])
-    with pytest.raises(ValueError):
+    hx = np.array([[1, 1, 0], [0, 1, 1]])
+    hz = np.array([[1, 1, 0], [1, 0, 1]])
+    # X_0 commutes with Z_0 (hx[0] . hz[0] = 2), not with Z_1: generators 0 and 2 + 1
+    with pytest.raises(NonAbelianError) as refused:
+        css_code(hx, hz)
+    assert refused.value.pair == (0, 3)
+    assert isinstance(refused.value, CodeValidationError)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_css_refuses_exactly_the_pairs_that_are_not_orthogonal(d):
+    # the dense product is the oracle: Hx @ Hz.T != 0 mod d iff some <X_a, Z_b> != 0
+    rng = np.random.default_rng(d)
+    for _ in range(200):
+        n, rx, rz, k = (int(v) for v in rng.integers(2, 6, size=4))
+        k = min(k, n)
+        hx, hz = (np.zeros((r, n), dtype=np.int64) for r in (rx, rz))
+        for h in (hx, hz):
+            for row in h:
+                row[rng.choice(n, size=k, replace=False)] = rng.integers(1, d, size=k)
+        bad = np.argwhere(hx @ hz.T % d)
+        try:
+            css_code(hx, hz, d, strict_degree=False)
+        except NonAbelianError as exc:
+            assert bad.size and exc.pair == (int(bad[0, 0]), rx + int(bad[0, 1]))
+        except CodeValidationError:  # a trivial qudit, after the commutation check
+            assert not bad.size
+        else:
+            assert not bad.size
+
+
+def test_css_over_the_build_guard_is_refused_before_any_product():
+    # a pair that is not orthogonal, on 25,000 qudits: the guard refuses it
+    # before the commutation check could
+    hx, hz = np.zeros((1, 25_000), dtype=np.int64), np.zeros((1, 25_000), dtype=np.int64)
+    hx[0, [0, 1]] = hz[0, [1, 2]] = 1
+    with pytest.raises(CodeValidationError, match="guard"):
         css_code(hx, hz)
 
 
@@ -152,6 +188,8 @@ def test_parse_sparse_rows():
     ("0 1.5\n", "1.5"),
     ("0\n0:1:1\n", "line 2: bad entry '0:1:1'"),
     ("0 x:1\n", "line 1: bad entry 'x:1'"),
+    ("0 1\n0 2 0\n", "line 2: column 0 repeated"),
+    ("0:1 0:2\n", "line 1: column 0 repeated"),
 ])
 def test_parse_sparse_rows_refuses_bad_entries(text, match):
     with pytest.raises(ValueError, match=match):
