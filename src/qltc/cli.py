@@ -28,7 +28,7 @@ import traceback
 import numpy as np
 
 from . import attacks, dense, zoo
-from .fieldmath import CodeValidationError, InputError
+from .fieldmath import CodeValidationError, InputError, residue_dtype, residues
 from .graphs import Refusal
 from .stabilizer import StabilizerCode
 
@@ -84,11 +84,8 @@ def _preset(name_spec: str) -> StabilizerCode:
             f1, _, f2 = rest.partition(",")
             if not f2:
                 raise InputError(f"{name} preset needs two matrix files, got {rest!r}")
-            m1 = _read_matrix(f1)
-            m2 = _read_matrix(f2)
-            if name == "hgp":
-                return zoo.css_hypergraph_product(m1, m2, strict_degree=False)
-            return zoo.css_code(m1, m2, strict_degree=False)
+            build = zoo.css_hypergraph_product if name == "hgp" else zoo.css_code
+            return build(_read_matrix(f1), _read_matrix(f2), strict_degree=False)
     raise InputError(f"unknown preset {name!r}")
 
 
@@ -102,10 +99,11 @@ def _toric_fields(name_spec: str, rest: str) -> list[int]:
 
 
 def _read_matrix(path: str) -> np.ndarray:
+    # mod 2, as both presets are binary: the int64 matrix dies here, before any build
     with _bad_input((OSError, UnicodeDecodeError), f"cannot read matrix file {path}: "):
         with open(path) as f:
             text = f.read()
-    return zoo.parse_sparse_rows(text)
+    return residues(zoo.parse_sparse_rows(text), 2, residue_dtype(2))
 
 
 def _emit(report: dict, path: str | None) -> None:

@@ -104,8 +104,8 @@ def residues(a, p: int, dtype=np.int64) -> np.ndarray:
     elif a.dtype == dtype and (a.size == 0 or (a.min() >= 0 and a.max() < p)):
         return a
     else:
-        a = a.astype(np.int64) % p
-    return a.astype(dtype)
+        a = a.astype(np.int64, copy=False) % p
+    return a.astype(dtype, copy=False)
 
 
 def is_prime(p: int) -> bool:

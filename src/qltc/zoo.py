@@ -7,9 +7,9 @@ v(r,c) = L^2 + r*L + c runs from (r,c) to (r+1 mod L, c).  For d > 2 the
 edges are oriented (+x, +y) and generators carry inverse exponents on
 outgoing/return edges so that all pairs commute mod d.
 
-Each check here on outside input (the build guard, L >= 2, CSS widths,
-a bad line of a matrix file) raises
-`fieldmath.CodeValidationError`, the CLI's bad input and a `ValueError`.
+Each check here on outside input (the build guard, also a matrix file's one
+size rule, met on its shape; L >= 2; CSS widths; a bad line of a matrix file)
+raises `fieldmath.CodeValidationError`, the CLI's bad input and a `ValueError`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ def _check_build_size(m: int, n: int, d: int) -> int:
     copy, its low bits or its reduced form, and the rows packed as bits,
     under 3 bytes an entry; for odd d, rref's int64 copy and, in the worst
     case, the three int64 temporaries of a row update that reaches every
-    row, 32 bytes an entry more.
+    row, 32 bytes an entry more.  Growing with m, n and d and at least 8mn, it
+    prices an r x c matrix file too, as its least code (r, c, 2).
     """
     b = residue_dtype(d).itemsize
     per_entry = 3 if d == 2 else b + 32
@@ -115,7 +116,7 @@ def css_code(
     matrix = np.zeros((m, 2 * n), dtype=dtype)
     matrix[:rx, :n] = residues(hx, d, dtype if hx.dtype == dtype else np.int64)
     matrix[rx:, n:] = residues(hz, d, dtype if hz.dtype == dtype else np.int64)
-    # free the blocks css_hypergraph_product passes, held by these names alone, before the build
+    # free the blocks css_hypergraph_product passes (held here alone on CPython 3.11+)
     del hx, hz
     return StabilizerCode(d, matrix, strict_degree=strict_degree)
 
@@ -126,15 +127,15 @@ def css_hypergraph_product(
     """Hypergraph product (Tillich and Zemor) of two classical parity-check matrices.
 
     The CSS code of Hx = [H1 (x) I | I (x) H2^T] and Hz = [I (x) H2 | -H1^T (x) I],
-    orthogonal by construction; the build guard runs before the products.
+    orthogonal by construction; the build guard reads the shapes before any copy.
     """
     check_prime(d)
+    (r1, n1), (r2, n2) = np.shape(h1), np.shape(h2)
+    _check_build_size(r1 * n2 + n1 * r2, n1 * n2 + r1 * r2, d)
     # an entry of a Kronecker product with an identity is an entry of h1 or h2,
     # or 0, so the products are formed in the residue type, not in int64
     dtype = residue_dtype(d)
     h1, h2 = residues(h1, d, dtype), residues(h2, d, dtype)
-    (r1, n1), (r2, n2) = h1.shape, h2.shape
-    _check_build_size(r1 * n2 + n1 * r2, n1 * n2 + r1 * r2, d)
     minus_h1_t = (d - h1.T) % d  # d - h lies in [1, d]: no wrap
     i_r1, i_n1, i_r2, i_n2 = (np.identity(k, dtype) for k in (r1, n1, r2, n2))
     # the blocks are passed, not named, so that css_code holds the only references
@@ -168,12 +169,11 @@ def parse_sparse_rows(text: str) -> np.ndarray:
     """Plain-text sparse row format: one row per line, entries 'col' or 'col:val'.
 
     A token that is not such an entry, a repeated or negative column and a
-    value past int64 are refused by line, and so, before it is allocated,
-    is a dense int64 matrix over BUILD_GUARD bytes.  No code is lost: a
-    css: or hgp: code made with an r x c matrix has m generators on n
-    qudits with mn >= rc, and _check_build_size puts it at 8mn bytes or more.
+    value past int64 are refused by line, and so is the first line that makes
+    the matrix so far, r x c, over the build guard's price of its least code
+    (r, c, 2): before the rest is read and the int64 matrix allocated.
     """
-    rows, widest = [], (-1, 0)  # the largest column and its line
+    rows, cols = [], 0
     for number, line in enumerate(text.splitlines(), 1):
         row = {}
         for tok in line.split("#")[0].split():
@@ -189,13 +189,13 @@ def parse_sparse_rows(text: str) -> np.ndarray:
                 raise CodeValidationError(f"line {number}: negative column {min(row)}")
             if max(map(abs, row.values())) >= 2**63:
                 raise CodeValidationError(f"line {number}: a value past int64")
-            widest = max(widest, (max(row), number))
             rows.append(row)
-    cols = widest[0] + 1
-    if 8 * len(rows) * cols > BUILD_GUARD:
-        raise CodeValidationError(
-            f"line {widest[1]}: column {cols - 1} makes a {len(rows)} x {cols}"
-            f" int64 matrix, over the {BUILD_GUARD / 1e9:.3g} GB build guard")
+            cols = max(cols, max(row) + 1)
+            try:
+                _check_build_size(len(rows), cols, 2)
+            except CodeValidationError as refusal:
+                raise CodeValidationError(
+                    f"line {number}: a {len(rows)} x {cols} matrix: {refusal}") from None
     mat = np.zeros((len(rows), cols), dtype=np.int64)
     for i, row in enumerate(rows):
         mat[i, list(row)] = list(row.values())

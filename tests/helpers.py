@@ -146,30 +146,30 @@ def group_contains(code: StabilizerCode, e: PauliOp) -> GroupMembership:
 # --- coset weight by integer program -----------------------------------------
 
 def ilp_coset_weight(code: StabilizerCode, target: np.ndarray) -> int:
-    """Least weight of a qubit word with syndrome target, solved as an integer program.
+    """Least weight of a word with syndrome target, solved as an integer program.
 
-    With S the code's syndrome map (m x 2n): minimise sum(y) subject to
-    S (x | z) - 2 k = target, y >= x and y >= z, where x, z, y lie in
-    {0, 1}^n and k is an integer vector >= 0 (the slack that makes the
-    equation hold mod 2).  The solver's word is re-checked exactly, its
-    syndrome by syndrome_batch and its weight by count against the rounded
-    objective, so the value is the weight of a word that has the syndrome;
-    that no lighter word has it rests on HiGHS's optimality proof.  A check
-    that fails raises, also under python -O.
+    With S the code's syndrome map (m x 2n, entries in [0, d)): minimise
+    sum(y) subject to S (x | z) - d k = target, x <= (d - 1) y and
+    z <= (d - 1) y, where x and z lie in [0, d - 1]^n, y in {0, 1}^n and k
+    is an integer vector >= 0 (the slack that makes the equation hold mod
+    d).  The solver's word is re-checked exactly, its syndrome by
+    syndrome_batch and its weight by count against the rounded objective,
+    so the value is the weight of a word that has the syndrome; that no
+    lighter word has it rests on HiGHS's optimality proof.  A check that
+    fails raises, also under python -O.
     """
-    if code.d != 2:
-        raise ValueError("the integer program is written for d = 2")
-    m, n = code.m, code.n
-    target = np.asarray(target, dtype=np.int64) % 2
+    d, m, n = code.d, code.m, code.n
+    target = np.asarray(target, dtype=np.int64) % d
     eye, none, no_k = np.eye(n), np.zeros((n, n)), np.zeros((n, m))
-    syndrome = np.hstack([code.syndrome_matrix, np.zeros((m, n)), -2 * np.eye(m)])
-    cover = np.block([[eye, none, -eye, no_k], [none, eye, -eye, no_k]])  # x <= y, z <= y
+    syndrome = np.hstack([code.syndrome_matrix, np.zeros((m, n)), -d * np.eye(m)])
+    reach = (d - 1) * eye  # x <= (d - 1) y and z <= (d - 1) y: y marks a site's support
+    cover = np.block([[eye, none, -reach, no_k], [none, eye, -reach, no_k]])
     res = milp(
         np.r_[np.zeros(2 * n), np.ones(n), np.zeros(m)],
         constraints=[LinearConstraint(syndrome, target, target),
                      LinearConstraint(cover, -np.inf, 0)],
         integrality=np.ones(3 * n + m),
-        bounds=Bounds(0, np.r_[np.ones(3 * n), np.full(m, np.inf)]),
+        bounds=Bounds(0, np.r_[np.full(2 * n, d - 1), np.ones(n), np.full(m, np.inf)]),
     )
     if not res.success:
         raise RuntimeError(f"integer program failed: {res.message}")

@@ -143,30 +143,41 @@ def _least_weights(code, w_max):
     return least
 
 
-def test_ilp_coset_weight_matches_exhaustive_enumeration_on_toric3():
-    code = toric_code(3)
-    least = _least_weights(code, 4)
+def _check_ilp_against_exhaustive(code, w_max, far):
+    """The ILP's value on sampled syndromes of every weight <= w_max is the least weight,
+    and on syndromes of weight-far words that no word of weight <= w_max has, above w_max."""
+    least = _least_weights(code, w_max)
     rng = np.random.default_rng(0)
-    by_weight = {w: [key for key, v in least.items() if v == w] for w in range(1, 5)}
+    by_weight = {w: [key for key, v in least.items() if v == w] for w in range(1, w_max + 1)}
     for w, keys in by_weight.items():
         for i in rng.choice(len(keys), size=min(10, len(keys)), replace=False):
             assert ilp_coset_weight(code, np.frombuffer(keys[i], dtype=np.uint8)) == w
-    # a syndrome that no word of weight <= 4 has needs weight 5 or more
     beyond = 0
-    for batch in candidate_batches(code.n, code.d, 8):
+    for batch in candidate_batches(code.n, code.d, far):
         for target in code.syndrome_batch(batch[rng.choice(len(batch), 4)]).astype(np.uint8):
             if bytes(target) not in least:
-                assert ilp_coset_weight(code, target) >= 5
+                assert ilp_coset_weight(code, target) > w_max
                 beyond += 1
         if beyond >= 10:
             break
     assert beyond >= 10
 
 
-@pytest.mark.parametrize("L", [10, 16])
+def test_ilp_coset_weight_matches_exhaustive_enumeration_on_toric3():
+    _check_ilp_against_exhaustive(toric_code(3), 4, 8)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_ilp_coset_weight_matches_exhaustive_enumeration_at_odd_d(d):
+    # x and z range over [0, d - 1], each covered by (d - 1) y, and the slack is d k
+    _check_ilp_against_exhaustive(toric_code(3, d), 2, 4)
+
+
+@pytest.mark.parametrize("L, d", [(10, 2), (16, 2), (10, 3), (16, 3), (10, 5)],
+                         ids=["10", "16", "10:3", "16:3", "10:5"])
 @pytest.mark.parametrize("attack", [expander_attack, alphabet_attack])
-def test_reported_coset_weight_interval_holds_the_ilp_value(L, attack):
-    code = toric_code(L)
+def test_reported_coset_weight_interval_holds_the_ilp_value(L, d, attack):
+    code = toric_code(L, d)
     report = attack(code, 0.05, seed=1)
     exact = ilp_coset_weight(code, code.syndrome(report.error))
     bounds = report.wt_mod_centralizer

@@ -394,3 +394,27 @@ def test_toric32_build_stays_at_its_narrow_size():
     # int64 and the float64 syndrome map was built with the code)
     zoo.toric_code(2)
     assert _traced_peak(lambda: zoo.toric_code(32)) < 48 * 2**20
+
+
+def test_css_files_build_within_the_guard_estimate(tmp_path, capsys):
+    # the CLI frees each parsed int64 matrix once it is reduced to uint8, so neither
+    # sits on top of the build's own peak
+    path = tmp_path / "pairs.txt"
+    path.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(1000)))
+    zoo.toric_code(2)
+    codes = []
+    peak = _traced_peak(lambda: codes.append(main(["build", f"css:{path},{path}"])))
+    assert codes == [0] and json.loads(capsys.readouterr().out)["n"] == 2000
+    assert peak <= zoo._check_build_size(2000, 2000, 2)
+
+
+def test_hypergraph_product_over_the_guard_refuses_before_any_copy():
+    h1, h2 = np.ones((100, 2000), dtype=np.int64), np.ones((100, 2000), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="guard"):
+            zoo.css_hypergraph_product(h1, h2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < h1.size  # less than one uint8 copy of an input

@@ -98,17 +98,25 @@ def test_build_non_orthogonal_css_exits_1_naming_the_pair(tmp_path, capsys):
     assert "generators 0 and 2 do not commute" in err
 
 
-@pytest.mark.parametrize("name, column", [("neg_col.txt", "-3"), ("huge_col.txt", "99999999999")])
-def test_build_css_with_bad_column_exits_1_without_allocating(capsys, name, column):
+@pytest.mark.parametrize("name, fault", [
+    ("neg_col.txt", "negative column -3"), ("huge_col.txt", "line 2: a 1 x 100000000000 matrix"),
+    ("css:wide.txt", "line 1: a 1 x 30000 matrix"), ("hgp:wide.txt", "line 1: a 1 x 30000 matrix"),
+], ids=["neg_col.txt--3", "huge_col.txt-99999999999", "css:wide.txt-29999", "hgp:wide.txt-29999"])
+def test_build_css_with_bad_column_exits_1_without_allocating(capsys, tmp_path, name, fault):
+    preset, _, name = name.rpartition(":")
     path = DATA / name
+    if name == "wide.txt":  # 1,200 x 30,000: refused on its shape, as css and as hgp
+        path = tmp_path / name
+        path.write_text("".join(f"{i} {29999 - i}\n" for i in range(1200)))
     tracemalloc.start()
     try:
-        code, _, err = run(capsys, "build", f"css:{path},{path}")
+        code, _, err = run(capsys, "build", f"{preset or 'css'}:{path},{path}")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 1 and f"column {column}" in err
+    assert code == 1 and fault in err
     assert peak < 1 << 20
+    assert preset == "" or "guard" in err
 
 
 def test_build_css_with_a_fractional_column_names_its_line(capsys):

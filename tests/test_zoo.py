@@ -184,7 +184,10 @@ def test_parse_sparse_rows():
 @pytest.mark.parametrize("text, match", [
     ("0 1\n1 -3\n", "line 2: negative column -3"),
     ("0:99999999999999999999\n", "line 1: a value past int64"),
-    ("0 1\n\n0 99999999999\n", "line 3: column 99999999999 makes a 2 x 100000000000"),
+    pytest.param("0 1\n\n0 99999999999\n", "line 3: a 2 x 100000000000 matrix: .*guard",
+                 id="0 1\n\n0 99999999999\n-line 3: column 99999999999"),
+    pytest.param("0 5\n" + "0\n" * 40000, "line 25642: a 25642 x 6 matrix: .*guard",
+                 id="0 5\n then 40,000 lines 0\n-line 25642"),  # the line that puts it over
     ("0 1.5\n", "1.5"),
     ("0\n0:1:1\n", "line 2: bad entry '0:1:1'"),
     ("0 x:1\n", "line 1: bad entry 'x:1'"),
@@ -196,10 +199,24 @@ def test_parse_sparse_rows_refuses_bad_entries(text, match):
         zoo.parse_sparse_rows(text)
 
 
+def _least_refused_columns(r):
+    """The fewest columns c at which _check_build_size(r, c, 2) refuses."""
+    low, high = 1, zoo.BUILD_GUARD  # the estimate is at least 8rc, so c = BUILD_GUARD refuses
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            zoo._check_build_size(r, mid, 2)
+            low = mid + 1
+        except ValueError:
+            high = mid
+    return low
+
+
 @pytest.mark.parametrize("r", [1, 3, 1000, 1 << 14])
 def test_matrix_over_the_parse_guard_makes_only_refused_builds(r):
-    c = zoo.BUILD_GUARD // (8 * r) + 1  # the fewest columns the parser refuses at r rows
-    with pytest.raises(ValueError, match="build guard"):
+    c = _least_refused_columns(r)  # the parser's rule is the build guard's price of (r, c, 2)
+    zoo._check_build_size(r, c - 1, 2)
+    with pytest.raises(ValueError, match=f"line {r}: a {r} x {c} matrix: .*guard"):
         zoo.parse_sparse_rows("0\n" * (r - 1) + f"{c - 1}\n")
     # the smallest codes such a matrix makes: css (m >= r generators on c qudits) and the
     # hypergraph product with a 1 x 1 matrix (r + c generators on r + c qudits)
