@@ -106,7 +106,6 @@ def _build_pin(code, report):
             "symplectic_matrix": _digest(code.symplectic_matrix),
             "syndrome_matrix": _digest(code.syndrome_matrix),
             "kernel": _digest(code.rowspace.kernel),
-            "left_kernel": _digest(code.rowspace.left_kernel),
             "pivots": _digest(np.array(code.rowspace.pivots, dtype=np.int64)),
         },
         "right_adj": code.graph.right_adj,
