@@ -9,16 +9,16 @@ product or subtraction widens them first.
 It runs in float32 or float64 BLAS only: `check_prime` admits primes
 below 2**16 alone, and below that every product of an admissible width
 is exact in float64.
-`rref` is the one elimination routine.  `RowSpace` runs it once, on
-[mat | J] with J the identity with its columns reversed, and reads every
-query off that one reduced matrix: rank, the right kernel (membership)
-and the left kernel (generator dependencies).  Reversing J makes each
-left-kernel row pivot on the last row of mat it uses, which is a row that
-depends on earlier ones.  Over GF(2) the elimination runs on
-rows packed as bits, one Python int per row, so a row operation is one
-XOR (the packed-row idea of M4RI, Albrecht, Bard and Hart,
-arXiv:0811.1714); odd p keeps an int64 loop whose row operations
-touch only the pivot row's nonzero columns.
+`rref` is the one elimination routine.  `RowSpace` runs it once, on the
+matrix, and reads rank, pivots and the right kernel (membership) off it.
+Given the rows' Pauli phases, the elimination carries them too (over
+GF(2) the phase bit of Aaronson and Gottesman, arXiv:quant-ph/0406196; at
+odd p the Weyl phase, Gross, arXiv:quant-ph/0602001) and names a
+generator of a relation whose phase is nonzero: the phase obstruction.
+Over GF(2) the elimination runs on rows packed as bits, one Python int
+per row, so a row operation is one XOR (the packed-row idea of M4RI,
+Albrecht, Bard and Hart, arXiv:0811.1714); odd p keeps an int64 loop
+whose row operations touch only the pivot row's nonzero columns.
 `InputError` is the one bad-input type.  The checks on outside input,
 here (`check_prime`) and in `zoo`, `stabilizer` and the CLI, raise it or
 its subclass `CodeValidationError`, which is also a `ValueError`.
@@ -144,21 +144,29 @@ def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
 
-def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p).
+def rref(mat: np.ndarray, p: int, phases=None) -> tuple[np.ndarray, list[int], int | None]:
+    """Reduced row echelon form over GF(p); given the rows' phases, the phase obstruction.
 
-    Returns (R, pivots) where R has the same shape as mat and pivots lists
-    the pivot column of each nonzero row in order.  R is uint8 for p = 2
-    and int64 otherwise.
+    Returns (R, pivots, obstruction): R has mat's shape (uint8 for p = 2,
+    int64 otherwise), pivots the pivot column of each nonzero row.  Given
+    phases, the rows are commuting generators (x | z), and obstruction is
+    one in a relation whose phase is nonzero, else None.  At odd p the Weyl
+    phase s + x.z/2 adds over commuting products: it is one more column,
+    which takes a pivot iff some relation's phase is nonzero.
     """
     if p == 2:
-        return _rref_gf2(mat)
-    a = np.array(mat, dtype=np.int64)
-    a %= p
-    nrows, ncols = a.shape
+        return _rref_gf2(mat, phases)
+    nrows, ncols = mat.shape
+    a = np.empty((nrows, ncols + (phases is not None)), dtype=np.int64)
+    a[:, :ncols] = mat
+    a[:, :ncols] %= p
+    if phases is not None:
+        xz = np.einsum("ij,ij->i", a[:, : ncols // 2], a[:, ncols // 2 : ncols]) % p
+        a[:, ncols] = (xz * ((p + 1) // 2) + phases) % p
+    origin = np.arange(nrows)  # the input row at each row of a
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(a.shape[1]):
         if r == nrows:
             break
         pivot_rows = np.nonzero(a[r:, c])[0]
@@ -167,6 +175,7 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pr = r + int(pivot_rows[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
+            origin[[r, pr]] = origin[[pr, r]]
         cols = np.flatnonzero(a[r])  # the row update leaves every other column as it is
         a[r, cols] = a[r, cols] * inv_mod(a[r, c], p) % p
         other = np.flatnonzero(a[:, c])
@@ -176,23 +185,37 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             a[block] = (a[block] - np.outer(a[other, c], a[r, cols])) % p
         pivots.append(c)
         r += 1
-    return a, pivots
+    # a pivot row in the phase column is its input row plus other pivot rows, scaled
+    obstruction = int(origin[r - 1]) if pivots and pivots[-1] == ncols else None
+    return a[:, :ncols], [c for c in pivots if c < ncols], obstruction
 
 
-def _rref_gf2(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """rref over GF(2): column j of a row is bit j of its int, so a pivot is a lowest set bit."""
+def _rref_gf2(mat: np.ndarray, phases) -> tuple[np.ndarray, list[int], int | None]:
+    """rref over GF(2): column j of a row is bit j of its int, so a pivot is a lowest set bit.
+
+    v ^= b multiplies the rows as Paulis: phase bits add with x_v.z_b (PauliOp.multiply).
+    """
     nrows, ncols = mat.shape
+    n = ncols // 2
     packed = np.packbits(np.asarray(mat) & 1, axis=1, bitorder="little")
-    # echelon form: each row is reduced on its lowest bit until it brings a new pivot
+    signs = [0] * nrows if phases is None else (np.asarray(phases) & 1).tolist()
+    # echelon form: each row is reduced on its lowest bit until it brings a new
+    # pivot; with the row are kept its z half (bits 0 .. n - 1) and phase bit
     basis: dict[int, int] = {}
-    for row in packed:
+    z_sign: dict[int, tuple[int, int]] = {}
+    obstruction = None
+    for i, (row, s) in enumerate(zip(packed, signs)):
         v = int.from_bytes(row.tobytes(), "little")
         while v:
             c = (v & -v).bit_length() - 1
             if c not in basis:
-                basis[c] = v
+                basis[c], z_sign[c] = v, (v >> n, s)
                 break
+            z, t = z_sign[c]
+            s ^= t ^ (v & z).bit_count() & 1
             v ^= basis[c]
+        if s and not v and obstruction is None:  # generator i times earlier ones is -I
+            obstruction = i
     # back-substitution, right to left: a row only meets pivots to its right,
     # whose rows are already reduced, so each set pivot bit costs one XOR
     pivots = sorted(basis)
@@ -210,7 +233,8 @@ def _rref_gf2(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     rows = b"".join(basis[c].to_bytes(width, "little") for c in pivots)
     rows += bytes(width * (nrows - len(pivots)))
     bits = np.frombuffer(rows, dtype=np.uint8).reshape(nrows, width)
-    return np.unpackbits(bits, axis=1, count=ncols, bitorder="little"), pivots
+    reduced = np.unpackbits(bits, axis=1, count=ncols, bitorder="little")
+    return reduced, pivots, None if phases is None else obstruction
 
 
 class RowSpace:
@@ -220,34 +244,23 @@ class RowSpace:
     kernel        -- basis (rows) of {w : mat @ w = 0}: one row per free
                      column, 1 there and 0 at the other free columns; held
                      read-only in residue_dtype(p)
-    left_kernel   -- basis (rows) of {c : c @ mat = 0}: one row per row of
-                     mat that depends on earlier rows, 1 there and 0 at
-                     the other dependent rows, in row order
+    obstruction   -- given the rows' Pauli phases, a generator in a relation
+                     whose phase is nonzero, or None (see rref)
     """
 
-    def __init__(self, mat: np.ndarray, p: int):
+    def __init__(self, mat: np.ndarray, p: int, phases: np.ndarray | None = None):
         self.p = p
-        m, ncols = mat.shape
+        ncols = mat.shape[1]
         dtype = residue_dtype(p)
-        # [mat | J] in the residue type; rref works on its own copy (packed
-        # bits for GF(2), int64 otherwise)
-        augmented = np.zeros((m, ncols + m), dtype=dtype)
-        augmented[:, :ncols] = residues(mat, p, dtype)
-        augmented[np.arange(m), ncols + m - 1 - np.arange(m)] = 1
-        reduced, pivots = rref(augmented, p)
-        del augmented
-        self.pivots = [c for c in pivots if c < ncols]
+        # rref works on its own copy (packed bits for GF(2), int64 otherwise)
+        reduced, self.pivots, self.obstruction = rref(residues(mat, p, dtype), p, phases)
         self.rank = len(self.pivots)
-        # reduced = T @ [mat | J], so T (columns back in row order of mat) has
-        # reduced[i, :ncols] = T[i] @ mat; rows below rank span the left kernel
-        transform = reduced[:, ncols:][:, ::-1]
-        self.left_kernel = transform[self.rank :][::-1].astype(np.int64)
         # a mask, not np.setdiff1d: its np.unique imports numpy.ma on first use
         is_free = np.ones(ncols, dtype=bool)
         is_free[self.pivots] = False
         free = np.flatnonzero(is_free)
         block = reduced[: self.rank, free]
-        del reduced, transform
+        del reduced
         # filled transposed, so that each pivot's entries are written as one row
         kernel_t = np.zeros((ncols, free.size), dtype=dtype)
         kernel_t[free, np.arange(free.size)] = 1

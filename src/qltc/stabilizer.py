@@ -3,9 +3,10 @@
 A code is built from its m x 2n symplectic matrix (one row (x | z) per
 generator) and the generators' phases; `build_code` stacks a list of
 Pauli generators into that form.  Construction validates the Abelian
-requirement, absence of a phase obstruction (so the codespace is
-non-empty), uniform locality, degree regularity and absence of trivial
-qudits, each with a specific diagnosis: a subclass of
+requirement, absence of a phase obstruction (no product of generators is
+a non-identity scalar, which the row-space elimination finds, so the
+codespace is non-empty), uniform locality, degree regularity and absence
+of trivial qudits, each with a specific diagnosis: a subclass of
 `CodeValidationError` (defined in `fieldmath` and re-exported here), which
 is the CLI's bad input and also a `ValueError`; so is a code file that is
 not UTF-8 JSON or holds a malformed generator.  Every check runs on the
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,10 +53,11 @@ class NonAbelianError(CodeValidationError):
 
 
 class PhaseObstructionError(CodeValidationError):
-    def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
+    def __init__(self, generator: int):
+        self.generator = generator
         super().__init__(
-            f"dependent generator product has non-zero phase (codespace empty); coefficients {self.coeffs}"
+            f"a product of generators with generator {generator} is a non-identity scalar"
+            " (codespace empty)"
         )
 
 
@@ -74,25 +75,6 @@ class TrivialQuditError(CodeValidationError):
     def __init__(self, q: int):
         self.qudit = q
         super().__init__(f"qudit {q} has no pair of generators with non-commuting restrictions")
-
-
-def product_phase(sites: Sites, phases: np.ndarray, c: np.ndarray, d: int) -> int:
-    """Phase exponent of g_0^{c_0} g_1^{c_1} ... g_{m-1}^{c_{m-1}}, in that order.
-
-    sites and phases[i] = s_i describe the generators.  Each product moves
-    an X past every later Z (PauliOp.multiply), so the phase is
-    c.s - sum_i C(c_i, 2) x_i.z_i - sum_{i<j} c_i c_j x_i.z_j (mod d), and
-    the last sum runs over pairs of generators at a shared qudit.
-    """
-    c = np.asarray(c, dtype=np.int64)
-    cs = c[sites.row]
-    own = cs * (cs - 1) // 2 % d * sites.x * sites.z
-    a = cs * sites.x % d
-    # the a of the earlier generators at the same qudit, summed
-    earlier = np.cumsum(a) - a
-    earlier -= earlier[sites.first]
-    cross = earlier % d * (cs * sites.z % d)
-    return int((c @ phases - own.sum() - cross.sum()) % d)
 
 
 @dataclass(frozen=True)
@@ -183,7 +165,7 @@ class StabilizerCode:
 
         self._check_trivial_qudits()
 
-        self.rowspace = RowSpace(self.symplectic_matrix, self.d)
+        self.rowspace = RowSpace(self.symplectic_matrix, self.d, self._phases)
         self.rank = self.rowspace.rank
         self._check_phase_obstruction()
 
@@ -245,18 +227,15 @@ class StabilizerCode:
             raise TrivialQuditError(int(np.argmin(ok)))
 
     def _check_phase_obstruction(self):
-        # g^d is always a scalar; a non-zero phase there puts -I-like
-        # elements in the group even without a GF(d) row dependency
-        s = self._sites
-        xz_own = np.bincount(s.row, weights=s.x * s.z % self.d, minlength=self.m)
-        powers = np.nonzero(math.comb(self.d, 2) * xz_own.astype(np.int64) % self.d)[0]
-        if powers.size:
-            raise PhaseObstructionError([int(powers[0])])
-        # phase of a dependent product is linear over the left nullspace
-        # (commuting generators rearrange exactly), so a basis check suffices
-        for c in self.rowspace.left_kernel:
-            if product_phase(s, self._phases, c, self.d):
-                raise PhaseObstructionError(c)
+        # g^d = w^{-C(d, 2) x.z} I, and C(d, 2) = 0 mod every odd d: so only at
+        # d = 2 can a generator be a root of -I, when x.z is odd
+        if self.d == 2:
+            s = self._sites
+            odd = np.flatnonzero(np.bincount(s.row, weights=s.x & s.z, minlength=self.m) % 2)
+            if odd.size:
+                raise PhaseObstructionError(int(odd[0]))
+        if self.rowspace.obstruction is not None:
+            raise PhaseObstructionError(self.rowspace.obstruction)
 
     # --- syndromes -----------------------------------------------------
     def syndrome(self, e: PauliOp) -> np.ndarray:

@@ -31,12 +31,14 @@ def _check_build_size(m: int, n: int, d: int) -> int:
     in residue_dtype(d) (b = 1 byte an entry below 256; the float64
     syndrome map is not built), and its interaction graph: two n x m bit
     masks and adjacency lists under 1 KB a vertex.  The peak comes while
-    RowSpace eliminates [matrix | I], m x (2n + m): over GF(2) the b-byte
-    copy, its low bits or its reduced form, and the rows packed as bits,
-    under 3 bytes an entry; for odd d, rref's int64 copy and, in the worst
-    case, the three int64 temporaries of a row update that reaches every
-    row, 32 bytes an entry more.  Growing with m, n and d and at least 8mn, it
-    prices an r x c matrix file too, as its least code (r, c, 2).
+    RowSpace eliminates the matrix, m x 2n: over GF(2) its low bits or its
+    reduced form, and the rows packed as bits, under 3 bytes an entry; for
+    odd d, rref's int64 copy with its phase column and, in the worst case,
+    the three int64 temporaries of a row update that reaches every row, 32
+    bytes an entry more.  Those are priced on m x (2n + m) entries, more
+    than the m x (2n + 1) the elimination holds.  Growing with m, n and d
+    and at least 8mn, it prices an r x c matrix file too, as its least
+    code (r, c, 2).
     """
     b = residue_dtype(d).itemsize
     per_entry = 3 if d == 2 else b + 32

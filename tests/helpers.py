@@ -11,7 +11,9 @@ Nothing in the CLI or the bench reaches these, so they live with the tests:
   power, the symplectic product, commutation and restriction, as plain
   functions, and the full matrix of a Pauli on the dense oracle;
 * group membership with its phase: the coefficients of a row-space
-  member and the product of the generators they name;
+  member, the left kernel, the phase of the product of the generators a
+  coefficient vector names and phases that clear every relation: the
+  oracle of the phase the elimination carries;
 * the coset weight of a syndrome as an integer program (d = 2), the
   reference of the weight searches past the weights they exhaust;
 * the classical contrast: parity codes on a bipartite graph and the
@@ -33,7 +35,8 @@ from qltc.dense import TOL, _act, _check_cap, _energy, _system
 from qltc.fieldmath import rref
 from qltc.graphs import BipartiteGraph
 from qltc.pauli import PauliOp
-from qltc.stabilizer import StabilizerCode, product_phase
+from qltc.search import Sites
+from qltc.stabilizer import StabilizerCode
 from qltc.zoo import toric_edge_indices
 
 
@@ -90,26 +93,91 @@ def restrict(p: PauliOp, sites: Iterable[int]) -> PauliOp:
 
 # --- group membership -------------------------------------------------------
 
-def coefficients(mat: np.ndarray, p: int, v: np.ndarray) -> np.ndarray | None:
-    """c with c @ mat = v mod p, zero at each row of mat that depends on earlier ones.
+def _rref_with_transform(mat: np.ndarray, p: int):
+    """rref of [mat | J], J the identity with its columns reversed: (pivots of mat, T).
 
-    None when v lies off the row space.  One rref of [mat | J], J the
-    identity with its columns reversed, read as fieldmath.RowSpace reads
-    it: reduced = T @ [mat | J], so the first rank rows of T (columns back
-    in row order of mat) combine mat's rows into the pivot rows of
-    rref(mat), each zero at every dependent row.
+    reduced = T' @ [mat | J], so T (T' with its columns back in row order
+    of mat) has reduced[i, :ncols] = T[i] @ mat.  Reversing J makes each
+    row of T below the rank pivot on the last row of mat it uses, a row
+    that depends on earlier ones.
     """
     m, ncols = mat.shape
     augmented = np.zeros((m, ncols + m), dtype=np.int64)
     augmented[:, :ncols] = np.asarray(mat, dtype=np.int64) % p
     augmented[np.arange(m), ncols + m - 1 - np.arange(m)] = 1
-    reduced, pivots = rref(augmented, p)
+    reduced, pivots, _ = rref(augmented, p)
     pivots = [c for c in pivots if c < ncols]
-    pivot_combinations = reduced[: len(pivots), ncols:][:, ::-1].astype(np.int64)
+    return pivots, reduced[:, ncols:][:, ::-1].astype(np.int64)
+
+
+def left_kernel(mat: np.ndarray, p: int) -> np.ndarray:
+    """Basis (rows) of {c : c @ mat = 0 mod p}: one row per row of mat that depends
+    on earlier rows, 1 there and 0 at the other dependent rows, in row order."""
+    pivots, transform = _rref_with_transform(mat, p)
+    return transform[len(pivots):][::-1]
+
+
+def product_phase(sites: Sites, phases: np.ndarray, c: np.ndarray, d: int) -> int:
+    """Phase exponent of g_0^{c_0} g_1^{c_1} ... g_{m-1}^{c_{m-1}}, in that order.
+
+    sites and phases[i] = s_i describe the generators.  Each product moves
+    an X past every later Z (PauliOp.multiply), so the phase is
+    c.s - sum_i C(c_i, 2) x_i.z_i - sum_{i<j} c_i c_j x_i.z_j (mod d), and
+    the last sum runs over pairs of generators at a shared qudit.
+    """
+    c = np.asarray(c, dtype=np.int64)
+    cs = c[sites.row]
+    own = cs * (cs - 1) // 2 % d * sites.x * sites.z
+    a = cs * sites.x % d
+    # the a of the earlier generators at the same qudit, summed
+    earlier = np.cumsum(a) - a
+    earlier -= earlier[sites.first]
+    cross = earlier % d * (cs * sites.z % d)
+    return int((c @ phases - own.sum() - cross.sum()) % d)
+
+
+def phased_relation_generators(matrix: np.ndarray, phases, d: int) -> set[int]:
+    """The generators that lie in a relation (c @ matrix = 0) whose product has a nonzero phase.
+
+    The left-kernel oracle for commuting generators whose powers g^d are I:
+    then the phase is linear on the relations, so some relation has a
+    nonzero phase iff a basis row has.  If one has, every generator in the
+    support of the relations lies in a phased one (a relation c with
+    c_j != 0 and phase 0, plus a phased b with b_j = 0, is phased at j), so
+    the set is empty or that support.
+    """
+    sites, phases = Sites.of(np.asarray(matrix)), np.asarray(phases, dtype=np.int64)
+    kernel = left_kernel(matrix, d)
+    if not any(product_phase(sites, phases, c, d) for c in kernel):
+        return set()
+    return set(np.flatnonzero(kernel.any(axis=0)).tolist())
+
+
+def consistent_phases(matrix: np.ndarray, d: int) -> np.ndarray:
+    """Phases of the rows under which no relation among them is a non-identity scalar.
+
+    Each left-kernel row ends at its dependent row, with 1 there and 0 at
+    the other dependent rows, so that row's phase alone cancels the product's.
+    """
+    sites = Sites.of(np.asarray(matrix))
+    phases = np.zeros(len(matrix), dtype=np.int64)
+    for c in left_kernel(matrix, d):
+        phases[np.flatnonzero(c)[-1]] = -product_phase(sites, phases, c, d) % d
+    return phases
+
+
+def coefficients(mat: np.ndarray, p: int, v: np.ndarray) -> np.ndarray | None:
+    """c with c @ mat = v mod p, zero at each row of mat that depends on earlier ones.
+
+    None when v lies off the row space.  The first rank rows of T (see
+    _rref_with_transform) combine mat's rows into the pivot rows of
+    rref(mat), each zero at every dependent row.
+    """
+    pivots, transform = _rref_with_transform(mat, p)
     # a row-space member is the sum of the pivot rows, each times its pivot entry
     v = np.asarray(v, dtype=np.int64) % p
-    c = v[pivots] @ pivot_combinations % p
-    return c if np.array_equal(c @ augmented[:, :ncols] % p, v) else None
+    c = v[pivots] @ transform[: len(pivots)] % p
+    return c if np.array_equal(c @ np.asarray(mat, dtype=np.int64) % p, v) else None
 
 
 @dataclass(frozen=True)

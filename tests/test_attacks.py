@@ -28,12 +28,13 @@ from qltc.attacks import (
     soundness_profile,
 )
 from qltc.pauli import PauliOp, nonidentity_symbols
-from qltc.search import Sites, candidate_batches
-from qltc.fieldmath import RowSpace, residue_dtype
-from qltc.stabilizer import StabilizerCode, build_code, product_phase
+from qltc.search import candidate_batches
+from qltc.fieldmath import residue_dtype
+from qltc.stabilizer import StabilizerCode, build_code
 from qltc.zoo import steane_code, toric_code
 from helpers import (
     identity,
+    consistent_phases,
     ilp_coset_weight,
     r_at_coset_weight,
     random_open_path,
@@ -786,13 +787,7 @@ def _scrambled(code, rng):
         x[:, q], z[:, q] = (a * x[:, q] + b * z[:, q]) % d, (c * x[:, q] + e * z[:, q]) % d
     perm = rng.permutation(n)
     matrix = np.concatenate([x[:, perm], z[:, perm]], axis=1)[rng.permutation(code.m)]
-    # each left-kernel row ends at its dependent row, with a 1 there and 0 at the other
-    # dependent rows: that row's phase alone sets the phase of the product
-    phases = np.zeros(code.m, dtype=np.int64)
-    sites = Sites.of(matrix)
-    for c in RowSpace(matrix, d).left_kernel:
-        phases[np.flatnonzero(c)[-1]] = -product_phase(sites, phases, c, d) % d
-    return StabilizerCode(d, matrix, phases, strict_degree=False)
+    return StabilizerCode(d, matrix, consistent_phases(matrix, d), strict_degree=False)
 
 
 # (source, cap) pairs of at most about 10^5 words each

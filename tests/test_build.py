@@ -33,7 +33,7 @@ from qltc.stabilizer import (
     TrivialQuditError,
     build_code,
 )
-from helpers import identity, power, regular_circulant_matrix
+from helpers import identity, left_kernel, power, regular_circulant_matrix
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "build_golden.json"
 
@@ -131,8 +131,12 @@ def test_build_matches_golden(name, tmp_path):
 
 # --- the GF(2) elimination against the dense int64 loop ----------------------
 
-def rref_int64(mat, p):
-    """The dense GF(p) Gauss-Jordan loop: the oracle for the packed GF(2) path."""
+def rref_int64(mat, p, phases=None):
+    """The dense GF(p) Gauss-Jordan loop: the oracle for the packed GF(2) path.
+
+    Returns rref's (R, pivots, obstruction); it carries no phase, so the
+    obstruction is None.
+    """
     a = np.array(mat, dtype=np.int64)
     a %= p
     nrows, ncols = a.shape
@@ -154,7 +158,7 @@ def rref_int64(mat, p):
             a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
         pivots.append(c)
         r += 1
-    return a, pivots
+    return a, pivots, None
 
 
 @st.composite
@@ -182,8 +186,8 @@ def gf2_matrices(draw):
 @given(gf2_matrices())
 @settings(max_examples=300, deadline=None)
 def test_gf2_rref_matches_int64_loop(mat):
-    r, pivots = fm.rref(mat, 2)
-    r0, pivots0 = rref_int64(mat, 2)
+    r, pivots, _ = fm.rref(mat, 2)
+    r0, pivots0, _ = rref_int64(mat, 2)
     assert r.shape == r0.shape and np.array_equal(r, r0)
     assert pivots == pivots0
 
@@ -197,11 +201,18 @@ def test_rowspace_matches_int64_loop(mat):
     with mock.patch.object(fm, "rref", rref_int64):
         rs0 = fm.RowSpace(mat, 2)
     assert rs.pivots == rs0.pivots and rs.rank == rs0.rank
-    for name in ("kernel", "left_kernel"):
-        assert np.array_equal(getattr(rs, name), getattr(rs0, name)), name
+    assert np.array_equal(rs.kernel, rs0.kernel)
 
 
 # --- the matrix-first build against PauliOp-by-PauliOp validation ------------
+
+class PhasedRelations(CodeValidationError):
+    """The reference's refusal of a phased relation: a build may name any of these generators."""
+
+    def __init__(self, generators):
+        self.generators = generators
+        super().__init__(f"generators {sorted(generators)}")
+
 
 def reference_build(gens, strict_degree):
     """The validation as it was done per PauliOp, with a dense x.z product and the int64 loop.
@@ -240,13 +251,16 @@ def reference_build(gens, strict_degree):
         rs = fm.RowSpace(matrix, d)
     for i, g in enumerate(gens):
         if power(g, d).phase:
-            raise PhaseObstructionError([i])
-    for c in rs.left_kernel:
+            raise PhaseObstructionError(i)
+    kernel = left_kernel(matrix, d)
+    for c in kernel:
         prod = identity(n, d)
         for g, e in zip(gens, c):
             prod = prod.multiply(power(g, int(e)))
         if prod.phase:
-            raise PhaseObstructionError(c)
+            # the phase is linear on the relations: with one phased, every
+            # generator in their support lies in a phased one
+            raise PhasedRelations(set(np.flatnonzero(kernel.any(axis=0)).tolist()))
     return {
         "matrix": matrix,
         "syndrome": np.concatenate([gz, -gx % d], axis=1),
@@ -255,7 +269,6 @@ def reference_build(gens, strict_degree):
         "rank": rs.rank,
         "pivots": rs.pivots,
         "kernel": rs.kernel,
-        "left_kernel": rs.left_kernel,
         "right_adj": supports,
         "css": all(not (g.x.any() and g.z.any()) for g in gens),
         "phases": [g.phase for g in gens],
@@ -269,20 +282,24 @@ def _outcome(build):
             warnings.simplefilter("ignore")
             code = build()
     except CodeValidationError as exc:
-        payload = getattr(exc, "pair", getattr(exc, "qudit", getattr(exc, "coeffs", None)))
+        payload = getattr(exc, "pair", getattr(exc, "qudit", getattr(exc, "generator", None)))
+        payload = getattr(exc, "generators", payload)
         return type(exc), payload, str(exc)
     if isinstance(code, dict):
         return code
     return {
         "matrix": code.symplectic_matrix, "syndrome": code.syndrome_matrix, "k": code.k,
         "D_L": code.D_L, "rank": code.rank, "pivots": code.rowspace.pivots,
-        "kernel": code.rowspace.kernel, "left_kernel": code.rowspace.left_kernel,
+        "kernel": code.rowspace.kernel,
         "right_adj": code.graph.right_adj, "css": code.is_css(),
         "phases": [g.phase for g in code.generators],
     }
 
 
 def _same(a, b):
+    if isinstance(b, tuple) and b[0] is PhasedRelations:
+        return (a[0] is PhaseObstructionError and a[1] in b[1]
+                and a[2] == str(PhaseObstructionError(a[1])))
     if isinstance(a, dict) and isinstance(b, dict):
         return a.keys() == b.keys() and all(
             np.array_equal(a[key], b[key]) if isinstance(a[key], np.ndarray) else a[key] == b[key]

@@ -5,6 +5,7 @@ import datetime
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -153,6 +154,22 @@ def test_code_file_with_non_integer_exponent_exits_1(tmp_path, capsys):
     path.write_text(json.dumps({"d": 2, "n": 2, "k": 2, "generators": gens}))
     code, out, _ = run(capsys, "build", str(path))
     assert code == 0 and json.loads(out)["rank"] == 2
+
+
+@pytest.mark.parametrize("source, named", [("toric:2", {3}), ("toric:2:3", {0, 1, 2, 3})])
+def test_code_file_with_a_bumped_phase_exits_1_naming_a_generator(tmp_path, capsys, source, named):
+    # generators 0-3 are the vertex checks, whose product is I: with generator 0's
+    # phase bumped it is a non-identity scalar.  Over GF(2) the elimination names the
+    # first generator that, times earlier ones, is that scalar
+    path = tmp_path / "bumped.json"
+    assert run(capsys, "build", source, "--out-code", str(path))[0] == 0
+    body = json.loads(path.read_text())
+    body["generators"][0]["phase"] = 1
+    path.write_text(json.dumps(body))
+    code, out, err = run(capsys, "build", str(path))
+    assert code == 1 and out == "" and "codespace empty" in err
+    generator = re.search(r"with generator (\d+) ", err)
+    assert generator and int(generator[1]) in named, err
 
 
 def test_code_file_with_non_prime_d_exits_1(tmp_path, capsys):
@@ -403,7 +420,7 @@ def test_internal_fault_inside_a_build_exits_2(capsys, monkeypatch, tmp_path, ar
         assert run(capsys, "build", "toric:2", "--out-code", str(path))[0] == 0
         argv = (argv[0], str(path))
 
-    def broken(mat, p):
+    def broken(*args):
         raise error("broken rref")
 
     monkeypatch.setattr(qltc.stabilizer, "RowSpace", broken)

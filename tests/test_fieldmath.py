@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from qltc import fieldmath as fm
 from qltc import zoo
 
-from helpers import coefficients
+from helpers import coefficients, consistent_phases, left_kernel, phased_relation_generators
 
 
 @st.composite
@@ -45,7 +45,7 @@ def dependent_rows(mat, p):
 @settings(max_examples=200)
 def test_rref_preserves_rowspace(mp):
     mat, p = mp
-    r, pivots = fm.rref(mat, p)
+    r, pivots, _ = fm.rref(mat, p)
     rs = fm.RowSpace(mat, p)
     assert rs.rank == len(pivots) == fm.RowSpace(r, p).rank
     assert rs.pivots == pivots
@@ -92,7 +92,7 @@ def sparse_odd_matrices(draw):
 @settings(max_examples=300, deadline=None)
 def test_odd_rref_matches_gauss_jordan(mp):
     mat, p = mp
-    r, pivots = fm.rref(mat, p)
+    r, pivots, _ = fm.rref(mat, p)
     want, want_pivots = gauss_jordan(mat, p)
     assert r.tolist() == want and pivots == want_pivots
 
@@ -105,10 +105,68 @@ def test_nullspaces_annihilate(mp):
     assert rs.kernel.shape == (mat.shape[1] - rs.rank, mat.shape[1])
     assert not np.any((mat @ rs.kernel.T) % p)
     dep = dependent_rows(mat, p)
-    assert rs.left_kernel.shape == (mat.shape[0] - rs.rank, mat.shape[0])
-    assert not np.any((rs.left_kernel @ mat) % p)
+    kernel = left_kernel(mat, p)
+    assert kernel.shape == (mat.shape[0] - rs.rank, mat.shape[0])
+    assert not np.any((kernel @ mat) % p)
     # one row per dependent row, in order: 1 there, 0 at the other dependent rows
-    assert np.array_equal(rs.left_kernel[:, dep], np.eye(len(dep), dtype=np.int64))
+    assert np.array_equal(kernel[:, dep], np.eye(len(dep), dtype=np.int64))
+
+
+@st.composite
+def phased_generators(draw):
+    """Commuting generators (x | z) over GF(2/3/5) with relations among them, and their
+    phases: random, consistent (no relation is a non-identity scalar), or consistent
+    with one bumped.
+
+    A CSS code (Z rows from the kernel of random X rows), under a random
+    determinant-1 map per qudit half the time, which makes Y-like sites and odd
+    cross terms x.z; over GF(2) a row with odd x.z squares to -I, so those rows
+    are dropped.  Random combinations of the rows add the relations.
+    """
+    d = draw(st.sampled_from([2, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(2, 7))
+    hx = rng.integers(d, size=(int(rng.integers(1, n)), n))
+    kernel = fm.RowSpace(hx, d).kernel.astype(np.int64)
+    hz = rng.integers(d, size=(int(rng.integers(1, 4)), len(kernel))) @ kernel % d
+    rows = np.block([[hx, np.zeros_like(hx)], [np.zeros_like(hz), hz]])
+    if draw(st.booleans()):
+        x, z = rows[:, :n].copy(), rows[:, n:].copy()
+        for q in range(n):
+            while True:
+                a, b, c, e = (int(v) for v in rng.integers(d, size=4))
+                if (a * e - b * c) % d == 1:
+                    break
+            x[:, q], z[:, q] = (a * x[:, q] + b * z[:, q]) % d, (c * x[:, q] + e * z[:, q]) % d
+        mapped = np.concatenate([x, z], axis=1)
+        if d == 2:
+            mapped = mapped[(x * z).sum(axis=1) % 2 == 0]
+        rows = mapped if len(mapped) else rows
+    extra = rng.integers(d, size=(int(rng.integers(0, 4)), len(rows))) @ rows % d
+    rows = np.concatenate([rows, extra])[rng.permutation(len(rows) + len(extra))]
+    kind = draw(st.sampled_from(["random", "consistent", "bumped"]))
+    if kind == "random":
+        return rows, rng.integers(d, size=len(rows)), d
+    # then a conjugation by a random Pauli, which keeps every relation's phase
+    phases = (consistent_phases(rows, d) + rows @ rng.integers(d, size=2 * n)) % d
+    if kind == "bumped":
+        phases[rng.integers(len(rows))] += rng.integers(1, d)
+    return rows, phases % d, d
+
+
+@given(phased_generators())
+@settings(max_examples=400, deadline=None)
+def test_carried_phase_matches_left_kernel_oracle(case):
+    rows, phases, d = case
+    rs = fm.RowSpace(rows, d, phases)
+    named = phased_relation_generators(rows, phases, d)
+    assert (rs.obstruction is not None) == bool(named)
+    assert rs.obstruction is None or rs.obstruction in named
+    assert rs.pivots == fm.RowSpace(rows, d).pivots
+    if d == 2 and named:  # the first generator that, times earlier ones, is -I
+        first = next(i for i in range(len(rows))
+                     if phased_relation_generators(rows[: i + 1], phases[: i + 1], d))
+        assert rs.obstruction == first
 
 
 @given(matrices, st.integers(0, 10**6))

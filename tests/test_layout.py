@@ -21,10 +21,9 @@ from hypothesis import strategies as st
 from qltc import search, zoo
 from qltc.attacks import NotAnErrorError, Refusal, alphabet_attack
 from qltc.pauli import PauliOp, nonidentity_symbols
-from qltc.fieldmath import RowSpace
 from qltc.search import Sites
-from qltc.stabilizer import StabilizerCode, product_phase
-from helpers import regular_circulant_matrix
+from qltc.stabilizer import StabilizerCode
+from helpers import consistent_phases, regular_circulant_matrix
 from test_build import rref_int64
 from test_search import dense_site_images
 
@@ -90,15 +89,9 @@ def scrambled_code(d, matrix, rng, scrambled=True):
     """The code of matrix, under a local map when asked, with phases that clear every
     dependent product (a map can give one a phase)."""
     mapped = local_map(matrix, d, rng) if scrambled else matrix
-    sites = Sites.of(mapped)
-    # each left-kernel row ends at its dependent row, with 1 there and 0 at
-    # the other dependent rows: that row's phase cancels the product's
-    phases = np.zeros(len(mapped), dtype=np.int64)
-    for c in RowSpace(mapped, d).left_kernel:
-        phases[np.flatnonzero(c)[-1]] = -product_phase(sites, phases * 0, c, d) % d
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return StabilizerCode(d, mapped, phases, strict_degree=False), mapped
+        return StabilizerCode(d, mapped, consistent_phases(mapped, d), strict_degree=False), mapped
 
 
 def kernel_int64(mat, p):
@@ -107,7 +100,7 @@ def kernel_int64(mat, p):
     augmented = np.zeros((m, ncols + m), dtype=np.int64)
     augmented[:, :ncols] = mat
     augmented[np.arange(m), ncols + m - 1 - np.arange(m)] = 1
-    reduced, pivots = rref_int64(augmented, p)
+    reduced, pivots, _ = rref_int64(augmented, p)
     pivots = [c for c in pivots if c < ncols]
     free = np.setdiff1d(np.arange(ncols), pivots)
     kernel_t = np.zeros((ncols, free.size), dtype=np.int64)

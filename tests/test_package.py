@@ -33,6 +33,8 @@ MOVED = (
     "connected_sets",
     "densify",
     "identity",
+    "product_phase",
+    "left_kernel",
 )
 # deleted outright: is_error's callers read code.penalty(e) > 0, the RowSpace
 # matrix _pivot_combinations was read by coefficients alone, the set-at-a-time
@@ -106,3 +108,15 @@ def test_bad_input_types_are_defined_once_and_the_cli_catches_no_value_error():
     handled = [ast.unparse(h.type) for h in ast.walk(main) if isinstance(h, ast.ExceptHandler)]
     assert handled.count("InputError") == 1 and "OSError" not in handled, handled
     assert "CodeValidationError" not in handled, handled
+
+
+def test_the_phase_obstruction_needs_no_left_kernel_in_the_library():
+    # the elimination carries each row's phase: no left kernel is formed, and the
+    # phase of a product of generators is computed only by the test oracle
+    src = pathlib.Path(qltc.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            words = {getattr(node, key, None) for key in ("id", "attr", "name", "arg")}
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                words |= set(node.value.replace("`", " ").split())
+            assert not words & {"product_phase", "left_kernel"}, (path.name, words)

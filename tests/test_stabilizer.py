@@ -18,7 +18,6 @@ from qltc.stabilizer import (
     StabilizerCode,
     TrivialQuditError,
     build_code,
-    product_phase,
 )
 from qltc.zoo import css_hypergraph_product, steane_code, toric_code
 from helpers import (
@@ -27,6 +26,7 @@ from helpers import (
     identity,
     inverse,
     power,
+    product_phase,
     regular_circulant_matrix,
     string_error,
     symplectic_product,
@@ -139,9 +139,25 @@ def test_phase_obstruction_dependent_product():
     g3 = PauliOp(2, 2, prod.x, prod.z, (prod.phase + 1) % 2)
     with pytest.raises(PhaseObstructionError) as err:
         build_code([g1, g2, g3])
-    assert err.value.coeffs == [1, 1, 1]
+    # the third row reduces to -I against the first two
+    assert err.value.generator == 2 and type(err.value.generator) is int
+    assert "generator 2 " in str(err.value) and "np." not in str(err.value)
     # with the honest phase the same set is a valid (redundant) code
     assert build_code([g1, g2, prod]).rank == 2
+
+
+def test_phase_obstruction_carries_the_cross_term():
+    # X(x)Z times Z(x)X is Y(x)Y, held as w^1 ZX (x) ZX: its phase is the product's
+    # x.z cross term alone, which is odd, as in no CSS code or X <-> Z swap of one
+    g1 = PauliOp(2, 2, [1, 0], [0, 1], 0)
+    g2 = PauliOp(2, 2, [0, 1], [1, 0], 0)
+    prod = g1.multiply(g2)
+    assert prod.phase == 1
+    assert build_code([g1, g2, prod]).rank == 2
+    bumped = PauliOp(2, 2, prod.x, prod.z, 0)
+    with pytest.raises(PhaseObstructionError) as err:
+        build_code([g1, g2, bumped])
+    assert err.value.generator == 2
 
 
 def test_phase_obstruction_generator_power():
@@ -149,8 +165,9 @@ def test_phase_obstruction_generator_power():
     g = PauliOp(2, 2, [1, 1], [1, 0], 0)  # Y (x) X
     h = PauliOp(2, 2, [1, 0], [0, 1], 0)  # X (x) Z
     assert commutes_with(g, h)
-    with pytest.raises(PhaseObstructionError):
+    with pytest.raises(PhaseObstructionError) as err:
         build_code([g, h])
+    assert err.value.generator == 0 and "generator 0 " in str(err.value)
 
 
 def test_toric_build():
