@@ -491,6 +491,18 @@ def _trial_symbols(seed: int, trials: np.ndarray, first: int, counts: np.ndarray
     return symbols[taken]
 
 
+def _in_group(code: StabilizerCode, vs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Which words of zero syndrome, given on the columns cols, lie in A(G).
+
+    Those with zero products with the logicals (RowSpace), taken on cols:
+    one product, none for a code with no logicals.
+    """
+    logicals = code.rowspace.logicals[:, cols]
+    if not len(logicals):
+        return np.ones(len(vs), dtype=bool)
+    return ~np.any(modmul(vs, logicals.T, code.d), axis=1)
+
+
 def island_attack(
     code: StabilizerCode,
     trials: int,
@@ -516,8 +528,7 @@ def island_attack(
     the trials that put an error on S.  Those trials alone are scored, on
     the 2|S| symplectic columns of S, where every trial error lives: one
     syndrome product on the checks that touch S gives their penalties, and
-    one kernel product on the kernel rows nonzero on S tests group
-    membership for those with penalty 0 (A(G) lies in Z(G), so no other
+    _in_group tests those with penalty 0 (A(G) lies in Z(G), so no other
     trial is in the group).  Drawn symbol i is the pair divmod(i + 1, d),
     the (i + 1)-th in lexicographic order, so no table of the symbols is
     listed.  Only the best trial is rebuilt as a PauliOp.
@@ -539,8 +550,6 @@ def island_attack(
     # nor tell a group element from a non-element
     checks = sorted(g.gamma(s, "left"))
     syndrome_s = code.syndrome_matrix[np.ix_(checks, s_cols)].T
-    kernel_s = code.rowspace.kernel[:, s_cols]
-    kernel_s = kernel_s[np.any(kernel_s, axis=1)].T
 
     histogram = np.zeros(k + 1, dtype=np.int64)
     penalties = np.zeros(trials)
@@ -567,8 +576,7 @@ def island_attack(
         pen = np.count_nonzero(modmul(vs, syndrome_s, code.d), axis=1)
         penalties[start + hit] = pen
         if not pen.all():
-            in_group = ~np.any(modmul(vs[pen == 0], kernel_s, code.d), axis=1)
-            zero_coset += int(np.count_nonzero(in_group))
+            zero_coset += int(np.count_nonzero(_in_group(code, vs[pen == 0], s_cols)))
         # optimistic-r proxy at fixed k, n; hit trials have w > 0
         score = pen / w[hit]
         j = int(np.argmax(score))

@@ -9,8 +9,10 @@ product or subtraction widens them first.
 It runs in float32 or float64 BLAS only: `check_prime` admits primes
 below 2**16 alone, and below that every product of an admissible width
 is exact in float64.
-`rref` is the one elimination routine.  `RowSpace` runs it once, on the
-matrix, and reads rank, pivots and the right kernel (membership) off it.
+`rref` is the one elimination routine.  `RowSpace` runs it once, on a
+code's matrix, reads rank and pivots off it and draws from its rows 2k'
+logicals: with a zero syndrome, a word lies in the row space iff its
+products with them vanish.
 Given the rows' Pauli phases, the elimination carries them too (over
 GF(2) the phase bit of Aaronson and Gottesman, arXiv:quant-ph/0406196; at
 odd p the Weyl phase, Gross, arXiv:quant-ph/0602001) and names a
@@ -34,15 +36,25 @@ import numpy as np
 # largest entry x of the product plus p, as q p <= x + p below.  float64
 # always holds it: p < PRIME_LIMIT = 2**16 (check_prime), so it needs an
 # inner width past 2**52 / 65520**2, about 2**20, and every width is at most
-# 2n, which would take a kernel of n x 2n uint16 entries, over 1 TB.  The
-# product is reduced without % or fmod, each several times the cost of the
-# product: at p = 2 by its low bit, else as x - q p with q = floor(x * (1/p)),
-# which rounding may put one off, so one fix-up each way adds or takes p,
-# still in the float type.  Either way one cast narrows the residues at the
-# end.  An operand already in the float type is used without a copy.
+# 2n: a code of 2**19 qudits, whose matrix holds 2**20 entries a generator,
+# far past zoo.BUILD_GUARD.  The product is reduced without % or fmod, each
+# several times the cost of the product: at p = 2 by its low bit, else as
+# x - q p with q = floor(x * (1/p)), which rounding may put one off, so one
+# fix-up each way adds or takes p, still in the float type.  Either way one
+# cast narrows the residues at the end.  An operand already in the float
+# type is used without a copy.
 _FLOAT32_SAFE = 2**24
 # moduli are primes below this, so residues fit uint16 (residue_dtype)
 PRIME_LIMIT = 2**16
+# RowSpace's random draws of logicals: the seed (any seed gives certified
+# rows; a fixed one gives the same rows on every run), the draws past the
+# 2k' needed and the most rounds of them before RowSpace gives up
+DRAW_SEED = 1
+SPARE_DRAWS = 8
+DRAW_ROUNDS = 8
+# entries of the rref rows that one modmul call takes while drawing them (a
+# float copy of all of them would be 537 MB on toric:64)
+_BLOCK_ENTRIES = 1 << 22
 
 
 class InputError(Exception):
@@ -238,14 +250,27 @@ def _rref_gf2(mat: np.ndarray, phases) -> tuple[np.ndarray, list[int], int | Non
 
 
 class RowSpace:
-    """Row space of an m x N matrix over GF(p), from one elimination.
+    """Row space A of m commuting generators (x | z) over GF(p), from one elimination.
+
+    The rows must commute (StabilizerCode checks that before it builds
+    one), so A lies in Z, the words of zero syndrome, and A is the
+    symplectic complement of Z; Z / A has dimension 2k', k' = n - rank.
 
     rank, pivots  -- rank and pivot columns of rref(mat)
-    kernel        -- basis (rows) of {w : mat @ w = 0}: one row per free
-                     column, 1 there and 0 at the other free columns; held
-                     read-only in residue_dtype(p)
     obstruction   -- given the rows' Pauli phases, a generator in a relation
                      whose phase is nonzero, or None (see rref)
+    logicals      -- 2k' rows of ker(mat), read-only in residue_dtype(p)
+
+    A row w = (a | b) of ker(mat) is the word (b | -a) of Z, and w.v is
+    minus the symplectic product of that word with v.  The logicals are
+    drawn at random (_draw_logicals) and kept where their Gram matrix
+    G_ij = b_i.a_j - a_i.b_j, their words' symplectic products, is
+    nonsingular; their words are then independent modulo A and span Z
+    modulo A, so a word v of Z lies in A iff logicals @ v = 0.  RowSpace
+    raises ValueError unless 2k' are kept, which makes G nonsingular, and
+    StabilizerCode checks exactly, on its sites, that each has zero
+    product with every generator: together these certify the logicals,
+    whatever the draws were.
     """
 
     def __init__(self, mat: np.ndarray, p: int, phases: np.ndarray | None = None):
@@ -253,34 +278,76 @@ class RowSpace:
         ncols = mat.shape[1]
         dtype = residue_dtype(p)
         # rref works on its own copy (packed bits for GF(2), int64 otherwise)
-        reduced, self.pivots, self.obstruction = rref(residues(mat, p, dtype), p, phases)
+        self._rows = residues(mat, p, dtype)
+        reduced, self.pivots, self.obstruction = rref(self._rows, p, phases)
         self.rank = len(self.pivots)
-        # a mask, not np.setdiff1d: its np.unique imports numpy.ma on first use
-        is_free = np.ones(ncols, dtype=bool)
-        is_free[self.pivots] = False
-        free = np.flatnonzero(is_free)
-        block = reduced[: self.rank, free]
+        count = ncols - 2 * self.rank  # 2k'
+        if count < 0:
+            raise ValueError(f"rank {self.rank} on {ncols // 2} qudits: the rows do not commute")
+        self.logicals = _draw_logicals(reduced[: self.rank], self.pivots, count, p)
         del reduced
-        # filled transposed, so that each pivot's entries are written as one row
-        kernel_t = np.zeros((ncols, free.size), dtype=dtype)
-        kernel_t[free, np.arange(free.size)] = 1
-        kernel_t[self.pivots] = block if p == 2 else -block % p
-        self.kernel = kernel_t.T
-        self.kernel.setflags(write=False)
-
-    def contains(self, v: np.ndarray) -> bool:
-        return bool(self.contains_batch(np.asarray(v)[None, :])[0])
+        if len(self.logicals) != count:
+            raise ValueError(f"the Gram matrix of the draws has rank {len(self.logicals)},"
+                             f" not 2k' = {count}")
+        self.logicals.setflags(write=False)
 
     def contains_batch(self, vs: np.ndarray) -> np.ndarray:
-        """Boolean mask over rows of vs.
+        """Boolean mask over rows of vs: zero products with the rows and with the logicals.
 
         Entries reduce mod p through `residues`, so a negative entry counts
         as its residue and a non-integer one is refused.  Only the columns
         where some row of vs is nonzero enter the product, so a sparse word
-        costs a few kernel columns, not the whole kernel.
+        costs a few columns of the rows and logicals.
         """
-        if self.kernel.shape[0] == 0:
-            return np.ones(vs.shape[0], dtype=bool)
-        vs = residues(vs, self.p, residue_dtype(self.p))
+        p, n = self.p, self._rows.shape[1] // 2
+        vs = residues(vs, p, residue_dtype(p))
         cols = np.flatnonzero(vs.any(axis=0))
-        return ~np.any(modmul(vs[:, cols], self.kernel.T[cols], self.p), axis=1)
+        # <g, v> = g.z . v.x - g.x . v.z: each column meets g's other half, x negated
+        rows = self._rows[:, (cols + n) % (2 * n)]
+        meets_x = cols >= n
+        rows[:, meets_x] = (p - rows[:, meets_x]) % p
+        maps = np.concatenate([rows, self.logicals[:, cols]])
+        return ~np.any(modmul(vs[:, cols], maps.T, p), axis=1)
+
+
+def _draw_logicals(reduced: np.ndarray, pivots: list[int], count: int, p: int) -> np.ndarray:
+    """Random rows w = (a | b) of ker(reduced), kept at a basis of their Gram matrix's columns.
+
+    A draw takes random values at every column, then moves each pivot
+    entry by minus the rref row's product with the draw, which puts it in
+    ker(reduced) with its free entries still random.  The Gram matrix
+    G_ij = b_i.a_j - a_i.b_j is skew-symmetric, so its block at a basis S
+    of its columns, the Gram matrix of the rows kept, is nonsingular:
+    every row of G is a combination of the rows S, so G[S, S] x = 0 gives
+    G[:, S] x = 0 and x = 0.  So count rows come back iff the draws span
+    Z modulo A (RowSpace).  count + SPARE_DRAWS uniform draws fail to
+    span it with probability under p**-SPARE_DRAWS, and each round that
+    falls short draws as many again.  The values are random bytes of the
+    residue type reduced mod p, near enough to uniform; the bytes are the
+    standard library's, as importing numpy.random costs megabytes.
+    """
+    import random  # no module-level import: loaded already with the CLI's imports
+
+    ncols = reduced.shape[1]
+    draws = np.zeros((0, ncols), dtype=residue_dtype(p))
+    if not count:
+        return draws
+    rng = random.Random(DRAW_SEED)
+    pivots = np.asarray(pivots, dtype=np.intp)
+    size = (count + SPARE_DRAWS) * ncols
+    step = max(1, _BLOCK_ENTRIES // ncols)  # rref rows whose float copy modmul makes at once
+    for _ in range(DRAW_ROUNDS):
+        raw = np.frombuffer(rng.randbytes(draws.itemsize * size), dtype=draws.dtype)
+        new = (raw % p).reshape(-1, ncols)
+        # an rref row is zero at every other pivot, so the pivot entries
+        # already moved leave the products of later rows as they were
+        for i in range(0, len(reduced), step):
+            at = pivots[i : i + step]
+            product = modmul(reduced[i : i + step], new.T, p).T
+            new[:, at] = (np.take(new, at, axis=1).astype(np.int64) - product) % p
+        draws = np.concatenate([draws, new])
+        ba = modmul(draws[:, ncols // 2 :], draws[:, : ncols // 2].T, p).astype(np.int64)
+        keep = rref((ba - ba.T) % p, p)[1]  # G_ij = b_i.a_j - a_i.b_j
+        if len(keep) >= count:
+            break
+    return draws[keep]

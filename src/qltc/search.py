@@ -17,8 +17,8 @@ only for the probes that found a partner.
 
 Every map comes as its Sites, the nonzero (row, qudit) sites of a
 k-local matrix, and site_images builds the weight-1 images of any map
-(the syndrome map, the kernel of A(G), the pivot filter) with one
-scatter over those sites.
+(the syndrome map, the logicals, the two stacked, the pivot filter)
+with one scatter over those sites.
 
 _words holds the canonical order of one weight's words, which the join's half
 tables and candidate_batches (the profile's and the verifier's batches) share.
@@ -134,17 +134,21 @@ class Sites(NamedTuple):
     def of(matrix: np.ndarray) -> "Sites":
         m, n = matrix.shape[0], matrix.shape[1] // 2
         acts = np.logical_or(matrix[:, :n], matrix[:, n:])
-        # numpy finds nonzeros fast in a bool array read in memory order;
-        # RowSpace.kernel is F-ordered, so there that order is already by qudit
-        if acts.flags.f_contiguous:
-            key = np.flatnonzero(acts.T)
-        else:
-            row, qudit = np.divmod(np.flatnonzero(acts), n)
-            key = np.sort(qudit * m + row)
-        qudit, row = np.divmod(key, m)
+        row, qudit = np.divmod(np.flatnonzero(acts), n)
+        qudit, row = np.divmod(np.sort(qudit * m + row), m)
         first = np.searchsorted(qudit, qudit)
         x, z = (matrix[row, qudit + c].astype(np.int64) for c in (0, n))
         return Sites(row, qudit, x, z, first, matrix.shape)
+
+    def above(self, below: "Sites") -> "Sites":
+        """This map with the rows of below under its own, on the same words."""
+        qudit = np.concatenate([self.qudit, below.qudit])
+        order = np.argsort(qudit, kind="stable")  # a qudit's own rows stay first
+        qudit = qudit[order]
+        row, x, z = (np.concatenate([a, b])[order] for a, b in (
+            (self.row, below.row + self.shape[0]), (self.x, below.x), (self.z, below.z)))
+        shape = (self.shape[0] + below.shape[0], self.shape[1])
+        return Sites(row, qudit, x, z, np.searchsorted(qudit, qudit), shape)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

@@ -12,20 +12,25 @@ is the CLI's bad input and also a `ValueError`; so is a code file that is
 not UTF-8 JSON or holds a malformed generator.  Every check runs on the
 matrix's nonzero (generator, qudit) sites, so for k-local generators it
 costs time in proportion to those sites, not to m x m or m x n.  The
-matrix and the kernel of its row space are held in the least unsigned
-type for d (uint8 below 256).  The code holds its syndrome map, rows
+matrix and the 2k' logicals of its row space (fieldmath.RowSpace, k' =
+n - rank) are held in the least unsigned type for d (uint8 below 256);
+the build checks exactly, on the sites, that every logical has zero
+product with every generator, and raises ValueError (an internal fault,
+not bad input) if one has not.  The code holds its syndrome map, rows
 (z | -x), as search.Sites, and this is the one place that writes that
 layout: single syndromes, penalties and the searches read those sites,
 and the dense syndrome_matrix that batch products read is scattered from
 them on first use.
 
-Weight modulo the group, weight modulo the centralizer, distance and
-succinctness are each one call of search.min_weight_vector: the least
-weight of v with A v = t, where A is the syndrome map or the kernel of
-A(G) (turned into its sites at the call), with certified intervals when
-the budget runs out.  Membership for weight purposes is
-scalar-insensitive (a member up to a root-of-unity counts), since weight
-and commutation are phase-blind.
+A word lies in A(G) iff its syndrome and its products with the logicals
+vanish, so the syndrome map with the logicals below it, _group_map, has
+one image on each coset of A(G).  Weight modulo the group, weight modulo
+the centralizer, distance and succinctness are each one call of
+search.min_weight_vector: the least weight of v with A v = t, where A
+is the syndrome map or _group_map (the distance filters by the
+logicals), with certified intervals when the budget runs out.
+Membership for weight purposes is scalar-insensitive (a member up to a
+root-of-unity counts), since weight and commutation are phase-blind.
 """
 
 from __future__ import annotations
@@ -168,6 +173,7 @@ class StabilizerCode:
         self.rowspace = RowSpace(self.symplectic_matrix, self.d, self._phases)
         self.rank = self.rowspace.rank
         self._check_phase_obstruction()
+        self._check_logicals()
 
     @functools.cached_property
     def syndrome_matrix(self) -> np.ndarray:
@@ -237,6 +243,22 @@ class StabilizerCode:
         if self.rowspace.obstruction is not None:
             raise PhaseObstructionError(self.rowspace.obstruction)
 
+    def _check_logicals(self):
+        """Raise ValueError unless every logical has zero product with every generator.
+
+        Summed over the sites, 64 logicals at a time; with the nonsingular
+        Gram matrix RowSpace ensures, this certifies the logicals.
+        """
+        s, m = self._sites, self.m
+        for lo in range(0, len(self.rowspace.logicals), 64):
+            w = self.rowspace.logicals[lo : lo + 64]
+            terms = s.x * np.take(w, s.qudit, axis=1) + s.z * np.take(w, s.qudit + self.n, axis=1)
+            at = s.row + m * np.arange(len(w))[:, None]
+            bad = np.flatnonzero(np.bincount(at.ravel(), terms.ravel(), len(w) * m) % self.d)
+            if bad.size:
+                i, g = divmod(int(bad[0]), m)
+                raise ValueError(f"logical {lo + i} has a nonzero product with generator {g}")
+
     # --- syndromes -----------------------------------------------------
     def syndrome(self, e: PauliOp) -> np.ndarray:
         """Per-generator symplectic products; zero vector iff E centralizes.
@@ -262,7 +284,12 @@ class StabilizerCode:
     # --- membership ----------------------------------------------------
     def in_span(self, v: np.ndarray) -> bool:
         """Scalar-insensitive membership of a symplectic vector in A(G)."""
-        return self.rowspace.contains(v)
+        return bool(self.rowspace.contains_batch(np.asarray(v)[None, :])[0])
+
+    @functools.cached_property
+    def _group_map(self) -> Sites:
+        """The syndrome map with the logicals below it: one image on each coset of A(G)."""
+        return self._syndrome_map.above(Sites.of(self.rowspace.logicals))
 
     # --- weight searches -----------------------------------------------
     def wt_mod_centralizer(self, e: PauliOp, budget: int | None = None) -> BoundedWeight:
@@ -283,17 +310,18 @@ class StabilizerCode:
     def wt_mod_group(self, e: PauliOp, budget: int | None = None) -> BoundedWeight:
         """min weight of F with F*E^{-1} in A(G), scalar-insensitive.
 
-        F*E^{-1} is in A(G) iff kernel @ v_F == kernel @ v_E, kernel being a
-        basis of the vectors orthogonal to A(G).
+        F*E^{-1} is in A(G) iff F and E have one image under _group_map:
+        one syndrome and equal products with the logicals.  Image zero
+        means E itself is in A(G).
         """
         v_e = e.symplectic()
-        if self.in_span(v_e):
+        supp = np.flatnonzero(v_e)  # the logicals' products over the columns where E acts
+        target = np.concatenate([
+            self.syndrome(e), modmul(self.rowspace.logicals[:, supp], v_e[supp], self.d)])
+        if not target.any():
             return BoundedWeight.exactly(0)
         w_e = e.weight()
-        kernel = self.rowspace.kernel
-        supp = np.flatnonzero(v_e)  # kernel @ v_e over the columns where E acts
-        target = modmul(kernel[:, supp], v_e[supp], self.d)
-        res = min_weight_vector(self.n, self.d, w_e - 1, Sites.of(kernel), target, budget=budget)
+        res = min_weight_vector(self.n, self.d, w_e - 1, self._group_map, target, budget=budget)
         return self._bounded_from_search(res, w_e)
 
     @staticmethod
@@ -322,7 +350,7 @@ class StabilizerCode:
         )
         res = min_weight_vector(
             self.n, self.d, self.n if w_max is None else w_max, self._syndrome_map, np.zeros(self.m),
-            nonzero=Sites.of(self.rowspace.kernel), budget=budget, symbol_sets=symbol_sets,
+            nonzero=Sites.of(self.rowspace.logicals), budget=budget, symbol_sets=symbol_sets,
         )
         if res.found_weight is not None:
             return BoundedWeight.exactly(res.found_weight)
@@ -331,16 +359,17 @@ class StabilizerCode:
     def is_succinct(self, budget: int | None = None) -> bool | None:
         """True iff A(G) has no non-identity element of weight < k.
 
-        None when the budget runs out before the search is complete.  A
-        member of A(G) is fixed by its pivot coordinates, so those tell it
-        from the identity.  A code has k >= 2: a weight-1 generating set is
-        refused, by its commutation or its trivial qudits.
+        None when the budget runs out before the search is complete.  The
+        members of A(G) are the words of image zero under _group_map; a
+        member is fixed by its pivot coordinates, so those tell it from the
+        identity.  A code has k >= 2: a weight-1 generating set is refused,
+        by its commutation or its trivial qudits.
         """
-        kernel = self.rowspace.kernel
         pivots = np.zeros((self.rank, 2 * self.n), dtype=residue_dtype(self.d))
         pivots[np.arange(self.rank), self.rowspace.pivots] = 1
+        group = self._group_map
         res = min_weight_vector(
-            self.n, self.d, self.k - 1, Sites.of(kernel), np.zeros(kernel.shape[0]),
+            self.n, self.d, self.k - 1, group, np.zeros(group.shape[0]),
             nonzero=Sites.of(pivots), budget=budget,
         )
         if res.found_weight is not None:

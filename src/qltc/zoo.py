@@ -27,18 +27,21 @@ def _check_build_size(m: int, n: int, d: int) -> int:
     """Refuse, before any allocation, a build of m generators on n qudits that cannot fit.
 
     Returns the estimate, in bytes.  A build holds the m x 2n symplectic
-    matrix and a kernel of at least 2n - min(m, n) rows of 2n entries, both
-    in residue_dtype(d) (b = 1 byte an entry below 256; the float64
-    syndrome map is not built), and its interaction graph: two n x m bit
-    masks and adjacency lists under 1 KB a vertex.  The peak comes while
-    RowSpace eliminates the matrix, m x 2n: over GF(2) its low bits or its
-    reduced form, and the rows packed as bits, under 3 bytes an entry; for
-    odd d, rref's int64 copy with its phase column and, in the worst case,
-    the three int64 temporaries of a row update that reaches every row, 32
-    bytes an entry more.  Those are priced on m x (2n + m) entries, more
-    than the m x (2n + 1) the elimination holds.  Growing with m, n and d
-    and at least 8mn, it prices an r x c matrix file too, as its least
-    code (r, c, 2).
+    matrix and its 2k' logicals (k' = n - rank), both in residue_dtype(d)
+    (b = 1 byte an entry below 256; the float64 syndrome map is not
+    built), and its interaction graph: two n x m bit masks and adjacency
+    lists under 1 KB a vertex.  Beside the matrix the first term prices
+    2n - min(m, n) rows of 2n entries, the kernel that builds held before
+    the logicals; it stays, as a matrix file is refused by this estimate
+    (see parse_sparse_rows).  The peak comes while RowSpace eliminates the
+    matrix, m x 2n: over GF(2) its low bits or its reduced form, and the
+    rows packed as bits, under 3 bytes an entry; for odd d, rref's int64
+    copy with its phase column and, in the worst case, the three int64
+    temporaries of a row update that reaches every row, 32 bytes an entry
+    more.  Those are priced on m x (2n + m) entries, more than the
+    m x (2n + 1) the elimination holds.  Growing with m, n and d and at
+    least 8mn, it prices an r x c matrix file too, as its least code
+    (r, c, 2).
     """
     b = residue_dtype(d).itemsize
     per_entry = 3 if d == 2 else b + 32

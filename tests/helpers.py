@@ -4,7 +4,8 @@ Nothing in the CLI or the bench reaches these, so they live with the tests:
 
 * toric lattice paths: edge sets on the lattice of qltc.zoo (see its
   convention), the string operators on them and their classification;
-* random biregular graphs and circulant parity-check matrices;
+* random biregular graphs and circulant parity-check matrices, random or
+  with repeated rows;
 * the set-at-a-time ESU walk over connected qudit sets, the expansion
   scan's reference;
 * Pauli algebra the library does not need: the identity, inverse,
@@ -14,6 +15,8 @@ Nothing in the CLI or the bench reaches these, so they live with the tests:
   member, the left kernel, the phase of the product of the generators a
   coefficient vector names and phases that clear every relation: the
   oracle of the phase the elimination carries;
+* the right kernel of a matrix, as RowSpace once held it: the oracle of
+  membership in the row space, which the library decides by logicals;
 * the coset weight of a syndrome as an integer program (d = 2), the
   reference of the weight searches past the weights they exhaust;
 * the classical contrast: parity codes on a bipartite graph and the
@@ -32,7 +35,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from qltc.attacks import SoundnessProfile
 from qltc.dense import TOL, _act, _check_cap, _energy, _system
-from qltc.fieldmath import rref
+from qltc.fieldmath import residue_dtype, residues, rref
 from qltc.graphs import BipartiteGraph
 from qltc.pauli import PauliOp
 from qltc.search import Sites
@@ -92,6 +95,25 @@ def restrict(p: PauliOp, sites: Iterable[int]) -> PauliOp:
 
 
 # --- group membership -------------------------------------------------------
+
+def kernel(matrix: np.ndarray, d: int) -> np.ndarray:
+    """Basis (rows) of {w : matrix @ w = 0 mod d}, read off rref(matrix) in residue_dtype(d).
+
+    One row per free column, 1 there and 0 at the other free columns, minus
+    the rref rows' entries at the pivots: a word v lies in the row space iff
+    kernel @ v = 0.
+    """
+    dtype = residue_dtype(d)
+    reduced, pivots, _ = rref(residues(matrix, d, dtype), d)
+    ncols = reduced.shape[1]
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    block = reduced[: len(pivots), free]
+    # filled transposed, so that each pivot's entries are written as one row
+    kernel_t = np.zeros((ncols, free.size), dtype=dtype)
+    kernel_t[free, np.arange(free.size)] = 1
+    kernel_t[pivots] = block if d == 2 else -block % d
+    return kernel_t.T
+
 
 def _rref_with_transform(mat: np.ndarray, p: int):
     """rref of [mat | J], J the identity with its columns reversed: (pivots of mat, T).
@@ -405,6 +427,19 @@ def regular_circulant_matrix(size: int, degree: int, seed: int) -> np.ndarray:
     for i in range(size):
         for off in offsets:
             mat[i, (i + int(off)) % size] = 1
+    return mat
+
+
+def paired_circulant_matrix(size: int) -> np.ndarray:
+    """The size x size circulant with ones at i and i + size/2 (size even).
+
+    Row i repeats as row i + size/2, so it and its transpose have kernels
+    of dimension size/2, and its hypergraph product with itself has
+    k' = 2 (size/2)^2: many logicals on few qudits.
+    """
+    mat = np.zeros((size, size), dtype=np.int64)
+    mat[np.arange(size), np.arange(size)] = 1
+    mat[np.arange(size), (np.arange(size) + size // 2) % size] = 1
     return mat
 
 

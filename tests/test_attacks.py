@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from helpers import (
     identity,
     consistent_phases,
     ilp_coset_weight,
+    paired_circulant_matrix,
     r_at_coset_weight,
     random_open_path,
     regular_circulant_matrix,
@@ -501,6 +503,14 @@ def test_island_bound_is_unknown_without_a_left_degree():
 
 # --- island attack: golden reports and the per-trial oracle ----------------
 
+def _paired_hgp():
+    """Hypergraph product with 16 logicals and distance 2: some island errors are logicals."""
+    h = paired_circulant_matrix(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return zoo.css_hypergraph_product(h, h, strict_degree=False)
+
+
 def _bell_pair(d):
     """<X X, Z Z^-1> on two qudits: k = 2, so some island errors lie in the group."""
     return build_code([PauliOp(d, 2, [1, 1], [0, 0]), PauliOp(d, 2, [0, 0], [1, d - 1])])
@@ -519,6 +529,7 @@ ISLAND_CODES = {
     "bell:2": lambda: _bell_pair(2),
     "bell:3": lambda: _bell_pair(3),
     "steane": steane_code,
+    "hgp:paired4": _paired_hgp,
 }
 
 
@@ -638,11 +649,17 @@ def test_island_chunk_boundaries(monkeypatch, chunk):
         assert batched == _island_json(_island_oracle, name, seed, trials)
 
 
-@pytest.mark.parametrize("name, seed, trials", [("toric:16", 1276, 4000), ("bell:2", 1, 3000)])
+# trials of penalty 0, and of them those in the group, in the runs below
+PENALTY_ZERO_TRIALS = {"toric:16": (0, 0), "bell:2": (4, 4), "hgp:paired4": (2, 0)}
+
+
+@pytest.mark.parametrize("name, seed, trials", [("toric:16", 1276, 4000), ("bell:2", 1, 3000),
+                                                ("hgp:paired4", 0, 2000)])
 def test_island_products_see_only_the_checks_on_s_and_zero_penalty_trials(
         monkeypatch, name, seed, trials):
     # toric:16 at seed 1276 is the bench's island job; the bell pair has
-    # trials whose error lies in the group
+    # trials whose error lies in the group and no logicals, so no product
+    # with them; hgp:paired4 has two trials of penalty 0, both logicals
     code = _island_code(name)
     calls = []
     real = attacks.modmul
@@ -657,22 +674,28 @@ def test_island_products_see_only_the_checks_on_s_and_zero_penalty_trials(
     s_cols = np.concatenate([s, code.n + s])
     touched = sorted(code.graph.gamma(stats.s_qudits, "left"))  # the checks that touch S
     syndrome_s = code.syndrome_matrix[touched][:, s_cols].T
-    kernel_s = code.rowspace.kernel[:, s_cols]
-    kernel_s = kernel_s[np.any(kernel_s, axis=1)].T
-    assert not np.array_equal(syndrome_s, kernel_s)
+    logicals_s = code.rowspace.logicals[:, s_cols].T
     syndrome_calls = [a for a, b in calls if np.array_equal(b, syndrome_s)]
-    kernel_calls = [a for a, b in calls if np.array_equal(b, kernel_s)]
-    assert len(syndrome_calls) + len(kernel_calls) == len(calls)
-    assert syndrome_calls and bool(kernel_calls) == (name == "bell:2")
+    logical_calls = [a for a, b in calls if np.array_equal(b, logicals_s)]
+    assert len(syndrome_calls) + len(logical_calls) == len(calls)
     if name == "toric:16":
         assert len(touched) == 18  # of m = 512 checks
-    # only trials with an error on S are scored, and only those with
-    # penalty 0 are tested for membership
-    assert all(a.any(axis=1).all() for a in syndrome_calls)
-    for a in kernel_calls:
-        assert a.any(axis=1).all() and not real(a, syndrome_s, code.d).any()
-    assert stats.zero_coset_weight_trials == sum(
-        int(np.count_nonzero(~real(a, kernel_s, code.d).any(axis=1))) for a in kernel_calls)
+
+    def zero_rows(a, b):
+        return int(np.count_nonzero(~real(a, b, code.d).any(axis=1)))
+
+    # only trials with an error on S are scored, and only those with penalty
+    # 0 are multiplied by the logicals: with none (the bell pair), each is in
+    # the group
+    assert syndrome_calls and all(a.any(axis=1).all() for a in syndrome_calls)
+    zero_penalty = sum(zero_rows(a, syndrome_s) for a in syndrome_calls)
+    has_logicals = len(code.rowspace.logicals) > 0
+    assert sum(map(len, logical_calls)) == (zero_penalty if has_logicals else 0)
+    in_group = zero_penalty
+    if has_logicals:
+        in_group = sum(zero_rows(a, logicals_s) for a in logical_calls)
+    assert stats.zero_coset_weight_trials == in_group
+    assert (zero_penalty, in_group) == PENALTY_ZERO_TRIALS[name]
 
 
 # --- soundness profile -----------------------------------------------------

@@ -33,7 +33,8 @@ from qltc.stabilizer import (
     TrivialQuditError,
     build_code,
 )
-from helpers import identity, left_kernel, power, regular_circulant_matrix
+import helpers
+from helpers import identity, kernel, left_kernel, power, regular_circulant_matrix
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "build_golden.json"
 
@@ -105,7 +106,7 @@ def _build_pin(code, report):
         "sha256": {
             "symplectic_matrix": _digest(code.symplectic_matrix),
             "syndrome_matrix": _digest(code.syndrome_matrix),
-            "kernel": _digest(code.rowspace.kernel),
+            "kernel": _digest(kernel(code.symplectic_matrix, code.d)),
             "pivots": _digest(np.array(code.rowspace.pivots, dtype=np.int64)),
         },
         "right_adj": code.graph.right_adj,
@@ -192,16 +193,23 @@ def test_gf2_rref_matches_int64_loop(mat):
     assert pivots == pivots0
 
 
-@given(gf2_matrices())
+@given(gf2_matrices(), st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
-def test_rowspace_matches_int64_loop(mat):
-    if mat.shape[0] == 0:
+def test_rowspace_matches_int64_loop(mat, seed):
+    # commuting rows: X checks mat and Z checks drawn from mat's kernel
+    if mat.shape[0] == 0 or mat.shape[1] == 0:
         return
-    rs = fm.RowSpace(mat, 2)
+    mat = mat % 2
+    null = kernel(mat, 2).astype(np.int64)
+    hz = np.random.default_rng(seed).integers(2, size=(3, len(null))) @ null % 2
+    rows = np.block([[mat, np.zeros_like(mat)], [np.zeros_like(hz), hz]])
+    rs = fm.RowSpace(rows, 2)
     with mock.patch.object(fm, "rref", rref_int64):
-        rs0 = fm.RowSpace(mat, 2)
+        rs0 = fm.RowSpace(rows, 2)
     assert rs.pivots == rs0.pivots and rs.rank == rs0.rank
-    assert np.array_equal(rs.kernel, rs0.kernel)
+    assert np.array_equal(rs.logicals, rs0.logicals)
+    assert len(rs.logicals) == rows.shape[1] - 2 * rs.rank
+    assert not np.any(rows @ rs.logicals.T % 2)
 
 
 # --- the matrix-first build against PauliOp-by-PauliOp validation ------------
@@ -247,20 +255,21 @@ def reference_build(gens, strict_degree):
                    for a, b in itertools.combinations(acting[q], 2)):
             raise TrivialQuditError(q)
     matrix = np.concatenate([gx, gz], axis=1)
-    with mock.patch.object(fm, "rref", rref_int64):
+    with mock.patch.object(fm, "rref", rref_int64), mock.patch.object(helpers, "rref", rref_int64):
         rs = fm.RowSpace(matrix, d)
+        null = kernel(matrix, d)
     for i, g in enumerate(gens):
         if power(g, d).phase:
             raise PhaseObstructionError(i)
-    kernel = left_kernel(matrix, d)
-    for c in kernel:
+    relations = left_kernel(matrix, d)
+    for c in relations:
         prod = identity(n, d)
         for g, e in zip(gens, c):
             prod = prod.multiply(power(g, int(e)))
         if prod.phase:
             # the phase is linear on the relations: with one phased, every
             # generator in their support lies in a phased one
-            raise PhasedRelations(set(np.flatnonzero(kernel.any(axis=0)).tolist()))
+            raise PhasedRelations(set(np.flatnonzero(relations.any(axis=0)).tolist()))
     return {
         "matrix": matrix,
         "syndrome": np.concatenate([gz, -gx % d], axis=1),
@@ -268,7 +277,8 @@ def reference_build(gens, strict_degree):
         "D_L": degrees[0] if len(set(degrees)) == 1 else None,
         "rank": rs.rank,
         "pivots": rs.pivots,
-        "kernel": rs.kernel,
+        "kernel": null,
+        "logicals": rs.logicals,
         "right_adj": supports,
         "css": all(not (g.x.any() and g.z.any()) for g in gens),
         "phases": [g.phase for g in gens],
@@ -290,7 +300,7 @@ def _outcome(build):
     return {
         "matrix": code.symplectic_matrix, "syndrome": code.syndrome_matrix, "k": code.k,
         "D_L": code.D_L, "rank": code.rank, "pivots": code.rowspace.pivots,
-        "kernel": code.rowspace.kernel,
+        "kernel": kernel(code.symplectic_matrix, code.d), "logicals": code.rowspace.logicals,
         "right_adj": code.graph.right_adj, "css": code.is_css(),
         "phases": [g.phase for g in code.generators],
     }

@@ -1,6 +1,6 @@
 """The narrow layout against the int64 path it replaced.
 
-A code holds its symplectic matrix and kernel read-only in the least
+A code holds its symplectic matrix and logicals read-only in the least
 unsigned type for d (uint8 below 256, uint16 above) and its syndrome map
 as sites: single syndromes, penalties and the searches' weight-1 site
 images come from them, and only batch products build the float64
@@ -18,12 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qltc import search, zoo
+from qltc import attacks, fieldmath, search, zoo
 from qltc.attacks import NotAnErrorError, Refusal, alphabet_attack
 from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.search import Sites
-from qltc.stabilizer import StabilizerCode
-from helpers import consistent_phases, regular_circulant_matrix
+from qltc.cli import main
+from qltc.stabilizer import BoundedWeight, StabilizerCode, build_code
+from helpers import consistent_phases, kernel, paired_circulant_matrix, regular_circulant_matrix
 from test_build import rref_int64
 from test_search import dense_site_images
 
@@ -140,17 +141,39 @@ def test_narrow_layout_matches_int64_path(case):
         assert np.array_equal(code.syndrome(e), syn)
         assert code.penalty(e) == np.count_nonzero(syn)
 
-    # the kernel: the int64 elimination's, and the membership its products give
-    kernel = code.rowspace.kernel
-    assert kernel.dtype == narrow and not kernel.flags.writeable
+    # the kernel oracle: the int64 elimination's, in the residue type
     kernel64 = kernel_int64(m64, d)
-    assert np.array_equal(kernel, kernel64)
+    assert kernel(m64, d).dtype == narrow and np.array_equal(kernel(m64, d), kernel64)
     assert not np.any(m64 @ kernel64.T % d)
+
+    # the logicals: 2k' of them, read-only in the residue type, certified:
+    # zero products with the generators and a nonsingular Gram matrix
+    logicals = code.rowspace.logicals
+    assert logicals.shape == (2 * (n - code.rank), 2 * n)
+    assert logicals.dtype == narrow and not logicals.flags.writeable
+    w64 = logicals.astype(np.int64)
+    assert not np.any(m64 @ w64.T % d)
+    gram = (w64[:, n:] @ w64[:, :n].T - w64[:, :n] @ w64[:, n:].T) % d
+    assert len(rref_int64(gram, d)[1]) == len(logicals)
+
+    # membership by the logicals against the kernel oracle: members, random
+    # words and words of zero syndrome, logicals (b | -a) among them
     members = rng.integers(d, size=(20, code.m)) @ m64 % d
-    batch = np.concatenate([members, words])
+    centralizer = np.concatenate([kernel64[:, n:], -kernel64[:, :n] % d], axis=1)
+    ops = np.concatenate([w64[:, n:], -w64[:, :n]], axis=1)  # the logicals as words
+    zero_syndrome = np.concatenate([rng.integers(d, size=(20, len(centralizer))) @ centralizer,
+                                    ops]) % d
+    assert not np.any(zero_syndrome @ syndrome64.T % d)
+    batch = np.concatenate([members, words, zero_syndrome])
     in_span = ~np.any(batch @ kernel64.T % d, axis=1)
     assert in_span[: len(members)].all()
     assert np.array_equal(code.rowspace.contains_batch(batch), in_span)
+    assert [code.in_span(v) for v in batch[::7]] == in_span[::7].tolist()
+    # the island's test, on the columns where the words of zero syndrome act
+    tested = np.concatenate([members, zero_syndrome])
+    cols = np.flatnonzero(tested.any(axis=0))
+    assert np.array_equal(attacks._in_group(code, tested[:, cols], cols),
+                          in_span[np.r_[: len(members), len(members) + len(words) : len(batch)]])
 
     # the scattered site images against the dense ones, on a sample of symbols
     symbols = nonidentity_symbols(d)
@@ -186,3 +209,85 @@ def test_weight_searches_match_on_the_five_qudit_code(d):
                                        symbol_sets=(symbols,))
         assert res.found_weight == 1
         assert code.wt_mod_centralizer(e).value == 1
+
+
+# --- the logicals at the extremes, and their certificate -------------------
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_code_without_logicals_decides_membership_by_syndrome(d):
+    # the Bell pair <X X, Z Z^-1>: rank 2 on 2 qudits, so k' = 0 and every
+    # word of zero syndrome lies in the group
+    code = build_code([PauliOp(d, 2, [1, 1], [0, 0]), PauliOp(d, 2, [0, 0], [1, d - 1])])
+    assert code.rowspace.logicals.shape == (0, 4)
+    words = np.array([[1, 1, 0, 0], [1, 0, 0, 0], [1, 1, 1, d - 1], [0, 1, 1, 1]])
+    assert code.rowspace.contains_batch(words).tolist() == [True, False, True, False]
+    assert attacks._in_group(code, words[[0, 2]], np.arange(4)).all()
+    weights = [code.wt_mod_group(PauliOp(d, 2, w[:2], w[2:])).value for w in words]
+    assert weights == [0, 1, 0, 1]
+    # no word passes the distance filter: every weight up to n is exhausted
+    assert code.code_distance() == BoundedWeight(3, None) and code.is_succinct() is True
+
+
+# hypergraph products of paired_circulant_matrix(size) with itself, pinned
+# from the build that held the kernel: distance, succinctness and
+# wt_mod_group of E = X^x Z^z on the support, with the generators' products
+MANY_LOGICALS = {
+    (8, 2): (2, True, [([80, 65, 107], [0, 0, 0], [0, 1, 1], 2),
+                       ([115, 63, 77], [1, 1, 1], [1, 0, 1], 3),
+                       ([84, 0, 50], [0, 1, 1], [1, 0, 0], 3),
+                       ([2, 69, 108], [0, 0, 0], [0, 0, 0], 0)]),
+    (4, 3): (2, True, [([19, 16, 25], [0, 0, 0], [0, 2, 1], 2),
+                       ([27, 15, 19], [1, 1, 1], [2, 0, 2], 3),
+                       ([20, 0, 12], [0, 2, 2], [2, 0, 0], 3),
+                       ([0, 17, 25], [1, 1, 1], [0, 0, 0], 3)]),
+}
+
+
+@pytest.mark.parametrize("size, d", sorted(MANY_LOGICALS))
+def test_many_logicals_give_the_kernel_builds_answers(size, d):
+    h = paired_circulant_matrix(size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = zoo.css_hypergraph_product(h, h, d, strict_degree=False)
+    assert len(code.rowspace.logicals) == 2 * (code.n - code.rank) == size**2
+    distance, succinct, pins = MANY_LOGICALS[size, d]
+    assert code.code_distance().value == distance and code.is_succinct() is succinct
+    for supp, x, z, weight in pins:
+        v = np.zeros((2, code.n), dtype=np.int64)
+        v[:, supp] = x, z
+        assert code.wt_mod_group(PauliOp(d, code.n, *v)).value == weight
+    g = code.generators
+    x5 = PauliOp.single(code.n, d, 5, 1, 0)
+    assert code.wt_mod_group(g[0].multiply(g[1]).multiply(x5)).value == 1
+    assert code.wt_mod_group(g[0].multiply(g[3])).value == 0
+
+
+def test_a_logical_off_the_kernel_is_an_internal_fault(monkeypatch):
+    # a word off ker(M) among the logicals fails the check on the sites; with
+    # the code's rref rows zeroed, the draws get no pivot entries and leave
+    # ker(M), and the certificate raises ValueError (no assert, so also under
+    # python -O), which the CLI exits 2 on
+    code = zoo.toric_code(3)
+    code.rowspace.logicals = np.eye(4, 2 * code.n, dtype=np.uint8)  # each meets an X check
+    with pytest.raises(ValueError, match="nonzero product with generator"):
+        code._check_logicals()
+    real = fieldmath.rref
+
+    def zeroed(mat, p, phases=None):
+        reduced, pivots, obstruction = real(mat, p, phases)
+        return (reduced if phases is None else reduced * 0), pivots, obstruction
+
+    monkeypatch.setattr(fieldmath, "rref", zeroed)
+    for L, d in ((3, 2), (3, 3), (4, 5)):
+        with pytest.raises(ValueError, match="Gram matrix of the draws|nonzero product"):
+            zoo.toric_code(L, d)
+    assert main(["build", "toric:3"]) == 2
+
+
+def test_rows_that_do_not_commute_are_refused():
+    # X and Z on qudit 0 of three: rank 2, so 2k' = 2, yet the Gram matrix of
+    # ker(M) has rank 4; and X, Z on one qudit have rank 2 > n
+    with pytest.raises(ValueError):
+        fieldmath.RowSpace(np.array([[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]]), 2)
+    with pytest.raises(ValueError, match="do not commute"):
+        fieldmath.RowSpace(np.eye(2, dtype=np.int64), 2)

@@ -35,12 +35,15 @@ MOVED = (
     "identity",
     "product_phase",
     "left_kernel",
+    "kernel",
 )
 # deleted outright: is_error's callers read code.penalty(e) > 0, the RowSpace
 # matrix _pivot_combinations was read by coefficients alone, the set-at-a-time
 # _connected_sets is the test helper connected_sets (the witness walks the level
-# scan's _children), and gamma(vertices, side, i) took over gamma_iter and _adj
-DELETED = ("is_error", "_pivot_combinations", "_connected_sets", "gamma_iter", "_adj")
+# scan's _children), gamma(vertices, side, i) took over gamma_iter and _adj, and
+# contains_batch took over RowSpace.contains
+DELETED = ("is_error", "_pivot_combinations", "_connected_sets", "gamma_iter", "_adj",
+           "contains")
 
 
 def test_all_lists_importable_api_and_no_submodules():
@@ -61,7 +64,7 @@ def _defined_names(path: pathlib.Path) -> list[str]:
 
 @pytest.mark.parametrize("name", MOVED + DELETED)
 def test_test_only_names_are_not_in_the_library(name):
-    rowspace = RowSpace(np.eye(2, dtype=np.int64), 2)
+    rowspace = RowSpace(np.array([[1, 1, 0, 0], [0, 0, 1, 1]]), 2)  # XX, ZZ
     owners = (qltc, zoo, PauliOp, StabilizerCode, SoundnessProfile, RowSpace, rowspace,
               BipartiteGraph)
     for owner in owners:

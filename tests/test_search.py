@@ -20,6 +20,7 @@ from qltc.search import (
 )
 from qltc.stabilizer import BoundedWeight
 from qltc.zoo import steane_code, toric_code
+from helpers import kernel
 from test_stabilizer import five_qubit_code
 
 
@@ -55,20 +56,23 @@ def centralizer_accept(code, e):
 
 
 def group_accept(code, e):
-    kernel = code.rowspace.kernel
-    target = modmul(kernel, e.symplectic(), code.d)
-    return lambda batch: np.all(modmul(batch, kernel.T, code.d) == target, axis=1)
+    null = kernel(code.symplectic_matrix, code.d)
+    target = modmul(null, e.symplectic(), code.d)
+    return lambda batch: np.all(modmul(batch, null.T, code.d) == target, axis=1)
 
 
 def distance_accept(code):
+    null = kernel(code.symplectic_matrix, code.d)
+
     def accept(batch):
         zero_syn = ~np.any(code.syndrome_batch(batch), axis=1)
-        return zero_syn & ~code.rowspace.contains_batch(batch)
+        return zero_syn & np.any(modmul(batch, null.T, code.d), axis=1)
     return accept
 
 
 def succinct_accept(code):
-    return code.rowspace.contains_batch
+    null = kernel(code.symplectic_matrix, code.d)
+    return lambda batch: ~np.any(modmul(batch, null.T, code.d), axis=1)
 
 
 def half_table_words(n, s, w):
@@ -381,7 +385,7 @@ def test_candidates_tested_counts_half_tables():
     # exhaust weights 1 and 2, the X set then finds a logical at weight 3
     c = toric_code(3)
     res = min_weight_vector(c.n, c.d, c.n, Sites.of(c.syndrome_matrix), np.zeros(c.m),
-                            nonzero=Sites.of(c.rowspace.kernel),
+                            nonzero=Sites.of(kernel(c.symplectic_matrix, c.d)),
                             symbol_sets=(pure_symbols(2, "x"), pure_symbols(2, "z")))
     assert res.found_weight == 3 and not res.budget_hit
     per_set = [half_table_words(c.n, 1, w) for w in (1, 2, 3)]
@@ -414,7 +418,7 @@ def test_budget_stops_before_a_weight_it_cannot_pay_for():
 
 def test_half_table_cap_is_a_budget_hit(monkeypatch):
     c = toric_code(4)
-    row_bytes = c.m + c.rowspace.kernel.shape[0]
+    row_bytes = c.m + len(kernel(c.symplectic_matrix, c.d))
     monkeypatch.setattr(search, "HALF_TABLE_BYTES", search._join_bytes(100, 2, 2, row_bytes))
     # weight 3 needs the C(32, 2) = 496 weight-2 words per set, over the cap
     assert c.code_distance() == BoundedWeight(3, None)
@@ -447,7 +451,7 @@ def sparse_maps(draw):
         q = int(rng.integers(n))
         matrix[:, [q, q + n]] = 0
     matrix = matrix.astype(draw(st.sampled_from([np.uint8, np.int64, np.float64])))
-    if draw(st.booleans()):  # F-ordered, as RowSpace.kernel is
+    if draw(st.booleans()):  # F-ordered
         matrix = np.asfortranarray(matrix)
     symbols = draw(st.sampled_from([None, "x", "z"]))
     symbols = nonidentity_symbols(d) if symbols is None else pure_symbols(d, symbols)
@@ -473,7 +477,8 @@ def test_join_bytes_bound_the_join():
     # buffers), here for toric:5 distance at weight 4 over all symbols
     c = toric_code(5)
     symbols = nonidentity_symbols(2)
-    images = [site_images(Sites.of(m), 2, symbols) for m in (c.syndrome_matrix, c.rowspace.kernel)]
+    null = kernel(c.symplectic_matrix, c.d)
+    images = [site_images(Sites.of(m), 2, symbols) for m in (c.syndrome_matrix, null)]
     target = np.zeros(c.m, dtype=search._image_dtype(2))
     tracemalloc.start()
     try:
@@ -481,7 +486,7 @@ def test_join_bytes_bound_the_join():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    row_bytes = c.m + c.rowspace.kernel.shape[0]
+    row_bytes = c.m + len(null)
     assert peak <= search._join_bytes(math.comb(c.n, 2) * 9, 2, 2, row_bytes)
 
 
@@ -552,5 +557,5 @@ def test_a_refused_join_lists_no_symbols(monkeypatch):
     c = toric_code(3, 3001)
     assert c.is_succinct() is None
     res = min_weight_vector(c.n, c.d, 3, c._syndrome_map, np.zeros(c.m), budget=0,
-                            nonzero=Sites.of(c.rowspace.kernel))
+                            nonzero=Sites.of(kernel(c.symplectic_matrix, c.d)))
     assert res.budget_hit and res.exhausted_weight == 0 and res.candidates_tested == 0

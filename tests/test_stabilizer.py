@@ -25,6 +25,7 @@ from helpers import (
     group_contains,
     identity,
     inverse,
+    kernel,
     power,
     product_phase,
     regular_circulant_matrix,
@@ -384,18 +385,18 @@ def test_wt_mod_group_target_on_the_support(monkeypatch):
     from qltc import stabilizer
 
     c = toric_code(16)
-    cols = []
+    calls = []
     real = stabilizer.modmul
 
     def spy(a, b, p):
-        cols.append(a.shape[1])  # kernel columns in the target's product
+        calls.append(a)  # the logicals' columns in the target's product
         return real(a, b, p)
 
     monkeypatch.setattr(stabilizer, "modmul", spy)
     x = np.zeros(c.n, dtype=np.int64)
     x[[0, 40, 300]] = 1
     assert c.wt_mod_group(PauliOp(2, c.n, x, np.zeros(c.n, dtype=np.int64), 0)).value == 3
-    assert cols == [3]
+    assert len(calls) == 1 and np.array_equal(calls[0], c.rowspace.logicals[:, [0, 40, 300]])
 
 
 def test_weight_ordering_invariant_toric():
@@ -460,7 +461,7 @@ def test_css_lockstep_matches_generic():
         assert code.is_css()
         generic = min_weight_vector(
             code.n, code.d, code.n, Sites.of(code.syndrome_matrix), np.zeros(code.m),
-            nonzero=Sites.of(code.rowspace.kernel), symbol_sets=(None,))
+            nonzero=Sites.of(kernel(code.symplectic_matrix, code.d)), symbol_sets=(None,))
         assert code.code_distance().value == generic.found_weight
 
 
