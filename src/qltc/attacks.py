@@ -477,7 +477,9 @@ def _trial_symbols(seed: int, trials: np.ndarray, first: int, counts: np.ndarray
     high 32 bits are the value, and it is rejected, and x drawn again, when
     its low 32 bits are below 2**32 mod n.  A rejection shifts every later
     draw of the trial, so a trial with one among its first counts[j] draws
-    is drawn anew from a fresh Generator on its stream.
+    is drawn anew from a fresh Generator on its stream: the one use of
+    numpy.random in the package, and rare (a draw is rejected with
+    probability below n / 2**32).
     """
     raw = _philox_raw(seed, trials, first, -(-int(counts.max()) // 2))
     scaled = np.stack([raw & _LOW, raw >> _HALF], axis=2).reshape(len(trials), -1) * np.uint64(n)

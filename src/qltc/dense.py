@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .graphs import Refusal
+from .graphs import Pcg64, Refusal
 from .pauli import PauliOp
 from .search import candidate_batches
 from .stabilizer import StabilizerCode
@@ -145,8 +145,12 @@ def verify_sltc_qltc_equivalence(code: StabilizerCode, samples: int, seed: int =
     Backward: a superposition of displaced codewords from distinct cosets
     has energy equal to the weighted average of the coset penalties
     (displaced codewords from distinct syndromes are orthogonal).
+
+    Sample i draws x, then z, then the phase from numpy's
+    default_rng(seed) stream, reproduced by graphs.Pcg64 without importing
+    numpy.random, so a seed's report reads as it did when numpy drew them.
     """
-    rng = np.random.default_rng(seed)
+    rng = Pcg64(seed)
     h, basis = _system(code)
     eta = basis[:, 0]
     max_forward = 0.0
@@ -154,7 +158,7 @@ def verify_sltc_qltc_equivalence(code: StabilizerCode, samples: int, seed: int =
     for _ in range(samples):
         x = rng.integers(code.d, size=code.n)
         z = rng.integers(code.d, size=code.n)
-        e = PauliOp(code.d, code.n, x, z, int(rng.integers(code.d)))
+        e = PauliOp(code.d, code.n, x, z, rng.integers(code.d))
         errs.append(e)
         state = _act(e, eta)
         state /= np.linalg.norm(state)

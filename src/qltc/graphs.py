@@ -16,6 +16,10 @@ blocks of LEVEL_BYTES.  The witness set is named by a depth-first walk
 through the same children, one row at a time.  A scan past
 EXPANSION_GUARD sets raises Refusal, the one in-band refusal of the
 package, defined here as the lowest module that refuses.
+
+Pcg64 draws numpy's default_rng(seed) stream in Python integers: the
+greedy t-independent set's order and the dense verifier's samples, both
+pinned by reports drawn with numpy, without importing numpy.random.
 """
 
 from __future__ import annotations
@@ -305,15 +309,15 @@ class BipartiteGraph:
         Constraints are visited in a seeded random order; after picking u,
         every constraint within graph distance 4t+2 of u is discarded.
         Yield shortfall is reported by returning fewer than target_size.
+        The order is numpy's default_rng(seed).permutation(m), drawn by
+        Pcg64 without importing numpy.random; any other stream would change
+        U for every seed, and every pinned report with it.
         """
         if t < 1 or target_size < 1:
             raise ValueError("t and target_size must be >= 1")
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(self.m)
         alive = np.ones(self.m, dtype=bool)
         chosen: list[int] = []
-        for u in order:
-            u = int(u)
+        for u in Pcg64(seed).permutation(self.m):
             if not alive[u]:
                 continue
             chosen.append(u)
@@ -329,6 +333,125 @@ class BipartiteGraph:
         disjoint iff their sizes sum to the size of their union."""
         balls = [self.gamma([u], "right", 2 * t + 1) for u in constraints]
         return sum(map(len, balls)) == len(set().union(*balls))
+
+
+# default_rng(seed)'s constants: SeedSequence's hash multipliers and initial values
+# (hashmix on the entropy, then on the state words) and its mix multipliers, and
+# PCG64's 128-bit multiplier
+_HASH_A, _MULT_A, _HASH_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+class Pcg64:
+    """numpy's np.random.default_rng(seed) stream, in Python integers.
+
+    The stream of PCG64 (O'Neill 2014) seeded by SeedSequence(seed), as
+    numpy draws it: every draw here reads 32-bit halves of its 64-bit
+    outputs, the low half first, the high half kept for the next draw.
+    numpy.random is not imported: that would cost a CLI process about
+    11 ms and 5 MB, more than the attacks' greedy search it seeds.
+    """
+
+    def __init__(self, seed: int):
+        self._next = _uint32_stream(*_seeded(seed)).__next__
+
+    def permutation(self, m: int) -> list[int]:
+        """Generator.permutation(m): Fisher-Yates on range(m) from the end, swapping i
+        with j <= i drawn as the bits of i's width, drawn again while j > i."""
+        items = list(range(m))
+        draw = self._next
+        for i in range(m - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = draw() & mask
+            while j > i:
+                j = draw() & mask
+            items[i], items[j] = items[j], items[i]
+        return items
+
+    def integers(self, d: int, size: int | None = None):
+        """Generator.integers(d) for 2 <= d <= 2**32, or a list of size such draws.
+
+        Lemire's rule (arXiv:1805.10941): a draw u scales to u * d, whose
+        high 32 bits are the value; it is drawn again while its low 32 bits
+        are below 2**32 mod d.
+        """
+        threshold = ((1 << 32) - d) % d
+        draw = self._next
+
+        def one():
+            scaled = draw() * d
+            while scaled & _M32 < threshold:
+                scaled = draw() * d
+            return scaled >> 32
+
+        return one() if size is None else [one() for _ in range(size)]
+
+
+def _seeded(seed: int) -> tuple[int, int]:
+    """PCG64's (state, increment) as default_rng(seed) sets them.
+
+    SeedSequence(seed) hashes the seed's 32-bit words, least significant
+    first, into a pool of 4 words and the pool into 8 words; paired low
+    word first, they are the 128-bit initial state and sequence.
+    """
+    import operator  # no module-level import: loaded already with numpy
+
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"a seed is a non-negative integer, got {seed}")
+    words = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _M32)
+    hash_a = _HASH_A
+
+    def hashmix(v: int) -> int:
+        nonlocal hash_a
+        v ^= hash_a
+        hash_a = hash_a * _MULT_A & _M32
+        v = v * hash_a & _M32
+        return v ^ v >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for s in range(4):
+        for d in range(4):
+            if s != d:
+                pool[d] = mix(pool[d], hashmix(pool[s]))
+    for word in words[4:]:
+        for d in range(4):
+            pool[d] = mix(pool[d], hashmix(word))
+    hash_b, state = _HASH_B, []
+    for i in range(8):
+        v = pool[i % 4] ^ hash_b
+        hash_b = hash_b * _MULT_B & _M32
+        v = v * hash_b & _M32
+        state.append(v ^ v >> 16)
+    s0, s1, s2, s3 = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+    # from state 0: one step, add the initial state, one more step
+    return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128, inc
+
+
+def _uint32_stream(state: int, inc: int):
+    """PCG64's outputs from state on, each as its low then its high 32 bits.
+
+    An output steps the state (state * _PCG_MULT + inc mod 2**128), then
+    takes XSL-RR of it: the xor of its 64-bit halves rotated right by its
+    top 6 bits.
+    """
+    while True:
+        state = (state * _PCG_MULT + inc) & _M128
+        v = (state >> 64) ^ (state & _M64)
+        r = state >> 122
+        v = (v >> r | v << (64 - r)) & _M64
+        yield v & _M32
+        yield v >> 32
 
 
 def _split(flat: np.ndarray, lens: np.ndarray) -> list[list[int]]:

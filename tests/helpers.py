@@ -8,6 +8,8 @@ Nothing in the CLI or the bench reaches these, so they live with the tests:
   with repeated rows;
 * the set-at-a-time ESU walk over connected qudit sets, the expansion
   scan's reference;
+* the greedy t-independent constraint set drawn by numpy.random, the
+  reference of the order graphs.Pcg64 reproduces;
 * Pauli algebra the library does not need: the identity, inverse,
   power, the symplectic product, commutation and restriction, as plain
   functions, and the full matrix of a Pauli on the dense oracle;
@@ -441,6 +443,23 @@ def paired_circulant_matrix(size: int) -> np.ndarray:
     mat[np.arange(size), np.arange(size)] = 1
     mat[np.arange(size), (np.arange(size) + size // 2) % size] = 1
     return mat
+
+
+def greedy_t_independent(g: BipartiteGraph, t: int, target_size: int, seed: int = 0) -> list[int]:
+    """BipartiteGraph.greedy_t_independent with its order drawn by numpy itself:
+    np.random.default_rng(seed).permutation(m), then the first alive constraint
+    taken and every constraint within distance 4t + 2 of it discarded."""
+    order = np.random.default_rng(seed).permutation(g.m)
+    alive = np.ones(g.m, dtype=bool)
+    chosen: list[int] = []
+    for u in order.tolist():
+        if not alive[u]:
+            continue
+        chosen.append(u)
+        if len(chosen) == target_size:
+            break
+        alive[list(g.gamma([u], "right", 4 * t + 2))] = False
+    return chosen
 
 
 def connected_sets(g: BipartiteGraph, size_cap: int, root: int):

@@ -154,6 +154,32 @@ def test_dense_oracle_d3_code():
     assert det["max_residual"] < 1e-9 or det["violator"] is not None
 
 
+@pytest.mark.parametrize("name", ["steane", "toric:2", "xx_zz2_d3"])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**70 + 3])
+def test_equivalence_draws_numpy_stream(monkeypatch, name, seed):
+    # the Paulis sampled are numpy's default_rng(seed) draws of x, z and the
+    # phase, and the report is the one numpy's own generator gives
+    code = {"steane": steane_code, "toric:2": lambda: toric_code(2),
+            "xx_zz2_d3": lambda: build_code([PauliOp(3, 2, [1, 1], [0, 0]),
+                                             PauliOp(3, 2, [0, 0], [1, 2])])}[name]()
+    built = []
+
+    def spy(*args):
+        built.append(PauliOp(*args))
+        return built[-1]
+
+    monkeypatch.setattr(dense, "PauliOp", spy)
+    report = dense.verify_sltc_qltc_equivalence(code, samples=12, seed=seed)
+    rng = np.random.default_rng(seed)
+    for op in built:
+        x, z = rng.integers(code.d, size=code.n), rng.integers(code.d, size=code.n)
+        assert (op.x.tolist(), op.z.tolist(), op.phase) == (x.tolist(), z.tolist(),
+                                                            int(rng.integers(code.d)))
+    assert len(built) == 12
+    monkeypatch.setattr(dense, "Pcg64", np.random.default_rng)
+    assert dense.verify_sltc_qltc_equivalence(code, samples=12, seed=seed) == report
+
+
 # --- pinned `qltc verify` reports -------------------------------------------
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "verify_golden.json"

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import os
 import subprocess
@@ -5,13 +6,15 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qltc
 from qltc import graphs
+from qltc.cli import load_code
 from qltc.graphs import BipartiteGraph, ExpansionStats
 from qltc.zoo import css_hypergraph_product, toric_code
+import helpers
 from helpers import connected_sets, random_regular_bipartite, regular_circulant_matrix
 
 
@@ -497,6 +500,87 @@ def test_greedy_independent_refuses_t_or_target_below_1(t, target):
 def test_greedy_independent_determinism():
     g = toric_code(4).graph
     assert g.greedy_t_independent(1, 4, seed=9) == g.greedy_t_independent(1, 4, seed=9)
+
+
+@st.composite
+def ragged_graphs(draw):
+    """A graph of 1-30 qudits and 1-20 constraints, each on 1-4 distinct qudits."""
+    n = draw(st.integers(1, 30))
+    right_adj = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
+                              min_size=1, max_size=20))
+    return BipartiteGraph(n, len(right_adj), [sorted(c) for c in right_adj])
+
+
+@given(ragged_graphs(), st.integers(1, 4), st.integers(0, 2**128), st.integers(1, 20))
+@settings(max_examples=150, deadline=None)
+def test_greedy_independent_matches_the_numpy_oracle(g, t, seed, target):
+    assert g.greedy_t_independent(t, target, seed=seed) == helpers.greedy_t_independent(
+        g, t, target, seed)
+
+
+def _bench_attack_jobs(directory, monkeypatch):
+    """(source, attack, seed) of every attack job of the bench's three workloads at
+    seed 0, their matrix files written into directory."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "jobs.py")
+    spec = importlib.util.spec_from_file_location("bench_jobs", path)
+    jobs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, jobs)  # its dataclasses look it up
+    spec.loader.exec_module(jobs)
+    out = []
+    for workload in ("sweep", "island", "certify"):
+        hgp = jobs.make_inputs(workload, 0, os.path.join(directory, workload))
+        for job in jobs.make_jobs(workload, 0, hgp):
+            if job.argv[0] == "attack":
+                argv = list(job.argv)
+                out.append((argv[1], argv[2], int(argv[argv.index("--seed") + 1])))
+    return out
+
+
+def test_greedy_independent_matches_the_numpy_oracle_at_the_bench_seeds(tmp_path, monkeypatch):
+    # an attack's U is a prefix of the greedy run to target m: t = k for the
+    # island attack (toric:16, hgp:12 and toric:10:3), t = 1 for the others
+    jobs = _bench_attack_jobs(str(tmp_path), monkeypatch)
+    assert len(jobs) == 87 and {a for _, a, _ in jobs} == {"expander", "alphabet", "refined",
+                                                           "island"}
+    for source, attack, seed in jobs:
+        code = load_code(source)
+        t = code.k if attack == "island" else 1
+        got = code.graph.greedy_t_independent(t, code.m, seed=seed)
+        assert got == helpers.greedy_t_independent(code.graph, t, code.m, seed), (source, seed)
+
+
+# --- numpy's default_rng stream, reproduced --------------------------------
+
+@given(st.integers(0, 2**256 - 1), st.integers(0, 1200))
+@example(0, 1200)
+@example(2**64 - 1, 700)
+@example(2**128 - 1, 513)
+@example(2**255 + 9, 64)
+@settings(max_examples=200, deadline=None)
+def test_pcg64_permutation_matches_numpy(seed, m):
+    # seeds past 2**128 are more than 4 words, mixed into the pool one by one
+    want = np.random.default_rng(seed).permutation(m).tolist()
+    assert graphs.Pcg64(seed).permutation(m) == want
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 257, 65521])
+@given(seed=st.integers(0, 2**256 - 1), n=st.integers(0, 41))
+@example(seed=156434, n=5)  # draw 7 is redrawn at d = 65521
+@example(seed=2**200 + 5, n=3)
+@settings(max_examples=60, deadline=None)
+def test_pcg64_integers_match_numpy(d, seed, n):
+    # an odd n leaves the high half of an output for the next call to start with
+    ours, theirs = graphs.Pcg64(seed), np.random.default_rng(seed)
+    assert ours.integers(d, size=n) == theirs.integers(d, size=n).tolist()
+    assert ours.integers(d, size=n) == theirs.integers(d, size=n).tolist()
+    assert ours.integers(d) == theirs.integers(d)
+
+
+def test_pcg64_refuses_a_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        graphs.Pcg64(-1)
 
 
 def test_verify_rejects_adjacent():
