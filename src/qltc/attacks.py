@@ -8,8 +8,9 @@ Three constructions drive the upper bounds on relative soundness r(delta):
 * alphabet attack: majority restriction per chosen qudit; achieves
   r <= alpha(d) = 1 - 1/(d^2 - 1) for delta <= 1/(k^3 D_L).
 * island attack: random sparse error on the neighborhood of a
-  k-independent set; statistics compared against the binomial model and
-  the expected-penalty bound p*alpha*|S|*D_L*(1 - p*alpha*eps').
+  k-independent set, drawn from numpy's Philox streams without
+  numpy.random; statistics compared against the binomial model and the
+  expected-penalty bound p*alpha*|S|*D_L*(1 - p*alpha*eps').
 
 The soundness profile enumerates all errors up to a coset-weight cap and
 records the exact minimum penalty per coset weight (penalty and coset
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fieldmath import modmul
+from .fieldmath import modmul, residue_dtype
 from .graphs import Refusal
 from .pauli import PauliOp
 from .search import candidate_batches, candidates_at_weight
@@ -474,35 +475,28 @@ def _trial_symbols(seed: int, trials: np.ndarray, first: int, counts: np.ndarray
     numpy draws below n < 2**32 (as d^2 - 1 is for every d below
     fieldmath.PRIME_LIMIT) by Lemire's rule, one 32-bit half of an output a
     draw, the low half first: x * n is the draw x in [0, 2**32) scaled, its
-    high 32 bits are the value, and it is rejected, and x drawn again, when
-    its low 32 bits are below 2**32 mod n.  A rejection shifts every later
-    draw of the trial, so a trial with one among its first counts[j] draws
-    is drawn anew from a fresh Generator on its stream: the one use of
-    numpy.random in the package, and rare (a draw is rejected with
-    probability below n / 2**32).
+    high 32 bits are the value, and it is accepted when its low 32 bits are
+    at least 2**32 mod n, else x is drawn again.  So a trial's symbols are
+    its first counts[j] accepted halves, found by a cumulative sum of the
+    accepted ones along its row; a trial short of counts[j] of them (a draw
+    is rejected with probability below n / 2**32) has its stream read one
+    output further, until none is short.
     """
-    raw = _philox_raw(seed, trials, first, -(-int(counts.max()) // 2))
-    scaled = np.stack([raw & _LOW, raw >> _HALF], axis=2).reshape(len(trials), -1) * np.uint64(n)
-    symbols = (scaled >> _HALF).astype(np.int64)
-    taken = np.arange(symbols.shape[1]) < counts[:, None]
-    rejected = (scaled & _LOW) < np.uint64((1 << 32) % n)
-    for j in np.flatnonzero(np.any(rejected & taken, axis=1)).tolist():
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=int(trials[j]) << 64))
-        rng.random(first)  # a uniform is one raw output
-        symbols[j, : counts[j]] = rng.integers(n, size=counts[j])
-    return symbols[taken]
+    def scaled_halves(rows: np.ndarray, start: int, count: int) -> np.ndarray:
+        raw = _philox_raw(seed, rows, start, count)
+        return np.stack([raw & _LOW, raw >> _HALF], axis=2).reshape(len(rows), -1) * np.uint64(n)
 
-
-def _in_group(code: StabilizerCode, vs: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Which words of zero syndrome, given on the columns cols, lie in A(G).
-
-    Those with zero products with the logicals (RowSpace), taken on cols:
-    one product, none for a code with no logicals.
-    """
-    logicals = code.rowspace.logicals[:, cols]
-    if not len(logicals):
-        return np.ones(len(vs), dtype=bool)
-    return ~np.any(modmul(vs, logicals.T, code.d), axis=1)
+    scaled = scaled_halves(trials, first, -(-int(counts.max()) // 2))
+    while True:
+        accepted = (scaled & _LOW) >= np.uint64((1 << 32) % n)
+        rank = np.cumsum(accepted, axis=1)
+        short = np.flatnonzero(rank[:, -1] < counts)
+        if not short.size:
+            break
+        more = np.zeros((len(trials), 2), dtype=np.uint64)  # the other rows take none of it
+        more[short] = scaled_halves(trials[short], first + scaled.shape[1] // 2, 1)
+        scaled = np.concatenate([scaled, more], axis=1)
+    return (scaled[accepted & (rank <= counts[:, None])] >> _HALF).astype(np.int64)
 
 
 def island_attack(
@@ -530,10 +524,12 @@ def island_attack(
     the trials that put an error on S.  Those trials alone are scored, on
     the 2|S| symplectic columns of S, where every trial error lives: one
     syndrome product on the checks that touch S gives their penalties, and
-    _in_group tests those with penalty 0 (A(G) lies in Z(G), so no other
-    trial is in the group).  Drawn symbol i is the pair divmod(i + 1, d),
-    the (i + 1)-th in lexicographic order, so no table of the symbols is
-    listed.  Only the best trial is rebuilt as a PauliOp.
+    code.rowspace.contains_batch tests those with penalty 0 as full rows
+    (A(G) lies in Z(G), so no other trial is in the group).  Drawn symbol
+    i is the pair divmod(i + 1, d), the (i + 1)-th in lexicographic order,
+    so no table of the symbols is listed.  Only the best trial is rebuilt
+    as a PauliOp; the rest leave exact integer sums, so memory is flat in
+    the trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -554,9 +550,7 @@ def island_attack(
     syndrome_s = code.syndrome_matrix[np.ix_(checks, s_cols)].T
 
     histogram = np.zeros(k + 1, dtype=np.int64)
-    penalties = np.zeros(trials)
-    weights = np.zeros(trials)
-    zero_coset = 0
+    pen_sum = pen_squares = weight_sum = zero_coset = 0
     best_score, best_trial = 0.0, None
     chunk = max(1, TRIAL_CHUNK // -(-len(s) // 4))  # a trial's uniforms take ceil(|S| / 4) blocks
     for start in range(0, trials, chunk):
@@ -566,7 +560,7 @@ def island_attack(
         active = (raw >> np.uint64(11)) * 2.0**-53 < p
         w = active.sum(axis=1)
         histogram += np.bincount(active[:, island_pos].sum(axis=2).ravel(), minlength=k + 1)
-        weights[start:stop] = w
+        weight_sum += int(w.sum())
         hit = np.flatnonzero(w)  # the trials that put an error on S
         if not hit.size:
             continue
@@ -576,9 +570,12 @@ def island_attack(
         draws[active[hit]] = _trial_symbols(seed, start + hit, len(s), w[hit], n_symbols) + 1
         vs = np.concatenate(np.divmod(draws, code.d), axis=1)
         pen = np.count_nonzero(modmul(vs, syndrome_s, code.d), axis=1)
-        penalties[start + hit] = pen
+        pen_sum, pen_squares = pen_sum + int(pen.sum()), pen_squares + int(pen @ pen)
         if not pen.all():
-            zero_coset += int(np.count_nonzero(_in_group(code, vs[pen == 0], s_cols)))
+            zero = vs[pen == 0]
+            words = np.zeros((len(zero), 2 * code.n), dtype=residue_dtype(code.d))
+            words[:, s_cols] = zero
+            zero_coset += int(np.count_nonzero(code.rowspace.contains_batch(words)))
         # optimistic-r proxy at fixed k, n; hit trials have w > 0
         score = pen / w[hit]
         j = int(np.argmax(score))
@@ -599,7 +596,8 @@ def island_attack(
     bound = None  # the bound needs one left degree D_L; irregular codes have none
     if code.D_L is not None:
         bound = p * alpha * len(s) * code.D_L * (1 - p * alpha * eps_prime)
-    sem = float(np.std(penalties, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    # the sample standard error of the mean penalty from the exact sums; 0 for one trial
+    sem = math.sqrt((trials * pen_squares - pen_sum**2) / (trials**2 * max(trials - 1, 1)))
     return IslandTrialStats(
         trials=trials,
         u_set=list(u_set),
@@ -609,10 +607,10 @@ def island_attack(
         epsilon_prime=eps_prime,
         expansion_hypothesis_met=eps_prime >= 0.32,
         histogram=histogram,
-        mean_penalty=float(penalties.mean()),
+        mean_penalty=pen_sum / trials,
         penalty_sem=sem,
-        mean_weight=float(weights.mean()),
-        empirical_qudit_rate=int(weights.sum()) / (trials * len(s)),
+        mean_weight=weight_sum / trials,
+        empirical_qudit_rate=weight_sum / (trials * len(s)),
         zero_coset_weight_trials=zero_coset,
         expected_penalty_bound=bound,
         best_trial=best_report,

@@ -223,8 +223,9 @@ def _rref_gf2(mat: np.ndarray, phases) -> tuple[np.ndarray, list[int], int | Non
             if c not in basis:
                 basis[c], z_sign[c] = v, (v >> n, s)
                 break
-            z, t = z_sign[c]
-            s ^= t ^ (v & z).bit_count() & 1
+            if phases is not None:
+                z, t = z_sign[c]
+                s ^= t ^ (v & z).bit_count() & 1
             v ^= basis[c]
         if s and not v and obstruction is None:  # generator i times earlier ones is -I
             obstruction = i

@@ -96,8 +96,6 @@ class BipartiteGraph:
         self.right_adj: list[list[int]] = _split(q_sorted, lens)
         left_lens = np.bincount(quds, minlength=n)
         self.left_adj: list[list[int]] = _split(cons[np.lexsort((cons, quds))], left_lens)
-        # Gamma(q) over constraints as bit c of row q, in uint64 words
-        self._constraint_words = _bit_rows(n, m, quds, cons)
         self.D_L = int(left_lens[0]) if n and np.all(left_lens == left_lens[0]) else None
         self.k = int(lens[0]) if m and np.all(lens == lens[0]) else None
 
@@ -181,13 +179,14 @@ class BipartiteGraph:
         adjacency) of the qudits: masks as rows of uint64 words with bit i in word
         i >> 6, the sharing adjacency as CSR in the order of sharing_adjacency."""
         n = self.n
+        deg, cons = _flatten(self.left_adj)
         adj_len, adj_idx = _flatten(self.sharing_adjacency)
         qudits = np.arange(n)
         closed_rows = np.concatenate([qudits, np.repeat(qudits, adj_len)])
         return (
-            self._constraint_words,
+            _bit_rows(n, self.m, np.repeat(qudits, deg), cons),
             _bit_rows(n, n, closed_rows, np.concatenate([qudits, adj_idx])),
-            np.fromiter(map(len, self.left_adj), np.int64, count=n),
+            deg,
             np.concatenate([[0], np.cumsum(adj_len)]),
             adj_idx,
         )

@@ -29,8 +29,8 @@ def _check_build_size(m: int, n: int, d: int) -> int:
     Returns the estimate, in bytes.  A build holds the m x 2n symplectic
     matrix and its 2k' logicals (k' = n - rank), both in residue_dtype(d)
     (b = 1 byte an entry below 256; the float64 syndrome map is not
-    built), and its interaction graph: two n x m bit masks and adjacency
-    lists under 1 KB a vertex.  Beside the matrix the first term prices
+    built), and its interaction graph: adjacency lists under 1 KB a vertex
+    and the expansion scan's two n x m bit masks.  Beside the matrix the first term prices
     2n - min(m, n) rows of 2n entries, the kernel that builds held before
     the logicals; it stays, as a matrix file is refused by this estimate
     (see parse_sparse_rows).  The peak comes while RowSpace eliminates the

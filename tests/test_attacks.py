@@ -30,13 +30,14 @@ from qltc.attacks import (
 )
 from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.search import candidate_batches
-from qltc.fieldmath import residue_dtype
+from qltc.fieldmath import RowSpace, residue_dtype
 from qltc.stabilizer import StabilizerCode, build_code
 from qltc.zoo import steane_code, toric_code
 from helpers import (
     identity,
     consistent_phases,
     ilp_coset_weight,
+    kernel,
     paired_circulant_matrix,
     r_at_coset_weight,
     random_open_path,
@@ -400,7 +401,7 @@ def test_philox_kernel_refuses_keys_numpy_refuses():
 
 
 class _PhiloxCount:
-    """np.random.Philox that counts its constructions."""
+    """np.random.Philox that counts its constructions: none is made by the package."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
@@ -413,25 +414,60 @@ class _PhiloxCount:
         monkeypatch.setattr(np.random, "Philox", counted)
 
 
+def _generator_symbols(seed, trials, first, counts, n):
+    """integers(n, size=c) of each trial's fresh Generator after `first` uniforms, concatenated."""
+    want = []
+    for t, c in zip(trials, counts):
+        stream = _fresh_stream(seed, t)
+        stream.random(first)  # a uniform is one raw output
+        want.extend(stream.integers(n, size=c).tolist())
+    return want
+
+
 @pytest.mark.parametrize("n", [3, 8, 24, 10007**2 - 1, 3 * 2**30 + 1])
 def test_trial_symbols_match_generator_integers(monkeypatch, n):
     # at n = 3 * 2**30 + 1 about a quarter of the draws are rejected by
-    # Lemire's rule, so most trials are drawn anew from a fresh Generator
+    # Lemire's rule, so most trials read their streams past the first outputs
     rng = np.random.default_rng(n)
     trials = np.sort(rng.choice(10**6, size=200, replace=False))
     counts = rng.integers(1, 13, size=200)
-    want = []
-    for t, c in zip(trials.tolist(), counts.tolist()):
-        stream = _fresh_stream(11, t)
-        stream.random(9)
-        want.extend(stream.integers(n, size=c).tolist())
+    want = _generator_symbols(11, trials.tolist(), 9, counts.tolist(), n)
     philox = _PhiloxCount(monkeypatch)
     got = attacks._trial_symbols(11, trials, 9, counts, n)
     assert got.dtype == np.int64 and got.tolist() == want
-    if n == 3 * 2**30 + 1:
-        assert philox.calls > 150  # the trials with a rejected draw
-    elif n < 100:
-        assert philox.calls == 0  # a rejection has probability below 2**-27 there
+    assert philox.calls == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([10007**2 - 1, 3 * 2**30 + 1]), seed=st.integers(0, 2**128 - 1),
+       first=st.integers(0, 40),
+       draws=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 12)), min_size=1,
+                      max_size=8, unique_by=lambda draw: draw[0]))
+def test_trial_symbols_read_past_rejections_as_the_generator_does(n, seed, first, draws):
+    # about 2% (n = 10007**2 - 1) and 25% (n = 3 * 2**30 + 1) of the draws
+    # are rejected, so trials are often short and read one output further
+    trials, counts = map(list, zip(*draws))
+    got = attacks._trial_symbols(seed, np.array(trials, dtype=np.uint64), first,
+                                 np.array(counts), n)
+    assert got.tolist() == _generator_symbols(seed, trials, first, counts, n)
+
+
+def test_a_draw_whose_low_bits_equal_the_threshold_is_accepted():
+    # Lemire's rule keeps x when the low 32 bits of x * n are at least
+    # 2**32 mod n = 2**32 - q n, q = floor(2**32 / n); for odd n they equal
+    # it at x = 2**32 - q.  So the first half x of trial 5's stream above
+    # 2**32 - 2**15 sets q, and an odd n with floor(2**32 / n) = q
+    raw = np.random.Philox(key=11, counter=5 << 64).random_raw(2**18)
+    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+    at = int(np.argmax(halves > 2**32 - 2**15))
+    x = int(halves[at])
+    q = 2**32 - x
+    n = next(n for n in range(2**32 // q, 2**32 // (q + 1), -1) if n % 2)
+    assert 2**32 // n == q and x * n % 2**32 == 2**32 % n
+    first = at // 2  # the draws start at the output holding x, its low half first
+    got = attacks._trial_symbols(11, np.array([5]), first, np.array([3]), n)
+    assert got.tolist() == _generator_symbols(11, [5], first, [3], n)
+    assert x * n >> 32 in got.tolist()[:2]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -551,7 +587,7 @@ def _island_oracle(code, trials, seed):
     s_pos = {q: i for i, q in enumerate(s)}
     island_pos = [np.array([s_pos[q] for q in g.right_adj[u]]) for u in u_set]
     histogram = np.zeros(k + 1, dtype=np.int64)
-    penalties = np.zeros(trials)
+    penalties = np.zeros(trials, dtype=np.int64)
     weights = np.zeros(trials)
     nonid_total = 0
     zero_coset = 0
@@ -583,6 +619,9 @@ def _island_oracle(code, trials, seed):
     best_report = evaluate_r(code, best[2], seed=seed,
                              meta={"attack": "island", "trial": best[1], "U": list(u_set)})
     alpha = alphabet_alpha(code.d)
+    # the sample standard error sqrt((N S2 - S1^2) / (N^2 (N - 1))), from exact sums
+    s1, s2 = int(penalties.sum()), int((penalties * penalties).sum())
+    sem = math.sqrt((trials * s2 - s1**2) / (trials**2 * (trials - 1))) if trials > 1 else 0.0
     return IslandTrialStats(
         trials=trials,
         u_set=list(u_set),
@@ -593,7 +632,7 @@ def _island_oracle(code, trials, seed):
         expansion_hypothesis_met=eps_prime >= 0.32,
         histogram=histogram,
         mean_penalty=float(penalties.mean()),
-        penalty_sem=float(np.std(penalties, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
+        penalty_sem=sem,
         mean_weight=float(weights.mean()),
         empirical_qudit_rate=nonid_total / (trials * len(s)),
         zero_coset_weight_trials=zero_coset,
@@ -658,44 +697,61 @@ PENALTY_ZERO_TRIALS = {"toric:16": (0, 0), "bell:2": (4, 4), "hgp:paired4": (2, 
 def test_island_products_see_only_the_checks_on_s_and_zero_penalty_trials(
         monkeypatch, name, seed, trials):
     # toric:16 at seed 1276 is the bench's island job; the bell pair has
-    # trials whose error lies in the group and no logicals, so no product
-    # with them; hgp:paired4 has two trials of penalty 0, both logicals
+    # trials whose error lies in the group and no logicals; hgp:paired4 has
+    # two trials of penalty 0, both logicals
     code = _island_code(name)
-    calls = []
-    real = attacks.modmul
+    products, tested = [], []
+    real_modmul, real_contains = attacks.modmul, RowSpace.contains_batch
 
-    def spy(a, b, p):
-        calls.append((a.copy(), b))
-        return real(a, b, p)
+    def spy_modmul(a, b, p):
+        products.append((a.copy(), b))
+        return real_modmul(a, b, p)
 
-    monkeypatch.setattr(attacks, "modmul", spy)
+    def spy_contains(self, vs):
+        tested.append(vs.copy())
+        return real_contains(self, vs)
+
+    monkeypatch.setattr(attacks, "modmul", spy_modmul)
+    monkeypatch.setattr(RowSpace, "contains_batch", spy_contains)
     stats = island_attack(code, trials=trials, seed=seed)
     s = np.array(stats.s_qudits)
     s_cols = np.concatenate([s, code.n + s])
     touched = sorted(code.graph.gamma(stats.s_qudits, "left"))  # the checks that touch S
     syndrome_s = code.syndrome_matrix[touched][:, s_cols].T
-    logicals_s = code.rowspace.logicals[:, s_cols].T
-    syndrome_calls = [a for a, b in calls if np.array_equal(b, syndrome_s)]
-    logical_calls = [a for a, b in calls if np.array_equal(b, logicals_s)]
-    assert len(syndrome_calls) + len(logical_calls) == len(calls)
+    assert all(np.array_equal(b, syndrome_s) for _, b in products)
     if name == "toric:16":
         assert len(touched) == 18  # of m = 512 checks
 
-    def zero_rows(a, b):
-        return int(np.count_nonzero(~real(a, b, code.d).any(axis=1)))
-
     # only trials with an error on S are scored, and only those with penalty
-    # 0 are multiplied by the logicals: with none (the bell pair), each is in
-    # the group
-    assert syndrome_calls and all(a.any(axis=1).all() for a in syndrome_calls)
-    zero_penalty = sum(zero_rows(a, syndrome_s) for a in syndrome_calls)
-    has_logicals = len(code.rowspace.logicals) > 0
-    assert sum(map(len, logical_calls)) == (zero_penalty if has_logicals else 0)
-    in_group = zero_penalty
-    if has_logicals:
-        in_group = sum(zero_rows(a, logicals_s) for a in logical_calls)
+    # 0 are tested for the group: full rows in the residue type, zero off S
+    assert products and all(a.any(axis=1).all() for a, _ in products)
+    zero_penalty = sum(int(np.count_nonzero(~real_modmul(a, syndrome_s, code.d).any(axis=1)))
+                       for a, _ in products)
+    rows = np.concatenate(tested) if tested else np.zeros((0, 2 * code.n), dtype=np.uint8)
+    assert len(rows) == zero_penalty
+    assert all(t.dtype == residue_dtype(code.d) for t in tested)
+    assert not np.delete(rows, s_cols, axis=1).any()
+    # the row space's kernel decides membership, independently of the logicals
+    in_group = int(np.count_nonzero(~np.any(
+        rows.astype(np.int64) @ kernel(code.symplectic_matrix, code.d).T.astype(np.int64)
+        % code.d, axis=1)))
     assert stats.zero_coset_weight_trials == in_group
     assert (zero_penalty, in_group) == PENALTY_ZERO_TRIALS[name]
+
+
+def test_island_memory_is_flat_in_the_trials():
+    # exact sums in place of per-trial arrays: 10x the trials, the same peak
+    code = _island_code("toric:16")
+    island_attack(code, trials=100, seed=1)  # the code's cached maps are built outside the trace
+    peaks = []
+    for trials in (10_000, 100_000):
+        tracemalloc.start()
+        try:
+            island_attack(code, trials=trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**19
 
 
 # --- soundness profile -----------------------------------------------------

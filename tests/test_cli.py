@@ -72,7 +72,9 @@ def test_build_does_not_import_numpy_ma():
 
 def test_attacks_and_verify_do_not_import_numpy_random():
     # numpy.random costs a CLI process some 11 ms and 5 MB on import; the
-    # attacks' greedy order and the verifier's samples draw from graphs.Pcg64
+    # attacks' greedy order and the verifier's samples draw from graphs.Pcg64,
+    # and the island's trials from attacks' Philox kernel, rejected draws too
+    # (about 2% of them at d = 10007)
     src = os.path.dirname(os.path.dirname(qltc.__file__))
     script = (
         "import contextlib, io, sys\n"
@@ -85,6 +87,7 @@ def test_attacks_and_verify_do_not_import_numpy_random():
         "        ['attack', 'toric:3:3', 'alphabet', '--delta', '0.05', '--seed', '3'],\n"
         "        ['attack', 'toric:4', 'refined', '--delta', '0.05', '--seed', '4'],\n"
         "        ['attack', 'toric:4', 'island', '--trials', '200', '--seed', '5'],\n"
+        "        ['attack', 'toric:3:10007', 'island', '--trials', '5000', '--seed', '1'],\n"
         "        ['verify', 'steane', '--seed', '6'], ['verify', 'toric:2']]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(argv) for argv in runs]\n"

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qltc import attacks, fieldmath, search, zoo
+from qltc import fieldmath, search, zoo
 from qltc.attacks import NotAnErrorError, Refusal, alphabet_attack
 from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.search import Sites
@@ -169,10 +169,9 @@ def test_narrow_layout_matches_int64_path(case):
     assert in_span[: len(members)].all()
     assert np.array_equal(code.rowspace.contains_batch(batch), in_span)
     assert [code.in_span(v) for v in batch[::7]] == in_span[::7].tolist()
-    # the island's test, on the columns where the words of zero syndrome act
-    tested = np.concatenate([members, zero_syndrome])
-    cols = np.flatnonzero(tested.any(axis=0))
-    assert np.array_equal(attacks._in_group(code, tested[:, cols], cols),
+    # the island's test: words of zero syndrome as full rows in the residue type
+    tested = np.concatenate([members, zero_syndrome]).astype(narrow)
+    assert np.array_equal(code.rowspace.contains_batch(tested),
                           in_span[np.r_[: len(members), len(members) + len(words) : len(batch)]])
 
     # the scattered site images against the dense ones, on a sample of symbols
@@ -221,7 +220,7 @@ def test_a_code_without_logicals_decides_membership_by_syndrome(d):
     assert code.rowspace.logicals.shape == (0, 4)
     words = np.array([[1, 1, 0, 0], [1, 0, 0, 0], [1, 1, 1, d - 1], [0, 1, 1, 1]])
     assert code.rowspace.contains_batch(words).tolist() == [True, False, True, False]
-    assert attacks._in_group(code, words[[0, 2]], np.arange(4)).all()
+    assert code.rowspace.contains_batch(words[[0, 2]].astype(np.uint8)).all()
     weights = [code.wt_mod_group(PauliOp(d, 2, w[:2], w[2:])).value for w in words]
     assert weights == [0, 1, 0, 1]
     # no word passes the distance filter: every weight up to n is exhausted
