@@ -38,7 +38,7 @@ from .fieldmath import residue_dtype
 from .pauli import nonidentity_symbols
 
 # rows per candidate_batches batch, which holds 2 n bytes a row below d = 256
-BATCH_ROWS = 1 << 13
+BATCH_ROWS = 1 << 12
 # estimated peak bytes of one half-table join (_join_bytes); a weight that
 # needs more ends the search as a budget hit
 HALF_TABLE_BYTES = 1 << 27

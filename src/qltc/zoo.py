@@ -34,14 +34,16 @@ def _check_build_size(m: int, n: int, d: int) -> int:
     2n - min(m, n) rows of 2n entries, the kernel that builds held before
     the logicals; it stays, as a matrix file is refused by this estimate
     (see parse_sparse_rows).  The peak comes while RowSpace eliminates the
-    matrix, m x 2n: over GF(2) its low bits or its reduced form, and the
-    rows packed as bits, under 3 bytes an entry; for odd d, rref's int64
-    copy with its phase column and, in the worst case, the three int64
-    temporaries of a row update that reaches every row, 32 bytes an entry
-    more.  Those are priced on m x (2n + m) entries, more than the
-    m x (2n + 1) the elimination holds.  Growing with m, n and d and at
-    least 8mn, it prices an r x c matrix file too, as its least code
-    (r, c, 2).
+    matrix, m x 2n: over GF(2) only packed bits, the input packed, the
+    rows as Python ints and the pivot rows written as words, under half a
+    byte an entry, for which 3 bytes are still priced, as they were when
+    the elimination also held the low bits and the reduced form unpacked;
+    for odd d, rref's int64 copy with its phase column and, in the worst
+    case, the three int64 temporaries of a row update that reaches every
+    row, 32 bytes an entry more.  Those are priced on m x (2n + m)
+    entries, more than the m x (2n + 1) the elimination holds.  Growing
+    with m, n and d and at least 8mn, it prices an r x c matrix file too,
+    as its least code (r, c, 2).
     """
     b = residue_dtype(d).itemsize
     per_entry = 3 if d == 2 else b + 32

@@ -19,6 +19,8 @@ Nothing in the CLI or the bench reaches these, so they live with the tests:
   oracle of the phase the elimination carries;
 * the right kernel of a matrix, as RowSpace once held it: the oracle of
   membership in the row space, which the library decides by logicals;
+* the logicals drawn from unpacked rref rows by modmul, and 0/1 rows
+  packed into words by Python ints: the oracles of the packed GF(2) draws;
 * the coset weight of a syndrome as an integer program (d = 2), the
   reference of the weight searches past the weights they exhaust;
 * the classical contrast: parity codes on a bipartite graph and the
@@ -35,9 +37,10 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from qltc import fieldmath
 from qltc.attacks import SoundnessProfile
 from qltc.dense import TOL, _act, _check_cap, _energy, _system
-from qltc.fieldmath import residue_dtype, residues, rref
+from qltc.fieldmath import modmul, residue_dtype, residues, rref
 from qltc.graphs import BipartiteGraph
 from qltc.pauli import PauliOp
 from qltc.search import Sites
@@ -115,6 +118,48 @@ def kernel(matrix: np.ndarray, d: int) -> np.ndarray:
     kernel_t[free, np.arange(free.size)] = 1
     kernel_t[pivots] = block if d == 2 else -block % d
     return kernel_t.T
+
+
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """0/1 rows as uint64 words, column j at bit j % 64 of word j // 64, built as Python ints."""
+    nwords = -(-bits.shape[1] // 64)
+    out = np.zeros((len(bits), nwords), dtype=np.uint64)
+    for i, row in enumerate(bits):
+        v = sum(1 << int(j) for j in np.flatnonzero(row))
+        out[i] = [(v >> (64 * k)) & (2**64 - 1) for k in range(nwords)]
+    return out
+
+
+def draw_logicals_dense(reduced: np.ndarray, pivots: list[int], count: int, p: int) -> np.ndarray:
+    """fieldmath._draw_logicals as it ran on unpacked rref rows at every p: modmul blocks.
+
+    The same standard-library bytes, reduced mod p, moved at the pivots
+    by the float products of blocks of rows; the oracle of the packed
+    GF(2) path.
+    """
+    import random
+
+    ncols = reduced.shape[1]
+    draws = np.zeros((0, ncols), dtype=residue_dtype(p))
+    if not count:
+        return draws
+    rng = random.Random(fieldmath.DRAW_SEED)
+    pivots = np.asarray(pivots, dtype=np.intp)
+    size = (count + fieldmath.SPARE_DRAWS) * ncols
+    step = max(1, fieldmath._BLOCK_ENTRIES // ncols)
+    for _ in range(fieldmath.DRAW_ROUNDS):
+        raw = np.frombuffer(rng.randbytes(draws.itemsize * size), dtype=draws.dtype)
+        new = (raw % p).reshape(-1, ncols)
+        for i in range(0, len(reduced), step):
+            at = pivots[i : i + step]
+            product = modmul(reduced[i : i + step], new.T, p).T
+            new[:, at] = (np.take(new, at, axis=1).astype(np.int64) - product) % p
+        draws = np.concatenate([draws, new])
+        ba = modmul(draws[:, ncols // 2 :], draws[:, : ncols // 2].T, p).astype(np.int64)
+        keep = rref((ba - ba.T) % p, p)[1]
+        if len(keep) >= count:
+            break
+    return draws[keep]
 
 
 def _rref_with_transform(mat: np.ndarray, p: int):

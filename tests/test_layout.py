@@ -263,20 +263,21 @@ def test_many_logicals_give_the_kernel_builds_answers(size, d):
 
 def test_a_logical_off_the_kernel_is_an_internal_fault(monkeypatch):
     # a word off ker(M) among the logicals fails the check on the sites; with
-    # the code's rref rows zeroed, the draws get no pivot entries and leave
-    # ker(M), and the certificate raises ValueError (no assert, so also under
-    # python -O), which the CLI exits 2 on
+    # the code's reduced rows zeroed (packed words at d = 2, int64 rows at odd
+    # d), the draws get no pivot entries and leave ker(M), and the certificate
+    # raises ValueError (no assert, so also under python -O), which the CLI
+    # exits 2 on
     code = zoo.toric_code(3)
     code.rowspace.logicals = np.eye(4, 2 * code.n, dtype=np.uint8)  # each meets an X check
     with pytest.raises(ValueError, match="nonzero product with generator"):
         code._check_logicals()
-    real = fieldmath.rref
+    real = fieldmath.eliminate
 
     def zeroed(mat, p, phases=None):
         reduced, pivots, obstruction = real(mat, p, phases)
         return (reduced if phases is None else reduced * 0), pivots, obstruction
 
-    monkeypatch.setattr(fieldmath, "rref", zeroed)
+    monkeypatch.setattr(fieldmath, "eliminate", zeroed)
     for L, d in ((3, 2), (3, 3), (4, 5)):
         with pytest.raises(ValueError, match="Gram matrix of the draws|nonzero product"):
             zoo.toric_code(L, d)
