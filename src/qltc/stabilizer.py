@@ -246,8 +246,8 @@ class StabilizerCode:
     def _check_logicals(self):
         """Raise ValueError unless every logical has zero product with every generator.
 
-        Summed over the sites, 64 logicals at a time; with the nonsingular
-        Gram matrix RowSpace ensures, this certifies the logicals.
+        Summed over the sites, 64 logicals at a time; with the Gram matrix
+        [[0, -I], [I, 0]] that RowSpace checks, this certifies the logicals.
         """
         s, m = self._sites, self.m
         for lo in range(0, len(self.rowspace.logicals), 64):

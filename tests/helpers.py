@@ -17,10 +17,11 @@ Nothing in the CLI or the bench reaches these, so they live with the tests:
   member, the left kernel, the phase of the product of the generators a
   coefficient vector names and phases that clear every relation: the
   oracle of the phase the elimination carries;
+* the dense Gauss-Jordan loop (`rref_int64`), the one elimination the
+  oracles run, and the standard form from it: the oracle of
+  fieldmath.rref, with 0/1 rows packed into words by Python ints;
 * the right kernel of a matrix, as RowSpace once held it: the oracle of
   membership in the row space, which the library decides by logicals;
-* the logicals drawn from unpacked rref rows by modmul, and 0/1 rows
-  packed into words by Python ints: the oracles of the packed GF(2) draws;
 * the coset weight of a syndrome as an integer program (d = 2), the
   reference of the weight searches past the weights they exhaust;
 * the classical contrast: parity codes on a bipartite graph and the
@@ -37,10 +38,9 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from qltc import fieldmath
 from qltc.attacks import SoundnessProfile
 from qltc.dense import TOL, _act, _check_cap, _energy, _system
-from qltc.fieldmath import modmul, residue_dtype, residues, rref
+from qltc.fieldmath import residue_dtype, residues
 from qltc.graphs import BipartiteGraph
 from qltc.pauli import PauliOp
 from qltc.search import Sites
@@ -101,22 +101,70 @@ def restrict(p: PauliOp, sites: Iterable[int]) -> PauliOp:
 
 # --- group membership -------------------------------------------------------
 
+def rref_int64(mat, p):
+    """The dense GF(p) Gauss-Jordan loop over the columns in order, full shape, in int64.
+
+    Returns (R, pivots): R has mat's shape, its nonzero rows first, and
+    pivots the pivot column of each.  The oracle of fieldmath.rref, through
+    standard_form, and of every kernel here.
+    """
+    a = np.array(mat, dtype=np.int64)
+    a %= p
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_rows = np.nonzero(a[r:, c])[0]
+        if pivot_rows.size == 0:
+            continue
+        pr = r + int(pivot_rows[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        other = np.nonzero(a[:, c])[0]
+        other = other[other != r]
+        if other.size:
+            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def standard_form(mat, p):
+    """fieldmath.rref's rows and pivots from rref_int64 on mat's columns in standard-form order.
+
+    The order: the x columns, the z columns of the qudits that are not x
+    pivots, then those of the x pivots.  The reduced form is unique for
+    a column order, so rref must give exactly these: the nonzero rows,
+    unpacked in int64, and the pivots, both in that order.
+    """
+    mat = np.asarray(mat)
+    n = mat.shape[1] // 2
+    x_pivots = rref_int64(mat[:, :n], p)[1]
+    order = np.r_[np.arange(n), n + np.setdiff1d(np.arange(n), x_pivots), n + np.array(x_pivots, int)]
+    reduced, pivots = rref_int64(mat[:, order], p)
+    rows = np.zeros((len(pivots), 2 * n), dtype=np.int64)
+    rows[:, order] = reduced[: len(pivots)]
+    return rows, [int(order[c]) for c in pivots]
+
+
 def kernel(matrix: np.ndarray, d: int) -> np.ndarray:
-    """Basis (rows) of {w : matrix @ w = 0 mod d}, read off rref(matrix) in residue_dtype(d).
+    """Basis (rows) of {w : matrix @ w = 0 mod d}, read off rref_int64(matrix) in residue_dtype(d).
 
     One row per free column, 1 there and 0 at the other free columns, minus
     the rref rows' entries at the pivots: a word v lies in the row space iff
     kernel @ v = 0.
     """
     dtype = residue_dtype(d)
-    reduced, pivots, _ = rref(residues(matrix, d, dtype), d)
+    reduced, pivots = rref_int64(residues(matrix, d, dtype), d)
     ncols = reduced.shape[1]
     free = np.setdiff1d(np.arange(ncols), pivots)
-    block = reduced[: len(pivots), free]
     # filled transposed, so that each pivot's entries are written as one row
     kernel_t = np.zeros((ncols, free.size), dtype=dtype)
     kernel_t[free, np.arange(free.size)] = 1
-    kernel_t[pivots] = block if d == 2 else -block % d
+    kernel_t[pivots] = -reduced[: len(pivots), free] % d
     return kernel_t.T
 
 
@@ -128,38 +176,6 @@ def pack_words(bits: np.ndarray) -> np.ndarray:
         v = sum(1 << int(j) for j in np.flatnonzero(row))
         out[i] = [(v >> (64 * k)) & (2**64 - 1) for k in range(nwords)]
     return out
-
-
-def draw_logicals_dense(reduced: np.ndarray, pivots: list[int], count: int, p: int) -> np.ndarray:
-    """fieldmath._draw_logicals as it ran on unpacked rref rows at every p: modmul blocks.
-
-    The same standard-library bytes, reduced mod p, moved at the pivots
-    by the float products of blocks of rows; the oracle of the packed
-    GF(2) path.
-    """
-    import random
-
-    ncols = reduced.shape[1]
-    draws = np.zeros((0, ncols), dtype=residue_dtype(p))
-    if not count:
-        return draws
-    rng = random.Random(fieldmath.DRAW_SEED)
-    pivots = np.asarray(pivots, dtype=np.intp)
-    size = (count + fieldmath.SPARE_DRAWS) * ncols
-    step = max(1, fieldmath._BLOCK_ENTRIES // ncols)
-    for _ in range(fieldmath.DRAW_ROUNDS):
-        raw = np.frombuffer(rng.randbytes(draws.itemsize * size), dtype=draws.dtype)
-        new = (raw % p).reshape(-1, ncols)
-        for i in range(0, len(reduced), step):
-            at = pivots[i : i + step]
-            product = modmul(reduced[i : i + step], new.T, p).T
-            new[:, at] = (np.take(new, at, axis=1).astype(np.int64) - product) % p
-        draws = np.concatenate([draws, new])
-        ba = modmul(draws[:, ncols // 2 :], draws[:, : ncols // 2].T, p).astype(np.int64)
-        keep = rref((ba - ba.T) % p, p)[1]
-        if len(keep) >= count:
-            break
-    return draws[keep]
 
 
 def _rref_with_transform(mat: np.ndarray, p: int):
@@ -174,9 +190,9 @@ def _rref_with_transform(mat: np.ndarray, p: int):
     augmented = np.zeros((m, ncols + m), dtype=np.int64)
     augmented[:, :ncols] = np.asarray(mat, dtype=np.int64) % p
     augmented[np.arange(m), ncols + m - 1 - np.arange(m)] = 1
-    reduced, pivots, _ = rref(augmented, p)
+    reduced, pivots = rref_int64(augmented, p)
     pivots = [c for c in pivots if c < ncols]
-    return pivots, reduced[:, ncols:][:, ::-1].astype(np.int64)
+    return pivots, reduced[:, ncols:][:, ::-1]
 
 
 def left_kernel(mat: np.ndarray, p: int) -> np.ndarray:
@@ -240,7 +256,7 @@ def coefficients(mat: np.ndarray, p: int, v: np.ndarray) -> np.ndarray | None:
 
     None when v lies off the row space.  The first rank rows of T (see
     _rref_with_transform) combine mat's rows into the pivot rows of
-    rref(mat), each zero at every dependent row.
+    the reduced form of mat, each zero at every dependent row.
     """
     pivots, transform = _rref_with_transform(mat, p)
     # a row-space member is the sum of the pivot rows, each times its pivot entry

@@ -1,9 +1,11 @@
 """Code build: pinned outputs, the GF(2) elimination and build validation against oracles.
 
 `build_golden.json` was taken from the PauliOp-by-PauliOp build with the
-dense int64 elimination; every build must reproduce it bit for bit.  The
-oracles below (`rref_int64`, `eliminate_int64`, `reference_build`) are
-that older path, kept here so random instances can be checked against it.
+dense int64 elimination, its pivots since from the standard form; every
+build must reproduce it bit for bit.  The oracles below
+(`standard_form_int64`, from `helpers.rref_int64`, and `reference_build`)
+are that older path, kept here so random instances can be checked
+against it.
 """
 
 import hashlib
@@ -132,41 +134,13 @@ def test_build_matches_golden(name, tmp_path):
 
 # --- the GF(2) elimination against the dense int64 loop ----------------------
 
-def rref_int64(mat, p, phases=None):
-    """The dense GF(p) Gauss-Jordan loop: the oracle for the packed GF(2) path.
+def standard_form_int64(mat, p, phases=None):
+    """helpers.standard_form as fm.rref returns it: packed into words at p = 2.
 
-    Returns rref's (R, pivots, obstruction); it carries no phase, so the
-    obstruction is None.
+    It carries no phase, so the obstruction is None.
     """
-    a = np.array(mat, dtype=np.int64)
-    a %= p
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_rows = np.nonzero(a[r:, c])[0]
-        if pivot_rows.size == 0:
-            continue
-        pr = r + int(pivot_rows[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots, None
-
-
-def eliminate_int64(mat, p, phases=None):
-    """rref_int64 as fm.eliminate returns it: the nonzero rows, packed into words at p = 2."""
-    reduced, pivots, obstruction = rref_int64(mat, p, phases)
-    reduced = reduced[: len(pivots)]
-    return (helpers.pack_words(reduced) if p == 2 else reduced), pivots, obstruction
+    reduced, pivots = helpers.standard_form(mat, p)
+    return (helpers.pack_words(reduced) if p == 2 else reduced), pivots, None
 
 
 @st.composite
@@ -194,35 +168,13 @@ def gf2_matrices(draw):
 @given(gf2_matrices())
 @settings(max_examples=300, deadline=None)
 def test_gf2_rref_matches_int64_loop(mat):
-    r, pivots, _ = fm.rref(mat, 2)
-    r0, pivots0, _ = rref_int64(mat, 2)
-    assert r.shape == r0.shape and np.array_equal(r, r0)
+    # the packed words, pivots in standard-form order, against the oracle's
+    mat = mat[:, : mat.shape[1] // 2 * 2]  # (x | z) halves
+    words, pivots, _ = fm.rref(mat, 2)
+    reduced, pivots0 = helpers.standard_form(mat, 2)
     assert pivots == pivots0
-
-
-@given(gf2_matrices(), st.integers(0, 12), st.sampled_from([1, 64, 4096, 1 << 20]),
-       st.integers(0, 2**32 - 1))
-@settings(max_examples=200, deadline=None)
-def test_packed_draws_and_products_match_modmul(mat, count, and_bytes, seed):
-    # the words the elimination writes, the AND-popcount products in blocks of
-    # rows (some of one row, with and_bytes small) and the logicals drawn from
-    # them, each against the dense path on the unpacked rows
-    mat = mat[:, : mat.shape[1] // 2 * 2]  # (a | b) halves
-    ncols = mat.shape[1]
-    words, pivots, _ = fm.eliminate(mat, 2)
-    reduced = rref_int64(mat, 2)[0][: len(pivots)]
-    assert pivots == rref_int64(mat, 2)[1]
-    assert words.shape == (len(pivots), -(-ncols // 64))
-    count = min(count, ncols - len(pivots))  # RowSpace asks for ncols - 2 rank
+    assert words.shape == (len(pivots), -(-mat.shape[1] // 64))
     assert np.array_equal(words, helpers.pack_words(reduced))
-    draws = np.random.default_rng(seed).integers(2, size=(count, ncols), dtype=np.uint8)
-    assert np.array_equal(fm._pack_words(draws), helpers.pack_words(draws))
-    with mock.patch.object(fm, "_AND_BYTES", and_bytes):
-        products = fm._gf2_products(words, fm._pack_words(draws))
-        logicals = fm._draw_logicals(words, pivots, count, 2, ncols)
-    assert np.array_equal(products, fm.modmul(reduced, draws.T, 2))
-    assert np.array_equal(logicals, helpers.draw_logicals_dense(reduced, pivots, count, 2))
-    assert not np.any(fm.modmul(mat % 2, logicals.T, 2))
 
 
 @given(gf2_matrices(), st.integers(0, 2**32 - 1))
@@ -236,13 +188,33 @@ def test_rowspace_matches_int64_loop(mat, seed):
     hz = np.random.default_rng(seed).integers(2, size=(3, len(null))) @ null % 2
     rows = np.block([[mat, np.zeros_like(mat)], [np.zeros_like(hz), hz]])
     rs = fm.RowSpace(rows, 2)
-    with mock.patch.object(fm, "eliminate", eliminate_int64), \
-            mock.patch.object(fm, "rref", rref_int64):
+    with mock.patch.object(fm, "rref", standard_form_int64):
         rs0 = fm.RowSpace(rows, 2)
     assert rs.pivots == rs0.pivots and rs.rank == rs0.rank
     assert np.array_equal(rs.logicals, rs0.logicals)
     assert len(rs.logicals) == rows.shape[1] - 2 * rs.rank
     assert not np.any(rows @ rs.logicals.T % 2)
+
+
+def test_a_build_makes_exactly_one_elimination(monkeypatch):
+    # the logicals are read off the build's one elimination, of the m x 2n
+    # matrix: no Gram matrix or other matrix is eliminated beside it
+    shapes = []
+    real = fm.rref
+
+    def spy(mat, p, phases=None):
+        shapes.append(mat.shape)
+        return real(mat, p, phases)
+
+    monkeypatch.setattr(fm, "rref", spy)
+    h = helpers.paired_circulant_matrix(40)
+    for build in (lambda: zoo.toric_code(4), lambda: zoo.toric_code(3, 3),
+                  lambda: zoo.css_hypergraph_product(h, h, strict_degree=False)):
+        shapes.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = build()
+        assert shapes == [(code.m, 2 * code.n)]
 
 
 # --- the matrix-first build against PauliOp-by-PauliOp validation ------------
@@ -288,11 +260,9 @@ def reference_build(gens, strict_degree):
                    for a, b in itertools.combinations(acting[q], 2)):
             raise TrivialQuditError(q)
     matrix = np.concatenate([gx, gz], axis=1)
-    with mock.patch.object(fm, "eliminate", eliminate_int64), \
-            mock.patch.object(fm, "rref", rref_int64), \
-            mock.patch.object(helpers, "rref", rref_int64):
+    with mock.patch.object(fm, "rref", standard_form_int64):
         rs = fm.RowSpace(matrix, d)
-        null = kernel(matrix, d)
+    null = kernel(matrix, d)
     for i, g in enumerate(gens):
         if power(g, d).phase:
             raise PhaseObstructionError(i)

@@ -6,14 +6,17 @@ from hypothesis import strategies as st
 from qltc import fieldmath as fm
 from qltc import zoo
 
-from helpers import coefficients, consistent_phases, kernel, left_kernel, phased_relation_generators
+from helpers import (
+    coefficients, consistent_phases, kernel, left_kernel, phased_relation_generators, rref_int64,
+)
 
 
 @st.composite
-def matrices_(draw):
+def matrices_(draw, symplectic=False):
+    """Small matrices over GF(2/3/5); symplectic ones have an even width, (x | z) halves."""
     p = draw(st.sampled_from([2, 3, 5]))
     rows = draw(st.integers(1, 5))
-    cols = draw(st.integers(1, 5))
+    cols = 2 * draw(st.integers(1, 3)) if symplectic else draw(st.integers(1, 5))
     data = draw(
         st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols)
     )
@@ -21,6 +24,7 @@ def matrices_(draw):
 
 
 matrices = matrices_()
+symplectic_matrices = matrices_(symplectic=True)
 
 
 def test_is_prime():
@@ -36,18 +40,30 @@ def test_inv_mod():
 
 
 def dependent_rows(mat, p):
-    """Rows that are combinations of earlier rows, by prefix ranks (rref oracle)."""
-    ranks = [0] + [len(fm.rref(mat[: i + 1], p)[1]) for i in range(mat.shape[0])]
+    """Rows that are combinations of earlier rows, by prefix ranks (rref_int64 oracle)."""
+    ranks = [0] + [len(rref_int64(mat[: i + 1], p)[1]) for i in range(mat.shape[0])]
     return [i for i in range(mat.shape[0]) if ranks[i + 1] == ranks[i]]
 
 
-@given(matrices)
+def unpacked(reduced, p, ncols):
+    """fm.rref's rows as int64 entries: the words unpacked at p = 2."""
+    if p > 2:
+        return reduced
+    bits = np.unpackbits(reduced.view(np.uint8), axis=1, count=ncols, bitorder="little")
+    return bits.astype(np.int64)
+
+
+@given(symplectic_matrices)
 @settings(max_examples=200)
 def test_rref_preserves_rowspace(mp):
+    # the nonzero rows of the reduced form, against the oracle: its rank, the
+    # identity at the pivots, and the row space of mat
     mat, p = mp
-    r, pivots, _ = fm.rref(mat, p)
-    assert len(pivots) == len(fm.rref(r, p)[1])
-    # every rref row is a combination of original rows and vice versa
+    reduced, pivots, _ = fm.rref(mat, p)
+    r = unpacked(reduced, p, mat.shape[1])
+    assert len(pivots) == len(rref_int64(mat, p)[1]) == len(r)
+    assert np.array_equal(r[:, pivots], np.eye(len(pivots), dtype=np.int64))
+    # every reduced row is a combination of original rows and vice versa
     assert not np.any(r @ kernel(mat, p).T % p)
     assert not np.any(mat @ kernel(r, p).T % p)
 
@@ -77,10 +93,10 @@ def gauss_jordan(mat, p):
 
 @st.composite
 def sparse_odd_matrices(draw):
-    """Matrices up to 8 x 12 over GF(3) or GF(5), mostly zeros (so pivot rows are
-    sparse), with entries outside [0, p) to reduce."""
+    """Matrices up to 8 x 12, of even width, over GF(3) or GF(5), mostly zeros (so
+    pivot rows are sparse), with entries outside [0, p) to reduce."""
     p = draw(st.sampled_from([3, 5]))
-    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    rows, cols = draw(st.integers(1, 8)), 2 * draw(st.integers(1, 6))
     entry = st.one_of(st.just(0), st.integers(-p, 2 * p - 1))
     data = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
     return np.array(data, dtype=np.int64).reshape(rows, cols), p
@@ -89,13 +105,20 @@ def sparse_odd_matrices(draw):
 @given(sparse_odd_matrices())
 @settings(max_examples=300, deadline=None)
 def test_odd_rref_matches_gauss_jordan(mp):
+    # the reduced form is unique for a column order: Gauss-Jordan on the
+    # standard form's (x, the z of the qudits that are not x pivots, the z
+    # of the x pivots) gives fm.rref's nonzero rows and pivots
     mat, p = mp
+    n = mat.shape[1] // 2
+    x_pivots = gauss_jordan(mat[:, :n], p)[1]
+    order = [*range(n), *(n + q for q in range(n) if q not in x_pivots), *(n + q for q in x_pivots)]
+    want, want_pivots = gauss_jordan(mat[:, order], p)
     r, pivots, _ = fm.rref(mat, p)
-    want, want_pivots = gauss_jordan(mat, p)
-    assert r.tolist() == want and pivots == want_pivots
+    assert pivots == [order[c] for c in want_pivots]
+    assert r[:, order].tolist() == want[: len(pivots)]
 
 
-@given(matrices)
+@given(symplectic_matrices)
 @settings(max_examples=200)
 def test_nullspaces_annihilate(mp):
     mat, p = mp

@@ -24,8 +24,9 @@ from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.search import Sites
 from qltc.cli import main
 from qltc.stabilizer import BoundedWeight, StabilizerCode, build_code
-from helpers import consistent_phases, kernel, paired_circulant_matrix, regular_circulant_matrix
-from test_build import rref_int64
+from helpers import (
+    consistent_phases, kernel, paired_circulant_matrix, regular_circulant_matrix, rref_int64,
+)
 from test_search import dense_site_images
 
 PRIMES = [2, 3, 5, 131, 257]
@@ -101,7 +102,7 @@ def kernel_int64(mat, p):
     augmented = np.zeros((m, ncols + m), dtype=np.int64)
     augmented[:, :ncols] = mat
     augmented[np.arange(m), ncols + m - 1 - np.arange(m)] = 1
-    reduced, pivots, _ = rref_int64(augmented, p)
+    reduced, pivots = rref_int64(augmented, p)
     pivots = [c for c in pivots if c < ncols]
     free = np.setdiff1d(np.arange(ncols), pivots)
     kernel_t = np.zeros((ncols, free.size), dtype=np.int64)
@@ -147,14 +148,26 @@ def test_narrow_layout_matches_int64_path(case):
     assert not np.any(m64 @ kernel64.T % d)
 
     # the logicals: 2k' of them, read-only in the residue type, certified:
-    # zero products with the generators and a nonsingular Gram matrix
+    # zero products with the generators and the Gram matrix [[0, -I], [I, 0]]
     logicals = code.rowspace.logicals
-    assert logicals.shape == (2 * (n - code.rank), 2 * n)
+    k = n - code.rank
+    assert logicals.shape == (2 * k, 2 * n)
     assert logicals.dtype == narrow and not logicals.flags.writeable
     w64 = logicals.astype(np.int64)
     assert not np.any(m64 @ w64.T % d)
     gram = (w64[:, n:] @ w64[:, :n].T - w64[:, :n] @ w64[:, n:].T) % d
-    assert len(rref_int64(gram, d)[1]) == len(logicals)
+    form = np.block([[np.zeros((k, k), int), -np.eye(k, dtype=int)],
+                     [np.eye(k, dtype=int), np.zeros((k, k), int)]]) % d
+    assert np.array_equal(gram, form)
+    # each is 1 at its own free column (the x, then the z, columns of the
+    # qudits that are neither kind of pivot) and elsewhere meets only pivots
+    pivots = code.rowspace.pivots
+    free = np.setdiff1d(np.arange(n), np.array(pivots, int) % n)
+    own = np.r_[free, free + n]
+    assert np.array_equal(w64[np.arange(2 * k), own], np.ones(2 * k))
+    off = w64.copy()
+    off[np.arange(2 * k), own] = 0
+    assert not off[:, np.setdiff1d(np.arange(2 * n), pivots)].any()
 
     # membership by the logicals against the kernel oracle: members, random
     # words and words of zero syndrome, logicals (b | -a) among them
@@ -263,25 +276,40 @@ def test_many_logicals_give_the_kernel_builds_answers(size, d):
 
 def test_a_logical_off_the_kernel_is_an_internal_fault(monkeypatch):
     # a word off ker(M) among the logicals fails the check on the sites; with
-    # the code's reduced rows zeroed (packed words at d = 2, int64 rows at odd
-    # d), the draws get no pivot entries and leave ker(M), and the certificate
-    # raises ValueError (no assert, so also under python -O), which the CLI
-    # exits 2 on
+    # the reduced rows zeroed (packed words at d = 2, int64 rows at odd d),
+    # the logicals are bare unit vectors at the free columns: their Gram
+    # matrix is still the form, and the check on the sites raises ValueError
+    # (no assert, so also under python -O), which the CLI exits 2 on
     code = zoo.toric_code(3)
     code.rowspace.logicals = np.eye(4, 2 * code.n, dtype=np.uint8)  # each meets an X check
     with pytest.raises(ValueError, match="nonzero product with generator"):
         code._check_logicals()
-    real = fieldmath.eliminate
+    real = fieldmath.rref
 
     def zeroed(mat, p, phases=None):
         reduced, pivots, obstruction = real(mat, p, phases)
         return (reduced if phases is None else reduced * 0), pivots, obstruction
 
-    monkeypatch.setattr(fieldmath, "eliminate", zeroed)
+    monkeypatch.setattr(fieldmath, "rref", zeroed)
     for L, d in ((3, 2), (3, 3), (4, 5)):
-        with pytest.raises(ValueError, match="Gram matrix of the draws|nonzero product"):
+        with pytest.raises(ValueError, match="nonzero product with generator"):
             zoo.toric_code(L, d)
     assert main(["build", "toric:3"]) == 2
+
+
+def test_logicals_whose_gram_matrix_is_not_the_form_are_refused(monkeypatch):
+    # the logicals of toric:3 with their z pair swapped: every product with a
+    # generator is zero and the Gram matrix's diagonal is the form's, but its
+    # off-diagonal is not, so the certificate refuses them
+    real = fieldmath._standard_logicals
+
+    def swapped(*args):
+        return real(*args)[[0, 1, 3, 2]]
+
+    monkeypatch.setattr(fieldmath, "_standard_logicals", swapped)
+    for d in (2, 3):
+        with pytest.raises(ValueError, match="Gram matrix of the logicals"):
+            zoo.toric_code(3, d)
 
 
 def test_rows_that_do_not_commute_are_refused():
