@@ -159,8 +159,7 @@ def rref(mat: np.ndarray, p: int, phases=None) -> tuple[np.ndarray, list[int], i
     mat is m x 2n, rows (x | z).  The columns are taken in the order of
     the standard form: the x columns, then the z columns of the qudits
     that are not x pivots, then those of the x pivots, which only rows
-    that do not commute reach (a row without x commutes with every x
-    pivot row only if it has full rank off their qudits).  Returns
+    that do not commute reach.  Returns
     (R, pivots, obstruction): R is the rank nonzero rows of the reduced
     form, in that pivot order, as packed words over GF(2) (_rref_gf2) and
     int64 at odd p; pivots the pivot column of each.  Given phases, the
@@ -329,11 +328,15 @@ class RowSpace:
             raise ValueError(f"rank {self.rank} on {n} qudits: the rows do not commute")
         self.logicals = _standard_logicals(reduced, self.pivots, p, n)
         del reduced
+        ba = modmul(self.logicals[:, n:], self.logicals[:, :n].T, p)
+        gram = ba.astype(np.int64)
+        gram -= ba.T  # G_ij = b_i.a_j - a_i.b_j
+        gram %= p
         k = n - self.rank
-        form = np.zeros((2 * k, 2 * k), dtype=np.int64)
-        form[:k, k:], form[k:, :k] = (p - 1) * np.eye(k), np.eye(k)
-        ba = modmul(self.logicals[:, n:], self.logicals[:, :n].T, p).astype(np.int64)
-        if not np.array_equal((ba - ba.T) % p, form):  # G_ij = b_i.a_j - a_i.b_j
+        form = np.zeros((2 * k, 2 * k), dtype=ba.dtype)
+        np.fill_diagonal(form[:k, k:], p - 1)
+        np.fill_diagonal(form[k:, :k], 1)
+        if not np.array_equal(gram, form):
             raise ValueError(f"the Gram matrix of the logicals is not the form of 2k' = {2 * k}")
         self.logicals.setflags(write=False)
 
@@ -360,7 +363,8 @@ def _standard_logicals(reduced: np.ndarray, pivots: list[int], p: int, n: int) -
     """The kernel rows e_f - sum_i R[i, f] e_{pivot i}, f the x, then the z, columns of F.
 
     F is the qudits that are neither kind of pivot; reduced is rref's
-    rows, whose bits at F are gathered straight from the words over GF(2).
+    rows, whose bits at F are gathered straight from the words' bytes over
+    GF(2).  The rows are filled transposed, each pivot's entries as one row.
     """
     pivots = np.asarray(pivots, dtype=np.intp)
     free = np.ones(n, dtype=bool)
@@ -368,10 +372,10 @@ def _standard_logicals(reduced: np.ndarray, pivots: list[int], p: int, n: int) -
     free = np.flatnonzero(free)
     cols = np.concatenate([free, free + n])
     if p == 2:
-        entries = reduced[:, cols >> 6] >> (cols & 63).astype(np.uint64) & 1
+        entries = reduced.view(np.uint8)[:, cols >> 3] >> (cols & 7).astype(np.uint8) & 1
     else:
         entries = -reduced[:, cols] % p
-    logicals = np.zeros((len(cols), 2 * n), dtype=residue_dtype(p))
-    logicals[np.arange(len(cols)), cols] = 1
-    logicals[:, pivots] = entries.T
-    return logicals
+    logicals_t = np.zeros((2 * n, len(cols)), dtype=residue_dtype(p))
+    logicals_t[cols, np.arange(len(cols))] = 1
+    logicals_t[pivots] = entries
+    return np.ascontiguousarray(logicals_t.T)
