@@ -230,7 +230,8 @@ def _rref_gf2(mat: np.ndarray, phases) -> tuple[np.ndarray, list[int], int | Non
     packed = np.packbits(residues(mat, 2, np.uint8), axis=1, bitorder="little")
     signs = [0] * nrows if phases is None else (np.asarray(phases) & 1).tolist()
     # echelon form: each row is reduced on its lowest bit until it brings a new
-    # pivot; with the row are kept its z half (bits 0 .. n - 1) and phase bit
+    # x pivot or has no x part left; with a pivot row are kept its z half
+    # (bits 0 .. n - 1) and phase bit
     basis: dict[int, int] = {}
     z_sign: dict[int, tuple[int, int]] = {}
     pure_z = []  # (row, its pure-z residue, phase bit)
