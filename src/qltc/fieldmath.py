@@ -11,22 +11,21 @@ below 2**16 alone, and below that every product of an admissible width
 is exact in float64.
 `rref` is the one elimination routine: it brings a code's m x 2n matrix
 to Gottesman's standard form and returns its nonzero reduced rows,
-packed at p = 2, with their pivots.  `RowSpace` runs it once, on a
+packed into uint64 words, with their pivots.  `RowSpace` runs it once, on a
 code's matrix, reads rank and pivots off it and its 2k' logicals, the
 kernel rows at the qudits that are no pivot: with a zero syndrome, a word
 lies in the row space iff its products with them vanish.
 Given the rows' Pauli phases, the elimination carries them too (over
 GF(2) the phase bit of Aaronson and Gottesman, arXiv:quant-ph/0406196; at
-odd p the Weyl phase, Gross, arXiv:quant-ph/0602001) and names a
+odd p the Weyl phase, Gross, arXiv:quant-ph/0602001) and names the first
 generator of a relation whose phase is nonzero: the phase obstruction.
-Over GF(2) the elimination runs on rows packed as bits, one Python int
-per row, so a row operation is one XOR (the packed-row idea of M4RI,
-Albrecht, Bard and Hart, arXiv:0811.1714).  The rows stay packed to the
-logicals: the pivot rows are written as uint64 words, and the logicals'
-pivot entries are their bits at the free columns, so no dense copy of
-the matrix or its reduced form is made beside the one the code holds.
-Odd p keeps an int64 loop whose row operations touch only the pivot
-row's nonzero columns.
+It runs on rows packed as fields of `field_width(p)` bits, one Python int
+a row (M4RI, Albrecht, Bard and Hart, arXiv:0811.1714; M4RIE, Albrecht,
+arXiv:1111.6900): over GF(2) a row operation is one XOR, at odd p a few
+operations on the whole int add rows mod p field by field (SWAR, as in
+Boothby and Bradshaw, arXiv:0901.1413).  The pivot rows are written as
+uint64 words, and the logicals' pivot entries are their fields at the
+free columns, so no dense copy of the matrix or its reduced form is made.
 `InputError` is the one bad-input type.  The checks on outside input,
 here (`check_prime`) and in `zoo`, `stabilizer` and the CLI, raise it or
 its subclass `CodeValidationError`, which is also a `ValueError`.
@@ -153,137 +152,129 @@ def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
 
+def field_width(p: int) -> int:
+    """Bits of an entry's field in a packed GF(p) row; at odd p the top one keeps a sum's carry."""
+    return 1 if p == 2 else (p - 1).bit_length() + 1
+
+
+def _field_ops(p: int, count: int):
+    """add and times on rows of count fields of field_width(p) bits, p odd: u + v mod p
+    field by field, with no carry between fields, and k v for 1 <= k < p by double-and-add."""
+    top = field_width(p) - 1
+    ones = ((1 << (top + 1) * count) - 1) // ((1 << top + 1) - 1)  # a 1 at the base of each field
+    over = ((1 << top) - p) * ones  # lifts a field's sum to bit top iff it is p or more
+
+    def add(u: int, v: int) -> int:
+        s = u + v
+        return s - p * ((s + over) >> top & ones)
+
+    def times(v: int, k: int) -> int:
+        acc = v
+        for bit in bin(k)[3:]:
+            acc = add(acc, acc)
+            if bit == "1":
+                acc = add(acc, v)
+        return acc
+
+    return add, times
+
+
 def rref(mat: np.ndarray, p: int, phases=None) -> tuple[np.ndarray, list[int], int | None]:
     """The one elimination, to Gottesman's standard form: reduced rows, pivots, obstruction.
 
-    mat is m x 2n, rows (x | z).  The columns are taken in the order of
-    the standard form: the x columns, then the z columns of the qudits
-    that are not x pivots, then those of the x pivots, which only rows
-    that do not commute reach.  Returns
-    (R, pivots, obstruction): R is the rank nonzero rows of the reduced
-    form, in that pivot order, as packed words over GF(2) (_rref_gf2) and
-    int64 at odd p; pivots the pivot column of each.  Given phases, the
-    rows are commuting generators, and obstruction is one in a relation
-    whose phase is nonzero, else None.  At odd p the Weyl phase s + x.z/2
-    adds over commuting products: it is one more column, last in the
-    order, which takes a pivot iff some relation's phase is nonzero.
+    mat is m x 2n, rows (x | z).  Each row is one Python int, entry j in
+    the w = field_width(p) bits from w j, packed from the matrix's nonzero
+    entries: over GF(2) adding rows is one XOR, at odd p _field_ops' add,
+    and a row's pivot is its lowest nonzero field.  The columns are taken
+    in the order of the standard form: the x columns, then the z columns
+    of the qudits that are not x pivots, then those of the x pivots, which
+    only rows that do not commute reach.  Returns (R, pivots, obstruction):
+    R is the rank nonzero rows of the reduced form, in that pivot order,
+    as little-endian uint64 words, field j at bits w j .. w j + w - 1;
+    pivots the pivot column of each.  Given phases, the rows are commuting
+    generators, and obstruction is the least generator that, times earlier
+    ones, is a scalar other than 1, else None: a row reduces to zero, or
+    to its phase alone, iff it lies in the span of the earlier rows.  At
+    odd p the Weyl phase s + x.z/2 adds over commuting products: it is
+    field 2n, never a pivot.  Over GF(2) v ^= b adds x_v.z_b to v's phase bit.
     """
-    if p == 2:
-        return _rref_gf2(mat, phases)
+    mat = residues(mat, p, residue_dtype(p))
     nrows, ncols = mat.shape
     n = ncols // 2
-    a = np.empty((nrows, ncols + (phases is not None)), dtype=np.int64)
-    a[:, :ncols] = mat
-    a[:, :ncols] %= p
-    if phases is not None:
-        xz = np.einsum("ij,ij->i", a[:, :n], a[:, n:ncols]) % p
-        a[:, ncols] = (xz * ((p + 1) // 2) + phases) % p
-    origin = np.arange(nrows)  # the input row at each row of a
-    pivots: list[int] = []
-
-    def order():  # the standard form's, then the phase column
-        yield from range(n)
-        x_pivots = set(pivots)
-        yield from (n + q for q in range(n) if q not in x_pivots)
-        yield from (n + q for q in sorted(x_pivots))
-        yield from range(ncols, a.shape[1])
-
-    r = 0
-    for c in order():
-        if r == nrows:
-            break
-        pivot_rows = np.nonzero(a[r:, c])[0]
-        if pivot_rows.size == 0:
-            continue
-        pr = r + int(pivot_rows[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-            origin[[r, pr]] = origin[[pr, r]]
-        cols = np.flatnonzero(a[r])  # the row update leaves every other column as it is
-        a[r, cols] = a[r, cols] * inv_mod(a[r, c], p) % p
-        other = np.flatnonzero(a[:, c])
-        other = other[other != r]
-        if other.size:
-            block = np.ix_(other, cols)
-            a[block] = (a[block] - np.outer(a[other, c], a[r, cols])) % p
-        pivots.append(c)
-        r += 1
-    # a pivot row in the phase column is its input row plus other pivot rows, scaled
-    obstruction = int(origin[r - 1]) if pivots and pivots[-1] == ncols else None
-    pivots = [c for c in pivots if c < ncols]
-    return a[: len(pivots), :ncols], pivots, obstruction
-
-
-def _rref_gf2(mat: np.ndarray, phases) -> tuple[np.ndarray, list[int], int | None]:
-    """rref over GF(2): column j of a row is bit j of its int, so a pivot is a lowest set bit.
-
-    v ^= b multiplies the rows as Paulis: phase bits add with x_v.z_b (PauliOp.multiply).
-    The x phase reduces each row until it brings an x pivot or has no x
-    part left; the z phase then reduces those pure-z rows, in row order, on
-    the z bits of the qudits that are not x pivots.  A row reduces to zero
-    iff it lies in the span of the earlier rows, whatever the pivot order,
-    so the obstruction is the least such row of either phase with a phase.
-    Returns the pivot rows as little-endian uint64 words, ceil(2n/64) a row.
-    """
-    nrows, ncols = mat.shape
-    n = ncols // 2
-    packed = np.packbits(residues(mat, 2, np.uint8), axis=1, bitorder="little")
-    signs = [0] * nrows if phases is None else (np.asarray(phases) & 1).tolist()
-    # echelon form: each row is reduced on its lowest bit until it brings a new
-    # x pivot or has no x part left; with a pivot row are kept its z half
-    # (bits 0 .. n - 1) and phase bit
+    w = field_width(p)
+    fmask = (1 << w) - 1
+    bit_signs = w == 1 and phases is not None
+    weyl = w > 1 and phases is not None  # the Weyl phase, in field ncols
+    support = np.packbits(mat, axis=1, bitorder="little")  # bit j of row i: (i, j) is nonzero
+    if w == 1:
+        rows = [int.from_bytes(row.tobytes(), "little") for row in support]
+    else:
+        add, times = _field_ops(p, ncols + weyl)
+        rows = [0] * nrows
+        nonzero = np.flatnonzero(support)  # bytes, a thousand at a time: no index of every entry
+        for at in np.split(nonzero, range(1024, nonzero.size, 1024)):
+            k, bit = np.nonzero(np.unpackbits(support.ravel()[at, None], axis=1, bitorder="little"))
+            i, j = np.divmod(8 * at[k] + bit, 8 * support.shape[1])
+            for r, shift, entry in zip(i.tolist(), (w * j).tolist(), mat[i, j].tolist()):
+                rows[r] |= entry << shift
+        if weyl:
+            xz = np.einsum("ij,ij->i", mat[:, :n], mat[:, n:], dtype=np.int64) % p
+            for r, s in enumerate(((xz * ((p + 1) // 2) + phases) % p).tolist()):
+                rows[r] |= s << w * ncols
+    del support
+    signs = (np.asarray(phases) & 1).tolist() if bit_signs else [0] * nrows
     basis: dict[int, int] = {}
-    z_sign: dict[int, tuple[int, int]] = {}
-    pure_z = []  # (row, its pure-z residue, phase bit)
+    z_sign: dict[int, tuple[int, int]] = {}  # over GF(2), an x pivot row's z half and phase bit
     relations = []  # rows that reduce to a nonzero phase
-    for i, s in enumerate(signs):
-        v = int.from_bytes(packed[i].tobytes(), "little")
-        while v:
-            c = (v & -v).bit_length() - 1
-            if c >= n:
-                pure_z.append((i, v, s))
-                break
-            if c not in basis:
-                basis[c], z_sign[c] = v, (v >> n, s)
-                break
-            if phases is not None:
-                z, t = z_sign[c]
-                s ^= t ^ (v & z).bit_count() & 1
-            v ^= basis[c]
-        if s and not v:  # generator i times earlier ones is -I
-            relations.append(i)
-    del packed
-    # a pure-z row meets no x, so its products add phase bits alone
-    first = (((1 << n) - 1) & ~sum(1 << c for c in basis)) << n  # z bits of the other qudits
-    late = []  # pivots at the z bits of x pivots, which only rows that do not commute reach
-    for i, v, s in pure_z:
-        while v:
-            low = v & first or v
-            c = (low & -low).bit_length() - 1
-            if c not in basis:
-                basis[c], z_sign[c] = v, (0, s)
-                if not first >> c & 1:
-                    late.append(c)
-                break
-            s ^= z_sign[c][1]
-            v ^= basis[c]
-        if s and not v:
-            relations.append(i)
-    del z_sign
+
+    def eliminate(v, c):  # odd p: v less its field c times the pivot row of c
+        return add(v, times(basis[c], p - (v >> w * c & fmask)))
+
+    def echelon(queue, first, stop):  # rows (i, v, phase bit) that reach field stop are returned
+        rest = []
+        for i, v, s in queue:
+            while v:
+                low = v & first or v
+                c = ((low & -low).bit_length() - 1) // w
+                if c >= stop:
+                    rest.append((i, v, s))
+                    break
+                if c not in basis:  # kept with its leading entry 1
+                    basis[c] = v if w == 1 else times(v, inv_mod(v >> w * c & fmask, p))
+                    z_sign[c] = (v >> n if bit_signs and c < n else 0, s)
+                    break
+                if bit_signs:
+                    z, t = z_sign[c]
+                    s ^= t ^ (v & z).bit_count() & 1
+                v = v ^ basis[c] if w == 1 else eliminate(v, c)
+            if s and not v:  # generator i times earlier ones is -I
+                relations.append(i)
+        return rest
+
+    # the x phase: each row until it brings an x pivot or has no x part left
+    pure_z = echelon(zip(range(nrows), rows, signs), 0, n)
+    # the z phase: the pure-z rows, first on the z fields of the other qudits;
+    # a row that reaches field 2n is its Weyl phase alone
+    first = (((1 << w * n) - 1) & ~sum(fmask << w * c for c in basis)) << w * n
+    relations += [i for i, _, _ in echelon(pure_z, first, ncols)]
+    late = [c for c in basis if c - n in basis]  # at the z of x pivots
+    del rows, z_sign, pure_z
+    if weyl:  # the phases have named their relations
+        basis = {c: v & (1 << w * ncols) - 1 for c, v in basis.items()}
     # back-substitution, in reverse pivot order: a row only meets pivots after
-    # its own, whose rows are already reduced, so each set pivot bit costs one XOR
+    # its own, whose rows are already reduced, so each nonzero pivot field costs one row update
     pivots = sorted(basis.keys() - late) + sorted(late)
-    pivot_mask = 0
+    pivot_mask = 0  # the fields of the reduced pivots
     for c in reversed(pivots):
         v = basis[c]
         hits = v & pivot_mask
         while hits:
-            low = hits & -hits
-            v ^= basis[low.bit_length() - 1]
-            hits ^= low
+            j = ((hits & -hits).bit_length() - 1) // w
+            v = v ^ basis[j] if w == 1 else eliminate(v, j)
+            hits = v & pivot_mask
         basis[c] = v
-        pivot_mask |= 1 << c
-    width = -(-ncols // 64) * 8
+        pivot_mask |= fmask << w * c
+    width = -(-ncols * w // 64) * 8
     rows = bytearray(width * len(pivots))
     for i, c in enumerate(pivots):
         rows[i * width : (i + 1) * width] = basis.pop(c).to_bytes(width, "little")
@@ -299,8 +290,9 @@ class RowSpace:
     symplectic complement of Z; Z / A has dimension 2k', k' = n - rank.
 
     rank, pivots  -- rank and pivot columns of rref(mat), in its order
-    obstruction   -- given the rows' Pauli phases, a generator in a relation
-                     whose phase is nonzero, or None (see rref)
+    obstruction   -- given the rows' Pauli phases, the least generator that,
+                     times earlier ones, is a scalar other than 1, or None
+                     (see rref); the same rule at every p
     logicals      -- 2k' rows of ker(mat), read-only in residue_dtype(p)
 
     A row w = (a | b) of ker(mat) is the word (b | -a) of Z, and w.v is
@@ -321,7 +313,7 @@ class RowSpace:
     def __init__(self, mat: np.ndarray, p: int, phases: np.ndarray | None = None):
         self.p = p
         n = mat.shape[1] // 2
-        # the elimination works on its own copy (packed bits for GF(2), int64 otherwise)
+        # the elimination packs its own rows, as Python ints
         self._rows = residues(mat, p, residue_dtype(p))
         reduced, self.pivots, self.obstruction = rref(self._rows, p, phases)
         self.rank = len(self.pivots)
@@ -364,19 +356,26 @@ def _standard_logicals(reduced: np.ndarray, pivots: list[int], p: int, n: int) -
     """The kernel rows e_f - sum_i R[i, f] e_{pivot i}, f the x, then the z, columns of F.
 
     F is the qudits that are neither kind of pivot; reduced is rref's
-    rows, whose bits at F are gathered straight from the words' bytes over
-    GF(2).  The rows are filled transposed, each pivot's entries as one row.
+    rows, whose fields at F are gathered straight from the words' bytes
+    (a byte past a row's end reads as its last, whose bits lie above the
+    field).  The rows are filled transposed, each pivot's entries as one row.
     """
     pivots = np.asarray(pivots, dtype=np.intp)
     free = np.ones(n, dtype=bool)
     free[pivots % n] = False
     free = np.flatnonzero(free)
     cols = np.concatenate([free, free + n])
-    if p == 2:
-        entries = reduced.view(np.uint8)[:, cols >> 3] >> (cols & 7).astype(np.uint8) & 1
-    else:
-        entries = -reduced[:, cols] % p
+    w, data = field_width(p), reduced.view(np.uint8)
+    start, shift = np.divmod(w * cols, 8)
+    wide = np.min_scalar_type((1 << w + 7) - 1)  # holds the bytes a field meets
+    fields = data[:, start].astype(wide, copy=False)
+    for t in range(1, (w + 14) // 8):
+        fields |= np.left_shift(data.take(start + t, axis=1, mode="clip"), 8 * t, dtype=wide)
+    fields >>= shift.astype(wide)
+    fields &= (1 << w) - 1
+    np.subtract(p, fields, out=fields)  # negated mod p: p - f, which is p only at f = 0
+    np.multiply(fields, fields != p, out=fields)
     logicals_t = np.zeros((2 * n, len(cols)), dtype=residue_dtype(p))
     logicals_t[cols, np.arange(len(cols))] = 1
-    logicals_t[pivots] = entries
+    logicals_t[pivots] = fields
     return np.ascontiguousarray(logicals_t.T)

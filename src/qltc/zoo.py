@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fieldmath import CodeValidationError, check_prime, residue_dtype, residues
+from .fieldmath import CodeValidationError, check_prime, field_width, residue_dtype, residues
 from .stabilizer import StabilizerCode
 
 # refuse builds estimated to hold more bytes than this (see _check_build_size)
@@ -34,19 +34,19 @@ def _check_build_size(m: int, n: int, d: int) -> int:
     2n - min(m, n) rows of 2n entries, the kernel that builds held before
     the logicals; it stays, as a matrix file is refused by this estimate
     (see parse_sparse_rows).  The peak comes while RowSpace eliminates the
-    matrix, m x 2n: over GF(2) only packed bits, the input packed, the
-    rows as Python ints and the pivot rows written as words, under half a
-    byte an entry, for which 3 bytes are still priced, as they were when
-    the elimination also held the low bits and the reduced form unpacked;
-    for odd d, rref's int64 copy with its phase column and, in the worst
-    case, the three int64 temporaries of a row update that reaches every
-    row, 32 bytes an entry more.  Those are priced on m x (2n + m)
-    entries, more than the m x (2n + 1) the elimination holds.  Growing
+    matrix, m x 2n, as rows of w = field_width(d) bits an entry: a nonzero
+    bitmap and, at odd d, an index of its nonzero bytes (at most 1/8 and 1
+    byte an entry); the rows as Python ints and the pivot rows as words
+    (w / 8 bytes an entry each); the logicals' pivot entries gathered from
+    the words, at most half an entry each, three at a time in up to 4
+    bytes.  w + 2 bytes an entry cover them; at d = 2 these are the 3 bytes
+    priced since the elimination held more.  They are priced on
+    m x (2n + m) entries, more than the m x (2n + 1) it holds.  Growing
     with m, n and d and at least 8mn, it prices an r x c matrix file too,
     as its least code (r, c, 2).
     """
     b = residue_dtype(d).itemsize
-    per_entry = 3 if d == 2 else b + 32
+    per_entry = field_width(d) + 2
     estimate = (b * 2 * n * (m + 2 * n - min(m, n)) + per_entry * m * (2 * n + m)
                 + n * m // 4 + 1024 * (m + n))
     if estimate > BUILD_GUARD:

@@ -19,7 +19,8 @@ Nothing in the CLI or the bench reaches these, so they live with the tests:
   oracle of the phase the elimination carries;
 * the dense Gauss-Jordan loop (`rref_int64`), the one elimination the
   oracles run, and the standard form from it: the oracle of
-  fieldmath.rref, with 0/1 rows packed into words by Python ints;
+  fieldmath.rref, with rows of residues packed into words of
+  field_width(p)-bit fields by Python ints, and unpacked back;
 * the right kernel of a matrix, as RowSpace once held it: the oracle of
   membership in the row space, which the library decides by logicals;
 * the coset weight of a syndrome as an integer program (d = 2), the
@@ -40,7 +41,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from qltc.attacks import SoundnessProfile
 from qltc.dense import TOL, _act, _check_cap, _energy, _system
-from qltc.fieldmath import residue_dtype, residues
+from qltc.fieldmath import field_width, residue_dtype, residues
 from qltc.graphs import BipartiteGraph
 from qltc.pauli import PauliOp
 from qltc.search import Sites
@@ -168,13 +169,28 @@ def kernel(matrix: np.ndarray, d: int) -> np.ndarray:
     return kernel_t.T
 
 
-def pack_words(bits: np.ndarray) -> np.ndarray:
-    """0/1 rows as uint64 words, column j at bit j % 64 of word j // 64, built as Python ints."""
-    nwords = -(-bits.shape[1] // 64)
-    out = np.zeros((len(bits), nwords), dtype=np.uint64)
-    for i, row in enumerate(bits):
-        v = sum(1 << int(j) for j in np.flatnonzero(row))
+def pack_words(rows: np.ndarray, p: int = 2) -> np.ndarray:
+    """Rows of residues mod p as uint64 words, as fieldmath.rref returns its rows.
+
+    Entry j of a row is the field at bits w j .. w j + w - 1 of one Python
+    int, w = field_width(p), and bit b of the int is bit b % 64 of word b // 64.
+    """
+    w = field_width(p)
+    nwords = -(-rows.shape[1] * w // 64)
+    out = np.zeros((len(rows), nwords), dtype=np.uint64)
+    for i, row in enumerate(rows):
+        v = sum(int(x) << w * j for j, x in enumerate(row))
         out[i] = [(v >> (64 * k)) & (2**64 - 1) for k in range(nwords)]
+    return out
+
+
+def unpack_words(words: np.ndarray, p: int, ncols: int) -> np.ndarray:
+    """The int64 entries of rows packed as pack_words packs them: its inverse."""
+    w = field_width(p)
+    out = np.zeros((len(words), ncols), dtype=np.int64)
+    for i, row in enumerate(words):
+        v = sum(int(word) << (64 * k) for k, word in enumerate(row))
+        out[i] = [v >> w * j & ((1 << w) - 1) for j in range(ncols)]
     return out
 
 

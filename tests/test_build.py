@@ -1,4 +1,4 @@
-"""Code build: pinned outputs, the GF(2) elimination and build validation against oracles.
+"""Code build: pinned outputs, the packed elimination and build validation against oracles.
 
 `build_golden.json` was taken from the PauliOp-by-PauliOp build with the
 dense int64 elimination, its pivots since from the standard form; every
@@ -132,68 +132,91 @@ def test_build_matches_golden(name, tmp_path):
     assert _pin(name, tmp_path) == golden[name]
 
 
-# --- the GF(2) elimination against the dense int64 loop ----------------------
+# --- the packed elimination against the dense int64 loop ---------------------
 
 def standard_form_int64(mat, p, phases=None):
-    """helpers.standard_form as fm.rref returns it: packed into words at p = 2.
+    """helpers.standard_form as fm.rref returns it: packed into words of fields (pack_words).
 
     It carries no phase, so the obstruction is None.
     """
     reduced, pivots = helpers.standard_form(mat, p)
-    return (helpers.pack_words(reduced) if p == 2 else reduced), pivots, None
+    return helpers.pack_words(reduced, p), pivots, None
 
 
 @st.composite
-def gf2_matrices(draw):
-    """Tall, wide, zero and full-rank GF(2) matrices, some with entries outside {0, 1}."""
+def field_matrices(draw, primes=(2,)):
+    """Tall, wide, zero and full-rank matrices over GF(p), p from primes, some with
+    entries outside [0, p); returns (matrix, p)."""
+    p = draw(st.sampled_from(primes))
     rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 150))
     kind = draw(st.sampled_from(["dense", "sparse", "zero", "full_rank", "unreduced"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "zero":
-        return np.zeros((rows, cols), dtype=np.int64)
+        return np.zeros((rows, cols), dtype=np.int64), p
     if kind == "full_rank":
         # [I | B] up to a column permutation, mixed by an invertible row operation
         r = min(rows, cols)
         base = np.zeros((rows, cols), dtype=np.int64)
         base[:r, :r] = np.eye(r, dtype=np.int64)
-        base[:r, r:] = rng.integers(2, size=(r, cols - r))
-        mix = np.tril(rng.integers(2, size=(rows, rows)), -1) + np.eye(rows, dtype=np.int64)
-        return (mix @ base % 2)[:, rng.permutation(cols)]
+        base[:r, r:] = rng.integers(p, size=(r, cols - r))
+        mix = np.tril(rng.integers(p, size=(rows, rows)), -1) + np.eye(rows, dtype=np.int64)
+        return (mix @ base % p)[:, rng.permutation(cols)], p
     if kind == "unreduced":
-        return rng.integers(-3, 5, size=(rows, cols))
+        return rng.integers(-p - 1, 2 * p + 1, size=(rows, cols)), p
     density = 0.5 if kind == "dense" else 0.05
-    return (rng.random((rows, cols)) < density).astype(np.int64)
+    return (rng.random((rows, cols)) < density) * rng.integers(1, p, size=(rows, cols)), p
 
 
-@given(gf2_matrices())
-@settings(max_examples=300, deadline=None)
-def test_gf2_rref_matches_int64_loop(mat):
-    # the packed words, pivots in standard-form order, against the oracle's
+@given(field_matrices(primes=(2, 3, 5, 257, 65521)))
+@settings(max_examples=400, deadline=None)
+def test_rref_matches_int64_loop(mp):
+    # the packed words, pivots in standard-form order, against the oracle's;
+    # rows run past one word, so odd-p fields straddle words
+    mat, p = mp
     mat = mat[:, : mat.shape[1] // 2 * 2]  # (x | z) halves
-    words, pivots, _ = fm.rref(mat, 2)
-    reduced, pivots0 = helpers.standard_form(mat, 2)
+    words, pivots, _ = fm.rref(mat, p)
+    reduced, pivots0 = helpers.standard_form(mat, p)
     assert pivots == pivots0
-    assert words.shape == (len(pivots), -(-mat.shape[1] // 64))
-    assert np.array_equal(words, helpers.pack_words(reduced))
+    assert words.shape == (len(pivots), -(-mat.shape[1] * fm.field_width(p) // 64))
+    assert np.array_equal(words, helpers.pack_words(reduced, p))
 
 
-@given(gf2_matrices(), st.integers(0, 2**32 - 1))
-@settings(max_examples=150, deadline=None)
-def test_rowspace_matches_int64_loop(mat, seed):
+@given(field_matrices(primes=(2, 3, 5, 257)), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_rowspace_matches_int64_loop(mp, seed):
     # commuting rows: X checks mat and Z checks drawn from mat's kernel
+    mat, p = mp
     if mat.shape[0] == 0 or mat.shape[1] == 0:
         return
-    mat = mat % 2
-    null = kernel(mat, 2).astype(np.int64)
-    hz = np.random.default_rng(seed).integers(2, size=(3, len(null))) @ null % 2
+    mat = mat % p
+    null = kernel(mat, p).astype(np.int64)
+    hz = np.random.default_rng(seed).integers(p, size=(3, len(null))) @ null % p
     rows = np.block([[mat, np.zeros_like(mat)], [np.zeros_like(hz), hz]])
-    rs = fm.RowSpace(rows, 2)
+    rs = fm.RowSpace(rows, p)
     with mock.patch.object(fm, "rref", standard_form_int64):
-        rs0 = fm.RowSpace(rows, 2)
+        rs0 = fm.RowSpace(rows, p)
     assert rs.pivots == rs0.pivots and rs.rank == rs0.rank
     assert np.array_equal(rs.logicals, rs0.logicals)
     assert len(rs.logicals) == rows.shape[1] - 2 * rs.rank
-    assert not np.any(rows @ rs.logicals.T % 2)
+    assert not np.any(rows @ rs.logicals.T % p)
+
+
+@pytest.mark.parametrize("p, n", [(3, 32), (5, 16), (7, 16), (257, 16)])
+def test_logicals_read_the_last_field_of_a_full_row(p, n):
+    # 2n fields fill whole words, so the bytes a field may span run past the
+    # row's end at its last field: a free qudit's z column
+    assert 2 * n * fm.field_width(p) % 64 == 0
+    rng = np.random.default_rng(p)
+    for _ in range(10):
+        hx = rng.integers(p, size=(3, n))
+        hx[:, -1] = 0
+        null = kernel(hx, p).astype(np.int64)
+        hz = rng.integers(p, size=(2, len(null))) @ null % p
+        hz[:, -1] = 0
+        rows = np.block([[hx, np.zeros_like(hx)], [np.zeros_like(hz), hz]])
+        rs = fm.RowSpace(rows, p)
+        with mock.patch.object(fm, "rref", standard_form_int64):
+            assert np.array_equal(rs.logicals, fm.RowSpace(rows, p).logicals)
 
 
 def test_a_build_makes_exactly_one_elimination(monkeypatch):
@@ -407,10 +430,12 @@ def _traced_peak(build):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 5, 257])
 def test_build_size_estimate_bounds_the_traced_peak(d):
+    # the estimate prices rows packed in field_width(d) bits an entry, up to
+    # toric:32 at d = 3
     zoo.toric_code(2, d)  # first-call set-up stays out of the trace
-    for L in (4, 8, 16):
+    for L in (4, 8, 16, 32) if d == 3 else (4, 8, 16):
         n = 2 * L * L
         assert _traced_peak(lambda: zoo.toric_code(L, d)) <= zoo._check_build_size(n, n, d)
     h = regular_circulant_matrix(8, 3, seed=1)

@@ -568,7 +568,7 @@ def test_out_of_range_config_value_exits_1(tmp_path, capsys):
     assert code == 1 and out == "" and "--wcap" in err
 
 
-@pytest.mark.parametrize("source", ["toric:128", "toric:100000"])
+@pytest.mark.parametrize("source", ["toric:128", "toric:128:3", "toric:100000"])
 def test_oversized_build_refused_before_allocation(source):
     # under a 1 GB address-space limit an attempted allocation would fail with
     # exit 2; the size guard refuses first

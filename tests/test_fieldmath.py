@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qltc import fieldmath as fm
 from qltc import zoo
 
 from helpers import (
-    coefficients, consistent_phases, kernel, left_kernel, phased_relation_generators, rref_int64,
+    coefficients, consistent_phases, kernel, left_kernel, pack_words, phased_relation_generators,
+    rref_int64, unpack_words,
 )
 
 
@@ -46,11 +47,10 @@ def dependent_rows(mat, p):
 
 
 def unpacked(reduced, p, ncols):
-    """fm.rref's rows as int64 entries: the words unpacked at p = 2."""
-    if p > 2:
-        return reduced
-    bits = np.unpackbits(reduced.view(np.uint8), axis=1, count=ncols, bitorder="little")
-    return bits.astype(np.int64)
+    """fm.rref's rows as int64 entries: the words unpacked, which pack_words packs back."""
+    rows = unpack_words(reduced, p, ncols)
+    assert np.array_equal(pack_words(rows, p), reduced)
+    return rows
 
 
 @given(symplectic_matrices)
@@ -91,13 +91,16 @@ def gauss_jordan(mat, p):
     return a, pivots
 
 
+ODD_PRIMES = [3, 5, 7, 257, 65521]
+
+
 @st.composite
 def sparse_odd_matrices(draw):
-    """Matrices up to 8 x 12, of even width, over GF(3) or GF(5), mostly zeros (so
-    pivot rows are sparse), with entries outside [0, p) to reduce."""
-    p = draw(st.sampled_from([3, 5]))
+    """Matrices up to 8 x 12, of even width, over GF(p) for odd p from 3 to 65521, mostly
+    zeros (so pivot rows are sparse), with entries outside [0, p) to reduce."""
+    p = draw(st.sampled_from(ODD_PRIMES))
     rows, cols = draw(st.integers(1, 8)), 2 * draw(st.integers(1, 6))
-    entry = st.one_of(st.just(0), st.integers(-p, 2 * p - 1))
+    entry = st.one_of(st.just(0), st.just(p - 1), st.integers(-p, 2 * p - 1))
     data = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
     return np.array(data, dtype=np.int64).reshape(rows, cols), p
 
@@ -107,7 +110,8 @@ def sparse_odd_matrices(draw):
 def test_odd_rref_matches_gauss_jordan(mp):
     # the reduced form is unique for a column order: Gauss-Jordan on the
     # standard form's (x, the z of the qudits that are not x pivots, the z
-    # of the x pivots) gives fm.rref's nonzero rows and pivots
+    # of the x pivots) gives fm.rref's nonzero rows and pivots, packed as
+    # pack_words packs them
     mat, p = mp
     n = mat.shape[1] // 2
     x_pivots = gauss_jordan(mat[:, :n], p)[1]
@@ -115,7 +119,41 @@ def test_odd_rref_matches_gauss_jordan(mp):
     want, want_pivots = gauss_jordan(mat[:, order], p)
     r, pivots, _ = fm.rref(mat, p)
     assert pivots == [order[c] for c in want_pivots]
-    assert r[:, order].tolist() == want[: len(pivots)]
+    rows = np.zeros((len(pivots), 2 * n), dtype=np.int64)
+    rows[:, order] = np.reshape(want[: len(pivots)], rows.shape)
+    assert np.array_equal(r, pack_words(rows, p))
+
+
+@st.composite
+def packed_fields(draw):
+    """An odd prime, rows u and v of up to 40 residues (each entry p - 1 in one case in
+    three, so that every field carries) and a scale k in [1, p)."""
+    p = draw(st.sampled_from(ODD_PRIMES))
+    count = draw(st.integers(1, 40))
+    residue = st.integers(0, p - 1)
+    if draw(st.integers(0, 2)) == 0:
+        residue = st.just(p - 1)
+    u, v = (draw(st.lists(residue, min_size=count, max_size=count)) for _ in range(2))
+    return p, u, v, draw(st.integers(1, p - 1))
+
+
+@given(packed_fields())
+@example((3, [2] * 40, [2] * 40, 2))  # p - 1 in every field: each sum carries
+@example((65521, [65520] * 40, [65520] * 40, 65520))
+@settings(max_examples=300)
+def test_field_arithmetic_matches_python_ints(case):
+    # _field_ops on rows packed into field_width(p)-bit fields, against the
+    # residues as Python ints, field by field
+    p, u, v, k = case
+    w = fm.field_width(p)
+    add, times = fm._field_ops(p, len(u))
+
+    def pack(entries):
+        return sum(e << w * j for j, e in enumerate(entries))
+
+    assert add(pack(u), pack(v)) == pack([(a + b) % p for a, b in zip(u, v)])
+    assert times(pack(u), k) == pack([k * a % p for a in u])
+    assert times(pack(u), p - 1) == pack([-a % p for a in u])  # the negation
 
 
 @given(symplectic_matrices)
@@ -191,7 +229,7 @@ def test_carried_phase_matches_left_kernel_oracle(case):
     assert (rs.obstruction is not None) == bool(named)
     assert rs.obstruction is None or rs.obstruction in named
     assert rs.pivots == fm.RowSpace(rows, d).pivots
-    if d == 2 and named:  # the first generator that, times earlier ones, is -I
+    if named:  # the first generator that, times earlier ones, is a scalar other than 1
         first = next(i for i in range(len(rows))
                      if phased_relation_generators(rows[: i + 1], phases[: i + 1], d))
         assert rs.obstruction == first
