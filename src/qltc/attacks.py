@@ -32,7 +32,7 @@ import numpy as np
 from .fieldmath import modmul, residue_dtype
 from .graphs import Refusal
 from .pauli import PauliOp
-from .search import candidate_batches, candidates_at_weight
+from .search import candidate_batches, candidates_at_weight, key_powers, key_weights, row_keys
 from .stabilizer import BoundedWeight, StabilizerCode
 
 # lanes (island trials x Philox blocks of their uniforms) drawn and evaluated
@@ -688,50 +688,6 @@ class SoundnessProfile:
         }
 
 
-def _key_powers(m: int, d: int) -> np.ndarray:
-    """(m, halves) float64 matrix that packs a row of m residues mod d into bit fields.
-
-    Digit i takes b = (d - 1).bit_length() bits, at bit b * (i % e) of
-    32-bit half i // e, e = 32 // b the digits a half; the halves are
-    padded to an even number.  Every half of syn @ powers is below 2**32,
-    so the float64 product is exact, and read as uint32 the halves pair up
-    into uint64 words (little-endian: half 2j is the low half of word j).
-    Two rows are equal iff their keys are.
-    """
-    b = (d - 1).bit_length()
-    e = 32 // b
-    halves = -(-m // e)
-    i = np.arange(m)
-    powers = np.zeros((m, halves + halves % 2))
-    powers[i, i // e] = 2.0 ** (b * (i % e))
-    return powers
-
-
-def _keys(syn: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """One key a row of syn: a uint64, or one opaque value of the uint64 words when several."""
-    keys = (syn.astype(np.float64) @ powers).astype(np.uint32).view(np.uint64)
-    if keys.shape[1] == 1:
-        return keys[:, 0]
-    return keys.view(np.dtype((np.void, keys[0].nbytes)))[:, 0]  # each row as one value
-
-
-def _key_weights(keys: np.ndarray, d: int) -> np.ndarray:
-    """Number of nonzero b-bit fields of each key of _key_powers: its syndrome's penalty.
-
-    Each field is ORed onto its low bit by b - 1 shifts; a mask keeps the
-    low bits, whose popcount over a key's words counts the fields.  No
-    shift carries a bit into a lower field's low bit, nor across halves.
-    """
-    b = (d - 1).bit_length()
-    words = keys.view(np.uint64).reshape(len(keys), -1)
-    folded = words.copy()
-    for shift in range(1, b):
-        folded |= words >> np.uint64(shift)
-    low = sum(1 << (b * j) for j in range(32 // b))
-    folded &= np.uint64(low | low << 32)
-    return np.bitwise_count(folded).sum(axis=1, dtype=np.int64)
-
-
 def _key_chunks(code: StabilizerCode, w: int, powers: np.ndarray):
     """The keys of the words of weight w in chunks, each sorted without repeats.
 
@@ -742,7 +698,7 @@ def _key_chunks(code: StabilizerCode, w: int, powers: np.ndarray):
     chunk: list[np.ndarray] = []
     size = 0
     for batch in candidate_batches(code.n, code.d, w):
-        chunk.append(_keys(code.syndrome_batch(batch), powers))
+        chunk.append(row_keys(code.syndrome_batch(batch), powers))
         size += len(batch)
         if size >= PROFILE_CHUNK:
             yield _sorted_unique(chunk)
@@ -760,9 +716,9 @@ def soundness_profile(code: StabilizerCode, weight_cap: int) -> SoundnessProfile
     """Brute-force soundness oracle; refuses a walk past PROFILE_GUARD words, counted exactly.
 
     The syndromes seen at lower weights are held as sorted keys: the m
-    residues in bit fields (see _key_powers), one float64 BLAS product a
+    residues in fields of (d - 1).bit_length() bits (see key_powers), one float64 BLAS product a
     batch, each key one uint64, or one opaque value (ordered as bytes) of
-    the uint64 words when the fields need several (_keys).  A word of weight w
+    the uint64 words when the fields need several (row_keys).  A word of weight w
     whose key is not in that table sees its syndrome first at w, and as
     the penalty is a function of the syndrome, the least penalty of those
     words is min_penalty[w]; it is read off the new keys, as their number
@@ -787,9 +743,10 @@ def soundness_profile(code: StabilizerCode, weight_cap: int) -> SoundnessProfile
     # fewer words than nonzero syndromes cannot see them all, so such a walk would not stop
     if len(walked) < len(weights) and (walked[-1] if walked else 0) < syndromes - 1:
         raise refusal
-    powers = _key_powers(code.m, code.d)
+    width = (code.d - 1).bit_length()  # no guard bit: the profile never adds keys
+    powers = key_powers(code.m, width)
     # the zero syndrome is a centralizer element, not an error: seen from the start
-    table = _keys(np.zeros((1, code.m), dtype=np.uint8), powers)
+    table = row_keys(np.zeros((1, code.m), dtype=np.uint8), powers)
     min_penalty: dict[int, int] = {}
     for w in weights:
         if w > len(walked):
@@ -800,7 +757,7 @@ def soundness_profile(code: StabilizerCode, weight_cap: int) -> SoundnessProfile
             np.minimum(at, len(table) - 1, out=at)
             fresh = keys[table[at] != keys]
             if len(fresh):
-                pen = int(_key_weights(fresh, code.d).min())
+                pen = int(key_weights(fresh, width).min())
                 min_penalty[w] = min(min_penalty.get(w, pen), pen)
                 runs.append(fresh)
         table = _sorted_unique(runs, "stable")

@@ -109,8 +109,8 @@ def residues(a, p: int, dtype=np.int64) -> np.ndarray:
         a = a % p  # Python ints past int64
     elif kind not in "biu":
         raise ValueError(f"entries must be integers, got {a.dtype} entries")
-    elif a.dtype == dtype and (a.size == 0 or (a.min() >= 0 and a.max() < p)):
-        return a
+    elif a.dtype == dtype and (a.size == 0 or ((kind == "u" or a.min() >= 0) and a.max() < p)):
+        return a  # an unsigned type holds no negative entry, so only its max is read
     else:
         a = a.astype(np.int64, copy=False) % p
     return a.astype(dtype, copy=False)

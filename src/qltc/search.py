@@ -10,18 +10,29 @@ images of all weight-b words (meet in the middle; Dumer, Kovalev and
 Pryadko, arXiv:1611.07164).  A hit whose halves share a site is a word of
 lower weight that passes the same test, which the weights already
 searched rule out, so the join needs no disjointness check.  Cost scales
-with C(n, w/2), not with the group size.  Each image is summed in a
-type that holds 2d, one gather and one add per site, reduced mod d by
-one wrap-around minimum instead of a %; the nonzero filter is summed
-only for the probes that found a partner.
+with C(n, w/2), not with the group size.
+
+The join holds each image as a key: its m residues packed into uint64
+words, a field of field_width(d) bits a residue as in fieldmath's packed
+elimination, but with no field across a 32-bit half (see _key_halves).  A
+word's key is the sum of its site keys, one gather and one add a site:
+over GF(2) an XOR, at odd d a SWAR add mod d (the guard bit above each
+residue takes the carry; fieldmath._field_ops does the same on Python
+ints).  A key of one word sorts and is searched as a uint64, a longer one
+as one opaque value of its words.  The nonzero filter is summed, as keys
+too, only for the probes that found a partner.  The soundness profile
+packs its syndromes into keys of the same layout, with no guard bit, by
+one BLAS product (key_powers, row_keys) and counts their nonzero fields
+(key_weights).
 
 Every map comes as its Sites, the nonzero (row, qudit) sites of a
-k-local matrix, and site_images builds the weight-1 images of any map
-(the syndrome map, the logicals, the two stacked, the pivot filter)
-with one scatter over those sites.
+k-local matrix, and site_keys packs the weight-1 images of any map (the
+syndrome map, the logicals, the two stacked, the pivot filter) from
+those sites, once a search.
 
 _words holds the canonical order of one weight's words, which the join's half
-tables and candidate_batches (the profile's and the verifier's batches) share.
+tables and candidate_batches (the profile's and the verifier's batches) share;
+a search builds each half table once.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .fieldmath import modmul  # noqa: F401 -- bench/tracing.py wraps search.modmul
-from .fieldmath import residue_dtype
+from .fieldmath import field_width, residue_dtype
 from .pauli import nonidentity_symbols
 
 # rows per candidate_batches batch, which holds 2 n bytes a row below d = 256
@@ -151,99 +162,231 @@ class Sites(NamedTuple):
         return Sites(row, qudit, x, z, np.searchsorted(qudit, qudit), shape)
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D array as one opaque value, ordered as bytes."""
-    a = np.ascontiguousarray(a)
-    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
-
-
-def _image_dtype(d: int) -> np.dtype:
-    """Least unsigned type that holds 2d, so a sum of two images below d never wraps."""
-    return np.min_scalar_type(2 * d)
-
-
 def _join_bytes(size_a: int, a: int, b: int, row_bytes: int) -> int:
-    """Peak bytes of a join, per word of the larger (weight-a) table: four image
-    rows (site images, sorted targets, probe, partner), twice the int32 site
-    indices of both halves, and 16 bytes of indices and masks."""
+    """Peak bytes of a join, per word of the larger (weight-a) table: four rows
+    of row_bytes (sums, sorted targets, probe, partner), twice the int32 site
+    indices of both halves, and 16 bytes of indices and masks.  A row is
+    priced as an image, m + r residues in the least type that holds 2d,
+    though the join holds it as a key."""
     return size_a * (4 * row_bytes + 8 * (a + b) + 16)
 
 
-def site_images(sites: Sites, d: int, symbols) -> np.ndarray:
-    """Image of the weight-1 word with symbol j at qudit q under a map, at row q*s + j.
+# --- keys: rows of residues packed into uint64 words ------------------------
+
+def _key_halves(m: int, w: int) -> tuple[int, int]:
+    """The fields a 32-bit half and the halves a key of m fields of w bits takes.
+
+    Residue i takes the field at bit w (i % e) of half i // e, e = 32 // w,
+    so no field crosses a half.  The halves, at least two and padded to an
+    even number, pair up into little-endian uint64 words: half 2j is the
+    low half of word j.  The join's fields are field_width(d) bits, a guard
+    bit above the residue at odd d that takes a sum's carry; the profile,
+    which only compares and counts keys, packs (d - 1).bit_length() bits.
+    """
+    e = 32 // w
+    halves = max(1, -(-m // e))
+    return e, halves + halves % 2
+
+
+def key_powers(m: int, w: int) -> np.ndarray:
+    """(m, halves) float64 matrix that packs a row of m residues into w-bit fields
+    by one product; every half of rows @ powers is below 2**32, so it is exact."""
+    e, halves = _key_halves(m, w)
+    half, place = np.divmod(np.arange(m), e)
+    powers = np.zeros((m, halves))
+    powers[np.arange(m), half] = np.exp2(w * place)
+    return powers
+
+
+def _key_words(halves: np.ndarray) -> np.ndarray:
+    """Exact float64 halves (rows, 2 W) as the rows' uint64 key words (rows, W)."""
+    return halves.astype(np.uint32).view(np.uint64)
+
+
+def _packed(row: np.ndarray | int, col: np.ndarray, val: np.ndarray, count: int, m: int,
+            w: int) -> np.ndarray:
+    """Key words of count rows of m residues in w-bit fields, given by entries (row, col, val).
+
+    row and col broadcast to the shape of val; one weighted count a half
+    places each entry in its field, and (row, col) pairs are distinct, so
+    each field takes one residue.
+    """
+    e, halves = _key_halves(m, w)
+    half, place = np.divmod(col, e)
+    flat = np.bincount((row * halves + half).ravel(), weights=(val * np.exp2(w * place)).ravel(),
+                       minlength=count * halves)
+    return _key_words(flat.reshape(count, halves))
+
+
+def _as_keys(words: np.ndarray) -> np.ndarray:
+    """One sortable key a row of words: the uint64 itself, or one opaque value
+    of the row's words (ordered as bytes) when there are several."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    words = np.ascontiguousarray(words)
+    return words.view(np.dtype((np.void, words.shape[1] * 8)))[:, 0]
+
+
+def row_keys(rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The key of each row of residues, by one BLAS product with key_powers.
+
+    Two rows are equal iff their keys are.
+    """
+    return _as_keys(_key_words(rows.astype(np.float64) @ powers))
+
+
+def _field_bases(w: int) -> np.uint64:
+    """The word with a 1 at the lowest bit of every w-bit field of the key layout."""
+    low = sum(1 << (w * j) for j in range(32 // w))
+    return np.uint64(low | low << 32)
+
+
+def key_weights(keys: np.ndarray, w: int) -> np.ndarray:
+    """Number of nonzero w-bit fields of each key: the weight of its row of residues.
+
+    Each field is ORed onto its low bit by w - 1 shifts; a mask keeps the
+    low bits, whose popcount over a key's words counts the fields.  No
+    shift carries a bit into a lower field's low bit, nor across halves.
+    """
+    words = keys.view(np.uint64).reshape(len(keys), -1)
+    folded = words.copy()
+    for shift in range(1, w):
+        folded |= words >> np.uint64(shift)
+    folded &= _field_bases(w)
+    return np.bitwise_count(folded).sum(axis=1, dtype=np.int64)
+
+
+def _reduce(s: np.ndarray, d: int, tmp: np.ndarray) -> None:
+    """Join keys whose fields lie in [0, 2d) brought mod d in place (odd d), tmp a scratch.
+
+    fieldmath._field_ops' add on uint64 words: adding 2**(w-1) - d to a
+    field of w = field_width(d) bits sets its guard bit iff the field is d
+    or more, without leaving the field, and d times that bit is taken off.
+    """
+    top = field_width(d) - 1
+    ones = _field_bases(top + 1)
+    np.add(s, ones * np.uint64((1 << top) - d), out=tmp)
+    tmp >>= np.uint64(top)
+    tmp &= ones
+    tmp *= np.uint64(d)
+    s -= tmp
+
+
+def _key_add(u: np.ndarray, v: np.ndarray, d: int, tmp: np.ndarray | None = None) -> None:
+    """u += v mod d field by field on join keys, in place (SWAR; over GF(2) one XOR)."""
+    if d == 2:
+        u ^= v
+        return
+    u += v
+    _reduce(u, d, np.empty_like(u) if tmp is None else tmp)
+
+
+def _key_sub(t: np.ndarray, v: np.ndarray, d: int) -> None:
+    """v = t - v mod d field by field on join keys, in place: one negate, d - v
+    in [1, d], and one add of t with its reduction."""
+    if d == 2:
+        v ^= t
+        return
+    np.subtract(_field_bases(field_width(d)) * np.uint64(d), v, out=v)
+    _key_add(v, np.broadcast_to(t, v.shape), d)
+
+
+def site_keys(sites: Sites, d: int, symbols) -> np.ndarray:
+    """Key words of the image of the weight-1 word with symbol j at qudit q, at row q*s + j.
 
     Symbol (a, b) at qudit q has image x a + z b at each row with a site
-    at q and 0 at the others, so one assignment per site and symbol fills
+    at q and 0 at the others, so one residue per site and symbol fills
     the table.
     """
     m, n = sites.shape[0], sites.shape[1] // 2
     sym = np.array(symbols, dtype=np.int64)
-    out = np.zeros((n, len(sym), m), dtype=_image_dtype(d))
-    out[sites.qudit[:, None], np.arange(len(sym)), sites.row[:, None]] = (
-        np.outer(sites.x, sym[:, 0]) + np.outer(sites.z, sym[:, 1])) % d
-    return out.reshape(n * len(sym), m)
+    # one row a symbol, one column a site: the long axis innermost
+    vals = (sym[:, :1] * sites.x + sym[:, 1:] * sites.z) % d
+    row = sites.qudit * len(sym) + np.arange(len(sym))[:, None]
+    return _packed(row, sites.row, vals, n * len(sym), m, field_width(d))
 
 
 def _half_table(n: int, s: int, h: int) -> np.ndarray:
-    """Site-image rows of every weight-h word, one word per row (int32 holds
+    """Site indices of every weight-h word, one word per row (int32 holds
     q*s + j: a table of 2**31 words is far past HALF_TABLE_BYTES)."""
     supports, choices = _words(n, s, h)
     return (supports[:, None, :] * s + choices).reshape(len(supports) * len(choices), h)
 
 
-def _images(words: np.ndarray, images: np.ndarray, d: int) -> np.ndarray:
-    """Image rows of words given as site-image indices, reduced mod d.
+def _key_sum(words: np.ndarray, keys: np.ndarray, d: int) -> np.ndarray:
+    """Key words of words given as site indices: the sum of their site keys.
 
-    Each sum is a gather and an add, reduced by one wrap-around minimum:
-    _image_dtype(d) holds 2d, every value the join reduces lies in [0, 2d)
-    (two residues sum to at most 2d - 2, target + d - image is at most
-    2d - 1), and when x < d the unsigned x - d wraps to at least d + 1 > x,
-    so min(x, x - d) is x mod d.  A word of no sites has image zero.
+    One gather and one SWAR add a site, into one scratch buffer.  A word
+    of no sites has key zero.
     """
     if not words.shape[1]:
-        return np.zeros((words.shape[0], images.shape[1]), dtype=images.dtype)
-    out = images[words[:, 0]]
+        return np.zeros((words.shape[0], keys.shape[1]), dtype=np.uint64)
+    out = keys[words[:, 0]]
+    tmp = np.empty_like(out)
     for col in words.T[1:]:
-        out += images[col]
-        _wrap(out, d)
+        np.take(keys, col, axis=0, out=tmp)
+        _key_add(out, tmp, d, tmp)
     return out
 
 
-def _wrap(x: np.ndarray, d: int) -> None:
-    """x mod d in place, for unsigned x in [0, 2d) (see _images)."""
-    np.minimum(x, x - d, out=x)
+def _meet(d, words_a, words_b, keys, nz_keys, target):
+    """Site indices of a word of weight <= a + b that solves the search, or None.
 
-
-def _meet(n, d, s, a, b, images, nz_images, target):
-    """Site-image rows of a word of weight <= a + b that solves the search, or None."""
-    words_b = _half_table(n, s, b)
-    need = _images(words_b, images, d)
-    np.subtract(target + d, need, out=need)
-    _wrap(need, d)
-    order = np.argsort(_rows(need), kind="stable")
-    need = _rows(need)[order]
+    words_a and words_b are the half tables (the same array when a == b),
+    keys and nz_keys the site keys of the map and of the filter, target
+    the target's key words.
+    """
+    sums = _key_sum(words_b, keys, d)
+    same = words_a is words_b
+    need = sums.copy() if same else sums
+    _key_sub(target, need, d)
+    order = np.argsort(_as_keys(need), kind="stable")
+    need = _as_keys(need[order])
     words_b = words_b[order]
-    del order
-    # a permutation of the weight-b table is as good a probe table
-    words_a = words_b if a == b else _half_table(n, s, a)
-    probe = _rows(_images(words_a, images, d))
-    # one partner per probe: of the weight-b words with the image it needs,
+    if same:
+        # a permutation of the weight-b table is as good a probe table
+        words_a, probe = words_b, _as_keys(sums[order])
+    else:
+        probe = _as_keys(_key_sum(words_a, keys, d))
+    del sums, order
+    # one partner per probe: of the weight-b words with the key it needs,
     # the first in the half table (the sort is stable)
     j = np.searchsorted(need, probe)
     np.minimum(j, need.size - 1, out=j)
     hits = np.flatnonzero(need[j] == probe)
-    del need, probe
-    if nz_images is not None:
+    del probe
+    if nz_keys is not None:
         # One partner per probe is enough, as the target is zero and no
         # lighter word solves: if partner j cancels the probe's filter image
         # and partner j' does not, then j' - j is a lighter solution when
         # b < a; when b == a, partner j taken as a probe gets a partner that
         # does not cancel it.  So the filter runs on the hits alone.
         pairs = np.concatenate([words_a[hits], words_b[j[hits]]], axis=1)
-        hits = hits[_images(pairs, nz_images, d).any(axis=1)]
+        hits = hits[_key_sum(pairs, nz_keys, d).any(axis=1)]
     if not hits.size:
         return None
-    return np.concatenate([words_a[hits[0]], words_b[j[hits[0]]]])
+    first = hits[0] if not same else hits[_least_as_bytes(need[hits], d)]
+    return np.concatenate([words_a[first], words_b[j[first]]])
+
+
+def _least_as_bytes(keys: np.ndarray, d: int) -> int:
+    """Index of the first least of keys, read as the rows of residues they pack
+    (in the least unsigned type that holds 2d) and compared as bytes.
+
+    When a == b the probe table is the weight-b table in the sorted order
+    of the keys the probes need, and the witness is its first hit.  Taking
+    the hit whose needed image is least as bytes (the first in the table
+    among equals) fixes the witness, whatever order the keys sort in.
+    """
+    w = field_width(d)
+    halves = keys.view(np.uint32).reshape(len(keys), -1)
+    shifts = w * np.arange(32 // w, dtype=np.uint32)
+    # filled one half at a time, so no temporary holds every field as a uint32
+    rows = np.empty((len(keys), halves.shape[1], len(shifts)), dtype=np.min_scalar_type(2 * d))
+    for h in range(halves.shape[1]):
+        rows[:, h] = halves[:, h, None] >> shifts & ((1 << w) - 1)
+    rows = rows.reshape(len(keys), -1)
+    return int(np.argsort(rows.view(np.dtype((np.void, rows[0].nbytes)))[:, 0], kind="stable")[0])
 
 
 def min_weight_vector(
@@ -270,13 +413,20 @@ def min_weight_vector(
     target = np.asarray(target).astype(np.int64) % d
     if (nonzero is None) != bool(target.any()):
         raise ValueError("a nonzero filter goes with a zero target, and only there")
-    target = target.astype(_image_dtype(d))
-    row_bytes = target.itemsize * (target.size + (0 if nonzero is None else nonzero.shape[0]))
+    m = target.size
+    # the cap prices a word's image as its m + r residues in the least type that holds 2d
+    rows = m + (0 if nonzero is None else nonzero.shape[0])
+    row_bytes = np.min_scalar_type(2 * d).itemsize * rows
+    col = np.flatnonzero(target)
+    target = _packed(0, col, target[col], 1, m, field_width(d))[0]
     sets = list(symbol_sets)
-    images: list = [None] * len(sets)
+    keys: list = [None] * len(sets)
+    tables: dict[tuple[int, int], np.ndarray] = {}  # (s, h): the weight-h half table
     tested = 0
     for w in range(1, min(w_max, n) + 1):
         a, b = (w + 1) // 2, w // 2
+        for key in [key for key in tables if key[1] < b]:  # no later weight takes them
+            del tables[key]
         for k, symbols in enumerate(sets):
             size_a = candidates_at_weight(n, d, a, symbols)
             need = size_a + (candidates_at_weight(n, d, b, symbols) if b != a else 0)
@@ -284,15 +434,19 @@ def min_weight_vector(
             if over_budget or _join_bytes(size_a, a, b, row_bytes) > HALF_TABLE_BYTES:
                 return SearchResult(None, None, w - 1, tested, True)
             tested += need
-            if images[k] is None:
+            if keys[k] is None:
                 sets[k] = symbols = nonidentity_symbols(d) if symbols is None else list(symbols)
-                images[k] = [None if m is None else site_images(m, d, symbols)
-                             for m in (matrix, nonzero)]
-            sites = _meet(n, d, len(symbols), a, b, *images[k], target)
+                keys[k] = [None if f is None else site_keys(f, d, symbols)
+                           for f in (matrix, nonzero)]
+            s = len(symbols)
+            for h in {a, b}:
+                if (s, h) not in tables:
+                    tables[s, h] = _half_table(n, s, h)
+            sites = _meet(d, tables[s, a], tables[s, b], *keys[k], target)
             if sites is not None:
                 v = np.zeros(2 * n, dtype=np.int64)
                 for r in sites:
-                    q, j = divmod(int(r), len(symbols))
+                    q, j = divmod(int(r), s)
                     v[q] += symbols[j][0]
                     v[q + n] += symbols[j][1]
                 return SearchResult(w, v % d, w - 1, tested, False)

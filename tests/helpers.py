@@ -23,6 +23,9 @@ Nothing in the CLI or the bench reaches these, so they live with the tests:
   field_width(p)-bit fields by Python ints, and unpacked back;
 * the right kernel of a matrix, as RowSpace once held it: the oracle of
   membership in the row space, which the library decides by logicals;
+* the join of the weight search on dense image rows, one residue a
+  byte or two, reduced by a wrap-around minimum: the oracle of the keyed
+  join, with the search's weights, caps and counts around it;
 * the coset weight of a syndrome as an integer program (d = 2), the
   reference of the weight searches past the weights they exhaust;
 * the classical contrast: parity codes on a bipartite graph and the
@@ -39,11 +42,12 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from qltc import search
 from qltc.attacks import SoundnessProfile
 from qltc.dense import TOL, _act, _check_cap, _energy, _system
 from qltc.fieldmath import field_width, residue_dtype, residues
 from qltc.graphs import BipartiteGraph
-from qltc.pauli import PauliOp
+from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.search import Sites
 from qltc.stabilizer import StabilizerCode
 from qltc.zoo import toric_edge_indices
@@ -310,6 +314,115 @@ def group_contains(code: StabilizerCode, e: PauliOp) -> GroupMembership:
     if dphase == 0:
         return GroupMembership("member", c, 0)
     return GroupMembership("phase_mismatch", c, dphase)
+
+
+# --- the dense-image join: the oracle of search's keyed join -----------------
+
+def image_dtype(d: int) -> np.dtype:
+    """Least unsigned type that holds 2d, so a sum of two images below d never wraps."""
+    return np.min_scalar_type(2 * d)
+
+
+def site_images(sites: Sites, d: int, symbols) -> np.ndarray:
+    """Image of the weight-1 word with symbol j at qudit q under a map, at row q*s + j,
+    as one residue a row of the map: the rows search.site_keys packs."""
+    m, n = sites.shape[0], sites.shape[1] // 2
+    sym = np.array(symbols, dtype=np.int64)
+    out = np.zeros((n, len(sym), m), dtype=image_dtype(d))
+    out[sites.qudit[:, None], np.arange(len(sym)), sites.row[:, None]] = (
+        np.outer(sites.x, sym[:, 0]) + np.outer(sites.z, sym[:, 1])) % d
+    return out.reshape(n * len(sym), m)
+
+
+def _image_rows(a: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one opaque value, ordered as bytes."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
+
+
+def _wrap(x: np.ndarray, d: int) -> None:
+    """x mod d in place, for unsigned x in [0, 2d): when x < d the unsigned
+    x - d wraps to at least d + 1 > x, so min(x, x - d) is x mod d."""
+    np.minimum(x, x - d, out=x)
+
+
+def _images(words: np.ndarray, images: np.ndarray, d: int) -> np.ndarray:
+    """Image rows of words given as site indices, reduced mod d after each add."""
+    if not words.shape[1]:
+        return np.zeros((words.shape[0], images.shape[1]), dtype=images.dtype)
+    out = images[words[:, 0]]
+    for col in words.T[1:]:
+        out += images[col]
+        _wrap(out, d)
+    return out
+
+
+def python_keys(rows: np.ndarray, w: int) -> list[list[int]]:
+    """Key words of rows of residues, one Python int a 32-bit half: the
+    reference of search's key layout (w bits a residue, 32 // w residues a
+    half, at least two halves, an even number)."""
+    e = 32 // w
+    halves = max(1, -(-rows.shape[1] // e))
+    halves += halves % 2
+    out = []
+    for row in np.asarray(rows).tolist():
+        fields = [sum(v << (w * i) for i, v in enumerate(row[h * e: (h + 1) * e]))
+                  for h in range(halves)]
+        out.append([fields[j] | fields[j + 1] << 32 for j in range(0, halves, 2)])
+    return out
+
+
+def dense_meet(n, d, s, a, b, images, nz_images, target):
+    """The join on dense image rows, one residue a byte or two: site indices
+    of a solution of weight <= a + b, or None."""
+    words_b = search._half_table(n, s, b)
+    need = _images(words_b, images, d)
+    np.subtract(target + d, need, out=need)
+    _wrap(need, d)
+    order = np.argsort(_image_rows(need), kind="stable")
+    need = _image_rows(need)[order]
+    words_b = words_b[order]
+    words_a = words_b if a == b else search._half_table(n, s, a)
+    probe = _image_rows(_images(words_a, images, d))
+    j = np.searchsorted(need, probe)
+    np.minimum(j, need.size - 1, out=j)
+    hits = np.flatnonzero(need[j] == probe)
+    if nz_images is not None:
+        pairs = np.concatenate([words_a[hits], words_b[j[hits]]], axis=1)
+        hits = hits[_images(pairs, nz_images, d).any(axis=1)]
+    if not hits.size:
+        return None
+    return np.concatenate([words_a[hits[0]], words_b[j[hits[0]]]])
+
+
+def dense_min_weight_vector(n, d, w_max, matrix: Sites, target, nonzero: Sites | None = None,
+                            budget=None, symbol_sets=(None,)) -> search.SearchResult:
+    """search.min_weight_vector on dense_meet: the same weights, caps and counts."""
+    target = np.asarray(target).astype(np.int64) % d
+    rows = target.size + (0 if nonzero is None else nonzero.shape[0])
+    row_bytes = image_dtype(d).itemsize * rows
+    target = target.astype(image_dtype(d))
+    sets = [nonidentity_symbols(d) if sym is None else list(sym) for sym in symbol_sets]
+    tested = 0
+    for w in range(1, min(w_max, n) + 1):
+        a, b = (w + 1) // 2, w // 2
+        for symbols in sets:
+            size_a = search.candidates_at_weight(n, d, a, symbols)
+            need = size_a + (search.candidates_at_weight(n, d, b, symbols) if b != a else 0)
+            over_budget = budget is not None and tested + need > budget
+            if over_budget or search._join_bytes(size_a, a, b, row_bytes) > search.HALF_TABLE_BYTES:
+                return search.SearchResult(None, None, w - 1, tested, True)
+            tested += need
+            images = [None if f is None else site_images(f, d, symbols) for f in (matrix, nonzero)]
+            sites = dense_meet(n, d, len(symbols), a, b, *images, target)
+            if sites is not None:
+                v = np.zeros(2 * n, dtype=np.int64)
+                for r in sites:
+                    q, j = divmod(int(r), len(symbols))
+                    v[q] += symbols[j][0]
+                    v[q + n] += symbols[j][1]
+                return search.SearchResult(w, v % d, w - 1, tested, False)
+    return search.SearchResult(None, None, w_max, tested, False)
 
 
 # --- coset weight by integer program -----------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qltc
-from qltc import attacks, zoo
+from qltc import attacks, search, zoo
 from qltc.attacks import (
     IslandTrialStats,
     NotAnErrorError,
@@ -39,6 +39,7 @@ from helpers import (
     ilp_coset_weight,
     kernel,
     paired_circulant_matrix,
+    python_keys,
     r_at_coset_weight,
     random_open_path,
     regular_circulant_matrix,
@@ -892,29 +893,17 @@ def test_profile_keys_of_several_words(L, d, cap):
     # m = 72 one-bit fields (32 a half) or m = 32 three-bit fields (10 a half):
     # four 32-bit halves, so two uint64 words a key
     code = toric_code(L, d)
-    assert attacks._key_powers(code.m, d).shape[1] == 4
+    assert search.key_powers(code.m, (d - 1).bit_length()).shape[1] == 4
     assert _profile_facts(soundness_profile(code, cap)) == _profile_oracle(code, cap)
-
-
-def _packed_keys(syn, d):
-    """The keys of _key_powers as uint64 words, one row at a time in Python ints."""
-    b = (d - 1).bit_length()
-    e = 32 // b
-    halves = -(-syn.shape[1] // e)
-    halves += halves % 2
-    out = []
-    for row in syn.tolist():
-        fields = [sum(v << (b * i) for i, v in enumerate(row[h * e: (h + 1) * e]))
-                  for h in range(halves)]
-        out.append([fields[j] | fields[j + 1] << 32 for j in range(0, halves, 2)])
-    return out
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 131])
 def test_key_fields_pack_the_residues_and_count_the_penalty(d):
-    # b = (d - 1).bit_length() bits a residue, 32 // b residues a 32-bit half;
-    # m spans three halves and one digit, padded to four halves: two words
-    e = 32 // (d - 1).bit_length()
+    # the profile's keys: b = (d - 1).bit_length() bits a residue, no guard
+    # bit, 32 // b residues a 32-bit half; m spans three halves and one field,
+    # padded to four halves: two words
+    b = (d - 1).bit_length()
+    e = 32 // b
     rng = np.random.default_rng(d)
     m = 3 * e + 1
     syn = rng.integers(d, size=(40, m)).astype(residue_dtype(d))
@@ -922,19 +911,19 @@ def test_key_fields_pack_the_residues_and_count_the_penalty(d):
     syn[1] = 0
     syn[2:8] = syn[8:14]  # equal rows
     syn[14:20] *= rng.random((6, m)) < 0.2  # sparse rows: most fields zero
-    powers = attacks._key_powers(m, d)
+    powers = search.key_powers(m, b)
     assert powers.shape == (m, 4) and powers.dtype == np.float64
-    keys = attacks._keys(syn, powers)
-    assert keys.view(np.uint64).reshape(len(syn), 2).tolist() == _packed_keys(syn, d)
+    keys = search.row_keys(syn, powers)
+    assert keys.view(np.uint64).reshape(len(syn), 2).tolist() == python_keys(syn, b)
     assert (keys[2:8] == keys[8:14]).all()
     assert len(np.unique(keys)) == len({tuple(row) for row in syn.tolist()})
     counted = np.count_nonzero(syn, axis=1)
-    assert attacks._key_weights(keys, d).tolist() == counted.tolist()
+    assert search.key_weights(keys, b).tolist() == counted.tolist()
     assert counted[0] == m and counted[1] == 0
     # one word a key: e residues fill one half, padded to two
-    single = attacks._keys(syn[:, :e], attacks._key_powers(e, d))
-    assert single.dtype == np.uint64 and single.tolist() == [w for w, in _packed_keys(syn[:, :e], d)]
-    assert attacks._key_weights(single, d).tolist() == np.count_nonzero(syn[:, :e], axis=1).tolist()
+    single = search.row_keys(syn[:, :e], search.key_powers(e, b))
+    assert single.dtype == np.uint64 and single.tolist() == [w for w, in python_keys(syn[:, :e], b)]
+    assert search.key_weights(single, b).tolist() == np.count_nonzero(syn[:, :e], axis=1).tolist()
 
 
 def test_profile_stops_once_every_syndrome_is_seen(monkeypatch):

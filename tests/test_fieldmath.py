@@ -364,6 +364,26 @@ def test_modmul_float64_at_the_largest_prime():
     assert fm.residue_dtype(p) == np.uint16
 
 
+@pytest.mark.parametrize("p", [2, 5, 251, 257, 65521])
+def test_residues_of_an_unsigned_matrix(p):
+    # an unsigned matrix in the residue type comes back as it is, no copy,
+    # when every entry is below p, and is reduced when one is not; it is
+    # never scanned for a negative entry
+    dtype = fm.residue_dtype(p)
+    rng = np.random.default_rng(p)
+    mat = rng.integers(p, size=(7, 12)).astype(dtype)
+    mat[0, 0] = p - 1
+    assert fm.residues(mat, p, dtype) is mat
+    wide = mat.copy()
+    wide[3, 5] = np.iinfo(dtype).max  # past p - 1
+    wide[4, 1] = p
+    got = fm.residues(wide, p, dtype)
+    assert got is not wide and got.dtype == dtype
+    assert np.array_equal(got, wide.astype(np.int64) % p)
+    # signed input still reduces its negative entries
+    assert np.array_equal(fm.residues(-mat.astype(np.int64), p, dtype), (-mat.astype(np.int64)) % p)
+
+
 def test_check_prime_refuses_primes_past_the_layout():
     # residues are held in uint8 or uint16, and the bound is tested before
     # the trial division, which would run for long on 10**18 + 3

@@ -25,7 +25,8 @@ from qltc.search import Sites
 from qltc.cli import main
 from qltc.stabilizer import BoundedWeight, StabilizerCode, build_code
 from helpers import (
-    consistent_phases, kernel, paired_circulant_matrix, regular_circulant_matrix, rref_int64,
+    consistent_phases, kernel, paired_circulant_matrix, python_keys, regular_circulant_matrix,
+    rref_int64,
 )
 from test_search import dense_site_images
 
@@ -187,13 +188,13 @@ def test_narrow_layout_matches_int64_path(case):
     assert np.array_equal(code.rowspace.contains_batch(tested),
                           in_span[np.r_[: len(members), len(members) + len(words) : len(batch)]])
 
-    # the scattered site images against the dense ones, on a sample of symbols
+    # the scattered site keys against the dense images packed, on a sample of symbols
     symbols = nonidentity_symbols(d)
     if len(symbols) > 60:
         symbols = [symbols[i] for i in sorted(rng.choice(len(symbols), 60, replace=False))]
-    dense = dense_site_images(syndrome64, n, d, symbols)
-    assert np.array_equal(search.site_images(code._syndrome_map, d, symbols), dense)
-    assert np.array_equal(search.site_images(Sites.of(code.syndrome_matrix), d, symbols), dense)
+    dense = python_keys(dense_site_images(syndrome64, n, d, symbols), fieldmath.field_width(d))
+    assert search.site_keys(code._syndrome_map, d, symbols).tolist() == dense
+    assert search.site_keys(Sites.of(code.syndrome_matrix), d, symbols).tolist() == dense
 
     # alphabet violation counts: (g.x mz - g.z mx) at each chosen qudit, in int64
     try:

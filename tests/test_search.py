@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qltc import search, stabilizer
+from qltc.fieldmath import field_width, residue_dtype
 from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.search import (
     BATCH_ROWS,
@@ -16,11 +17,10 @@ from qltc.search import (
     min_weight_vector,
     modmul,
     pure_symbols,
-    site_images,
 )
 from qltc.stabilizer import BoundedWeight
 from qltc.zoo import steane_code, toric_code
-from helpers import kernel
+from helpers import dense_min_weight_vector, image_dtype, kernel, python_keys, site_images
 from test_stabilizer import five_qubit_code
 
 
@@ -162,20 +162,118 @@ def test_kernel_matches_dense_sweep_past_one_byte(d, w_max):
         check_witness(res, n, d, matrix, target, None, (None,))
 
 
-@pytest.mark.parametrize("d", [2, 3, 127, 131])
-def test_image_sums_wrap_exactly_at_dtype_edges(d):
-    # 127 is the last prime whose images are one byte, 131 the first in two
-    dtype = search._image_dtype(d)
-    assert dtype == (np.uint8 if d <= 127 else np.uint16)
-    x, y = (r.ravel() for r in np.meshgrid(np.arange(d), np.arange(d)))
-    # site image r is the residue r, so the word (x, y) has image x + y
-    images = np.arange(d, dtype=dtype).reshape(d, 1)
-    words = np.stack([x, y], axis=1).astype(np.int32)
-    assert np.array_equal(search._images(words, images, d)[:, 0], (x + y) % d)
-    # what a probe needs from its partner: target x minus image y
-    need = x.astype(dtype) + d - y.astype(dtype)
-    search._wrap(need, d)
-    assert np.array_equal(need, (x - y) % d)
+# --- keys: the layout and its SWAR sums against Python ints ----------------
+
+@st.composite
+def key_rows(draw, d):
+    """Three stacks of rows of m residues mod d, each entry 0, 1, d - 1 or any
+    residue; m gives keys of one word or several, and puts fields on both
+    sides of a 32-bit half boundary from m = e + 1 (e fields a half) up."""
+    e = 32 // field_width(d)
+    m = draw(st.sampled_from([1, e, e + 1, 2 * e, 2 * e + 1, 4 * e + 1]) | st.integers(1, 6 * e))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = np.array([0, 1, d - 1])
+    rows = []
+    for _ in range(3):
+        r = rng.integers(d, size=(8, m))
+        r = np.where(rng.random((8, m)) < 0.5, edges[rng.integers(3, size=(8, m))], r)
+        r[0], r[1] = 0, d - 1  # every field empty, every field full
+        rows.append(r.astype(residue_dtype(d)))
+    return rows
+
+
+def dense_words(rows, d):
+    """Key words of rows of residues by the profile's product, at the join's width."""
+    keys = search.row_keys(rows, search.key_powers(rows.shape[1], field_width(d)))
+    return keys.view(np.uint64).reshape(len(rows), -1)
+
+
+def sparse_words(rows, d):
+    """Key words of rows of residues by the join's placement of nonzero entries."""
+    r, c = np.nonzero(rows)
+    return search._packed(r, c, rows[r, c].astype(np.int64), len(rows), rows.shape[1],
+                          field_width(d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 127, 257, 65521])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_key_sums_are_residue_sums_field_by_field(d, data):
+    # a sum of two residues reaches 2d - 2 and t + d - v reaches 2d - 1 in a
+    # field: the guard bit holds both, and one reduction brings them below d
+    u, v, t = data.draw(key_rows(d))
+    m = u.shape[1]
+    words = [dense_words(r, d) for r in (u, v, t)]
+    for r, ku in zip((u, v, t), words):
+        assert ku.dtype == np.uint64 and ku.tolist() == python_keys(r, field_width(d))
+        assert np.array_equal(sparse_words(r, d), ku)
+    ku, kv, kt = words
+    assert (ku.shape[1] == 1) == (m <= 2 * (32 // field_width(d)))
+    counted = search.key_weights(search._as_keys(ku), field_width(d))
+    assert counted.tolist() == np.count_nonzero(u, axis=1).tolist()
+    u64, v64, t64 = (r.astype(np.int64) for r in (u, v, t))
+    total = ku.copy()
+    search._key_add(total, kv, d)
+    assert total.tolist() == python_keys((u64 + v64) % d, field_width(d))
+    diff = kv.copy()
+    search._key_sub(kt[3], diff, d)  # one target against every row, as the join's need
+    assert diff.tolist() == python_keys((t64[3] - v64) % d, field_width(d))
+    negated = kv.copy()
+    search._key_sub(np.zeros(kv.shape[1], dtype=np.uint64), negated, d)
+    assert negated.tolist() == python_keys(-v64 % d, field_width(d))
+    # a word's key is the sum of its sites' keys
+    words_of = np.array([[0, 1, 2], [1, 1, 1], [7, 0, 3]], dtype=np.int32)
+    summed = search._key_sum(words_of, kv, d)
+    assert summed.tolist() == python_keys(v64[words_of].sum(axis=1) % d, field_width(d))
+
+
+# --- the keyed join against the dense-image join ----------------------------
+
+@st.composite
+def join_searches(draw):
+    """A search both joins run: m up to 90 rows of rank at most 3, so words of
+    zero image exist, and a target from a random word or zero with a filter."""
+    d = draw(st.sampled_from([2, 3, 5, 257]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 6))
+    x, z = pure_symbols(d, "x"), pure_symbols(d, "z")
+    choices = [(x,), (z,), (x, z)] if d == 257 else [(None,), (x,), (x, z)]
+    symbol_sets = choices[rng.integers(len(choices))]
+    w_max = {2: 4, 3: 4, 5: 3, 257: 2}[d]
+
+    def low_rank(rows):
+        mat = rng.integers(d, size=(rows, 3)) @ rng.integers(d, size=(3, 2 * n)) % d
+        return mat * (rng.random((rows, 1)) < 0.8)
+
+    matrix = low_rank(draw(st.integers(1, 90)))
+    v0 = np.zeros(2 * n, dtype=np.int64)
+    supp = rng.choice(n, size=int(rng.integers(1, min(n, w_max + 1) + 1)), replace=False)
+    syms = np.array(symbol_sets[rng.integers(len(symbol_sets))] or nonidentity_symbols(d))
+    syms = syms[rng.integers(len(syms), size=supp.size)]
+    v0[supp], v0[supp + n] = syms[:, 0], syms[:, 1]
+    target = modmul(matrix, v0, d)
+    nonzero = None
+    if draw(st.booleans()) or not target.any():
+        target[:] = 0
+        nonzero = low_rank(draw(st.integers(1, 70)))
+    budget = draw(st.none() | st.integers(0, 3000))
+    return n, d, w_max, matrix, target, nonzero, symbol_sets, budget
+
+
+@given(join_searches())
+@settings(max_examples=150, deadline=None)
+def test_keyed_join_matches_dense_join(case):
+    # the same found weight, witness, count and stop as the join on image rows
+    n, d, w_max, matrix, target, nonzero, symbol_sets, budget = case
+    args = (n, d, w_max, Sites.of(matrix), target)
+    kwargs = dict(nonzero=sites_of(nonzero), budget=budget, symbol_sets=symbol_sets)
+    got, ref = min_weight_vector(*args, **kwargs), dense_min_weight_vector(*args, **kwargs)
+    assert (got.found_weight, got.exhausted_weight, got.candidates_tested, got.budget_hit) == (
+        ref.found_weight, ref.exhausted_weight, ref.candidates_tested, ref.budget_hit)
+    assert (got.vector is None) == (ref.vector is None)
+    if got.vector is not None:
+        assert np.array_equal(got.vector, ref.vector)
+        check_witness(got, n, d, matrix, target, nonzero, symbol_sets)
 
 
 def test_distance_past_one_byte():
@@ -403,6 +501,16 @@ def test_candidates_tested_counts_half_tables():
     assert far.candidates_tested == half_table_words(c.n, 3, 1) + half_table_words(c.n, 3, 2)
 
 
+def test_a_search_builds_each_half_table_once(monkeypatch):
+    # toric:5 distance runs two sets of one symbol each up to weight 5: the
+    # half tables of weight 0 to 3, each built once for both sets
+    built = []
+    words = search._words
+    monkeypatch.setattr(search, "_words", lambda n, s, h: built.append((s, h)) or words(n, s, h))
+    assert toric_code(5).code_distance() == BoundedWeight.exactly(5)
+    assert sorted(built) == [(1, 0), (1, 1), (1, 2), (1, 3)]
+
+
 def test_budget_stops_before_a_weight_it_cannot_pay_for():
     c = toric_code(3)
     full = half_table_words(c.n, 3, 1) + half_table_words(c.n, 3, 2)
@@ -428,7 +536,7 @@ def test_half_table_cap_is_a_budget_hit(monkeypatch):
 
 def dense_site_images(matrix, n, d, symbols):
     """Image of the weight-1 word with symbol j at qudit q, at row q*s + j: one modmul a qudit."""
-    out = np.empty((n, len(symbols), matrix.shape[0]), dtype=search._image_dtype(d))
+    out = np.empty((n, len(symbols), matrix.shape[0]), dtype=image_dtype(d))
     sym = np.array(symbols, dtype=np.int64)
     for q in range(n):
         out[q] = modmul(sym, matrix[:, [q, q + n]].T, d)
@@ -468,8 +576,10 @@ def test_scattered_site_images_match_dense(case):
     assert list(zip(sites.row.tolist(), sites.qudit.tolist())) == expected
     assert sites.first.tolist() == [sites.qudit.tolist().index(q) for q in sites.qudit.tolist()]
     images = site_images(sites, d, symbols)
-    assert images.dtype == search._image_dtype(d)
+    assert images.dtype == image_dtype(d)
     assert np.array_equal(images, dense_site_images(matrix, n, d, symbols))
+    # the join's site keys pack those rows
+    assert search.site_keys(sites, d, symbols).tolist() == python_keys(images, field_width(d))
 
 
 def test_join_bytes_bound_the_join():
@@ -478,11 +588,12 @@ def test_join_bytes_bound_the_join():
     c = toric_code(5)
     symbols = nonidentity_symbols(2)
     null = kernel(c.symplectic_matrix, c.d)
-    images = [site_images(Sites.of(m), 2, symbols) for m in (c.syndrome_matrix, null)]
-    target = np.zeros(c.m, dtype=search._image_dtype(2))
+    keys = [search.site_keys(Sites.of(m), 2, symbols) for m in (c.syndrome_matrix, null)]
+    target = np.zeros(keys[0].shape[1], dtype=np.uint64)
     tracemalloc.start()
     try:
-        search._meet(c.n, 2, 3, 2, 2, *images, target)
+        table = search._half_table(c.n, 3, 2)
+        search._meet(2, table, table, *keys, target)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
