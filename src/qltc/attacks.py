@@ -169,12 +169,15 @@ def evaluate_r(
 ) -> AttackReport:
     """Measure penalty, coset weights and r for one error.
 
-    budget caps the weight-modulo-centralizer search (which sets delta).
-    The weight modulo the group does not enter r and is reported without
-    a search as the certified interval [1, wt(E)], exact when wt(E) = 1:
-    a nonzero penalty puts E outside Z(G), which holds A(G), so no F with
-    F*E^{-1} in A(G) has weight 0.  It is what
-    code.wt_mod_group(e, budget=0) reports for such an E.
+    Only E's syndrome is read, so the code's row space is not built.  The
+    weight modulo the centralizer (which sets delta) is exact with no
+    search when the packing of E's violated generators reaches wt(E);
+    otherwise budget caps its search.  The weight modulo the group does
+    not enter r and is reported without a search as the certified
+    interval [1, wt(E)], exact when wt(E) = 1: a nonzero penalty puts E
+    outside Z(G), which holds A(G), so no F with F*E^{-1} in A(G) has
+    weight 0.  It is what code.wt_mod_group(e, budget=0) reports for
+    such an E.
     """
     if e.is_identity(up_to_phase=True):
         raise NotAnErrorError("identity operator")

@@ -37,7 +37,6 @@ a search builds each half table once.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -69,12 +68,30 @@ def _words(n: int, s: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     symbol indices below s, one int32 row each, both lexicographic; the
     words run as each support with each choice, supports outermost.
     """
-    c = math.comb(n, h)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), h))
-    supports = np.fromiter(flat, dtype=np.int32, count=c * h).reshape(c, h)
+    supports = _subsets(n, h)
     # a C-ordered copy: the half table's broadcast add reads it about 1.5x faster
     choices = np.ascontiguousarray(np.indices((s,) * h, dtype=np.int32).reshape(h, s**h).T)
     return supports, choices
+
+
+def _subsets(n: int, h: int) -> np.ndarray:
+    """Every h-subset of range(n), one ascending int32 row each, in lexicographic order.
+
+    Built one column at a time: a row whose last entry is a is repeated
+    once for each next entry in (a, n - h + c] (c the new column's index),
+    and the new column counts up from a + 1 along each row's repeats.
+    """
+    rows = np.zeros((1, 0), dtype=np.int32)  # the empty subset
+    last = np.full(1, -1)
+    for c in range(h):
+        counts = np.maximum(n - h + c - last, 0)
+        total = int(counts.sum())
+        starts = np.cumsum(counts) - counts
+        # along a row's repeats: a + 1, a + 2, ..., as the position less its start
+        last = np.arange(total) - np.repeat(starts - last - 1, counts)
+        rows = np.concatenate([np.repeat(rows, counts, axis=0), last[:, None]], axis=1,
+                              dtype=np.int32)
+    return rows
 
 
 def candidate_batches(

@@ -13,10 +13,17 @@ not UTF-8 JSON or holds a malformed generator.  Every check runs on the
 matrix's nonzero (generator, qudit) sites, so for k-local generators it
 costs time in proportion to those sites, not to m x m or m x n.  The
 matrix and the 2k' logicals of its row space (fieldmath.RowSpace, k' =
-n - rank) are held in the least unsigned type for d (uint8 below 256);
-the build checks exactly, on the sites, that every logical has zero
-product with every generator, and raises ValueError (an internal fault,
-not bad input) if one has not.  The code holds its syndrome map, rows
+n - rank) are held in the least unsigned type for d (uint8 below 256).
+The row space is built on its first read, and the build reads it at once
+only when a product of generators could be a scalar other than 1: when
+some phase is nonzero or some generator has both x and z entries.  A CSS
+code with zero phases has no such product (pure-x rows multiply to pure-x
+rows of phase 0, and likewise for z), so its elimination waits for the
+first reader of rank, the logicals or membership; a job that reads only
+syndromes (an attack) never eliminates.  Wherever it is built, the row
+space is checked exactly, on the sites, that every logical has zero
+product with every generator, and ValueError (an internal fault, not bad
+input) is raised if one has not.  The code holds its syndrome map, rows
 (z | -x), as search.Sites, and this is the one place that writes that
 layout: single syndromes, penalties and the searches read those sites,
 and the dense syndrome_matrix that batch products read is scattered from
@@ -28,7 +35,11 @@ one image on each coset of A(G).  Weight modulo the group, weight modulo
 the centralizer, distance and succinctness are each one call of
 search.min_weight_vector: the least weight of v with A v = t, where A
 is the syndrome map or _group_map (the distance filters by the
-logicals), with certified intervals when the budget runs out.
+logicals), with certified intervals when the budget runs out.  The
+weight modulo the centralizer first packs E's violated generators
+(_packing): any word with E's syndrome acts on each of a set of violated
+generators with pairwise disjoint supports, so their number is a lower
+bound, which certifies wt(E) with no search when the two are equal.
 Membership for weight purposes is scalar-insensitive (a member up to a
 root-of-unity counts), since weight and commutation are phase-blind.
 """
@@ -115,7 +126,10 @@ class BoundedWeight:
 class StabilizerCode:
     """Validated stabilizer code with cached symplectic data.
 
-    Immutable after construction; safe to share across workers.
+    Immutable after construction, apart from views cached on their first
+    read (rowspace, syndrome_matrix, generators, _group_map), each a
+    function of the validated matrix and phases, so two workers that read
+    one at once build the same value; safe to share across workers.
     """
 
     def __init__(
@@ -169,11 +183,27 @@ class StabilizerCode:
             warnings.warn(f"irregular left degrees {degrees}", stacklevel=2)
 
         self._check_trivial_qudits()
+        self._check_odd_x_dot_z()
+        if self._phases.any() or not self.is_css():
+            self.rowspace  # a product of generators may be a scalar other than 1: find it now
 
-        self.rowspace = RowSpace(self.symplectic_matrix, self.d, self._phases)
-        self.rank = self.rowspace.rank
-        self._check_phase_obstruction()
-        self._check_logicals()
+    @functools.cached_property
+    def rowspace(self) -> RowSpace:
+        """The row space of the generators, from one elimination on first read.
+
+        Raises PhaseObstructionError when a product of generators is a
+        scalar other than 1, and ValueError (an internal fault) unless every
+        logical has zero product with every generator.
+        """
+        rowspace = RowSpace(self.symplectic_matrix, self.d, self._phases)
+        if rowspace.obstruction is not None:
+            raise PhaseObstructionError(rowspace.obstruction)
+        self._check_logicals(rowspace.logicals)
+        return rowspace
+
+    @property
+    def rank(self) -> int:
+        return self.rowspace.rank
 
     @functools.cached_property
     def syndrome_matrix(self) -> np.ndarray:
@@ -232,7 +262,7 @@ class StabilizerCode:
         if not ok.all():
             raise TrivialQuditError(int(np.argmin(ok)))
 
-    def _check_phase_obstruction(self):
+    def _check_odd_x_dot_z(self):
         # g^d = w^{-C(d, 2) x.z} I, and C(d, 2) = 0 mod every odd d: so only at
         # d = 2 can a generator be a root of -I, when x.z is odd
         if self.d == 2:
@@ -240,18 +270,16 @@ class StabilizerCode:
             odd = np.flatnonzero(np.bincount(s.row, weights=s.x & s.z, minlength=self.m) % 2)
             if odd.size:
                 raise PhaseObstructionError(int(odd[0]))
-        if self.rowspace.obstruction is not None:
-            raise PhaseObstructionError(self.rowspace.obstruction)
 
-    def _check_logicals(self):
+    def _check_logicals(self, logicals: np.ndarray):
         """Raise ValueError unless every logical has zero product with every generator.
 
         Summed over the sites, 64 logicals at a time; with the Gram matrix
         [[0, -I], [I, 0]] that RowSpace checks, this certifies the logicals.
         """
         s, m = self._sites, self.m
-        for lo in range(0, len(self.rowspace.logicals), 64):
-            w = self.rowspace.logicals[lo : lo + 64]
+        for lo in range(0, len(logicals), 64):
+            w = logicals[lo : lo + 64]
             terms = s.x * np.take(w, s.qudit, axis=1) + s.z * np.take(w, s.qudit + self.n, axis=1)
             at = s.row + m * np.arange(len(w))[:, None]
             bad = np.flatnonzero(np.bincount(at.ravel(), terms.ravel(), len(w) * m) % self.d)
@@ -295,17 +323,41 @@ class StabilizerCode:
     def wt_mod_centralizer(self, e: PauliOp, budget: int | None = None) -> BoundedWeight:
         """min weight of any Pauli with the same syndrome as E.
 
-        F is in E*Z(G) iff syndrome(F) == syndrome(E); the search is capped
-        at wt(E)-1 (E itself certifies the top).
+        F is in E*Z(G) iff syndrome(F) == syndrome(E).  E itself certifies
+        the top, and the packing of E's violated generators the bottom: when
+        the two meet, wt(E) is exact with no search.  Otherwise the search,
+        capped at wt(E)-1, runs, and its low end is raised to the packing.
         """
         target = self.syndrome(e)
         if not np.any(target):
             return BoundedWeight.exactly(0)
         w_e = e.weight()
+        packed = self._packing(target)
+        if packed == w_e:
+            return BoundedWeight.exactly(w_e)
         res = min_weight_vector(
             self.n, self.d, w_e - 1, self._syndrome_map, target, budget=budget
         )
-        return self._bounded_from_search(res, w_e)
+        found = self._bounded_from_search(res, w_e)
+        return BoundedWeight(max(found.low, packed), found.high)
+
+    def _packing(self, syndrome: np.ndarray) -> int:
+        """Size of a set of violated generators with pairwise disjoint supports.
+
+        The violated generators are walked in index order, and each one whose
+        support misses the supports kept so far is kept.  A word with this
+        syndrome acts on some qudit of every kept support, so its weight is at
+        least their number.
+        """
+        used = bytearray(self.n)
+        kept = 0
+        for g in np.flatnonzero(syndrome).tolist():
+            support = self.graph.right_adj[g]
+            if not any(used[q] for q in support):
+                for q in support:
+                    used[q] = 1
+                kept += 1
+        return kept
 
     def wt_mod_group(self, e: PauliOp, budget: int | None = None) -> BoundedWeight:
         """min weight of F with F*E^{-1} in A(G), scalar-insensitive.
@@ -334,9 +386,12 @@ class StabilizerCode:
 
     # --- distance & succinctness ---------------------------------------
     def is_css(self) -> bool:
-        gx = self.symplectic_matrix[:, : self.n]
-        gz = self.symplectic_matrix[:, self.n :]
-        return not np.any(gx.any(axis=1) & gz.any(axis=1))
+        """True iff no generator has both x and z entries, read off the sites."""
+        s = self._sites
+        has_x, has_z = np.zeros((2, self.m), dtype=bool)
+        has_x[s.row[s.x != 0]] = True
+        has_z[s.row[s.z != 0]] = True
+        return not np.any(has_x & has_z)
 
     def code_distance(self, budget: int | None = None, w_max: int | None = None) -> BoundedWeight:
         """Minimum weight of a logical: zero syndrome but outside the span.

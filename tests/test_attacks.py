@@ -178,16 +178,21 @@ def test_ilp_coset_weight_matches_exhaustive_enumeration_at_odd_d(d):
     _check_ilp_against_exhaustive(toric_code(3, d), 2, 4)
 
 
-@pytest.mark.parametrize("L, d", [(10, 2), (16, 2), (10, 3), (16, 3), (10, 5)],
-                         ids=["10", "16", "10:3", "16:3", "10:5"])
+@pytest.mark.parametrize("L, d", [(10, 2), (16, 2), (24, 2), (10, 3), (16, 3), (24, 3), (10, 5),
+                                  (16, 5)],
+                         ids=["10", "16", "24", "10:3", "16:3", "24:3", "10:5", "16:5"])
 @pytest.mark.parametrize("attack", [expander_attack, alphabet_attack])
 def test_reported_coset_weight_interval_holds_the_ilp_value(L, d, attack):
+    # the packing of violated checks reaches wt(E) on every row, so the
+    # reported weight is exact, where the join alone stops at weight 3
     code = toric_code(L, d)
     report = attack(code, 0.05, seed=1)
-    exact = ilp_coset_weight(code, code.syndrome(report.error))
+    syndrome = code.syndrome(report.error)
+    exact = ilp_coset_weight(code, syndrome)
     bounds = report.wt_mod_centralizer
     assert bounds.low <= exact <= bounds.high
-    assert exact == {10: 8, 16: 22}[L] == report.weight
+    assert exact == {10: 8, 16: 22, 24: 51}[L] == report.weight
+    assert code._packing(syndrome) == exact and bounds.exact
 
 
 # --- expander attack -------------------------------------------------------

@@ -219,9 +219,8 @@ def test_logicals_read_the_last_field_of_a_full_row(p, n):
             assert np.array_equal(rs.logicals, fm.RowSpace(rows, p).logicals)
 
 
-def test_a_build_makes_exactly_one_elimination(monkeypatch):
-    # the logicals are read off the build's one elimination, of the m x 2n
-    # matrix: no Gram matrix or other matrix is eliminated beside it
+def _rref_spy(monkeypatch):
+    """The shapes of the matrices fm.rref is called on from now, in call order."""
     shapes = []
     real = fm.rref
 
@@ -230,6 +229,14 @@ def test_a_build_makes_exactly_one_elimination(monkeypatch):
         return real(mat, p, phases)
 
     monkeypatch.setattr(fm, "rref", spy)
+    return shapes
+
+
+def test_a_build_makes_exactly_one_elimination(monkeypatch):
+    # the logicals are read off the build's one elimination, of the m x 2n
+    # matrix: no Gram matrix or other matrix is eliminated beside it.  These
+    # CSS codes of zero phases eliminate when their row space is first read
+    shapes = _rref_spy(monkeypatch)
     h = helpers.paired_circulant_matrix(40)
     for build in (lambda: zoo.toric_code(4), lambda: zoo.toric_code(3, 3),
                   lambda: zoo.css_hypergraph_product(h, h, strict_degree=False)):
@@ -237,7 +244,109 @@ def test_a_build_makes_exactly_one_elimination(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code = build()
+        code.rank
         assert shapes == [(code.m, 2 * code.n)]
+
+
+# --- when the elimination runs ------------------------------------------------
+
+@st.composite
+def css_generator_sets(draw):
+    """Commuting pure-x and pure-z rows over d in {2, 3, 5}, with dependent rows:
+    more x rows than a row space of n columns holds, and z rows drawn from ker(x rows)."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    hx = rng.integers(d, size=(draw(st.integers(1, n + 2)), n))
+    hx *= rng.random((len(hx), 1)) < 0.8  # some zero rows
+    null = kernel(hx, d).astype(np.int64)
+    hz = rng.integers(d, size=(draw(st.integers(0, n + 2)), len(null))) @ null % d
+    rows = np.block([[hx, np.zeros_like(hx)], [np.zeros((len(hz), n), dtype=np.int64), hz]])
+    return rows[rng.permutation(len(rows))], d
+
+
+@given(css_generator_sets())
+@settings(max_examples=200, deadline=None)
+def test_css_rows_of_zero_phase_have_no_obstruction(case):
+    # why a CSS code of zero phases may defer its elimination: a product of
+    # pure-x rows is a pure-x row of phase 0, and likewise for z, so no
+    # product of generators is a scalar other than 1
+    rows, d = case
+    shapes = []
+    real = fm.rref
+
+    def spy(mat, p, phases=None):
+        shapes.append(mat.shape)
+        return real(mat, p, phases)
+
+    with mock.patch.object(fm, "rref", spy):
+        rs = fm.RowSpace(rows, d, np.zeros(len(rows), dtype=np.int64))
+    assert shapes == [rows.shape]
+    assert rs.obstruction is None
+
+
+@pytest.mark.parametrize("reader", ["rank", "logicals", "in_span", "code_distance",
+                                    "is_succinct", "wt_mod_group"])
+def test_a_css_build_of_zero_phases_eliminates_on_its_first_read(monkeypatch, reader):
+    shapes = _rref_spy(monkeypatch)
+    code = zoo.toric_code(4, 3)
+    e = PauliOp.single(code.n, 3, 5, 1, 2)
+    # what an attack reads: syndromes, penalties, the weight modulo the centralizer
+    code.syndrome(e), code.penalty(e), code.wt_mod_centralizer(e)
+    code.syndrome_batch(e.symplectic()[None])
+    assert shapes == []
+    readers = {
+        "rank": lambda: code.rank,
+        "logicals": lambda: code.rowspace.logicals,
+        "in_span": lambda: code.in_span(e.symplectic()),
+        "code_distance": lambda: code.code_distance(w_max=1),
+        "is_succinct": lambda: code.is_succinct(budget=0),
+        "wt_mod_group": lambda: code.wt_mod_group(e),
+    }
+    readers[reader]()
+    assert shapes == [(code.m, 2 * code.n)]
+    for read in readers.values():
+        read()
+    assert shapes == [(code.m, 2 * code.n)]
+
+
+@pytest.mark.parametrize("name", ["five-qubit", "phased-toric:3:3"])
+def test_codes_whose_products_may_be_scalars_eliminate_at_build(monkeypatch, tmp_path, name):
+    # the five-qubit code has generators with x and z entries, phased-toric:3:3
+    # nonzero phases: a product of their generators could be a scalar other than 1
+    source = _source(name, tmp_path)
+    shapes = _rref_spy(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = load_code(source)
+    assert shapes == [(code.m, 2 * code.n)]
+    code.rank
+    assert len(shapes) == 1
+
+
+def test_an_obstructed_phased_code_is_refused_by_the_build(monkeypatch, tmp_path, capsys):
+    # toric:3 with phase 1 (a sign at d = 2) on one star: the product of all
+    # the stars is then -I, which the build's elimination finds
+    gens = list(zoo.toric_code(3).generators)
+    gens[0] = PauliOp(2, gens[0].n, gens[0].x, gens[0].z, 1)
+    path = tmp_path / "obstructed.json"
+    path.write_text(json.dumps(_code_file(gens)))
+    shapes = _rref_spy(monkeypatch)
+    with pytest.raises(PhaseObstructionError):
+        StabilizerCode.load(path)
+    assert len(shapes) == 1
+    assert main(["build", str(path)]) == 1
+    assert "non-identity scalar" in capsys.readouterr().err
+
+
+def test_attack_jobs_make_no_elimination(monkeypatch, capsys):
+    shapes = _rref_spy(monkeypatch)
+    for attack in ("expander", "alphabet", "refined"):
+        assert main(["attack", "toric:8", attack, "--delta", "0.05", "--seed", "1"]) == 0
+        assert shapes == []
+    assert main(["build", "toric:8"]) == 0
+    assert shapes == [(128, 256)]
+    capsys.readouterr()
 
 
 # --- the matrix-first build against PauliOp-by-PauliOp validation ------------

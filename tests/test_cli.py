@@ -319,6 +319,18 @@ def test_attack_expander_with_csv(tmp_path, capsys):
         assert len(list(csv.DictReader(f))) == 2
 
 
+def test_attack_coset_weight_certified_by_the_packing(capsys):
+    # the search's join stops at weight 3 on toric:16; 22 disjoint violated
+    # checks certify the error's own weight as its coset weight
+    code, out, _ = run(capsys, "attack", "toric:16", "expander", "--delta", "0.05",
+                       "--seed", "1")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["report"]["wt_mod_centralizer"] == {"kind": "exact", "value": 22}
+    assert rep["report"]["r"] == {"kind": "exact", "value": 0.5}
+    assert rep["csv_row"]["r"] == 0.5 and rep["csv_row"]["bound_holds"] is True
+
+
 @pytest.mark.parametrize("argv", [
     ("attack", "toric:2:257", "expander", "--delta", "0.1", "--seed", "1"),
     ("analyze", "toric:2:257", "--distance"),

@@ -434,7 +434,10 @@ def error_near_two_checks(code, seed):
 @pytest.mark.parametrize("name", sorted(PINNED_CODES))
 def test_search_results_are_pinned(monkeypatch, name):
     # every SearchResult the queries get, witness included: a faster join
-    # must find the same word, test the same count and stop at the same weight
+    # must find the same word, test the same count and stop at the same weight.
+    # The packing of violated generators settles some weights modulo the
+    # centralizer with no search, so those pins run the search that query
+    # would make (the syndrome map, E's syndrome, cap wt(E) - 1) directly.
     code = PINNED_CODES[name]()
     seen = []
 
@@ -446,9 +449,10 @@ def test_search_results_are_pinned(monkeypatch, name):
     monkeypatch.setattr(stabilizer, "min_weight_vector", recorded)
     queries = {"code_distance": code.code_distance, "is_succinct": code.is_succinct,
                "code_distance:budget": lambda: code.code_distance(budget=3000)}
-    for seed in range(4):
-        e = error_near_two_checks(code, seed)
-        queries[f"wt_mod_centralizer:{seed}"] = lambda e=e: code.wt_mod_centralizer(e)
+    errors = [error_near_two_checks(code, seed) for seed in range(4)]
+    for seed, e in enumerate(errors):
+        queries[f"wt_mod_centralizer:{seed}"] = lambda e=e: recorded(
+            code.n, code.d, e.weight() - 1, code._syndrome_map, code.syndrome(e))
         queries[f"wt_mod_group:{seed}"] = lambda e=e: code.wt_mod_group(e)
     queries["wt_mod_group:budget"] = lambda e=e: code.wt_mod_group(e, budget=500)
     got = {}
@@ -461,6 +465,11 @@ def test_search_results_are_pinned(monkeypatch, name):
         got[query] = (res.found_weight, res.exhausted_weight, res.candidates_tested,
                       res.budget_hit, v)
     assert got == PINNED_SEARCHES[name]
+    for seed, e in enumerate(errors):
+        found, _, _, budget_hit, _ = PINNED_SEARCHES[name][f"wt_mod_centralizer:{seed}"]
+        assert not budget_hit
+        pinned = e.weight() if found is None else found
+        assert code.wt_mod_centralizer(e) == BoundedWeight.exactly(pinned)
 
 
 def test_join_partner_is_the_first_of_equal_images_in_the_half_table():
@@ -509,6 +518,22 @@ def test_a_search_builds_each_half_table_once(monkeypatch):
     monkeypatch.setattr(search, "_words", lambda n, s, h: built.append((s, h)) or words(n, s, h))
     assert toric_code(5).code_distance() == BoundedWeight.exactly(5)
     assert sorted(built) == [(1, 0), (1, 1), (1, 2), (1, 3)]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_subsets_are_the_combinations_in_their_order(data):
+    # the half tables pass h from 0 (weight 1's empty half) up, the batches
+    # the weights of the profile and the verifier: any h, also past n
+    n = data.draw(st.integers(0, 40))
+    h = data.draw(st.integers(0, n + 1).filter(lambda h: math.comb(n, h) <= 100_000))
+    supports, choices = search._words(n, 1, h)
+    c = math.comb(n, h)
+    expected = np.array(list(itertools.combinations(range(n), h)), dtype=np.int32)
+    assert supports.dtype == np.int32 and supports.flags.c_contiguous
+    assert supports.shape == (c, h)
+    assert np.array_equal(supports, expected.reshape(c, h))
+    assert choices.shape == (1, h)
 
 
 def test_budget_stops_before_a_weight_it_cannot_pay_for():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qltc.pauli import PauliOp
+from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.search import Sites, candidate_batches, min_weight_vector
 from qltc.stabilizer import (
     BoundedWeight,
@@ -22,6 +22,7 @@ from qltc.stabilizer import (
 from qltc.zoo import css_hypergraph_product, steane_code, toric_code
 from helpers import (
     commutes_with,
+    consistent_phases,
     group_contains,
     identity,
     inverse,
@@ -397,6 +398,75 @@ def test_wt_mod_group_target_on_the_support(monkeypatch):
     x[[0, 40, 300]] = 1
     assert c.wt_mod_group(PauliOp(2, c.n, x, np.zeros(c.n, dtype=np.int64), 0)).value == 3
     assert len(calls) == 1 and np.array_equal(calls[0], c.rowspace.logicals[:, [0, 40, 300]])
+
+
+# --- the packing of violated generators ---------------------------------------
+
+def _small_code(d, rng, css):
+    """toric:2 over d (at d = 2 also toric:3, the Steane or the five-qubit code) in random
+    qudit and generator orders.  Unless css, each qudit's (x, z) is mapped by a random
+    determinant-1 matrix, and the phases are set so that no relation among the generators
+    is a non-identity scalar."""
+    bases = [toric_code(2, d).symplectic_matrix]
+    if d == 2:
+        bases += [toric_code(3).symplectic_matrix, steane_code().symplectic_matrix,
+                  five_qubit_code().symplectic_matrix]
+    matrix = bases[int(rng.integers(len(bases)))].astype(np.int64)
+    n = matrix.shape[1] // 2
+    x, z = matrix[:, :n].copy(), matrix[:, n:].copy()
+    for q in range(0 if css else n):
+        if d == 2:  # the identity or the swap: x.z stays even, so no generator is a root of -I
+            a, b, c, e = ((1, 0, 0, 1), (0, 1, 1, 0))[int(rng.integers(2))]
+        else:
+            while True:  # a determinant-1 map keeps every symplectic product
+                a, b, c, e = rng.integers(d, size=4)
+                if (a * e - b * c) % d == 1:
+                    break
+        x[:, q], z[:, q] = (a * x[:, q] + b * z[:, q]) % d, (c * x[:, q] + e * z[:, q]) % d
+    perm = rng.permutation(n)
+    rows = np.concatenate([x[:, perm], z[:, perm]], axis=1)[rng.permutation(len(matrix))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the Steane and five-qubit codes are irregular
+        return StabilizerCode(d, rows, consistent_phases(rows, d), strict_degree=False)
+
+
+def exhaustive_wt_mod_centralizer(code, e):
+    """The least weight of a word with E's syndrome, every lighter word tried."""
+    target = code.syndrome(e)
+    if not target.any():
+        return 0
+    for w in range(1, e.weight()):
+        for batch in candidate_batches(code.n, code.d, w):
+            if np.any(np.all(code.syndrome_batch(batch) == target, axis=1)):
+                return w
+    return e.weight()
+
+
+@given(st.sampled_from([2, 3, 5]), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_packing_never_exceeds_the_exhaustive_coset_weight(d, css, seed):
+    rng = np.random.default_rng(seed)
+    code = _small_code(d, rng, css)
+    supp = rng.choice(code.n, size=int(rng.integers(1, {2: 4, 3: 4, 5: 3}[d] + 1)), replace=False)
+    syms = np.array(nonidentity_symbols(d))[rng.integers(d * d - 1, size=supp.size)]
+    x, z = np.zeros((2, code.n), dtype=np.int64)
+    x[supp], z[supp] = syms[:, 0], syms[:, 1]
+    e = PauliOp(d, code.n, x, z)
+    exact = exhaustive_wt_mod_centralizer(code, e)
+    assert code._packing(code.syndrome(e)) <= exact
+    assert code.wt_mod_centralizer(e) == BoundedWeight.exactly(exact)
+
+
+def test_packing_keeps_only_checks_disjoint_from_those_kept():
+    # X on edge 0 of toric:4 violates its two plaquettes, which share that
+    # edge: one is kept; X on two far edges violates four plaquettes in two
+    # pairs, one of each pair kept
+    code = toric_code(4)
+    e = PauliOp.single(code.n, 2, 0, x=1, z=0)
+    assert code.penalty(e) == 2 and code._packing(code.syndrome(e)) == 1
+    far = e.multiply(PauliOp.single(code.n, 2, 10, x=1, z=0))
+    assert code.penalty(far) == 4 and code._packing(code.syndrome(far)) == 2
+    assert code.wt_mod_centralizer(far) == BoundedWeight.exactly(2)
 
 
 def test_weight_ordering_invariant_toric():
