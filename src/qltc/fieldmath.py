@@ -3,12 +3,14 @@
 All matrices are 2-D numpy integer arrays with entries reduced mod p;
 the ones held are in `residue_dtype(p)` (uint8 below 256), and every
 product or subtraction widens them first.
-`modmul` is the one matrix product (it sits here, below `pauli` and
-`search`, so every layer can use it); it returns residues in
-`residue_dtype(p)` too, so a batch of syndromes is one byte an entry.
-It runs in float32 or float64 BLAS only: `check_prime` admits primes
-below 2**16 alone, and below that every product of an admissible width
-is exact in float64.
+`modmul` is the dense product of batches of words (their syndromes,
+membership); it returns residues in `residue_dtype(p)`, one byte an entry
+below 256.  It runs in float32 or float64 BLAS only: `check_prime` admits
+primes below 2**16 alone, and below that every product of an admissible
+width is exact in float64.  `Sites` is a map on symplectic words as its
+nonzero (row, qudit) sites; `Sites.pairs`, every two rows' symplectic
+product summed over the qudits they share, is the one kernel that
+certifies a code (commutation, the logicals' products and Gram form).
 `rref` is the one elimination routine: it brings a code's m x 2n matrix
 to Gottesman's standard form and returns its nonzero reduced rows,
 packed into uint64 words, with their pivots.  `RowSpace` runs it once, on a
@@ -32,6 +34,8 @@ its subclass `CodeValidationError`, which is also a `ValueError`.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -282,6 +286,70 @@ def rref(mat: np.ndarray, p: int, phases=None) -> tuple[np.ndarray, list[int], i
     return words, pivots, min(relations, default=None)
 
 
+class Sites(NamedTuple):
+    """A map on symplectic words, shape r x 2n, as its nonzero (row, qudit) sites.
+
+    By qudit, then row: x, z are the map's entries in columns q and n + q
+    at site (row, q), in int64; first[i] indexes the first site of
+    qudit[i], so each qudit's sites run from first[i] in row order.
+    """
+
+    row: np.ndarray
+    qudit: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    first: np.ndarray
+    shape: tuple[int, int]
+
+    @staticmethod
+    def at(row, qudit, x, z, shape: tuple[int, int]) -> "Sites":
+        """The map of the given shape with entries x, z at the distinct sites (row, qudit)."""
+        order = np.argsort(qudit * shape[0] + row, kind="stable")  # above: two sorted runs
+        qudit = qudit[order]
+        x, z = (np.asarray(v)[order].astype(np.int64, copy=False) for v in (x, z))
+        return Sites(row[order], qudit, x, z, np.searchsorted(qudit, qudit), shape)
+
+    @staticmethod
+    def of(matrix: np.ndarray) -> "Sites":
+        n = matrix.shape[1] // 2
+        row, qudit = np.divmod(np.flatnonzero(np.logical_or(matrix[:, :n], matrix[:, n:])), n)
+        return Sites.at(row, qudit, matrix[row, qudit], matrix[row, qudit + n], matrix.shape)
+
+    def above(self, below: "Sites") -> "Sites":
+        """This map with the rows of below under its own, on the same words."""
+        shape = (self.shape[0] + below.shape[0], self.shape[1])
+        below = below._replace(row=below.row + self.shape[0])
+        return Sites.at(*(np.r_[a, b] for a, b in zip(self[:4], below[:4])), shape)
+
+    def pairs(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays a, b, value: each pair of rows a < b, in (a, b) order, whose product
+        z_a.x_b - x_a.z_b, summed over the qudits they share, is nonzero mod p.
+        One pass a shift: at a qudit, the sites `shift` apart are pairs of its rows."""
+        r, q = self.shape[0], self.qudit
+        keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for shift in range(1, q.size):
+            i = np.flatnonzero(q[shift:] == q[:-shift])
+            if i.size == 0:
+                break  # no qudit has more than `shift` sites
+            j = i + shift
+            keys.append(self.row[i] * r + self.row[j])
+            values.append(self.z[i] * self.x[j] - self.x[i] * self.z[j])
+        keys, values = np.concatenate(keys), np.concatenate(values)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # each pair's first term
+        sums = np.add.reduceat(values[order], starts) % p
+        a, b = np.divmod(keys[starts][sums != 0], r)
+        return a, b, sums[sums != 0]
+
+    def image(self, x: np.ndarray, z: np.ndarray, p: int) -> np.ndarray:
+        """This map applied to the word (x | z), mod p in int64, summed over the word's qudits."""
+        wx, wz = x[self.qudit], z[self.qudit]
+        act = np.flatnonzero(wx | wz)
+        terms = self.x[act] * wx[act] + self.z[act] * wz[act]  # < 2**32: float64 sums n exactly
+        return np.bincount(self.row[act], terms, self.shape[0]).astype(np.int64) % p
+
+
 class RowSpace:
     """Row space A of m commuting generators (x | z) over GF(p), from one elimination.
 
@@ -294,6 +362,7 @@ class RowSpace:
                      times earlier ones, is a scalar other than 1, or None
                      (see rref); the same rule at every p
     logicals      -- 2k' rows of ker(mat), read-only in residue_dtype(p)
+    logical_sites -- the logicals as Sites
 
     A row w = (a | b) of ker(mat) is the word (b | -a) of Z, and w.v is
     minus the symplectic product of that word with v.  The logicals are
@@ -304,10 +373,10 @@ class RowSpace:
     then at their z columns.  Their Gram matrix G_ij = b_i.a_j - a_i.b_j,
     their words' symplectic products, is then [[0, -I], [I, 0]]: their
     words are independent modulo A and span Z modulo A, so a word v of Z
-    lies in A iff logicals @ v = 0.  RowSpace raises ValueError unless G
-    is that form, and StabilizerCode checks exactly, on its sites, that
-    each logical has zero product with every generator: together these
-    certify the logicals.
+    lies in A iff logicals @ v = 0.  RowSpace raises ValueError unless
+    G's upper triangle, logical_sites.pairs(p), is exactly (i, i + k', -1),
+    and StabilizerCode checks, by the same kernel, that each logical has
+    zero product with every generator: together these certify the logicals.
     """
 
     def __init__(self, mat: np.ndarray, p: int, phases: np.ndarray | None = None):
@@ -321,17 +390,13 @@ class RowSpace:
             raise ValueError(f"rank {self.rank} on {n} qudits: the rows do not commute")
         self.logicals = _standard_logicals(reduced, self.pivots, p, n)
         del reduced
-        ba = modmul(self.logicals[:, n:], self.logicals[:, :n].T, p)
-        gram = ba.astype(np.int64)
-        gram -= ba.T  # G_ij = b_i.a_j - a_i.b_j
-        gram %= p
-        k = n - self.rank
-        form = np.zeros((2 * k, 2 * k), dtype=ba.dtype)
-        np.fill_diagonal(form[:k, k:], p - 1)
-        np.fill_diagonal(form[k:, :k], 1)
-        if not np.array_equal(gram, form):
-            raise ValueError(f"the Gram matrix of the logicals is not the form of 2k' = {2 * k}")
         self.logicals.setflags(write=False)
+        self.logical_sites = Sites.of(self.logicals)
+        k = n - self.rank
+        form = np.arange(k), np.arange(k, 2 * k), np.full(k, p - 1)  # G[i, i + k'] = -1
+        if len(self.logicals) != 2 * k or not all(map(np.array_equal,
+                                                      self.logical_sites.pairs(p), form)):
+            raise ValueError(f"the Gram matrix of the logicals is not the form of 2k' = {2 * k}")
 
     def contains_batch(self, vs: np.ndarray) -> np.ndarray:
         """Boolean mask over rows of vs: zero products with the rows and with the logicals.

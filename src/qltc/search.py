@@ -25,9 +25,9 @@ packs its syndromes into keys of the same layout, with no guard bit, by
 one BLAS product (key_powers, row_keys) and counts their nonzero fields
 (key_weights).
 
-Every map comes as its Sites, the nonzero (row, qudit) sites of a
-k-local matrix, and site_keys packs the weight-1 images of any map (the
-syndrome map, the logicals, the two stacked, the pivot filter) from
+Every map comes as its fieldmath.Sites, the nonzero (row, qudit) sites
+of a k-local matrix, and site_keys packs the weight-1 images of any map
+(the syndrome map, the logicals, the two stacked, the pivot filter) from
 those sites, once a search.
 
 _words holds the canonical order of one weight's words, which the join's half
@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .fieldmath import modmul  # noqa: F401 -- bench/tracing.py wraps search.modmul
-from .fieldmath import field_width, residue_dtype
+from .fieldmath import Sites, field_width, residue_dtype
 from .pauli import nonidentity_symbols
 
 # rows per candidate_batches batch, which holds 2 n bytes a row below d = 256
@@ -140,43 +140,6 @@ class SearchResult:
     exhausted_weight: int
     candidates_tested: int
     budget_hit: bool
-
-
-class Sites(NamedTuple):
-    """A map on symplectic words, shape r x 2n, as its nonzero (row, qudit) sites.
-
-    By qudit, then row: x, z are the map's entries in columns q and n + q
-    at site (row, q), in int64 (the code's validation multiplies and
-    subtracts them); first[i] indexes the first site of qudit[i], so each
-    qudit's sites run from first[i] in row order.
-    """
-
-    row: np.ndarray
-    qudit: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
-    first: np.ndarray
-    shape: tuple[int, int]
-
-    @staticmethod
-    def of(matrix: np.ndarray) -> "Sites":
-        m, n = matrix.shape[0], matrix.shape[1] // 2
-        acts = np.logical_or(matrix[:, :n], matrix[:, n:])
-        row, qudit = np.divmod(np.flatnonzero(acts), n)
-        qudit, row = np.divmod(np.sort(qudit * m + row), m)
-        first = np.searchsorted(qudit, qudit)
-        x, z = (matrix[row, qudit + c].astype(np.int64) for c in (0, n))
-        return Sites(row, qudit, x, z, first, matrix.shape)
-
-    def above(self, below: "Sites") -> "Sites":
-        """This map with the rows of below under its own, on the same words."""
-        qudit = np.concatenate([self.qudit, below.qudit])
-        order = np.argsort(qudit, kind="stable")  # a qudit's own rows stay first
-        qudit = qudit[order]
-        row, x, z = (np.concatenate([a, b])[order] for a, b in (
-            (self.row, below.row + self.shape[0]), (self.x, below.x), (self.z, below.z)))
-        shape = (self.shape[0] + below.shape[0], self.shape[1])
-        return Sites(row, qudit, x, z, np.searchsorted(qudit, qudit), shape)
 
 
 def _join_bytes(size_a: int, a: int, b: int, row_bytes: int) -> int:

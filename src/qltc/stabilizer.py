@@ -20,14 +20,13 @@ some phase is nonzero or some generator has both x and z entries.  A CSS
 code with zero phases has no such product (pure-x rows multiply to pure-x
 rows of phase 0, and likewise for z), so its elimination waits for the
 first reader of rank, the logicals or membership; a job that reads only
-syndromes (an attack) never eliminates.  Wherever it is built, the row
-space is checked exactly, on the sites, that every logical has zero
-product with every generator, and ValueError (an internal fault, not bad
-input) is raised if one has not.  The code holds its syndrome map, rows
-(z | -x), as search.Sites, and this is the one place that writes that
-layout: single syndromes, penalties and the searches read those sites,
-and the dense syndrome_matrix that batch products read is scattered from
-them on first use.
+syndromes (an attack) never eliminates.  Commutation and the logicals'
+certificate (RowSpace's Gram form, _check_logicals) are each one call of
+fieldmath.Sites.pairs; a logical that fails raises ValueError (an
+internal fault).  The syndrome map, rows (z | -x), is held as its Sites,
+the one place that writes that layout: single syndromes, penalties and
+the searches read those sites, and the dense syndrome_matrix that batch
+products read is scattered from them on first use.
 
 A word lies in A(G) iff its syndrome and its products with the logicals
 vanish, so the syndrome map with the logicals below it, _group_map, has
@@ -55,11 +54,11 @@ from typing import Sequence
 import numpy as np
 
 from .fieldmath import (
-    CodeValidationError, RowSpace, check_prime, modmul, residue_dtype, residues,
+    CodeValidationError, RowSpace, Sites, check_prime, modmul, residue_dtype, residues,
 )
 from .graphs import BipartiteGraph
 from .pauli import PauliOp
-from .search import SearchResult, Sites, min_weight_vector, pure_symbols
+from .search import SearchResult, min_weight_vector, pure_symbols
 
 
 class NonAbelianError(CodeValidationError):
@@ -171,7 +170,9 @@ class StabilizerCode:
         self.k = int(weights[0])
         if self.k == 0:
             raise CodeValidationError("identity generator")
-        self._check_commutation()
+        a, b, _ = sites.pairs(d)  # <g_a, g_b> over the qudits they share, a < b
+        if a.size:
+            raise NonAbelianError(int(a[0]), int(b[0]))
 
         right_adj = sites.qudit[np.argsort(sites.row, kind="stable")].reshape(self.m, self.k)
         self.graph = BipartiteGraph(self.n, self.m, right_adj.tolist())
@@ -198,7 +199,7 @@ class StabilizerCode:
         rowspace = RowSpace(self.symplectic_matrix, self.d, self._phases)
         if rowspace.obstruction is not None:
             raise PhaseObstructionError(rowspace.obstruction)
-        self._check_logicals(rowspace.logicals)
+        self._check_logicals(rowspace.logical_sites)
         return rowspace
 
     @property
@@ -228,29 +229,6 @@ class StabilizerCode:
                 for row, s in zip(self.symplectic_matrix, self._phases)]
 
     # --- validation helpers -------------------------------------------
-    def _check_commutation(self):
-        """Sum <g_a, g_b> over the qudits each pair shares; raise on the first bad pair (a < b)."""
-        s, m = self._sites, self.m
-        keys, values = [], []
-        shift = 1
-        while True:
-            i = np.flatnonzero(s.qudit[shift:] == s.qudit[:-shift])
-            if i.size == 0:
-                break  # no qudit has more than `shift` generators
-            j = i + shift
-            keys.append(s.row[i] * m + s.row[j])
-            values.append(s.z[i] * s.x[j] - s.x[i] * s.z[j])
-            shift += 1
-        if not keys:
-            return
-        keys, values = np.concatenate(keys), np.concatenate(values)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        bad = keys[starts][np.add.reduceat(values[order], starts) % self.d != 0]
-        if bad.size:
-            raise NonAbelianError(*(int(v) for v in divmod(int(bad[0]), m)))
-
     def _check_trivial_qudits(self):
         # restrictions at a qudit live in GF(d)^2, where the vectors that
         # commute with a nonzero one are its multiples: a qudit is trivial
@@ -271,36 +249,27 @@ class StabilizerCode:
             if odd.size:
                 raise PhaseObstructionError(int(odd[0]))
 
-    def _check_logicals(self, logicals: np.ndarray):
-        """Raise ValueError unless every logical has zero product with every generator.
-
-        Summed over the sites, 64 logicals at a time; with the Gram matrix
-        [[0, -I], [I, 0]] that RowSpace checks, this certifies the logicals.
-        """
-        s, m = self._sites, self.m
-        for lo in range(0, len(logicals), 64):
-            w = logicals[lo : lo + 64]
-            terms = s.x * np.take(w, s.qudit, axis=1) + s.z * np.take(w, s.qudit + self.n, axis=1)
-            at = s.row + m * np.arange(len(w))[:, None]
-            bad = np.flatnonzero(np.bincount(at.ravel(), terms.ravel(), len(w) * m) % self.d)
-            if bad.size:
-                i, g = divmod(int(bad[0]), m)
-                raise ValueError(f"logical {lo + i} has a nonzero product with generator {g}")
+    def _check_logicals(self, logical_sites: Sites):
+        """Raise ValueError if a pair of the syndrome map with the logicals below it
+        is a generator and a logical: a nonzero product (RowSpace checks the rest)."""
+        a, b, _ = self._syndrome_map.above(logical_sites).pairs(self.d)
+        bad = np.flatnonzero((a < self.m) & (b >= self.m))
+        if bad.size:
+            g, i = int(a[bad[0]]), int(b[bad[0]]) - self.m
+            raise ValueError(f"logical {i} has a nonzero product with generator {g}")
 
     # --- syndromes -----------------------------------------------------
     def syndrome(self, e: PauliOp) -> np.ndarray:
         """Per-generator symplectic products; zero vector iff E centralizes.
 
-        Summed over the syndrome map's sites at the qudits where E acts.
+        E's image under the syndrome map, summed over its sites where E acts.
         """
+        return self._image(self._syndrome_map, e)
+
+    def _image(self, sites: Sites, e: PauliOp) -> np.ndarray:
         if e.n != self.n or e.d != self.d:
             raise ValueError("operator does not match code dimensions")
-        s = self._syndrome_map
-        ex, ez = e.x[s.qudit], e.z[s.qudit]
-        act = np.flatnonzero(ex | ez)
-        terms = s.x[act] * ex[act] + s.z[act] * ez[act]
-        syn = np.bincount(s.row[act], weights=terms, minlength=self.m)
-        return syn.astype(np.int64) % self.d
+        return sites.image(e.x, e.z, self.d)
 
     def syndrome_batch(self, vs: np.ndarray) -> np.ndarray:
         return modmul(vs, self.syndrome_matrix.T, self.d)
@@ -317,7 +286,7 @@ class StabilizerCode:
     @functools.cached_property
     def _group_map(self) -> Sites:
         """The syndrome map with the logicals below it: one image on each coset of A(G)."""
-        return self._syndrome_map.above(Sites.of(self.rowspace.logicals))
+        return self._syndrome_map.above(self.rowspace.logical_sites)
 
     # --- weight searches -----------------------------------------------
     def wt_mod_centralizer(self, e: PauliOp, budget: int | None = None) -> BoundedWeight:
@@ -366,10 +335,7 @@ class StabilizerCode:
         one syndrome and equal products with the logicals.  Image zero
         means E itself is in A(G).
         """
-        v_e = e.symplectic()
-        supp = np.flatnonzero(v_e)  # the logicals' products over the columns where E acts
-        target = np.concatenate([
-            self.syndrome(e), modmul(self.rowspace.logicals[:, supp], v_e[supp], self.d)])
+        target = self._image(self._group_map, e)
         if not target.any():
             return BoundedWeight.exactly(0)
         w_e = e.weight()
@@ -405,7 +371,7 @@ class StabilizerCode:
         )
         res = min_weight_vector(
             self.n, self.d, self.n if w_max is None else w_max, self._syndrome_map, np.zeros(self.m),
-            nonzero=Sites.of(self.rowspace.logicals), budget=budget, symbol_sets=symbol_sets,
+            nonzero=self.rowspace.logical_sites, budget=budget, symbol_sets=symbol_sets,
         )
         if res.found_weight is not None:
             return BoundedWeight.exactly(res.found_weight)
@@ -420,16 +386,20 @@ class StabilizerCode:
         identity.  A code has k >= 2: a weight-1 generating set is refused,
         by its commutation or its trivial qudits.
         """
-        pivots = np.zeros((self.rank, 2 * self.n), dtype=residue_dtype(self.d))
-        pivots[np.arange(self.rank), self.rowspace.pivots] = 1
         group = self._group_map
         res = min_weight_vector(
             self.n, self.d, self.k - 1, group, np.zeros(group.shape[0]),
-            nonzero=Sites.of(pivots), budget=budget,
+            nonzero=self._pivot_filter(), budget=budget,
         )
         if res.found_weight is not None:
             return False
         return None if res.budget_hit else True
+
+    def _pivot_filter(self) -> Sites:
+        """The pivot coordinates as a map: row i is 1 at column pivots[i], read off no matrix."""
+        pivots = np.asarray(self.rowspace.pivots, dtype=np.int64)
+        x = pivots < self.n
+        return Sites.at(np.arange(self.rank), pivots % self.n, x, ~x, (self.rank, 2 * self.n))
 
     # --- serialization --------------------------------------------------
     def to_json(self, meta: dict | None = None) -> dict:

@@ -12,7 +12,9 @@ Nothing in the CLI or the bench reaches these, so they live with the tests:
   reference of the order graphs.Pcg64 reproduces;
 * Pauli algebra the library does not need: the identity, inverse,
   power, the symplectic product, commutation and restriction, as plain
-  functions, and the full matrix of a Pauli on the dense oracle;
+  functions, and the full matrix of a Pauli on the dense oracle; every
+  two rows' symplectic product as one dense product, the oracle of
+  fieldmath.Sites.pairs;
 * group membership with its phase: the coefficients of a row-space
   member, the left kernel, the phase of the product of the generators a
   coefficient vector names and phases that clear every relation: the
@@ -45,10 +47,9 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from qltc import search
 from qltc.attacks import SoundnessProfile
 from qltc.dense import TOL, _act, _check_cap, _energy, _system
-from qltc.fieldmath import field_width, residue_dtype, residues
+from qltc.fieldmath import Sites, field_width, residue_dtype, residues
 from qltc.graphs import BipartiteGraph
 from qltc.pauli import PauliOp, nonidentity_symbols
-from qltc.search import Sites
 from qltc.stabilizer import StabilizerCode
 from qltc.zoo import toric_edge_indices
 
@@ -92,6 +93,16 @@ def symplectic_product(a: PauliOp, b: PauliOp) -> int:
 
 def commutes_with(a: PauliOp, b: PauliOp) -> bool:
     return symplectic_product(a, b) == 0
+
+
+def symplectic_pairs(matrix: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries (a, b, value), a < b, of (M_z M_x^T - M_x M_z^T) mod p, in (a, b)
+    order: every two rows' symplectic product, dense (the oracle of Sites.pairs)."""
+    m = np.asarray(matrix, dtype=np.int64)
+    n = m.shape[1] // 2
+    gram = (m[:, n:] @ m[:, :n].T - m[:, :n] @ m[:, n:].T) % p
+    a, b = np.nonzero(np.triu(gram, 1))
+    return a, b, gram[a, b]
 
 
 def restrict(p: PauliOp, sites: Iterable[int]) -> PauliOp:

@@ -36,7 +36,9 @@ from qltc.stabilizer import (
     build_code,
 )
 import helpers
-from helpers import identity, kernel, left_kernel, power, regular_circulant_matrix
+from helpers import (
+    identity, kernel, left_kernel, paired_circulant_matrix, power, regular_circulant_matrix,
+)
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "build_golden.json"
 
@@ -542,25 +544,30 @@ def _traced_peak(build):
 @pytest.mark.parametrize("d", [2, 3, 5, 257])
 def test_build_size_estimate_bounds_the_traced_peak(d):
     # the estimate prices rows packed in field_width(d) bits an entry, up to
-    # toric:32 at d = 3
-    zoo.toric_code(2, d)  # first-call set-up stays out of the trace
+    # toric:32 at d = 3; each traced build reads its rank, so the elimination
+    # and the certificates run inside the trace, and at d = 2 the hypergraph
+    # product of paired_circulant_matrix(40) (2k' = 1,600 logicals) is traced too
+    zoo.toric_code(2, d).rank  # first-call set-up stays out of the trace
     for L in (4, 8, 16, 32) if d == 3 else (4, 8, 16):
         n = 2 * L * L
-        assert _traced_peak(lambda: zoo.toric_code(L, d)) <= zoo._check_build_size(n, n, d)
-    h = regular_circulant_matrix(8, 3, seed=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        peak = _traced_peak(lambda: zoo.css_hypergraph_product(h, h, d, strict_degree=False))
-    assert peak <= zoo._check_build_size(128, 128, d)
+        assert _traced_peak(lambda: zoo.toric_code(L, d).rank) <= zoo._check_build_size(n, n, d)
+    hs = [regular_circulant_matrix(8, 3, seed=1)] + ([paired_circulant_matrix(40)] if d == 2 else [])
+    for h in hs:
+        n = 2 * h.size
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            peak = _traced_peak(
+                lambda: zoo.css_hypergraph_product(h, h, d, strict_degree=False).rank)
+        assert peak <= zoo._check_build_size(n, n, d)
 
 
 def test_toric32_build_stays_at_its_narrow_size():
-    # 12.4 MiB traced peak measured, 9.4 MiB of it held by the code (33.8 MiB
-    # when the reduced rows were unpacked and the draws multiplied in float32,
-    # 203 MiB when the matrix and kernel were int64 and the float64 syndrome
-    # map was built with the code)
-    zoo.toric_code(2)
-    assert _traced_peak(lambda: zoo.toric_code(32)) < 16 * 2**20
+    # 12.1 MiB traced peak measured with the rank read, 9.4 MiB of it held by
+    # the code (33.8 MiB when the reduced rows were unpacked and the draws
+    # multiplied in float32, 203 MiB when the matrix and kernel were int64 and
+    # the float64 syndrome map was built with the code)
+    zoo.toric_code(2).rank
+    assert _traced_peak(lambda: zoo.toric_code(32).rank) < 16 * 2**20
 
 
 def test_css_files_build_within_the_guard_estimate(tmp_path, capsys):

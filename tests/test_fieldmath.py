@@ -8,7 +8,7 @@ from qltc import zoo
 
 from helpers import (
     coefficients, consistent_phases, kernel, left_kernel, pack_words, phased_relation_generators,
-    rref_int64, unpack_words,
+    rref_int64, symplectic_pairs, unpack_words,
 )
 
 
@@ -462,3 +462,43 @@ def test_in_span_multiplies_only_the_words_support(monkeypatch):
     v[[0, 1, 2]] = 1  # X on three edges, not a product of stars
     assert not code.in_span(v)
     assert passed == [3]
+
+
+# --- Sites.pairs, the kernel that certifies a code --------------------------
+
+@st.composite
+def site_maps(draw):
+    """(matrix, p, word): a few rows on a few qudits, CSS (each row pure x or pure z) or not,
+    the first three rows all acting on qudit 0, so a qudit meets more than two rows."""
+    p = draw(st.sampled_from([2, 3, 5, 257, 65521]))
+    rows, n = draw(st.integers(3, 8)), draw(st.integers(1, 4))
+    entry = st.integers(0, p - 1) | st.just(0)
+    mat = np.array(draw(st.lists(entry, min_size=rows * 2 * n, max_size=rows * 2 * n)),
+                   dtype=np.int64).reshape(rows, 2 * n)
+    mat[:3, [0, n]] = draw(st.lists(st.tuples(st.integers(1, p - 1), st.integers(0, p - 1)),
+                                    min_size=3, max_size=3))
+    if draw(st.booleans()):  # CSS: row i keeps its x half if kinds[i], else its z half
+        kinds = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+        mat[:, n:][kinds] = 0
+        mat[:, :n][~kinds] = 0
+        mat[:3, 0] = np.where(kinds[:3], np.maximum(mat[:3, 0], 1), 0)
+        mat[:3, n] = np.where(kinds[:3], 0, np.maximum(mat[:3, n], 1))
+    word = np.array(draw(st.lists(st.integers(0, p - 1), min_size=2 * n, max_size=2 * n)))
+    return mat, p, word
+
+
+@given(site_maps(), st.integers(0, 8))
+@settings(max_examples=300, deadline=None)
+def test_site_pairs_match_the_dense_symplectic_products(case, split):
+    # the pairs, of one map and of two stacked, are the upper triangle of the
+    # dense oracle; the image of a word is the dense product
+    mat, p, word = case
+    n = mat.shape[1] // 2
+    expected = symplectic_pairs(mat, p)
+    sites = fm.Sites.of(mat)
+    stacked = fm.Sites.of(mat[:split]).above(fm.Sites.of(mat[split:]))
+    for got in (sites.pairs(p), stacked.pairs(p)):
+        assert all(map(np.array_equal, got, expected))
+    dense = (mat[:, :n] @ word[:n] + mat[:, n:] @ word[n:]) % p
+    assert np.array_equal(sites.image(word[:n], word[n:], p), dense)
+    assert np.array_equal(stacked.image(word[:n], word[n:], p), dense)

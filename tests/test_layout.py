@@ -284,7 +284,8 @@ def test_a_logical_off_the_kernel_is_an_internal_fault(monkeypatch):
     # code of zero phases eliminates when its row space is first read: rank
     code = zoo.toric_code(3)
     with pytest.raises(ValueError, match="nonzero product with generator"):
-        code._check_logicals(np.eye(4, 2 * code.n, dtype=np.uint8))  # each meets an X check
+        # each meets an X check
+        code._check_logicals(Sites.of(np.eye(4, 2 * code.n, dtype=np.uint8)))
     real = fieldmath.rref
 
     def zeroed(mat, p, phases=None):
@@ -313,6 +314,42 @@ def test_logicals_whose_gram_matrix_is_not_the_form_are_refused(monkeypatch):
         code = zoo.toric_code(3, d)  # CSS with zero phases: the row space is built on first read
         with pytest.raises(ValueError, match="Gram matrix of the logicals"):
             code.rank
+
+
+def test_logicals_whose_gram_values_are_not_the_form_are_refused(monkeypatch):
+    # a toric:3:3 logical scaled by 2: it stays in ker(M) and its Gram matrix has
+    # the form's zero pattern, but G[0, k'] is 2 (-1) = 1, not -1 = 2
+    real = fieldmath._standard_logicals
+
+    def scaled(*args):
+        logicals = real(*args)
+        logicals[0] = 2 * logicals[0] % 3
+        return logicals
+
+    monkeypatch.setattr(fieldmath, "_standard_logicals", scaled)
+    with pytest.raises(ValueError, match="Gram matrix of the logicals"):
+        zoo.toric_code(3, 3).rank
+
+
+def _hgp(h, d):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return zoo.css_hypergraph_product(h, h, d, strict_degree=False)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_pivot_filter_is_the_sites_of_the_unit_pivot_rows(d):
+    # is_succinct's filter, read off the pivots, against Sites.of the dense
+    # rank x 2n matrix of ones at the pivot columns it replaced
+    codes = [zoo.toric_code(L, d) for L in range(3, 9)]
+    codes += [_hgp(paired_circulant_matrix(8), d), _hgp(regular_circulant_matrix(8, 2, seed=1), d)]
+    for code in codes:
+        dense = np.zeros((code.rank, 2 * code.n), dtype=np.uint8)
+        dense[np.arange(code.rank), code.rowspace.pivots] = 1
+        got, expected = code._pivot_filter(), Sites.of(dense)
+        assert got.shape == expected.shape
+        for a, b in zip(got[:-1], expected[:-1]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_rows_that_do_not_commute_are_refused():

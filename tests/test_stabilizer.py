@@ -268,6 +268,9 @@ def test_syndrome_dimension_check():
     c = toric_code(2)
     with pytest.raises(ValueError):
         c.syndrome(identity(3, 2))
+    for e in (identity(3, 2), PauliOp.single(c.n, 3, 0, 1, 0)):  # wrong n, wrong d
+        with pytest.raises(ValueError, match="does not match code dimensions"):
+            c.wt_mod_group(e)
 
 
 # --- group membership ------------------------------------------------------
@@ -385,19 +388,24 @@ def test_weight_searches_toric_examples():
 def test_wt_mod_group_target_on_the_support(monkeypatch):
     from qltc import stabilizer
 
+    # the target is E's image under _group_map, summed over the sites where E
+    # acts: its syndrome, then its products with the logicals, with no dense product
     c = toric_code(16)
-    calls = []
-    real = stabilizer.modmul
+    products, targets = [], []
+    real_search = stabilizer.min_weight_vector
 
-    def spy(a, b, p):
-        calls.append(a)  # the logicals' columns in the target's product
-        return real(a, b, p)
+    def search_spy(n, d, w_max, matrix, target, **kwargs):
+        targets.append(target)
+        return real_search(n, d, w_max, matrix, target, **kwargs)
 
-    monkeypatch.setattr(stabilizer, "modmul", spy)
+    monkeypatch.setattr(stabilizer, "modmul", lambda *args: products.append(args))
+    monkeypatch.setattr(stabilizer, "min_weight_vector", search_spy)
     x = np.zeros(c.n, dtype=np.int64)
     x[[0, 40, 300]] = 1
     assert c.wt_mod_group(PauliOp(2, c.n, x, np.zeros(c.n, dtype=np.int64), 0)).value == 3
-    assert len(calls) == 1 and np.array_equal(calls[0], c.rowspace.logicals[:, [0, 40, 300]])
+    v = np.r_[x, np.zeros(c.n, dtype=np.int64)]
+    dense = np.r_[c.syndrome_matrix @ v, c.rowspace.logicals @ v] % 2
+    assert products == [] and len(targets) == 1 and np.array_equal(targets[0], dense)
 
 
 # --- the packing of violated generators ---------------------------------------
