@@ -10,7 +10,8 @@ primes below 2**16 alone, and below that every product of an admissible
 width is exact in float64.  `Sites` is a map on symplectic words as its
 nonzero (row, qudit) sites; `Sites.pairs`, every two rows' symplectic
 product summed over the qudits they share, is the one kernel that
-certifies a code (commutation, the logicals' products and Gram form).
+certifies a code (commutation, the logicals' products and Gram form), a
+block of rows at a time however many rows meet at a qudit.
 `rref` is the one elimination routine: it brings a code's m x 2n matrix
 to Gottesman's standard form and returns its nonzero reduced rows,
 packed into uint64 words, with their pivots.  `RowSpace` runs it once, on a
@@ -55,6 +56,8 @@ import numpy as np
 _FLOAT32_SAFE = 2**24
 # moduli are primes below this, so residues fit uint16 (residue_dtype)
 PRIME_LIMIT = 2**16
+# Sites.pairs sums the terms of about this many site pairs at once
+PAIR_TERMS = 2**17
 
 
 class InputError(Exception):
@@ -321,26 +324,42 @@ class Sites(NamedTuple):
         below = below._replace(row=below.row + self.shape[0])
         return Sites.at(*(np.r_[a, b] for a, b in zip(self[:4], below[:4])), shape)
 
-    def pairs(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def pairs(self, p: int, across: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays a, b, value: each pair of rows a < b, in (a, b) order, whose product
-        z_a.x_b - x_a.z_b, summed over the qudits they share, is nonzero mod p.
-        One pass a shift: at a qudit, the sites `shift` apart are pairs of its rows."""
-        r, q = self.shape[0], self.qudit
-        keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        for shift in range(1, q.size):
-            i = np.flatnonzero(q[shift:] == q[:-shift])
-            if i.size == 0:
-                break  # no qudit has more than `shift` sites
-            j = i + shift
-            keys.append(self.row[i] * r + self.row[j])
-            values.append(self.z[i] * self.x[j] - self.x[i] * self.z[j])
-        keys, values = np.concatenate(keys), np.concatenate(values)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # each pair's first term
-        sums = np.add.reduceat(values[order], starts) % p
-        a, b = np.divmod(keys[starts][sums != 0], r)
-        return a, b, sums[sums != 0]
+        z_a.x_b - x_a.z_b, summed over the qudits they share, is nonzero mod p; given
+        across, only the pairs a < across <= b.  The terms are summed for a block of
+        rows a of about PAIR_TERMS terms at a time, so each block's pairs are complete;
+        a term sorts as one int64, its pair's key a r + b above it mod p."""
+        r, n, row, bits = self.shape[0], self.shape[1] // 2, self.row, int(p - 1).bit_length()
+        if r * r << bits >= 1 << 63:
+            raise ValueError(f"{r} rows: a pair's key and product do not fit one int64")
+        # a site's terms are with the sites start..end - 1 of its qudit: the later ones,
+        # or given across those of rows from across on (none for such a row's own site)
+        end = self.first + np.bincount(self.qudit, minlength=n)[self.qudit]
+        if across is None:
+            start = np.arange(1, row.size + 1)
+        else:
+            early = row < across
+            start = self.first + np.bincount(self.qudit[early], minlength=n)[self.qudit]
+            start[~early] = end[~early]
+        count = end - start
+        upto, done = np.bincount(row, count, r).cumsum(), 0  # the terms of rows 0..a, before lo
+        keys, sums, lo = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], 0
+        while lo < r:
+            hi = max(int(np.searchsorted(upto, done + PAIR_TERMS, "right")), lo + 1)
+            s = np.flatnonzero(count if hi - lo == r else (row >= lo) & (row < hi))
+            c = count[s]
+            i = np.repeat(s, c)
+            j = np.arange(i.size) + np.repeat(start[s] - np.cumsum(c) + c, c)
+            t = np.sort((row[i] * r + row[j]) << bits
+                        | (self.z[i] * self.x[j] - self.x[i] * self.z[j]) % p)
+            head = np.flatnonzero(np.diff(t >> bits, prepend=-1))  # each pair's first term
+            total = np.add.reduceat(t & ((1 << bits) - 1), head) % p
+            keys.append(t[head][total != 0] >> bits)
+            sums.append(total[total != 0])
+            lo, done = hi, upto[hi - 1]
+        a, b = np.divmod(np.concatenate(keys), r)
+        return a, b, np.concatenate(sums)
 
     def image(self, x: np.ndarray, z: np.ndarray, p: int) -> np.ndarray:
         """This map applied to the word (x | z), mod p in int64, summed over the word's qudits."""

@@ -22,11 +22,13 @@ rows of phase 0, and likewise for z), so its elimination waits for the
 first reader of rank, the logicals or membership; a job that reads only
 syndromes (an attack) never eliminates.  Commutation and the logicals'
 certificate (RowSpace's Gram form, _check_logicals) are each one call of
-fieldmath.Sites.pairs; a logical that fails raises ValueError (an
-internal fault).  The syndrome map, rows (z | -x), is held as its Sites,
-the one place that writes that layout: single syndromes, penalties and
-the searches read those sites, and the dense syndrome_matrix that batch
-products read is scattered from them on first use.
+fieldmath.Sites.pairs: _check_logicals builds _group_map, the syndrome
+map with the logicals below it, and sums only its pairs across the two;
+a logical that fails raises ValueError (an internal fault).  The
+syndrome map, rows (z | -x), is held as its Sites, the one place that
+writes that layout: single syndromes, penalties and the searches read
+those sites, and the dense syndrome_matrix that batch products read is
+scattered from them on first use.
 
 A word lies in A(G) iff its syndrome and its products with the logicals
 vanish, so the syndrome map with the logicals below it, _group_map, has
@@ -199,7 +201,7 @@ class StabilizerCode:
         rowspace = RowSpace(self.symplectic_matrix, self.d, self._phases)
         if rowspace.obstruction is not None:
             raise PhaseObstructionError(rowspace.obstruction)
-        self._check_logicals(rowspace.logical_sites)
+        self._group_map = self._check_logicals(rowspace.logical_sites)
         return rowspace
 
     @property
@@ -249,14 +251,16 @@ class StabilizerCode:
             if odd.size:
                 raise PhaseObstructionError(int(odd[0]))
 
-    def _check_logicals(self, logical_sites: Sites):
-        """Raise ValueError if a pair of the syndrome map with the logicals below it
-        is a generator and a logical: a nonzero product (RowSpace checks the rest)."""
-        a, b, _ = self._syndrome_map.above(logical_sites).pairs(self.d)
-        bad = np.flatnonzero((a < self.m) & (b >= self.m))
-        if bad.size:
-            g, i = int(a[bad[0]]), int(b[bad[0]]) - self.m
+    def _check_logicals(self, logical_sites: Sites) -> Sites:
+        """The syndrome map with the logicals below it; ValueError if a generator and a
+        logical have a nonzero product, its one pair across the two (RowSpace checks the
+        logicals' own pairs, the build the generators')."""
+        group = self._syndrome_map.above(logical_sites)
+        a, b, _ = group.pairs(self.d, across=self.m)
+        if a.size:
+            g, i = int(a[0]), int(b[0]) - self.m
             raise ValueError(f"logical {i} has a nonzero product with generator {g}")
+        return group
 
     # --- syndromes -----------------------------------------------------
     def syndrome(self, e: PauliOp) -> np.ndarray:
@@ -285,8 +289,10 @@ class StabilizerCode:
 
     @functools.cached_property
     def _group_map(self) -> Sites:
-        """The syndrome map with the logicals below it: one image on each coset of A(G)."""
-        return self._syndrome_map.above(self.rowspace.logical_sites)
+        """The syndrome map with the logicals below it: one image on each coset of A(G),
+        built and certified, and this attribute set, by the rowspace getter."""
+        self.rowspace
+        return self._group_map
 
     # --- weight searches -----------------------------------------------
     def wt_mod_centralizer(self, e: PauliOp, budget: int | None = None) -> BoundedWeight:

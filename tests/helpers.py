@@ -646,6 +646,29 @@ def paired_circulant_matrix(size: int) -> np.ndarray:
     return mat
 
 
+def paired_rows_matrix(pairs: int, seed: int) -> np.ndarray:
+    """pairs / 4 rows on 2 pairs columns, each the column pairs (2q, 2q + 1) of two
+    blocks of four q: row i's first block is 4i..4i + 3, its second four entries
+    of a random permutation of the q, drawn until no row holds a q twice.
+
+    Every two rows share an even number of columns, so the CSS code with
+    Hx = Hz = this matrix commutes, and every column lies in two rows.  Its
+    m = pairs / 2 generators fill in under elimination, so the standard-form
+    logicals, 2k' = 3 pairs of them on n = 2 pairs qudits, are dense.
+    """
+    rng = np.random.default_rng(seed)
+    first = np.arange(pairs).reshape(-1, 4)
+    while True:
+        second = rng.permutation(pairs).reshape(-1, 4)
+        if not (first[:, :, None] == second[:, None, :]).any():
+            break
+    mat = np.zeros((pairs // 4, 2 * pairs), dtype=np.int64)
+    rows = np.arange(pairs // 4)[:, None]
+    for q in (first, second):
+        mat[rows, 2 * q] = mat[rows, 2 * q + 1] = 1
+    return mat
+
+
 def greedy_t_independent(g: BipartiteGraph, t: int, target_size: int, seed: int = 0) -> list[int]:
     """BipartiteGraph.greedy_t_independent with its order drawn by numpy itself:
     np.random.default_rng(seed).permutation(m), then the first alive constraint

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -487,18 +489,24 @@ def site_maps(draw):
     return mat, p, word
 
 
-@given(site_maps(), st.integers(0, 8))
+@given(site_maps(), st.integers(0, 8), st.sampled_from([1, 4, fm.PAIR_TERMS]))
 @settings(max_examples=300, deadline=None)
-def test_site_pairs_match_the_dense_symplectic_products(case, split):
+def test_site_pairs_match_the_dense_symplectic_products(case, split, block):
     # the pairs, of one map and of two stacked, are the upper triangle of the
-    # dense oracle; the image of a word is the dense product
+    # dense oracle, and those across the two stacked its entries a < split <= b,
+    # when rows are summed in blocks of about `block` terms (1: a row a block)
+    # as much as in one; the image of a word is the dense product
     mat, p, word = case
     n = mat.shape[1] // 2
-    expected = symplectic_pairs(mat, p)
+    a, b, value = expected = symplectic_pairs(mat, p)
+    across = (a < split) & (b >= split)
     sites = fm.Sites.of(mat)
     stacked = fm.Sites.of(mat[:split]).above(fm.Sites.of(mat[split:]))
-    for got in (sites.pairs(p), stacked.pairs(p)):
-        assert all(map(np.array_equal, got, expected))
+    with mock.patch.object(fm, "PAIR_TERMS", block):
+        for got in (sites.pairs(p), stacked.pairs(p)):
+            assert all(map(np.array_equal, got, expected))
+        got = stacked.pairs(p, across=split)
+        assert all(map(np.array_equal, got, (a[across], b[across], value[across])))
     dense = (mat[:, :n] @ word[:n] + mat[:, n:] @ word[n:]) % p
     assert np.array_equal(sites.image(word[:n], word[n:], p), dense)
     assert np.array_equal(stacked.image(word[:n], word[n:], p), dense)
