@@ -33,7 +33,10 @@ Nothing in the CLI or the bench reaches these, so they live with the tests:
 * the classical contrast: parity codes on a bipartite graph and the
   exhaustive unique-neighbour soundness scan;
 * r at one coset weight of a soundness profile;
-* the penalty/energy identity on the dense oracle's Hamiltonian.
+* a Pauli's matrix applied to states and the energy of one state, and
+  from them the penalty/energy identity on the dense oracle's
+  Hamiltonian and the per-Pauli and per-sample loops of the dense
+  verifier's checks: the oracles of its batched slices.
 """
 
 import itertools
@@ -46,9 +49,9 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from qltc import search
 from qltc.attacks import SoundnessProfile
-from qltc.dense import TOL, _act, _check_cap, _energy, _system
+from qltc.dense import TOL, _check_cap, _monomial, _system
 from qltc.fieldmath import Sites, field_width, residue_dtype, residues
-from qltc.graphs import BipartiteGraph
+from qltc.graphs import BipartiteGraph, Pcg64
 from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.stabilizer import StabilizerCode
 from qltc.zoo import toric_edge_indices
@@ -60,9 +63,17 @@ def identity(n: int, d: int) -> PauliOp:
     return PauliOp(d, n, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), 0)
 
 
+def act(op: PauliOp, states: np.ndarray) -> np.ndarray:
+    """op's matrix @ states for a (dim,) or (dim, K) array, without forming the matrix."""
+    rows, entries = _monomial(op)
+    out = np.empty(states.shape, dtype=complex)
+    out[rows] = (entries * states.T).T
+    return out
+
+
 def densify(op: PauliOp) -> np.ndarray:
     """Full matrix of a Pauli; exact homomorphism densify(a*b)=densify(a)@densify(b)."""
-    return _act(op, np.eye(_check_cap(op.d, op.n)))
+    return act(op, np.eye(_check_cap(op.d, op.n)))
 
 
 def inverse(p: PauliOp) -> PauliOp:
@@ -787,6 +798,16 @@ def r_at_coset_weight(profile: SoundnessProfile, w: int) -> float:
     return (profile.min_penalty[w] / profile.m) / min(profile.k * delta, 1.0)
 
 
+def energy(state: np.ndarray, h: np.ndarray, m: int) -> float:
+    """(1/m) <psi|h|psi> for a normalized state; with h the code's Hamiltonian
+    sum_g Pi_g over its m generators, this lies in [0, 1]."""
+    state = np.asarray(state, dtype=complex)
+    norm = np.linalg.norm(state)
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError(f"state not normalized (norm {norm})")
+    return float(np.real(np.vdot(state, h @ state))) / m
+
+
 def displaced_codeword_energy(code: StabilizerCode, e: PauliOp, which: int = 0) -> float:
     """Mean energy of E|eta> for the which-th codespace basis vector.
 
@@ -794,9 +815,9 @@ def displaced_codeword_energy(code: StabilizerCode, e: PauliOp, which: int = 0) 
     eigenvalues); equals penalty(E)/m, which the test suite asserts.
     """
     h, basis = _system(code)
-    state = _act(e, basis[:, which])
+    state = act(e, basis[:, which])
     state = state / np.linalg.norm(state)
-    return _energy(state, h, code.m)
+    return energy(state, h, code.m)
 
 
 def verify_energy_identity(code: StabilizerCode, errors: list[PauliOp]) -> dict:
@@ -804,9 +825,82 @@ def verify_energy_identity(code: StabilizerCode, errors: list[PauliOp]) -> dict:
     h, basis = _system(code)
     max_dev = 0.0
     for e in errors:
-        displaced = _act(e, basis)
+        displaced = act(e, basis)
         displaced /= np.linalg.norm(displaced, axis=0)
         expected = code.penalty(e) / code.m
         for state in displaced.T:
-            max_dev = max(max_dev, abs(_energy(state, h, code.m) - expected))
+            max_dev = max(max_dev, abs(energy(state, h, code.m) - expected))
     return {"errors_checked": len(errors), "max_deviation": max_dev, "passed": max_dev <= TOL}
+
+
+def detectability_loop(code: StabilizerCode, rho: int) -> dict:
+    """dense.verify_detectability one Pauli at a time: B^dag (E B) per word of
+    search.candidate_batches, the oracle of its batched slices."""
+    basis = _system(code)[1]
+    basis_dag = basis.conj().T
+    eye = np.eye(basis.shape[1])
+    max_residual = 0.0
+    checked = 0
+    violator = None
+    weights = range(1, min(rho, code.n + 1))  # no Pauli on n qudits is heavier than n
+    batches = (b for w in weights for b in search.candidate_batches(code.n, code.d, w))
+    for v in (v for batch in batches for v in batch):
+        e = PauliOp(code.d, code.n, v[: code.n], v[code.n :])
+        m = basis_dag @ act(e, basis)
+        gamma = np.trace(m) / basis.shape[1]
+        res = float(np.linalg.norm(m - gamma * eye))
+        checked += 1
+        max_residual = max(max_residual, res)
+        if res > TOL and violator is None:
+            violator = e.to_json()
+    return {
+        "rho": rho,
+        "paulis_checked": checked,
+        "max_residual": max_residual,
+        "passed": violator is None,
+        "violator": violator,
+        "tolerance": TOL,
+    }
+
+
+def equivalence_loop(code: StabilizerCode, samples: int, seed: int = 0) -> dict:
+    """dense.verify_sltc_qltc_equivalence one sample and one pair at a time, each
+    pair found by comparing syndromes afresh: the oracle of its batched slices."""
+    rng = Pcg64(seed)
+    h, basis = _system(code)
+    eta = basis[:, 0]
+    max_forward = 0.0
+    errs = []
+    for _ in range(samples):
+        x = rng.integers(code.d, size=code.n)
+        z = rng.integers(code.d, size=code.n)
+        e = PauliOp(code.d, code.n, x, z, rng.integers(code.d))
+        errs.append(e)
+        state = act(e, eta)
+        state /= np.linalg.norm(state)
+        dev = abs(energy(state, h, code.m) - code.penalty(e) / code.m)
+        max_forward = max(max_forward, dev)
+    # backward: two-coset superposition
+    max_backward = 0.0
+    pairs = 0
+    for i in range(len(errs)):
+        for j in range(i + 1, len(errs)):
+            if np.array_equal(code.syndrome(errs[i]), code.syndrome(errs[j])):
+                continue
+            a, b = 0.6, 0.8
+            state = a * act(errs[i], eta) + b * act(errs[j], eta)
+            state /= np.linalg.norm(state)
+            expected = (a * a * code.penalty(errs[i]) + b * b * code.penalty(errs[j])) / code.m
+            max_backward = max(max_backward, abs(energy(state, h, code.m) - expected))
+            pairs += 1
+            break
+        if pairs >= 5:
+            break
+    return {
+        "samples": samples,
+        "max_forward_deviation": max_forward,
+        "coset_pairs_checked": pairs,
+        "max_backward_deviation": max_backward,
+        "passed": max_forward <= TOL and max_backward <= TOL,
+        "tolerance": TOL,
+    }

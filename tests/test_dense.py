@@ -3,15 +3,20 @@
 `densify_kron` (the kron product of site matrices) and
 `detectability_oracle` (the projector form ||Pi E Pi - gamma Pi||, with Pi
 a product of generator projectors) are the older, slower forms of the
-monomial `densify` (a test helper on the oracle's `_act`) and the
-codespace-basis `verify_detectability`, kept here as oracles on random instances.  `verify_golden.json` was written by the
-older forms.
+monomial `densify` (a test helper on the oracle's `_monomial`) and the
+codespace-basis `verify_detectability`, kept here as oracles on random
+instances; `helpers.detectability_loop` and `helpers.equivalence_loop`,
+one Pauli and one sample at a time in complex arithmetic, are the
+oracles of the checks' batched slices.  `verify_golden.json` was written
+by the older forms.
 """
 
+import functools
 import itertools
 import json
 import os
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +29,8 @@ from qltc.cli import main
 from qltc.pauli import PauliOp, nonidentity_symbols
 from qltc.stabilizer import CodeValidationError, StabilizerCode, build_code
 from qltc.zoo import steane_code, toric_code
-from helpers import densify, displaced_codeword_energy, identity, verify_energy_identity
+from helpers import (densify, detectability_loop, displaced_codeword_energy, equivalence_loop, identity,
+                     verify_energy_identity)
 
 
 def test_densify_bit_flip():
@@ -77,14 +83,13 @@ def test_codespace_dimensions():
 def test_codeword_energy_zero():
     c = toric_code(2)
     h, basis = dense._system(c)
-    for col in range(basis.shape[1]):
-        assert dense._energy(basis[:, col], h, c.m) < 1e-12
+    assert dense._energies(basis.T, h, c.m).max() < 1e-12
 
 
 def test_energy_requires_normalized():
     c = toric_code(2)
     with pytest.raises(ValueError):
-        dense._energy(np.ones(2**c.n), dense.hamiltonian(c), c.m)
+        dense._energies(np.ones((1, 2**c.n)), dense.hamiltonian(c), c.m)
 
 
 def test_uniform_superposition_single_z_check():
@@ -162,20 +167,21 @@ def test_equivalence_draws_numpy_stream(monkeypatch, name, seed):
     code = {"steane": steane_code, "toric:2": lambda: toric_code(2),
             "xx_zz2_d3": lambda: build_code([PauliOp(3, 2, [1, 1], [0, 0]),
                                              PauliOp(3, 2, [0, 0], [1, 2])])}[name]()
-    built = []
+    drawn, draws = [], dense._draws
 
     def spy(*args):
-        built.append(PauliOp(*args))
-        return built[-1]
+        drawn.append(draws(*args))
+        return drawn[-1]
 
-    monkeypatch.setattr(dense, "PauliOp", spy)
+    monkeypatch.setattr(dense, "_draws", spy)
     report = dense.verify_sltc_qltc_equivalence(code, samples=12, seed=seed)
+    (xs, zs, phases), = drawn
     rng = np.random.default_rng(seed)
-    for op in built:
+    for op in (PauliOp(code.d, code.n, *args) for args in zip(xs, zs, phases)):
         x, z = rng.integers(code.d, size=code.n), rng.integers(code.d, size=code.n)
         assert (op.x.tolist(), op.z.tolist(), op.phase) == (x.tolist(), z.tolist(),
                                                             int(rng.integers(code.d)))
-    assert len(built) == 12
+    assert len(xs) == 12
     monkeypatch.setattr(dense, "Pcg64", np.random.default_rng)
     assert dense.verify_sltc_qltc_equivalence(code, samples=12, seed=seed) == report
 
@@ -371,6 +377,94 @@ def test_detectability_past_n_checks_every_pauli_once():
     assert full["paulis_checked"] == 9**code.n - 1
     far = dense.verify_detectability(code, rho=10**18)
     assert {**far, "rho": full["rho"]} == full
+
+
+# --- the batched checks against their per-Pauli and per-sample loops ----------
+
+# phased Y-type generators at d = 2: -(ZX)(ZX)(ZX)(ZX) and ZZZZ, K = 4
+Y_TYPE = [PauliOp(2, 4, [1, 1, 1, 1], [1, 1, 1, 1], 1), PauliOp(2, 4, [0, 0, 0, 0], [1, 1, 1, 1])]
+
+
+@st.composite
+def random_codes(draw):
+    d, seed = draw(st.sampled_from([2, 3, 5])), draw(st.integers(0, 2**32 - 1))
+    return _random_code(d, np.random.default_rng(seed))
+
+
+# SLICE_ENTRIES as a function of d^n and K: one Pauli and one sample a slice,
+# three samples a slice, three Paulis a slice, and the module's own value
+SLICINGS = {"one": lambda dim, k: 1, "three samples": lambda dim, k: 3 * dim,
+            "three paulis": lambda dim, k: 3 * dim * k, "default": lambda dim, k: dense.SLICE_ENTRIES}
+
+
+@given(random_codes(), st.integers(1, 4), st.integers(0, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from(sorted(SLICINGS)))
+@example(build_code(Y_TYPE), 3, 40, 5, "three paulis")
+@example(build_code(Y_TYPE), 4, 17, 1, "three samples")
+@example(build_code(CODE_FILES["xx_zz2_d3.json"]), 3, 23, 7, "three paulis")
+@settings(max_examples=60, deadline=None)
+def test_batched_checks_match_the_loops(code, rho, samples, seed, slicing):
+    dim, k = dense.codespace_basis(code).shape
+    want_det, want_eq = detectability_loop(code, rho), equivalence_loop(code, samples, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense, "SLICE_ENTRIES", SLICINGS[slicing](dim, k))
+        got_det = dense.verify_detectability(code, rho)
+        got_eq = dense.verify_sltc_qltc_equivalence(code, samples, seed)
+    for got, want, floats in ((got_det, want_det, {"max_residual"}),
+                              (got_eq, want_eq, {"max_forward_deviation", "max_backward_deviation"})):
+        assert sorted(got) == sorted(want)
+        for key in want:
+            if key in floats:
+                assert abs(got[key] - want[key]) <= 1e-12, (key, got[key], want[key])
+            else:
+                assert got[key] == want[key], (key, got[key], want[key])
+
+
+# generators over each field: phased and Y-type at d = 2, where the roots are (1, -1)
+FIELD_CASES = {
+    "-xx_zz": [PauliOp(2, 2, [1, 1], [0, 0], 1), PauliOp(2, 2, [0, 0], [1, 1])],
+    "y_type": Y_TYPE,
+    "xx_zz2_d3": CODE_FILES["xx_zz2_d3.json"],
+    "xx_zz4_d5": [PauliOp(5, 2, [1, 1], [0, 0], 2), PauliOp(5, 2, [0, 0], [1, 4])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_CASES))
+def test_real_arithmetic_at_d2(name):
+    code = build_code(FIELD_CASES[name])
+    dtype = np.float64 if code.d == 2 else np.complex128
+    dim = code.d**code.n
+    kron = [densify_kron(g) for g in code.generators]
+    for g, dg in zip(code.generators, kron):
+        assert dense._monomial(g)[1].dtype == dtype
+        assert np.abs(densify(g) - dg).max() <= 1e-12
+    powers = [sum(np.linalg.matrix_power(dg, j) for j in range(code.d)) / code.d for dg in kron]
+    h, basis = dense.hamiltonian(code), dense.codespace_basis(code)
+    assert h.dtype == basis.dtype == dtype
+    assert np.abs(h - sum(np.eye(dim) - p for p in powers)).max() <= 1e-12
+    projector = functools.reduce(np.matmul, powers)  # onto the joint +1 eigenspace
+    assert np.abs(basis @ basis.conj().T - projector).max() <= 1e-12
+
+
+def test_detectability_slice_bounds_memory():
+    # d^n = 1024 with K = 64 columns: X and Z on qubits 0-5 and on qubits 4-9
+    halves = [[int(q in sites) for q in range(10)] for sites in (range(6), range(4, 10))]
+    with pytest.warns(UserWarning, match="irregular left degrees"):
+        code = build_code([PauliOp(2, 10, *pair) for h in halves for pair in ((h, [0] * 10), ([0] * 10, h))],
+                          strict_degree=False)
+    basis = dense.codespace_basis(code)
+    assert basis.shape == (1024, 64)
+    tracemalloc.start()
+    try:
+        report = dense.verify_detectability(code, rho=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["passed"] and report["paulis_checked"] == 30
+    # one slice's images of the basis (2 MiB) and the little work beside them;
+    # all 30 weight-1 Paulis' images at once take 15 MiB, two slices 4 MiB
+    bound = 2 * dense.SLICE_ENTRIES * basis.itemsize
+    assert peak < bound, (peak, bound)
 
 
 # --- one Hamiltonian and one eigh per code ------------------------------------
