@@ -221,11 +221,11 @@ def _select_qudit(code: StabilizerCode, u: int) -> tuple[int, int]:
 
 def _tensor_restrictions(code: StabilizerCode, picks: list[tuple[int, int]]) -> PauliOp:
     """Product of u|_q over (u, q) picks; supports are disjoint by independence."""
-    x = np.zeros(code.n, dtype=np.int64)
-    z = np.zeros(code.n, dtype=np.int64)
+    x, z = np.zeros((2, code.n), dtype=np.int64)
     u, q = np.array(picks, dtype=np.int64).reshape(-1, 2).T
-    x[q] = code.symplectic_matrix[u, q]
-    z[q] = code.symplectic_matrix[u, code.n + q]
+    s = code._sites
+    at = np.searchsorted(s.qudit * code.m + s.row, q * code.m + u)  # u's site in q's run
+    x[q], z[q] = s.x[at], s.z[at]
     return PauliOp(code.d, code.n, x, z, 0)
 
 
@@ -327,8 +327,9 @@ def majority_restriction(code: StabilizerCode, q: int) -> tuple[int, int, int]:
     fraction of the checks at q.
     """
     counts: dict[tuple[int, int], int] = {}
-    for c in code.graph.left_adj[q]:
-        sym = (int(code.symplectic_matrix[c, q]), int(code.symplectic_matrix[c, code.n + q]))
+    s = code._sites
+    lo, hi = np.searchsorted(s.qudit, [q, q + 1])  # the run of q's sites: the checks at q
+    for sym in zip(s.x[lo:hi].tolist(), s.z[lo:hi].tolist()):
         counts[sym] = counts.get(sym, 0) + 1
     sym = min(counts, key=lambda s: (-counts[s], s))
     return sym[0], sym[1], counts[sym]
@@ -552,9 +553,8 @@ def island_attack(
     island_pos = np.searchsorted(s_arr, [g.right_adj[u] for u in u_set])  # s is sorted
     s_cols = np.concatenate([s_arr, code.n + s_arr])
     # rows zero on S are zero for every trial: they neither add to a penalty
-    # nor tell a group element from a non-element
-    checks = sorted(g.gamma(s, "left"))
-    syndrome_s = code.syndrome_matrix[np.ix_(checks, s_cols)].T
+    # nor tell a group element from a non-element, so only the checks on S enter
+    syndrome_s = code._syndrome_map.block(s_arr)[1].T
 
     histogram = np.zeros(k + 1, dtype=np.int64)
     pen_sum = pen_squares = weight_sum = zero_coset = 0

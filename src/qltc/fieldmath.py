@@ -8,27 +8,30 @@ membership); it returns residues in `residue_dtype(p)`, one byte an entry
 below 256.  It runs in float32 or float64 BLAS only: `check_prime` admits
 primes below 2**16 alone, and below that every product of an admissible
 width is exact in float64.  `Sites` is a map on symplectic words as its
-nonzero (row, qudit) sites; `Sites.pairs`, every two rows' symplectic
-product summed over the qudits they share, is the one kernel that
-certifies a code (commutation, the logicals' products and Gram form), a
-block of rows at a time however many rows meet at a qudit.
-`rref` is the one elimination routine: it brings a code's m x 2n matrix
-to Gottesman's standard form and returns its nonzero reduced rows,
-packed into uint64 words, with their pivots.  `RowSpace` runs it once, on a
-code's matrix, reads rank and pivots off it and its 2k' logicals, the
+nonzero (row, qudit) sites, the one form in which a code is held, from its
+builder through its elimination.  `Sites.pairs`, every two rows'
+symplectic product summed over the qudits they share, is the one kernel
+that certifies a code (commutation, the logicals' products and Gram
+form), a block of rows at a time however many rows meet at a qudit;
+`Sites.block` is a map's dense block at a few qudits, all that a batch
+product reads of it.
+`rref` is the one elimination routine: it brings a code's sites to
+Gottesman's standard form and returns its nonzero reduced rows, packed
+into uint64 words, with their pivots.  `RowSpace` runs it once, on a
+code's sites, reads rank and pivots off it and its 2k' logicals, the
 kernel rows at the qudits that are no pivot: with a zero syndrome, a word
 lies in the row space iff its products with them vanish.
 Given the rows' Pauli phases, the elimination carries them too (over
 GF(2) the phase bit of Aaronson and Gottesman, arXiv:quant-ph/0406196; at
 odd p the Weyl phase, Gross, arXiv:quant-ph/0602001) and names the first
 generator of a relation whose phase is nonzero: the phase obstruction.
-It runs on rows packed as fields of `field_width(p)` bits, one Python int
-a row (M4RI, Albrecht, Bard and Hart, arXiv:0811.1714; M4RIE, Albrecht,
-arXiv:1111.6900): over GF(2) a row operation is one XOR, at odd p a few
-operations on the whole int add rows mod p field by field (SWAR, as in
-Boothby and Bradshaw, arXiv:0901.1413).  The pivot rows are written as
-uint64 words, and the logicals' pivot entries are their fields at the
-free columns, so no dense copy of the matrix or its reduced form is made.
+It runs on rows packed from the sites as fields of `field_width(p)` bits,
+one Python int a row (M4RI, Albrecht, Bard and Hart, arXiv:0811.1714;
+M4RIE, Albrecht, arXiv:1111.6900): over GF(2) a row operation is one XOR,
+at odd p a few operations on the whole int add rows mod p field by field
+(SWAR, as in Boothby and Bradshaw, arXiv:0901.1413).  The pivot rows are
+written as uint64 words, and the logicals' pivot entries are their fields
+at the free columns, so no dense copy of the matrix or its reduced form is made.
 `InputError` is the one bad-input type.  The checks on outside input,
 here (`check_prime`) and in `zoo`, `stabilizer` and the CLI, raise it or
 its subclass `CodeValidationError`, which is also a `ValueError`.
@@ -186,16 +189,17 @@ def _field_ops(p: int, count: int):
     return add, times
 
 
-def rref(mat: np.ndarray, p: int, phases=None) -> tuple[np.ndarray, list[int], int | None]:
+def rref(sites: "Sites", p: int, phases=None) -> tuple[np.ndarray, list[int], int | None]:
     """The one elimination, to Gottesman's standard form: reduced rows, pivots, obstruction.
 
-    mat is m x 2n, rows (x | z).  Each row is one Python int, entry j in
-    the w = field_width(p) bits from w j, packed from the matrix's nonzero
-    entries: over GF(2) adding rows is one XOR, at odd p _field_ops' add,
-    and a row's pivot is its lowest nonzero field.  The columns are taken
-    in the order of the standard form: the x columns, then the z columns
-    of the qudits that are not x pivots, then those of the x pivots, which
-    only rows that do not commute reach.  Returns (R, pivots, obstruction):
+    sites is the m x 2n map of the rows (x | z), residues at its sites.
+    Each row is one Python int, entry j in the w = field_width(p) bits
+    from w j, packed entry by entry in one loop at every p: over GF(2)
+    adding rows is one XOR, at odd p _field_ops' add, and a row's pivot is
+    its lowest nonzero field.  The columns are taken in the order of the
+    standard form: the x columns, then the z columns of the qudits that
+    are not x pivots, then those of the x pivots, which only rows that do
+    not commute reach.  Returns (R, pivots, obstruction):
     R is the rank nonzero rows of the reduced form, in that pivot order,
     as little-endian uint64 words, field j at bits w j .. w j + w - 1;
     pivots the pivot column of each.  Given phases, the rows are commuting
@@ -205,30 +209,24 @@ def rref(mat: np.ndarray, p: int, phases=None) -> tuple[np.ndarray, list[int], i
     odd p the Weyl phase s + x.z/2 adds over commuting products: it is
     field 2n, never a pivot.  Over GF(2) v ^= b adds x_v.z_b to v's phase bit.
     """
-    mat = residues(mat, p, residue_dtype(p))
-    nrows, ncols = mat.shape
+    nrows, ncols = sites.shape
     n = ncols // 2
     w = field_width(p)
     fmask = (1 << w) - 1
     bit_signs = w == 1 and phases is not None
     weyl = w > 1 and phases is not None  # the Weyl phase, in field ncols
-    support = np.packbits(mat, axis=1, bitorder="little")  # bit j of row i: (i, j) is nonzero
-    if w == 1:
-        rows = [int.from_bytes(row.tobytes(), "little") for row in support]
-    else:
+    entries = np.r_[sites.x, sites.z]  # a site's x at field q, its z at field n + q
+    on = np.flatnonzero(entries)
+    rows, fields = [0] * nrows, np.r_[sites.qudit, n + sites.qudit][on]
+    for r, shift, v in zip(np.tile(sites.row, 2)[on].tolist(), (w * fields).tolist(),
+                           entries[on].tolist()):
+        rows[r] |= v << shift
+    if w > 1:
         add, times = _field_ops(p, ncols + weyl)
-        rows = [0] * nrows
-        nonzero = np.flatnonzero(support)  # bytes, a thousand at a time: no index of every entry
-        for at in np.split(nonzero, range(1024, nonzero.size, 1024)):
-            k, bit = np.nonzero(np.unpackbits(support.ravel()[at, None], axis=1, bitorder="little"))
-            i, j = np.divmod(8 * at[k] + bit, 8 * support.shape[1])
-            for r, shift, entry in zip(i.tolist(), (w * j).tolist(), mat[i, j].tolist()):
-                rows[r] |= entry << shift
-        if weyl:
-            xz = np.einsum("ij,ij->i", mat[:, :n], mat[:, n:], dtype=np.int64) % p
-            for r, s in enumerate(((xz * ((p + 1) // 2) + phases) % p).tolist()):
-                rows[r] |= s << w * ncols
-    del support
+    if weyl:
+        xz = np.bincount(sites.row, sites.x * sites.z, nrows).astype(np.int64) % p
+        for r, s in enumerate(((xz * ((p + 1) // 2) + phases) % p).tolist()):
+            rows[r] |= s << w * ncols
     signs = (np.asarray(phases) & 1).tolist() if bit_signs else [0] * nrows
     basis: dict[int, int] = {}
     z_sign: dict[int, tuple[int, int]] = {}  # over GF(2), an x pivot row's z half and phase bit
@@ -324,24 +322,23 @@ class Sites(NamedTuple):
         below = below._replace(row=below.row + self.shape[0])
         return Sites.at(*(np.r_[a, b] for a, b in zip(self[:4], below[:4])), shape)
 
-    def pairs(self, p: int, across: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def pairs(self, p: int, since: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays a, b, value: each pair of rows a < b, in (a, b) order, whose product
         z_a.x_b - x_a.z_b, summed over the qudits they share, is nonzero mod p; given
-        across, only the pairs a < across <= b.  The terms are summed for a block of
+        since, only the pairs with b >= since.  The terms are summed for a block of
         rows a of about PAIR_TERMS terms at a time, so each block's pairs are complete;
         a term sorts as one int64, its pair's key a r + b above it mod p."""
         r, n, row, bits = self.shape[0], self.shape[1] // 2, self.row, int(p - 1).bit_length()
         if r * r << bits >= 1 << 63:
             raise ValueError(f"{r} rows: a pair's key and product do not fit one int64")
         # a site's terms are with the sites start..end - 1 of its qudit: the later ones,
-        # or given across those of rows from across on (none for such a row's own site)
+        # or given since, for a row before it, those of the rows from since on
         end = self.first + np.bincount(self.qudit, minlength=n)[self.qudit]
-        if across is None:
-            start = np.arange(1, row.size + 1)
-        else:
-            early = row < across
-            start = self.first + np.bincount(self.qudit[early], minlength=n)[self.qudit]
-            start[~early] = end[~early]
+        start = np.arange(1, row.size + 1)
+        if since is not None:
+            early = row < since
+            before = np.bincount(self.qudit[early], minlength=n)  # a qudit's sites before since
+            start[early] = self.first[early] + before[self.qudit[early]]
         count = end - start
         upto, done = np.bincount(row, count, r).cumsum(), 0  # the terms of rows 0..a, before lo
         keys, sums, lo = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], 0
@@ -361,6 +358,19 @@ class Sites(NamedTuple):
         a, b = np.divmod(np.concatenate(keys), r)
         return a, b, np.concatenate(sums)
 
+    def block(self, qudits: np.ndarray, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, B): the rows of this map with a site at one of the sorted qudits, in
+        order, and B their entries there in dtype, the x column of each qudit, then its z
+        column.  At every qudit, B is the dense map when each row has a site."""
+        lo = np.searchsorted(self.qudit, qudits)
+        count = np.searchsorted(self.qudit, qudits, "right") - lo
+        col = np.repeat(np.arange(len(qudits)), count)
+        i = np.arange(col.size) + np.repeat(lo - np.cumsum(count) + count, count)
+        rows, at = np.unique(self.row[i], return_inverse=True)
+        out = np.zeros((len(rows), 2 * len(qudits)), dtype=dtype)
+        out[at, col], out[at, col + len(qudits)] = self.x[i], self.z[i]
+        return rows, out
+
     def image(self, x: np.ndarray, z: np.ndarray, p: int) -> np.ndarray:
         """This map applied to the word (x | z), mod p in int64, summed over the word's qudits."""
         wx, wz = x[self.qudit], z[self.qudit]
@@ -376,14 +386,17 @@ class RowSpace:
     one), so A lies in Z, the words of zero syndrome, and A is the
     symplectic complement of Z; Z / A has dimension 2k', k' = n - rank.
 
-    rank, pivots  -- rank and pivot columns of rref(mat), in its order
+    rank, pivots  -- rank and pivot columns of rref(sites), in its order
     obstruction   -- given the rows' Pauli phases, the least generator that,
                      times earlier ones, is a scalar other than 1, or None
                      (see rref); the same rule at every p
-    logicals      -- 2k' rows of ker(mat), read-only in residue_dtype(p)
+    logicals      -- 2k' rows of ker(M), M the m x 2n matrix, read-only in
+                     residue_dtype(p)
     logical_sites -- the logicals as Sites
+    map           -- the syndrome map, rows (z | -x), with the logicals below
+                     it: a word v lies in A iff map v = 0
 
-    A row w = (a | b) of ker(mat) is the word (b | -a) of Z, and w.v is
+    A row w = (a | b) of ker(M) is the word (b | -a) of Z, and w.v is
     minus the symplectic product of that word with v.  The logicals are
     read off rref's standard form (Gottesman, arXiv:quant-ph/9705052
     section 4.1; for qudits Gheorghiu, arXiv:1101.1519): F is the k'
@@ -392,18 +405,16 @@ class RowSpace:
     then at their z columns.  Their Gram matrix G_ij = b_i.a_j - a_i.b_j,
     their words' symplectic products, is then [[0, -I], [I, 0]]: their
     words are independent modulo A and span Z modulo A, so a word v of Z
-    lies in A iff logicals @ v = 0.  RowSpace raises ValueError unless
-    G's upper triangle, logical_sites.pairs(p), is exactly (i, i + k', -1),
-    and StabilizerCode checks, by the same kernel, that each logical has
-    zero product with every generator: together these certify the logicals.
+    lies in A iff logicals @ v = 0.  One call of map.pairs(p, since=m)
+    certifies them: it raises ValueError unless no generator and logical
+    have a nonzero product and the logicals' pairs are exactly
+    (m + i, m + i + k', -1).
     """
 
-    def __init__(self, mat: np.ndarray, p: int, phases: np.ndarray | None = None):
+    def __init__(self, sites: Sites, p: int, phases: np.ndarray | None = None):
         self.p = p
-        n = mat.shape[1] // 2
-        # the elimination packs its own rows, as Python ints
-        self._rows = residues(mat, p, residue_dtype(p))
-        reduced, self.pivots, self.obstruction = rref(self._rows, p, phases)
+        m, n = sites.shape[0], sites.shape[1] // 2
+        reduced, self.pivots, self.obstruction = rref(sites, p, phases)
         self.rank = len(self.pivots)
         if self.rank > n:
             raise ValueError(f"rank {self.rank} on {n} qudits: the rows do not commute")
@@ -411,29 +422,29 @@ class RowSpace:
         del reduced
         self.logicals.setflags(write=False)
         self.logical_sites = Sites.of(self.logicals)
+        self.map = sites._replace(x=sites.z, z=-sites.x % p).above(self.logical_sites)
+        a, b, value = self.map.pairs(p, since=m)
+        if a.size and a[0] < m:  # the pairs come in (a, b) order: the cross ones first
+            raise ValueError(f"logical {b[0] - m} has a nonzero product with generator {a[0]}")
         k = n - self.rank
-        form = np.arange(k), np.arange(k, 2 * k), np.full(k, p - 1)  # G[i, i + k'] = -1
-        if len(self.logicals) != 2 * k or not all(map(np.array_equal,
-                                                      self.logical_sites.pairs(p), form)):
+        form = m + np.arange(k), m + np.arange(k, 2 * k), np.full(k, p - 1)  # G[i, i + k'] = -1
+        if len(self.logicals) != 2 * k or not all(map(np.array_equal, (a, b, value), form)):
             raise ValueError(f"the Gram matrix of the logicals is not the form of 2k' = {2 * k}")
 
     def contains_batch(self, vs: np.ndarray) -> np.ndarray:
-        """Boolean mask over rows of vs: zero products with the rows and with the logicals.
+        """Boolean mask over rows of vs: zero image under map, the syndrome and the logicals.
 
         Entries reduce mod p through `residues`, so a negative entry counts
         as its residue and a non-integer one is refused.  Only the columns
-        where some row of vs is nonzero enter the product, so a sparse word
-        costs a few columns of the rows and logicals.
+        where some row of vs is nonzero enter the product, read off map's
+        block at their qudits, so a sparse word costs a few of its sites.
         """
-        p, n = self.p, self._rows.shape[1] // 2
+        p, n = self.p, self.map.shape[1] // 2
         vs = residues(vs, p, residue_dtype(p))
         cols = np.flatnonzero(vs.any(axis=0))
-        # <g, v> = g.z . v.x - g.x . v.z: each column meets g's other half, x negated
-        rows = self._rows[:, (cols + n) % (2 * n)]
-        meets_x = cols >= n
-        rows[:, meets_x] = (p - rows[:, meets_x]) % p
-        maps = np.concatenate([rows, self.logicals[:, cols]])
-        return ~np.any(modmul(vs[:, cols], maps.T, p), axis=1)
+        qudits, at = np.unique(cols % n, return_inverse=True)
+        block = self.map.block(qudits)[1][:, at + len(qudits) * (cols >= n)]
+        return ~np.any(modmul(vs[:, cols], block.T, p), axis=1)
 
 
 def _standard_logicals(reduced: np.ndarray, pivots: list[int], p: int, n: int) -> np.ndarray:

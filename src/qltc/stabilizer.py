@@ -1,41 +1,40 @@
 """Stabilizer codes as validated generating sets.
 
-A code is built from its m x 2n symplectic matrix (one row (x | z) per
-generator) and the generators' phases; `build_code` stacks a list of
-Pauli generators into that form.  Construction validates the Abelian
-requirement, absence of a phase obstruction (no product of generators is
-a non-identity scalar, which the row-space elimination finds, so the
-codespace is non-empty), uniform locality, degree regularity and absence
-of trivial qudits, each with a specific diagnosis: a subclass of
-`CodeValidationError` (defined in `fieldmath` and re-exported here), which
-is the CLI's bad input and also a `ValueError`; so is a code file that is
-not UTF-8 JSON or holds a malformed generator.  Every check runs on the
-matrix's nonzero (generator, qudit) sites, so for k-local generators it
-costs time in proportion to those sites, not to m x m or m x n.  The
-matrix and the 2k' logicals of its row space (fieldmath.RowSpace, k' =
-n - rank) are held in the least unsigned type for d (uint8 below 256).
-The row space is built on its first read, and the build reads it at once
-only when a product of generators could be a scalar other than 1: when
-some phase is nonzero or some generator has both x and z entries.  A CSS
-code with zero phases has no such product (pure-x rows multiply to pure-x
-rows of phase 0, and likewise for z), so its elimination waits for the
-first reader of rank, the logicals or membership; a job that reads only
-syndromes (an attack) never eliminates.  Commutation and the logicals'
-certificate (RowSpace's Gram form, _check_logicals) are each one call of
-fieldmath.Sites.pairs: _check_logicals builds _group_map, the syndrome
-map with the logicals below it, and sums only its pairs across the two;
-a logical that fails raises ValueError (an internal fault).  The
-syndrome map, rows (z | -x), is held as its Sites, the one place that
-writes that layout: single syndromes, penalties and the searches read
-those sites, and the dense syndrome_matrix that batch products read is
-scattered from them on first use.
+A code is held as the nonzero (generator, qudit) sites of its m x 2n
+symplectic map (fieldmath.Sites, one row (x | z) per generator) and the
+generators' phases: the builders in `zoo` emit sites, and a dense matrix
+(`build_code` stacks a list of Pauli generators into one) is read into
+sites once.  Construction validates the Abelian requirement, absence of a
+phase obstruction (no product of generators is a non-identity scalar,
+which the row-space elimination finds, so the codespace is non-empty),
+uniform locality, degree regularity and absence of trivial qudits, each
+with a specific diagnosis: a subclass of `CodeValidationError` (defined in
+`fieldmath` and re-exported here), which is the CLI's bad input and also a
+`ValueError`; so is a code file that is not UTF-8 JSON or holds a
+malformed generator.  Every check runs on the sites, so for k-local
+generators it costs time in proportion to them, not to m x m or m x n.
+The row space (fieldmath.RowSpace: rank, pivots and the 2k' logicals, k'
+= n - rank) is eliminated from the sites on its first read, and the build
+reads it at once only when a product of generators could be a scalar
+other than 1: when some phase is nonzero or some generator has both x and
+z entries.  A CSS code with zero phases has no such product (pure-x rows
+multiply to pure-x rows of phase 0, and likewise for z), so its
+elimination waits for the first reader of rank, the logicals or
+membership; a job that reads only syndromes (an attack) never
+eliminates.  Commutation is one call of fieldmath.Sites.pairs, and so is
+the logicals' certificate, in RowSpace; a logical that fails raises
+ValueError (an internal fault).  The syndrome map, rows (z | -x), is held
+as its Sites: single syndromes, penalties and the searches read them, and
+the dense syndrome_matrix that syndrome_batch reads, like the dense
+symplectic_matrix that generators reads, is scattered from them on first
+use.
 
 A word lies in A(G) iff its syndrome and its products with the logicals
-vanish, so the syndrome map with the logicals below it, _group_map, has
+vanish, so the syndrome map with the logicals below it, RowSpace.map, has
 one image on each coset of A(G).  Weight modulo the group, weight modulo
 the centralizer, distance and succinctness are each one call of
 search.min_weight_vector: the least weight of v with A v = t, where A
-is the syndrome map or _group_map (the distance filters by the
+is the syndrome map or RowSpace.map (the distance filters by the
 logicals), with certified intervals when the budget runs out.  The
 weight modulo the centralizer first packs E's violated generators
 (_packing): any word with E's syndrome acts on each of a set of violated
@@ -128,41 +127,46 @@ class StabilizerCode:
     """Validated stabilizer code with cached symplectic data.
 
     Immutable after construction, apart from views cached on their first
-    read (rowspace, syndrome_matrix, generators, _group_map), each a
-    function of the validated matrix and phases, so two workers that read
+    read (rowspace, symplectic_matrix, syndrome_matrix, generators), each
+    a function of the validated sites and phases, so two workers that read
     one at once build the same value; safe to share across workers.
     """
 
     def __init__(
-        self, d: int, matrix: np.ndarray, phases: Sequence[int] | None = None,
+        self, d: int, matrix: Sites | np.ndarray, phases: Sequence[int] | None = None,
         strict_degree: bool = True,
     ):
         """matrix is m x 2n, one row (x | z) per generator; phases default to 0.
 
-        The matrix is held read-only in residue_dtype(d) (uint8 below 256,
-        uint16 above): one of that type whose entries already lie in
-        [0, d) is kept, not copied, so the validated code cannot change;
-        any other integer matrix is reduced into a new one.  A non-integer
-        exponent or phase is refused.
+        The builders pass its Sites, residues at distinct nonzero sites,
+        which the code holds as they are.  A dense matrix is reduced into
+        residue_dtype(d) (uint8 below 256, uint16 above): one of that type
+        whose entries already lie in [0, d) is kept, not copied, and held
+        read-only as symplectic_matrix, so the validated code cannot
+        change; any other integer matrix is reduced into a new one.  Its
+        sites are then read once, by Sites.of.  A non-integer exponent or
+        phase is refused.
         """
         check_prime(d)
         self.d = d
         try:
-            matrix = residues(matrix, d, residue_dtype(d))
+            dense = None if isinstance(matrix, Sites) else residues(matrix, d, residue_dtype(d))
             phases = None if phases is None else residues(phases, d).copy()
         except ValueError as exc:
             raise CodeValidationError(str(exc)) from None
-        if matrix.ndim != 2 or matrix.shape[1] % 2:
-            raise CodeValidationError("a symplectic matrix has one (x | z) row per generator")
+        if dense is not None:
+            if dense.ndim != 2 or dense.shape[1] % 2:
+                raise CodeValidationError("a symplectic matrix has one (x | z) row per generator")
+            dense.setflags(write=False)
+            self.symplectic_matrix = dense  # m x 2n
+            matrix = Sites.of(dense)
         self.m, self.n = matrix.shape[0], matrix.shape[1] // 2
         if self.m == 0:
             raise CodeValidationError("empty generating set")
-        matrix.setflags(write=False)
-        self.symplectic_matrix = matrix  # m x 2n
         self._phases = np.zeros(self.m, dtype=np.int64) if phases is None else phases
         if self._phases.shape != (self.m,):
             raise CodeValidationError(f"{self._phases.size} phases for {self.m} generators")
-        self._sites = sites = Sites.of(self.symplectic_matrix)
+        self._sites = sites = matrix
         # the syndrome map syn(E)_g = <g, E> = g.z . E.x - g.x . E.z, rows (z | -x)
         self._syndrome_map = sites._replace(x=sites.z, z=-sites.x % d)
 
@@ -195,13 +199,12 @@ class StabilizerCode:
         """The row space of the generators, from one elimination on first read.
 
         Raises PhaseObstructionError when a product of generators is a
-        scalar other than 1, and ValueError (an internal fault) unless every
-        logical has zero product with every generator.
+        scalar other than 1, and ValueError (an internal fault) unless
+        RowSpace certifies its logicals.
         """
-        rowspace = RowSpace(self.symplectic_matrix, self.d, self._phases)
+        rowspace = RowSpace(self._sites, self.d, self._phases)
         if rowspace.obstruction is not None:
             raise PhaseObstructionError(rowspace.obstruction)
-        self._group_map = self._check_logicals(rowspace.logical_sites)
         return rowspace
 
     @property
@@ -209,20 +212,23 @@ class StabilizerCode:
         return self.rowspace.rank
 
     @functools.cached_property
+    def symplectic_matrix(self) -> np.ndarray:
+        """The generators as dense rows (x | z) in residue_dtype(d), read-only.
+
+        The dense matrix the code was given, else scattered from the sites
+        on first use; only generators (and so to_json) reads it.
+        """
+        return _dense(self._sites, self.d)
+
+    @functools.cached_property
     def syndrome_matrix(self) -> np.ndarray:
         """The syndrome map as dense rows (z | -x) in residue_dtype(d), scattered from its sites.
 
-        Built on first use, and only batch products read it (syndrome_batch
-        and the island trials' columns of S; modmul casts it to the float
-        type its BLAS product needs); single syndromes and the searches read
-        the sites.
+        Built on first use, and only syndrome_batch reads it (modmul casts it
+        to the float type its BLAS product needs); single syndromes, the
+        searches and the island trials read the sites.
         """
-        s = self._syndrome_map
-        out = np.zeros((self.m, 2 * self.n), dtype=residue_dtype(self.d))
-        out[s.row, s.qudit] = s.x
-        out[s.row, self.n + s.qudit] = s.z
-        out.setflags(write=False)
-        return out
+        return _dense(self._syndrome_map, self.d)
 
     @functools.cached_property
     def generators(self) -> list[PauliOp]:
@@ -251,17 +257,6 @@ class StabilizerCode:
             if odd.size:
                 raise PhaseObstructionError(int(odd[0]))
 
-    def _check_logicals(self, logical_sites: Sites) -> Sites:
-        """The syndrome map with the logicals below it; ValueError if a generator and a
-        logical have a nonzero product, its one pair across the two (RowSpace checks the
-        logicals' own pairs, the build the generators')."""
-        group = self._syndrome_map.above(logical_sites)
-        a, b, _ = group.pairs(self.d, across=self.m)
-        if a.size:
-            g, i = int(a[0]), int(b[0]) - self.m
-            raise ValueError(f"logical {i} has a nonzero product with generator {g}")
-        return group
-
     # --- syndromes -----------------------------------------------------
     def syndrome(self, e: PauliOp) -> np.ndarray:
         """Per-generator symplectic products; zero vector iff E centralizes.
@@ -286,13 +281,6 @@ class StabilizerCode:
     def in_span(self, v: np.ndarray) -> bool:
         """Scalar-insensitive membership of a symplectic vector in A(G)."""
         return bool(self.rowspace.contains_batch(np.asarray(v)[None, :])[0])
-
-    @functools.cached_property
-    def _group_map(self) -> Sites:
-        """The syndrome map with the logicals below it: one image on each coset of A(G),
-        built and certified, and this attribute set, by the rowspace getter."""
-        self.rowspace
-        return self._group_map
 
     # --- weight searches -----------------------------------------------
     def wt_mod_centralizer(self, e: PauliOp, budget: int | None = None) -> BoundedWeight:
@@ -337,15 +325,16 @@ class StabilizerCode:
     def wt_mod_group(self, e: PauliOp, budget: int | None = None) -> BoundedWeight:
         """min weight of F with F*E^{-1} in A(G), scalar-insensitive.
 
-        F*E^{-1} is in A(G) iff F and E have one image under _group_map:
+        F*E^{-1} is in A(G) iff F and E have one image under RowSpace.map:
         one syndrome and equal products with the logicals.  Image zero
         means E itself is in A(G).
         """
-        target = self._image(self._group_map, e)
+        group = self.rowspace.map
+        target = self._image(group, e)
         if not target.any():
             return BoundedWeight.exactly(0)
         w_e = e.weight()
-        res = min_weight_vector(self.n, self.d, w_e - 1, self._group_map, target, budget=budget)
+        res = min_weight_vector(self.n, self.d, w_e - 1, group, target, budget=budget)
         return self._bounded_from_search(res, w_e)
 
     @staticmethod
@@ -387,12 +376,12 @@ class StabilizerCode:
         """True iff A(G) has no non-identity element of weight < k.
 
         None when the budget runs out before the search is complete.  The
-        members of A(G) are the words of image zero under _group_map; a
+        members of A(G) are the words of image zero under RowSpace.map; a
         member is fixed by its pivot coordinates, so those tell it from the
         identity.  A code has k >= 2: a weight-1 generating set is refused,
         by its commutation or its trivial qudits.
         """
-        group = self._group_map
+        group = self.rowspace.map
         res = min_weight_vector(
             self.n, self.d, self.k - 1, group, np.zeros(group.shape[0]),
             nonzero=self._pivot_filter(), budget=budget,
@@ -441,6 +430,13 @@ class StabilizerCode:
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # not UTF-8 JSON
                 raise CodeValidationError(str(exc)) from exc
         return StabilizerCode.from_json(obj)
+
+
+def _dense(sites: Sites, d: int) -> np.ndarray:
+    """The m x 2n map of sites, each of whose rows has a site, read-only in residue_dtype(d)."""
+    out = sites.block(np.arange(sites.shape[1] // 2), residue_dtype(d))[1]
+    out.setflags(write=False)
+    return out
 
 
 def build_code(generators: Sequence[PauliOp], strict_degree: bool = True) -> StabilizerCode:

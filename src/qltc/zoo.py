@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fieldmath import CodeValidationError, check_prime, field_width, residue_dtype, residues
+from .fieldmath import (
+    CodeValidationError, Sites, check_prime, field_width, residue_dtype, residues,
+)
 from .stabilizer import StabilizerCode
 
 # refuse builds estimated to hold more bytes than this (see _check_build_size)
@@ -26,24 +28,16 @@ BUILD_GUARD = 2_000_000_000
 def _check_build_size(m: int, n: int, d: int) -> int:
     """Refuse, before any allocation, a build of m generators on n qudits that cannot fit.
 
-    Returns the estimate, in bytes.  A build holds the m x 2n symplectic
-    matrix and its 2k' logicals (k' = n - rank), both in residue_dtype(d)
-    (b = 1 byte an entry below 256; the float64 syndrome map is not
-    built), and its interaction graph: adjacency lists under 1 KB a vertex
-    and the expansion scan's two n x m bit masks.  Beside the matrix the first term prices
-    2n - min(m, n) rows of 2n entries, the kernel that builds held before
-    the logicals; it stays, as a matrix file is refused by this estimate
-    (see parse_sparse_rows).  The peak comes while RowSpace eliminates the
-    matrix, m x 2n, as rows of w = field_width(d) bits an entry: a nonzero
-    bitmap and, at odd d, an index of its nonzero bytes (at most 1/8 and 1
-    byte an entry); the rows as Python ints and the pivot rows as words
-    (w / 8 bytes an entry each); the logicals' pivot entries gathered from
-    the words, at most half an entry each, three at a time in up to 4
-    bytes.  w + 2 bytes an entry cover them; at d = 2 these are the 3 bytes
-    priced since the elimination held more.  They are priced on
-    m x (2n + m) entries, more than the m x (2n + 1) it holds.  Growing
-    with m, n and d and at least 8mn, it prices an r x c matrix file too,
-    as its least code (r, c, 2).
+    Returns the estimate, in bytes.  It is unchanged from when a build held
+    the m x 2n symplectic matrix beside 2n - min(m, n) kernel rows of 2n
+    entries, in residue_dtype(d) (b bytes an entry), and w + 2 bytes an
+    entry (w = field_width(d)) of elimination rows on m x (2n + m)
+    entries, with the interaction graph: adjacency lists under 1 KB a
+    vertex and the expansion scan's two n x m bit masks.  A build now holds
+    its sites and packs its rows from them, so the estimate over-prices it;
+    it stays, as a matrix file is refused by it (see parse_sparse_rows).
+    Growing with m, n and d and at least 8mn, it prices an r x c matrix
+    file too, as its least code (r, c, 2).
     """
     b = residue_dtype(d).itemsize
     per_entry = field_width(d) + 2
@@ -85,18 +79,15 @@ def toric_code(L: int, d: int = 2) -> StabilizerCode:
     _check_build_size(n, n, d)
     r, c = np.divmod(np.arange(L * L), L)
     vertex, plaquette = r * L + c, L * L + r * L + c
-    matrix = np.zeros((n, 2 * n), dtype=residue_dtype(d))
-    # vertex operator: X^{+1} on incoming edges, X^{-1} on outgoing
-    matrix[vertex, h(r, c - 1)] = 1
-    matrix[vertex, h(r, c)] = d - 1
-    matrix[vertex, v(r - 1, c)] = 1
-    matrix[vertex, v(r, c)] = d - 1
-    # plaquette operator: Z^{+-1} around the face counterclockwise
-    matrix[plaquette, n + h(r, c)] = 1
-    matrix[plaquette, n + v(r, c + 1)] = 1
-    matrix[plaquette, n + h(r + 1, c)] = d - 1
-    matrix[plaquette, n + v(r, c)] = d - 1
-    return StabilizerCode(d, matrix)
+    zero, one, minus = (np.full(L * L, v) for v in (0, 1, d - 1))
+    # vertex operator: X^{+1} on incoming edges, X^{-1} on outgoing; plaquette
+    # operator: Z^{+-1} around the face counterclockwise.  Eight runs of sites:
+    # (row, qudit, x, z) of each
+    runs = [(vertex, h(r, c - 1), one, zero), (vertex, h(r, c), minus, zero),
+            (vertex, v(r - 1, c), one, zero), (vertex, v(r, c), minus, zero),
+            (plaquette, h(r, c), zero, one), (plaquette, v(r, c + 1), zero, one),
+            (plaquette, h(r + 1, c), zero, minus), (plaquette, v(r, c), zero, minus)]
+    return StabilizerCode(d, Sites.at(*map(np.concatenate, zip(*runs)), (n, 2 * n)))
 
 
 # --------------------------------------------------------------------------
@@ -120,12 +111,14 @@ def css_code(
     (rx, n), m = hx.shape, len(hx) + len(hz)
     _check_build_size(m, n, d)
     dtype = residue_dtype(d)  # a reduced input in this type or in int64 is read, not copied
-    matrix = np.zeros((m, 2 * n), dtype=dtype)
-    matrix[:rx, :n] = residues(hx, d, dtype if hx.dtype == dtype else np.int64)
-    matrix[rx:, n:] = residues(hz, d, dtype if hz.dtype == dtype else np.int64)
+    hx = residues(hx, d, dtype if hx.dtype == dtype else np.int64)
+    hz = residues(hz, d, dtype if hz.dtype == dtype else np.int64)
+    (ax, qx), (az, qz) = np.nonzero(hx), np.nonzero(hz)
+    x, z = np.r_[hx[ax, qx], 0 * qz], np.r_[0 * qx, hz[az, qz]]
     # free the blocks css_hypergraph_product passes (held here alone on CPython 3.11+)
     del hx, hz
-    return StabilizerCode(d, matrix, strict_degree=strict_degree)
+    sites = Sites.at(np.r_[ax, rx + az], np.r_[qx, qz], x, z, (m, 2 * n))
+    return StabilizerCode(d, sites, strict_degree=strict_degree)
 
 
 def css_hypergraph_product(

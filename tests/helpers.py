@@ -22,7 +22,8 @@ Nothing in the CLI or the bench reaches these, so they live with the tests:
 * the dense Gauss-Jordan loop (`rref_int64`), the one elimination the
   oracles run, and the standard form from it: the oracle of
   fieldmath.rref, with rows of residues packed into words of
-  field_width(p)-bit fields by Python ints, and unpacked back;
+  field_width(p)-bit fields by Python ints, and unpacked back, and the
+  dense matrix of a map's Sites, which rref and RowSpace take;
 * the right kernel of a matrix, as RowSpace once held it: the oracle of
   membership in the row space, which the library decides by logicals;
 * the join of the weight search on dense image rows, one residue a
@@ -193,6 +194,14 @@ def kernel(matrix: np.ndarray, d: int) -> np.ndarray:
     kernel_t[free, np.arange(free.size)] = 1
     kernel_t[pivots] = -reduced[: len(pivots), free] % d
     return kernel_t.T
+
+
+def sites_matrix(sites: Sites) -> np.ndarray:
+    """The dense int64 matrix of a map's Sites, zero rows too: Sites.of's inverse."""
+    out = np.zeros(sites.shape, dtype=np.int64)
+    out[sites.row, sites.qudit] = sites.x
+    out[sites.row, sites.shape[1] // 2 + sites.qudit] = sites.z
+    return out
 
 
 def pack_words(rows: np.ndarray, p: int = 2) -> np.ndarray:

@@ -137,12 +137,13 @@ def test_build_matches_golden(name, tmp_path):
 
 # --- the packed elimination against the dense int64 loop ---------------------
 
-def standard_form_int64(mat, p, phases=None):
-    """helpers.standard_form as fm.rref returns it: packed into words of fields (pack_words).
+def standard_form_int64(sites, p, phases=None):
+    """helpers.standard_form of the sites' matrix as fm.rref returns it: packed into words
+    of fields (pack_words).
 
     It carries no phase, so the obstruction is None.
     """
-    reduced, pivots = helpers.standard_form(mat, p)
+    reduced, pivots = helpers.standard_form(helpers.sites_matrix(sites), p)
     return helpers.pack_words(reduced, p), pivots, None
 
 
@@ -177,7 +178,7 @@ def test_rref_matches_int64_loop(mp):
     # rows run past one word, so odd-p fields straddle words
     mat, p = mp
     mat = mat[:, : mat.shape[1] // 2 * 2]  # (x | z) halves
-    words, pivots, _ = fm.rref(mat, p)
+    words, pivots, _ = fm.rref(fm.Sites.of(mat % p), p)
     reduced, pivots0 = helpers.standard_form(mat, p)
     assert pivots == pivots0
     assert words.shape == (len(pivots), -(-mat.shape[1] * fm.field_width(p) // 64))
@@ -195,9 +196,9 @@ def test_rowspace_matches_int64_loop(mp, seed):
     null = kernel(mat, p).astype(np.int64)
     hz = np.random.default_rng(seed).integers(p, size=(3, len(null))) @ null % p
     rows = np.block([[mat, np.zeros_like(mat)], [np.zeros_like(hz), hz]])
-    rs = fm.RowSpace(rows, p)
+    rs = fm.RowSpace(fm.Sites.of(rows), p)
     with mock.patch.object(fm, "rref", standard_form_int64):
-        rs0 = fm.RowSpace(rows, p)
+        rs0 = fm.RowSpace(fm.Sites.of(rows), p)
     assert rs.pivots == rs0.pivots and rs.rank == rs0.rank
     assert np.array_equal(rs.logicals, rs0.logicals)
     assert len(rs.logicals) == rows.shape[1] - 2 * rs.rank
@@ -217,9 +218,9 @@ def test_logicals_read_the_last_field_of_a_full_row(p, n):
         hz = rng.integers(p, size=(2, len(null))) @ null % p
         hz[:, -1] = 0
         rows = np.block([[hx, np.zeros_like(hx)], [np.zeros_like(hz), hz]])
-        rs = fm.RowSpace(rows, p)
+        rs = fm.RowSpace(fm.Sites.of(rows), p)
         with mock.patch.object(fm, "rref", standard_form_int64):
-            assert np.array_equal(rs.logicals, fm.RowSpace(rows, p).logicals)
+            assert np.array_equal(rs.logicals, fm.RowSpace(fm.Sites.of(rows), p).logicals)
 
 
 def _rref_spy(monkeypatch):
@@ -283,7 +284,7 @@ def test_css_rows_of_zero_phase_have_no_obstruction(case):
         return real(mat, p, phases)
 
     with mock.patch.object(fm, "rref", spy):
-        rs = fm.RowSpace(rows, d, np.zeros(len(rows), dtype=np.int64))
+        rs = fm.RowSpace(fm.Sites.of(rows), d, np.zeros(len(rows), dtype=np.int64))
     assert shapes == [rows.shape]
     assert rs.obstruction is None
 
@@ -396,7 +397,7 @@ def reference_build(gens, strict_degree):
             raise TrivialQuditError(q)
     matrix = np.concatenate([gx, gz], axis=1)
     with mock.patch.object(fm, "rref", standard_form_int64):
-        rs = fm.RowSpace(matrix, d)
+        rs = fm.RowSpace(fm.Sites.of(matrix % d), d)
     null = kernel(matrix, d)
     for i, g in enumerate(gens):
         if power(g, d).phase:
@@ -530,6 +531,65 @@ def test_matrix_first_build_matches_pauli_validation(case):
     assert _same(_outcome(lambda: build_code(gens, strict_degree=strict)), expected)
 
 
+# --- a code held as its sites against one built from its dense matrix ----------
+
+@st.composite
+def site_built_codes(draw):
+    """(d, matrix, phases, sites, built): a generating set over d in {2, 3, 5, 257} as its
+    dense matrix and phases, and as Sites.at of its nonzero sites in a random order; built
+    is the zoo's own build from sites, or None.  The sets: toric and hypergraph-product
+    codes (CSS), or a code under random local Clifford maps (Y-type sites, not CSS), each
+    with zero phases, phases that clear every relation, or those with one bumped."""
+    d = draw(st.sampled_from([2, 3, 5, 257]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["toric", "hgp", "scrambled"]))
+    built = None
+    if kind == "toric":
+        built = zoo.toric_code(draw(st.integers(2, 4)), d)
+    elif kind == "hgp":
+        h = regular_circulant_matrix(draw(st.integers(3, 6)), 2, seed=int(rng.integers(100)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            built = zoo.css_hypergraph_product(h, h, d, strict_degree=False)
+    matrix = _scrambled_code(d, rng) if built is None else built.symplectic_matrix
+    phases = np.zeros(len(matrix), dtype=np.int64)
+    n = matrix.shape[1] // 2
+    kind = draw(st.sampled_from(["zero", "consistent", "bumped"]))
+    if kind != "zero":  # then conjugated by a random Pauli, which keeps every relation's phase
+        phases = helpers.consistent_phases(matrix, d) + matrix @ rng.integers(d, size=2 * n)
+        phases[int(rng.integers(len(matrix)))] += (kind == "bumped") * int(rng.integers(1, d))
+        built = None
+    row, qudit = np.nonzero(matrix[:, :n] | matrix[:, n:])
+    order = rng.permutation(len(row))
+    row, qudit = row[order], qudit[order]
+    sites = fm.Sites.at(row, qudit, matrix[row, qudit], matrix[row, n + qudit], matrix.shape)
+    return d, np.array(matrix), phases % d, sites, built
+
+
+@given(site_built_codes(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_a_code_from_sites_is_the_code_from_its_dense_matrix(case, seed):
+    # rank, pivots, obstruction, logicals, syndromes, the dense forms and the
+    # JSON of a code held as its sites, against the code of its dense matrix
+    d, matrix, phases, sites, built = case
+    words = np.random.default_rng(seed).integers(d, size=(6, matrix.shape[1]))
+
+    def outcome(build):
+        codes = []
+        got = _outcome(lambda: codes.append(build()) or codes[0])
+        for code in codes[:1] if isinstance(got, dict) else []:
+            got.update(json=code.to_json({"seed": seed}), batch=code.syndrome_batch(words),
+                       obstruction=code.rowspace.obstruction, syndromes=np.array([
+                           code.syndrome(PauliOp(d, code.n, w[:code.n], w[code.n:]))
+                           for w in words]))
+        return got
+
+    expected = outcome(lambda: StabilizerCode(d, matrix, phases, strict_degree=False))
+    assert _same(outcome(lambda: StabilizerCode(d, sites, phases, strict_degree=False)), expected)
+    if built is not None:
+        assert _same(outcome(lambda: built), expected)
+
+
 # --- build size: the guard's estimate against the traced peak ------------------
 
 def _traced_peak(build):
@@ -569,6 +629,16 @@ def test_toric32_build_stays_at_its_narrow_size():
     # the float64 syndrome map was built with the code)
     zoo.toric_code(2).rank
     assert _traced_peak(lambda: zoo.toric_code(32).rank) < 16 * 2**20
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_toric32_build_holds_no_dense_matrix(d):
+    # m x 2n = 8 MiB is the uint8 symplectic matrix alone: a build from sites,
+    # with its rank read, traces 3.3 MiB at d = 2 and 6.5 MiB at d = 3 (12.1 and
+    # 14.5 MiB when the builder wrote the dense matrix and the build read it back)
+    zoo.toric_code(2, d).rank
+    m = n = 2 * 32 * 32
+    assert _traced_peak(lambda: zoo.toric_code(32, d).rank) < m * 2 * n
 
 
 def test_dense_logicals_are_certified_in_blocks():

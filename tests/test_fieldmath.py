@@ -61,7 +61,7 @@ def test_rref_preserves_rowspace(mp):
     # the nonzero rows of the reduced form, against the oracle: its rank, the
     # identity at the pivots, and the row space of mat
     mat, p = mp
-    reduced, pivots, _ = fm.rref(mat, p)
+    reduced, pivots, _ = fm.rref(fm.Sites.of(mat), p)
     r = unpacked(reduced, p, mat.shape[1])
     assert len(pivots) == len(rref_int64(mat, p)[1]) == len(r)
     assert np.array_equal(r[:, pivots], np.eye(len(pivots), dtype=np.int64))
@@ -119,7 +119,7 @@ def test_odd_rref_matches_gauss_jordan(mp):
     x_pivots = gauss_jordan(mat[:, :n], p)[1]
     order = [*range(n), *(n + q for q in range(n) if q not in x_pivots), *(n + q for q in x_pivots)]
     want, want_pivots = gauss_jordan(mat[:, order], p)
-    r, pivots, _ = fm.rref(mat, p)
+    r, pivots, _ = fm.rref(fm.Sites.of(mat % p), p)
     assert pivots == [order[c] for c in want_pivots]
     rows = np.zeros((len(pivots), 2 * n), dtype=np.int64)
     rows[:, order] = np.reshape(want[: len(pivots)], rows.shape)
@@ -162,7 +162,7 @@ def test_field_arithmetic_matches_python_ints(case):
 @settings(max_examples=200)
 def test_nullspaces_annihilate(mp):
     mat, p = mp
-    rank = len(fm.rref(mat, p)[1])
+    rank = len(fm.rref(fm.Sites.of(mat), p)[1])
     null = kernel(mat, p)
     assert null.shape == (mat.shape[1] - rank, mat.shape[1])
     assert not np.any((mat @ null.T) % p)
@@ -226,11 +226,11 @@ def phased_generators(draw):
 @settings(max_examples=400, deadline=None)
 def test_carried_phase_matches_left_kernel_oracle(case):
     rows, phases, d = case
-    rs = fm.RowSpace(rows, d, phases)
+    rs = fm.RowSpace(fm.Sites.of(rows), d, phases)
     named = phased_relation_generators(rows, phases, d)
     assert (rs.obstruction is not None) == bool(named)
     assert rs.obstruction is None or rs.obstruction in named
-    assert rs.pivots == fm.RowSpace(rows, d).pivots
+    assert rs.pivots == fm.RowSpace(fm.Sites.of(rows), d).pivots
     if named:  # the first generator that, times earlier ones, is a scalar other than 1
         first = next(i for i in range(len(rows))
                      if phased_relation_generators(rows[: i + 1], phases[: i + 1], d))
@@ -261,7 +261,7 @@ def test_solve_left_inconsistent():
 def test_rowspace_membership(p, seed):
     rng = np.random.default_rng(seed)
     mat = css_rows(rng, p, int(rng.integers(2, 7)))
-    rs = fm.RowSpace(mat, p)
+    rs = fm.RowSpace(fm.Sites.of(mat), p)
     c = rng.integers(p, size=mat.shape[0])
     v = (c @ mat) % p
     coef = coefficients(mat, p, v)
@@ -280,7 +280,7 @@ def test_contains_batch_matches_int64_product(p):
     rng = np.random.default_rng(p)
     for _ in range(20):
         mat = css_rows(rng, p, int(rng.integers(2, 8)))
-        rs = fm.RowSpace(mat, p)
+        rs = fm.RowSpace(fm.Sites.of(mat), p)
         members = rng.integers(p, size=(8, len(mat))) @ mat
         vs = np.vstack([members % p, rng.integers(p, size=(24, mat.shape[1]))])
         expected = ~np.any((vs @ kernel(mat, p).T) % p, axis=1)
@@ -292,7 +292,7 @@ def test_contains_batch_reduces_entries_outside_the_residues(p):
     # entries p and -1 in int64 give the membership of their residues
     rng = np.random.default_rng(p)
     mat = css_rows(rng, p, 5)
-    rs = fm.RowSpace(mat, p)
+    rs = fm.RowSpace(fm.Sites.of(mat), p)
     vs = np.vstack([rng.integers(p, size=len(mat)) @ mat % p, rng.integers(p, size=(7, 10))])
     expected = rs.contains_batch(vs.astype(np.uint8))
     assert np.array_equal(expected, ~np.any(vs @ kernel(mat, p).T % p, axis=1))
@@ -303,7 +303,7 @@ def test_contains_batch_reduces_entries_outside_the_residues(p):
 
 
 def test_contains_batch_refuses_a_non_integer_entry():
-    rs = fm.RowSpace(np.array([[1, 0, 1, 0]]), 3)  # X Z on qudit 0
+    rs = fm.RowSpace(fm.Sites.of(np.array([[1, 0, 1, 0]])), 3)  # X Z on qudit 0
     assert rs.contains_batch(np.array([[2.0, 0.0, 2.0, 0.0]]))[0]
     with pytest.raises(ValueError, match="entries must be integers"):
         rs.contains_batch(np.array([[0.5, 0.0, 0.0, 0.0]]))
@@ -420,7 +420,7 @@ def test_check_prime_runs_the_trial_division_once_per_prime(monkeypatch):
 
 @st.composite
 def kernel_queries(draw):
-    """A RowSpace of commuting rows over GF(2/3/5) and query rows that are zero, sparse
+    """Commuting rows over GF(2/3/5), their RowSpace and query rows that are zero, sparse
     (at most three nonzero entries) or dense, some of them members, some not reduced mod p."""
     p = draw(st.sampled_from([2, 3, 5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -438,14 +438,14 @@ def kernel_queries(draw):
         vs = np.vstack([vs, rng.integers(p, size=rows) @ mat % p])
     if draw(st.booleans()):
         vs = vs + p * rng.integers(-2, 3, size=vs.shape)
-    return fm.RowSpace(mat, p), vs, p
+    return mat, fm.RowSpace(fm.Sites.of(mat), p), vs, p
 
 
 @given(kernel_queries())
 @settings(max_examples=200)
 def test_contains_batch_on_the_support_matches_the_full_product(case):
-    rs, vs, p = case
-    expected = ~np.any((vs % p) @ kernel(rs._rows, p).T % p, axis=1)
+    mat, rs, vs, p = case
+    expected = ~np.any((vs % p) @ kernel(mat, p).T % p, axis=1)
     assert np.array_equal(rs.contains_batch(vs), expected)
 
 
@@ -493,20 +493,20 @@ def site_maps(draw):
 @settings(max_examples=300, deadline=None)
 def test_site_pairs_match_the_dense_symplectic_products(case, split, block):
     # the pairs, of one map and of two stacked, are the upper triangle of the
-    # dense oracle, and those across the two stacked its entries a < split <= b,
+    # dense oracle, and those since the split its entries b >= split,
     # when rows are summed in blocks of about `block` terms (1: a row a block)
     # as much as in one; the image of a word is the dense product
     mat, p, word = case
     n = mat.shape[1] // 2
     a, b, value = expected = symplectic_pairs(mat, p)
-    across = (a < split) & (b >= split)
+    since = b >= split
     sites = fm.Sites.of(mat)
     stacked = fm.Sites.of(mat[:split]).above(fm.Sites.of(mat[split:]))
     with mock.patch.object(fm, "PAIR_TERMS", block):
         for got in (sites.pairs(p), stacked.pairs(p)):
             assert all(map(np.array_equal, got, expected))
-        got = stacked.pairs(p, across=split)
-        assert all(map(np.array_equal, got, (a[across], b[across], value[across])))
+        got = stacked.pairs(p, since=split)
+        assert all(map(np.array_equal, got, (a[since], b[since], value[since])))
     dense = (mat[:, :n] @ word[:n] + mat[:, n:] @ word[n:]) % p
     assert np.array_equal(sites.image(word[:n], word[n:], p), dense)
     assert np.array_equal(stacked.image(word[:n], word[n:], p), dense)

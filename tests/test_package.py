@@ -9,7 +9,7 @@ import qltc
 import qltc.cli
 from qltc import zoo
 from qltc.attacks import SoundnessProfile
-from qltc.fieldmath import RowSpace
+from qltc.fieldmath import RowSpace, Sites
 from qltc.graphs import BipartiteGraph
 from qltc.pauli import PauliOp
 from qltc.stabilizer import StabilizerCode
@@ -64,7 +64,7 @@ def _defined_names(path: pathlib.Path) -> list[str]:
 
 @pytest.mark.parametrize("name", MOVED + DELETED)
 def test_test_only_names_are_not_in_the_library(name):
-    rowspace = RowSpace(np.array([[1, 1, 0, 0], [0, 0, 1, 1]]), 2)  # XX, ZZ
+    rowspace = RowSpace(Sites.of(np.array([[1, 1, 0, 0], [0, 0, 1, 1]])), 2)  # XX, ZZ
     owners = (qltc, zoo, PauliOp, StabilizerCode, SoundnessProfile, RowSpace, rowspace,
               BipartiteGraph)
     for owner in owners:

@@ -388,7 +388,7 @@ def test_weight_searches_toric_examples():
 def test_wt_mod_group_target_on_the_support(monkeypatch):
     from qltc import stabilizer
 
-    # the target is E's image under _group_map, summed over the sites where E
+    # the target is E's image under RowSpace.map, summed over the sites where E
     # acts: its syndrome, then its products with the logicals, with no dense product
     c = toric_code(16)
     products, targets = [], []
