@@ -147,7 +147,7 @@ def cmd_analyze(args, report: dict) -> int:
     # a section past its guard is refused alone; the other sections still report
     if args.expansion:
         try:
-            report["expansion"] = code.graph.small_set_expansion_error(args.sets)
+            report["expansion"] = code.graph.small_set_expansion_error(args.sets, code.symmetries)
         except Refusal as exc:
             report["expansion"] = {"refused": str(exc)}
     if args.profile:
@@ -160,7 +160,8 @@ def cmd_analyze(args, report: dict) -> int:
 
 # the bound each attack's r is checked against; the expander's scan may refuse
 _BOUNDS = {
-    "expander": lambda code, rep: 2 * code.graph.small_set_expansion_error(code.k)["epsilon_star"],
+    "expander": lambda code, rep: 2 * code.graph.small_set_expansion_error(
+        code.k, code.symmetries)["epsilon_star"],
     "refined": lambda code, rep: rep.meta["r_bound"],
     "alphabet": lambda code, rep: attacks.alphabet_alpha(code.d),
     "island": lambda code, rep: attacks.alphabet_alpha(code.d),

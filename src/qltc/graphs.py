@@ -14,8 +14,12 @@ extension list (CSR).  The next level follows by fancy indexing, its
 expansion errors by np.bitwise_count of the masks; levels are built in
 blocks of LEVEL_BYTES.  The witness set is named by a depth-first walk
 through the same children, one row at a time.  A scan past
-EXPANSION_GUARD sets raises Refusal, the one in-band refusal of the
-package, defined here as the lowest module that refuses.
+EXPANSION_GUARD sets visited raises Refusal, the one in-band refusal of
+the package, defined here as the lowest module that refuses.
+A caller may pass qudit automorphisms (a code's symmetries; the graph
+holds none), each checked to map the constraint supports onto themselves,
+else AssertionError.  ESU then roots at the least qudit of each orbit
+alone (orbit pruning, McKay 1998), with the same maximum and witness.
 
 Pcg64 draws numpy's default_rng(seed) stream in Python integers: the
 greedy t-independent set's order and the dense verifier's samples, both
@@ -141,26 +145,32 @@ class BipartiteGraph:
         unique, multi = int(np.count_nonzero(hits == 1)), int(np.count_nonzero(hits > 1))
         return ExpansionStats(len(qudits), unique + multi, unique, multi, total)
 
-    def small_set_expansion_error(self, size_cap: int) -> dict:
+    def small_set_expansion_error(self, size_cap: int, symmetries: Sequence = ()) -> dict:
         """Max expansion error over qudit sets of size <= size_cap.
 
         Enumerates connected sets only (connected in the constraint-sharing
         relation); this is exact for the maximum, since the expansion error
         of a disconnected set is a weighted average of its components'
-        errors.  The witness is the first set in ESU order that attains
-        the maximum, its qudits in discovery order.  The scan finishes iff
-        there are at most EXPANSION_GUARD connected sets of size <= size_cap;
-        else it raises Refusal once the sets it has counted, with the
-        children of the level at hand, pass the guard, before it builds that
-        next level; so a refusal costs at most that much scanning (toric:10
-        at cap 8: about 0.3 s).
+        errors.  ESU roots at the orbit minima of the qudit permutations
+        symmetries (p maps q to p[q]), every qudit with none; each is first
+        checked to map the constraint supports onto themselves, else
+        AssertionError.  A connected S whose least orbit minimum is r maps
+        onto a set whose least qudit is r.  The witness is the first set in
+        ESU order that attains the maximum, its qudits in discovery order;
+        its root, the least qudit whose sets attain it, is an orbit minimum
+        by the same map, so the roots keep the witness too.  sets_scanned
+        counts the sets visited; the scan finishes iff they are at most
+        EXPANSION_GUARD; else it raises Refusal once the sets it has
+        counted, with the children of the level at hand, pass the guard,
+        before it builds that next level; so a refusal costs at most that
+        much scanning (toric:10 at cap 8 with no symmetries: about 0.3 s).
         """
         if size_cap < 1:
             raise ValueError(f"size_cap must be >= 1, got {size_cap}")
         idle = next((q for q, cons in enumerate(self.left_adj) if not cons), None)
         if idle is not None:
             raise ValueError(f"qudit {idle} touches no constraint: its expansion is undefined")
-        root_best, scanned = self._level_scan(size_cap)
+        root_best, scanned = self._level_scan(size_cap, self._orbit_minima(symmetries))
         best = float(root_best.max(initial=0.0))
         witness = None
         if best > 0:  # the first set in ESU order grows from the smallest root attaining best
@@ -191,9 +201,37 @@ class BipartiteGraph:
             adj_idx,
         )
 
-    def _level_scan(self, size_cap: int) -> tuple[np.ndarray, int]:
-        """(largest expansion error of the sets grown from each root, number of sets)
-        over the connected sets of size <= size_cap.
+    def _orbit_minima(self, symmetries: Sequence) -> np.ndarray:
+        """The least qudit of each orbit of the permutations' group, ascending, once each is
+        checked to map the sorted supports onto themselves as a multiset, else AssertionError.
+        Orbits are the components of the edges q -- p[q]: hook roots onto smaller ones, jump."""
+        qudits = np.arange(self.n)
+        if not len(symmetries):
+            return qudits
+        lens, flat = _flatten(self.right_adj)
+        supports = np.full((self.m, int(lens.max())), self.n)  # padded past every qudit
+        supports[np.repeat(np.arange(self.m), lens), _ranges(0 * lens, lens)] = flat
+        want = supports[np.lexsort(supports.T)]
+        for i, perm in enumerate(symmetries):
+            if np.shape(perm) != (self.n,) or not np.array_equal(np.sort(perm), qudits):
+                raise AssertionError(f"symmetry {i} is not a permutation of the {self.n} qudits")
+            image = np.sort(np.append(perm, self.n)[supports], axis=1)
+            if not np.array_equal(image[np.lexsort(image.T)], want):
+                raise AssertionError(f"symmetry {i} does not map the constraint supports onto"
+                                     " themselves: it is not an automorphism")
+        a, b = np.tile(qudits, len(symmetries)), np.concatenate(symmetries)
+        root, last = qudits, None
+        while not np.array_equal(root, last):
+            last, root = root, root.copy()
+            np.minimum.at(root, last[a], last[b])
+            np.minimum.at(root, last[b], last[a])
+            while not np.array_equal(root[root], root):
+                root = root[root]
+        return np.flatnonzero(root == qudits)
+
+    def _level_scan(self, size_cap: int, roots: np.ndarray) -> tuple[np.ndarray, int]:
+        """(largest expansion error of the sets grown from each root, by qudit, number
+        of sets) over the connected sets of size <= size_cap whose least qudit is a root.
 
         ESU one level at a time.  A row of a level is a set V with root r, its
         smallest qudit: r, the OR of its constraint masks, the OR of its
@@ -237,18 +275,21 @@ class BipartiteGraph:
                 visit(self._children(level, start, stop, size + 1 < size_cap), size + 1)
                 start = stop
 
-        visit(self._first_level(), 1)
+        visit(self._first_level(roots), 1)
         return root_best, scanned
 
-    def _first_level(self):
-        """The level of the one-qudit sets, row q for {q}: its extension is the
-        qudits sharing a constraint with q that exceed q."""
+    def _first_level(self, roots: np.ndarray):
+        """The level of the one-qudit sets, row i for {roots[i]}: the extension of
+        {r} is the qudits sharing a constraint with r that exceed r."""
         cmask, nmask, deg, adj_ptr, adj_idx = self._level_tables
-        roots = np.arange(self.n)
-        owner = np.repeat(roots, np.diff(adj_ptr))
-        later = adj_idx > owner
-        ptr = np.concatenate([[0], np.cumsum(np.bincount(owner[later], minlength=self.n))])
-        return roots, cmask, nmask, deg, ptr, adj_idx[later]
+        if roots.size < self.n:  # the roots' rows of the tables; every qudit: the tables
+            cmask, nmask, deg = cmask[roots], nmask[roots], deg[roots]
+        lens = adj_ptr[roots + 1] - adj_ptr[roots]
+        nbrs = adj_idx[_ranges(adj_ptr[roots], lens)]
+        later = nbrs > np.repeat(roots, lens)
+        row = np.repeat(np.arange(roots.size), lens)[later]
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=roots.size))])
+        return roots, cmask, nmask, deg, ptr, nbrs[later]
 
     def _children(self, level, start: int, stop: int, grow: bool):
         """The level of sets one qudit larger grown from rows [start, stop) of level.
@@ -287,7 +328,7 @@ class BipartiteGraph:
         right before the sets grown from it, and its children are taken last
         extension first, as ESU pops them from its extension list.
         """
-        stack = [(self._first_level(), root, (root,))]
+        stack = [(self._first_level(np.array([root])), 0, (root,))]
         while stack:
             level, i, qudits = stack.pop()
             _, mask, _, total, ptr, ext = level

@@ -134,9 +134,11 @@ class StabilizerCode:
 
     def __init__(
         self, d: int, matrix: Sites | np.ndarray, phases: Sequence[int] | None = None,
-        strict_degree: bool = True,
+        strict_degree: bool = True, symmetries: Sequence = (),
     ):
-        """matrix is m x 2n, one row (x | z) per generator; phases default to 0.
+        """matrix is m x 2n, one row (x | z) per generator; phases default to 0;
+        symmetries are qudit permutations that map the supports onto themselves
+        (toric_code's translations), checked before a scan uses them.
 
         The builders pass its Sites, residues at distinct nonzero sites,
         which the code holds as they are.  A dense matrix is reduced into
@@ -149,6 +151,7 @@ class StabilizerCode:
         """
         check_prime(d)
         self.d = d
+        self.symmetries = tuple(symmetries)
         try:
             dense = None if isinstance(matrix, Sites) else residues(matrix, d, residue_dtype(d))
             phases = None if phases is None else residues(phases, d).copy()

@@ -69,7 +69,9 @@ def toric_code(L: int, d: int = 2) -> StabilizerCode:
     """Kitaev 2D toric code on n = 2L^2 prime-dimensional qudits.
 
     m = 2L^2 generators (L^2 vertex X-type, L^2 plaquette Z-type), k = 4,
-    D_L = 4; rank is 2L^2 - 2 (one global dependency per type).
+    D_L = 4; rank is 2L^2 - 2 (one global dependency per type).  Its symmetries
+    are the unit translations of both edge types, (r, c) to (r, c + 1) and to
+    (r + 1, c): at every d they map supports onto supports.
     """
     if L < 2:
         raise CodeValidationError("L must be >= 2")
@@ -87,7 +89,9 @@ def toric_code(L: int, d: int = 2) -> StabilizerCode:
             (vertex, v(r - 1, c), one, zero), (vertex, v(r, c), minus, zero),
             (plaquette, h(r, c), zero, one), (plaquette, v(r, c + 1), zero, one),
             (plaquette, h(r + 1, c), zero, minus), (plaquette, v(r, c), zero, minus)]
-    return StabilizerCode(d, Sites.at(*map(np.concatenate, zip(*runs)), (n, 2 * n)))
+    grid, step = np.arange(n).reshape(2, L, L), (np.arange(L) + 1) % L  # (type, r, c)
+    return StabilizerCode(d, Sites.at(*map(np.concatenate, zip(*runs)), (n, 2 * n)),
+                          symmetries=(grid[:, :, step].ravel(), grid[:, step].ravel()))
 
 
 # --------------------------------------------------------------------------

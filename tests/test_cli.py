@@ -14,6 +14,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -261,11 +262,24 @@ def test_analyze_profile_refused_in_band(capsys):
     assert "refused" in json.loads(out)["profile"]
 
 
-def test_analyze_expansion(capsys):
-    code, out, _ = run(capsys, "analyze", "toric:3", "--expansion", "--sets", "2")
-    rep = json.loads(out)
-    assert code == 0 and rep["expansion"]["epsilon_star"] == pytest.approx(0.25)
-    assert rep["expansion"]["sets_scanned"] == 90  # 18 qudits, 72 adjacent pairs
+def _saved(tmp_path, preset):
+    """The preset saved as a code file, which carries no symmetries: its scan roots everywhere."""
+    path = tmp_path / f"{preset.replace(':', '_')}.json"
+    qltc.cli.load_code(preset).save(path)
+    return str(path)
+
+
+def test_analyze_expansion(capsys, tmp_path):
+    sets = []
+    for source in (_saved(tmp_path, "toric:3"), "toric:3"):
+        code, out, _ = run(capsys, "analyze", source, "--expansion", "--sets", "2")
+        rep = json.loads(out)
+        assert code == 0 and rep["expansion"]["epsilon_star"] == pytest.approx(0.25)
+        assert rep["expansion"]["witness"] == [0, 16]
+        sets.append(rep["expansion"]["sets_scanned"])
+    # from a file: 18 qudits and 72 adjacent pairs; as a preset, rooted at the orbit
+    # minima 0 and 9 of the translations: 2 qudits and the 12 pairs they are least in
+    assert sets == [90, 14]
 
 
 def test_analyze_expansion_sets_below_1_exits_1(tmp_path):
@@ -277,18 +291,50 @@ def test_analyze_expansion_sets_below_1_exits_1(tmp_path):
     assert proc.returncode == 1 and "--sets" in proc.stderr
 
 
-def test_analyze_expansion_refused_in_band(capsys):
+def test_analyze_expansion_refused_in_band(capsys, tmp_path):
+    for source, cap in ((_saved(tmp_path, "toric:10"), "8"), ("toric:16", "9")):
+        code, out, _ = run(capsys, "analyze", source, "--expansion", "--sets", cap)
+        assert code == 0
+        refusal = json.loads(out)["expansion"]["refused"]
+        assert "infeasible" in refusal and "--sets" in refusal and "sampled" not in refusal
+    # rooted at the orbit minima of its translations, toric:10 at --sets 8 is admitted
     code, out, _ = run(capsys, "analyze", "toric:10", "--expansion", "--sets", "8")
-    assert code == 0
-    refusal = json.loads(out)["expansion"]["refused"]
-    assert "infeasible" in refusal and "--sets" in refusal and "sampled" not in refusal
-
-
-def test_analyze_expansion_scans_every_connected_set_of_toric3(capsys):
-    code, out, _ = run(capsys, "analyze", "toric:3", "--expansion", "--sets", "99999")
     expansion = json.loads(out)["expansion"]
     assert code == 0 and expansion["kind"] == "exact"
-    assert expansion["sets_scanned"] == 251133  # every connected set of the 18 qudits
+    assert (expansion["epsilon_star"], expansion["sets_scanned"]) == (0.53125, 1404193)
+
+
+def test_analyze_expansion_scans_every_connected_set_of_toric3(capsys, tmp_path):
+    sets = []
+    for source in (_saved(tmp_path, "toric:3"), "toric:3"):
+        code, out, _ = run(capsys, "analyze", source, "--expansion", "--sets", "99999")
+        expansion = json.loads(out)["expansion"]
+        assert code == 0 and expansion["kind"] == "exact" and expansion["epsilon_star"] == 0.75
+        sets.append(expansion["sets_scanned"])
+    # every connected set of the 18 qudits from a file; as a preset, those whose
+    # least qudit is an orbit minimum of the translations, 0 or 9
+    assert sets == [251133, 127845]
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "toric:4", "--expansion"),
+    ("attack", "toric:4", "expander", "--delta", "0.05", "--seed", "0"),
+], ids=["analyze", "attack"])
+def test_a_symmetry_that_is_not_an_automorphism_exits_2(capsys, monkeypatch, argv):
+    # swapping qudits 0 and 1 moves the support of vertex (0, 0) onto no support;
+    # the check raises, not asserts, so it holds under python -O too
+    from qltc import cli
+
+    code = cli.load_code("toric:4")
+    swap = np.arange(code.n)
+    swap[[0, 1]] = [1, 0]
+    code.symmetries = (code.symmetries[0], swap)
+    with pytest.raises(AssertionError, match="symmetry 1 .* not an automorphism"):
+        code.graph.small_set_expansion_error(2, code.symmetries)
+    monkeypatch.setattr(cli, "load_code", lambda source: code)
+    status, out, err = run(capsys, *argv)
+    assert status == 2 and out == ""
+    assert "internal invariant breach: symmetry 1" in err
 
 
 # --- attack ----------------------------------------------------------------
@@ -421,7 +467,7 @@ def _break_modmul(monkeypatch):
 
 
 def _break_level_scan(monkeypatch):
-    def broken(self, size_cap):
+    def broken(self, size_cap, roots):
         raise ValueError("broken product")
 
     monkeypatch.setattr(qltc.graphs.BipartiteGraph, "_level_scan", broken)

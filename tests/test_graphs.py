@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import os
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 import qltc
 from qltc import graphs
 from qltc.cli import load_code
+from qltc.fieldmath import Sites
 from qltc.graphs import BipartiteGraph, ExpansionStats
-from qltc.zoo import css_hypergraph_product, toric_code
+from qltc.stabilizer import StabilizerCode
+from qltc.zoo import css_hypergraph_product, steane_code, toric_code
 import helpers
 from helpers import connected_sets, random_regular_bipartite, regular_circulant_matrix
 
@@ -416,6 +419,96 @@ def test_expansion_refusal_comes_before_the_level_that_passes_the_guard(monkeypa
     with pytest.raises(graphs.Refusal, match="infeasible.*--sets"):
         g.small_set_expansion_error(4)
     assert sizes == built
+
+
+# --- the scan rooted at orbit minima ------------------------------------------
+
+def _rooted_scan_matches_full(g, symmetries, cap):
+    """The scan rooted at the orbit minima of symmetries: its epsilon*, witness and kind
+    are the full scan's, its witness attains epsilon*, and it visits no more sets."""
+    rooted, full = g.small_set_expansion_error(cap, symmetries), g.small_set_expansion_error(cap)
+    keys = ("epsilon_star", "witness", "kind")
+    assert [rooted[k] for k in keys] == [full[k] for k in keys]
+    if rooted["witness"] is not None:
+        assert g.expansion_stats(rooted["witness"]).epsilon == rooted["epsilon_star"]
+    assert rooted["sets_scanned"] <= full["sets_scanned"]
+    return rooted
+
+
+@functools.lru_cache(maxsize=None)
+def _toric(L, d):
+    return toric_code(L, d)
+
+
+def test_only_toric_codes_carry_symmetries(tmp_path):
+    code = toric_code(3)
+    assert len(code.symmetries) == 2
+    assert code.graph._orbit_minima(code.symmetries).tolist() == [0, 9]
+    assert code.graph._orbit_minima(()).tolist() == list(range(18))
+    code.save(tmp_path / "toric3.json")
+    h = regular_circulant_matrix(4, 2, seed=0)
+    for other in (load_code(str(tmp_path / "toric3.json")), steane_code(),
+                  css_hypergraph_product(h, h)):
+        assert other.symmetries == ()
+
+
+@given(st.integers(2, 8), st.sampled_from([2, 3, 5]), st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+@example(12, 2, 4).via("the CI step's bench-scale witness")
+def test_rooted_scan_matches_the_full_scan_on_toric_codes(L, d, cap):
+    code = _toric(L, d)
+    _rooted_scan_matches_full(code.graph, code.symmetries, cap)
+
+
+def _cyclic_shifts(s1, s2):
+    """The shifts of both factors of the hypergraph product of an s1 x s1 and an s2 x s2
+    circulant: (i, j) -> (i + 1, j) and (i, j + 1) on the n1 n2 qudits (i, j) and on
+    the r1 r2 qudits (a, b) alike, as rows and columns of a circulant shift together."""
+    i, j = np.divmod(np.arange(s1 * s2), s2)
+    return (np.r_[(i + 1) % s1 * s2 + j, s1 * s2 + (i + 1) % s1 * s2 + j],
+            np.r_[i * s2 + (j + 1) % s2, s1 * s2 + i * s2 + (j + 1) % s2])
+
+
+@given(st.integers(3, 6), st.integers(3, 6), st.integers(2, 3), st.integers(2, 3),
+       st.integers(0, 100), st.integers(1, 4))
+@settings(max_examples=30, deadline=None)
+def test_rooted_scan_matches_the_full_scan_on_circulant_products(s1, s2, deg1, deg2, seed, cap):
+    h1 = regular_circulant_matrix(s1, deg1, seed=seed)
+    h2 = regular_circulant_matrix(s2, deg2, seed=seed + 1)
+    code = css_hypergraph_product(h1, h2)
+    _rooted_scan_matches_full(code.graph, _cyclic_shifts(s1, s2), cap)
+
+
+@given(st.integers(2, 6), st.sampled_from([2, 3, 5]), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_relabelled_toric_code_keeps_epsilon_star(L, d, cap, seed):
+    # relabel qudit q as perm[q] and conjugate the translations t into perm t perm^-1;
+    # the orbit minima are then the least labels of the two edge types, not {0, L^2}
+    code = _toric(L, d)
+    perm = np.random.default_rng(seed).permutation(code.n)
+    back = np.argsort(perm)
+    s = code._sites
+    relabelled = StabilizerCode(d, Sites.at(s.row, perm[s.qudit], s.x, s.z, s.shape),
+                                symmetries=[perm[t[back]] for t in code.symmetries])
+    minima = relabelled.graph._orbit_minima(relabelled.symmetries)
+    assert minima.tolist() == sorted([perm[: L * L].min(), perm[L * L :].min()])
+    rooted = _rooted_scan_matches_full(relabelled.graph, relabelled.symmetries, cap)
+    assert rooted["epsilon_star"] == code.graph.small_set_expansion_error(cap)["epsilon_star"]
+    if rooted["witness"] is not None:  # the witness maps back to a set of the same error
+        assert code.graph.expansion_stats(back[list(rooted["witness"])]).epsilon == (
+            rooted["epsilon_star"])
+
+
+def test_a_permutation_that_is_not_an_automorphism_is_refused():
+    g = toric_code(4).graph
+    swap = np.arange(g.n)
+    swap[[0, 1]] = [1, 0]
+    with pytest.raises(AssertionError, match="symmetry 0 .* not an automorphism"):
+        g.small_set_expansion_error(2, [swap])
+    for bad in (swap[:-1], np.zeros(g.n, dtype=np.int64)):
+        with pytest.raises(AssertionError, match="not a permutation of the 32 qudits"):
+            g.small_set_expansion_error(2, [bad])
 
 
 def test_touches_counts_the_qudits_of_s_at_each_constraint():
